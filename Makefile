@@ -36,9 +36,9 @@ test:
 # reduced fat tree race-checked instead.
 race:
 	$(GO) test -race ./internal/bench -run 'TestParallel|TestResilience|TestDomain|TestTelemetry|TestFastForward|TestUP4|TestTrialPanic|TestJournal|TestBurst|TestObs'
-	$(GO) test -race ./internal/sim -run 'TestPartition|TestAtWire|TestRunBefore|TestAdvanceTo|TestBatched|TestSlimState'
+	$(GO) test -race ./internal/sim
 	$(GO) test -race ./internal/netsim -run 'TestPartitioned|TestScheduleLinkChange|TestCrossDomain|TestBurst'
-	$(GO) test -race ./internal/core -run 'TestBurst|TestSwitchBurst'
+	$(GO) test -race ./internal/core -run 'TestBurst|TestSwitchBurst|TestGeneratorPathZeroAlloc'
 	$(GO) test -race ./internal/faults
 	$(GO) test -race ./internal/checkpoint
 	$(GO) test -race ./internal/telemetry ./internal/telemetry/self ./internal/obs

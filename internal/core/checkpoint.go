@@ -92,12 +92,12 @@ func (s *Switch) Snapshot(e *checkpoint.Encoder) {
 	}
 	e.Int(s.rxRR)
 	e.Bool(s.lastRecirc)
-	e.Int(len(s.recirc))
-	for _, pkt := range s.recirc {
+	e.Int(s.recirc.len())
+	for _, pkt := range s.recirc.live() {
 		snapPacket(e, pkt)
 	}
-	e.Int(len(s.genq))
-	for _, pkt := range s.genq {
+	e.Int(s.genq.len())
+	for _, pkt := range s.genq.live() {
 		snapPacket(e, pkt)
 	}
 
@@ -124,7 +124,8 @@ func (s *Switch) Snapshot(e *checkpoint.Encoder) {
 		if s.txPkt[p] != nil {
 			snapPacket(e, s.txPkt[p])
 		}
-		snapCoord(e, s.txDonePend[p], s.txDoneAt[p], s.txDoneSeq[p])
+		td := s.txDone[p]
+		snapCoord(e, td.pend, td.at, td.seq)
 	}
 
 	// In-flight pipeline conveyor entries, oldest first. The conveyor is
@@ -229,25 +230,25 @@ func (s *Switch) Restore(d *checkpoint.Decoder) {
 	if d.Err() != nil {
 		return
 	}
-	s.recirc = s.recirc[:0]
+	s.recirc.reset()
 	for i := 0; i < nr; i++ {
 		pkt := restorePacket(d, s.pool)
 		if pkt == nil {
 			return
 		}
-		s.recirc = append(s.recirc, pkt)
+		s.recirc.push(pkt)
 	}
 	ng := d.Int()
 	if d.Err() != nil {
 		return
 	}
-	s.genq = s.genq[:0]
+	s.genq.reset()
 	for i := 0; i < ng; i++ {
 		pkt := restorePacket(d, s.pool)
 		if pkt == nil {
 			return
 		}
-		s.genq = append(s.genq, pkt)
+		s.genq.push(pkt)
 	}
 
 	for k := 0; k < events.NumKinds; k++ {
@@ -303,12 +304,13 @@ func (s *Switch) Restore(d *checkpoint.Decoder) {
 		} else {
 			s.txPkt[p] = nil
 		}
-		s.txDonePend[p] = d.Bool()
-		if s.txDonePend[p] {
+		td := &s.txDone[p]
+		td.pend = d.Bool()
+		if td.pend {
 			s.txPendCount++
 		}
-		s.txDoneAt[p] = sim.Time(d.I64())
-		s.txDoneSeq[p] = d.U64()
+		td.at = sim.Time(d.I64())
+		td.seq = d.U64()
 		if d.Err() != nil {
 			return
 		}

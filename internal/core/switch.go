@@ -236,9 +236,9 @@ type Switch struct {
 	rxHead     []int
 	rxRR       int
 	rxPending  int // packets queued across rxq (kept so work checks are O(1))
-	recirc     []*packet.Packet
+	recirc     pktFIFO
 	lastRecirc bool
-	genq       []*packet.Packet
+	genq       pktFIFO
 
 	evq [events.NumKinds]*events.Queue
 	// evMask has bit k set while evq[k] is non-empty; prioMask has bit k
@@ -247,6 +247,11 @@ type Switch struct {
 	// no events are pending — the common case in burst stretches.
 	evMask   uint32
 	prioMask uint32
+	// handled has bit k set for kinds the architecture exposes and the
+	// loaded program binds (derived at Load; zero before). Events of any
+	// other kind are discarded at the source, and the TM is told not to
+	// build them at all (tm.TM.Muted).
+	handled uint32
 
 	// tmReqs is the scratch vector for bulk TM enqueues (finishSlot's
 	// generated-packet fan-out); tmPkts parallels it. tmResult is the
@@ -272,10 +277,8 @@ type Switch struct {
 	// inline, skipping the per-event dispatch entirely.
 	pipeQ       []pipeEntry // FIFO in (at, seq): slot → TM deliveries
 	pipeHead    int         // index of the conveyor's earliest entry
-	txDoneAt    []sim.Time  // per-port tx-complete instant
-	txDoneSeq   []uint64    // per-port tx-complete sequence number
-	txDonePend  []bool      // per-port tx-complete pending
-	txPendCount int         // how many txDonePend entries are set
+	txDone      []txDone    // per-port tx completion
+	txPendCount int         // how many txDone entries are pending
 	auxLane     *sim.Lane   // fires the earliest conveyor entry
 
 	emptyPkt packet.Packet   // reused metadata-carrier slot packet
@@ -338,9 +341,7 @@ func New(cfg Config, arch *Arch, sched *sim.Scheduler) *Switch {
 	s.linkUp = make([]bool, cfg.Ports)
 	s.txBusy = make([]bool, cfg.Ports)
 	s.txPkt = make([]*packet.Packet, cfg.Ports)
-	s.txDoneAt = make([]sim.Time, cfg.Ports)
-	s.txDoneSeq = make([]uint64, cfg.Ports)
-	s.txDonePend = make([]bool, cfg.Ports)
+	s.txDone = make([]txDone, cfg.Ports)
 	for i := range s.linkUp {
 		s.linkUp[i] = true
 	}
@@ -360,6 +361,7 @@ func New(cfg Config, arch *Arch, sched *sim.Scheduler) *Switch {
 		Discipline:    cfg.Discipline,
 	})
 	s.tmgr.OnEvent = s.tmEvent
+	s.tmgr.Muted = ^s.handled
 	s.tmResult = s.bulkEnqueueResult
 	return s
 }
@@ -410,11 +412,20 @@ func (s *Switch) Program() *pisa.Program { return s.prog }
 func (s *Switch) Stats() Stats { return s.stats }
 
 // Load installs a program after validating it against the architecture.
+// The set of event kinds the program handles is fixed here: bind every
+// handler before loading.
 func (s *Switch) Load(p *pisa.Program) error {
 	if err := s.arch.Validate(p); err != nil {
 		return err
 	}
 	s.prog = p
+	s.handled = 0
+	for k := 0; k < events.NumKinds; k++ {
+		if kind := events.Kind(k); s.arch.Supports(kind) && p.Handles(kind) {
+			s.handled |= 1 << uint(k)
+		}
+	}
+	s.tmgr.Muted = ^s.handled
 	s.instrumentRegisters()
 	return nil
 }
@@ -436,7 +447,7 @@ func (s *Switch) tmEvent(e events.Event) {
 }
 
 func (s *Switch) pushEvent(e events.Event) {
-	if !s.arch.Supports(e.Kind) || s.prog == nil || !s.prog.Handles(e.Kind) {
+	if s.handled&(1<<uint(e.Kind)) == 0 {
 		return
 	}
 	e.Seq = s.evSeq
@@ -467,7 +478,7 @@ func (s *Switch) pushEvent(e events.Event) {
 // policy as any other, and ok reports whether its state survived
 // (stored or coalesced).
 func (s *Switch) InjectEvent(e events.Event) (ok bool) {
-	if !s.arch.Supports(e.Kind) || s.prog == nil || !s.prog.Handles(e.Kind) {
+	if s.handled&(1<<uint(e.Kind)) == 0 {
 		return false
 	}
 	before := s.evq[e.Kind].Drops()
@@ -576,7 +587,7 @@ func (s *Switch) AddGenerator(period sim.Time, mk func(seq uint64) (data []byte,
 			s.enqueueOut(pkt, port, 0, 0, flowHashOf(data))
 			return
 		}
-		s.genq = append(s.genq, pkt)
+		s.genq.push(pkt)
 		s.wake()
 	})
 	return nil
@@ -618,14 +629,14 @@ func (s *Switch) TriggerControlEvent(data uint64) {
 // --- the event merger and pipeline ---------------------------------------
 
 func (s *Switch) havePacketWork() bool {
-	return s.rxPending > 0 || len(s.recirc) > 0 || len(s.genq) > 0
+	return s.rxPending > 0 || s.recirc.len() > 0 || s.genq.len() > 0
 }
 
 // packetBacklog is the number of packets queued for pipeline slots; the
 // burst loop engages only when it promises more than one slot of inline
 // work (see BurstEngageDepth).
 func (s *Switch) packetBacklog() int {
-	return s.rxPending + len(s.recirc) + len(s.genq)
+	return s.rxPending + s.recirc.len() + s.genq.len()
 }
 
 // conveyorDepth is the number of pending conveyor entries (pipeline-
@@ -669,6 +680,38 @@ func (s *Switch) wake() {
 	s.cycleLane.ArmAt(at)
 }
 
+// pktFIFO is a packet queue popped by head index. The backing array is
+// reused once the queue empties and compacted once the dead prefix
+// outweighs the live tail, so steady-state push/pop allocates nothing;
+// popped slots are cleared so they never pin a released packet.
+type pktFIFO struct {
+	q    []*packet.Packet
+	head int
+}
+
+func (f *pktFIFO) len() int { return len(f.q) - f.head }
+
+func (f *pktFIFO) push(pkt *packet.Packet) { f.q = append(f.q, pkt) }
+
+// live returns the queued packets, oldest first.
+func (f *pktFIFO) live() []*packet.Packet { return f.q[f.head:] }
+
+func (f *pktFIFO) reset() { f.q, f.head = f.q[:0], 0 }
+
+func (f *pktFIFO) pop() *packet.Packet {
+	pkt := f.q[f.head]
+	f.q[f.head] = nil
+	f.head++
+	if f.head == len(f.q) {
+		f.reset()
+	} else if f.head >= 64 && f.head*2 >= len(f.q) {
+		n := copy(f.q, f.q[f.head:])
+		clear(f.q[n:])
+		f.q, f.head = f.q[:n], 0
+	}
+	return pkt
+}
+
 // popPacket selects the slot's packet by merger priority: recirculated,
 // then input ports (round-robin), then generated. Recirculated packets
 // get at most every other slot when fresh arrivals are waiting, bounding
@@ -676,11 +719,9 @@ func (s *Switch) wake() {
 // program that recirculates forever cannot starve the wire).
 func (s *Switch) popPacket() (*packet.Packet, events.Kind, bool) {
 	rxPending := s.rxPending > 0
-	if len(s.recirc) > 0 && !(s.lastRecirc && rxPending) {
-		pkt := s.recirc[0]
-		s.recirc = s.recirc[1:]
+	if s.recirc.len() > 0 && !(s.lastRecirc && rxPending) {
 		s.lastRecirc = true
-		return pkt, events.RecirculatedPacket, true
+		return s.recirc.pop(), events.RecirculatedPacket, true
 	}
 	s.lastRecirc = false
 	if rxPending {
@@ -700,10 +741,8 @@ func (s *Switch) popPacket() (*packet.Packet, events.Kind, bool) {
 			}
 		}
 	}
-	if len(s.genq) > 0 {
-		pkt := s.genq[0]
-		s.genq = s.genq[1:]
-		return pkt, events.GeneratedPacket, true
+	if s.genq.len() > 0 {
+		return s.genq.pop(), events.GeneratedPacket, true
 	}
 	return nil, 0, false
 }
@@ -1064,7 +1103,7 @@ func (s *Switch) finishSlot(ctx *pisa.Context, havePkt bool) {
 				})
 				s.tmPkts = append(s.tmPkts, pkt)
 			} else {
-				s.genq = append(s.genq, pkt)
+				s.genq.push(pkt)
 			}
 		}
 		if len(s.tmReqs) > 0 {
@@ -1079,7 +1118,7 @@ func (s *Switch) finishSlot(ctx *pisa.Context, havePkt bool) {
 		cl := pkt
 		cl.Recirc++
 		s.stats.Recirculated++
-		s.recirc = append(s.recirc, cl)
+		s.recirc.push(cl)
 		return
 	}
 	if ctx.EgressPort == pisa.PortDrop {
@@ -1119,6 +1158,15 @@ type pipeEntry struct {
 	seq            uint64
 }
 
+// txDone is one port's pending tx completion: the conveyor entry for the
+// packet on that port's wire, with the (at, seq) coordinates the
+// equivalent scheduler event would have carried.
+type txDone struct {
+	at   sim.Time
+	seq  uint64
+	pend bool
+}
+
 // enqueueOutDelayed models the pipeline's depth: the packet reaches the
 // traffic manager PipelineLatency cycles after its slot. The handoff is
 // a conveyor append — no heap event, no allocation.
@@ -1145,9 +1193,13 @@ func (s *Switch) auxMin() (at sim.Time, seq uint64, txPort int, ok bool) {
 		e := &s.pipeQ[s.pipeHead]
 		at, seq, ok = e.at, e.seq, true
 	}
-	for p, pend := range s.txDonePend {
-		if pend && (!ok || s.txDoneAt[p] < at || (s.txDoneAt[p] == at && s.txDoneSeq[p] < seq)) {
-			at, seq, txPort, ok = s.txDoneAt[p], s.txDoneSeq[p], p, true
+	if s.txPendCount == 0 {
+		return at, seq, txPort, ok
+	}
+	for p := range s.txDone {
+		d := &s.txDone[p]
+		if d.pend && (!ok || d.at < at || (d.at == at && d.seq < seq)) {
+			at, seq, txPort, ok = d.at, d.seq, p, true
 		}
 	}
 	return at, seq, txPort, ok
@@ -1170,7 +1222,7 @@ func (s *Switch) auxArm() {
 // already at its instant) and re-arms the lane at the new minimum.
 func (s *Switch) auxFire(txPort int) {
 	if txPort >= 0 {
-		s.txDonePend[txPort] = false
+		s.txDone[txPort].pend = false
 		s.txPendCount--
 		if !s.inBurst {
 			s.auxArm()
@@ -1279,7 +1331,7 @@ func (s *Switch) pump(port int) {
 			if g.Port >= 0 {
 				s.enqueueOut(gp, g.Port, 0, 0, flowHashOf(g.Data))
 			} else {
-				s.genq = append(s.genq, gp)
+				s.genq.push(gp)
 				s.wake()
 			}
 		}
@@ -1309,9 +1361,7 @@ func (s *Switch) pump(port int) {
 	ser := s.cfg.LineRate.ByteTime(pkt.Len() + WireOverhead)
 	at := s.sched.Now() + ser
 	seq := s.sched.NextSeq()
-	s.txDoneAt[port] = at
-	s.txDoneSeq[port] = seq
-	s.txDonePend[port] = true
+	s.txDone[port] = txDone{at: at, seq: seq, pend: true}
 	s.txPendCount++
 	if s.inBurst {
 		return
@@ -1390,8 +1440,8 @@ func (s *Switch) Inventory() Inventory {
 	for p := range s.rxq {
 		inv.RxQueued += len(s.rxq[p]) - s.rxHead[p]
 	}
-	inv.Recirc = len(s.recirc)
-	inv.GenQueued = len(s.genq)
+	inv.Recirc = s.recirc.len()
+	inv.GenQueued = s.genq.len()
 	inv.InPipeline = len(s.pipeQ) - s.pipeHead
 	enq, deq, _, _ := s.tmgr.Stats()
 	inv.Buffered = int(enq - deq)

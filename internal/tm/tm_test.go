@@ -98,6 +98,32 @@ func TestTMEnqueueDequeueEvents(t *testing.T) {
 	}
 }
 
+// TestTMMutedKindsKeepSequence: a muted kind is not delivered, but it
+// still takes its sequence number — the counter is checkpointed, so it
+// must read the same whatever the listener subscribes to.
+func TestTMMutedKindsKeepSequence(t *testing.T) {
+	run := func(muted uint32) (got []events.Event, seq uint64) {
+		tmgr := New(Config{Ports: 1, QueueCapBytes: 1000})
+		tmgr.OnEvent = func(e events.Event) { got = append(got, e) }
+		tmgr.Muted = muted
+		tmgr.Enqueue(mkPkt(100), 0, 0, 0, 1, 10)
+		tmgr.Dequeue(0, 20) // dequeue, then underflow
+		return got, tmgr.seq
+	}
+	all, seqAll := run(0)
+	some, seqSome := run(1<<events.BufferDequeue | 1<<events.BufferUnderflow)
+	none, seqNone := run(^uint32(0))
+	if len(all) != 3 || len(some) != 1 || len(none) != 0 {
+		t.Fatalf("delivered %d/%d/%d events, want 3/1/0", len(all), len(some), len(none))
+	}
+	if some[0] != all[0] {
+		t.Errorf("unmuted event changed: %+v, want %+v", some[0], all[0])
+	}
+	if seqAll != 3 || seqSome != 3 || seqNone != 3 {
+		t.Errorf("sequence counter = %d/%d/%d, want 3 whatever is muted", seqAll, seqSome, seqNone)
+	}
+}
+
 func TestTMOverflow(t *testing.T) {
 	var got []events.Event
 	tmgr := New(Config{Ports: 1, QueueCapBytes: 150})
