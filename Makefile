@@ -33,11 +33,15 @@ test:
 
 # The full scale sweep (TestScale*) is excluded here: its k=8 fat tree
 # is minutes under the race detector on one core. scale-smoke runs the
-# reduced fat tree race-checked instead.
+# reduced fat tree race-checked instead. The partition packages run at
+# three widths so every rung of the window gate's wait ladder is raced:
+# -cpu 1 has no spin and hands over by yield or park, -cpu 2 spins then
+# yields with a P per domain, and the 3- to 7-domain tests at either
+# width (plus -cpu 4 on a 2-CPU host) have more waiters than processors.
 race:
 	$(GO) test -race ./internal/bench -run 'TestParallel|TestResilience|TestDomain|TestTelemetry|TestFastForward|TestUP4|TestTrialPanic|TestJournal|TestBurst|TestObs'
-	$(GO) test -race ./internal/sim
-	$(GO) test -race ./internal/netsim -run 'TestPartitioned|TestScheduleLinkChange|TestCrossDomain|TestBurst'
+	$(GO) test -race -cpu 1,2,4 ./internal/sim
+	$(GO) test -race -cpu 1,2,4 ./internal/netsim -run 'TestPartitioned|TestScheduleLinkChange|TestCrossDomain|TestBurst'
 	$(GO) test -race ./internal/core -run 'TestBurst|TestSwitchBurst|TestGeneratorPathZeroAlloc'
 	$(GO) test -race ./internal/faults
 	$(GO) test -race ./internal/checkpoint

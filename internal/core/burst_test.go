@@ -134,3 +134,41 @@ func BenchmarkSwitchForwardPathBurstOff(b *testing.B) {
 	step, sw, _ := burstForwardRig(b, true)
 	benchForward(b, step, sw)
 }
+
+// TestConveyorWideSwitch holds more than 64 tx completions pending at
+// once — the pending set is a list, not one machine word — with frame
+// sizes chosen so completion order differs from port order, and requires
+// the burst engine and the per-packet oracle to transmit in the same
+// order.
+func TestConveyorWideSwitch(t *testing.T) {
+	const ports = 96
+	run := func(noBurst bool) (order []int, maxPend int, stats Stats) {
+		sched := sim.NewScheduler()
+		sw := New(Config{Ports: ports, NoBurst: noBurst}, EventDriven(), sched)
+		sw.MustLoad(xconnect())
+		sw.OnTransmit = func(port int, _ *packet.Packet) {
+			order = append(order, port)
+			maxPend = max(maxPend, len(sw.txPend)+1)
+		}
+		for round := 0; round < 3; round++ {
+			for p := 0; p < ports; p++ {
+				sw.Inject(p, frame(1500-13*((p*37)%ports), 1, 2))
+			}
+			sched.Run(sched.Now() + 20*sim.Microsecond)
+		}
+		return order, maxPend, sw.Stats()
+	}
+	burst, pend, bs := run(false)
+	oracle, _, os := run(true)
+	if pend <= 64 {
+		t.Fatalf("at most %d tx completions pending at once; the test needs more than 64", pend)
+	}
+	if len(burst) != 3*ports || bs != os {
+		t.Fatalf("transmitted %d frames, want %d; stats burst %+v oracle %+v", len(burst), 3*ports, bs, os)
+	}
+	for i := range burst {
+		if burst[i] != oracle[i] {
+			t.Fatalf("transmit %d left port %d under the burst engine, port %d under the oracle", i, burst[i], oracle[i])
+		}
+	}
+}

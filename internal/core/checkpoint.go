@@ -124,8 +124,14 @@ func (s *Switch) Snapshot(e *checkpoint.Encoder) {
 		if s.txPkt[p] != nil {
 			snapPacket(e, s.txPkt[p])
 		}
-		td := s.txDone[p]
-		snapCoord(e, td.pend, td.at, td.seq)
+		var td txDone
+		pend := false
+		for _, d := range s.txPend {
+			if d.port == p {
+				td, pend = d, true
+			}
+		}
+		snapCoord(e, pend, td.at, td.seq)
 	}
 
 	// In-flight pipeline conveyor entries, oldest first. The conveyor is
@@ -291,7 +297,7 @@ func (s *Switch) Restore(d *checkpoint.Decoder) {
 		return
 	}
 
-	s.txPendCount = 0
+	s.txPend = s.txPend[:0]
 	for p := 0; p < s.cfg.Ports; p++ {
 		s.linkUp[p] = d.Bool()
 		s.txBusy[p] = d.Bool()
@@ -304,15 +310,13 @@ func (s *Switch) Restore(d *checkpoint.Decoder) {
 		} else {
 			s.txPkt[p] = nil
 		}
-		td := &s.txDone[p]
-		td.pend = d.Bool()
-		if td.pend {
-			s.txPendCount++
-		}
-		td.at = sim.Time(d.I64())
-		td.seq = d.U64()
+		pend := d.Bool()
+		td := txDone{at: sim.Time(d.I64()), seq: d.U64(), port: p}
 		if d.Err() != nil {
 			return
+		}
+		if pend {
+			s.txPend = append(s.txPend, td)
 		}
 	}
 

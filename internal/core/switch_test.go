@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/events"
@@ -412,5 +413,30 @@ func TestUnsubscribedEventsNotQueued(t *testing.T) {
 	}
 	if st.TxPackets != 1 {
 		t.Errorf("tx = %d", st.TxPackets)
+	}
+}
+
+// TestLoadReservesHandledQueues: the event FIFO rings are not built with
+// the switch (13 kinds × 512 × 80 B each) but at Load, for the kinds the
+// program handles — so the first event of a run finds its ring in place.
+func TestLoadReservesHandledQueues(t *testing.T) {
+	sw := New(Config{}, EventDriven(), sim.NewScheduler())
+	p := pisa.NewProgram("deq")
+	p.HandleFunc(events.IngressPacket, func(ctx *pisa.Context) {})
+	p.HandleFunc(events.BufferDequeue, func(ctx *pisa.Context) {})
+	sw.MustLoad(p)
+	if got := sw.EventQueue(events.BufferEnqueue).Cap(); got != sw.Config().EventQueueDepth {
+		t.Fatalf("unhandled kind's queue Cap() = %d, want the configured %d", got, sw.Config().EventQueueDepth)
+	}
+	ring := uint64(sw.Config().EventQueueDepth) * 64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ok := sw.InjectEvent(events.Event{Kind: events.BufferDequeue, Port: 1})
+	runtime.ReadMemStats(&after)
+	if !ok || sw.EventQueueLen(events.BufferDequeue) != 1 {
+		t.Fatal("handled event was not queued")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= ring {
+		t.Errorf("first handled event allocated %d B: its ring was not reserved at Load", got)
 	}
 }

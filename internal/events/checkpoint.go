@@ -41,7 +41,7 @@ func restoreEvent(d *checkpoint.Decoder) Event {
 // plus the overflow counters. Capacity and policy come from construction
 // and are checked on restore.
 func (q *Queue) Snapshot(e *checkpoint.Encoder) {
-	e.U32(uint32(len(q.buf)))
+	e.U32(uint32(q.capacity))
 	e.U8(uint8(q.policy))
 	e.U32(uint32(q.sz))
 	for i := 0; i < q.sz; i++ {
@@ -62,18 +62,21 @@ func (q *Queue) Restore(d *checkpoint.Decoder) {
 	if d.Err() != nil {
 		return
 	}
-	if cap != len(q.buf) || pol != q.policy {
+	if cap != q.capacity || pol != q.policy {
 		d.Fail(fmt.Errorf("events: queue %v: snapshot cap=%d policy=%d, queue cap=%d policy=%d",
-			q.kind, cap, pol, len(q.buf), q.policy))
+			q.kind, cap, pol, q.capacity, q.policy))
 		return
 	}
 	sz := int(d.U32())
 	if d.Err() != nil {
 		return
 	}
-	if sz > len(q.buf) {
-		d.Fail(fmt.Errorf("events: queue %v: snapshot holds %d events, capacity %d", q.kind, sz, len(q.buf)))
+	if sz > q.capacity {
+		d.Fail(fmt.Errorf("events: queue %v: snapshot holds %d events, capacity %d", q.kind, sz, q.capacity))
 		return
+	}
+	if sz > 0 {
+		q.Reserve()
 	}
 	q.head = 0
 	q.sz = sz

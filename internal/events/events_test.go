@@ -3,6 +3,8 @@ package events
 import (
 	"testing"
 	"testing/quick"
+
+	"repro/internal/checkpoint"
 )
 
 func TestKindStrings(t *testing.T) {
@@ -112,5 +114,59 @@ func TestEventString(t *testing.T) {
 	e := Event{Kind: BufferOverflow, Port: 2, Queue: 1, PktLen: 64}
 	if s := e.String(); s == "" {
 		t.Error("empty event string")
+	}
+}
+
+// TestQueueRingIsLazy pins the ring's lifetime: a new queue reports its
+// configured capacity without holding a ring, an untouched queue
+// snapshots and restores as empty, the first stored event (or a restore
+// that brings events) allocates the ring as a fallback, and a reserved
+// queue never allocates afterwards.
+func TestQueueRingIsLazy(t *testing.T) {
+	q := NewQueue(BufferEnqueue, 8)
+	if q.Cap() != 8 || q.buf != nil {
+		t.Fatalf("new queue: Cap() = %d, ring allocated = %v; want 8, false", q.Cap(), q.buf != nil)
+	}
+	if _, ok := q.Pop(); ok {
+		t.Fatal("Pop on an untouched queue returned an event")
+	}
+	if _, ok := q.Peek(); ok {
+		t.Fatal("Peek on an untouched queue returned an event")
+	}
+	e := checkpoint.NewEncoder()
+	q.Snapshot(e)
+	empty := NewQueue(BufferEnqueue, 8)
+	empty.Restore(checkpoint.NewDecoder(e.Bytes()))
+	if empty.buf != nil || empty.Len() != 0 {
+		t.Error("restoring an empty snapshot allocated the ring")
+	}
+
+	for i := 0; i < 10; i++ {
+		q.Offer(Event{Kind: BufferEnqueue, Port: i})
+	}
+	if q.Len() != 8 || q.Drops() != 2 {
+		t.Fatalf("after 10 offers into 8 slots: Len %d Drops %d", q.Len(), q.Drops())
+	}
+	e = checkpoint.NewEncoder()
+	q.Snapshot(e)
+	full := NewQueue(BufferEnqueue, 8)
+	d := checkpoint.NewDecoder(e.Bytes())
+	full.Restore(d)
+	if err := d.Err(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		if ev, ok := full.Pop(); !ok || ev.Port != i {
+			t.Fatalf("restored queue pop %d = %+v, %v", i, ev, ok)
+		}
+	}
+
+	r := NewQueue(BufferDequeue, 512)
+	r.Reserve()
+	if n := testing.AllocsPerRun(100, func() {
+		r.Offer(Event{Kind: BufferDequeue})
+		r.Pop()
+	}); n != 0 {
+		t.Errorf("reserved queue allocates %v per offer/pop", n)
 	}
 }

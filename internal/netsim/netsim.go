@@ -485,9 +485,10 @@ type Network struct {
 	switches []*core.Switch
 	hosts    []*Host
 	links    []*Link
-	// byPort finds the link attached to a switch port.
-	byPort map[*core.Switch]map[int]*Link
-	taps   map[*core.Switch]func(port int, data []byte)
+	// attach[i] is what switches[i] transmits into; its OnTransmit
+	// closure holds the same record, so the per-frame path looks nothing
+	// up.
+	attach []*attachment
 
 	hooked bool // barrier hook registered with the partition
 
@@ -509,11 +510,25 @@ type Network struct {
 
 // New builds an empty network on a single scheduler.
 func New(sched *sim.Scheduler) *Network {
-	return &Network{
-		sched:  sched,
-		byPort: make(map[*core.Switch]map[int]*Link),
-		taps:   make(map[*core.Switch]func(int, []byte)),
+	return &Network{sched: sched}
+}
+
+// attachment is one registered switch's wiring: the link on each port
+// (nil where none is attached) and the TapTransmit observer.
+type attachment struct {
+	links []*Link
+	tap   func(port int, data []byte)
+}
+
+// attachOf finds sw's record, or nil for a switch never added. Set-up
+// path only.
+func (n *Network) attachOf(sw *core.Switch) *attachment {
+	for i, s := range n.switches {
+		if s == sw {
+			return n.attach[i]
+		}
 	}
+	return nil
 }
 
 // NewPartitioned builds an empty network over a partition: switches must
@@ -550,13 +565,14 @@ func (n *Network) AddSwitch(sw *core.Switch) {
 	if n.part != nil && n.part.Index(sw.Scheduler()) < 0 {
 		panic("netsim: switch " + sw.Name() + " not built on a partition domain scheduler")
 	}
+	at := &attachment{links: make([]*Link, sw.Config().Ports)}
 	n.switches = append(n.switches, sw)
-	n.byPort[sw] = make(map[int]*Link)
+	n.attach = append(n.attach, at)
 	sw.OnTransmit = func(port int, pkt *packet.Packet) {
-		if tap := n.taps[sw]; tap != nil {
-			tap(port, pkt.Data)
+		if at.tap != nil {
+			at.tap(port, pkt.Data)
 		}
-		if l := n.byPort[sw][port]; l != nil {
+		if l := at.links[port]; l != nil {
 			n.deliver(l, endpoint{sw: sw, port: port}, pkt.Data)
 		}
 	}
@@ -566,7 +582,11 @@ func (n *Network) AddSwitch(sw *core.Switch) {
 // disturbing link delivery (a switch's OnTransmit hook is owned by the
 // network once added). The observer runs in the switch's domain.
 func (n *Network) TapTransmit(sw *core.Switch, f func(port int, data []byte)) {
-	n.taps[sw] = f
+	at := n.attachOf(sw)
+	if at == nil {
+		panic("netsim: TapTransmit on switch " + sw.Name() + " before AddSwitch")
+	}
+	at.tap = f
 }
 
 // Switches lists the registered switches.
@@ -622,11 +642,15 @@ func (n *Network) addLink(a, b endpoint, latency sim.Time) *Link {
 	l.fifo[0] = &wireFIFO{n: n, l: l, dir: 0}
 	l.fifo[1] = &wireFIFO{n: n, l: l, dir: 1}
 	n.links = append(n.links, l)
-	if a.sw != nil {
-		n.byPort[a.sw][a.port] = l
-	}
-	if b.sw != nil {
-		n.byPort[b.sw][b.port] = l
+	for _, e := range [2]endpoint{a, b} {
+		if e.sw == nil {
+			continue
+		}
+		at := n.attachOf(e.sw)
+		if at == nil || e.port < 0 || e.port >= len(at.links) {
+			panic(fmt.Sprintf("netsim: link %s: switch %s was not added or has no port %d", l, e.sw.Name(), e.port))
+		}
+		at.links[e.port] = l
 	}
 	return l
 }
@@ -950,4 +974,9 @@ func (n *Network) ConnectLeafSpine(tors, spines []*core.Switch, latency sim.Time
 func (n *Network) Links() []*Link { return n.links }
 
 // LinkAt returns the link on a switch port, or nil.
-func (n *Network) LinkAt(sw *core.Switch, port int) *Link { return n.byPort[sw][port] }
+func (n *Network) LinkAt(sw *core.Switch, port int) *Link {
+	if at := n.attachOf(sw); at != nil && port >= 0 && port < len(at.links) {
+		return at.links[port]
+	}
+	return nil
+}

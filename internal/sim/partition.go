@@ -12,10 +12,11 @@ import (
 // set of Schedulers. Each member scheduler is a domain: a group of
 // simulated components that interact with the other domains only through
 // messages carrying at least Lookahead of virtual latency. Run advances
-// every domain in bounded windows — each domain executes on its own
-// goroutine up to its window edge, then all domains synchronize at a
-// barrier where cross-domain messages are exchanged (the OnBarrier
-// hooks; netsim drains its link mailboxes there).
+// every domain in bounded windows — the domains execute concurrently up
+// to their window edges (domain 0 on the goroutine that called Run, each
+// other one on a worker of its own), then all synchronize at a barrier
+// where cross-domain messages are exchanged (the OnBarrier hooks; netsim
+// drains its link mailboxes there).
 //
 // Window edges are adaptive (DESIGN.md §16). A domain's edge is the
 // earliest instant any pending work anywhere could deliver an effect to
@@ -192,7 +193,7 @@ func (p *Partition) closure() {
 
 // OnBarrier registers fn to run single-threaded at every synchronization
 // point (before the first window, between windows, and after the last),
-// while no domain goroutine is executing. Exchange hooks deliver
+// while no domain is executing. Exchange hooks deliver
 // cross-domain messages here by scheduling them on the destination
 // domain, typically via AtWire.
 func (p *Partition) OnBarrier(fn func()) { p.barriers = append(p.barriers, fn) }
@@ -253,8 +254,8 @@ func satAdd(a, b Time) Time {
 // cross-domain effect to it, via any chain of crossings (the dist
 // closure; the global lookahead single-hop / double-hop bound when no
 // matrix is installed). A domain bounds itself only through the shortest
-// cycle back to it — its own events are sequential on its own
-// goroutine, but their replies are not.
+// cycle back to it — its own events are sequential on one goroutine, but
+// their replies are not.
 func (p *Partition) computeEdges(until Time) {
 	n := len(p.scheds)
 	for d := 0; d < n; d++ {
@@ -288,135 +289,128 @@ func (p *Partition) computeEdges(until Time) {
 	}
 }
 
-// gateWorker is one domain's slot in the epoch gate. The coordinator
-// writes edge/incl/stop before bumping the gate epoch (the atomic bump
-// publishes them); parked and wake implement the park/wake protocol in
-// epochGate.
-type gateWorker struct {
-	edge   Time
-	incl   bool
-	stop   bool
+// eventCount is one direction of the epoch gate: a monotone counter that
+// one side advances and exactly one goroutine awaits. A waiter climbs a
+// three-rung ladder — spin, yield, park — so that a core with work to hand
+// over or pick up never goes through a futex for it, and a domain idle
+// for a whole traffic phase still ends up asleep.
+//
+// A wake can never be lost: the signaller bumps n before it reads parked,
+// the waiter publishes want and parked before it re-reads n. The token
+// channel is buffered and sends never block, so a stale token at worst
+// causes one spurious wake, which the re-check loop absorbs.
+type eventCount struct {
+	n      atomic.Uint64
+	want   atomic.Uint64 // the count a parked waiter needs
 	parked atomic.Bool
 	wake   chan struct{}
 }
 
-// epochGate synchronizes the coordinator with the persistent domain
-// workers without a per-window channel broadcast: releasing a window is
-// one atomic add (plus a wake for any worker that parked), and workers
-// that finish early spin briefly before parking, so back-to-back windows
-// on a multi-core host cost a fence, not a scheduler round-trip.
+// The ladder's budgets, measured on the 2-CPU container with the k=8 fat
+// tree under 2 domains (19 162 windows of ≈110 µs, pkt_hops_per_s):
 //
-// Protocol: the coordinator writes every worker's command, stores the
-// outstanding count in done, bumps epoch, then wakes parked workers.
-// Workers wait for epoch to reach their round number, run their window,
-// and decrement done; the last one wakes the coordinator if it parked.
-// Both waits use the eventcount discipline — publish the parked flag,
-// re-check the condition, only then block — so a wake can never be lost;
-// tokens are buffered and sends non-blocking, so a stale token at worst
-// causes one spurious wake, which the re-check loop absorbs.
-type epochGate struct {
-	epoch   atomic.Uint64
-	done    atomic.Int64
-	parked  atomic.Bool // coordinator parked
-	wake    chan struct{}
-	workers []*gateWorker
-	spin    bool // busy-wait briefly before parking (multi-core only)
+//   - spinLoads pure loads (≈1–3 µs) catch a hand-off that is already on
+//     its way without entering the Go scheduler. Skipped when the process
+//     has one P, where nobody else can be making progress.
+//   - yieldRounds of runtime.Gosched + re-check (110–220 ns a round, so
+//     ≈0.4–0.9 ms) outlast a window of the other side's work. Parking
+//     instead — the parent's spin-3000-then-park — read 1.00–1.05 M/s
+//     against 1.36–1.42 M/s here; 500 rounds falls back to 1.05–1.08 M/s,
+//     2000 and 8000 read the same as 4000. The rung yields rather than
+//     spins because an equally long pure spin starves runnable work as
+//     soon as goroutines outnumber Ps: go test ./internal/bench (8
+//     parallel trials × 2 domains on 2 CPUs) took 130 s with it, 20 s with
+//     the yield, 25 s at the parent.
+const (
+	spinLoads   = 3000
+	yieldRounds = 4000
+)
+
+// signal advances the count and wakes the waiter if it parked for a count
+// now reached.
+func (c *eventCount) signal() {
+	if v := c.n.Add(1); c.parked.Load() && v >= c.want.Load() {
+		select {
+		case c.wake <- struct{}{}:
+		default:
+		}
+	}
 }
 
-// spinBudget bounds the busy-wait before a waiter parks. Spinning only
-// pays when another core can be making progress toward the condition.
-const spinBudget = 3000
+// await blocks until the count reaches target.
+func (c *eventCount) await(target uint64, spin bool) {
+	if spin {
+		for i := 0; i < spinLoads; i++ {
+			if c.n.Load() >= target {
+				return
+			}
+		}
+	}
+	for i := 0; i < yieldRounds; i++ {
+		if c.n.Load() >= target {
+			return
+		}
+		runtime.Gosched()
+	}
+	c.want.Store(target)
+	for c.n.Load() < target {
+		c.parked.Store(true)
+		if c.n.Load() < target {
+			<-c.wake
+		}
+		c.parked.Store(false)
+	}
+}
 
-func newEpochGate(n int) *epochGate {
+// gateWorker is the gate slot of one domain other than 0. The coordinator
+// writes edge/incl/stop and then signals released, which publishes them;
+// the count is per worker so that a round which skips this domain leaves
+// its worker's round number alone. fired is the worker's until it signals
+// done. The tail padding keeps two workers' counts off one cache line.
+type gateWorker struct {
+	released eventCount
+	edge     Time
+	incl     bool
+	stop     bool
+	fired    uint64
+	_        [64]byte
+}
+
+// epochGate hands window rounds from the coordinator to the persistent
+// domain workers. Domain 0 has no worker: the coordinator runs its window
+// itself between releasing the others and awaiting them, so n domains are
+// n goroutines and a host with one P per domain never has a runnable
+// goroutine without a P. Releasing a worker and reporting back are one
+// atomic add each (plus a wake when the other side parked).
+type epochGate struct {
+	done     eventCount    // windows finished by workers, all rounds
+	expected uint64        // windows released to workers, all rounds
+	workers  []*gateWorker // workers[i] drives domain i+1
+	spin     bool
+}
+
+// startGate spawns the persistent worker of every domain but 0 for the
+// duration of one Run call; shutdown ends them.
+func startGate(scheds []*Scheduler) *epochGate {
 	g := &epochGate{
-		wake:    make(chan struct{}, 1),
-		workers: make([]*gateWorker, n),
+		workers: make([]*gateWorker, len(scheds)-1),
 		spin:    runtime.GOMAXPROCS(0) > 1,
 	}
+	g.done.wake = make(chan struct{}, 1)
 	for i := range g.workers {
-		g.workers[i] = &gateWorker{wake: make(chan struct{}, 1)}
+		w := &gateWorker{}
+		w.released.wake = make(chan struct{}, 1)
+		g.workers[i] = w
+		go g.work(i+1, scheds[i+1], w)
 	}
 	return g
 }
 
-// release publishes the commands already written into the workers and
-// opens the next window round.
-func (g *epochGate) release() {
-	g.done.Store(int64(len(g.workers)))
-	g.epoch.Add(1)
-	for _, w := range g.workers {
-		if w.parked.Load() {
-			select {
-			case w.wake <- struct{}{}:
-			default:
-			}
-		}
-	}
-}
-
-// awaitEpoch blocks worker w until the gate epoch reaches target.
-func (g *epochGate) awaitEpoch(w *gateWorker, target uint64) {
-	if g.spin {
-		for i := 0; i < spinBudget; i++ {
-			if g.epoch.Load() >= target {
-				return
-			}
-		}
-	}
-	for {
-		if g.epoch.Load() >= target {
-			return
-		}
-		w.parked.Store(true)
-		if g.epoch.Load() >= target {
-			w.parked.Store(false)
-			select { // drop the token a racing release may have sent
-			case <-w.wake:
-			default:
-			}
-			return
-		}
-		<-w.wake
-		w.parked.Store(false)
-	}
-}
-
-// awaitDone blocks the coordinator until every worker finished its
-// window.
-func (g *epochGate) awaitDone() {
-	if g.spin {
-		for i := 0; i < spinBudget; i++ {
-			if g.done.Load() == 0 {
-				return
-			}
-		}
-	}
-	for {
-		if g.done.Load() == 0 {
-			return
-		}
-		g.parked.Store(true)
-		if g.done.Load() == 0 {
-			g.parked.Store(false)
-			select {
-			case <-g.wake:
-			default:
-			}
-			return
-		}
-		<-g.wake
-		g.parked.Store(false)
-	}
-}
-
-// finish is a worker's window-complete notification.
-func (g *epochGate) finish() {
-	if g.done.Add(-1) == 0 && g.parked.Load() {
-		select {
-		case g.wake <- struct{}{}:
-		default:
-		}
-	}
+// release hands w one window to run.
+func (g *epochGate) release(w *gateWorker, edge Time, incl bool) {
+	w.edge, w.incl = edge, incl
+	g.expected++
+	w.released.signal()
 }
 
 // shutdown releases the workers one last time with stop set; they exit
@@ -424,44 +418,77 @@ func (g *epochGate) finish() {
 func (g *epochGate) shutdown() {
 	for _, w := range g.workers {
 		w.stop = true
+		w.released.signal()
 	}
-	g.release()
 }
 
-// startWorkers spawns one persistent goroutine per domain for the
-// duration of a Run call. The workers live across every window of the
-// run, blocked on the epoch gate between windows, and exit on shutdown.
-func (p *Partition) startWorkers(g *epochGate, fired *atomic.Uint64) {
-	for i, s := range p.scheds {
-		go func(domain int, s *Scheduler, w *gateWorker) {
-			// Barrier-stall accounting: the time between finishing a
-			// window and receiving the next epoch is this domain's stall —
-			// the load-imbalance number the -domains scaling work needs.
-			// Wall-clock only; never observed by simulation code.
-			var idleSince time.Time
-			for round := uint64(1); ; round++ {
-				g.awaitEpoch(w, round)
-				if w.stop {
-					return
-				}
-				if obs := self.On(); obs && !idleSince.IsZero() {
-					self.DomainStallNS(domain).Add(uint64(time.Since(idleSince).Nanoseconds()))
-				}
-				if w.incl {
-					fired.Add(s.Run(w.edge))
-				} else {
-					fired.Add(s.RunBefore(w.edge))
-				}
-				if self.On() {
-					self.DomainWindows(domain).Inc()
-					idleSince = time.Now()
-				} else {
-					idleSince = time.Time{}
-				}
-				g.finish()
-			}
-		}(i, s, g.workers[i])
+// work is the persistent goroutine of domain d (d ≥ 1) for one Run call:
+// it lives across every window of the run, waiting on its released count
+// between windows, and exits on shutdown.
+func (g *epochGate) work(d int, s *Scheduler, w *gateWorker) {
+	// Barrier-stall accounting: the time between finishing a window (or
+	// starting) and the next release is this domain's stall — rounds it
+	// sat out because it had nothing before its edge included. Wall-clock
+	// only; never observed by simulation code.
+	var idleSince time.Time
+	if self.On() {
+		idleSince = time.Now()
 	}
+	for round := uint64(1); ; round++ {
+		w.released.await(round, g.spin)
+		if w.stop {
+			return
+		}
+		if self.On() && !idleSince.IsZero() {
+			self.DomainStallNS(d).Add(uint64(time.Since(idleSince).Nanoseconds()))
+		}
+		if w.incl {
+			w.fired += s.Run(w.edge)
+		} else {
+			w.fired += s.RunBefore(w.edge)
+		}
+		if self.On() {
+			idleSince = time.Now()
+		} else {
+			idleSince = time.Time{}
+		}
+		g.done.signal()
+	}
+}
+
+// round executes one window of every domain. A domain with nothing
+// pending before its edge sits the round out: RunBefore past nothing
+// fires nothing and leaves the clock alone, so not calling it is exact —
+// and an idle domain's worker stays parked while the busy ones run. The
+// final inclusive pass runs everywhere, because Run also moves the clock.
+// Returns the events domain 0 fired.
+func (p *Partition) round(g *epochGate, incl bool) uint64 {
+	for i, w := range g.workers {
+		if d := i + 1; incl || p.next[d] < p.edges[d] {
+			g.release(w, p.edges[d], incl)
+		}
+	}
+	var fired uint64
+	switch {
+	case incl:
+		fired = p.scheds[0].Run(p.edges[0])
+	case p.next[0] < p.edges[0]:
+		fired = p.scheds[0].RunBefore(p.edges[0])
+	}
+	if !self.On() {
+		g.done.await(g.expected, g.spin)
+		return fired
+	}
+	// Domain 0's stall is what the coordinator spends waiting for the
+	// others after its own window. Every domain counts every round,
+	// whether or not it had work in it.
+	t0 := time.Now()
+	g.done.await(g.expected, g.spin)
+	self.DomainStallNS(0).Add(uint64(time.Since(t0).Nanoseconds()))
+	for d := range p.scheds {
+		self.DomainWindows(d).Inc()
+	}
+	return fired
 }
 
 // Run advances all domains to until, leaving every domain clock at until
@@ -503,10 +530,9 @@ func (p *Partition) Run(until Time) uint64 {
 	if p.distDirty {
 		p.closure()
 	}
-	var fired atomic.Uint64
-	g := newEpochGate(len(p.scheds))
-	p.startWorkers(g, &fired)
+	g := startGate(p.scheds)
 	defer g.shutdown()
+	var fired uint64
 	for {
 		p.barrier()
 		s := p.scanNext()
@@ -525,19 +551,13 @@ func (p *Partition) Run(until Time) uint64 {
 		} else {
 			p.computeEdges(until)
 		}
-		minEdge, batched := Forever, false
-		for i, w := range g.workers {
-			w.edge, w.incl = p.edges[i], false
-			if p.edges[i] < minEdge {
-				minEdge = p.edges[i]
-			}
-			if p.edges[i] > classic {
-				batched = true
-			}
-		}
-		g.release()
-		g.awaitDone()
+		fired += p.round(g, false)
 		if self.On() {
+			minEdge, batched := Forever, false
+			for _, e := range p.edges {
+				minEdge = min(minEdge, e)
+				batched = batched || e > classic
+			}
 			self.SimNowPS.Set(int64(minEdge))
 			if batched {
 				self.PartBatchedWindows.Inc()
@@ -545,16 +565,18 @@ func (p *Partition) Run(until Time) uint64 {
 		}
 	}
 	p.windows.Add(1)
-	for _, w := range g.workers {
-		w.edge, w.incl = until, true
+	for i := range p.edges {
+		p.edges[i] = until
 	}
-	g.release()
-	g.awaitDone()
+	fired += p.round(g, true)
 	p.barrier()
 	if self.On() {
 		self.SimNowPS.Set(int64(until))
 	}
-	return fired.Load()
+	for _, w := range g.workers {
+		fired += w.fired
+	}
+	return fired
 }
 
 // Windows returns the number of window rounds executed across all Run

@@ -102,8 +102,8 @@ func (m *ring) collect() []string {
 	return out
 }
 
-// runRingParallel drives the ring through Partition.Run (domain
-// goroutines + barrier windows).
+// runRingParallel drives the ring through Partition.Run (the calling
+// goroutine as domain 0, one worker per other domain, barrier windows).
 func runRingParallel(domains int, until Time) []string {
 	m := newRing(domains)
 	m.seed()
@@ -115,7 +115,10 @@ func runRingParallel(domains int, until Time) []string {
 // window loop on the calling goroutine — the reference executor. Any
 // divergence from runRingParallel is a determinism bug in Partition.
 func runRingSerial(domains int, until Time) []string {
-	m := newRing(domains)
+	return newRing(domains).runSerial(until)
+}
+
+func (m *ring) runSerial(until Time) []string {
 	m.seed()
 	for {
 		m.drain()

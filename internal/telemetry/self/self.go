@@ -244,8 +244,9 @@ func domainSlot(d int) int {
 func DomainWindows(d int) *Counter { return &domainWindows[domainSlot(d)] }
 
 // DomainStallNS returns domain d's barrier-stall counter: wall-clock
-// nanoseconds the domain's worker spent finished-and-waiting between one
-// window and the next.
+// nanoseconds the domain spent waiting on the others — a worker between
+// one window handed to it and the next, domain 0 (which the partition's
+// coordinator runs) for the workers to finish each round.
 func DomainStallNS(d int) *Counter { return &domainStallNS[domainSlot(d)] }
 
 // Reset zeroes every instrument (tests and fresh campaigns). It does not
