@@ -42,17 +42,20 @@ race:
 	$(GO) test -race ./internal/bench -run 'TestParallel|TestResilience|TestDomain|TestTelemetry|TestFastForward|TestUP4|TestTrialPanic|TestJournal|TestBurst|TestObs'
 	$(GO) test -race -cpu 1,2,4 ./internal/sim
 	$(GO) test -race -cpu 1,2,4 ./internal/netsim -run 'TestPartitioned|TestScheduleLinkChange|TestCrossDomain|TestBurst'
-	$(GO) test -race ./internal/core -run 'TestBurst|TestSwitchBurst|TestGeneratorPathZeroAlloc'
+	$(GO) test -race ./internal/core ./internal/events ./internal/tm ./internal/packet ./internal/pisa
 	$(GO) test -race ./internal/faults
 	$(GO) test -race ./internal/checkpoint
 	$(GO) test -race ./internal/telemetry ./internal/telemetry/self ./internal/obs
 
-# Coverage-guided fuzzing: the fault-schedule parser/validator and the
-# µP4 compiled-vs-interpreter differential target. Not part of `check`
-# (open-ended); run before touching the DSL or the compilation backend.
+# Coverage-guided fuzzing: the fault-schedule parser/validator, the
+# µP4 compiled-vs-interpreter differential target and the slot's
+# parse-once flow against packet.FlowOf. Not part of `check`
+# (open-ended); run before touching the DSL, the compilation backend or
+# the header decoders.
 fuzz:
 	$(GO) test -fuzz FuzzParseSchedule -fuzztime 10s ./internal/faults
 	$(GO) test -fuzz FuzzCompiledVsInterp -fuzztime 10s ./internal/p4
+	$(GO) test -fuzz FuzzParserFlow -fuzztime 10s ./internal/packet
 
 # Hot-path micro-benchmarks (scheduler + switch cycle + event queue).
 bench:

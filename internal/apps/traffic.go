@@ -98,7 +98,7 @@ func NewPolicer(cfg PolicerConfig) (*Policer, *pisa.Program) {
 // during setup.
 func freshCtx(kind events.Kind, cycle uint64) *pisa.Context {
 	ctx := &pisa.Context{}
-	ctx.Reset(nil, events.Event{Kind: kind}, 0, cycle)
+	ctx.Reset(nil, &events.Event{Kind: kind}, 0, cycle)
 	return ctx
 }
 

@@ -47,9 +47,9 @@ func Ablations() *Result {
 		deq := &pisa.Context{}
 		maxErr := int64(0)
 		for c := uint64(1); c <= 10_000; c++ {
-			ing.Reset(nil, events.Event{Kind: events.IngressPacket}, 0, c)
-			enq.Reset(nil, events.Event{Kind: events.BufferEnqueue}, 0, c)
-			deq.Reset(nil, events.Event{Kind: events.BufferDequeue}, 0, c)
+			ing.Reset(nil, &events.Event{Kind: events.IngressPacket}, 0, c)
+			enq.Reset(nil, &events.Event{Kind: events.BufferEnqueue}, 0, c)
+			deq.Reset(nil, &events.Event{Kind: events.BufferDequeue}, 0, c)
 			reg.Tick(c)
 			idx := uint32(c % 64)
 			reg.Add(enq, idx, +100)

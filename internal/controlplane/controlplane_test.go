@@ -103,7 +103,7 @@ func TestResetRegister(t *testing.T) {
 	r := pisa.NewMultiPortRegister("r", 4, 2)
 	r.Tick(1)
 	var ctx pisa.Context
-	ctx.Reset(nil, eventsIngress(), 0, 1)
+	ctx.Reset(nil, &events.Event{Kind: events.IngressPacket}, 0, 1)
 	r.Write(&ctx, 0, 99)
 	a.ResetRegister(r)
 	sched.Run(sim.Millisecond)
@@ -111,5 +111,3 @@ func TestResetRegister(t *testing.T) {
 		t.Error("register not reset")
 	}
 }
-
-func eventsIngress() events.Event { return events.Event{Kind: events.IngressPacket} }

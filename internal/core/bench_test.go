@@ -91,7 +91,15 @@ func BenchmarkSwitchCycle(b *testing.B) {
 func nativeForwardRig(tb testing.TB) (step func(), sw *Switch) {
 	sched := sim.NewScheduler()
 	sw = New(Config{}, EventDriven(), sched)
-	prog := pisa.NewProgram("fwd")
+	sw.MustLoad(occupancyProgram())
+	return forwardStep(sched, sw), sw
+}
+
+// occupancyProgram is the handwritten occupancy tracker: an ingress
+// handler that reads the aggregated per-port occupancy and cross-connects
+// port pairs, and BufferEnqueue/BufferDequeue handlers that maintain it.
+func occupancyProgram() *pisa.Program {
+	prog := pisa.NewProgram("occ")
 	occ := prog.AddRegister(pisa.NewAggregatedRegister("occ", 64,
 		events.BufferEnqueue, events.BufferDequeue))
 	prog.HandleFunc(events.IngressPacket, func(ctx *pisa.Context) {
@@ -104,8 +112,51 @@ func nativeForwardRig(tb testing.TB) (step func(), sw *Switch) {
 	prog.HandleFunc(events.BufferDequeue, func(ctx *pisa.Context) {
 		occ.Add(ctx, uint32(ctx.Ev.Port), -int64(ctx.Ev.PktLen))
 	})
-	sw.MustLoad(prog)
-	return forwardStep(sched, sw), sw
+	return prog
+}
+
+// BenchmarkSwitchEventSlot measures the merger's slot by itself: all four
+// ports saturated with 60 B frames under the occupancy program, so every
+// slot carries a packet and piggy-backs the enqueue and dequeue events of
+// earlier ones. One iteration is one line-rate gap (a frame per port);
+// ns/slot is wall time over the packet and carrier slots executed, and
+// the path allocates nothing.
+func BenchmarkSwitchEventSlot(b *testing.B) {
+	sched := sim.NewScheduler()
+	sw := New(Config{}, EventDriven(), sched)
+	sw.MustLoad(occupancyProgram())
+	var frames [4][]byte
+	for p := range frames {
+		frames[p] = packet.BuildFrame(packet.FrameSpec{Flow: packet.Flow{
+			Src: packet.IP4(10, byte(p), 0, 1), Dst: packet.IP4(10, byte(p^1), 0, 1),
+			SrcPort: 1, DstPort: 2, Proto: packet.ProtoUDP,
+		}})
+	}
+	gap := (10 * sim.Gbps).ByteTime(len(frames[0]) + WireOverhead)
+	step := func() {
+		for p, f := range frames {
+			sw.Inject(p, f)
+		}
+		sched.Run(sched.Now() + gap)
+	}
+	for i := 0; i < 300; i++ {
+		step()
+	}
+	before := sw.Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+	b.StopTimer()
+	after := sw.Stats()
+	slots := after.PacketSlots + after.EmptySlots - before.PacketSlots - before.EmptySlots
+	merged := after.EventsMerged[events.BufferEnqueue] + after.EventsMerged[events.BufferDequeue] -
+		before.EventsMerged[events.BufferEnqueue] - before.EventsMerged[events.BufferDequeue]
+	if slots == 0 || merged < slots {
+		b.Fatalf("%d slots merged %d TM events: the rig is not exercising the event path", slots, merged)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(slots), "ns/slot")
 }
 
 // forwardProgramSrc is the µP4 program behind BenchmarkSwitchForwardPath:

@@ -11,9 +11,10 @@ import (
 const burstFrames = 64
 
 // burstForwardRig is p4ForwardRig's vectorized twin: the same compiled
-// µP4 forward program, but each step injects a whole burst of frames in
-// one InjectBurst call and advances the scheduler far enough to drain
-// it. With noBurst the switch executes the identical workload one slot
+// µP4 forward program, but each step injects a whole burst of frames at
+// one instant — as netsim's wire FIFO delivers a same-instant arrival
+// group, one Inject per frame — and advances the scheduler far enough to
+// drain it. With noBurst the switch executes the identical workload one slot
 // per wakeup — the per-packet differential oracle.
 func burstForwardRig(tb testing.TB, noBurst bool) (step func(), sw *Switch, inst *p4.Instance) {
 	sched := sim.NewScheduler()
@@ -36,7 +37,9 @@ func burstForwardRig(tb testing.TB, noBurst bool) (step func(), sw *Switch, inst
 	}
 	gap := (10 * sim.Gbps).ByteTime(len(frames[0]) + WireOverhead)
 	step = func() {
-		sw.InjectBurst(0, frames)
+		for _, f := range frames {
+			sw.Inject(0, f)
+		}
 		sched.Run(sched.Now() + burstFrames*gap)
 	}
 	// Warm the rx rings, packet pool, TM queues, and the burst request
@@ -48,7 +51,8 @@ func burstForwardRig(tb testing.TB, noBurst bool) (step func(), sw *Switch, inst
 }
 
 // TestSwitchBurstForwardZeroAlloc asserts the vectorized forward path —
-// InjectBurst through burst pipeline slots to bulk TM enqueue — performs
+// a same-instant arrival burst through burst pipeline slots to bulk TM
+// enqueue — performs
 // zero heap allocations in steady state, like its per-packet twin
 // TestSwitchForwardZeroAlloc.
 func TestSwitchBurstForwardZeroAlloc(t *testing.T) {
@@ -100,15 +104,16 @@ func TestSwitchBurstEquivalence(t *testing.T) {
 	}
 }
 
-// TestBurstInjectLinkDown pins InjectBurst's port-down accounting: every
+// TestBurstInjectLinkDown pins the port-down accounting of a burst: every
 // frame of a burst offered to a downed port is one RxDropped.
 func TestBurstInjectLinkDown(t *testing.T) {
 	sched := sim.NewScheduler()
 	sw := New(Config{Ports: 2}, EventDriven(), sched)
 	sw.MustLoad(xconnect())
 	sw.SetLink(0, false)
-	frames := [][]byte{frame(100, 1, 2), frame(100, 1, 2), frame(100, 1, 2)}
-	sw.InjectBurst(0, frames)
+	for i := 0; i < 3; i++ {
+		sw.Inject(0, frame(100, 1, 2))
+	}
 	if got := sw.Stats().RxDropped; got != 3 {
 		t.Fatalf("RxDropped = %d after burst into downed port, want 3", got)
 	}
@@ -119,7 +124,7 @@ func TestBurstInjectLinkDown(t *testing.T) {
 }
 
 // BenchmarkSwitchForwardPathBurst measures the vectorized forward path:
-// one 64-frame InjectBurst per iteration, executed by the burst slot
+// one 64-frame same-instant burst per iteration, executed by the burst slot
 // loop (0 allocs/op). Compare ns/op ÷ 64 against the per-frame cost of
 // the BurstOff variant below — the burst engine's per-frame win.
 func BenchmarkSwitchForwardPathBurst(b *testing.B) {

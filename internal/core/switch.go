@@ -252,6 +252,12 @@ type Switch struct {
 	// other kind are discarded at the source, and the TM is told not to
 	// build them at all (tm.TM.Muted).
 	handled uint32
+	// slotEvents/slotKinds are the events the merger attached to the slot
+	// being executed. A slot reads only the [0:n) it gathered, so they are
+	// reused without clearing, and nothing reads them between slots: they
+	// are scratch, not checkpoint state.
+	slotEvents [events.NumKinds]events.Event
+	slotKinds  [events.NumKinds]events.Kind
 
 	// tmReqs is the scratch vector for bulk TM enqueues (finishSlot's
 	// generated-packet fan-out); tmPkts parallels it. tmResult is the
@@ -364,7 +370,7 @@ func New(cfg Config, arch *Arch, sched *sim.Scheduler) *Switch {
 		QueueCapBytes: cfg.QueueCapBytes,
 		Discipline:    cfg.Discipline,
 	})
-	s.tmgr.OnEvent = s.tmEvent
+	s.tmgr.OnEvent = s.pushEvent
 	s.tmgr.Muted = ^s.handled
 	s.tmResult = s.bulkEnqueueResult
 	return s
@@ -448,25 +454,22 @@ func (s *Switch) MustLoad(p *pisa.Program) {
 
 // --- event sources -------------------------------------------------------
 
-// tmEvent receives traffic-manager events and routes them into the
-// merger's FIFOs when the architecture exposes them and the program
-// subscribes.
-func (s *Switch) tmEvent(e events.Event) {
-	s.pushEvent(e)
-}
-
-func (s *Switch) pushEvent(e events.Event) {
+// pushEvent routes an event from any source — traffic manager, timers,
+// link monitor, control plane, handlers — into the merger's FIFOs when the
+// architecture exposes its kind and the program subscribes. It stamps
+// e.Seq; the FIFO copies *e, so the source may reuse it at once.
+func (s *Switch) pushEvent(e *events.Event) {
 	if s.handled&(1<<uint(e.Kind)) == 0 {
 		return
 	}
 	e.Seq = s.evSeq
 	s.evSeq++
-	out := s.evq[e.Kind].Offer(e)
+	out := s.evq[e.Kind].OfferRef(e)
 	// Whatever the outcome, the FIFO is non-empty now: stored/coalesced
 	// added or updated state, and a drop means it was already full.
 	s.evMask |= 1 << uint(e.Kind)
 	if s.tel != nil {
-		s.tel.ObserveOffer(s.sched.Now(), e, out)
+		s.tel.ObserveOffer(s.sched.Now(), *e, out)
 	}
 	switch out {
 	case events.Coalesced:
@@ -491,7 +494,7 @@ func (s *Switch) InjectEvent(e events.Event) (ok bool) {
 		return false
 	}
 	before := s.evq[e.Kind].Drops()
-	s.pushEvent(e)
+	s.pushEvent(&e)
 	return s.evq[e.Kind].Drops() == before
 }
 
@@ -514,29 +517,6 @@ func (s *Switch) Inject(port int, data []byte) {
 	s.wake()
 }
 
-// InjectBurst delivers a vector of fully received frames to one input
-// port, in order, as if Inject had been called once per frame at the
-// same instant. It is the switch half of the burst datapath: one wire
-// activation hands over a whole arrival burst, one wake arms the
-// pipeline. Frames arriving on a downed link are lost. Each frame is
-// copied into a pooled packet before InjectBurst returns.
-func (s *Switch) InjectBurst(port int, frames [][]byte) {
-	if port < 0 || port >= s.cfg.Ports {
-		panic(fmt.Sprintf("core: inject on invalid port %d", port))
-	}
-	if !s.linkUp[port] {
-		s.stats.RxDropped += uint64(len(frames))
-		return
-	}
-	for _, data := range frames {
-		s.stats.RxPackets++
-		s.stats.RxBytes += uint64(len(data))
-		s.rxq[port] = append(s.rxq[port], s.pool.GetCopy(data, port))
-	}
-	s.rxPending += len(frames)
-	s.wake()
-}
-
 // ConfigureTimer arms hardware timer id to fire TimerExpiration events
 // with the given period. It errors if the architecture lacks timers or
 // the id is out of range. Reconfiguring an armed timer replaces it.
@@ -554,7 +534,7 @@ func (s *Switch) ConfigureTimer(id int, period sim.Time) error {
 		s.timers[id].Stop()
 	}
 	s.timers[id] = s.sched.Every(period, func() {
-		s.pushEvent(events.Event{
+		s.pushEvent(&events.Event{
 			Kind: events.TimerExpiration, When: s.sched.Now(), TimerID: id, Port: -1,
 		})
 	})
@@ -616,7 +596,7 @@ func (s *Switch) SetLink(port int, up bool) {
 		return
 	}
 	s.linkUp[port] = up
-	s.pushEvent(events.Event{
+	s.pushEvent(&events.Event{
 		Kind: events.LinkStatusChange, When: s.sched.Now(), Port: port, Up: up,
 	})
 	if up {
@@ -630,7 +610,7 @@ func (s *Switch) LinkIsUp(port int) bool { return s.linkUp[port] }
 // TriggerControlEvent injects a ControlPlaneTriggered event carrying an
 // opaque payload (the control plane's side channel into the data plane).
 func (s *Switch) TriggerControlEvent(data uint64) {
-	s.pushEvent(events.Event{
+	s.pushEvent(&events.Event{
 		Kind: events.ControlPlaneTriggered, When: s.sched.Now(), Data: data, Port: -1,
 	})
 }
@@ -878,46 +858,20 @@ func (s *Switch) runSlot() (drained bool) {
 		s.prog.Tick(cycle)
 	}
 
-	// Gather this slot's events: at most one per kind, priority order.
 	// In the ablation's no-piggyback mode, a slot with pending events
 	// carries only events (an empty packet), and packets wait.
-	var slotEvents [events.NumKinds]events.Event
 	var nEvents int
-	var kinds [events.NumKinds]events.Kind
-	gatherEvents := func() {
-		if s.evMask&s.prioMask == 0 {
-			return
-		}
-		maxEv := s.cfg.MaxEventsPerSlot
-		for _, k := range s.cfg.MergerPriority {
-			if maxEv > 0 && nEvents >= maxEv {
-				break
-			}
-			if s.evMask&(1<<uint(k)) == 0 {
-				continue
-			}
-			if e, ok := s.evq[k].Pop(); ok {
-				slotEvents[nEvents] = e
-				kinds[nEvents] = k
-				nEvents++
-			}
-			if s.evq[k].Len() == 0 {
-				s.evMask &^= 1 << uint(k)
-			}
-		}
-	}
-
 	var pkt *packet.Packet
 	var pktKind events.Kind
 	var havePkt bool
 	if s.cfg.NoPiggyback {
-		gatherEvents()
+		nEvents = s.gatherEvents()
 		if nEvents == 0 {
 			pkt, pktKind, havePkt = s.popPacket()
 		}
 	} else {
 		pkt, pktKind, havePkt = s.popPacket()
-		gatherEvents()
+		nEvents = s.gatherEvents()
 	}
 
 	switch {
@@ -955,24 +909,28 @@ func (s *Switch) runSlot() (drained bool) {
 	if s.OnSlot != nil {
 		info := SlotInfo{Cycle: cycle, At: now, PktKind: pktKind, PktLen: pkt.Len(), Empty: pkt.Empty}
 		for i := 0; i < nEvents; i++ {
-			info.Events = append(info.Events, kinds[i])
+			info.Events = append(info.Events, s.slotKinds[i])
 		}
 		s.OnSlot(info)
 	}
 
 	ctx := &s.ctx
 	pktEv := events.Event{Kind: pktKind, When: now, Port: pkt.InPort, PktLen: pkt.Len()}
-	ctx.Reset(pkt, pktEv, now, cycle)
+	ctx.Reset(pkt, &pktEv, now, cycle)
 
+	// The parsed flow and its hash outlive the handlers: the enqueue
+	// annotation reuses the hash unless a handler replaced ctx.Flow.
+	var parsed packet.Flow
+	var parsedOK bool
+	var parsedHash uint64
 	if havePkt && s.prog != nil {
-		// Parse headers once per slot.
-		_ = ctx.Parsed.Decode(pkt.Data, &ctx.Decoded)
-		ctx.Flow, ctx.FlowOK = packet.FlowOf(pkt.Data)
-		if ctx.FlowOK {
+		parseSlot(ctx)
+		parsed, parsedOK = ctx.Flow, ctx.FlowOK
+		if parsedOK {
 			// Packet events carry the flow hash, like the paper's
 			// ingress logic initializing enq_meta.flowID.
-			pktEv.FlowHash = ctx.Flow.Hash()
-			ctx.Ev = pktEv
+			parsedHash = parsed.Hash()
+			ctx.Ev.FlowHash = parsedHash
 		}
 		if s.prog.Handles(pktKind) {
 			s.stats.EventsMerged[pktKind]++
@@ -984,23 +942,64 @@ func (s *Switch) runSlot() (drained bool) {
 	}
 	if s.prog != nil {
 		for i := 0; i < nEvents; i++ {
-			ctx.Ev = slotEvents[i]
-			s.stats.EventsMerged[kinds[i]]++
+			ctx.Ev = s.slotEvents[i]
+			k := s.slotKinds[i]
+			s.stats.EventsMerged[k]++
 			if s.tel != nil {
-				s.tel.Merged[kinds[i]].Inc()
-				s.tel.ObserveMerge(now, cycle, slotEvents[i], havePkt)
+				s.tel.Merged[k].Inc()
+				s.tel.ObserveMerge(now, cycle, ctx.Ev, havePkt)
 			}
 			s.prog.Apply(ctx)
 		}
-		ctx.Ev = pktEv
 	}
 
-	s.finishSlot(ctx, havePkt)
+	var fh uint64
+	if ctx.FlowOK {
+		fh = parsedHash
+		if !parsedOK || ctx.Flow != parsed {
+			fh = ctx.Flow.Hash()
+		}
+	}
+	s.finishSlot(ctx, havePkt, fh)
 
 	if s.prog != nil {
 		s.prog.EndCycle()
 	}
 	return false
+}
+
+// gatherEvents pops the slot's events — at most one per kind, in merger
+// priority order, up to the metadata bus width — straight from their
+// FIFOs into the slot scratch, and returns how many it took.
+func (s *Switch) gatherEvents() (n int) {
+	if s.evMask&s.prioMask == 0 {
+		return 0
+	}
+	maxEv := s.cfg.MaxEventsPerSlot
+	for _, k := range s.cfg.MergerPriority {
+		if maxEv > 0 && n >= maxEv {
+			break
+		}
+		if s.evMask&(1<<uint(k)) == 0 {
+			continue
+		}
+		q := s.evq[k]
+		if q.PopInto(&s.slotEvents[n]) {
+			s.slotKinds[n] = k
+			n++
+		}
+		if q.Len() == 0 {
+			s.evMask &^= 1 << uint(k)
+		}
+	}
+	return n
+}
+
+// parseSlot decodes the context's packet once; the 5-tuple comes from the
+// layers just decoded (packet.Parser.Flow), not from a second walk.
+func parseSlot(ctx *pisa.Context) {
+	_ = ctx.Parsed.Decode(ctx.Pkt.Data, &ctx.Decoded)
+	ctx.Flow, ctx.FlowOK = ctx.Parsed.Flow(ctx.Pkt.Data, ctx.Decoded)
 }
 
 // fastForwardDrain batches a drain-only stretch: having just executed a
@@ -1089,10 +1088,11 @@ func (s *Switch) fastForwardDrain(now sim.Time) {
 }
 
 // finishSlot applies the slot's side effects: user events, generated
-// packets, recirculation, and the forwarding decision.
-func (s *Switch) finishSlot(ctx *pisa.Context, havePkt bool) {
-	for _, e := range ctx.Raised {
-		s.pushEvent(e)
+// packets, recirculation, and the forwarding decision (flowHash annotates
+// the packet's enqueue/dequeue events).
+func (s *Switch) finishSlot(ctx *pisa.Context, havePkt bool, flowHash uint64) {
+	for i := range ctx.Raised {
+		s.pushEvent(&ctx.Raised[i])
 	}
 	if len(ctx.Generated) > 0 {
 		// Materialize the slot's generated packets, then hand the ones
@@ -1146,11 +1146,7 @@ func (s *Switch) finishSlot(ctx *pisa.Context, havePkt bool) {
 		pkt.Release()
 		return
 	}
-	var fh uint64
-	if ctx.FlowOK {
-		fh = ctx.Flow.Hash()
-	}
-	s.enqueueOutDelayed(pkt, ctx.EgressPort, ctx.Queue, ctx.Rank, fh)
+	s.enqueueOutDelayed(pkt, ctx.EgressPort, ctx.Queue, ctx.Rank, flowHash)
 }
 
 // pipeEntry is one packet riding the pipeline conveyor: the
@@ -1338,15 +1334,14 @@ func (s *Switch) pump(port int) {
 		} else {
 			ctx = &pisa.Context{}
 		}
-		ctx.Reset(pkt, events.Event{
+		ctx.Reset(pkt, &events.Event{
 			Kind: events.EgressPacket, When: s.sched.Now(), Port: port, PktLen: pkt.Len(),
 		}, s.sched.Now(), s.cycleIdx)
-		_ = ctx.Parsed.Decode(pkt.Data, &ctx.Decoded)
-		ctx.Flow, ctx.FlowOK = packet.FlowOf(pkt.Data)
+		parseSlot(ctx)
 		ctx.EgressPort = port
 		s.prog.Apply(ctx)
-		for _, e := range ctx.Raised {
-			s.pushEvent(e)
+		for i := range ctx.Raised {
+			s.pushEvent(&ctx.Raised[i])
 		}
 		for _, g := range ctx.Generated {
 			s.stats.Generated++
@@ -1401,7 +1396,7 @@ func (s *Switch) txComplete(port int) {
 	s.txBusy[port] = false
 	s.stats.TxPackets++
 	s.stats.TxBytes += uint64(pkt.Len())
-	s.pushEvent(events.Event{
+	s.pushEvent(&events.Event{
 		Kind: events.PacketTransmitted, When: s.sched.Now(),
 		Port: port, PktLen: pkt.Len(),
 	})

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/events"
@@ -221,5 +222,119 @@ func TestNoPiggybackDedicatedSlots(t *testing.T) {
 	}
 	if sw.Stats().TxPackets != 5 {
 		t.Errorf("tx = %d", sw.Stats().TxPackets)
+	}
+}
+
+// TestSlotScratchNoStaleEvents: what a slot carries from the parse and
+// the merger into its handlers and on to the traffic manager is that
+// slot's own, though the storage is reused without clearing.
+func TestSlotScratchNoStaleEvents(t *testing.T) {
+	t.Run("events", slotScratchEvents)
+	t.Run("flow hash", slotScratchFlowHash)
+}
+
+// slotScratchEvents: a slot carrying three events is followed by a
+// packet-only slot and by an empty-carrier slot with one event; every
+// handler runs once per event merged, never on what an earlier slot left
+// in the per-switch event scratch.
+func slotScratchEvents(t *testing.T) {
+	sched := sim.NewScheduler()
+	sw := New(Config{Name: "scratch"}, EventDriven(), sched)
+	type call struct {
+		cycle uint64
+		kind  events.Kind
+		data  uint64
+	}
+	var calls []call
+	record := func(ctx *pisa.Context) {
+		calls = append(calls, call{ctx.Cycle, ctx.Ev.Kind, ctx.Ev.Data})
+		ctx.EgressPort = 1
+	}
+	prog := pisa.NewProgram("scratch")
+	for _, k := range []events.Kind{events.IngressPacket, events.TimerExpiration, events.ControlPlaneTriggered, events.UserEvent} {
+		prog.HandleFunc(k, record)
+	}
+	sw.MustLoad(prog)
+	var slots []SlotInfo
+	sw.OnSlot = func(info SlotInfo) { slots = append(slots, info) }
+	settle := func() { sched.Run(sched.Now() + 4*sw.CycleTime()) }
+
+	sw.Inject(0, frame(100, 1, 2))
+	sw.InjectEvent(events.Event{Kind: events.UserEvent, Data: 13})
+	sw.InjectEvent(events.Event{Kind: events.TimerExpiration, Data: 11})
+	sw.InjectEvent(events.Event{Kind: events.ControlPlaneTriggered, Data: 12})
+	settle()
+	sw.Inject(0, frame(100, 1, 2))
+	settle()
+	sw.InjectEvent(events.Event{Kind: events.ControlPlaneTriggered, Data: 21})
+	settle()
+
+	if len(slots) != 3 || len(slots[0].Events) != 3 || len(slots[1].Events) != 0 || slots[1].Empty ||
+		len(slots[2].Events) != 1 || !slots[2].Empty {
+		t.Fatalf("slots = %+v, want packet+3 events, packet alone, empty carrier+1 event", slots)
+	}
+	want := []call{
+		{1, events.IngressPacket, 0}, {1, events.TimerExpiration, 11}, {1, events.ControlPlaneTriggered, 12}, {1, events.UserEvent, 13},
+		{slots[1].Cycle, events.IngressPacket, 0},
+		{slots[2].Cycle, events.ControlPlaneTriggered, 21},
+	}
+	if len(calls) != len(want) {
+		t.Fatalf("handlers ran %d times %+v, want %d", len(calls), calls, len(want))
+	}
+	for i := range want {
+		if calls[i] != want[i] {
+			t.Errorf("handler call %d = %+v, want %+v", i, calls[i], want[i])
+		}
+	}
+	st := sw.Stats()
+	if st.EventsMerged[events.TimerExpiration] != 1 || st.EventsMerged[events.ControlPlaneTriggered] != 2 ||
+		st.EventsMerged[events.UserEvent] != 1 || st.PacketSlots != 2 || st.EmptySlots != 1 {
+		t.Errorf("stats = %+v", st)
+	}
+}
+
+// slotScratchFlowHash: the slot hashes the parsed flow once and the
+// enqueue event reuses that hash — unless a handler replaced ctx.Flow or
+// cleared ctx.FlowOK, in which case the event carries the hash of what the
+// handler left (0 for no flow).
+func slotScratchFlowHash(t *testing.T) {
+	sched := sim.NewScheduler()
+	sw := New(Config{Name: "hash"}, EventDriven(), sched)
+	other := packet.Flow{Src: 9, Dst: 8, SrcPort: 7, DstPort: 6, Proto: packet.ProtoTCP}
+	var pktHash, enqHash []uint64
+	prog := pisa.NewProgram("hash")
+	prog.HandleFunc(events.IngressPacket, func(ctx *pisa.Context) {
+		pktHash = append(pktHash, ctx.Ev.FlowHash)
+		ctx.EgressPort = 1
+		switch {
+		case !ctx.FlowOK: // the ARP frame: no parsed flow to compare against
+			ctx.Flow, ctx.FlowOK = packet.Flow{}, true
+		case ctx.Flow.Src == packet.IP4(10, 0, 0, 2):
+			ctx.Flow = other
+		case ctx.Flow.Src == packet.IP4(10, 0, 0, 3):
+			ctx.FlowOK = false
+		}
+	})
+	prog.HandleFunc(events.BufferEnqueue, func(ctx *pisa.Context) {
+		enqHash = append(enqHash, ctx.Ev.FlowHash)
+	})
+	sw.MustLoad(prog)
+	kept, _ := packet.FlowOf(frame(100, 1, 9))
+	replaced, _ := packet.FlowOf(frame(100, 2, 9))
+	cleared, _ := packet.FlowOf(frame(100, 3, 9))
+	for _, f := range [][]byte{
+		frame(100, 1, 9), frame(100, 2, 9), frame(100, 3, 9),
+		packet.BuildControlFrame(packet.Broadcast, packet.MACFromUint64(1), &packet.ARP{Op: packet.ARPRequest}),
+	} {
+		sw.Inject(0, f)
+		sched.Run(sched.Now() + 40*sw.CycleTime())
+	}
+	wantPkt := []uint64{kept.Hash(), replaced.Hash(), cleared.Hash(), 0}
+	wantEnq := []uint64{kept.Hash(), other.Hash(), 0, packet.Flow{}.Hash()}
+	if !slices.Equal(pktHash, wantPkt) {
+		t.Errorf("packet events carried hashes %x, want %x", pktHash, wantPkt)
+	}
+	if !slices.Equal(enqHash, wantEnq) {
+		t.Errorf("enqueue events carried hashes %x, want %x", enqHash, wantEnq)
 	}
 }

@@ -1,6 +1,7 @@
 package events
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -137,5 +138,58 @@ func TestHighWaterTracksPeakDepth(t *testing.T) {
 	}
 	if q.Len() != 2 {
 		t.Errorf("len = %d, want 2", q.Len())
+	}
+}
+
+// TestQueueByReferenceMatchesValue drives two queues through one seeded
+// random offer/pop sequence under each overflow policy — one through
+// Offer/Pop, one through OfferRef/PopInto — and requires the same outcome
+// for every offer, the same event from every pop, and the same counters
+// throughout. The by-reference caller scribbles over its event after each
+// offer: the queue must have taken its copy by then.
+func TestQueueByReferenceMatchesValue(t *testing.T) {
+	for _, pol := range []OverflowPolicy{DropNewest, DropOldest, CoalescePort} {
+		byVal, byRef := NewQueue(LinkStatusChange, 5), NewQueue(LinkStatusChange, 5)
+		byVal.SetPolicy(pol)
+		byRef.SetPolicy(pol)
+		var refOutcomes []Outcome
+		byRef.OnOutcome = func(_ Event, out Outcome) { refOutcomes = append(refOutcomes, out) }
+		rng := rand.New(rand.NewSource(int64(pol) + 42))
+		offers := 0
+		for step := 0; step < 4000; step++ {
+			if rng.Intn(5) < 3 { // offers outrun pops: the ring wraps, fills and overflows
+				e := Event{Kind: LinkStatusChange, Seq: uint64(step), Port: rng.Intn(7), Up: rng.Intn(2) == 0, Data: uint64(step)}
+				want := byVal.Offer(e)
+				scratch := e
+				got := byRef.OfferRef(&scratch)
+				scratch = Event{Port: -99, Data: ^uint64(0)}
+				offers++
+				if got != want || refOutcomes[len(refOutcomes)-1] != want {
+					t.Fatalf("policy %d step %d: OfferRef = %v (hook %v), Offer = %v", pol, step, got, refOutcomes[len(refOutcomes)-1], want)
+				}
+			} else {
+				want, wantOK := byVal.Pop()
+				got := Event{Data: 7} // PopInto must leave it alone when the queue is empty
+				ok := byRef.PopInto(&got)
+				if !wantOK {
+					want = Event{Data: 7}
+				}
+				if ok != wantOK || got != want {
+					t.Fatalf("policy %d step %d: PopInto = %+v ok=%v, Pop = %+v ok=%v", pol, step, got, ok, want, wantOK)
+				}
+			}
+			if byRef.Len() != byVal.Len() || byRef.Drops() != byVal.Drops() || byRef.HighWater() != byVal.HighWater() ||
+				byRef.Shed() != byVal.Shed() || byRef.Coalesced() != byVal.Coalesced() || byRef.Pushed() != byVal.Pushed() {
+				t.Fatalf("policy %d step %d: counters diverge: by-ref len=%d drops=%d hwm=%d shed=%d coalesced=%d pushed=%d, by-value %d/%d/%d/%d/%d/%d",
+					pol, step, byRef.Len(), byRef.Drops(), byRef.HighWater(), byRef.Shed(), byRef.Coalesced(), byRef.Pushed(),
+					byVal.Len(), byVal.Drops(), byVal.HighWater(), byVal.Shed(), byVal.Coalesced(), byVal.Pushed())
+			}
+		}
+		if len(refOutcomes) != offers {
+			t.Errorf("policy %d: OnOutcome ran %d times for %d offers", pol, len(refOutcomes), offers)
+		}
+		if byVal.Drops()+byVal.Shed()+byVal.Coalesced() == 0 {
+			t.Errorf("policy %d: the sequence never put the queue under pressure", pol)
+		}
 	}
 }

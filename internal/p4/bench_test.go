@@ -18,7 +18,7 @@ func benchInstance(b *testing.B, src string) (*Instance, *pisa.Context) {
 		SrcPort: 5, DstPort: 6, Proto: packet.ProtoUDP,
 	}, TotalLen: 200})
 	ctx := &pisa.Context{}
-	ctx.Reset(&packet.Packet{Data: data}, events.Event{Kind: events.IngressPacket, FlowHash: 77}, 0, 1)
+	ctx.Reset(&packet.Packet{Data: data}, &events.Event{Kind: events.IngressPacket, FlowHash: 77}, 0, 1)
 	_ = ctx.Parsed.Decode(data, &ctx.Decoded)
 	return inst, ctx
 }
@@ -77,7 +77,7 @@ func benchControl(b *testing.B, interp bool) {
 		SrcPort: 5, DstPort: 6, Proto: packet.ProtoUDP,
 	}, TotalLen: 200})
 	ctx := &pisa.Context{}
-	ctx.Reset(&packet.Packet{Data: data}, events.Event{Kind: events.IngressPacket, FlowHash: 77}, 0, 1)
+	ctx.Reset(&packet.Packet{Data: data}, &events.Event{Kind: events.IngressPacket, FlowHash: 77}, 0, 1)
 	_ = ctx.Parsed.Decode(data, &ctx.Decoded)
 	b.ReportAllocs()
 	b.ResetTimer()

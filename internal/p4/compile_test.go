@@ -84,7 +84,7 @@ func runBackend(tb testing.TB, src string, interp bool, install func(*Instance) 
 					Data:     uint64(round*31 + fi),
 				}
 				inst.Program().Tick(cycle)
-				ctx.Reset(pkt, ev, ev.When, cycle)
+				ctx.Reset(pkt, &ev, ev.When, cycle)
 				_ = ctx.Parsed.Decode(data, &ctx.Decoded)
 				inst.Program().Apply(ctx)
 				fmt.Fprintf(&sb, "ev %v/%d: egress=%d q=%d rank=%d recirc=%v tos=%d pkt=%x\n",
@@ -304,7 +304,7 @@ control Enqueue { apply { occ.add(ev.queue, ev.pkt_len); } }`
 	run := func(kind events.Kind) {
 		cycle++
 		inst.Program().Tick(cycle)
-		ctx.Reset(pkt, events.Event{Kind: kind, PktLen: len(data), Queue: 1}, sim.Time(int64(cycle)), cycle)
+		ctx.Reset(pkt, &events.Event{Kind: kind, PktLen: len(data), Queue: 1}, sim.Time(int64(cycle)), cycle)
 		_ = ctx.Parsed.Decode(data, &ctx.Decoded)
 		inst.Program().Apply(ctx)
 		inst.Program().EndCycle()

@@ -71,7 +71,7 @@ control Ingress {
 	f.Add([]byte{0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 2, 0x08, 0x00, 0x45})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ctx := &pisa.Context{}
-		ctx.Reset(pktOf(data), events.Event{Kind: events.IngressPacket}, 0, 1)
+		ctx.Reset(pktOf(data), &events.Event{Kind: events.IngressPacket}, 0, 1)
 		_ = ctx.Parsed.Decode(data, &ctx.Decoded)
 		inst.Program().Apply(ctx)
 	})
@@ -124,7 +124,7 @@ func FuzzCompiledVsInterp(f *testing.F) {
 						Up: evBits%2 == 0, Data: evBits + uint64(round),
 					}
 					inst.Program().Tick(cycle)
-					ctx.Reset(pkt, ev, ev.When, cycle)
+					ctx.Reset(pkt, &ev, ev.When, cycle)
 					_ = ctx.Parsed.Decode(d, &ctx.Decoded)
 					inst.Program().Apply(ctx)
 					fmt.Fprintf(&sb, "%d %d %d %v %x|", ctx.EgressPort, ctx.Queue, ctx.Rank, ctx.Recirculate, pkt.Data)

@@ -550,7 +550,7 @@ control Ingress { apply { forward(1); } }
 control Enqueue { apply { r.write(0, 1); } }
 `).Instantiate("misuse", Options{})
 	ctx := &pisa.Context{}
-	ctx.Reset(nil, events.Event{Kind: events.BufferEnqueue}, 0, 1)
+	ctx.Reset(nil, &events.Event{Kind: events.BufferEnqueue}, 0, 1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on deferred write")

@@ -46,3 +46,75 @@ func FuzzDecode(f *testing.F) {
 		_ = EtherTypeOf(data)
 	})
 }
+
+// flowCase is one frame of the parse-once equivalence table; the same
+// frames seed FuzzParserFlow.
+type flowCase struct {
+	name string
+	data []byte
+	ok   bool // whether FlowOf finds a 5-tuple
+}
+
+func flowCases() []flowCase {
+	udp := Flow{Src: IP4(10, 0, 0, 1), Dst: IP4(10, 0, 0, 2), SrcPort: 1234, DstPort: 80, Proto: ProtoUDP}
+	tcp := udp
+	tcp.Proto = ProtoTCP
+	frame := BuildFrame
+	// insert returns data with extra spliced in at off.
+	insert := func(data []byte, off int, extra ...byte) []byte {
+		out := append([]byte{}, data[:off]...)
+		out = append(out, extra...)
+		return append(out, data[off:]...)
+	}
+	const ip = EthernetHeaderLen // offset of the untagged IPv4 header
+
+	doubleTag := insert(frame(FrameSpec{Flow: udp, VLAN: 7}), EthernetHeaderLen, 0x00, 0x09, 0x81, 0x00)
+	options := insert(frame(FrameSpec{Flow: udp}), ip+IPv4HeaderLen, 1, 1, 1, 1)
+	options[ip] = 0x46
+	fragment := frame(FrameSpec{Flow: udp, TotalLen: 120})
+	fragment[ip+6], fragment[ip+7] = 0x20, 0x10 // MF, offset 16
+	shortTotal := frame(FrameSpec{Flow: udp, TotalLen: 120})
+	shortTotal[ip+2], shortTotal[ip+3] = 0, IPv4HeaderLen+4
+	badVersion := frame(FrameSpec{Flow: udp})
+	badVersion[ip] = 0x65
+	icmp := frame(FrameSpec{Flow: udp, TotalLen: 120})
+	icmp[ip+9] = 1
+	full := frame(FrameSpec{Flow: tcp, TotalLen: 120})
+
+	return []flowCase{
+		{"udp", frame(FrameSpec{Flow: udp}), true},
+		{"tcp", full, true},
+		{"dot1q", frame(FrameSpec{Flow: tcp, VLAN: 42, PCP: 3, TotalLen: 200}), true},
+		{"double-tag", doubleTag, false},
+		{"ihl6", options, true},
+		{"fragment", fragment, true},
+		{"total-len-inside-l4", shortTotal, true},
+		{"l4-cut-after-ports", full[:ip+IPv4HeaderLen+6], true},
+		{"l4-cut-inside-ports", full[:ip+IPv4HeaderLen+2], false},
+		{"ip-version-6", badVersion, true},
+		{"icmp", icmp, true},
+		{"arp", BuildControlFrame(Broadcast, MACFromUint64(1), &ARP{Op: ARPRequest}), false},
+		{"runt", full[:10], false},
+		{"empty", nil, false},
+	}
+}
+
+// FuzzParserFlow: for arbitrary bytes, the 5-tuple the slot takes from
+// the parse it already ran equals the reference walk over the raw frame.
+// The parser is reused across inputs, as a switch reuses its context, so
+// header storage left by one frame must never leak into the next.
+func FuzzParserFlow(f *testing.F) {
+	for _, c := range flowCases() {
+		f.Add(c.data)
+	}
+	var p Parser
+	var decoded []LayerType
+	f.Fuzz(func(t *testing.T, data []byte) {
+		_ = p.Decode(data, &decoded)
+		got, ok := p.Flow(data, decoded)
+		want, wantOK := FlowOf(data)
+		if got != want || ok != wantOK {
+			t.Fatalf("Parser.Flow = %v ok=%v, FlowOf = %v ok=%v (decoded %v)", got, ok, want, wantOK, decoded)
+		}
+	})
+}

@@ -463,3 +463,23 @@ func TestVLANUntaggedUnaffected(t *testing.T) {
 		t.Errorf("untagged FlowOf = %v ok=%v", got, ok)
 	}
 }
+
+// TestParserFlowMatchesFlowOf: the flow read from the decoded layers is
+// FlowOf's on every stack shape, including the ones where the layer
+// decoders and FlowOf disagree about how much header is enough, and on a
+// parser still holding the previous frame's headers.
+func TestParserFlowMatchesFlowOf(t *testing.T) {
+	var p Parser // one parser for every case, in order: stale storage is part of the test
+	var dec []LayerType
+	for _, c := range flowCases() {
+		_ = p.Decode(c.data, &dec)
+		got, ok := p.Flow(c.data, dec)
+		want, wantOK := FlowOf(c.data)
+		if got != want || ok != wantOK {
+			t.Errorf("%s: Parser.Flow = %v ok=%v, FlowOf = %v ok=%v (decoded %v)", c.name, got, ok, want, wantOK, dec)
+		}
+		if wantOK != c.ok {
+			t.Errorf("%s: FlowOf ok=%v, the case is meant to be ok=%v", c.name, wantOK, c.ok)
+		}
+	}
+}

@@ -76,9 +76,31 @@ func (p *Parser) layerFor(t LayerType) DecodingLayer {
 	}
 }
 
+// Flow returns the IPv4 5-tuple of the frame Decode just parsed, given the
+// data and decoded stack of that call; the result always equals
+// FlowOf(data). For the common stack — Ethernet/IPv4/UDP or
+// Ethernet/IPv4/TCP decoded whole — it is read from the header storage
+// Decode filled, so the frame is walked once per slot. Every other stack
+// (tagged, non-IP, a transport header cut short by the frame or by the IP
+// total length, a decode error) takes FlowOf, whose rules differ from the
+// layer decoders' exactly there: it reads the ports from the four bytes
+// behind the IP header whatever the lengths claim.
+func (p *Parser) Flow(data []byte, decoded []LayerType) (Flow, bool) {
+	if len(decoded) == 3 && decoded[1] == LayerIPv4 {
+		switch decoded[2] {
+		case LayerUDP:
+			return Flow{Src: p.IP.Src, Dst: p.IP.Dst, SrcPort: p.UDP.SrcPort, DstPort: p.UDP.DstPort, Proto: ProtoUDP}, true
+		case LayerTCP:
+			return Flow{Src: p.IP.Src, Dst: p.IP.Dst, SrcPort: p.TCP.SrcPort, DstPort: p.TCP.DstPort, Proto: ProtoTCP}, true
+		}
+	}
+	return FlowOf(data)
+}
+
 // FlowOf extracts the IPv4 5-tuple from an Ethernet frame, returning
 // ok=false for non-IP frames or frames too short to carry a transport
-// header. It is the fast path used by per-flow state updates.
+// header. It walks the raw bytes without a Parser: the reference
+// Parser.Flow must match, and the path for frames nobody decoded.
 func FlowOf(data []byte) (Flow, bool) {
 	if len(data) < EthernetHeaderLen+IPv4HeaderLen {
 		return Flow{}, false

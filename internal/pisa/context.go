@@ -71,10 +71,11 @@ type GenRequest struct {
 	Port int // output port; PortDrop means "route by pipeline" is not supported for generated packets
 }
 
-// Reset clears the context for the next slot, retaining allocated storage.
-func (c *Context) Reset(pkt *packet.Packet, ev events.Event, now sim.Time, cycle uint64) {
+// Reset clears the context for the next slot, retaining allocated
+// storage. The slot's triggering event is copied from *ev.
+func (c *Context) Reset(pkt *packet.Packet, ev *events.Event, now sim.Time, cycle uint64) {
 	c.Pkt = pkt
-	c.Ev = ev
+	c.Ev = *ev
 	c.Now = now
 	c.Cycle = cycle
 	c.Decoded = c.Decoded[:0]
@@ -86,9 +87,7 @@ func (c *Context) Reset(pkt *packet.Packet, ev events.Event, now sim.Time, cycle
 	c.Recirculate = false
 	c.Generated = c.Generated[:0]
 	c.Raised = c.Raised[:0]
-	for k := range c.Meta {
-		delete(c.Meta, k)
-	}
+	clear(c.Meta)
 }
 
 // Has reports whether the given layer was decoded for this slot's packet.

@@ -11,18 +11,18 @@ import (
 
 func newCtx(kind events.Kind, cycle uint64) *Context {
 	ctx := &Context{}
-	ctx.Reset(nil, events.Event{Kind: kind}, 0, cycle)
+	ctx.Reset(nil, &events.Event{Kind: kind}, 0, cycle)
 	return ctx
 }
 
 func TestContextReset(t *testing.T) {
 	ctx := &Context{}
-	ctx.Reset(nil, events.Event{Kind: events.IngressPacket}, 5, 9)
+	ctx.Reset(nil, &events.Event{Kind: events.IngressPacket}, 5, 9)
 	ctx.SetMeta("x", 7)
 	ctx.Emit([]byte{1}, 2)
 	ctx.RaiseUser(3)
 	ctx.EgressPort = 4
-	ctx.Reset(nil, events.Event{Kind: events.BufferEnqueue}, 6, 10)
+	ctx.Reset(nil, &events.Event{Kind: events.BufferEnqueue}, 6, 10)
 	if ctx.GetMeta("x") != 0 {
 		t.Error("meta survived reset")
 	}

@@ -108,14 +108,21 @@ type TM struct {
 	ports []port
 
 	// OnEvent, when non-nil, receives BufferEnqueue, BufferDequeue,
-	// BufferOverflow and BufferUnderflow events as they happen.
-	OnEvent func(events.Event)
+	// BufferOverflow and BufferUnderflow events as they happen. The
+	// pointer is to a scratch event the TM overwrites on its next state
+	// change: a receiver that keeps the event copies it before returning
+	// or calling back into the TM.
+	OnEvent func(*events.Event)
 
 	// Muted has bit k set for each event kind OnEvent's receiver would
 	// discard unseen. A muted event still takes its sequence number (the
 	// counter is checkpointed and must not depend on who is listening),
 	// but is neither built nor delivered.
 	Muted uint32
+
+	// ev is the event OnEvent is handed. A literal in emit would escape
+	// through the func value and cost an allocation per state change.
+	ev events.Event
 
 	seq       uint64
 	enqueues  uint64
@@ -164,10 +171,11 @@ func (t *TM) emit(k events.Kind, now sim.Time, outPort, q, pktLen int, flowHash 
 	if t.Muted&(1<<uint(k)) != 0 {
 		return
 	}
-	t.OnEvent(events.Event{
+	t.ev = events.Event{
 		Kind: k, Seq: seq, When: now, Port: outPort, Queue: q,
 		PktLen: pktLen, FlowHash: flowHash,
-	})
+	}
+	t.OnEvent(&t.ev)
 }
 
 // Enqueue offers a packet to output queue q of the given port. rank is

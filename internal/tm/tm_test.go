@@ -71,7 +71,7 @@ func TestPIFOHeapProperty(t *testing.T) {
 func TestTMEnqueueDequeueEvents(t *testing.T) {
 	var got []events.Event
 	tmgr := New(Config{Ports: 2, QueuesPerPort: 1, QueueCapBytes: 1000})
-	tmgr.OnEvent = func(e events.Event) { got = append(got, e) }
+	tmgr.OnEvent = func(e *events.Event) { got = append(got, *e) }
 
 	if !tmgr.Enqueue(mkPkt(100), 1, 0, 0, 777, 10) {
 		t.Fatal("enqueue refused")
@@ -104,7 +104,7 @@ func TestTMEnqueueDequeueEvents(t *testing.T) {
 func TestTMMutedKindsKeepSequence(t *testing.T) {
 	run := func(muted uint32) (got []events.Event, seq uint64) {
 		tmgr := New(Config{Ports: 1, QueueCapBytes: 1000})
-		tmgr.OnEvent = func(e events.Event) { got = append(got, e) }
+		tmgr.OnEvent = func(e *events.Event) { got = append(got, *e) }
 		tmgr.Muted = muted
 		tmgr.Enqueue(mkPkt(100), 0, 0, 0, 1, 10)
 		tmgr.Dequeue(0, 20) // dequeue, then underflow
@@ -124,10 +124,53 @@ func TestTMMutedKindsKeepSequence(t *testing.T) {
 	}
 }
 
+// TestTMEventScratchNotAliased: OnEvent is handed a pointer to one scratch
+// event per TM. A receiver that copies before it returns — what the
+// merger's FIFO does — sees every event of an enqueue → dequeue call chain
+// intact, even when the dequeue happens inside the enqueue's callback, and
+// the tap costs no allocation.
+func TestTMEventScratchNotAliased(t *testing.T) {
+	var got []events.Event
+	tmgr := New(Config{Ports: 1, QueueCapBytes: 1000})
+	pkt := mkPkt(100)
+	tmgr.OnEvent = func(e *events.Event) {
+		got = append(got, *e)
+		if e.Kind == events.BufferEnqueue {
+			tmgr.Dequeue(0, 20) // overwrites *e with the dequeue, then the underflow
+		}
+	}
+	tmgr.Enqueue(pkt, 0, 0, 0, 777, 10)
+	want := []events.Event{
+		{Kind: events.BufferEnqueue, Seq: 0, When: 10, PktLen: 100, FlowHash: 777},
+		{Kind: events.BufferDequeue, Seq: 1, When: 20, PktLen: 100, FlowHash: 777},
+		{Kind: events.BufferUnderflow, Seq: 2, When: 20},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("got %d events %+v, want %d", len(got), got, len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("event %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+
+	var kinds [events.NumKinds]int
+	tmgr.OnEvent = func(e *events.Event) { kinds[e.Kind]++ }
+	if n := testing.AllocsPerRun(1000, func() {
+		tmgr.Enqueue(pkt, 0, 0, 0, 777, 10)
+		tmgr.Dequeue(0, 20)
+	}); n != 0 {
+		t.Errorf("event tap allocates %v per enqueue+dequeue, want 0", n)
+	}
+	if kinds[events.BufferEnqueue] == 0 || kinds[events.BufferEnqueue] != kinds[events.BufferDequeue] {
+		t.Errorf("tap saw %d enqueues, %d dequeues", kinds[events.BufferEnqueue], kinds[events.BufferDequeue])
+	}
+}
+
 func TestTMOverflow(t *testing.T) {
 	var got []events.Event
 	tmgr := New(Config{Ports: 1, QueueCapBytes: 150})
-	tmgr.OnEvent = func(e events.Event) { got = append(got, e) }
+	tmgr.OnEvent = func(e *events.Event) { got = append(got, *e) }
 	if !tmgr.Enqueue(mkPkt(100), 0, 0, 0, 1, 0) {
 		t.Fatal("first enqueue refused")
 	}
@@ -208,9 +251,9 @@ func TestTMDRRFairness(t *testing.T) {
 	}
 	bytes := [2]int{}
 	var deqEvents []events.Event
-	tmgr.OnEvent = func(e events.Event) {
+	tmgr.OnEvent = func(e *events.Event) {
 		if e.Kind == events.BufferDequeue {
-			deqEvents = append(deqEvents, e)
+			deqEvents = append(deqEvents, *e)
 		}
 	}
 	served := 0
@@ -322,7 +365,7 @@ func TestEnqueueNMatchesLoop(t *testing.T) {
 	var loop outcome
 	{
 		tmgr := New(cfg)
-		tmgr.OnEvent = func(e events.Event) { loop.events = append(loop.events, e) }
+		tmgr.OnEvent = func(e *events.Event) { loop.events = append(loop.events, *e) }
 		for _, r := range mkReqs() {
 			loop.oks = append(loop.oks, tmgr.Enqueue(r.Pkt, r.Port, r.Q, r.Rank, r.FlowHash, 100))
 		}
@@ -333,7 +376,7 @@ func TestEnqueueNMatchesLoop(t *testing.T) {
 	admitted := 0
 	{
 		tmgr := New(cfg)
-		tmgr.OnEvent = func(e events.Event) { bulk.events = append(bulk.events, e) }
+		tmgr.OnEvent = func(e *events.Event) { bulk.events = append(bulk.events, *e) }
 		reqs := mkReqs()
 		bulk.oks = make([]bool, len(reqs))
 		admitted = tmgr.EnqueueN(reqs, 100, func(i int, ok bool) { bulk.oks[i] = ok })
