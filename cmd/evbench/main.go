@@ -7,11 +7,6 @@
 //	evbench -list                    # list experiment ids
 //	evbench -parallel 8              # 8 worker goroutines per experiment
 //	evbench -domains 4               # split topologies across 4 partition domains
-//	evbench -domains auto            # one domain per core, load-aware switch assignment
-//	evbench -interp                  # run µP4 programs under the interpreter oracle
-//	evbench -burst 0                 # per-packet datapath (burst differential oracle)
-//	evbench -burst 128               # wider burst slot budget per pipeline wakeup
-//	evbench -benchjson .             # also write BENCH_<id>.json per experiment
 //	evbench -cpuprofile cpu.pprof    # write a CPU profile
 //	evbench -memprofile mem.pprof    # write an allocation profile
 //	evbench -exp hula -trace t.json -metrics m.json
@@ -27,9 +22,9 @@
 //	evbench -blockprofile b.pprof -mutexprofile m.pprof
 //	                                 # runtime contention profiles
 //
-// The observability plane (-http, -stream-*) is read-only: tables, BENCH
-// json digests, and trace/metrics exports are byte-identical with it on
-// or off, at every -parallel and -domains setting.
+// The observability plane (-http, -stream-*) is read-only: tables and
+// trace/metrics exports are byte-identical with it on or off, at every
+// -parallel and -domains setting.
 //
 // -trace writes the event-lifecycle trace (Chrome/Perfetto trace-event
 // JSON, or JSON lines when the file ends in .jsonl); -metrics writes the
@@ -65,9 +60,7 @@ import (
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/p4"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/self"
 )
@@ -88,10 +81,8 @@ func run(args []string, out, errw io.Writer) int {
 	list := fs.Bool("list", false, "list experiment ids and exit")
 	par := fs.Int("parallel", bench.Parallelism(),
 		"worker goroutines for experiment trials (0 = GOMAXPROCS)")
-	domains := fs.String("domains", "",
-		"partition domains for topology experiments (intra-trial parallelism): a count, or \"auto\" for one per core with load-aware switch assignment")
-	benchjson := fs.String("benchjson", "",
-		"write BENCH_<experiment>.json reports into `dir`")
+	domains := fs.Int("domains", bench.Domains(),
+		"partition domains for topology experiments (intra-trial parallelism)")
 	cpuprofile := fs.String("cpuprofile", "", "write CPU profile to `file`")
 	memprofile := fs.String("memprofile", "", "write allocation profile to `file`")
 	blockprofile := fs.String("blockprofile", "", "write goroutine blocking profile to `file`")
@@ -108,10 +99,6 @@ func run(args []string, out, errw io.Writer) int {
 		"write the event-lifecycle trace to `file` (.jsonl = JSON lines, else Chrome JSON); needs -exp")
 	metricsFile := fs.String("metrics", "",
 		"write the telemetry metrics document to `file`; needs -exp")
-	interp := fs.Bool("interp", false,
-		"execute µP4 programs with the interpreter instead of compiled closures (differential oracle)")
-	burst := fs.Int("burst", -1,
-		"burst slot budget per pipeline wakeup (0 = per-packet differential oracle, -1 = default)")
 	resume := fs.String("resume", "",
 		"journal completed trials in `file` and skip them on rerun; needs -exp")
 	if err := fs.Parse(args); err != nil {
@@ -131,20 +118,19 @@ func run(args []string, out, errw io.Writer) int {
 	if *par <= 0 {
 		*par = runtime.GOMAXPROCS(0)
 	}
+	if *domains < 1 {
+		fmt.Fprintf(errw, "evbench: -domains must be a positive integer (got %d)\n", *domains)
+		return exitUsage
+	}
+	// Harness settings are process-wide; put back whatever this run
+	// changes so a later run() in the same process starts from defaults.
+	prevPar, prevDomains := bench.Parallelism(), bench.Domains()
 	bench.SetParallelism(*par)
-	if *domains != "" {
-		if err := bench.ParseDomains(*domains); err != nil {
-			fmt.Fprintf(errw, "evbench: %v\n", err)
-			return exitUsage
-		}
-	}
-	p4.ForceInterpret = *interp
-	switch {
-	case *burst == 0:
-		core.ForceNoBurst = true
-	case *burst > 0:
-		core.DefaultBurstSlots = *burst
-	}
+	bench.SetDomains(*domains)
+	defer func() {
+		bench.SetParallelism(prevPar)
+		bench.SetDomains(prevDomains)
+	}()
 
 	streaming := *streamTrace != "" || *streamMetrics != ""
 	telemetryOn := *traceFile != "" || *metricsFile != "" || streaming
@@ -177,8 +163,9 @@ func run(args []string, out, errw io.Writer) int {
 	// never changes a byte of tables, digests, or trace files (pinned by
 	// TestObsStreamingIdentical / TestObsSmoke).
 	obsOn := *httpAddr != "" || streaming
-	if obsOn {
+	if obsOn && !self.On() {
 		self.Enable()
+		defer self.Disable()
 	}
 	if telemetryOn {
 		bench.EnableTelemetry(telemetry.Options{
@@ -186,6 +173,7 @@ func run(args []string, out, errw io.Writer) int {
 			SamplePeriod: telemetry.DefaultSamplePeriod,
 			Live:         obsOn,
 		})
+		defer bench.DisableTelemetry()
 	}
 
 	var srv *obs.Server
@@ -263,25 +251,8 @@ func run(args []string, out, errw io.Writer) int {
 		}()
 	}
 
-	runOne := func(e bench.Experiment) error {
-		if *benchjson == "" {
-			fmt.Fprintln(out, e.Run().String())
-			return nil
-		}
-		res, rep := bench.RunReport(e)
-		fmt.Fprintln(out, res.String())
-		path, err := bench.WriteReport(*benchjson, rep)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(errw, "evbench: wrote %s\n", path)
-		return nil
-	}
 	for _, e := range todo {
-		if err := runOne(e); err != nil {
-			fmt.Fprintf(errw, "evbench: %v\n", err)
-			return exitRuntime
-		}
+		fmt.Fprintln(out, e.Run().String())
 	}
 
 	if sink != nil {

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bench"
 	"repro/internal/telemetry/self"
 )
 
@@ -44,13 +45,9 @@ var (
 // plus streaming, scrape /metrics live while trials execute until the
 // barrier-stall and burst-occupancy self-metrics go non-zero, and then
 // check the table output is byte-identical to a plain run. This is the
-// cmd-level counterpart of bench.TestObsStreamingIdentical and the test
-// behind `make obs-smoke`.
+// cmd-level counterpart of bench.TestObsStreamingIdentical.
 func TestObsSmoke(t *testing.T) {
-	defer func() {
-		self.Disable()
-		self.Reset()
-	}()
+	defer self.Reset()
 
 	base := []string{"-exp", "scale", "-parallel", "8", "-domains", "2"}
 	var plain bytes.Buffer
@@ -153,4 +150,31 @@ func firstLines(s string, n int) string {
 		lines = lines[:n]
 	}
 	return strings.Join(lines, "\n")
+}
+
+// TestRunLeavesNoState pins that run() puts back every process-wide
+// harness setting it changes: the test binary (and any embedder) calls
+// it more than once, and a later default run must not inherit an earlier
+// run's telemetry, self-metrics, domain count, or worker-pool width.
+func TestRunLeavesNoState(t *testing.T) {
+	defer self.Reset()
+	wantDomains, wantPar := bench.Domains(), bench.Parallelism()
+	trace := filepath.Join(t.TempDir(), "t.jsonl")
+	var errw bytes.Buffer
+	if code := run([]string{"-exp", "hula", "-domains", "2", "-parallel", "3",
+		"-trace", trace, "-http", "127.0.0.1:0"}, io.Discard, &errw); code != exitOK {
+		t.Fatalf("run exited %d, stderr:\n%s", code, errw.String())
+	}
+	if bench.TelemetryEnabled() {
+		t.Error("telemetry still enabled after run returned")
+	}
+	if self.On() {
+		t.Error("self-metrics still on after run returned")
+	}
+	if got := bench.Domains(); got != wantDomains {
+		t.Errorf("Domains() = %d after run, want %d", got, wantDomains)
+	}
+	if got := bench.Parallelism(); got != wantPar {
+		t.Errorf("Parallelism() = %d after run, want %d", got, wantPar)
+	}
 }

@@ -91,18 +91,6 @@ func (c *checkpointer) fire() {
 	}
 	f.Add("telemetry", e.Bytes())
 
-	// The firing runs inside domain 0's window, so only the slim
-	// partition state (immutable domain count + atomic window counter) is
-	// safe to read; domain 0's clock already travels in the clock section.
-	e = checkpoint.NewEncoder()
-	e.Bool(c.st.part != nil)
-	if c.st.part != nil {
-		slim := c.st.part.SlimState()
-		e.Int(slim.Domains)
-		e.U64(slim.Windows)
-	}
-	f.Add("partition", e.Bytes())
-
 	if err := f.WriteFile(c.path); err != nil && c.err == nil {
 		c.err = err
 	}
@@ -193,24 +181,6 @@ func restoreRun(st *simState, f *checkpoint.File) (*checkpointer, error) {
 	}
 	if st.tel != nil {
 		st.tel.RestoreFrom(d)
-	}
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-
-	d, err = section("partition")
-	if err != nil {
-		return nil, err
-	}
-	hadPart := d.Bool()
-	if hadPart != (st.part != nil) {
-		return nil, fmt.Errorf("checkpoint partition presence (%v) differs from this run", hadPart)
-	}
-	if st.part != nil {
-		slim := sim.SlimPartitionState{Domains: d.Int(), Windows: d.U64()}
-		if err := st.part.RestoreSlimState(slim); err != nil {
-			return nil, err
-		}
 	}
 	if err := d.Err(); err != nil {
 		return nil, err

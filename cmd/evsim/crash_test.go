@@ -31,16 +31,20 @@ func TestExitCodes(t *testing.T) {
 		{[]string{"-arch", "bogus"}, exitUsage},
 		{[]string{"-ms", "0"}, exitUsage},
 		{[]string{"-ports", "-2"}, exitUsage},
-		{[]string{"-checkpoint-every", "1ms"}, exitUsage},                          // no -checkpoint
-		{[]string{"-checkpoint-every", "soon", "-checkpoint", ckpt}, exitUsage},    // bad duration
-		{[]string{"-p4", filepath.Join(dir, "missing.up4")}, exitRuntime},          // unreadable program
-		{[]string{"-resume", filepath.Join(dir, "missing.ckpt")}, exitRuntime},     // unreadable checkpoint
-		{[]string{"-ms", "1", "-load", "0.5", "-resume", ckpt}, exitUsage},         // digest mismatch
+		{[]string{"-checkpoint-every", "1ms"}, exitUsage},                       // no -checkpoint
+		{[]string{"-checkpoint-every", "soon", "-checkpoint", ckpt}, exitUsage}, // bad duration
+		{[]string{"-p4", filepath.Join(dir, "missing.up4")}, exitRuntime},       // unreadable program
+		{[]string{"-resume", filepath.Join(dir, "missing.ckpt")}, exitRuntime},  // unreadable checkpoint
+		{[]string{"-ms", "1", "-load", "0.5", "-resume", ckpt}, exitUsage},      // digest mismatch
 		// A checkpoint cut by the burst engine must not silently resume
 		// under the per-packet oracle (or vice versa): -burst is part of
 		// the config digest, so the mode flip is refused up front.
 		{[]string{"-ms", "1", "-burst", "0", "-checkpoint-every", "500us", "-resume", ckpt}, exitUsage},
 		{[]string{"-ms", "1", "-checkpoint-every", "500us", "-resume", ckpt}, exitOK},
+		// 0 is the only value -burst takes (the slot budget is a constant),
+		// and one switch has nothing to partition: -domains is not a flag.
+		{[]string{"-burst", "16"}, exitUsage},
+		{[]string{"-domains", "2"}, exitUsage},
 	}
 	for _, c := range cases {
 		if got := runQuiet(t, c.args...); got != c.want {
@@ -109,50 +113,6 @@ func TestResumeByteIdenticalInProcess(t *testing.T) {
 	if ofirst.String() != plain.String() {
 		t.Errorf("burst engine and per-packet oracle diverge:\n--- burst ---\n%s--- oracle ---\n%s",
 			plain.String(), ofirst.String())
-	}
-}
-
-// TestPartitionedResumeByteIdentical is the mid-batch checkpoint
-// differential: under -domains the checkpointer fires inside domain 0's
-// window (between barriers, while other domains' goroutines are live),
-// so a resume from such a checkpoint exercises the slim partition
-// section. The partitioned run's statistics must match the plain run's
-// byte for byte, with and without a resume, and a resume under a
-// different -domains value must be refused via the config digest.
-func TestPartitionedResumeByteIdentical(t *testing.T) {
-	dir := t.TempDir()
-	ckpt := filepath.Join(dir, "part.ckpt")
-	flags := []string{"-ms", "4", "-domains", "4", "-checkpoint-every", "1ms"}
-
-	var plain bytes.Buffer
-	if code := run([]string{"-ms", "4"}, &plain, &bytes.Buffer{}); code != exitOK {
-		t.Fatalf("reference run exited %d", code)
-	}
-	var first bytes.Buffer
-	if code := run(append(append([]string{}, flags...), "-checkpoint", ckpt), &first, &bytes.Buffer{}); code != exitOK {
-		t.Fatalf("partitioned checkpointed run exited %d", code)
-	}
-	var resumed, errw bytes.Buffer
-	if code := run(append(append([]string{}, flags...), "-resume", ckpt), &resumed, &errw); code != exitOK {
-		t.Fatalf("partitioned resumed run exited %d: %s", code, errw.String())
-	}
-	if plain.String() != first.String() || first.String() != resumed.String() {
-		t.Errorf("outputs diverge:\n--- plain ---\n%s--- partitioned ---\n%s--- resumed ---\n%s",
-			plain.String(), first.String(), resumed.String())
-	}
-
-	// Cross-domain-count resume: refused up front (usage error), exactly
-	// like any other behaviour-affecting flag change.
-	if code := runQuiet(t, "-ms", "4", "-domains", "2", "-checkpoint-every", "1ms", "-resume", ckpt); code != exitUsage {
-		t.Errorf("resume under different -domains exited %d, want %d", code, exitUsage)
-	}
-	for _, bad := range []string{"0", "-3", "zebra"} {
-		if code := runQuiet(t, "-domains", bad); code != exitUsage {
-			t.Errorf("-domains %s exited %d, want %d", bad, code, exitUsage)
-		}
-	}
-	if code := runQuiet(t, "-ms", "1", "-domains", "auto"); code != exitOK {
-		t.Errorf("-domains auto exited %d, want %d", code, exitOK)
 	}
 }
 

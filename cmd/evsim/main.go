@@ -11,8 +11,6 @@
 //	evsim -ms 10 -checkpoint-every 1ms -resume run.ckpt
 //	evsim -ms 10 -http 127.0.0.1:9100   # /metrics, /status, /debug/pprof
 //	evsim -ms 10 -stream-trace t.jsonl -stream-metrics m.jsonl -stream-every 250ms
-//	evsim -ms 10 -domains 4          # run under a 4-domain partition (switch in domain 0)
-//	evsim -ms 10 -domains auto       # one domain per core, clamped to the task count
 //
 // With -p4, the given µP4 program is compiled and loaded instead of the
 // built-in port-pairing forwarder (ports are paired 0<->1, 2<->3 there).
@@ -49,7 +47,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -105,10 +102,6 @@ type config struct {
 	trace     int
 	traceFile string
 	metrics   string
-	// domains is the resolved partition domain count ("auto" resolves
-	// against the task count — one switch — before it lands here, so the
-	// digest always folds the effective value).
-	domains int
 
 	ckptEvery sim.Time
 	ckptPath  string
@@ -152,7 +145,6 @@ func (c *config) digest() uint64 {
 		fmt.Sprint(c.seed),
 		fmt.Sprint(c.telemetryOn()),
 		fmt.Sprint(int64(c.ckptEvery)),
-		fmt.Sprint(c.domains),
 	)
 }
 
@@ -170,10 +162,8 @@ func run(args []string, out, errw io.Writer) int {
 	interp := fs.Bool("interp", false,
 		"run the -p4 program under the interpreter instead of compiled closures")
 	burst := fs.Int("burst", -1,
-		"burst slot budget per pipeline wakeup (0 = per-packet differential oracle, -1 = default)")
+		"0 = per-packet datapath, the burst engine's differential oracle (default: burst)")
 	seed := fs.Uint64("seed", 1, "workload RNG seed")
-	domainsFlag := fs.String("domains", "1",
-		"partition domains (a count, or \"auto\" = one per core clamped to the task count); the switch runs in domain 0")
 	trace := fs.Int("trace", 0, "print the first N pipeline slots")
 	traceFile := fs.String("tracefile", "",
 		"write the event-lifecycle trace to `file` (.jsonl = JSON lines, else Chrome JSON)")
@@ -206,7 +196,7 @@ func run(args []string, out, errw io.Writer) int {
 		httpAddr: *httpAddr, streamTrace: *streamTrace,
 		streamMetrics: *streamMetrics, streamEvery: *streamEvery,
 	}
-	if err := finishConfig(cfg, *ckptEvery, *domainsFlag); err != nil {
+	if err := finishConfig(cfg, *ckptEvery); err != nil {
 		fmt.Fprintf(errw, "evsim: %v\n", err)
 		var ue usageError
 		if errors.As(err, &ue) {
@@ -225,24 +215,16 @@ func run(args []string, out, errw io.Writer) int {
 	return exitOK
 }
 
-// finishConfig validates flag values, loads the µP4 source, parses the
-// checkpoint cadence, and resolves the partition domain count.
-func finishConfig(cfg *config, every, domains string) error {
+// finishConfig validates flag values, loads the µP4 source, and parses
+// the checkpoint cadence.
+func finishConfig(cfg *config, every string) error {
 	switch cfg.archName {
 	case "event", "baseline":
 	default:
 		return usagef("unknown arch %q (want event or baseline)", cfg.archName)
 	}
-	if domains == "auto" {
-		// One switch = one task: auto resolves to a single domain on any
-		// host, and that effective value is what the config digest folds.
-		cfg.domains = sim.AutoDomains(1)
-	} else {
-		n, err := strconv.Atoi(domains)
-		if err != nil || n < 1 {
-			return usagef("-domains must be a positive integer or \"auto\" (got %q)", domains)
-		}
-		cfg.domains = n
+	if cfg.burst > 0 {
+		return usagef("-burst takes only 0 (the per-packet oracle); the burst slot budget is not configurable")
 	}
 	if cfg.ms <= 0 {
 		return usagef("-ms must be positive, got %d", cfg.ms)
@@ -281,7 +263,6 @@ func finishConfig(cfg *config, every, domains string) error {
 // resume leaves them prepared and re-arms them from the checkpoint.
 type simState struct {
 	cfg   *config
-	part  *sim.Partition // nil when cfg.domains == 1
 	sched *sim.Scheduler
 	arch  *core.Arch
 	sw    *core.Switch
@@ -291,20 +272,7 @@ type simState struct {
 }
 
 func build(cfg *config, start bool, out io.Writer) (*simState, error) {
-	st := &simState{cfg: cfg}
-	if cfg.domains > 1 {
-		// The single switch lives in domain 0 of an N-domain partition.
-		// The other domains never hold events, so no cross-domain frame
-		// can ever arrive: an infinite lookahead is sound and lets every
-		// domain run to the horizon in one window. The point of this mode
-		// is exercising the barrier protocol around a live checkpointing
-		// simulation, not parallelism.
-		st.part = sim.NewPartition(cfg.domains)
-		st.part.SetLookahead(sim.Forever)
-		st.sched = st.part.Sched(0)
-	} else {
-		st.sched = sim.NewScheduler()
-	}
+	st := &simState{cfg: cfg, sched: sim.NewScheduler()}
 	switch cfg.archName {
 	case "event":
 		st.arch = core.EventDriven()
@@ -316,11 +284,7 @@ func build(cfg *config, start bool, out io.Writer) (*simState, error) {
 		Ports:     cfg.ports,
 		LineRate:  sim.Rate(cfg.gbps) * sim.Gbps,
 		Overspeed: cfg.overspeed,
-	}
-	if cfg.burst == 0 {
-		swCfg.NoBurst = true
-	} else if cfg.burst > 0 {
-		swCfg.BurstSlots = cfg.burst
+		NoBurst:   cfg.burst == 0,
 	}
 	st.sw = core.New(swCfg, st.arch, st.sched)
 
@@ -490,11 +454,7 @@ func simulate(cfg *config, out, errw io.Writer) error {
 		sink.Attach("evsim", st.tel)
 	}
 
-	if st.part != nil {
-		st.part.Run(horizon + 2*sim.Millisecond)
-	} else {
-		st.sched.Run(horizon + 2*sim.Millisecond)
-	}
+	st.sched.Run(horizon + 2*sim.Millisecond)
 	if ck != nil && ck.err != nil {
 		return fmt.Errorf("writing checkpoint: %w", ck.err)
 	}

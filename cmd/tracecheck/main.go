@@ -1,5 +1,5 @@
-// Command tracecheck validates telemetry export files so the Makefile's
-// telemetry-smoke target needs no external JSON tooling.
+// Command tracecheck validates telemetry export files without external
+// JSON tooling.
 //
 //	tracecheck -trace t.json         # Chrome trace-event JSON
 //	tracecheck -trace t.jsonl        # JSON-lines trace

@@ -1,11 +1,15 @@
 package main
 
 import (
+	"bytes"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/bench"
+	"repro/internal/telemetry"
 )
 
 func writeFile(t *testing.T, name, content string) string {
@@ -133,5 +137,63 @@ func TestMetricsSingleAndStreamed(t *testing.T) {
 	badSum := strings.Replace(metricsLine, `"count":3`, `"count":5`, 1)
 	if err := checkMetrics(io.Discard, writeFile(t, "badsum.jsonl", badSum+"\n"+badSum+"\n")); err == nil {
 		t.Error("streamed bucket-sum mismatch not rejected")
+	}
+}
+
+// TestRealExportValidates runs the checkers over what the harness really
+// exports, not hand-written fixtures: the hula experiment's trace and
+// metrics, produced in process at 1 and at 2 partition domains, must
+// both validate and must be byte-identical across the two.
+func TestRealExportValidates(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the hula experiment twice")
+	}
+	hula, ok := bench.Get("hula")
+	if !ok {
+		t.Fatal("experiment hula not registered")
+	}
+	prev := bench.Domains()
+	defer bench.SetDomains(prev)
+	defer bench.DisableTelemetry()
+
+	dir := t.TempDir()
+	export := func(domains int) (trace, metrics []byte) {
+		bench.SetDomains(domains)
+		bench.EnableTelemetry(telemetry.Options{
+			TraceCap:     telemetry.DefaultTraceCap,
+			SamplePeriod: telemetry.DefaultSamplePeriod,
+		})
+		hula.Run()
+		tp := filepath.Join(dir, "hula.jsonl")
+		mp := filepath.Join(dir, "hula.json")
+		if err := bench.WriteTelemetryTrace(tp); err != nil {
+			t.Fatal(err)
+		}
+		if err := bench.WriteTelemetryMetrics(mp); err != nil {
+			t.Fatal(err)
+		}
+		if got := check(t, checkJSONL, tp); strings.Contains(got, "truncated") {
+			t.Errorf("domains=%d trace: %q", domains, got)
+		}
+		check(t, checkMetrics, mp)
+		var err error
+		if trace, err = os.ReadFile(tp); err != nil {
+			t.Fatal(err)
+		}
+		if metrics, err = os.ReadFile(mp); err != nil {
+			t.Fatal(err)
+		}
+		return trace, metrics
+	}
+	t1, m1 := export(1)
+	t2, m2 := export(2)
+	if len(t1) == 0 || len(m1) == 0 {
+		t.Fatal("empty export")
+	}
+	if !bytes.Equal(t1, t2) {
+		t.Error("trace differs between 1 and 2 domains")
+	}
+	if !bytes.Equal(m1, m2) {
+		t.Error("metrics differ between 1 and 2 domains")
 	}
 }

@@ -149,7 +149,7 @@ func Ablations() *Result {
 // FIFO depth under bursty near-saturation load.
 func runFIFODepth(depth, width int) uint64 {
 	sched := sim.NewScheduler()
-	sw := core.New(core.Config{
+	sw := newSwitch(core.Config{
 		EventQueueDepth: depth, Overspeed: 1.05, MaxEventsPerSlot: width,
 	}, core.EventDriven(), sched)
 	prog := pisa.NewProgram("fifo")
@@ -176,7 +176,7 @@ func runFIFODepth(depth, width int) uint64 {
 // delivery fraction and the TM events lost.
 func runPiggyback(piggyback bool) (string, uint64) {
 	sched := sim.NewScheduler()
-	sw := core.New(core.Config{
+	sw := newSwitch(core.Config{
 		Overspeed: 1.1, NoPiggyback: !piggyback, EventQueueDepth: 1024,
 	}, core.EventDriven(), sched)
 	prog := pisa.NewProgram("piggy")
@@ -224,7 +224,7 @@ func runMergerPriority(timerFirst bool) *sim.Stats {
 	}
 
 	sched := sim.NewScheduler()
-	sw := core.New(core.Config{
+	sw := newSwitch(core.Config{
 		EventQueueDepth: 4096, Overspeed: 1.02, MaxEventsPerSlot: 1,
 		MergerPriority: prio,
 	}, core.EventDriven(), sched)

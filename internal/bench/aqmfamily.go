@@ -45,7 +45,7 @@ func AQMFamily() *Result {
 func runAQM(policy string) []string {
 	const horizon = 50 * sim.Millisecond
 	sched := sim.NewScheduler()
-	sw := core.New(core.Config{QueueCapBytes: 1 << 20}, core.EventDriven(), sched)
+	sw := newSwitch(core.Config{QueueCapBytes: 1 << 20}, core.EventDriven(), sched)
 
 	var prog *pisa.Program
 	switch policy {

@@ -9,6 +9,9 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"repro/internal/core"
+	"repro/internal/sim"
 )
 
 // Result is one experiment's output: a titled table plus free-form notes.
@@ -18,35 +21,6 @@ type Result struct {
 	Cols  []string
 	Rows  [][]string
 	Notes []string
-	// Perf holds wall-clock samples attached by experiments that time
-	// real execution. They are host-dependent, so String deliberately
-	// omits them — the rendered table stays byte-identical across hosts,
-	// parallelism, and domain counts. They flow into -benchjson output.
-	Perf []PerfSample
-}
-
-// PerfSample is one host wall-clock measurement of a simulation run.
-type PerfSample struct {
-	Label        string  `json:"label"`
-	Domains      int     `json:"domains"`
-	WallSeconds  float64 `json:"wall_seconds"`
-	Cycles       uint64  `json:"cycles"`
-	CyclesPerSec float64 `json:"cycles_per_sec"`
-	// Speedup is relative to the same workload's 1-domain sample.
-	Speedup float64 `json:"speedup,omitempty"`
-	// Efficiency is Speedup divided by the cores the run could actually
-	// use: min(Domains, NumCPU). On a multi-core host this is the
-	// per-core scaling efficiency; on a single core it degenerates to
-	// Speedup (and the barrier metrics below carry the story instead).
-	Efficiency float64 `json:"per_core_efficiency,omitempty"`
-	// Windows and Barriers count the partition's rounds for this run
-	// (zero when single-scheduler).
-	Windows  uint64 `json:"windows,omitempty"`
-	Barriers uint64 `json:"barriers,omitempty"`
-	// BarrierReduction, set on a fabric's widest adaptive sample, is the
-	// classic fixed-width twin's barrier count divided by this run's —
-	// how many synchronization rounds adaptive window batching removed.
-	BarrierReduction float64 `json:"barrier_reduction,omitempty"`
 }
 
 // AddRow appends a formatted row.
@@ -143,4 +117,19 @@ func pct(num, den float64) string {
 // d formats an integer.
 func d[T ~int | ~int64 | ~uint64 | ~uint32 | ~int32 | ~uint](v T) string {
 	return fmt.Sprintf("%d", v)
+}
+
+// oracle switches every switch the harness builds to the engine's
+// differential twins: the per-packet datapath instead of the burst loop,
+// the cycle-by-cycle drain instead of the fast-forward. Only this
+// package's tests set it (withNoBurst, withSlowDrain), before they start
+// an experiment; no CLI reaches it.
+var oracle struct{ noBurst, slowDrain bool }
+
+// newSwitch is how every experiment builds a switch: core.New plus the
+// test-selected oracle.
+func newSwitch(cfg core.Config, arch *core.Arch, sched *sim.Scheduler) *core.Switch {
+	cfg.NoBurst = cfg.NoBurst || oracle.noBurst
+	cfg.NoDrainFastForward = cfg.NoDrainFastForward || oracle.slowDrain
+	return core.New(cfg, arch, sched)
 }

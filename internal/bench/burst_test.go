@@ -3,19 +3,18 @@ package bench
 import (
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
-// withNoBurst runs fn with burst processing globally disabled — every
-// switch and link built inside fn uses the per-packet/per-frame oracle
+// withNoBurst runs fn with the harness's burst oracle selected — every
+// switch (and so every link) built inside fn uses the per-packet/per-frame
 // path. The flag is written before any trial goroutine starts and
 // restored after they all finish.
 func withNoBurst(noBurst bool, fn func()) {
-	prev := core.ForceNoBurst
-	core.ForceNoBurst = noBurst
-	defer func() { core.ForceNoBurst = prev }()
+	prev := oracle.noBurst
+	oracle.noBurst = noBurst
+	defer func() { oracle.noBurst = prev }()
 	fn()
 }
 

@@ -34,7 +34,7 @@ func CMSReset() *Result {
 		// Event-driven.
 		{
 			sched := sim.NewScheduler()
-			sw := core.New(core.Config{}, core.EventDriven(), sched)
+			sw := newSwitch(core.Config{}, core.EventDriven(), sched)
 			app, prog := apps.NewCMSEventDriven(3, 2048, 1)
 			sw.MustLoad(prog)
 			mustOK(app.Arm(sw, period))
@@ -49,7 +49,7 @@ func CMSReset() *Result {
 		// Baseline via control plane.
 		{
 			sched := sim.NewScheduler()
-			sw := core.New(core.Config{}, core.Baseline(), sched)
+			sw := newSwitch(core.Config{}, core.Baseline(), sched)
 			app, prog := apps.NewCMSBaseline(3, 2048, 1)
 			sw.MustLoad(prog)
 			agent := controlplane.New(sched, sim.NewRNG(5))

@@ -1,11 +1,8 @@
 package bench
 
 import (
-	"fmt"
 	"strconv"
 	"sync/atomic"
-
-	"repro/internal/sim"
 )
 
 // domainCount is the intra-trial parallelism knob: how many partition
@@ -14,53 +11,21 @@ import (
 // whole trials across workers); the two compose.
 var domainCount atomic.Int32
 
-// domainsAuto records that the count came from "-domains auto": topology
-// experiments then also assign switches to domains by measured load
-// (calibration pass + sim.PlanDomains) instead of index arithmetic.
-var domainsAuto atomic.Bool
-
 func init() { domainCount.Store(1) }
 
 // SetDomains sets the number of partition domains topology experiments
-// use (clamped to at least 1) and turns load-aware assignment off.
-// Output is byte-identical for every value; only wall-clock time changes.
+// use (clamped to at least 1). Output is byte-identical for every value;
+// only wall-clock time changes.
 func SetDomains(n int) {
 	if n < 1 {
 		n = 1
 	}
 	domainCount.Store(int32(n))
-	domainsAuto.Store(false)
-}
-
-// ParseDomains resolves a CLI -domains value: a positive integer pins
-// the count, "auto" picks one domain per available core and switches the
-// topology experiments to load-aware domain assignment.
-func ParseDomains(v string) error {
-	if v == "auto" {
-		SetDomains(sim.AutoDomains(1 << 30))
-		domainsAuto.Store(true)
-		return nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 1 {
-		return fmt.Errorf("bench: -domains must be a positive integer or \"auto\" (got %q)", v)
-	}
-	SetDomains(n)
-	return nil
 }
 
 // Domains returns the current domain count.
 func Domains() int { return int(domainCount.Load()) }
 
-// DomainsAuto reports whether the domain count came from "auto" (and
-// experiments should use load-aware assignment).
-func DomainsAuto() bool { return domainsAuto.Load() }
-
-// DomainsLabel renders the effective setting for status output and
-// config digests: "auto(N)" or the plain count.
-func DomainsLabel() string {
-	if DomainsAuto() {
-		return fmt.Sprintf("auto(%d)", Domains())
-	}
-	return strconv.Itoa(Domains())
-}
+// DomainsLabel renders the setting for status output and journal
+// headers.
+func DomainsLabel() string { return strconv.Itoa(Domains()) }

@@ -5,18 +5,17 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
-// withSlowDrain runs fn with the drain fast-forward globally disabled.
+// withSlowDrain runs fn with the harness's slow-drain oracle selected.
 // The flag is written before any trial goroutine starts and restored after
 // they all finish, so parallel trial workers never observe a torn value.
 func withSlowDrain(slow bool, fn func()) {
-	prev := core.ForceSlowDrain
-	core.ForceSlowDrain = slow
-	defer func() { core.ForceSlowDrain = prev }()
+	prev := oracle.slowDrain
+	oracle.slowDrain = slow
+	defer func() { oracle.slowDrain = prev }()
 	fn()
 }
 

@@ -34,17 +34,15 @@ type fatTreeSpec struct {
 	// interGap spaces the background inter-pod flows (one per pod).
 	interGap sim.Time
 
-	domains   int
-	classic   bool
-	loadAware bool
-	tel       *telemetry.Collector
-	perSwitch *[]uint64
+	domains int
+	classic bool
+	tel     *telemetry.Collector
 }
 
 func (s fatTreeSpec) switches() int { return s.k*s.k + (s.k/2)*(s.k/2) }
 
-// fatTreeDomainPlan maps switch index -> domain for the structured
-// (non-load-aware) assignment: whole pods spread contiguously over
+// fatTreeDomainPlan maps switch index -> domain, following the
+// topology's structure: whole pods spread contiguously over
 // domains 0..d-2 and every core switch in its own domain d-1. Keeping
 // the core plane separate matters for batching, not correctness: a core
 // inside a pod domain would give that domain a direct low-latency inbound
@@ -91,13 +89,8 @@ func runFatTree(spec fatTreeSpec) fabricMetrics {
 		part = sim.NewPartition(spec.domains)
 		net = netsim.NewPartitioned(part)
 		part.SetClassicWindows(spec.classic)
-		if spec.loadAware {
-			assign := planFatTreeDomains(spec)
-			schedFor = func(i int) *sim.Scheduler { return part.Sched(assign[i]) }
-		} else {
-			assign := fatTreeDomainPlan(k, spec.domains)
-			schedFor = func(i int) *sim.Scheduler { return part.Sched(assign[i]) }
-		}
+		assign := fatTreeDomainPlan(k, spec.domains)
+		schedFor = func(i int) *sim.Scheduler { return part.Sched(assign[i]) }
 	} else {
 		net = netsim.New(sim.NewScheduler())
 	}
@@ -107,14 +100,14 @@ func runFatTree(spec fatTreeSpec) fabricMetrics {
 	sws := make([]*core.Switch, 0, nsw)
 	for p := 0; p < k; p++ {
 		for e := 0; e < half; e++ {
-			sw := core.New(core.Config{
+			sw := newSwitch(core.Config{
 				Name: fmt.Sprintf("p%de%d", p, e), Ports: k,
 			}, core.EventDriven(), schedFor(p*k+e))
 			sw.MustLoad(apps.FatTreeRouter(apps.FatTreeConfig{K: k, Role: apps.FatTreeEdge, Pod: p, Idx: e}))
 			sws = append(sws, sw)
 		}
 		for a := 0; a < half; a++ {
-			sw := core.New(core.Config{
+			sw := newSwitch(core.Config{
 				Name: fmt.Sprintf("p%da%d", p, a), Ports: k,
 			}, core.EventDriven(), schedFor(p*k+half+a))
 			sw.MustLoad(apps.FatTreeRouter(apps.FatTreeConfig{K: k, Role: apps.FatTreeAgg, Pod: p, Idx: a}))
@@ -122,7 +115,7 @@ func runFatTree(spec fatTreeSpec) fabricMetrics {
 		}
 	}
 	for c := 0; c < half*half; c++ {
-		sw := core.New(core.Config{
+		sw := newSwitch(core.Config{
 			Name: fmt.Sprintf("core%d", c), Ports: k,
 		}, core.EventDriven(), schedFor(k*k+c))
 		sw.MustLoad(apps.FatTreeRouter(apps.FatTreeConfig{K: k, Role: apps.FatTreeCore, Idx: c}))
@@ -249,9 +242,6 @@ func runFatTree(spec fatTreeSpec) fabricMetrics {
 		m.cycles += st.Cycles
 		m.txPackets += st.TxPackets
 		put(st.RxPackets, st.TxPackets, st.Cycles, st.Generated, st.PipelineDrops)
-		if spec.perSwitch != nil {
-			*spec.perSwitch = append(*spec.perSwitch, st.Cycles)
-		}
 	}
 	if part != nil {
 		m.windows, m.barriers = part.Windows(), part.Barriers()
@@ -272,27 +262,4 @@ func runFatTree(spec fatTreeSpec) fabricMetrics {
 	}
 	m.digest = dig.Sum64()
 	return m
-}
-
-// planFatTreeDomains mirrors planFabricDomains for the fat tree: a short
-// single-scheduler calibration pass measures per-switch cycle load, and
-// sim.PlanDomains turns it into the assignment. Core switches see far
-// fewer cycles than edges, so the plan packs them with light pods —
-// byte-identical output either way, it only moves wall-clock load.
-func planFatTreeDomains(spec fatTreeSpec) []int {
-	cal := spec
-	cal.domains = 1
-	cal.classic, cal.loadAware = false, false
-	cal.tel = nil
-	cal.horizon = spec.horizon / 8
-	if min := sim.Time(spec.k) * spec.slot; cal.horizon < min {
-		cal.horizon = min // at least one full epoch rotation
-	}
-	if cal.horizon > spec.horizon {
-		cal.horizon = spec.horizon
-	}
-	var weights []uint64
-	cal.perSwitch = &weights
-	runFatTree(cal)
-	return sim.PlanDomains(weights, spec.domains)
 }

@@ -37,7 +37,7 @@ func Fig2() *Result {
 	// --- Event-driven design -------------------------------------------
 	{
 		sched := sim.NewScheduler()
-		sw := core.New(core.Config{QueueCapBytes: 1 << 20}, core.EventDriven(), sched)
+		sw := newSwitch(core.Config{QueueCapBytes: 1 << 20}, core.EventDriven(), sched)
 		prog := pisa.NewProgram("occupancy-events")
 		occ := prog.AddRegister(pisa.NewAggregatedRegister("occ", 4,
 			events.BufferEnqueue, events.BufferDequeue))
@@ -64,7 +64,7 @@ func Fig2() *Result {
 	// --- Baseline PSA design -------------------------------------------
 	{
 		sched := sim.NewScheduler()
-		sw := core.New(core.Config{QueueCapBytes: 1 << 20}, core.Baseline(), sched)
+		sw := newSwitch(core.Config{QueueCapBytes: 1 << 20}, core.Baseline(), sched)
 		prog := pisa.NewProgram("occupancy-baseline")
 		// Ingress-side estimate: add on arrival, and guess the drain by
 		// assuming the port transmits continuously at line rate while

@@ -71,7 +71,7 @@ func runLineRate(mode string, size int, load float64, horizon sim.Time) (core.St
 	if mode == "event-driven" {
 		arch = core.EventDriven()
 	}
-	sw := core.New(core.Config{Overspeed: 1.1}, arch, sched)
+	sw := newSwitch(core.Config{Overspeed: 1.1}, arch, sched)
 
 	prog := pisa.NewProgram("linerate")
 	prog.HandleFunc(events.IngressPacket, func(ctx *pisa.Context) {

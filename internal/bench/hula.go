@@ -51,7 +51,6 @@ func HULABench() *Result {
 			flows:       12,
 			flowRate:    660 * sim.Mbps,
 			domains:     Domains(),
-			loadAware:   DomainsAuto(),
 			tel:         trialCollector(fmt.Sprintf("hula/t%02d", trial)),
 		})
 		return []string{cfg.name, cfg.period.String(),
@@ -84,16 +83,9 @@ type fabricSpec struct {
 	// adaptive batching protocol is measured against. Output must be
 	// byte-identical either way.
 	classic bool
-	// loadAware assigns switches to domains by measured per-switch cycle
-	// load (a short calibration run + sim.PlanDomains) instead of index
-	// round-robin. Assignment never changes simulation output.
-	loadAware bool
 	// tel, when non-nil, instruments every switch and snapshots link
 	// counters after the run. Byte-identical at every domains value.
 	tel *telemetry.Collector
-	// perSwitch, when non-nil, receives each switch's cycle count after
-	// the run (calibration passes use this as the load signal).
-	perSwitch *[]uint64
 }
 
 // fabricMetrics is what one fabric run measures. digest folds every
@@ -137,9 +129,9 @@ func runHULAFabric(spec fabricSpec) fabricMetrics {
 		spec.domains = nsw
 	}
 
-	// Domain d drives switch indices i with i % domains == d (or the
-	// load-aware plan's assignment); with domains 1 everything lands on
-	// one scheduler and netsim runs the classic single-threaded engine.
+	// Domain d drives switch indices i with i % domains == d; with
+	// domains 1 everything lands on one scheduler and netsim runs the
+	// classic single-threaded engine.
 	var net *netsim.Network
 	var part *sim.Partition
 	schedFor := func(i int) *sim.Scheduler { return net.Scheduler() }
@@ -147,12 +139,7 @@ func runHULAFabric(spec fabricSpec) fabricMetrics {
 		part = sim.NewPartition(spec.domains)
 		net = netsim.NewPartitioned(part)
 		part.SetClassicWindows(spec.classic)
-		if spec.loadAware {
-			assign := planFabricDomains(spec)
-			schedFor = func(i int) *sim.Scheduler { return part.Sched(assign[i]) }
-		} else {
-			schedFor = func(i int) *sim.Scheduler { return part.Sched(i % spec.domains) }
-		}
+		schedFor = func(i int) *sim.Scheduler { return part.Sched(i % spec.domains) }
 	} else {
 		net = netsim.New(sim.NewScheduler())
 	}
@@ -169,7 +156,7 @@ func runHULAFabric(spec fabricSpec) fabricMetrics {
 	tors := make([]*core.Switch, spec.tors)
 	hulas := make([]*apps.HULA, spec.tors)
 	for i := range tors {
-		sw := core.New(core.Config{
+		sw := newSwitch(core.Config{
 			Name: fmt.Sprintf("tor%d", i), Ports: 1 + spec.spines,
 		}, core.EventDriven(), schedFor(i))
 		h, prog := apps.NewHULA(apps.HULAConfig{
@@ -182,7 +169,7 @@ func runHULAFabric(spec fabricSpec) fabricMetrics {
 	spines := make([]*core.Switch, spec.spines)
 	spineHulas := make([]*apps.HULA, spec.spines)
 	for j := range spines {
-		sw := core.New(core.Config{
+		sw := newSwitch(core.Config{
 			Name: fmt.Sprintf("spine%d", j), Ports: spec.tors,
 		}, core.EventDriven(), schedFor(spec.tors+j))
 		h, prog := apps.SpineProbeRelay(spec.tors, spec.tors, func(tor int) int { return tor })
@@ -295,9 +282,6 @@ func runHULAFabric(spec fabricSpec) fabricMetrics {
 		m.cycles += st.Cycles
 		m.txPackets += st.TxPackets
 		put(st.RxPackets, st.TxPackets, st.Cycles, st.Generated, st.PipelineDrops)
-		if spec.perSwitch != nil {
-			*spec.perSwitch = append(*spec.perSwitch, st.Cycles)
-		}
 	}
 	if part != nil {
 		m.windows, m.barriers = part.Windows(), part.Barriers()
@@ -315,29 +299,4 @@ func runHULAFabric(spec fabricSpec) fabricMetrics {
 	}
 	m.digest = dig.Sum64()
 	return m
-}
-
-// planFabricDomains runs a short single-scheduler calibration pass of
-// the spec'd fabric, collects each switch's cycle count as its load
-// weight, and plans the domain assignment with sim.PlanDomains (the
-// ndn-dpdk idiom: allocate cores by measured load, not index
-// arithmetic). The plan is deterministic — same spec, same assignment —
-// and the assignment never changes simulation output, only wall-clock
-// balance.
-func planFabricDomains(spec fabricSpec) []int {
-	cal := spec
-	cal.domains = 1
-	cal.classic, cal.loadAware = false, false
-	cal.tel = nil
-	cal.horizon = spec.horizon / 8
-	if min := 2 * sim.Millisecond; cal.horizon < min {
-		cal.horizon = min
-	}
-	if cal.horizon > spec.horizon {
-		cal.horizon = spec.horizon
-	}
-	var weights []uint64
-	cal.perSwitch = &weights
-	runHULAFabric(cal)
-	return sim.PlanDomains(weights, spec.domains)
 }

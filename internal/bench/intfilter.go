@@ -30,7 +30,7 @@ func INTFilter() *Result {
 	const interval = sim.Millisecond
 
 	sched := sim.NewScheduler()
-	sw := core.New(core.Config{QueueCapBytes: 64 << 10}, core.EventDriven(), sched)
+	sw := newSwitch(core.Config{QueueCapBytes: 64 << 10}, core.EventDriven(), sched)
 	tl, prog := apps.NewTelemetry(apps.TelemetryConfig{
 		SwitchID: 1, EgressPort: 1, ReportPort: 3,
 	})

@@ -39,10 +39,8 @@ type journalKey struct {
 
 type journalLine struct {
 	// Header line: experiment id plus the effective -domains setting
-	// (first line of the file). Tables are byte-identical at every domain
-	// count, but Perf samples are not — a campaign resumed under a
-	// different partitioning would silently mix measurement regimes, so
-	// (mirroring the checkpoint config-digest check) the journal refuses.
+	// (first line of the file). A journal resumes only under the setting
+	// that wrote it, mirroring the checkpoint config-digest check.
 	Experiment string `json:"experiment,omitempty"`
 	Domains    string `json:"domains,omitempty"`
 	// Entry lines: one completed trial.

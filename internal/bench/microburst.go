@@ -39,7 +39,7 @@ func Microburst() *Result {
 		if mode == "snappy" {
 			arch = core.Baseline()
 		}
-		sw := core.New(core.Config{QueueCapBytes: 1 << 20}, arch, sched)
+		sw := newSwitch(core.Config{QueueCapBytes: 1 << 20}, arch, sched)
 
 		var detections *[]apps.Detection
 		var stateBytes int

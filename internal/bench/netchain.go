@@ -125,7 +125,7 @@ func runChain(sp chainSpec, domains int) chainMetrics {
 			cfg.BackupPort = 2 // head skips straight to the tail
 		}
 		node, prog := apps.NewChainNode(cfg)
-		sw := core.New(core.Config{Name: fmt.Sprintf("chain%d", i)}, core.EventDriven(), schedFor(i))
+		sw := newSwitch(core.Config{Name: fmt.Sprintf("chain%d", i)}, core.EventDriven(), schedFor(i))
 		sw.MustLoad(prog)
 		net.AddSwitch(sw)
 		nodes[i], sws[i] = node, sw

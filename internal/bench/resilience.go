@@ -145,7 +145,7 @@ func runResilience(tr resilienceTrial, seed uint64) resilienceMetrics {
 	if tr.evqDepth > 0 {
 		cfg.EventQueueDepth = tr.evqDepth
 	}
-	frrSw := core.New(cfg, arch, sched)
+	frrSw := newSwitch(cfg, arch, sched)
 	fl := packet.Flow{
 		Src: packet.IP4(10, 0, 0, 2), Dst: packet.IP4(10, 1, 0, 2),
 		SrcPort: 4000, DstPort: 80, Proto: packet.ProtoUDP,
@@ -158,7 +158,7 @@ func runResilience(tr resilienceTrial, seed uint64) resilienceMetrics {
 	})
 	frrSw.MustLoad(prog)
 
-	sink := core.New(core.Config{Name: "sink"}, core.Baseline(), sinkSched)
+	sink := newSwitch(core.Config{Name: "sink"}, core.Baseline(), sinkSched)
 	sink.MustLoad(fwdProgram(2))
 	net.AddSwitch(frrSw)
 	net.AddSwitch(sink)

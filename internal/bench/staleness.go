@@ -62,7 +62,7 @@ func Staleness() *Result {
 
 func runStaleness(overspeed, load float64, horizon sim.Time, tel *telemetry.Collector) []string {
 	sched := sim.NewScheduler()
-	sw := core.New(core.Config{Overspeed: overspeed}, core.EventDriven(), sched)
+	sw := newSwitch(core.Config{Overspeed: overspeed}, core.EventDriven(), sched)
 	if tel != nil {
 		sw.EnableTelemetry(tel)
 	}

@@ -17,7 +17,7 @@ func init() {
 // per-kind counts observed during a single scenario.
 func Table1() *Result {
 	sched := sim.NewScheduler()
-	sw := core.New(core.Config{QueueCapBytes: 4000}, core.EventDriven(), sched)
+	sw := newSwitch(core.Config{QueueCapBytes: 4000}, core.EventDriven(), sched)
 
 	counts := make([]uint64, events.NumKinds)
 	prog := pisa.NewProgram("table1")

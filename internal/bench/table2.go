@@ -48,7 +48,7 @@ func Table2() *Result {
 func table2HULA() []string {
 	{
 		sched := sim.NewScheduler()
-		sw := core.New(core.Config{}, core.EventDriven(), sched)
+		sw := newSwitch(core.Config{}, core.EventDriven(), sched)
 		h, prog := apps.NewHULA(apps.HULAConfig{TorID: 0, UplinkPorts: []int{1, 2}, HostPort: 0, Tors: 2})
 		sw.MustLoad(prog)
 		mustOK(h.Attach(sw, 200*sim.Microsecond))
@@ -69,7 +69,7 @@ func table2HULA() []string {
 func table2FRR() []string {
 	{
 		sched := sim.NewScheduler()
-		sw := core.New(core.Config{}, core.EventDriven(), sched)
+		sw := newSwitch(core.Config{}, core.EventDriven(), sched)
 		fl := packet.Flow{Src: packet.IP4(10, 0, 0, 1), Dst: packet.IP4(10, 1, 0, 1),
 			SrcPort: 1, DstPort: 2, Proto: packet.ProtoUDP}
 		dst := int(uint32(fl.Dst) >> 16)
@@ -92,7 +92,7 @@ func table2FRR() []string {
 func table2Microburst() []string {
 	{
 		sched := sim.NewScheduler()
-		sw := core.New(core.Config{}, core.EventDriven(), sched)
+		sw := newSwitch(core.Config{}, core.EventDriven(), sched)
 		mb, prog := apps.NewMicroburst(apps.MicroburstConfig{Slots: 256, ThresholdBytes: 10000, EgressPort: 1})
 		sw.MustLoad(prog)
 		fl := packet.Flow{Src: packet.IP4(10, 0, 0, 3), Dst: packet.IP4(10, 1, 0, 1),
@@ -117,7 +117,7 @@ func table2Microburst() []string {
 func table2FRED() []string {
 	{
 		sched := sim.NewScheduler()
-		sw := core.New(core.Config{QueueCapBytes: 1 << 20}, core.EventDriven(), sched)
+		sw := newSwitch(core.Config{QueueCapBytes: 1 << 20}, core.EventDriven(), sched)
 		fr, prog := apps.NewFRED(apps.FREDConfig{Slots: 256, MinQBytes: 3000, TotalLimit: 30000, EgressPort: 1, ReportPort: -1})
 		sw.MustLoad(prog)
 		mustOK(fr.Arm(sw, sim.Millisecond))
@@ -142,7 +142,7 @@ func table2FRED() []string {
 func table2Cache() []string {
 	{
 		sched := sim.NewScheduler()
-		sw := core.New(core.Config{}, core.EventDriven(), sched)
+		sw := newSwitch(core.Config{}, core.EventDriven(), sched)
 		c, prog := apps.NewCache(apps.CacheConfig{Ways: 8, ServerPort: 1, ClientPort: 0, AdmitThreshold: 1})
 		sw.MustLoad(prog)
 		mustOK(c.Arm(sw, sim.Millisecond, 10*sim.Millisecond))

@@ -47,15 +47,6 @@ func TelemetryEnabled() bool {
 	return telState.on
 }
 
-// ResetTelemetryRuns discards collected runs but keeps collection armed.
-// RunReport calls it before each experiment so the report's telemetry
-// section covers exactly that experiment's trials.
-func ResetTelemetryRuns() {
-	telState.mu.Lock()
-	defer telState.mu.Unlock()
-	telState.runs = nil
-}
-
 // AttachStreamSink registers a streaming sink: every collector created by
 // trialCollector from now on is attached to it, so traces and metric
 // snapshots land on disk while trials run. The caller must have enabled
@@ -110,9 +101,4 @@ func WriteTelemetryTrace(path string) error {
 // WriteTelemetryMetrics writes the collected metrics document to path.
 func WriteTelemetryMetrics(path string) error {
 	return telemetry.WriteMetrics(path, TelemetryRuns())
-}
-
-// TelemetrySummary reduces the collected runs for BENCH_<id>.json.
-func TelemetrySummary() (telemetry.Summary, error) {
-	return telemetry.Summarize(TelemetryRuns())
 }

@@ -71,7 +71,7 @@ func runTofino(mode string, load float64) (delivered, applied string, meanErr fl
 	if mode == "recirc-emulation" {
 		arch = core.Baseline()
 	}
-	sw := core.New(core.Config{Ports: 5, Overspeed: 1.1, QueueCapBytes: 256 << 10}, arch, sched)
+	sw := newSwitch(core.Config{Ports: 5, Overspeed: 1.1, QueueCapBytes: 256 << 10}, arch, sched)
 
 	prog := pisa.NewProgram(mode)
 	occ := prog.AddRegister(pisa.NewAggregatedRegister("occ", 8,

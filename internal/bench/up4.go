@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"hash/fnv"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/faults"
@@ -34,10 +33,7 @@ var up4Programs = []string{"ecnmark", "heavyhitter", "linkwatch", "microburst", 
 // once per execution backend — and checks the central compiler claim:
 // the compiled-closure backend and the tree-walking interpreter are
 // observably identical (the digest column folds every switch, link,
-// host, register, and table counter), while the compiled backend is
-// faster (wall-clock lives in the Perf samples / BENCH_up4.json; the
-// table stays host-independent). Rows run serially, never through
-// RunParallel, so each wall-clock sample owns the machine.
+// host, register, and table counter).
 func UP4Bench() *Result {
 	res := &Result{
 		ID:    "up4",
@@ -46,57 +42,22 @@ func UP4Bench() *Result {
 	}
 	for _, name := range up4Programs {
 		var base uint64
-		var baseWall time.Duration
 		for bi, interp := range []bool{false, true} {
-			backend := "compiled"
-			if interp {
-				backend = "interp"
-			}
-			start := time.Now()
-			m := runUP4Chain(name, interp, Domains(), "")
-			wall := time.Since(start)
+			m := runUP4Chain(name, interp, Domains())
 			ident := "baseline"
 			if bi == 0 {
-				base, baseWall = m.digest, wall
+				base = m.digest
 			} else if m.digest == base {
 				ident = "yes"
 			} else {
 				ident = "NO"
 			}
-			res.AddRow(name, backend, d(m.cycles), d(m.txPackets),
+			res.AddRow(name, backendName(interp), d(m.cycles), d(m.txPackets),
 				fmt.Sprintf("%016x", m.digest), ident)
-			res.Perf = append(res.Perf, PerfSample{
-				Label: "up4/" + name + "-" + backend, Domains: Domains(),
-				WallSeconds:  wall.Seconds(),
-				Cycles:       m.cycles,
-				CyclesPerSec: float64(m.cycles) / wall.Seconds(),
-				Speedup:      baseWall.Seconds() / wall.Seconds(),
-			})
 		}
-		// Burst-off differential row: the compiled backend re-runs through
-		// the per-packet oracle. Digest divergence is an engine bug and
-		// panics; the throughput lands in the Perf samples only.
-		saved := core.ForceNoBurst
-		core.ForceNoBurst = true
-		start := time.Now()
-		m := runUP4Chain(name, false, Domains(), "-noburst")
-		wall := time.Since(start)
-		core.ForceNoBurst = saved
-		if m.digest != base {
-			panic(fmt.Sprintf("bench: up4 %s per-packet oracle diverged from burst baseline (digest %016x vs %016x)",
-				name, m.digest, base))
-		}
-		res.Perf = append(res.Perf, PerfSample{
-			Label: "up4/" + name + "-compiled-noburst", Domains: Domains(),
-			WallSeconds:  wall.Seconds(),
-			Cycles:       m.cycles,
-			CyclesPerSec: float64(m.cycles) / wall.Seconds(),
-			Speedup:      baseWall.Seconds() / wall.Seconds(),
-		})
 	}
 	res.Notef("digest folds switch/link/host counters plus every µP4 register cell and table stat")
 	res.Notef("'identical' checks each interp row against its compiled baseline — the differential oracle")
-	res.Notef("speedup in the Perf samples is relative to the program's compiled row (interp rows < 1)")
 	return res
 }
 
@@ -113,7 +74,7 @@ type up4Metrics struct {
 // and flaps the sw0-sw1 link mid-run (event diversity for the link
 // handlers). The run is byte-identical at every domains value: switches
 // interact only through links and all RNG streams split at setup.
-func runUP4Chain(progName string, interp bool, domains int, telSuffix string) up4Metrics {
+func runUP4Chain(progName string, interp bool, domains int) up4Metrics {
 	src, ok := p4.Programs[progName]
 	if !ok {
 		panic("bench: unknown µP4 program " + progName)
@@ -141,7 +102,7 @@ func runUP4Chain(progName string, interp bool, domains int, telSuffix string) up
 	sws := make([]*core.Switch, nsw)
 	insts := make([]*p4.Instance, nsw)
 	for i := range sws {
-		sw := core.New(core.Config{
+		sw := newSwitch(core.Config{
 			Name: fmt.Sprintf("sw%d", i), Ports: 2, QueueCapBytes: 1 << 20,
 		}, core.EventDriven(), schedFor(i))
 		inst := compiled.Instantiate(fmt.Sprintf("%s%d", progName, i),
@@ -165,7 +126,7 @@ func runUP4Chain(progName string, interp bool, domains int, telSuffix string) up
 	}
 	net.Connect(sws[0], 1, sws[1], 0, sim.Microsecond)
 	net.Connect(sws[1], 1, sws[2], 0, sim.Microsecond)
-	if tel := trialCollector(fmt.Sprintf("up4/%s-%s%s", progName, backendName(interp), telSuffix)); tel != nil {
+	if tel := trialCollector(fmt.Sprintf("up4/%s-%s", progName, backendName(interp))); tel != nil {
 		net.EnableTelemetry(tel)
 	}
 

@@ -79,40 +79,21 @@ type Config struct {
 	// The per-frame path is the burst path's differential oracle; results
 	// are byte-identical either way.
 	NoBurst bool
-	// BurstSlots caps how many consecutive pipeline slots one cycle-lane
-	// firing may execute before returning to the scheduler (default
-	// DefaultBurstSlots). The cap only bounds latency of the in-callback
-	// loop; any value produces identical simulation output.
-	BurstSlots int
 }
 
-// ForceSlowDrain globally disables the drain fast-forward (as if every
-// switch were built with NoDrainFastForward). Differential and
-// determinism tests flip it to prove the batched drain replays the
-// cycle-by-cycle path exactly. Not for concurrent mutation: set it before
-// building switches.
-var ForceSlowDrain bool
+// burstSlots is the per-wakeup slot budget of the burst loop. The cap
+// only bounds latency of the in-callback loop; any value produces
+// identical simulation output.
+const burstSlots = 64
 
-// ForceNoBurst globally disables burst processing (as if every switch
-// were built with NoBurst), and internal/netsim reads it when deciding
-// whether links batch their arrival deliveries. evbench -burst=0 and the
-// burst differential tests flip it to prove the burst datapath replays
-// the per-frame path exactly. Not for concurrent mutation: set it before
-// building switches or networks.
-var ForceNoBurst bool
-
-// DefaultBurstSlots is the default per-wakeup slot budget of the burst
-// loop (Config.BurstSlots). evbench -burst=N overrides it process-wide.
-var DefaultBurstSlots = 64
-
-// BurstEngageDepth is how much queued work a wake must hold before the
+// burstEngageDepth is how much queued work a wake must hold before the
 // burst paths engage their bracketing (aux-lane disarm plus continuation
 // proofs). Below the threshold the switch runs the plain single-slot /
 // single-delivery path — on lightly loaded fabrics the bracket costs
 // more than it saves. The gate reads only deterministic simulation state
 // (queue depths), and the single-slot path is the burst datapath's
 // byte-identical oracle, so engagement never changes output.
-var BurstEngageDepth = 2
+const burstEngageDepth = 2
 
 func (c Config) withDefaults() Config {
 	if c.Ports <= 0 {
@@ -209,7 +190,6 @@ type Switch struct {
 	cycleLane   *sim.Lane
 	noFF        bool
 	noBurst     bool
-	burstSlots  int
 	// inBurst is set while the burst slot loop (or the aux lane's inline
 	// drain) is executing. While set, the aux lane is kept disarmed and
 	// conveyor mutations skip the arm-if-earlier bookkeeping: the loop
@@ -325,15 +305,8 @@ type Switch struct {
 func New(cfg Config, arch *Arch, sched *sim.Scheduler) *Switch {
 	cfg = cfg.withDefaults()
 	s := &Switch{cfg: cfg, arch: arch, sched: sched, pool: packet.NewPool()}
-	s.noFF = cfg.NoDrainFastForward || ForceSlowDrain
-	s.noBurst = cfg.NoBurst || ForceNoBurst
-	s.burstSlots = cfg.BurstSlots
-	if s.burstSlots <= 0 {
-		s.burstSlots = DefaultBurstSlots
-	}
-	if s.noBurst || s.burstSlots < 1 {
-		s.burstSlots = 1
-	}
+	s.noFF = cfg.NoDrainFastForward
+	s.noBurst = cfg.NoBurst
 	for _, k := range cfg.MergerPriority {
 		s.prioMask |= 1 << uint(k)
 	}
@@ -623,14 +596,14 @@ func (s *Switch) havePacketWork() bool {
 
 // packetBacklog is the number of packets queued for pipeline slots; the
 // burst loop engages only when it promises more than one slot of inline
-// work (see BurstEngageDepth).
+// work (see burstEngageDepth).
 func (s *Switch) packetBacklog() int {
 	return s.rxPending + s.recirc.len() + s.genq.len()
 }
 
 // conveyorDepth is the number of pending conveyor entries (pipeline-
 // latency deliveries plus tx completions); the aux lane's inline burst
-// continuation engages only when at least BurstEngageDepth entries are
+// continuation engages only when at least burstEngageDepth entries are
 // queued.
 func (s *Switch) conveyorDepth() int {
 	return len(s.pipeQ) - s.pipeHead + len(s.txPend)
@@ -761,12 +734,12 @@ func (s *Switch) runCycle() {
 	// Adaptive engagement: the bracket (aux-lane disarm/re-arm) and the
 	// per-slot continuation proofs only pay for themselves when this wake
 	// plausibly holds several back-to-back slots. A light wake — fewer
-	// than BurstEngageDepth packets queued — runs the plain single-slot
+	// than burstEngageDepth packets queued — runs the plain single-slot
 	// path, which is the per-event oracle, so the gate can depend on any
 	// deterministic simulation state without affecting output.
-	budget := s.burstSlots
-	if budget > 1 && s.packetBacklog() < BurstEngageDepth {
-		budget = 1
+	budget := 1
+	if !s.noBurst && s.packetBacklog() >= burstEngageDepth {
+		budget = burstSlots
 	}
 	if budget > 1 {
 		s.inBurst = true
@@ -1279,7 +1252,7 @@ func (s *Switch) auxRun() {
 	if depth == 0 {
 		return
 	}
-	if s.noBurst || depth < BurstEngageDepth {
+	if s.noBurst || depth < burstEngageDepth {
 		// Per-packet oracle mode, or a conveyor too shallow for the
 		// continuation loop to beat plain dispatch: deliver exactly one
 		// entry, like the heap event it replaced.

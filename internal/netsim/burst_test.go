@@ -2,11 +2,15 @@ package netsim
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/events"
 	"repro/internal/packet"
+	"repro/internal/pisa"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // burstDeliverRig is deliverRig's vectorized twin: each step pushes a
@@ -78,11 +82,12 @@ func lenFrame(n int) []byte {
 // impairment is removed still ride the per-frame path while delayed
 // duplicates are in the air (the legacyPending guard), then the
 // direction returns to batched delivery.
-func impairedOrderRun(t *testing.T) (order []int, fp string, maxQueued int) {
+func impairedOrderRun(t *testing.T, cfg core.Config) (order []int, fp string, maxQueued int) {
 	t.Helper()
 	sched := sim.NewScheduler()
 	net := New(sched)
-	sw := core.New(core.Config{Name: "s"}, core.EventDriven(), sched)
+	cfg.Name = "s"
+	sw := core.New(cfg, core.EventDriven(), sched)
 	sw.MustLoad(fwdTo(1))
 	net.AddSwitch(sw)
 	h1 := net.NewHost("h1", packet.IP4(10, 0, 0, 1))
@@ -145,14 +150,10 @@ func impairedOrderRun(t *testing.T) (order []int, fp string, maxQueued int) {
 // per-frame path, across impairment windows that force the link back and
 // forth between the FIFO and legacy-flight paths. The delivered frame
 // sequence and every counter must match a rebuild of the identical
-// workload with bursting disabled.
+// workload on a NoBurst switch.
 func TestBurstWireOrderUnderImpairments(t *testing.T) {
-	order, fp, maxQueued := impairedOrderRun(t)
-
-	saved := core.ForceNoBurst
-	core.ForceNoBurst = true
-	orderRef, fpRef, _ := impairedOrderRun(t)
-	core.ForceNoBurst = saved
+	order, fp, maxQueued := impairedOrderRun(t, core.Config{})
+	orderRef, fpRef, _ := impairedOrderRun(t, core.Config{NoBurst: true})
 
 	if len(order) == 0 {
 		t.Fatal("nothing delivered; property is vacuous")
@@ -194,7 +195,7 @@ func fifoDepth(n *Network) int {
 func TestBurstCheckpointMidFIFO(t *testing.T) {
 	const half, full = sim.Millisecond, 2500 * sim.Microsecond
 
-	a := buildNetRig(t, true)
+	a := buildNetRig(t, true, core.Config{})
 	a.sched.Run(half)
 	if d := fifoDepth(a.net); d == 0 {
 		t.Fatal("no frames queued in arrival FIFOs at the cut; mid-burst restore is vacuous")
@@ -203,7 +204,7 @@ func TestBurstCheckpointMidFIFO(t *testing.T) {
 	a.sched.Run(full)
 	want := a.fingerprint()
 
-	b := buildNetRig(t, false)
+	b := buildNetRig(t, false, core.Config{})
 	b.restore(t, snap)
 	if d := fifoDepth(b.net); d == 0 {
 		t.Fatal("restore rebuilt no arrival FIFO entries")
@@ -214,16 +215,141 @@ func TestBurstCheckpointMidFIFO(t *testing.T) {
 	}
 
 	// Cross-mode resume: the same snapshot poured into a no-burst run.
-	saved := core.ForceNoBurst
-	core.ForceNoBurst = true
-	c := buildNetRig(t, false)
+	c := buildNetRig(t, false, core.Config{NoBurst: true})
 	c.restore(t, snap)
 	if d := fifoDepth(c.net); d != 0 {
 		t.Errorf("no-burst restore left %d frames in arrival FIFOs; want per-frame flights", d)
 	}
 	c.sched.Run(full)
-	core.ForceNoBurst = saved
 	if got := c.fingerprint(); got != want {
 		t.Errorf("cross-mode resume diverges:\n--- uninterrupted ---\n%s--- resumed ---\n%s", want, got)
+	}
+}
+
+// TestLinkBatchingDerivedFromSwitches pins where a link's delivery mode
+// comes from: the switches on its ends, not process state. Three groups
+// of four frames each enter one link direction at a single instant; the
+// link of a default switch fires the wire band once per same-instant
+// group, the same link on a NoBurst switch once per frame, and both
+// deliver in the same order.
+func TestLinkBatchingDerivedFromSwitches(t *testing.T) {
+	const groups, perGroup = 3, 4
+	run := func(cfg core.Config) (order []int, fired uint64) {
+		sched := sim.NewScheduler()
+		net := New(sched)
+		cfg.Name = "s"
+		sw := core.New(cfg, core.EventDriven(), sched)
+		sw.MustLoad(fwdTo(1))
+		net.AddSwitch(sw)
+		h := net.NewHost("h", packet.IP4(10, 0, 0, 1))
+		l := net.Attach(h, sw, 0, sim.Microsecond)
+		h.OnRecv = func(d []byte) { order = append(order, len(d)) }
+		// Switch-to-host direction, entered below the port's serializer:
+		// the only way several frames share an arrival instant.
+		from := endpoint{sw: sw, port: 0}
+		for g := 0; g < groups; g++ {
+			g := g
+			sched.At(sim.Time(1+10*g)*sim.Microsecond, func() {
+				for i := 0; i < perGroup; i++ {
+					net.deliver(l, from, lenFrame(100+g*perGroup+i))
+				}
+			})
+		}
+		sched.Run(sim.Millisecond)
+		return order, sched.Fired() - groups // minus the injecting events
+	}
+	batched, bFired := run(core.Config{})
+	perFrame, pFired := run(core.Config{NoBurst: true})
+	if bFired != groups {
+		t.Errorf("default switch: %d wire firings, want one per group (%d)", bFired, groups)
+	}
+	if pFired != groups*perGroup {
+		t.Errorf("NoBurst switch: %d wire firings, want one per frame (%d)", pFired, groups*perGroup)
+	}
+	if len(batched) != groups*perGroup || fmt.Sprint(batched) != fmt.Sprint(perFrame) {
+		t.Errorf("delivery order differs:\nbatched:   %v\nper-frame: %v", batched, perFrame)
+	}
+}
+
+// occPingPong is pingPong plus a per-port occupancy counter kept in an
+// aggregated register by the enqueue/dequeue handlers, so idle cycles
+// have deferred operations to drain.
+func occPingPong() *pisa.Program {
+	p := pingPong()
+	occ := p.AddRegister(pisa.NewAggregatedRegister("occ", 8,
+		events.BufferEnqueue, events.BufferDequeue))
+	p.HandleFunc(events.BufferEnqueue, func(ctx *pisa.Context) {
+		occ.Add(ctx, uint32(ctx.Ev.Port), int64(ctx.Ev.PktLen))
+	})
+	p.HandleFunc(events.BufferDequeue, func(ctx *pisa.Context) {
+		occ.Add(ctx, uint32(ctx.Ev.Port), -int64(ctx.Ev.PktLen))
+	})
+	return p
+}
+
+// chainDigest builds h0 - s0 - s1 - s2 - h1 on its own scheduler with
+// every switch configured from cfg, offers bidirectional load, and
+// fingerprints every host, switch and link counter.
+func chainDigest(cfg core.Config) string {
+	sched := sim.NewScheduler()
+	net := New(sched)
+	var sws [3]*core.Switch
+	for i := range sws {
+		cfg.Name = fmt.Sprintf("s%d", i)
+		sws[i] = core.New(cfg, core.EventDriven(), sched)
+		sws[i].MustLoad(occPingPong())
+		net.AddSwitch(sws[i])
+	}
+	// Port 0 faces h0's side, port 1 h1's side; pingPong swaps them.
+	net.Connect(sws[0], 1, sws[1], 0, sim.Microsecond)
+	net.Connect(sws[1], 1, sws[2], 0, sim.Microsecond)
+	h0 := net.NewHost("h0", packet.IP4(10, 0, 0, 1))
+	h1 := net.NewHost("h1", packet.IP4(10, 0, 0, 2))
+	net.Attach(h0, sws[0], 0, 100*sim.Nanosecond)
+	net.Attach(h1, sws[2], 1, 100*sim.Nanosecond)
+
+	rng := sim.NewRNG(11)
+	for i, h := range []*Host{h0, h1} {
+		peer := []*Host{h1, h0}[i]
+		g := workload.NewGen(sched, rng.Split(), h.Send)
+		g.StartSaturate(workload.SaturateConfig{
+			Flow: packet.Flow{
+				Src: h.IP, Dst: peer.IP,
+				SrcPort: uint16(1000 + i), DstPort: 80, Proto: packet.ProtoUDP,
+			},
+			Rate: 10 * sim.Gbps, Load: 0.7, Size: 200 + 300*i, Until: 2 * sim.Millisecond,
+		})
+	}
+	net.Run(3 * sim.Millisecond)
+
+	out := fmt.Sprintf("h0 rx=%d/%dB h1 rx=%d/%dB\n", h0.RxPackets, h0.RxBytes, h1.RxPackets, h1.RxBytes)
+	for _, sw := range sws {
+		out += fmt.Sprintf("%s %+v\n", sw.Name(), sw.Stats())
+	}
+	for i, l := range net.Links() {
+		for dir := 0; dir < 2; dir++ {
+			out += fmt.Sprintf("link%d dir%d %+v\n", i, dir, l.Counters(dir))
+		}
+	}
+	return out
+}
+
+// TestTwoEnginesConcurrently runs two differently configured engines in
+// one process at the same time — one chain on the burst datapath with
+// the drain fast-forward, one on both reference paths — and requires
+// equal digests. Under -race this is the proof that no engine mode lives
+// in process-wide state.
+func TestTwoEnginesConcurrently(t *testing.T) {
+	var fast, ref string
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { defer wg.Done(); fast = chainDigest(core.Config{}) }()
+	go func() {
+		defer wg.Done()
+		ref = chainDigest(core.Config{NoBurst: true, NoDrainFastForward: true})
+	}()
+	wg.Wait()
+	if fast == "" || fast != ref {
+		t.Errorf("engines diverge:\n--- default ---\n%s--- reference paths ---\n%s", fast, ref)
 	}
 }

@@ -22,12 +22,13 @@ type netRig struct {
 	gens  [2]*workload.Gen
 }
 
-func buildNetRig(t testing.TB, start bool) *netRig {
+func buildNetRig(t testing.TB, start bool, cfg core.Config) *netRig {
 	t.Helper()
 	r := &netRig{sched: sim.NewScheduler()}
 	r.net = New(r.sched)
 	for i := range r.sws {
-		sw := core.New(core.Config{Name: fmt.Sprintf("s%d", i+1)}, core.EventDriven(), r.sched)
+		cfg.Name = fmt.Sprintf("s%d", i+1)
+		sw := core.New(cfg, core.EventDriven(), r.sched)
 		sw.MustLoad(pingPong())
 		r.net.AddSwitch(sw)
 		r.sws[i] = sw
@@ -132,7 +133,7 @@ func (r *netRig) fingerprint() string {
 func TestNetworkCheckpointResumeIdentical(t *testing.T) {
 	const half, full = sim.Millisecond, 2500 * sim.Microsecond
 
-	a := buildNetRig(t, true)
+	a := buildNetRig(t, true, core.Config{})
 	a.sched.Run(half)
 
 	// The cut must exercise the wire band: at 5 Gbps over a 5 µs trunk
@@ -147,7 +148,7 @@ func TestNetworkCheckpointResumeIdentical(t *testing.T) {
 	snap := a.snapshot()
 	a.sched.Run(full)
 
-	b := buildNetRig(t, false)
+	b := buildNetRig(t, false, core.Config{})
 	b.restore(t, snap)
 	if b.sched.Now() != half {
 		t.Fatalf("restored clock at %v, want %v", b.sched.Now(), half)
@@ -165,7 +166,7 @@ func TestNetworkCheckpointResumeIdentical(t *testing.T) {
 // TestNetworkRestoreRefusesTopologyMismatch pins the guard: a snapshot
 // only loads into a network with the same link and host layout.
 func TestNetworkRestoreRefusesTopologyMismatch(t *testing.T) {
-	a := buildNetRig(t, true)
+	a := buildNetRig(t, true, core.Config{})
 	a.sched.Run(100 * sim.Microsecond)
 	e := checkpoint.NewEncoder()
 	a.net.Snapshot(e)

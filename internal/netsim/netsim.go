@@ -278,7 +278,7 @@ type Link struct {
 	// impairBuf is the reusable private copy handed to the impairment.
 	impairBuf []byte
 	// fifo batches each direction's unimpaired in-flight frames
-	// (wireFIFO); burstOK latches core.ForceNoBurst at link creation.
+	// (wireFIFO); burstOK is false beside a core.Config.NoBurst switch.
 	// legacyPending counts per-frame flights currently in the air per
 	// direction: while any are pending the direction keeps using the
 	// per-frame path, so a flight created under an impairment can never
@@ -638,7 +638,7 @@ func (n *Network) addLink(a, b endpoint, latency sim.Time) *Link {
 	if l.cross && latency <= 0 {
 		panic("netsim: cross-domain link " + l.String() + " needs positive latency (it bounds the partition lookahead)")
 	}
-	l.burstOK = !core.ForceNoBurst
+	l.burstOK = !(a.sw != nil && a.sw.Config().NoBurst) && !(b.sw != nil && b.sw.Config().NoBurst)
 	l.fifo[0] = &wireFIFO{n: n, l: l, dir: 0}
 	l.fifo[1] = &wireFIFO{n: n, l: l, dir: 1}
 	n.links = append(n.links, l)

@@ -24,8 +24,8 @@ package p4
 //
 // The AST interpreter (interp.go) stays as the differential oracle: both
 // backends must produce byte-identical register/counter/context state
-// for every program (FuzzCompiledVsInterp, the backend-identity tests,
-// and `make check-backends` pin this).
+// for every program (FuzzCompiledVsInterp and the backend-identity tests
+// pin this).
 
 import (
 	"repro/internal/packet"

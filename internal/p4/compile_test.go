@@ -321,17 +321,3 @@ control Enqueue { apply { occ.add(ev.queue, ev.pkt_len); } }`
 		t.Errorf("compiled enqueue path allocates %v/op, want 0", allocs)
 	}
 }
-
-// TestForceInterpret pins the process-wide backend override used by the
-// -interp flags.
-func TestForceInterpret(t *testing.T) {
-	compiled := MustCompile(`control Ingress { apply { forward(1); } }`)
-	if compiled.Instantiate("a", Options{}).Interpreted() {
-		t.Fatal("default backend should be compiled")
-	}
-	ForceInterpret = true
-	defer func() { ForceInterpret = false }()
-	if !compiled.Instantiate("b", Options{}).Interpreted() {
-		t.Fatal("ForceInterpret should select the interpreter")
-	}
-}

@@ -76,13 +76,6 @@ func (c *Compiled) Controls() []string {
 	return names
 }
 
-// ForceInterpret, when true, makes every subsequent Instantiate use the
-// AST interpreter even when Options.Interpret is false. It is the
-// process-wide backend override behind the -interp flag of cmd/evbench
-// and cmd/evsim (the same shape as core.ForceSlowDrain): flip it once at
-// startup to run a whole experiment suite on the oracle backend.
-var ForceInterpret bool
-
 // Options configures instantiation.
 type Options struct {
 	// MultiPort switches every shared_register to the multi-ported
@@ -96,8 +89,8 @@ type Options struct {
 	// Interpret selects the AST-walking interpreter instead of the
 	// default compiled-closure backend. The interpreter is the
 	// differential oracle: both backends must produce byte-identical
-	// behaviour, and keeping it reachable lets tests and the -interp
-	// flags pin that equivalence.
+	// behaviour, and keeping it reachable per instance lets tests and
+	// evsim -interp pin that equivalence.
 	Interpret bool
 }
 
@@ -125,7 +118,7 @@ func (c *Compiled) Instantiate(name string, opts Options) *Instance {
 	inst := &Instance{
 		compiled: c,
 		prog:     pisa.NewProgram(name),
-		interp:   opts.Interpret || ForceInterpret,
+		interp:   opts.Interpret,
 		frames:   make(map[*ControlDecl][]uint64),
 		actFns:   make(map[*ActionDecl]pisa.ActionFunc),
 	}

@@ -214,34 +214,6 @@ func (p *Partition) RestoreState(st PartitionState) error {
 	return nil
 }
 
-// SlimPartitionState is the partition state an observer firing inside a
-// window can capture without racing the domain workers: the immutable
-// domain count and the atomic window counter. evsim's single-switch
-// partition uses it — all simulation events live in domain 0, whose
-// clock already travels with the scheduler checkpoint section, and the
-// other domains never hold events, so their clocks carry no behaviour.
-type SlimPartitionState struct {
-	Domains int
-	Windows uint64
-}
-
-// SlimState captures the slim partition state; safe to call mid-window.
-func (p *Partition) SlimState() SlimPartitionState {
-	return SlimPartitionState{Domains: len(p.scheds), Windows: p.windows.Load()}
-}
-
-// RestoreSlimState restores the window counter, refusing a checkpoint
-// taken under a different domain decomposition (the same refusal as
-// RestoreState: per-domain sequence numbers are domain-local).
-func (p *Partition) RestoreSlimState(st SlimPartitionState) error {
-	if st.Domains != len(p.scheds) {
-		return fmt.Errorf("sim: checkpoint was taken with %d partition domains, this run has %d; "+
-			"restore requires the same -domains value", st.Domains, len(p.scheds))
-	}
-	p.windows.Store(st.Windows)
-	return nil
-}
-
 // State returns the RNG's internal xoshiro256** state, for
 // checkpointing mid-stream positions.
 func (r *RNG) State() [4]uint64 { return r.s }

@@ -134,31 +134,3 @@ func TestBatchedWindowEdgeArrival(t *testing.T) {
 		t.Errorf("adaptive run did not batch: %d barriers vs classic %d", ab, cb)
 	}
 }
-
-// TestSlimStateMidWindow pins the mid-window observer contract behind
-// evsim's partition checkpoint section: SlimState is readable from an
-// event firing inside a domain's window, round-trips through
-// RestoreSlimState on a same-shaped partition, and is refused on a
-// different domain count.
-func TestSlimStateMidWindow(t *testing.T) {
-	p := NewPartition(3)
-	p.SetLookahead(Microsecond)
-	var snap SlimPartitionState
-	p.Sched(0).At(5*Microsecond, func() { snap = p.SlimState() })
-	p.Sched(1).At(3*Microsecond, func() {})
-	p.Run(10 * Microsecond)
-	if snap.Domains != 3 || snap.Windows == 0 {
-		t.Fatalf("mid-window SlimState = %+v, want 3 domains and a nonzero window count", snap)
-	}
-
-	q := NewPartition(3)
-	if err := q.RestoreSlimState(snap); err != nil {
-		t.Fatalf("RestoreSlimState on same shape: %v", err)
-	}
-	if q.Windows() != snap.Windows {
-		t.Errorf("restored windows = %d, want %d", q.Windows(), snap.Windows)
-	}
-	if err := NewPartition(2).RestoreSlimState(snap); err == nil {
-		t.Error("RestoreSlimState accepted a different domain count")
-	}
-}

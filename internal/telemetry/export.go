@@ -3,7 +3,6 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"hash/fnv"
 	"os"
 	"sort"
@@ -241,31 +240,4 @@ func Digest(runs []RunExport) (uint64, error) {
 	}
 	h.Write(j)
 	return h.Sum64(), nil
-}
-
-// Summary is the compact telemetry block embedded in BENCH_<id>.json.
-type Summary struct {
-	Runs         int    `json:"runs"`
-	Metrics      int    `json:"metrics"`
-	TraceRecords uint64 `json:"trace_records"`
-	TraceDropped uint64 `json:"trace_dropped"`
-	Digest       string `json:"digest"`
-}
-
-// Summarize reduces the labelled collectors to a Summary.
-func Summarize(runs []RunExport) (Summary, error) {
-	s := Summary{Runs: len(runs)}
-	for _, r := range runs {
-		s.Metrics += r.C.Registry().Len()
-		if t := r.C.Tracer(); t != nil {
-			s.TraceRecords += t.Emitted()
-			s.TraceDropped += t.Dropped()
-		}
-	}
-	d, err := Digest(runs)
-	if err != nil {
-		return Summary{}, err
-	}
-	s.Digest = fmt.Sprintf("%016x", d)
-	return s, nil
 }

@@ -228,14 +228,6 @@ func TestExportDeterministicAndValidJSON(t *testing.T) {
 	if d1 != d2 {
 		t.Error("digest differs across run insertion order")
 	}
-
-	sum, err := Summarize(runs1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Runs != 2 || sum.TraceRecords != 14 || sum.TraceDropped != 0 {
-		t.Errorf("summary = %+v, want 2 runs / 14 records / 0 dropped", sum)
-	}
 }
 
 func TestQueueCountersViaHook(t *testing.T) {
