@@ -29,18 +29,18 @@ build:
 test:
 	$(GO) test ./...
 
-# internal/bench is raced by name: the full scale sweep (TestScale*, a
-# k=8 fat tree) and the two-pass golden test are minutes under the
-# detector; TestFatTreeScaleSmoke is the reduced fat tree and
-# TestParallel* race the trial pool. -short spares cmd/tracecheck the
-# hula export (45 s raced; bench's TestTelemetry* race that path). The
-# partition packages run at three widths so every rung of the window
-# gate's wait ladder is raced: -cpu 1 has no spin and hands over by yield
-# or park, -cpu 2 spins then yields with a P per domain, and the 3- to
-# 7-domain tests at either width (plus -cpu 4 on a 2-CPU host) have more
-# waiters than processors.
+# Every concurrent package is raced whole. -short spares internal/bench
+# its two long sweeps (TestHarnessGoldenAndOracles, TestScaleDigestsMatch:
+# minutes under the detector; TestFatTreeScaleSmoke is the reduced fat
+# tree and TestTwoCampaignsConcurrently races two whole campaigns) and
+# cmd/tracecheck the hula export (45 s raced; bench's TestTelemetry* race
+# that path). The partition packages run at three widths so every rung of
+# the window gate's wait ladder is raced: -cpu 1 has no spin and hands
+# over by yield or park, -cpu 2 spins then yields with a P per domain,
+# and the 3- to 7-domain tests at either width (plus -cpu 4 on a 2-CPU
+# host) have more waiters than processors.
 race:
-	$(GO) test -race ./internal/bench -run 'TestParallel|TestResilience|TestDomain|TestTelemetry|TestFastForward|TestUP4|TestTrialPanic|TestJournal|TestBurst|TestObs|TestFatTreeScaleSmoke'
+	$(GO) test -race -short ./internal/bench
 	$(GO) test -race -cpu 1,2,4 ./internal/sim ./internal/netsim
 	$(GO) test -race ./internal/core ./internal/events ./internal/tm ./internal/packet ./internal/pisa
 	$(GO) test -race -short ./internal/p4 ./internal/state ./internal/workload ./cmd/tracecheck

@@ -27,7 +27,7 @@ func runExperiment(b *testing.B, id string) {
 		b.Fatalf("unknown experiment %q", id)
 	}
 	for i := 0; i < b.N; i++ {
-		res := e.Run()
+		res := e.Run(&bench.Env{})
 		if i == 0 {
 			fmt.Println(res.String())
 		}

@@ -57,6 +57,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strconv"
 	"time"
 
 	"repro/internal/bench"
@@ -79,9 +80,9 @@ func run(args []string, out, errw io.Writer) int {
 	exp := fs.String("exp", "", "experiment id to run (default: all)")
 	fs.StringVar(exp, "experiment", "", "alias for -exp")
 	list := fs.Bool("list", false, "list experiment ids and exit")
-	par := fs.Int("parallel", bench.Parallelism(),
+	par := fs.Int("parallel", runtime.GOMAXPROCS(0),
 		"worker goroutines for experiment trials (0 = GOMAXPROCS)")
-	domains := fs.Int("domains", bench.Domains(),
+	domains := fs.Int("domains", 1,
 		"partition domains for topology experiments (intra-trial parallelism)")
 	cpuprofile := fs.String("cpuprofile", "", "write CPU profile to `file`")
 	memprofile := fs.String("memprofile", "", "write allocation profile to `file`")
@@ -115,22 +116,16 @@ func run(args []string, out, errw io.Writer) int {
 		return exitOK
 	}
 
-	if *par <= 0 {
-		*par = runtime.GOMAXPROCS(0)
-	}
 	if *domains < 1 {
 		fmt.Fprintf(errw, "evbench: -domains must be a positive integer (got %d)\n", *domains)
 		return exitUsage
 	}
-	// Harness settings are process-wide; put back whatever this run
-	// changes so a later run() in the same process starts from defaults.
-	prevPar, prevDomains := bench.Parallelism(), bench.Domains()
-	bench.SetParallelism(*par)
-	bench.SetDomains(*domains)
-	defer func() {
-		bench.SetParallelism(prevPar)
-		bench.SetDomains(prevDomains)
-	}()
+	fail := func(err error) int {
+		fmt.Fprintf(errw, "evbench: %v\n", err)
+		return exitRuntime
+	}
+	// Everything this run sets lives in env; nothing outlasts run().
+	env := &bench.Env{Parallelism: *par, Domains: *domains}
 
 	streaming := *streamTrace != "" || *streamMetrics != ""
 	telemetryOn := *traceFile != "" || *metricsFile != "" || streaming
@@ -162,18 +157,14 @@ func run(args []string, out, errw io.Writer) int {
 	// endpoint, streaming sink) is observation-only: turning any of it on
 	// never changes a byte of tables, digests, or trace files (pinned by
 	// TestObsStreamingIdentical / TestObsSmoke).
-	obsOn := *httpAddr != "" || streaming
-	if obsOn && !self.On() {
-		self.Enable()
-		defer self.Disable()
+	if *httpAddr != "" || streaming {
+		env.Self = new(self.Plane)
 	}
 	if telemetryOn {
-		bench.EnableTelemetry(telemetry.Options{
+		env.Telemetry = &telemetry.Options{
 			TraceCap:     telemetry.DefaultTraceCap,
 			SamplePeriod: telemetry.DefaultSamplePeriod,
-			Live:         obsOn,
-		})
-		defer bench.DisableTelemetry()
+		}
 	}
 
 	var srv *obs.Server
@@ -181,50 +172,45 @@ func run(args []string, out, errw io.Writer) int {
 		var err error
 		srv, err = obs.Serve(obs.Options{
 			Addr: *httpAddr,
-			Runs: bench.TelemetryRuns,
+			Self: env.Self,
+			Runs: env.TelemetryRuns,
 			Status: func() map[string]any {
 				return map[string]any{
 					"binary":   "evbench",
 					"exp":      *exp,
 					"parallel": *par,
-					"pdomains": bench.DomainsLabel(),
+					"pdomains": strconv.Itoa(*domains),
 				}
 			},
 		})
 		if err != nil {
-			fmt.Fprintf(errw, "evbench: %v\n", err)
-			return exitRuntime
+			return fail(err)
 		}
 		defer srv.Close()
 		fmt.Fprintf(errw, "evbench: introspection endpoint on http://%s\n", srv.Addr())
 	}
 
-	var sink *telemetry.StreamSink
 	if streaming {
 		var err error
-		sink, err = telemetry.NewStreamSink(telemetry.StreamOptions{
+		env.Sink, err = telemetry.NewStreamSink(telemetry.StreamOptions{
 			TracePath:   *streamTrace,
 			MetricsPath: *streamMetrics,
 			Interval:    *streamEvery,
+			Self:        env.Self,
 		})
 		if err != nil {
-			fmt.Fprintf(errw, "evbench: %v\n", err)
-			return exitRuntime
+			return fail(err)
 		}
-		bench.AttachStreamSink(sink)
-		defer bench.AttachStreamSink(nil)
 	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fmt.Fprintf(errw, "evbench: %v\n", err)
-			return exitRuntime
+			return fail(err)
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(errw, "evbench: %v\n", err)
-			return exitRuntime
+			return fail(err)
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -236,14 +222,12 @@ func run(args []string, out, errw io.Writer) int {
 	}
 
 	if *resume != "" {
-		j, err := bench.OpenJournal(*resume, *exp)
+		j, err := bench.OpenJournal(*resume, *exp, *domains)
 		if err != nil {
-			fmt.Fprintf(errw, "evbench: %v\n", err)
-			return exitRuntime
+			return fail(err)
 		}
-		bench.SetJournal(j)
+		env.Journal = j
 		defer func() {
-			bench.SetJournal(nil)
 			if hits := j.Hits(); hits > 0 {
 				fmt.Fprintf(errw, "evbench: %d trial(s) loaded from %s\n", hits, *resume)
 			}
@@ -252,15 +236,14 @@ func run(args []string, out, errw io.Writer) int {
 	}
 
 	for _, e := range todo {
-		fmt.Fprintln(out, e.Run().String())
+		fmt.Fprintln(out, e.Run(env).String())
 	}
 
-	if sink != nil {
+	if env.Sink != nil {
 		// Final flush before the post-run exports, so the streamed files
 		// cover every record and close cleanly (Chrome array terminator).
-		if err := sink.Close(); err != nil {
-			fmt.Fprintf(errw, "evbench: %v\n", err)
-			return exitRuntime
+		if err := env.Sink.Close(); err != nil {
+			return fail(err)
 		}
 		if *streamTrace != "" {
 			fmt.Fprintf(errw, "evbench: streamed %s\n", *streamTrace)
@@ -271,16 +254,14 @@ func run(args []string, out, errw io.Writer) int {
 	}
 
 	if *traceFile != "" {
-		if err := bench.WriteTelemetryTrace(*traceFile); err != nil {
-			fmt.Fprintf(errw, "evbench: %v\n", err)
-			return exitRuntime
+		if err := env.WriteTrace(*traceFile); err != nil {
+			return fail(err)
 		}
 		fmt.Fprintf(errw, "evbench: wrote %s\n", *traceFile)
 	}
 	if *metricsFile != "" {
-		if err := bench.WriteTelemetryMetrics(*metricsFile); err != nil {
-			fmt.Fprintf(errw, "evbench: %v\n", err)
-			return exitRuntime
+		if err := env.WriteMetrics(*metricsFile); err != nil {
+			return fail(err)
 		}
 		fmt.Fprintf(errw, "evbench: wrote %s\n", *metricsFile)
 	}
@@ -288,25 +269,21 @@ func run(args []string, out, errw io.Writer) int {
 	if *memprofile != "" {
 		f, err := os.Create(*memprofile)
 		if err != nil {
-			fmt.Fprintf(errw, "evbench: %v\n", err)
-			return exitRuntime
+			return fail(err)
 		}
 		defer f.Close()
 		// A final GC before the heap profile so the allocation picture
 		// shows live retention, not garbage awaiting collection.
 		runtime.GC()
 		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintf(errw, "evbench: %v\n", err)
-			return exitRuntime
+			return fail(err)
 		}
 	}
 	if err := writeLookupProfile("block", *blockprofile); err != nil {
-		fmt.Fprintf(errw, "evbench: %v\n", err)
-		return exitRuntime
+		return fail(err)
 	}
 	if err := writeLookupProfile("mutex", *mutexprofile); err != nil {
-		fmt.Fprintf(errw, "evbench: %v\n", err)
-		return exitRuntime
+		return fail(err)
 	}
 	return exitOK
 }

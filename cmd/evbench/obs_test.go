@@ -11,9 +11,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/bench"
-	"repro/internal/telemetry/self"
 )
 
 // syncBuffer lets the test read evbench's stderr while the run goroutine
@@ -47,8 +44,6 @@ var (
 // check the table output is byte-identical to a plain run. This is the
 // cmd-level counterpart of bench.TestObsStreamingIdentical.
 func TestObsSmoke(t *testing.T) {
-	defer self.Reset()
-
 	base := []string{"-exp", "scale", "-parallel", "8", "-domains", "2"}
 	var plain bytes.Buffer
 	if code := run(base, &plain, io.Discard); code != exitOK {
@@ -150,31 +145,4 @@ func firstLines(s string, n int) string {
 		lines = lines[:n]
 	}
 	return strings.Join(lines, "\n")
-}
-
-// TestRunLeavesNoState pins that run() puts back every process-wide
-// harness setting it changes: the test binary (and any embedder) calls
-// it more than once, and a later default run must not inherit an earlier
-// run's telemetry, self-metrics, domain count, or worker-pool width.
-func TestRunLeavesNoState(t *testing.T) {
-	defer self.Reset()
-	wantDomains, wantPar := bench.Domains(), bench.Parallelism()
-	trace := filepath.Join(t.TempDir(), "t.jsonl")
-	var errw bytes.Buffer
-	if code := run([]string{"-exp", "hula", "-domains", "2", "-parallel", "3",
-		"-trace", trace, "-http", "127.0.0.1:0"}, io.Discard, &errw); code != exitOK {
-		t.Fatalf("run exited %d, stderr:\n%s", code, errw.String())
-	}
-	if bench.TelemetryEnabled() {
-		t.Error("telemetry still enabled after run returned")
-	}
-	if self.On() {
-		t.Error("self-metrics still on after run returned")
-	}
-	if got := bench.Domains(); got != wantDomains {
-		t.Errorf("Domains() = %d after run, want %d", got, wantDomains)
-	}
-	if got := bench.Parallelism(); got != wantPar {
-		t.Errorf("Parallelism() = %d after run, want %d", got, wantPar)
-	}
 }

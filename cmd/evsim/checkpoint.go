@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/sim"
@@ -91,8 +92,15 @@ func (c *checkpointer) fire() {
 	}
 	f.Add("telemetry", e.Bytes())
 
-	if err := f.WriteFile(c.path); err != nil && c.err == nil {
+	start := time.Now()
+	n, err := f.WriteFile(c.path)
+	if err != nil && c.err == nil {
 		c.err = err
+	}
+	if p := c.st.sched.Self(); p != nil && err == nil {
+		p.CheckpointWriteNS.Observe(uint64(time.Since(start).Nanoseconds()))
+		p.CheckpointBytes.Add(uint64(n))
+		p.CheckpointLastUnixNS.Set(time.Now().UnixNano())
 	}
 	c.wrote++
 }

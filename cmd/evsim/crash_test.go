@@ -45,6 +45,20 @@ func TestExitCodes(t *testing.T) {
 		// and one switch has nothing to partition: -domains is not a flag.
 		{[]string{"-burst", "16"}, exitUsage},
 		{[]string{"-domains", "2"}, exitUsage},
+		// Values that used to reach a panic in sim (BitTime of a
+		// non-positive rate, negative delay), run outside the documented
+		// range, or never finish are usage errors.
+		{[]string{"-gbps", "0"}, exitUsage},
+		{[]string{"-gbps", "-5"}, exitUsage},
+		{[]string{"-gbps", "100000"}, exitUsage},
+		{[]string{"-load", "NaN"}, exitUsage},
+		{[]string{"-load", "-1"}, exitUsage},
+		{[]string{"-load", "1e9"}, exitUsage},
+		{[]string{"-size", "10"}, exitUsage},
+		{[]string{"-size", "99999"}, exitUsage},
+		{[]string{"-overspeed", "0"}, exitUsage},
+		{[]string{"-overspeed", "+Inf"}, exitUsage},
+		{[]string{"-ports", "100000"}, exitUsage},
 	}
 	for _, c := range cases {
 		if got := runQuiet(t, c.args...); got != c.want {

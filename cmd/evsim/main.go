@@ -46,6 +46,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 	"time"
@@ -152,12 +153,12 @@ func run(args []string, out, errw io.Writer) int {
 	fs := flag.NewFlagSet("evsim", flag.ContinueOnError)
 	fs.SetOutput(errw)
 	arch := fs.String("arch", "event", "architecture: event | baseline")
-	load := fs.Float64("load", 0.9, "offered load per port (1.0 = line rate)")
+	load := fs.Float64("load", 0.9, "offered load per port (1.0 = line rate; 0..16)")
 	size := fs.Int("size", 60, "frame size in bytes (60..1514)")
 	ms := fs.Int("ms", 10, "simulated milliseconds")
-	overspeed := fs.Float64("overspeed", 1.1, "pipeline overspeed factor")
-	ports := fs.Int("ports", 4, "switch ports")
-	rate := fs.Int64("gbps", 10, "per-port line rate in Gb/s")
+	overspeed := fs.Float64("overspeed", 1.1, "pipeline overspeed factor (> 0)")
+	ports := fs.Int("ports", 4, "switch ports (1..256)")
+	rate := fs.Int64("gbps", 10, "per-port line rate in Gb/s (1..1000)")
 	p4file := fs.String("p4", "", "µP4 program to load (default: built-in forwarder)")
 	interp := fs.Bool("interp", false,
 		"run the -p4 program under the interpreter instead of compiled closures")
@@ -196,15 +197,11 @@ func run(args []string, out, errw io.Writer) int {
 		httpAddr: *httpAddr, streamTrace: *streamTrace,
 		streamMetrics: *streamMetrics, streamEvery: *streamEvery,
 	}
-	if err := finishConfig(cfg, *ckptEvery); err != nil {
-		fmt.Fprintf(errw, "evsim: %v\n", err)
-		var ue usageError
-		if errors.As(err, &ue) {
-			return exitUsage
-		}
-		return exitRuntime
+	err := finishConfig(cfg, *ckptEvery)
+	if err == nil {
+		err = simulate(cfg, out, errw)
 	}
-	if err := simulate(cfg, out, errw); err != nil {
+	if err != nil {
 		fmt.Fprintf(errw, "evsim: %v\n", err)
 		var ue usageError
 		if errors.As(err, &ue) {
@@ -229,8 +226,25 @@ func finishConfig(cfg *config, every string) error {
 	if cfg.ms <= 0 {
 		return usagef("-ms must be positive, got %d", cfg.ms)
 	}
-	if cfg.ports <= 0 {
-		return usagef("-ports must be positive, got %d", cfg.ports)
+	// -ports, -gbps and -load multiply the packet rate and nothing stops
+	// a run once it has started: 100000 ports or Gb/s, or a load of 1e9,
+	// never reported back. Each upper bound alone costs seconds per
+	// simulated millisecond (3.5 s, 2.5 s, 0.5 s on 2 CPUs) and is past
+	// any real switch; their product is the operator's to choose.
+	if cfg.ports <= 0 || cfg.ports > 256 {
+		return usagef("-ports must be in 1..256, got %d", cfg.ports)
+	}
+	if cfg.gbps <= 0 || cfg.gbps > 1000 {
+		return usagef("-gbps must be in 1..1000, got %d", cfg.gbps)
+	}
+	if !(cfg.load >= 0 && cfg.load <= 16) { // written so NaN fails
+		return usagef("-load must be in 0..16, got %v", cfg.load)
+	}
+	if cfg.size < 60 || cfg.size > 1514 {
+		return usagef("-size must be in 60..1514, got %d", cfg.size)
+	}
+	if !(cfg.overspeed > 0) || math.IsInf(cfg.overspeed, 0) {
+		return usagef("-overspeed must be positive and finite, got %v", cfg.overspeed)
 	}
 	if cfg.p4file != "" {
 		src, err := os.ReadFile(cfg.p4file)
@@ -273,6 +287,11 @@ type simState struct {
 
 func build(cfg *config, start bool, out io.Writer) (*simState, error) {
 	st := &simState{cfg: cfg, sched: sim.NewScheduler()}
+	if cfg.obsOn() {
+		// Before core.New: the switch and its pool take the plane from
+		// the scheduler once, at construction.
+		st.sched.SetSelf(new(self.Plane))
+	}
 	switch cfg.archName {
 	case "event":
 		st.arch = core.EventDriven()
@@ -413,12 +432,10 @@ func simulate(cfg *config, out, errw io.Writer) error {
 	// restoration's single-threaded writes finish before any scrape) and
 	// strictly read-only — stats, telemetry exports, and checkpoints are
 	// byte-identical with it on or off.
-	if cfg.obsOn() {
-		self.Enable()
-	}
 	if cfg.httpAddr != "" {
 		srv, err := obs.Serve(obs.Options{
 			Addr: cfg.httpAddr,
+			Self: st.sched.Self(),
 			Runs: func() []telemetry.RunExport {
 				if st.tel == nil {
 					return nil
@@ -447,6 +464,7 @@ func simulate(cfg *config, out, errw io.Writer) error {
 			TracePath:   cfg.streamTrace,
 			MetricsPath: cfg.streamMetrics,
 			Interval:    cfg.streamEvery,
+			Self:        st.sched.Self(),
 		})
 		if err != nil {
 			return err
@@ -496,7 +514,7 @@ func simulate(cfg *config, out, errw io.Writer) error {
 	fmt.Fprintf(out, "arch=%s cycleTime=%v horizon=%v\n", st.arch.Name, st.sw.CycleTime(), horizon)
 	fmt.Fprintf(out, "rx=%d tx=%d (%.2f%% delivered) drops: pipeline=%d linkDown=%d\n",
 		stats.RxPackets, stats.TxPackets,
-		100*float64(stats.TxPackets)/float64(max64(stats.RxPackets, 1)),
+		100*float64(stats.TxPackets)/float64(max(stats.RxPackets, 1)),
 		stats.PipelineDrops, stats.TxDroppedLinkDown)
 	fmt.Fprintf(out, "cycles=%d packetSlots=%d emptySlots=%d drainSlots=%d recirc=%d generated=%d\n",
 		stats.Cycles, stats.PacketSlots, stats.EmptySlots, stats.DrainSlots, stats.Recirculated, stats.Generated)
@@ -508,11 +526,4 @@ func simulate(cfg *config, out, errw io.Writer) error {
 		}
 	}
 	return nil
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -152,24 +152,19 @@ func TestRealExportValidates(t *testing.T) {
 	if !ok {
 		t.Fatal("experiment hula not registered")
 	}
-	prev := bench.Domains()
-	defer bench.SetDomains(prev)
-	defer bench.DisableTelemetry()
-
 	dir := t.TempDir()
 	export := func(domains int) (trace, metrics []byte) {
-		bench.SetDomains(domains)
-		bench.EnableTelemetry(telemetry.Options{
+		env := &bench.Env{Domains: domains, Telemetry: &telemetry.Options{
 			TraceCap:     telemetry.DefaultTraceCap,
 			SamplePeriod: telemetry.DefaultSamplePeriod,
-		})
-		hula.Run()
+		}}
+		hula.Run(env)
 		tp := filepath.Join(dir, "hula.jsonl")
 		mp := filepath.Join(dir, "hula.json")
-		if err := bench.WriteTelemetryTrace(tp); err != nil {
+		if err := env.WriteTrace(tp); err != nil {
 			t.Fatal(err)
 		}
-		if err := bench.WriteTelemetryMetrics(mp); err != nil {
+		if err := env.WriteMetrics(mp); err != nil {
 			t.Fatal(err)
 		}
 		if got := check(t, checkJSONL, tp); strings.Contains(got, "truncated") {

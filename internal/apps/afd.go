@@ -114,6 +114,3 @@ func NewAFD(cfg AFDConfig, rng *sim.RNG) (*AFD, *pisa.Program) {
 func (a *AFD) Arm(sw *core.Switch) error {
 	return sw.ConfigureTimer(0, a.cfg.Interval)
 }
-
-// FairShare returns the current per-window fair byte budget.
-func (a *AFD) FairShare() float64 { return a.fair }

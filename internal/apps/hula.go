@@ -240,15 +240,6 @@ func (h *HULA) BestHop(tor int) (port int, util uint32) {
 	return h.bestHop[tor%h.cfg.Tors], h.bestUtil[tor%h.cfg.Tors]
 }
 
-// LinkUtil reports the latest utilization estimate for a port, in
-// millionths of line rate.
-func (h *HULA) LinkUtil(port int) uint32 {
-	if port < 0 || port >= len(h.linkUtil) {
-		return 0
-	}
-	return h.linkUtil[port]
-}
-
 // SpineProbeRelay returns a program for a spine switch in the HULA
 // fabric: probes arriving on one port are re-stamped with the maximum of
 // their path utilization and the spine's local link utilization, then

@@ -22,7 +22,7 @@ func init() {
 //  2. Event FIFO depth — queueing loss vs buffering cost.
 //  3. Merger event priority — how the drain order affects the queueing
 //     delay of timer events under heavy TM-event load.
-func Ablations() *Result {
+func Ablations(env *Env) *Result {
 	res := &Result{
 		ID:    "ablations",
 		Title: "Design-choice ablations",
@@ -31,7 +31,7 @@ func Ablations() *Result {
 
 	// --- 1. Register implementation: aggregated vs multi-ported --------
 	regModes := []string{"aggregated-1port", "multiport-3port"}
-	for _, rows := range RunParallel(len(regModes), func(trial int) [][]string {
+	for _, rows := range RunParallel(env, len(regModes), func(trial int) [][]string {
 		mode := regModes[trial]
 		var reg *pisa.SharedRegister
 		if mode == "aggregated-1port" {
@@ -88,9 +88,9 @@ func Ablations() *Result {
 			fifoGrid = append(fifoGrid, fifoPoint{width, depth})
 		}
 	}
-	for _, row := range RunParallel(len(fifoGrid), func(trial int) []string {
+	for _, row := range RunParallel(env, len(fifoGrid), func(trial int) []string {
 		pt := fifoGrid[trial]
-		drops := runFIFODepth(pt.depth, pt.width)
+		drops := runFIFODepth(env, pt.depth, pt.width)
 		wname := "full"
 		if pt.width > 0 {
 			wname = fmt.Sprintf("%d/slot", pt.width)
@@ -107,9 +107,9 @@ func Ablations() *Result {
 	// Without it every event consumes its own slot and competes with
 	// packets for the pipeline.
 	piggyModes := []bool{true, false}
-	for _, rows := range RunParallel(len(piggyModes), func(trial int) [][]string {
+	for _, rows := range RunParallel(env, len(piggyModes), func(trial int) [][]string {
 		piggy := piggyModes[trial]
-		delivered, evLost := runPiggyback(piggy)
+		delivered, evLost := runPiggyback(env, piggy)
 		name := "piggyback (paper design)"
 		if !piggy {
 			name = "dedicated event slots"
@@ -126,9 +126,9 @@ func Ablations() *Result {
 
 	// --- 3. Merger priority: timer-first vs timer-last on a narrow bus --
 	prioModes := []bool{false, true}
-	for _, row := range RunParallel(len(prioModes), func(trial int) []string {
+	for _, row := range RunParallel(env, len(prioModes), func(trial int) []string {
 		timerFirst := prioModes[trial]
-		delay := runMergerPriority(timerFirst)
+		delay := runMergerPriority(env, timerFirst)
 		name := "timer last (default)"
 		if timerFirst {
 			name = "timer first"
@@ -147,9 +147,9 @@ func Ablations() *Result {
 
 // runFIFODepth measures enqueue/dequeue event losses at a given merger
 // FIFO depth under bursty near-saturation load.
-func runFIFODepth(depth, width int) uint64 {
+func runFIFODepth(env *Env, depth, width int) uint64 {
 	sched := sim.NewScheduler()
-	sw := newSwitch(core.Config{
+	sw := env.newSwitch(core.Config{
 		EventQueueDepth: depth, Overspeed: 1.05, MaxEventsPerSlot: width,
 	}, core.EventDriven(), sched)
 	prog := pisa.NewProgram("fifo")
@@ -174,9 +174,9 @@ func runFIFODepth(depth, width int) uint64 {
 // runPiggyback drives min-size traffic at 95% load with enq/deq handlers
 // bound, with or without event piggybacking, and reports the data
 // delivery fraction and the TM events lost.
-func runPiggyback(piggyback bool) (string, uint64) {
+func runPiggyback(env *Env, piggyback bool) (string, uint64) {
 	sched := sim.NewScheduler()
-	sw := newSwitch(core.Config{
+	sw := env.newSwitch(core.Config{
 		Overspeed: 1.1, NoPiggyback: !piggyback, EventQueueDepth: 1024,
 	}, core.EventDriven(), sched)
 	prog := pisa.NewProgram("piggy")
@@ -210,7 +210,7 @@ func runPiggyback(piggyback bool) (string, uint64) {
 // runMergerPriority measures how long timer events wait for a merger slot
 // when TM events compete, under the default priority (timer near last)
 // vs a timer-first order.
-func runMergerPriority(timerFirst bool) *sim.Stats {
+func runMergerPriority(env *Env, timerFirst bool) *sim.Stats {
 	// The priority is per-switch configuration, so concurrently running
 	// trials never observe each other's ordering.
 	prio := append([]events.Kind(nil), core.MergerPriority...)
@@ -224,7 +224,7 @@ func runMergerPriority(timerFirst bool) *sim.Stats {
 	}
 
 	sched := sim.NewScheduler()
-	sw := newSwitch(core.Config{
+	sw := env.newSwitch(core.Config{
 		EventQueueDepth: 4096, Overspeed: 1.02, MaxEventsPerSlot: 1,
 		MergerPriority: prio,
 	}, core.EventDriven(), sched)

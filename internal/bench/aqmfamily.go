@@ -22,7 +22,7 @@ func init() {
 // consumes congestion signals that only buffer events provide (paper §3:
 // "AQM is a natural use case of this approach, and was one of the
 // motivating applications for our work").
-func AQMFamily() *Result {
+func AQMFamily(env *Env) *Result {
 	res := &Result{
 		ID:    "aqm",
 		Title: "AQM algorithms on event-derived congestion signals (paper §3)",
@@ -30,8 +30,8 @@ func AQMFamily() *Result {
 			"link utilization"},
 	}
 	policies := []string{"tail-drop", "RED", "PIE", "AFD", "FRED"}
-	rows := RunParallel(len(policies), func(trial int) []string {
-		return append([]string{policies[trial]}, runAQM(policies[trial])...)
+	rows := RunParallel(env, len(policies), func(trial int) []string {
+		return append([]string{policies[trial]}, runAQM(env, policies[trial])...)
 	})
 	for _, row := range rows {
 		res.AddRow(row...)
@@ -42,10 +42,10 @@ func AQMFamily() *Result {
 	return res
 }
 
-func runAQM(policy string) []string {
+func runAQM(env *Env, policy string) []string {
 	const horizon = 50 * sim.Millisecond
 	sched := sim.NewScheduler()
-	sw := newSwitch(core.Config{QueueCapBytes: 1 << 20}, core.EventDriven(), sched)
+	sw := env.newSwitch(core.Config{QueueCapBytes: 1 << 20}, core.EventDriven(), sched)
 
 	var prog *pisa.Program
 	switch policy {

@@ -9,9 +9,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"repro/internal/core"
-	"repro/internal/sim"
 )
 
 // Result is one experiment's output: a titled table plus free-form notes.
@@ -81,7 +78,7 @@ func (r *Result) String() string {
 type Experiment struct {
 	ID    string
 	Paper string // which paper artifact it reproduces
-	Run   func() *Result
+	Run   func(*Env) *Result
 }
 
 var registry = map[string]Experiment{}
@@ -117,19 +114,4 @@ func pct(num, den float64) string {
 // d formats an integer.
 func d[T ~int | ~int64 | ~uint64 | ~uint32 | ~int32 | ~uint](v T) string {
 	return fmt.Sprintf("%d", v)
-}
-
-// oracle switches every switch the harness builds to the engine's
-// differential twins: the per-packet datapath instead of the burst loop,
-// the cycle-by-cycle drain instead of the fast-forward. Only this
-// package's tests set it (withNoBurst, withSlowDrain), before they start
-// an experiment; no CLI reaches it.
-var oracle struct{ noBurst, slowDrain bool }
-
-// newSwitch is how every experiment builds a switch: core.New plus the
-// test-selected oracle.
-func newSwitch(cfg core.Config, arch *core.Arch, sched *sim.Scheduler) *core.Switch {
-	cfg.NoBurst = cfg.NoBurst || oracle.noBurst
-	cfg.NoDrainFastForward = cfg.NoDrainFastForward || oracle.slowDrain
-	return core.New(cfg, arch, sched)
 }

@@ -36,7 +36,7 @@ func TestRegistryComplete(t *testing.T) {
 func cell(res *Result, r, c int) string { return res.Rows[r][c] }
 
 func TestTable1AllEventsFire(t *testing.T) {
-	res := Table1()
+	res := Table1(&Env{})
 	if len(res.Rows) != 13 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
@@ -62,7 +62,7 @@ func TestTable1AllEventsFire(t *testing.T) {
 }
 
 func TestTable2FiveClasses(t *testing.T) {
-	res := Table2()
+	res := Table2(&Env{})
 	if len(res.Rows) != 5 {
 		t.Fatalf("rows = %d, want 5 application classes", len(res.Rows))
 	}
@@ -74,7 +74,7 @@ func TestTable2FiveClasses(t *testing.T) {
 }
 
 func TestTable3Envelope(t *testing.T) {
-	res := Table3()
+	res := Table3(&Env{})
 	for _, row := range res.Rows {
 		v, err := strconv.ParseFloat(row[2], 64)
 		if err != nil {
@@ -87,7 +87,7 @@ func TestTable3Envelope(t *testing.T) {
 }
 
 func TestFig2BaselineWorse(t *testing.T) {
-	res := Fig2()
+	res := Fig2(&Env{})
 	ev, _ := strconv.ParseFloat(cell(res, 0, 1), 64)
 	base, _ := strconv.ParseFloat(cell(res, 1, 1), 64)
 	if base < 10*(ev+1) {
@@ -96,7 +96,7 @@ func TestFig2BaselineWorse(t *testing.T) {
 }
 
 func TestFig3BoundedExceptFullLoad(t *testing.T) {
-	res := Fig3()
+	res := Fig3(&Env{})
 	last := len(res.Rows) - 1
 	for i, row := range res.Rows {
 		bounded := row[len(row)-1]
@@ -110,7 +110,7 @@ func TestFig3BoundedExceptFullLoad(t *testing.T) {
 }
 
 func TestFig4LineRateHeld(t *testing.T) {
-	res := Fig4()
+	res := Fig4(&Env{})
 	for _, row := range res.Rows {
 		if row[3] != "100.00%" {
 			t.Errorf("%s %s delivered %s, want 100.00%%", row[0], row[1], row[3])
@@ -122,7 +122,7 @@ func TestFig4LineRateHeld(t *testing.T) {
 }
 
 func TestMicroburstShape(t *testing.T) {
-	res := Microburst()
+	res := Microburst(&Env{})
 	// Row 0 = event design: full recall, zero false positives.
 	if cell(res, 0, 4) != "100.00%" {
 		t.Errorf("event recall = %s", cell(res, 0, 4))
@@ -138,7 +138,7 @@ func TestMicroburstShape(t *testing.T) {
 }
 
 func TestCMSResetShape(t *testing.T) {
-	res := CMSReset()
+	res := CMSReset(&Env{})
 	for i := 0; i < len(res.Rows); i += 2 {
 		timer, cp := res.Rows[i], res.Rows[i+1]
 		if timer[3] != "0" {
@@ -151,7 +151,7 @@ func TestCMSResetShape(t *testing.T) {
 }
 
 func TestStalenessShape(t *testing.T) {
-	res := Staleness()
+	res := Staleness(&Env{})
 	for _, row := range res.Rows {
 		over, load, bounded := row[0], row[1], row[len(row)-1]
 		slack := !(over == "1.00x" && load == "100%")
@@ -165,7 +165,7 @@ func TestStalenessShape(t *testing.T) {
 }
 
 func TestHULAShape(t *testing.T) {
-	res := HULABench()
+	res := HULABench(&Env{})
 	// Fastest data-plane probing must balance better than the slowest
 	// control-plane probing.
 	fast, _ := strconv.ParseFloat(cell(res, 0, 2), 64)
@@ -179,7 +179,7 @@ func TestHULAShape(t *testing.T) {
 }
 
 func TestProjectsAllSucceed(t *testing.T) {
-	res := Projects()
+	res := Projects(&Env{})
 	if len(res.Rows) < 7 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
@@ -191,7 +191,7 @@ func TestProjectsAllSucceed(t *testing.T) {
 }
 
 func TestAblationsShape(t *testing.T) {
-	res := Ablations()
+	res := Ablations(&Env{})
 	var width1Loss, widthFullLoss string
 	var timerLast, timerFirst string
 	for _, row := range res.Rows {
@@ -234,7 +234,7 @@ func TestAblationsShape(t *testing.T) {
 }
 
 func TestTofinoShape(t *testing.T) {
-	res := Tofino()
+	res := Tofino(&Env{})
 	for _, row := range res.Rows {
 		if row[0] == "native-events" {
 			if row[2] != "100.00%" || row[3] != "100.00%" {
@@ -250,7 +250,7 @@ func TestTofinoShape(t *testing.T) {
 }
 
 func TestINTFilterShape(t *testing.T) {
-	res := INTFilter()
+	res := INTFilter(&Env{})
 	perPkt, _ := strconv.Atoi(cell(res, 0, 1))
 	periodic, _ := strconv.Atoi(cell(res, 1, 1))
 	filtered, _ := strconv.Atoi(cell(res, 2, 1))
@@ -267,7 +267,7 @@ func TestINTFilterShape(t *testing.T) {
 }
 
 func TestAQMFamilyShape(t *testing.T) {
-	res := AQMFamily()
+	res := AQMFamily(&Env{})
 	byPolicy := map[string][]string{}
 	for _, row := range res.Rows {
 		byPolicy[row[0]] = row

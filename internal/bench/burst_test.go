@@ -1,22 +1,6 @@
 package bench
 
-import (
-	"testing"
-
-	"repro/internal/sim"
-	"repro/internal/telemetry"
-)
-
-// withNoBurst runs fn with the harness's burst oracle selected — every
-// switch (and so every link) built inside fn uses the per-packet/per-frame
-// path. The flag is written before any trial goroutine starts and
-// restored after they all finish.
-func withNoBurst(noBurst bool, fn func()) {
-	prev := oracle.noBurst
-	oracle.noBurst = noBurst
-	defer func() { oracle.noBurst = prev }()
-	fn()
-}
+import "testing"
 
 // TestBurstFabricIdentical is the experiment-level differential for the
 // burst datapath on the partitioned engine: a HULA leaf-spine fabric at
@@ -28,26 +12,7 @@ func withNoBurst(noBurst bool, fn func()) {
 // the reference.
 func TestBurstFabricIdentical(t *testing.T) {
 	run := func(noBurst bool, domains int) (uint64, uint64) {
-		var m fabricMetrics
-		var telDig uint64
-		withNoBurst(noBurst, func() {
-			c := telemetry.New(telOpts)
-			m = runHULAFabric(fabricSpec{
-				tors: 2, spines: 2,
-				probePeriod: 200 * sim.Microsecond,
-				horizon:     5 * sim.Millisecond,
-				flows:       4,
-				flowRate:    660 * sim.Mbps,
-				domains:     domains,
-				tel:         c,
-			})
-			var err error
-			telDig, err = telemetry.Digest([]telemetry.RunExport{{Label: "fab", C: c}})
-			if err != nil {
-				t.Fatal(err)
-			}
-		})
-		return m.digest, telDig
+		return smallFabricDigests(t, &Env{noBurst: noBurst}, domains)
 	}
 	refDig, refTel := run(true, 1)
 	for _, tc := range []struct {

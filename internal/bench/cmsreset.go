@@ -22,7 +22,7 @@ func init() {
 // event resets it in the data plane with no control traffic and
 // slot-scale jitter. Sweeping T shows the control-plane message rate
 // exploding at small periods while the event-driven cost stays zero.
-func CMSReset() *Result {
+func CMSReset(env *Env) *Result {
 	res := &Result{
 		ID:    "cmsreset",
 		Title: "Count-min-sketch periodic reset: control plane vs timer events (paper §1)",
@@ -34,7 +34,7 @@ func CMSReset() *Result {
 		// Event-driven.
 		{
 			sched := sim.NewScheduler()
-			sw := newSwitch(core.Config{}, core.EventDriven(), sched)
+			sw := env.newSwitch(core.Config{}, core.EventDriven(), sched)
 			app, prog := apps.NewCMSEventDriven(3, 2048, 1)
 			sw.MustLoad(prog)
 			mustOK(app.Arm(sw, period))
@@ -49,7 +49,7 @@ func CMSReset() *Result {
 		// Baseline via control plane.
 		{
 			sched := sim.NewScheduler()
-			sw := newSwitch(core.Config{}, core.Baseline(), sched)
+			sw := env.newSwitch(core.Config{}, core.Baseline(), sched)
 			app, prog := apps.NewCMSBaseline(3, 2048, 1)
 			sw.MustLoad(prog)
 			agent := controlplane.New(sched, sim.NewRNG(5))

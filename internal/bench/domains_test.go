@@ -6,15 +6,6 @@ import (
 	"repro/internal/sim"
 )
 
-// withDomains runs fn with the partition-domain knob pinned to n,
-// restoring the previous setting afterwards.
-func withDomains(n int, fn func()) {
-	prev := Domains()
-	SetDomains(n)
-	defer SetDomains(prev)
-	fn()
-}
-
 // TestDomainDeterminism is the parallel engine's acceptance check at the
 // experiment level: every domain-aware experiment renders byte-identical
 // output at 1, 2, and 4 partition domains. The topologies differ (leaf-
@@ -27,12 +18,9 @@ func TestDomainDeterminism(t *testing.T) {
 		if !ok {
 			t.Fatalf("experiment %q not registered", id)
 		}
-		var base string
-		withDomains(1, func() { base = e.Run().String() })
+		base := e.Run(&Env{Domains: 1}).String()
 		for _, n := range []int{2, 4} {
-			var got string
-			withDomains(n, func() { got = e.Run().String() })
-			if got != base {
+			if got := e.Run(&Env{Domains: n}).String(); got != base {
 				t.Errorf("%s: -domains %d diverges from -domains 1:\n--- domains=1 ---\n%s\n--- domains=%d ---\n%s",
 					id, n, base, n, got)
 			}
@@ -44,7 +32,10 @@ func TestDomainDeterminism(t *testing.T) {
 // self-check: every multi-domain row's digest equals the 1-domain
 // baseline for the same fabric.
 func TestScaleDigestsMatch(t *testing.T) {
-	res, metrics := scaleSweep()
+	if testing.Short() {
+		t.Skip("the full scale sweep, k=8 fat tree included")
+	}
+	res, metrics := scaleSweep(&Env{})
 	for _, row := range res.Rows {
 		if row[len(row)-1] == "NO" {
 			t.Errorf("digest mismatch in scale row %v", row)
@@ -73,7 +64,7 @@ func TestFatTreeScaleSmoke(t *testing.T) {
 		hostRate: 1120 * sim.Mbps, interGap: 150 * sim.Microsecond,
 	}
 	spec.domains = 1
-	base := runFatTree(spec)
+	base := runFatTree(&Env{}, spec)
 	for _, cfg := range []struct {
 		label   string
 		domains int
@@ -84,18 +75,8 @@ func TestFatTreeScaleSmoke(t *testing.T) {
 	} {
 		s := spec
 		s.domains, s.classic = cfg.domains, cfg.classic
-		if got := runFatTree(s); got.ident() != base.ident() {
+		if got := runFatTree(&Env{}, s); got.ident() != base.ident() {
 			t.Errorf("%s digest %016x != d1 digest %016x", cfg.label, got.digest, base.digest)
 		}
-	}
-}
-
-// TestSetDomainsClamps verifies values below 1 are clamped.
-func TestSetDomainsClamps(t *testing.T) {
-	prev := Domains()
-	defer SetDomains(prev)
-	SetDomains(0)
-	if got := Domains(); got != 1 {
-		t.Errorf("Domains after SetDomains(0) = %d, want 1", got)
 	}
 }

@@ -9,16 +9,6 @@ import (
 	"repro/internal/telemetry"
 )
 
-// withSlowDrain runs fn with the harness's slow-drain oracle selected.
-// The flag is written before any trial goroutine starts and restored after
-// they all finish, so parallel trial workers never observe a torn value.
-func withSlowDrain(slow bool, fn func()) {
-	prev := oracle.slowDrain
-	oracle.slowDrain = slow
-	defer func() { oracle.slowDrain = prev }()
-	fn()
-}
-
 // collectStalenessMode runs a short staleness sweep with the fast-forward
 // forced off (slow=true) or left on, returning the experiment rows plus
 // the encoded telemetry (metrics text and JSONL trace — the latter embeds
@@ -26,26 +16,23 @@ func withSlowDrain(slow bool, fn func()) {
 // histograms).
 func collectStalenessMode(t *testing.T, slow bool) (rows [][]string, metrics, jsonl []byte) {
 	t.Helper()
-	withSlowDrain(slow, func() {
-		EnableTelemetry(telOpts)
-		defer DisableTelemetry()
-		grid := []struct{ overspeed, load float64 }{
-			{1.25, 0.7}, {1.5, 0.7}, {1.0, 1.0},
-		}
-		rows = RunParallel(len(grid), func(trial int) []string {
-			pt := grid[trial]
-			return runStaleness(pt.overspeed, pt.load, 2*sim.Millisecond,
-				trialCollector(fmt.Sprintf("ff/t%02d", trial)))
-		})
-		runs := TelemetryRuns()
-		var err error
-		if metrics, err = telemetry.EncodeMetrics(runs); err != nil {
-			t.Fatal(err)
-		}
-		if jsonl, err = telemetry.EncodeJSONL(runs); err != nil {
-			t.Fatal(err)
-		}
+	env := &Env{Telemetry: &telOpts, slowDrain: slow}
+	grid := []struct{ overspeed, load float64 }{
+		{1.25, 0.7}, {1.5, 0.7}, {1.0, 1.0},
+	}
+	rows = RunParallel(env, len(grid), func(trial int) []string {
+		pt := grid[trial]
+		return runStaleness(env, pt.overspeed, pt.load, 2*sim.Millisecond,
+			env.collector(fmt.Sprintf("ff/t%02d", trial)))
 	})
+	runs := env.TelemetryRuns()
+	var err error
+	if metrics, err = telemetry.EncodeMetrics(runs); err != nil {
+		t.Fatal(err)
+	}
+	if jsonl, err = telemetry.EncodeJSONL(runs); err != nil {
+		t.Fatal(err)
+	}
 	return rows, metrics, jsonl
 }
 
@@ -83,9 +70,8 @@ func TestFastForwardStalenessIdentical(t *testing.T) {
 // tables byte for byte. (The state-level DrainN replay itself is pinned by
 // TestDrainNMatchesEndCycleLoop in internal/state.)
 func TestFastForwardFig3Identical(t *testing.T) {
-	var slowTab, fastTab string
-	withSlowDrain(true, func() { slowTab = Fig3().String() })
-	withSlowDrain(false, func() { fastTab = Fig3().String() })
+	slowTab := Fig3(&Env{slowDrain: true}).String()
+	fastTab := Fig3(&Env{}).String()
 	if slowTab != fastTab {
 		t.Errorf("fig3 table differs with fast-forward disabled:\nslow:\n%s\nfast:\n%s", slowTab, fastTab)
 	}
@@ -99,26 +85,7 @@ func TestFastForwardFig3Identical(t *testing.T) {
 // stops its last cycle.
 func TestFastForwardFabricIdentical(t *testing.T) {
 	run := func(slow bool, domains int) (uint64, uint64) {
-		var m fabricMetrics
-		var telDig uint64
-		withSlowDrain(slow, func() {
-			c := telemetry.New(telOpts)
-			m = runHULAFabric(fabricSpec{
-				tors: 2, spines: 2,
-				probePeriod: 200 * sim.Microsecond,
-				horizon:     5 * sim.Millisecond,
-				flows:       4,
-				flowRate:    660 * sim.Mbps,
-				domains:     domains,
-				tel:         c,
-			})
-			var err error
-			telDig, err = telemetry.Digest([]telemetry.RunExport{{Label: "fab", C: c}})
-			if err != nil {
-				t.Fatal(err)
-			}
-		})
-		return m.digest, telDig
+		return smallFabricDigests(t, &Env{slowDrain: slow}, domains)
 	}
 	refDig, refTel := run(true, 1)
 	for _, tc := range []struct {

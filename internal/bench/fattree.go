@@ -41,73 +41,44 @@ type fatTreeSpec struct {
 
 func (s fatTreeSpec) switches() int { return s.k*s.k + (s.k/2)*(s.k/2) }
 
-// fatTreeDomainPlan maps switch index -> domain, following the
-// topology's structure: whole pods spread contiguously over
+// fatTreeDomain maps switch index i to its domain (of domains >= 2),
+// following the topology's structure: whole pods spread contiguously over
 // domains 0..d-2 and every core switch in its own domain d-1. Keeping
 // the core plane separate matters for batching, not correctness: a core
 // inside a pod domain would give that domain a direct low-latency inbound
 // edge from every other pod, pinning its window width at the classic
 // lookahead. Switch order is pod-major (pod p holds indices p*k..p*k+k-1,
 // edges then aggs), cores last.
-func fatTreeDomainPlan(k, domains int) []int {
-	n := k*k + (k/2)*(k/2)
-	assign := make([]int, n)
-	if domains < 2 {
-		return assign
+func fatTreeDomain(k, domains, i int) int {
+	if i >= k*k {
+		return domains - 1
 	}
-	podDomains := domains - 1
-	for p := 0; p < k; p++ {
-		d := p * podDomains / k
-		for i := 0; i < k; i++ {
-			assign[p*k+i] = d
-		}
-	}
-	for c := k * k; c < n; c++ {
-		assign[c] = domains - 1
-	}
-	return assign
+	return (i / k) * (domains - 1) / k
 }
 
 // runFatTree builds and runs one fat-tree, returning the same metrics
 // shape as the leaf-spine fabrics so the scale sweep can digest-check it
 // across domain counts and batching modes.
-func runFatTree(spec fatTreeSpec) fabricMetrics {
+func runFatTree(env *Env, spec fatTreeSpec) fabricMetrics {
 	k := spec.k
 	half := k / 2
 	nsw := spec.switches()
-	if spec.domains < 1 {
-		spec.domains = 1
-	}
-	if spec.domains > nsw {
-		spec.domains = nsw
-	}
-
-	var net *netsim.Network
-	var part *sim.Partition
-	schedFor := func(i int) *sim.Scheduler { return net.Scheduler() }
-	if spec.domains > 1 {
-		part = sim.NewPartition(spec.domains)
-		net = netsim.NewPartitioned(part)
-		part.SetClassicWindows(spec.classic)
-		assign := fatTreeDomainPlan(k, spec.domains)
-		schedFor = func(i int) *sim.Scheduler { return part.Sched(assign[i]) }
-	} else {
-		net = netsim.New(sim.NewScheduler())
-	}
+	net, schedFor := env.fabric(spec.domains, nsw, spec.classic,
+		func(i, domains int) int { return fatTreeDomain(k, domains, i) })
 
 	// Switches, pod-major: pod p's edges at p*k+e, aggs at p*k+half+a,
 	// cores at k*k+c.
 	sws := make([]*core.Switch, 0, nsw)
 	for p := 0; p < k; p++ {
 		for e := 0; e < half; e++ {
-			sw := newSwitch(core.Config{
+			sw := env.newSwitch(core.Config{
 				Name: fmt.Sprintf("p%de%d", p, e), Ports: k,
 			}, core.EventDriven(), schedFor(p*k+e))
 			sw.MustLoad(apps.FatTreeRouter(apps.FatTreeConfig{K: k, Role: apps.FatTreeEdge, Pod: p, Idx: e}))
 			sws = append(sws, sw)
 		}
 		for a := 0; a < half; a++ {
-			sw := newSwitch(core.Config{
+			sw := env.newSwitch(core.Config{
 				Name: fmt.Sprintf("p%da%d", p, a), Ports: k,
 			}, core.EventDriven(), schedFor(p*k+half+a))
 			sw.MustLoad(apps.FatTreeRouter(apps.FatTreeConfig{K: k, Role: apps.FatTreeAgg, Pod: p, Idx: a}))
@@ -115,7 +86,7 @@ func runFatTree(spec fatTreeSpec) fabricMetrics {
 		}
 	}
 	for c := 0; c < half*half; c++ {
-		sw := newSwitch(core.Config{
+		sw := env.newSwitch(core.Config{
 			Name: fmt.Sprintf("core%d", c), Ports: k,
 		}, core.EventDriven(), schedFor(k*k+c))
 		sw.MustLoad(apps.FatTreeRouter(apps.FatTreeConfig{K: k, Role: apps.FatTreeCore, Idx: c}))
@@ -243,7 +214,7 @@ func runFatTree(spec fatTreeSpec) fabricMetrics {
 		m.txPackets += st.TxPackets
 		put(st.RxPackets, st.TxPackets, st.Cycles, st.Generated, st.PipelineDrops)
 	}
-	if part != nil {
+	if part := net.Partition(); part != nil {
 		m.windows, m.barriers = part.Windows(), part.Barriers()
 	}
 	for _, l := range net.Links() {

@@ -24,7 +24,7 @@ func init() {
 // approximate occupancy — here with the natural arrival-minus-estimated-
 // drain heuristic. We sample the true traffic-manager occupancy and
 // report each design's estimation error.
-func Fig2() *Result {
+func Fig2(env *Env) *Result {
 	const horizon = 20 * sim.Millisecond
 	const egress = 1
 
@@ -37,7 +37,7 @@ func Fig2() *Result {
 	// --- Event-driven design -------------------------------------------
 	{
 		sched := sim.NewScheduler()
-		sw := newSwitch(core.Config{QueueCapBytes: 1 << 20}, core.EventDriven(), sched)
+		sw := env.newSwitch(core.Config{QueueCapBytes: 1 << 20}, core.EventDriven(), sched)
 		prog := pisa.NewProgram("occupancy-events")
 		occ := prog.AddRegister(pisa.NewAggregatedRegister("occ", 4,
 			events.BufferEnqueue, events.BufferDequeue))
@@ -64,7 +64,7 @@ func Fig2() *Result {
 	// --- Baseline PSA design -------------------------------------------
 	{
 		sched := sim.NewScheduler()
-		sw := newSwitch(core.Config{QueueCapBytes: 1 << 20}, core.Baseline(), sched)
+		sw := env.newSwitch(core.Config{QueueCapBytes: 1 << 20}, core.Baseline(), sched)
 		prog := pisa.NewProgram("occupancy-baseline")
 		// Ingress-side estimate: add on arrival, and guess the drain by
 		// assuming the port transmits continuously at line rate while

@@ -19,7 +19,7 @@ func init() {
 // (undrained) state converges to a bounded steady state; at exactly 100%
 // no idle cycle ever drains and the main register's staleness grows for
 // the whole run — the paper's overspeed argument.
-func Fig3() *Result {
+func Fig3(env *Env) *Result {
 	res := &Result{
 		ID:    "fig3",
 		Title: "Aggregation-register drain behaviour vs packet load (paper Fig 3)",
@@ -29,7 +29,7 @@ func Fig3() *Result {
 	const cycles = 600_000
 	const size = 256
 	loads := []float64{0.50, 0.80, 0.90, 0.95, 1.00}
-	rows := RunParallel(len(loads), func(trial int) []string {
+	rows := RunParallel(env, len(loads), func(trial int) []string {
 		load := loads[trial]
 		rng := sim.NewRNG(42)
 		ag := state.NewAggregated("qsize", size, 1, "enq", "deq")

@@ -21,7 +21,7 @@ func init() {
 // minimum-size packets arriving at 100% of line rate on all four ports,
 // because event metadata piggybacks on packet slots and empty packets
 // are only injected on idle cycles.
-func Fig4() *Result {
+func Fig4(env *Env) *Result {
 	res := &Result{
 		ID:    "fig4",
 		Title: "Line-rate forwarding with all event sources active (paper Fig 4, §5)",
@@ -39,9 +39,9 @@ func Fig4() *Result {
 			grid = append(grid, point{mode, size})
 		}
 	}
-	rows := RunParallel(len(grid), func(trial int) []string {
+	rows := RunParallel(env, len(grid), func(trial int) []string {
 		pt := grid[trial]
-		st, offered, delivered := runLineRate(pt.mode, pt.size, 1.0, horizon)
+		st, offered, delivered := runLineRate(env, pt.mode, pt.size, 1.0, horizon)
 		var merged, fifoDrops uint64
 		for k := 0; k < events.NumKinds; k++ {
 			if !events.Kind(k).IsPacketEvent() {
@@ -65,13 +65,13 @@ func Fig4() *Result {
 // frames through a forwarding program, with the full event machinery
 // active in event-driven mode. It returns the switch stats plus offered
 // and delivered packet counts.
-func runLineRate(mode string, size int, load float64, horizon sim.Time) (core.Stats, uint64, uint64) {
+func runLineRate(env *Env, mode string, size int, load float64, horizon sim.Time) (core.Stats, uint64, uint64) {
 	sched := sim.NewScheduler()
 	arch := core.Baseline()
 	if mode == "event-driven" {
 		arch = core.EventDriven()
 	}
-	sw := newSwitch(core.Config{Overspeed: 1.1}, arch, sched)
+	sw := env.newSwitch(core.Config{Overspeed: 1.1}, arch, sched)
 
 	prog := pisa.NewProgram("linerate")
 	prog.HandleFunc(events.IngressPacket, func(ctx *pisa.Context) {

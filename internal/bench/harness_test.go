@@ -27,7 +27,7 @@ func TestHarnessGoldenAndOracles(t *testing.T) {
 	base := make(map[string]string)
 	var out strings.Builder
 	for _, e := range All() {
-		base[e.ID] = e.Run().String()
+		base[e.ID] = e.Run(&Env{}).String()
 		out.WriteString(base[e.ID])
 		out.WriteByte('\n')
 	}
@@ -40,13 +40,8 @@ func TestHarnessGoldenAndOracles(t *testing.T) {
 		noBurst, slowDrain bool
 		domains            int
 	}
-	run := func(e Experiment, tw twin) (s string) {
-		withNoBurst(tw.noBurst, func() {
-			withSlowDrain(tw.slowDrain, func() {
-				withDomains(tw.domains, func() { s = e.Run().String() })
-			})
-		})
-		return s
+	run := func(e Experiment, tw twin) string {
+		return e.Run(&Env{Domains: tw.domains, noBurst: tw.noBurst, slowDrain: tw.slowDrain}).String()
 	}
 	for _, e := range All() {
 		if run(e, twin{"all", true, true, 2}) == base[e.ID] {

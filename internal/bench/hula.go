@@ -26,7 +26,7 @@ func init() {
 // evenly the two spine paths carry the offered load (Jain fairness of the
 // two uplink byte counts) and how quickly the best hop reflects
 // congestion.
-func HULABench() *Result {
+func HULABench(env *Env) *Result {
 	res := &Result{
 		ID:    "hula",
 		Title: "HULA path balancing vs probe period (paper §3)",
@@ -42,16 +42,16 @@ func HULABench() *Result {
 		{"control plane", 10 * sim.Millisecond}, // feasible CP period
 		{"control plane", 50 * sim.Millisecond},
 	}
-	rows := RunParallel(len(configs), func(trial int) []string {
+	rows := RunParallel(env, len(configs), func(trial int) []string {
 		cfg := configs[trial]
-		m := runHULAFabric(fabricSpec{
+		m := runHULAFabric(env, fabricSpec{
 			tors: 2, spines: 2,
 			probePeriod: cfg.period,
 			horizon:     50 * sim.Millisecond,
 			flows:       12,
 			flowRate:    660 * sim.Mbps,
-			domains:     Domains(),
-			tel:         trialCollector(fmt.Sprintf("hula/t%02d", trial)),
+			domains:     env.domains(),
+			tel:         env.collector(fmt.Sprintf("hula/t%02d", trial)),
 		})
 		return []string{cfg.name, cfg.period.String(),
 			fmt.Sprintf("%.3f", m.jain), fmt.Sprintf("%.0f", m.probesPerSec), d(m.moved)}
@@ -120,29 +120,11 @@ func (m fabricMetrics) ident() fabricMetrics {
 // domains value: switches interact only through links, cross-domain
 // delivery is ordered by the scheduler wire band, and all RNG streams
 // are split deterministically at setup.
-func runHULAFabric(spec fabricSpec) fabricMetrics {
-	if spec.domains < 1 {
-		spec.domains = 1
-	}
-	nsw := spec.tors + spec.spines
-	if spec.domains > nsw {
-		spec.domains = nsw
-	}
-
+func runHULAFabric(env *Env, spec fabricSpec) fabricMetrics {
 	// Domain d drives switch indices i with i % domains == d; with
 	// domains 1 everything lands on one scheduler and netsim runs the
 	// classic single-threaded engine.
-	var net *netsim.Network
-	var part *sim.Partition
-	schedFor := func(i int) *sim.Scheduler { return net.Scheduler() }
-	if spec.domains > 1 {
-		part = sim.NewPartition(spec.domains)
-		net = netsim.NewPartitioned(part)
-		part.SetClassicWindows(spec.classic)
-		schedFor = func(i int) *sim.Scheduler { return part.Sched(i % spec.domains) }
-	} else {
-		net = netsim.New(sim.NewScheduler())
-	}
+	net, schedFor := env.fabric(spec.domains, spec.tors+spec.spines, spec.classic, roundRobin)
 
 	refresh := spec.probePeriod
 	if refresh < 100*sim.Microsecond {
@@ -156,7 +138,7 @@ func runHULAFabric(spec fabricSpec) fabricMetrics {
 	tors := make([]*core.Switch, spec.tors)
 	hulas := make([]*apps.HULA, spec.tors)
 	for i := range tors {
-		sw := newSwitch(core.Config{
+		sw := env.newSwitch(core.Config{
 			Name: fmt.Sprintf("tor%d", i), Ports: 1 + spec.spines,
 		}, core.EventDriven(), schedFor(i))
 		h, prog := apps.NewHULA(apps.HULAConfig{
@@ -169,7 +151,7 @@ func runHULAFabric(spec fabricSpec) fabricMetrics {
 	spines := make([]*core.Switch, spec.spines)
 	spineHulas := make([]*apps.HULA, spec.spines)
 	for j := range spines {
-		sw := newSwitch(core.Config{
+		sw := env.newSwitch(core.Config{
 			Name: fmt.Sprintf("spine%d", j), Ports: spec.tors,
 		}, core.EventDriven(), schedFor(spec.tors+j))
 		h, prog := apps.SpineProbeRelay(spec.tors, spec.tors, func(tor int) int { return tor })
@@ -283,7 +265,7 @@ func runHULAFabric(spec fabricSpec) fabricMetrics {
 		m.txPackets += st.TxPackets
 		put(st.RxPackets, st.TxPackets, st.Cycles, st.Generated, st.PipelineDrops)
 	}
-	if part != nil {
+	if part := net.Partition(); part != nil {
 		m.windows, m.barriers = part.Windows(), part.Barriers()
 	}
 	for _, l := range net.Links() {

@@ -25,12 +25,12 @@ func init() {
 // steady traffic with a handful of injected surges and drop bursts, and
 // compare the report volume each design sends to the monitor against
 // the anomalies it conveys.
-func INTFilter() *Result {
+func INTFilter(env *Env) *Result {
 	const horizon = 200 * sim.Millisecond
 	const interval = sim.Millisecond
 
 	sched := sim.NewScheduler()
-	sw := newSwitch(core.Config{QueueCapBytes: 64 << 10}, core.EventDriven(), sched)
+	sw := env.newSwitch(core.Config{QueueCapBytes: 64 << 10}, core.EventDriven(), sched)
 	tl, prog := apps.NewTelemetry(apps.TelemetryConfig{
 		SwitchID: 1, EgressPort: 1, ReportPort: 3,
 	})

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"strconv"
 	"sync"
 )
 
@@ -50,10 +51,11 @@ type journalLine struct {
 }
 
 // OpenJournal opens (or creates) a campaign journal for the given
-// experiment. An existing journal written for a different experiment is
-// refused; a torn trailing line (the process died mid-append) is
-// dropped.
-func OpenJournal(path, experiment string) (*Journal, error) {
+// experiment, to be run at the given Env.Domains. An existing journal
+// written for a different experiment or domain count is refused; a torn
+// trailing line (the process died mid-append) is dropped.
+func OpenJournal(path, experiment string, domains int) (*Journal, error) {
+	label := strconv.Itoa(max(domains, 1))
 	j := &Journal{exp: experiment, loaded: make(map[journalKey]json.RawMessage)}
 	if buf, err := os.ReadFile(path); err == nil && len(buf) > 0 {
 		sc := bufio.NewScanner(bytes.NewReader(buf))
@@ -69,9 +71,9 @@ func OpenJournal(path, experiment string) (*Journal, error) {
 				if ln.Experiment != experiment {
 					return nil, fmt.Errorf("bench: journal %s belongs to experiment %q, not %q", path, ln.Experiment, experiment)
 				}
-				if ln.Domains != "" && ln.Domains != DomainsLabel() {
+				if ln.Domains != "" && ln.Domains != label {
 					return nil, fmt.Errorf("bench: journal %s was recorded with -domains %s; rerun with the same setting or start a new journal (now %s)",
-						path, ln.Domains, DomainsLabel())
+						path, ln.Domains, label)
 				}
 				continue
 			}
@@ -90,7 +92,7 @@ func OpenJournal(path, experiment string) (*Journal, error) {
 	if len(j.loaded) == 0 {
 		st, err := f.Stat()
 		if err == nil && st.Size() == 0 {
-			hdr, _ := json.Marshal(journalLine{Experiment: experiment, Domains: DomainsLabel()})
+			hdr, _ := json.Marshal(journalLine{Experiment: experiment, Domains: label})
 			if _, err := f.Write(append(hdr, '\n')); err != nil {
 				f.Close()
 				return nil, fmt.Errorf("bench: writing journal header: %w", err)
@@ -184,25 +186,4 @@ func journalRecord[T any](j *Journal, call, trial int, v T) {
 		return
 	}
 	j.put(call, trial, raw)
-}
-
-// activeJournal is the campaign journal RunParallel consults, set by the
-// evbench -resume flag for the duration of one experiment.
-var (
-	journalMu     sync.Mutex
-	activeJournal *Journal
-)
-
-// SetJournal installs (or, with nil, removes) the campaign journal used
-// by subsequent RunParallel calls.
-func SetJournal(j *Journal) {
-	journalMu.Lock()
-	activeJournal = j
-	journalMu.Unlock()
-}
-
-func currentJournal() *Journal {
-	journalMu.Lock()
-	defer journalMu.Unlock()
-	return activeJournal
 }

@@ -9,82 +9,64 @@ import (
 	"time"
 )
 
-// withQuickRetry zeroes the retry backoff so panic tests do not sleep.
-func withQuickRetry(fn func()) {
-	prev := trialBackoff
-	trialBackoff = time.Duration(0)
-	defer func() { trialBackoff = prev }()
-	fn()
-}
-
 // TestTrialPanicRetry verifies a worker panic does not kill the
 // campaign: the trial is retried at the trial boundary and the final
 // results are indistinguishable from a panic-free run.
 func TestTrialPanicRetry(t *testing.T) {
-	withQuickRetry(func() {
-		withParallelism(8, func() {
-			var attempts [40]atomic.Int32
-			out := RunParallel(40, func(trial int) int {
-				if attempts[trial].Add(1) == 1 && trial%3 == 0 {
-					panic("transient trial failure")
-				}
-				return trial * 11
-			})
-			for i, v := range out {
-				if v != i*11 {
-					t.Fatalf("out[%d] = %d, want %d", i, v, i*11)
-				}
-				want := int32(1)
-				if i%3 == 0 {
-					want = 2
-				}
-				if got := attempts[i].Load(); got != want {
-					t.Errorf("trial %d ran %d times, want %d", i, got, want)
-				}
-			}
-		})
+	var attempts [40]atomic.Int32
+	out := RunParallel(&Env{Parallelism: 8, backoff: time.Nanosecond}, 40, func(trial int) int {
+		if attempts[trial].Add(1) == 1 && trial%3 == 0 {
+			panic("transient trial failure")
+		}
+		return trial * 11
 	})
+	for i, v := range out {
+		if v != i*11 {
+			t.Fatalf("out[%d] = %d, want %d", i, v, i*11)
+		}
+		want := int32(1)
+		if i%3 == 0 {
+			want = 2
+		}
+		if got := attempts[i].Load(); got != want {
+			t.Errorf("trial %d ran %d times, want %d", i, got, want)
+		}
+	}
 }
 
 // TestTrialPanicExhaustsAttempts verifies a deterministically broken
 // trial still fails the campaign after the bounded retries, with the
 // panic context preserved.
 func TestTrialPanicExhaustsAttempts(t *testing.T) {
-	withQuickRetry(func() {
-		withParallelism(1, func() {
-			var calls atomic.Int32
-			defer func() {
-				r := recover()
-				if r == nil {
-					t.Fatal("always-panicking trial did not re-panic")
-				}
-				msg, _ := r.(string)
-				if !strings.Contains(msg, "all 3 attempts") || !strings.Contains(msg, "broken forever") {
-					t.Errorf("re-panic %q missing attempt count or original payload", msg)
-				}
-				if got := calls.Load(); got != trialAttempts {
-					t.Errorf("trial ran %d times, want %d", got, trialAttempts)
-				}
-			}()
-			RunParallel(1, func(trial int) int {
-				calls.Add(1)
-				panic("broken forever")
-			})
-		})
+	var calls atomic.Int32
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("always-panicking trial did not re-panic")
+		}
+		msg, _ := r.(string)
+		if !strings.Contains(msg, "all 3 attempts") || !strings.Contains(msg, "broken forever") {
+			t.Errorf("re-panic %q missing attempt count or original payload", msg)
+		}
+		if got := calls.Load(); got != trialAttempts {
+			t.Errorf("trial ran %d times, want %d", got, trialAttempts)
+		}
+	}()
+	RunParallel(&Env{Parallelism: 1, backoff: time.Nanosecond}, 1, func(trial int) int {
+		calls.Add(1)
+		panic("broken forever")
 	})
 }
 
-// journaledRun executes one experiment with a journal installed and
-// returns the rendered table.
+// journaledRun executes one experiment at -parallel 8 -domains 2 with a
+// journal installed and returns the rendered table.
 func journaledRun(t *testing.T, e Experiment, path string) (string, *Journal) {
 	t.Helper()
-	j, err := OpenJournal(path, e.ID)
+	j, err := OpenJournal(path, e.ID, 2)
 	if err != nil {
 		t.Fatalf("OpenJournal: %v", err)
 	}
-	SetJournal(j)
-	defer SetJournal(nil)
-	out := e.Run().String()
+	out := e.Run(&Env{Parallelism: 8, Domains: 2, Journal: j}).String()
 	if err := j.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -102,62 +84,58 @@ func TestJournalResumeByteIdentical(t *testing.T) {
 	}
 	path := filepath.Join(t.TempDir(), "table2.journal")
 
-	withParallelism(8, func() {
-		withDomains(2, func() {
-			baseline := e.Run().String()
+	baseline := e.Run(&Env{Parallelism: 8, Domains: 2}).String()
 
-			first, j1 := journaledRun(t, e, path)
-			if first != baseline {
-				t.Fatalf("journaled run diverges from plain run:\n--- plain ---\n%s\n--- journaled ---\n%s", baseline, first)
-			}
-			if j1.Hits() != 0 {
-				t.Errorf("fresh journal served %d hits, want 0", j1.Hits())
-			}
-			if j1.Recorded() == 0 {
-				t.Fatal("journaled run recorded no trials")
-			}
+	first, j1 := journaledRun(t, e, path)
+	if first != baseline {
+		t.Fatalf("journaled run diverges from plain run:\n--- plain ---\n%s\n--- journaled ---\n%s", baseline, first)
+	}
+	if j1.Hits() != 0 {
+		t.Errorf("fresh journal served %d hits, want 0", j1.Hits())
+	}
+	if j1.Recorded() == 0 {
+		t.Fatal("journaled run recorded no trials")
+	}
 
-			// Full resume: every trial comes from the journal.
-			second, j2 := journaledRun(t, e, path)
-			if second != baseline {
-				t.Errorf("resumed run diverges:\n--- plain ---\n%s\n--- resumed ---\n%s", baseline, second)
-			}
-			if j2.Hits() != j1.Recorded() {
-				t.Errorf("full resume served %d hits, want %d", j2.Hits(), j1.Recorded())
-			}
+	// Full resume: every trial comes from the journal.
+	second, j2 := journaledRun(t, e, path)
+	if second != baseline {
+		t.Errorf("resumed run diverges:\n--- plain ---\n%s\n--- resumed ---\n%s", baseline, second)
+	}
+	if j2.Hits() != j1.Recorded() {
+		t.Errorf("full resume served %d hits, want %d", j2.Hits(), j1.Recorded())
+	}
 
-			// Crash resume: drop the tail half of the journal and leave a
-			// torn partial line, as a SIGKILL mid-append would.
-			buf, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			lines := strings.Split(strings.TrimRight(string(buf), "\n"), "\n")
-			keep := lines[:1+len(lines)/2] // header + half the entries
-			torn := strings.Join(keep, "\n") + "\n" + `{"call":0,"tri`
-			if err := os.WriteFile(path, []byte(torn), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			third, j3 := journaledRun(t, e, path)
-			if third != baseline {
-				t.Errorf("crash-resumed run diverges:\n--- plain ---\n%s\n--- crash-resumed ---\n%s", baseline, third)
-			}
-			if j3.Hits() == 0 || j3.Hits() >= j1.Recorded() {
-				t.Errorf("crash resume served %d hits, want between 1 and %d", j3.Hits(), j1.Recorded()-1)
-			}
-		})
-	})
+	// Crash resume: drop the tail half of the journal and leave a
+	// torn partial line, as a SIGKILL mid-append would.
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimRight(string(buf), "\n"), "\n")
+	keep := lines[:1+len(lines)/2] // header + half the entries
+	torn := strings.Join(keep, "\n") + "\n" + `{"call":0,"tri`
+	if err := os.WriteFile(path, []byte(torn), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	third, j3 := journaledRun(t, e, path)
+	if third != baseline {
+		t.Errorf("crash-resumed run diverges:\n--- plain ---\n%s\n--- crash-resumed ---\n%s", baseline, third)
+	}
+	if j3.Hits() == 0 || j3.Hits() >= j1.Recorded() {
+		t.Errorf("crash resume served %d hits, want between 1 and %d", j3.Hits(), j1.Recorded()-1)
+	}
 }
 
 // TestJournalWrongExperimentRefused pins the header check.
 func TestJournalWrongExperimentRefused(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "x.journal")
-	j, err := OpenJournal(path, "table2")
+	j, err := OpenJournal(path, "table2", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
-	if _, err := OpenJournal(path, "fig3"); err == nil {
+	if _, err := OpenJournal(path, "fig3", 1); err == nil {
 		t.Fatal("journal for table2 opened as fig3")
 	}
 }
@@ -174,7 +152,7 @@ func TestJournalFidelityGuard(t *testing.T) {
 	if err := os.WriteFile(path, []byte(header+"\n"+entry+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	j, err := OpenJournal(path, "e")
+	j, err := OpenJournal(path, "e", 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ func init() {
 // detection precision/recall and the stateful memory each design needs —
 // the paper claims the event-driven design "reduce[s] the stateful
 // requirements at least four-fold".
-func Microburst() *Result {
+func Microburst(env *Env) *Result {
 	const horizon = 40 * sim.Millisecond
 	const threshold = 15000
 
@@ -39,7 +39,7 @@ func Microburst() *Result {
 		if mode == "snappy" {
 			arch = core.Baseline()
 		}
-		sw := newSwitch(core.Config{QueueCapBytes: 1 << 20}, arch, sched)
+		sw := env.newSwitch(core.Config{QueueCapBytes: 1 << 20}, arch, sched)
 
 		var detections *[]apps.Detection
 		var stateBytes int

@@ -40,7 +40,7 @@ type chainSpec struct {
 //
 // The chain is a line of switches, so it partitions naturally into
 // contiguous domains; output is byte-identical for every domain count.
-func NetChainBench() *Result {
+func NetChainBench(env *Env) *Result {
 	res := &Result{
 		ID:    "netchain",
 		Title: "NetChain chain replication: commit RTT vs chain length, data-plane failover",
@@ -53,9 +53,9 @@ func NetChainBench() *Result {
 		{nodes: 5, writes: 64, interval: 50 * sim.Microsecond},
 		{nodes: 8, writes: 64, interval: 50 * sim.Microsecond},
 	}
-	rows := RunParallel(len(specs), func(trial int) []string {
+	rows := RunParallel(env, len(specs), func(trial int) []string {
 		sp := specs[trial]
-		m := runChain(sp, Domains())
+		m := runChain(env, sp)
 		fault := "none"
 		if sp.fail {
 			fault = "cut head succ"
@@ -88,28 +88,14 @@ type chainMetrics struct {
 // runChain builds a line of ChainNode switches split into contiguous
 // partition domains, streams writes from a client at the head, and
 // checks the chain-replication guarantee.
-func runChain(sp chainSpec, domains int) chainMetrics {
+func runChain(env *Env, sp chainSpec) chainMetrics {
 	const (
 		hopLatency = 5 * sim.Microsecond
 		firstWrite = sim.Millisecond
 	)
-	if domains < 1 {
-		domains = 1
-	}
-	if domains > sp.nodes {
-		domains = sp.nodes
-	}
-
-	var net *netsim.Network
-	schedFor := func(i int) *sim.Scheduler { return net.Scheduler() }
-	if domains > 1 {
-		part := sim.NewPartition(domains)
-		net = netsim.NewPartitioned(part)
-		// Contiguous blocks keep all but domains-1 hops local.
-		schedFor = func(i int) *sim.Scheduler { return part.Sched(i * domains / sp.nodes) }
-	} else {
-		net = netsim.New(sim.NewScheduler())
-	}
+	// Contiguous blocks keep all but domains-1 hops local.
+	net, schedFor := env.fabric(env.domains(), sp.nodes, false,
+		func(i, domains int) int { return i * domains / sp.nodes })
 
 	nodes := make([]*apps.ChainNode, sp.nodes)
 	sws := make([]*core.Switch, sp.nodes)
@@ -125,7 +111,7 @@ func runChain(sp chainSpec, domains int) chainMetrics {
 			cfg.BackupPort = 2 // head skips straight to the tail
 		}
 		node, prog := apps.NewChainNode(cfg)
-		sw := newSwitch(core.Config{Name: fmt.Sprintf("chain%d", i)}, core.EventDriven(), schedFor(i))
+		sw := env.newSwitch(core.Config{Name: fmt.Sprintf("chain%d", i)}, core.EventDriven(), schedFor(i))
 		sw.MustLoad(prog)
 		net.AddSwitch(sw)
 		nodes[i], sws[i] = node, sw

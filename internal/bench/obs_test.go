@@ -20,22 +20,11 @@ import (
 // sink flushing to disk on a fast wall-clock ticker while trials run.
 func collectObs(t *testing.T, obsOn bool) ([]byte, []byte, uint64) {
 	t.Helper()
-	opts := telOpts
-	opts.Live = obsOn
-	EnableTelemetry(opts)
-	defer DisableTelemetry()
-	prev := Parallelism()
-	SetParallelism(8)
-	defer SetParallelism(prev)
-
+	env := &Env{Parallelism: 8, Telemetry: &telOpts}
 	var sink *telemetry.StreamSink
 	var tracePath string
 	if obsOn {
-		self.Enable()
-		defer func() {
-			self.Disable()
-			self.Reset()
-		}()
+		env.Self = new(self.Plane)
 		dir := t.TempDir()
 		tracePath = filepath.Join(dir, "live.jsonl")
 		var err error
@@ -43,27 +32,27 @@ func collectObs(t *testing.T, obsOn bool) ([]byte, []byte, uint64) {
 			TracePath:   tracePath,
 			MetricsPath: filepath.Join(dir, "live-metrics.jsonl"),
 			Interval:    time.Millisecond,
+			Self:        env.Self,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		AttachStreamSink(sink)
-		defer AttachStreamSink(nil)
+		env.Sink = sink
 	}
 
 	loads := []float64{0.7, 1.0}
-	RunParallel(len(loads), func(trial int) []string {
-		return runStaleness(1.25, loads[trial], 2*sim.Millisecond,
-			trialCollector(fmt.Sprintf("obs/t%02d", trial)))
+	RunParallel(env, len(loads), func(trial int) []string {
+		return runStaleness(env, 1.25, loads[trial], 2*sim.Millisecond,
+			env.collector(fmt.Sprintf("obs/t%02d", trial)))
 	})
-	runHULAFabric(fabricSpec{
+	runHULAFabric(env, fabricSpec{
 		tors: 2, spines: 2,
 		probePeriod: 200 * sim.Microsecond,
 		horizon:     2 * sim.Millisecond,
 		flows:       4,
 		flowRate:    660 * sim.Mbps,
 		domains:     2,
-		tel:         trialCollector("obs/fabric"),
+		tel:         env.collector("obs/fabric"),
 	})
 
 	if sink != nil {
@@ -79,7 +68,7 @@ func collectObs(t *testing.T, obsOn bool) ([]byte, []byte, uint64) {
 		}
 	}
 
-	runs := TelemetryRuns()
+	runs := env.TelemetryRuns()
 	m, err := telemetry.EncodeMetrics(runs)
 	if err != nil {
 		t.Fatal(err)

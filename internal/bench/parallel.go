@@ -2,37 +2,12 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/telemetry/self"
 )
 
-// parallelism is the worker-pool width used by RunParallel. It defaults
-// to the number of usable CPUs; SetParallelism(1) forces fully serial
-// execution (useful for A/B-ing determinism and for profiling a single
-// trial).
-var parallelism atomic.Int32
-
-func init() {
-	parallelism.Store(int32(runtime.GOMAXPROCS(0)))
-}
-
-// SetParallelism sets the number of workers RunParallel uses. Values
-// below 1 are treated as 1.
-func SetParallelism(n int) {
-	if n < 1 {
-		n = 1
-	}
-	parallelism.Store(int32(n))
-}
-
-// Parallelism returns the current worker-pool width.
-func Parallelism() int { return int(parallelism.Load()) }
-
-// RunParallel evaluates fn(0..n-1) on a worker pool and returns the
+// RunParallel evaluates fn(0..n-1) on env's worker pool and returns the
 // results indexed by trial, so output ordering is deterministic and
 // independent of the worker count and interleaving.
 //
@@ -47,36 +22,31 @@ func Parallelism() int { return int(parallelism.Load()) }
 // retried from its last checkpoint — the trial boundary, since trials
 // are self-contained — up to trialAttempts times with linear backoff. A
 // trial that panics on every attempt re-panics with context, and any
-// trials already recorded in the active Journal survive for the next
-// -resume.
-func RunParallel[T any](n int, fn func(trial int) T) []T {
-	if self.On() {
-		self.TrialsTotal.Add(uint64(n))
-	}
-	run := fn
-	if j := currentJournal(); j != nil {
+// trials already recorded in env.Journal survive for the next -resume.
+func RunParallel[T any](env *Env, n int, fn func(trial int) T) []T {
+	run := func(trial int) T { return runTrial(env, fn, trial) }
+	if j := env.Journal; j != nil {
 		call := j.nextCall()
 		run = func(trial int) T {
 			if v, ok := journalLookup[T](j, call, trial); ok {
 				return v
 			}
-			v := runTrial(fn, trial)
+			v := runTrial(env, fn, trial)
 			journalRecord(j, call, trial, v)
 			return v
 		}
-	} else {
-		run = func(trial int) T { return runTrial(fn, trial) }
 	}
-	if self.On() {
+	if p := env.Self; p != nil {
+		p.TrialsTotal.Add(uint64(n))
 		inner := run
 		run = func(trial int) T {
 			v := inner(trial)
-			self.TrialsDone.Inc()
+			p.TrialsDone.Inc()
 			return v
 		}
 	}
 	out := make([]T, n)
-	workers := Parallelism()
+	workers := env.workers()
 	if workers > n {
 		workers = n
 	}
@@ -106,14 +76,18 @@ func RunParallel[T any](n int, fn func(trial int) T) []T {
 }
 
 // trialAttempts bounds how many times a panicking trial is retried;
-// trialBackoff is the linear backoff base between attempts (a variable
-// so the retry tests do not sleep for real).
-const trialAttempts = 3
-
-var trialBackoff = 5 * time.Millisecond
+// trialBackoff is the linear backoff base between attempts.
+const (
+	trialAttempts = 3
+	trialBackoff  = 5 * time.Millisecond
+)
 
 // runTrial executes one trial with panic recovery and bounded retry.
-func runTrial[T any](fn func(trial int) T, trial int) T {
+func runTrial[T any](env *Env, fn func(trial int) T, trial int) T {
+	backoff := trialBackoff
+	if env.backoff > 0 {
+		backoff = env.backoff
+	}
 	var lastPanic any
 	for attempt := 1; attempt <= trialAttempts; attempt++ {
 		v, panicked := tryTrial(fn, trial)
@@ -122,7 +96,7 @@ func runTrial[T any](fn func(trial int) T, trial int) T {
 		}
 		lastPanic = panicked
 		if attempt < trialAttempts {
-			time.Sleep(time.Duration(attempt) * trialBackoff)
+			time.Sleep(time.Duration(attempt) * backoff)
 		}
 	}
 	panic(fmt.Sprintf("bench: trial %d panicked on all %d attempts, last: %v", trial, trialAttempts, lastPanic))

@@ -5,26 +5,15 @@ import (
 	"testing"
 )
 
-// withParallelism runs fn with the worker-pool width pinned to n,
-// restoring the previous setting afterwards.
-func withParallelism(n int, fn func()) {
-	prev := Parallelism()
-	SetParallelism(n)
-	defer SetParallelism(prev)
-	fn()
-}
-
 // TestParallelOrdering verifies RunParallel returns results indexed by
 // trial regardless of which worker evaluated them.
 func TestParallelOrdering(t *testing.T) {
-	withParallelism(8, func() {
-		out := RunParallel(100, func(trial int) int { return trial * trial })
-		for i, v := range out {
-			if v != i*i {
-				t.Fatalf("out[%d] = %d, want %d", i, v, i*i)
-			}
+	out := RunParallel(&Env{Parallelism: 8}, 100, func(trial int) int { return trial * trial })
+	for i, v := range out {
+		if v != i*i {
+			t.Fatalf("out[%d] = %d, want %d", i, v, i*i)
 		}
-	})
+	}
 }
 
 // TestParallelRunsAllTrials verifies every trial runs exactly once even
@@ -32,23 +21,21 @@ func TestParallelOrdering(t *testing.T) {
 // the trial count are clamped.
 func TestParallelRunsAllTrials(t *testing.T) {
 	for _, workers := range []int{1, 2, 8, 64} {
-		withParallelism(workers, func() {
-			var calls atomic.Int64
-			seen := make([]atomic.Int32, 37)
-			RunParallel(37, func(trial int) struct{} {
-				calls.Add(1)
-				seen[trial].Add(1)
-				return struct{}{}
-			})
-			if got := calls.Load(); got != 37 {
-				t.Errorf("workers=%d: %d calls, want 37", workers, got)
-			}
-			for i := range seen {
-				if n := seen[i].Load(); n != 1 {
-					t.Errorf("workers=%d: trial %d ran %d times", workers, i, n)
-				}
-			}
+		var calls atomic.Int64
+		seen := make([]atomic.Int32, 37)
+		RunParallel(&Env{Parallelism: workers}, 37, func(trial int) struct{} {
+			calls.Add(1)
+			seen[trial].Add(1)
+			return struct{}{}
 		})
+		if got := calls.Load(); got != 37 {
+			t.Errorf("workers=%d: %d calls, want 37", workers, got)
+		}
+		for i := range seen {
+			if n := seen[i].Load(); n != 1 {
+				t.Errorf("workers=%d: trial %d ran %d times", workers, i, n)
+			}
+		}
 	}
 }
 
@@ -63,12 +50,11 @@ func TestParallelDeterminism(t *testing.T) {
 		if !ok {
 			t.Fatalf("experiment %q not registered", id)
 		}
-		var serial, parallel, both string
-		withParallelism(1, func() { serial = e.Run().String() })
-		withParallelism(8, func() { parallel = e.Run().String() })
-		// Both knobs at once: trials spread across 8 workers AND each
+		serial := e.Run(&Env{Parallelism: 1}).String()
+		parallel := e.Run(&Env{Parallelism: 8}).String()
+		// Both settings at once: trials spread across 8 workers AND each
 		// trial's topology split across 2 partition domains.
-		withParallelism(8, func() { withDomains(2, func() { both = e.Run().String() }) })
+		both := e.Run(&Env{Parallelism: 8, Domains: 2}).String()
 		if serial != parallel {
 			t.Errorf("%s: -parallel 1 and -parallel 8 output differ:\n--- serial ---\n%s\n--- parallel ---\n%s",
 				id, serial, parallel)
@@ -95,15 +81,5 @@ func TestTrialSeed(t *testing.T) {
 			}
 			seen[s] = true
 		}
-	}
-}
-
-// TestSetParallelismClamps verifies values below 1 are clamped.
-func TestSetParallelismClamps(t *testing.T) {
-	prev := Parallelism()
-	defer SetParallelism(prev)
-	SetParallelism(-3)
-	if got := Parallelism(); got != 1 {
-		t.Errorf("Parallelism after SetParallelism(-3) = %d, want 1", got)
 	}
 }

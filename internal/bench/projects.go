@@ -20,7 +20,7 @@ func init() {
 
 // Projects reproduces the four §5 student applications end-to-end and
 // reports each one's headline measurement.
-func Projects() *Result {
+func Projects(env *Env) *Result {
 	res := &Result{
 		ID:    "projects",
 		Title: "The four §5 student projects on the SUME Event Switch model",
@@ -31,8 +31,8 @@ func Projects() *Result {
 	{
 		sched := sim.NewScheduler()
 		net := netsim.New(sched)
-		mon := newSwitch(core.Config{Name: "monitor"}, core.EventDriven(), sched)
-		nbr := newSwitch(core.Config{Name: "neighbor"}, core.EventDriven(), sched)
+		mon := env.newSwitch(core.Config{Name: "monitor"}, core.EventDriven(), sched)
+		nbr := env.newSwitch(core.Config{Name: "neighbor"}, core.EventDriven(), sched)
 		period := sim.Millisecond
 		lv, prog := apps.NewLiveness(apps.LivenessConfig{
 			SwitchID: 1, ProbePorts: []int{1}, Period: period, DeadAfter: 3, MonitorPort: 0,
@@ -59,7 +59,7 @@ func Projects() *Result {
 	// 2. Time-windowed flow-rate measurement accuracy.
 	{
 		sched := sim.NewScheduler()
-		sw := newSwitch(core.Config{}, core.EventDriven(), sched)
+		sw := env.newSwitch(core.Config{}, core.EventDriven(), sched)
 		fr, prog := apps.NewFlowRate(apps.FlowRateConfig{Slots: 64, Buckets: 10, EgressPort: 1})
 		sw.MustLoad(prog)
 		mustOK(fr.Arm(sw, sim.Millisecond))
@@ -99,7 +99,7 @@ func Projects() *Result {
 	// a mouse sharing one egress.
 	{
 		sched := sim.NewScheduler()
-		sw := newSwitch(core.Config{QueueCapBytes: 1 << 20}, core.EventDriven(), sched)
+		sw := env.newSwitch(core.Config{QueueCapBytes: 1 << 20}, core.EventDriven(), sched)
 		fr, prog := apps.NewFRED(apps.FREDConfig{
 			Slots: 256, MinQBytes: 3000, TotalLimit: 30000, EgressPort: 1, ReportPort: -1,
 		})
@@ -134,9 +134,9 @@ func Projects() *Result {
 	{
 		sched := sim.NewScheduler()
 		net := netsim.New(sched)
-		s1 := newSwitch(core.Config{Name: "s1"}, core.EventDriven(), sched)
-		s2 := newSwitch(core.Config{Name: "s2"}, core.EventDriven(), sched)
-		s3 := newSwitch(core.Config{Name: "s3"}, core.EventDriven(), sched)
+		s1 := env.newSwitch(core.Config{Name: "s1"}, core.EventDriven(), sched)
+		s2 := env.newSwitch(core.Config{Name: "s2"}, core.EventDriven(), sched)
+		s3 := env.newSwitch(core.Config{Name: "s3"}, core.EventDriven(), sched)
 		fl := packet.Flow{Src: packet.IP4(10, 0, 0, 1), Dst: packet.IP4(10, 1, 0, 1), SrcPort: 1, DstPort: 2, Proto: packet.ProtoUDP}
 		dst := int(uint32(fl.Dst) >> 16)
 		r, prog := apps.NewFRR(apps.FRRConfig{

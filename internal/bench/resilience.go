@@ -44,7 +44,7 @@ type resilienceTrial struct {
 // shrunk to 2 and then 1 entries: per-port coalescing keeps the final
 // link state intact, so the re-router stays correct with a queue a
 // storm would otherwise overflow.
-func ResilienceBench() *Result {
+func ResilienceBench(env *Env) *Result {
 	res := &Result{
 		ID:    "resilience",
 		Title: "fast re-route under flap storms: event-driven FRR vs delayed control plane",
@@ -66,9 +66,9 @@ func ResilienceBench() *Result {
 		resilienceTrial{eventDriven: true, period: 200 * sim.Microsecond, evqDepth: 1},
 	)
 
-	rows := RunParallel(len(trials), func(trial int) []string {
+	rows := RunParallel(env, len(trials), func(trial int) []string {
 		tr := trials[trial]
-		m := runResilience(tr, TrialSeed(0x5e511, trial))
+		m := runResilience(env, tr, TrialSeed(0x5e511, trial))
 		mode := "control plane"
 		if tr.eventDriven {
 			mode = "event-driven"
@@ -110,7 +110,7 @@ type resilienceMetrics struct {
 
 // runResilience builds src -- frr =(primary/backup)= sink -- dst, arms
 // the flap storm on the primary, and measures loss and re-route latency.
-func runResilience(tr resilienceTrial, seed uint64) resilienceMetrics {
+func runResilience(env *Env, tr resilienceTrial, seed uint64) resilienceMetrics {
 	const (
 		horizon    = 30 * sim.Millisecond
 		stormStart = sim.Millisecond
@@ -121,21 +121,8 @@ func runResilience(tr resilienceTrial, seed uint64) resilienceMetrics {
 	// bounded, so it unrolls into scheduled per-side link changes that
 	// work across the domain boundary; all measurement hooks (link-change
 	// observer, transmit tap, control-plane agent) live on frr's domain.
-	domains := Domains()
-	if domains > 2 {
-		domains = 2
-	}
-	var sched, sinkSched *sim.Scheduler
-	var net *netsim.Network
-	if domains > 1 {
-		part := sim.NewPartition(domains)
-		net = netsim.NewPartitioned(part)
-		sched, sinkSched = part.Sched(0), part.Sched(1)
-	} else {
-		sched = sim.NewScheduler()
-		sinkSched = sched
-		net = netsim.New(sched)
-	}
+	net, schedFor := env.fabric(env.domains(), 2, false, roundRobin)
+	sched, sinkSched := schedFor(0), schedFor(1)
 
 	arch := core.EventDriven()
 	if !tr.eventDriven {
@@ -145,7 +132,7 @@ func runResilience(tr resilienceTrial, seed uint64) resilienceMetrics {
 	if tr.evqDepth > 0 {
 		cfg.EventQueueDepth = tr.evqDepth
 	}
-	frrSw := newSwitch(cfg, arch, sched)
+	frrSw := env.newSwitch(cfg, arch, sched)
 	fl := packet.Flow{
 		Src: packet.IP4(10, 0, 0, 2), Dst: packet.IP4(10, 1, 0, 2),
 		SrcPort: 4000, DstPort: 80, Proto: packet.ProtoUDP,
@@ -158,7 +145,7 @@ func runResilience(tr resilienceTrial, seed uint64) resilienceMetrics {
 	})
 	frrSw.MustLoad(prog)
 
-	sink := newSwitch(core.Config{Name: "sink"}, core.Baseline(), sinkSched)
+	sink := env.newSwitch(core.Config{Name: "sink"}, core.Baseline(), sinkSched)
 	sink.MustLoad(fwdProgram(2))
 	net.AddSwitch(frrSw)
 	net.AddSwitch(sink)

@@ -16,8 +16,8 @@ func TestResilienceEventDrivenLosesLess(t *testing.T) {
 		sim.Millisecond, 2 * sim.Millisecond, 5 * sim.Millisecond,
 	} {
 		seed := TrialSeed(0xacce97, int(p/sim.Microsecond))
-		ed := runResilience(resilienceTrial{eventDriven: true, period: p}, seed)
-		cp := runResilience(resilienceTrial{eventDriven: false, period: p}, seed)
+		ed := runResilience(&Env{}, resilienceTrial{eventDriven: true, period: p}, seed)
+		cp := runResilience(&Env{}, resilienceTrial{eventDriven: false, period: p}, seed)
 		if ed.failovers != ed.flaps || cp.failovers != cp.flaps {
 			t.Errorf("period %v: failovers ed=%d/%d cp=%d/%d, want one per flap",
 				p, ed.failovers, ed.flaps, cp.failovers, cp.flaps)
@@ -35,8 +35,8 @@ func TestResilienceEventDrivenLosesLess(t *testing.T) {
 func TestResilienceSurvivesTinyEventQueue(t *testing.T) {
 	p := 200 * sim.Microsecond
 	seed := TrialSeed(0xacce97, 1)
-	full := runResilience(resilienceTrial{eventDriven: true, period: p}, seed)
-	tiny := runResilience(resilienceTrial{eventDriven: true, period: p, evqDepth: 1}, seed)
+	full := runResilience(&Env{}, resilienceTrial{eventDriven: true, period: p}, seed)
+	tiny := runResilience(&Env{}, resilienceTrial{eventDriven: true, period: p, evqDepth: 1}, seed)
 	if tiny.lost != full.lost || tiny.failovers != full.failovers || tiny.delivered != full.delivered {
 		t.Errorf("evq=1 diverged: full=%+v tiny=%+v", full, tiny)
 	}

@@ -35,15 +35,15 @@ type scaleRunner struct {
 // The fat trees are the paper-scale proof: ft8 is an 80-switch k=8
 // fat tree whose rolling shuffle workload pushes millions of packets
 // through the fabric per run.
-func ScaleBench() *Result {
-	res, _ := scaleSweep()
+func ScaleBench(env *Env) *Result {
+	res, _ := scaleSweep(env)
 	return res
 }
 
 // scaleSweep is ScaleBench plus every row's raw metrics, keyed
 // "<fabric>/<domains cell>": the barrier counts are simulated quantities
 // the table does not print but TestScaleDigestsMatch holds a bound on.
-func scaleSweep() (*Result, map[string]fabricMetrics) {
+func scaleSweep(env *Env) (*Result, map[string]fabricMetrics) {
 	res := &Result{
 		ID:    "scale",
 		Title: "parallel simulation scaling: fabric size x domain count",
@@ -65,7 +65,7 @@ func scaleSweep() (*Result, map[string]fabricMetrics) {
 		runners = append(runners, scaleRunner{
 			label: label, switches: f.tors + f.spines,
 			run: func(domains int, classic bool, tel *telemetry.Collector) fabricMetrics {
-				return runHULAFabric(fabricSpec{
+				return runHULAFabric(env, fabricSpec{
 					tors: f.tors, spines: f.spines,
 					probePeriod: 200 * sim.Microsecond, horizon: f.horizon,
 					flows: f.flows, flowRate: f.rate,
@@ -87,7 +87,7 @@ func scaleSweep() (*Result, map[string]fabricMetrics) {
 			run: func(domains int, classic bool, tel *telemetry.Collector) fabricMetrics {
 				spec := ft
 				spec.domains, spec.classic, spec.tel = domains, classic, tel
-				return runFatTree(spec)
+				return runFatTree(env, spec)
 			},
 		})
 	}
@@ -103,7 +103,7 @@ func scaleSweep() (*Result, map[string]fabricMetrics) {
 			domains int
 			classic bool
 		}{{"1", 1, false}, {"2", 2, false}, {"4", 4, false}, {"4c", 4, true}} {
-			m := r.run(c.domains, c.classic, trialCollector(fmt.Sprintf("scale/%s-d%s", r.label, c.cell)))
+			m := r.run(c.domains, c.classic, env.collector(fmt.Sprintf("scale/%s-d%s", r.label, c.cell)))
 			ident := "baseline"
 			if i == 0 {
 				base = m

@@ -24,7 +24,7 @@ func init() {
 // than the line rate (as is typical)" — and reducing packet load (e.g.
 // not using some external ports) buys accuracy, the bandwidth/accuracy
 // trade-off.
-func Staleness() *Result {
+func Staleness(env *Env) *Result {
 	res := &Result{
 		ID:    "staleness",
 		Title: "Occupancy-register staleness vs pipeline overspeed and load (paper §4)",
@@ -41,10 +41,10 @@ func Staleness() *Result {
 			grid = append(grid, point{overspeed, load})
 		}
 	}
-	rows := RunParallel(len(grid), func(trial int) []string {
+	rows := RunParallel(env, len(grid), func(trial int) []string {
 		pt := grid[trial]
-		row := runStaleness(pt.overspeed, pt.load, horizon,
-			trialCollector(fmt.Sprintf("staleness/t%02d", trial)))
+		row := runStaleness(env, pt.overspeed, pt.load, horizon,
+			env.collector(fmt.Sprintf("staleness/t%02d", trial)))
 		return append([]string{
 			fmt.Sprintf("%.2fx", pt.overspeed),
 			fmt.Sprintf("%.0f%%", pt.load*100),
@@ -60,9 +60,9 @@ func Staleness() *Result {
 	return res
 }
 
-func runStaleness(overspeed, load float64, horizon sim.Time, tel *telemetry.Collector) []string {
+func runStaleness(env *Env, overspeed, load float64, horizon sim.Time, tel *telemetry.Collector) []string {
 	sched := sim.NewScheduler()
-	sw := newSwitch(core.Config{Overspeed: overspeed}, core.EventDriven(), sched)
+	sw := env.newSwitch(core.Config{Overspeed: overspeed}, core.EventDriven(), sched)
 	if tel != nil {
 		sw.EnableTelemetry(tel)
 	}

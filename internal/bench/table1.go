@@ -15,9 +15,9 @@ func init() {
 // Table1 demonstrates every event kind of the paper's Table 1 firing on
 // the SUME Event Switch model and being handled by a program, with the
 // per-kind counts observed during a single scenario.
-func Table1() *Result {
+func Table1(env *Env) *Result {
 	sched := sim.NewScheduler()
-	sw := newSwitch(core.Config{QueueCapBytes: 4000}, core.EventDriven(), sched)
+	sw := env.newSwitch(core.Config{QueueCapBytes: 4000}, core.EventDriven(), sched)
 
 	counts := make([]uint64, events.NumKinds)
 	prog := pisa.NewProgram("table1")

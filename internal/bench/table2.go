@@ -20,7 +20,7 @@ func init() {
 // Table2 runs one representative application per class of the paper's
 // Table 2 end-to-end and reports the events each one actually used plus a
 // headline outcome, substantiating the class -> events mapping.
-func Table2() *Result {
+func Table2(env *Env) *Result {
 	res := &Result{
 		ID:    "table2",
 		Title: "Application classes and the events they use (paper Table 2)",
@@ -29,11 +29,11 @@ func Table2() *Result {
 
 	// One self-contained scenario per application class; each runs on its
 	// own scheduler, so the classes sweep out across workers.
-	scenarios := []func() []string{
+	scenarios := []func(*Env) []string{
 		table2HULA, table2FRR, table2Microburst, table2FRED, table2Cache,
 	}
-	for _, row := range RunParallel(len(scenarios), func(trial int) []string {
-		return scenarios[trial]()
+	for _, row := range RunParallel(env, len(scenarios), func(trial int) []string {
+		return scenarios[trial](env)
 	}) {
 		res.AddRow(row...)
 	}
@@ -45,10 +45,10 @@ func Table2() *Result {
 }
 
 // table2HULA: Congestion Aware Forwarding — HULA probe selection.
-func table2HULA() []string {
+func table2HULA(env *Env) []string {
 	{
 		sched := sim.NewScheduler()
-		sw := newSwitch(core.Config{}, core.EventDriven(), sched)
+		sw := env.newSwitch(core.Config{}, core.EventDriven(), sched)
 		h, prog := apps.NewHULA(apps.HULAConfig{TorID: 0, UplinkPorts: []int{1, 2}, HostPort: 0, Tors: 2})
 		sw.MustLoad(prog)
 		mustOK(h.Attach(sw, 200*sim.Microsecond))
@@ -66,10 +66,10 @@ func table2HULA() []string {
 }
 
 // table2FRR: Network Management — fast re-route on link failure.
-func table2FRR() []string {
+func table2FRR(env *Env) []string {
 	{
 		sched := sim.NewScheduler()
-		sw := newSwitch(core.Config{}, core.EventDriven(), sched)
+		sw := env.newSwitch(core.Config{}, core.EventDriven(), sched)
 		fl := packet.Flow{Src: packet.IP4(10, 0, 0, 1), Dst: packet.IP4(10, 1, 0, 1),
 			SrcPort: 1, DstPort: 2, Proto: packet.ProtoUDP}
 		dst := int(uint32(fl.Dst) >> 16)
@@ -89,10 +89,10 @@ func table2FRR() []string {
 }
 
 // table2Microburst: Network Monitoring — microburst detection.
-func table2Microburst() []string {
+func table2Microburst(env *Env) []string {
 	{
 		sched := sim.NewScheduler()
-		sw := newSwitch(core.Config{}, core.EventDriven(), sched)
+		sw := env.newSwitch(core.Config{}, core.EventDriven(), sched)
 		mb, prog := apps.NewMicroburst(apps.MicroburstConfig{Slots: 256, ThresholdBytes: 10000, EgressPort: 1})
 		sw.MustLoad(prog)
 		fl := packet.Flow{Src: packet.IP4(10, 0, 0, 3), Dst: packet.IP4(10, 1, 0, 1),
@@ -114,10 +114,10 @@ func table2Microburst() []string {
 }
 
 // table2FRED: Traffic Management — FRED-like fair AQM.
-func table2FRED() []string {
+func table2FRED(env *Env) []string {
 	{
 		sched := sim.NewScheduler()
-		sw := newSwitch(core.Config{QueueCapBytes: 1 << 20}, core.EventDriven(), sched)
+		sw := env.newSwitch(core.Config{QueueCapBytes: 1 << 20}, core.EventDriven(), sched)
 		fr, prog := apps.NewFRED(apps.FREDConfig{Slots: 256, MinQBytes: 3000, TotalLimit: 30000, EgressPort: 1, ReportPort: -1})
 		sw.MustLoad(prog)
 		mustOK(fr.Arm(sw, sim.Millisecond))
@@ -139,10 +139,10 @@ func table2FRED() []string {
 }
 
 // table2Cache: In-Network Computing — NetCache-style cache.
-func table2Cache() []string {
+func table2Cache(env *Env) []string {
 	{
 		sched := sim.NewScheduler()
-		sw := newSwitch(core.Config{}, core.EventDriven(), sched)
+		sw := env.newSwitch(core.Config{}, core.EventDriven(), sched)
 		c, prog := apps.NewCache(apps.CacheConfig{Ways: 8, ServerPort: 1, ClientPort: 0, AdmitThreshold: 1})
 		sw.MustLoad(prog)
 		mustOK(c.Arm(sw, sim.Millisecond, 10*sim.Millisecond))

@@ -13,7 +13,7 @@ func init() {
 // Table3 reproduces the paper's Table 3: the resource increase of the
 // SUME Event Switch's event logic as a percentage of the Virtex-7 device,
 // from the structural cost model (see internal/resources).
-func Table3() *Result {
+func Table3(env *Env) *Result {
 	cfg := resources.SUMEEventConfig()
 	dev := resources.Virtex7_690T
 	res := &Result{

@@ -17,23 +17,47 @@ var telOpts = telemetry.Options{
 	SamplePeriod: 50 * sim.Microsecond,
 }
 
+// smallFabric runs the 2x2 HULA fabric the fabric-level differentials
+// share for 5 ms on env at the given domain count, instrumented, and
+// returns its metrics and its telemetry.
+func smallFabric(env *Env, domains int) (fabricMetrics, []telemetry.RunExport) {
+	c := telemetry.New(telOpts)
+	m := runHULAFabric(env, fabricSpec{
+		tors: 2, spines: 2,
+		probePeriod: 200 * sim.Microsecond,
+		horizon:     5 * sim.Millisecond,
+		flows:       4,
+		flowRate:    660 * sim.Mbps,
+		domains:     domains,
+		tel:         c,
+	})
+	return m, []telemetry.RunExport{{Label: "fab", C: c}}
+}
+
+// smallFabricDigests is smallFabric reduced to the two digests the
+// oracle differentials compare: the fabric's and its telemetry's.
+func smallFabricDigests(t *testing.T, env *Env, domains int) (uint64, uint64) {
+	t.Helper()
+	m, runs := smallFabric(env, domains)
+	telDig, err := telemetry.Digest(runs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m.digest, telDig
+}
+
 // collectStaleness runs a short staleness sweep through the RunParallel
 // harness at the given worker count and returns the encoded metrics and
 // JSONL trace bytes.
 func collectStaleness(t *testing.T, par int) ([]byte, []byte) {
 	t.Helper()
-	EnableTelemetry(telOpts)
-	defer DisableTelemetry()
-	prev := Parallelism()
-	SetParallelism(par)
-	defer SetParallelism(prev)
-
+	env := &Env{Parallelism: par, Telemetry: &telOpts}
 	loads := []float64{0.7, 1.0}
-	RunParallel(len(loads), func(trial int) []string {
-		return runStaleness(1.25, loads[trial], 2*sim.Millisecond,
-			trialCollector(fmt.Sprintf("par/t%02d", trial)))
+	RunParallel(env, len(loads), func(trial int) []string {
+		return runStaleness(env, 1.25, loads[trial], 2*sim.Millisecond,
+			env.collector(fmt.Sprintf("par/t%02d", trial)))
 	})
-	runs := TelemetryRuns()
+	runs := env.TelemetryRuns()
 	if len(runs) != len(loads) {
 		t.Fatalf("collected %d runs, want %d", len(runs), len(loads))
 	}
@@ -75,17 +99,8 @@ func TestTelemetryParallelIdentical(t *testing.T) {
 // files.
 func TestTelemetryDomainsIdentical(t *testing.T) {
 	runFabric := func(domains int) []telemetry.RunExport {
-		c := telemetry.New(telOpts)
-		runHULAFabric(fabricSpec{
-			tors: 2, spines: 2,
-			probePeriod: 200 * sim.Microsecond,
-			horizon:     5 * sim.Millisecond,
-			flows:       4,
-			flowRate:    660 * sim.Mbps,
-			domains:     domains,
-			tel:         c,
-		})
-		return []telemetry.RunExport{{Label: "fab", C: c}}
+		_, runs := smallFabric(&Env{}, domains)
+		return runs
 	}
 	r1, r2 := runFabric(1), runFabric(2)
 	for _, enc := range []struct {
@@ -130,7 +145,7 @@ func TestStalenessHistogramBound(t *testing.T) {
 	lagHist := func(overspeed, load float64) *telemetry.Histogram {
 		t.Helper()
 		c := telemetry.New(telOpts)
-		runStaleness(overspeed, load, 2*sim.Millisecond, c)
+		runStaleness(&Env{}, overspeed, load, 2*sim.Millisecond, c)
 		h := c.Registry().Histogram("sw.switch.reg.occ.staleness.cycles")
 		if h.Count() > 0 {
 			if mb := h.MaxBucket(); telemetry.BucketLow(mb) > h.Max() || telemetry.BucketHigh(mb) < h.Max() {
@@ -145,7 +160,7 @@ func TestStalenessHistogramBound(t *testing.T) {
 	// cycles and the worst defer lag is a sliver of the run, not
 	// proportional to it.
 	c := telemetry.New(telOpts)
-	runStaleness(1.5, 0.7, 2*sim.Millisecond, c)
+	runStaleness(&Env{}, 1.5, 0.7, 2*sim.Millisecond, c)
 	h := c.Registry().Histogram("sw.switch.reg.occ.staleness.cycles")
 	cycles := c.Registry().Counter("sw.switch.cycles").Value()
 	if h.Count() == 0 {

@@ -29,7 +29,7 @@ func init() {
 // that the ingress pipeline consumes to subtract. We sweep the offered
 // load and report data delivery and how many dequeue updates survive the
 // recirculation path.
-func Tofino() *Result {
+func Tofino(env *Env) *Result {
 	res := &Result{
 		ID:    "tofino",
 		Title: "Native events vs recirculation emulation of dequeue events (paper §6)",
@@ -46,9 +46,9 @@ func Tofino() *Result {
 			grid = append(grid, point{load, mode})
 		}
 	}
-	rows := RunParallel(len(grid), func(trial int) []string {
+	rows := RunParallel(env, len(grid), func(trial int) []string {
 		pt := grid[trial]
-		delivered, applied, err := runTofino(pt.mode, pt.load)
+		delivered, applied, err := runTofino(env, pt.mode, pt.load)
 		return []string{pt.mode, fmt.Sprintf("%.0f%%", pt.load*100),
 			delivered, applied, fmt.Sprintf("%.0f", err)}
 	})
@@ -62,7 +62,7 @@ func Tofino() *Result {
 	return res
 }
 
-func runTofino(mode string, load float64) (delivered, applied string, meanErr float64) {
+func runTofino(env *Env, mode string, load float64) (delivered, applied string, meanErr float64) {
 	const horizon = 3 * sim.Millisecond
 	const recircPort = 4
 	sched := sim.NewScheduler()
@@ -71,7 +71,7 @@ func runTofino(mode string, load float64) (delivered, applied string, meanErr fl
 	if mode == "recirc-emulation" {
 		arch = core.Baseline()
 	}
-	sw := newSwitch(core.Config{Ports: 5, Overspeed: 1.1, QueueCapBytes: 256 << 10}, arch, sched)
+	sw := env.newSwitch(core.Config{Ports: 5, Overspeed: 1.1, QueueCapBytes: 256 << 10}, arch, sched)
 
 	prog := pisa.NewProgram(mode)
 	occ := prog.AddRegister(pisa.NewAggregatedRegister("occ", 8,

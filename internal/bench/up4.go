@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faults"
-	"repro/internal/netsim"
 	"repro/internal/p4"
 	"repro/internal/packet"
 	"repro/internal/pisa"
@@ -34,7 +33,7 @@ var up4Programs = []string{"ecnmark", "heavyhitter", "linkwatch", "microburst", 
 // the compiled-closure backend and the tree-walking interpreter are
 // observably identical (the digest column folds every switch, link,
 // host, register, and table counter).
-func UP4Bench() *Result {
+func UP4Bench(env *Env) *Result {
 	res := &Result{
 		ID:    "up4",
 		Title: "µP4 backends on a 3-switch chain: compiled closures vs interpreter",
@@ -43,7 +42,7 @@ func UP4Bench() *Result {
 	for _, name := range up4Programs {
 		var base uint64
 		for bi, interp := range []bool{false, true} {
-			m := runUP4Chain(name, interp, Domains())
+			m := runUP4Chain(env, name, interp)
 			ident := "baseline"
 			if bi == 0 {
 				base = m.digest
@@ -74,35 +73,20 @@ type up4Metrics struct {
 // and flaps the sw0-sw1 link mid-run (event diversity for the link
 // handlers). The run is byte-identical at every domains value: switches
 // interact only through links and all RNG streams split at setup.
-func runUP4Chain(progName string, interp bool, domains int) up4Metrics {
+func runUP4Chain(env *Env, progName string, interp bool) up4Metrics {
 	src, ok := p4.Programs[progName]
 	if !ok {
 		panic("bench: unknown µP4 program " + progName)
 	}
 	const nsw = 3
 	const horizon = 8 * sim.Millisecond
-	if domains < 1 {
-		domains = 1
-	}
-	if domains > nsw {
-		domains = nsw
-	}
-
-	var net *netsim.Network
-	schedFor := func(i int) *sim.Scheduler { return net.Scheduler() }
-	if domains > 1 {
-		part := sim.NewPartition(domains)
-		net = netsim.NewPartitioned(part)
-		schedFor = func(i int) *sim.Scheduler { return part.Sched(i % domains) }
-	} else {
-		net = netsim.New(sim.NewScheduler())
-	}
+	net, schedFor := env.fabric(env.domains(), nsw, false, roundRobin)
 
 	compiled := p4.MustCompile(src)
 	sws := make([]*core.Switch, nsw)
 	insts := make([]*p4.Instance, nsw)
 	for i := range sws {
-		sw := newSwitch(core.Config{
+		sw := env.newSwitch(core.Config{
 			Name: fmt.Sprintf("sw%d", i), Ports: 2, QueueCapBytes: 1 << 20,
 		}, core.EventDriven(), schedFor(i))
 		inst := compiled.Instantiate(fmt.Sprintf("%s%d", progName, i),
@@ -126,7 +110,7 @@ func runUP4Chain(progName string, interp bool, domains int) up4Metrics {
 	}
 	net.Connect(sws[0], 1, sws[1], 0, sim.Microsecond)
 	net.Connect(sws[1], 1, sws[2], 0, sim.Microsecond)
-	if tel := trialCollector(fmt.Sprintf("up4/%s-%s", progName, backendName(interp))); tel != nil {
+	if tel := env.collector(fmt.Sprintf("up4/%s-%s", progName, backendName(interp))); tel != nil {
 		net.EnableTelemetry(tel)
 	}
 

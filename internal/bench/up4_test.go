@@ -7,24 +7,19 @@ import "testing"
 // partition domains, every interp row of the up4 table — cycle count,
 // tx count, and digest — equals its program's compiled row.
 func TestUP4BackendsInvariant(t *testing.T) {
-	prevPar := Parallelism()
-	SetParallelism(8)
-	defer SetParallelism(prevPar)
-	withDomains(2, func() {
-		interpRows := 0
-		for _, row := range UP4Bench().Rows {
-			if row[1] != "interp" {
-				continue
-			}
-			interpRows++
-			if row[len(row)-1] != "yes" {
-				t.Errorf("up4 interp row diverges from its compiled baseline: %v", row)
-			}
+	interpRows := 0
+	for _, row := range UP4Bench(&Env{Parallelism: 8, Domains: 2}).Rows {
+		if row[1] != "interp" {
+			continue
 		}
-		if interpRows != len(up4Programs) {
-			t.Errorf("up4 table has %d interp rows, want %d", interpRows, len(up4Programs))
+		interpRows++
+		if row[len(row)-1] != "yes" {
+			t.Errorf("up4 interp row diverges from its compiled baseline: %v", row)
 		}
-	})
+	}
+	if interpRows != len(up4Programs) {
+		t.Errorf("up4 table has %d interp rows, want %d", interpRows, len(up4Programs))
+	}
 }
 
 // TestUP4DomainsIdentical checks that each program's chain run is
@@ -34,8 +29,8 @@ func TestUP4BackendsInvariant(t *testing.T) {
 func TestUP4DomainsIdentical(t *testing.T) {
 	for _, prog := range up4Programs {
 		for _, interp := range []bool{false, true} {
-			m1 := runUP4Chain(prog, interp, 1)
-			m2 := runUP4Chain(prog, interp, 2)
+			m1 := runUP4Chain(&Env{Domains: 1}, prog, interp)
+			m2 := runUP4Chain(&Env{Domains: 2}, prog, interp)
 			if m1.digest != m2.digest {
 				t.Errorf("%s (interp=%v): domains=2 digest %016x != domains=1 digest %016x",
 					prog, interp, m2.digest, m1.digest)
@@ -47,7 +42,7 @@ func TestUP4DomainsIdentical(t *testing.T) {
 // TestUP4RowsSelfCheck runs the experiment once and asserts its built-in
 // differential column never reports a divergence.
 func TestUP4RowsSelfCheck(t *testing.T) {
-	res := UP4Bench()
+	res := UP4Bench(&Env{})
 	for _, row := range res.Rows {
 		if row[len(row)-1] == "NO" {
 			t.Errorf("backend digest mismatch in up4 row %v", row)

@@ -176,12 +176,12 @@ func TestWriteFileAtomic(t *testing.T) {
 	path := filepath.Join(dir, "run.ckpt")
 	f := New(9)
 	f.Add("s", []byte("v1"))
-	if err := f.WriteFile(path); err != nil {
+	if _, err := f.WriteFile(path); err != nil {
 		t.Fatalf("WriteFile: %v", err)
 	}
 	g := New(9)
 	g.Add("s", []byte("v2"))
-	if err := g.WriteFile(path); err != nil {
+	if _, err := g.WriteFile(path); err != nil {
 		t.Fatalf("WriteFile overwrite: %v", err)
 	}
 	h, err := Open(path)

@@ -5,9 +5,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"time"
-
-	"repro/internal/telemetry/self"
 )
 
 // Magic identifies a checkpoint file ("EVCK").
@@ -114,36 +111,30 @@ func Decode(buf []byte) (*File, error) {
 // WriteFile writes the checkpoint atomically: encode to a temp file in
 // the destination directory, fsync, then rename over the target. A crash
 // (or SIGKILL) mid-write leaves either the previous checkpoint or none —
-// never a torn file.
-func (f *File) WriteFile(path string) error {
-	start := time.Now()
+// never a torn file. It returns the number of bytes written.
+func (f *File) WriteFile(path string) (int, error) {
 	buf := f.Encode()
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
+		return 0, fmt.Errorf("checkpoint: %w", err)
 	}
 	defer os.Remove(tmp.Name())
 	if _, err := tmp.Write(buf); err != nil {
 		tmp.Close()
-		return fmt.Errorf("checkpoint: write %s: %w", tmp.Name(), err)
+		return 0, fmt.Errorf("checkpoint: write %s: %w", tmp.Name(), err)
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
-		return fmt.Errorf("checkpoint: sync %s: %w", tmp.Name(), err)
+		return 0, fmt.Errorf("checkpoint: sync %s: %w", tmp.Name(), err)
 	}
 	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("checkpoint: close %s: %w", tmp.Name(), err)
+		return 0, fmt.Errorf("checkpoint: close %s: %w", tmp.Name(), err)
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("checkpoint: rename: %w", err)
+		return 0, fmt.Errorf("checkpoint: rename: %w", err)
 	}
-	if self.On() {
-		self.CheckpointWriteNS.Observe(uint64(time.Since(start).Nanoseconds()))
-		self.CheckpointBytes.Add(uint64(len(buf)))
-		self.CheckpointLastUnixNS.Set(time.Now().UnixNano())
-	}
-	return nil
+	return len(buf), nil
 }
 
 // Open reads and decodes a checkpoint file.

@@ -87,13 +87,3 @@ func EventDriven() *Arch {
 	}
 	return a
 }
-
-// Logical returns the minimal event-driven architecture of the paper's
-// §2 example (Figure 2): ingress packet, enqueue and dequeue events only.
-func Logical() *Arch {
-	a := &Arch{Name: "logical-enq-deq"}
-	a.Supported[events.IngressPacket] = true
-	a.Supported[events.BufferEnqueue] = true
-	a.Supported[events.BufferDequeue] = true
-	return a
-}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/packet"
 	"repro/internal/pisa"
 	"repro/internal/sim"
+	"repro/internal/telemetry/self"
 )
 
 // TestLinkFlapBurstCoalesces pins the default LinkStatusChange overflow
@@ -146,5 +147,62 @@ func TestSwitchPacketConservation(t *testing.T) {
 	accounted = st.TxPackets + st.PipelineDrops + st.TxDroppedLinkDown + tmDrops
 	if accepted != accounted {
 		t.Errorf("conservation broken after drain: accepted=%d accounted=%d", accepted, accounted)
+	}
+}
+
+// TestPoolInUseFollowsItsPlane pins self.pool.in_use to the plane the
+// switch's scheduler carried when the switch was built. A packet's Get
+// and its Release count into the same plane or into none, so the level
+// equals the switch's packet inventory whenever it is read — mid flight
+// and drained — and never dips below zero; a switch on a plane-less
+// scheduler in the same process moves nobody's level.
+func TestPoolInUseFollowsItsPlane(t *testing.T) {
+	fl := packet.Flow{Src: packet.IP4(10, 0, 0, 1), Dst: packet.IP4(10, 1, 0, 1),
+		SrcPort: 1, DstPort: 2, Proto: packet.ProtoUDP}
+	frame := packet.BuildFrame(packet.FrameSpec{Flow: fl, TotalLen: 1500})
+	build := func(sched *sim.Scheduler) *Switch {
+		sw := New(Config{QueueCapBytes: 4096}, EventDriven(), sched)
+		p := pisa.NewProgram("fwd")
+		p.HandleFunc(events.IngressPacket, func(ctx *pisa.Context) { ctx.EgressPort = 1 })
+		sw.MustLoad(p)
+		for i := 0; i < 40; i++ {
+			sched.At(sim.Time(i)*200*sim.Nanosecond, func() { sw.Inject(0, frame) })
+		}
+		return sw
+	}
+
+	plane := new(self.Plane)
+	observed, unobserved := sim.NewScheduler(), sim.NewScheduler()
+	observed.SetSelf(plane)
+	sw, other := build(observed), build(unobserved)
+
+	unobserved.Run(6 * sim.Microsecond)
+	if other.Inventory().Total() == 0 {
+		t.Fatal("unobserved switch holds no packets mid-run; the check below covers nothing")
+	}
+	if cur, high := plane.PoolInUse.Cur(), plane.PoolInUse.High(); cur != 0 || high != 0 {
+		t.Errorf("a switch without the plane moved it: in_use=%d high_water=%d", cur, high)
+	}
+
+	// The scrape: what /status would read, at every 100 ns of the run.
+	observed.Every(100*sim.Nanosecond, func() {
+		if cur := plane.PoolInUse.Cur(); cur < 0 {
+			t.Errorf("pool.in_use = %d at t=%v", cur, observed.Now())
+		}
+	})
+	observed.Run(6 * sim.Microsecond)
+	if inv := sw.Inventory().Total(); inv == 0 || plane.PoolInUse.Cur() != int64(inv) {
+		t.Errorf("mid-run: pool.in_use = %d, inventory = %d (want equal, non-zero)", plane.PoolInUse.Cur(), inv)
+	}
+	observed.Run(10 * sim.Millisecond)
+	if inv := sw.Inventory().Total(); inv != 0 || plane.PoolInUse.Cur() != 0 {
+		t.Errorf("drained: pool.in_use = %d, inventory = %d (want both 0)", plane.PoolInUse.Cur(), inv)
+	}
+	if plane.PoolInUse.High() == 0 {
+		t.Error("pool.high_water never moved")
+	}
+	unobserved.Run(10 * sim.Millisecond)
+	if cur := plane.PoolInUse.Cur(); cur != 0 {
+		t.Errorf("draining the unobserved switch moved the plane: in_use=%d", cur)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"repro/internal/pisa"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
-	"repro/internal/telemetry/self"
 	"repro/internal/tm"
 )
 
@@ -305,6 +304,7 @@ type Switch struct {
 func New(cfg Config, arch *Arch, sched *sim.Scheduler) *Switch {
 	cfg = cfg.withDefaults()
 	s := &Switch{cfg: cfg, arch: arch, sched: sched, pool: packet.NewPool()}
+	s.pool.Self = sched.Self()
 	s.noFF = cfg.NoDrainFastForward
 	s.noBurst = cfg.NoBurst
 	for _, k := range cfg.MergerPriority {
@@ -808,8 +808,8 @@ func (s *Switch) runCycle() {
 	if s.tel != nil {
 		s.tel.Cycles.Add(slots)
 	}
-	if self.On() {
-		self.BurstOcc.Observe(slots)
+	if p := s.sched.Self(); p != nil {
+		p.BurstOcc.Observe(slots)
 	}
 	s.wake()
 }

@@ -19,7 +19,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/packet"
 	"repro/internal/sim"
-	"repro/internal/telemetry/self"
 )
 
 // endpoint is one side of a link.
@@ -789,7 +788,7 @@ func (n *Network) arrive(l *Link, dir int, data []byte) {
 // draining dirty lists domain by domain reproduces the full-scan
 // behavior exactly.
 func (n *Network) drainMail() {
-	obs := self.On()
+	obs := n.part.Sched(0).Self()
 	for d := range n.dirtySpent {
 		refs := n.dirtySpent[d]
 		for i, r := range refs {
@@ -815,8 +814,8 @@ func (n *Network) drainMail() {
 			if len(box) == 0 {
 				continue
 			}
-			if obs {
-				self.MailFrames.Add(uint64(len(box)))
+			if obs != nil {
+				obs.MailFrames.Add(uint64(len(box)))
 			}
 			dst := l.sched[1-dir]
 			key := l.wireKey(dir)

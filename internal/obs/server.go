@@ -14,7 +14,8 @@
 //	                checkpoint, and host-supplied fields (config digest).
 //	/debug/pprof  — net/http/pprof.
 //
-// The server only ever reads: self-metrics are atomics, and
+// The server only ever reads: self-metrics are the atomics of the plane
+// the host hands it (Options.Self, the one its schedulers record into), and
 // deterministic snapshots come from the host's Runs callback, which
 // must return collectors that are either quiescent or in live mode
 // (telemetry.Options.Live). Nothing served here feeds back into the
@@ -40,6 +41,9 @@ import (
 type Options struct {
 	// Addr is the listen address (host:port; port 0 picks a free port).
 	Addr string
+	// Self is the run's self-metrics plane, served as ev_self_*; nil
+	// serves an empty one.
+	Self *self.Plane
 	// Runs returns the deterministic collectors to expose under
 	// /metrics and to summarize in /status. May be nil; called per
 	// scrape, so it should return the latest completed (or live)
@@ -57,14 +61,16 @@ type Server struct {
 	opts Options
 }
 
-// Serve starts the endpoint on opts.Addr and enables self-metric
-// recording. It returns once the listener is bound, so Addr is final.
+// Serve starts the endpoint on opts.Addr. It returns once the listener
+// is bound, so Addr is final.
 func Serve(opts Options) (*Server, error) {
 	ln, err := net.Listen("tcp", opts.Addr)
 	if err != nil {
 		return nil, fmt.Errorf("obs: %w", err)
 	}
-	self.Enable()
+	if opts.Self == nil {
+		opts.Self = new(self.Plane)
+	}
 	s := &Server{ln: ln, opts: opts}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", s.handleMetrics)
@@ -82,8 +88,7 @@ func Serve(opts Options) (*Server, error) {
 // Addr returns the bound listen address (useful with port 0).
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// Close stops the server. Self-metric recording stays enabled so final
-// log lines can still report totals.
+// Close stops the server.
 func (s *Server) Close() error { return s.srv.Close() }
 
 // promName sanitizes a dotted metric name into a Prometheus metric name.
@@ -114,11 +119,11 @@ func promLabel(v string) string {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	self.Scrapes.Inc()
+	s.opts.Self.Scrapes.Inc()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	var b strings.Builder
 
-	for _, sm := range self.Snapshot() {
+	for _, sm := range s.opts.Self.Snapshot() {
 		// self.domain3.windows -> ev_self_domain3_windows etc.
 		name := "ev_" + promName(sm.Name)
 		switch sm.Kind {
@@ -175,26 +180,27 @@ type domainStatus struct {
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
+	p := s.opts.Self
 	doc := map[string]any{
-		"sim_now_ps":              self.SimNowPS.Value(),
-		"domains":                 self.Domains(),
-		"sched_dispatch":          self.SchedDispatch.Value(),
-		"trials_done":             self.TrialsDone.Value(),
-		"trials_total":            self.TrialsTotal.Value(),
-		"pool_in_use":             self.PoolInUse.Cur(),
-		"pool_high_water":         self.PoolInUse.High(),
-		"burst_dispatches":        self.BurstOcc.Count(),
-		"stream_flushes":          self.StreamFlushes.Value(),
-		"stream_records":          self.StreamRecords.Value(),
-		"checkpoint_writes":       self.CheckpointWriteNS.Count(),
-		"checkpoint_last_unix_ns": self.CheckpointLastUnixNS.Value(),
+		"sim_now_ps":              p.SimNowPS.Value(),
+		"domains":                 p.Domains(),
+		"sched_dispatch":          p.SchedDispatch.Value(),
+		"trials_done":             p.TrialsDone.Value(),
+		"trials_total":            p.TrialsTotal.Value(),
+		"pool_in_use":             p.PoolInUse.Cur(),
+		"pool_high_water":         p.PoolInUse.High(),
+		"burst_dispatches":        p.BurstOcc.Count(),
+		"stream_flushes":          p.StreamFlushes.Value(),
+		"stream_records":          p.StreamRecords.Value(),
+		"checkpoint_writes":       p.CheckpointWriteNS.Count(),
+		"checkpoint_last_unix_ns": p.CheckpointLastUnixNS.Value(),
 	}
 	var doms []domainStatus
-	for d := 0; d < self.Domains() && d < self.MaxDomains; d++ {
+	for d := 0; d < p.Domains() && d < self.MaxDomains; d++ {
 		doms = append(doms, domainStatus{
 			Domain:         d,
-			Windows:        self.DomainWindows(d).Value(),
-			BarrierStallNS: self.DomainStallNS(d).Value(),
+			Windows:        p.DomainWindows(d).Value(),
+			BarrierStallNS: p.DomainStallNS(d).Value(),
 		})
 	}
 	doc["domain_status"] = doms

@@ -29,14 +29,14 @@ func get(t *testing.T, url string) (string, string) {
 }
 
 func TestServerEndpoints(t *testing.T) {
-	self.Reset()
-	self.SetDomains(2)
-	self.SchedDispatch.Add(123)
-	self.BurstOcc.Observe(4)
-	self.BurstOcc.Observe(9)
-	self.DomainWindows(0).Add(7)
-	self.DomainStallNS(1).Add(5500)
-	self.SimNowPS.Set(1_000_000)
+	plane := new(self.Plane)
+	plane.SetDomains(2)
+	plane.SchedDispatch.Add(123)
+	plane.BurstOcc.Observe(4)
+	plane.BurstOcc.Observe(9)
+	plane.DomainWindows(0).Add(7)
+	plane.DomainStallNS(1).Add(5500)
+	plane.SimNowPS.Set(1_000_000)
 
 	c := telemetry.New(telemetry.Options{})
 	c.Registry().Counter("sw0.events").Add(42)
@@ -44,6 +44,7 @@ func TestServerEndpoints(t *testing.T) {
 
 	srv, err := Serve(Options{
 		Addr: "127.0.0.1:0",
+		Self: plane,
 		Runs: func() []telemetry.RunExport {
 			return []telemetry.RunExport{{Label: "trial \"0\"", C: c}}
 		},
@@ -53,9 +54,6 @@ func TestServerEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	if !self.On() {
-		t.Fatal("Serve did not enable self-metrics")
-	}
 	base := "http://" + srv.Addr()
 
 	body, ctype := get(t, base+"/metrics")
@@ -79,7 +77,7 @@ func TestServerEndpoints(t *testing.T) {
 	}
 	// The scrape itself was counted (this is the second scrape's view
 	// only if we scrape again; check >= 1 via the self counter).
-	if self.Scrapes.Value() == 0 {
+	if plane.Scrapes.Value() == 0 {
 		t.Error("scrape not counted")
 	}
 

@@ -115,8 +115,3 @@ func (f Flow) Index(n int) uint32 {
 	}
 	return uint32(f.Hash() % uint64(n))
 }
-
-// NetworkPair returns the network-layer endpoint pair of the flow.
-func (f Flow) NetworkPair() EndpointPair {
-	return EndpointPair{Src: IPEndpoint(f.Src), Dst: IPEndpoint(f.Dst)}
-}

@@ -29,6 +29,10 @@ type Pool struct {
 
 	// News counts packets allocated fresh; Reuses counts free-list hits.
 	News, Reuses uint64
+
+	// Self, when the pool's owner sets it before the first Get, tracks
+	// outstanding packets in that run's self-metrics plane (PoolInUse).
+	Self *self.Plane
 }
 
 // NewPool returns an empty pool.
@@ -48,14 +52,14 @@ func (pl *Pool) Get() *Packet {
 		p.Recirc = 0
 		p.freed = false
 		pl.Reuses++
-		if self.On() {
-			self.PoolInUse.Add(1)
+		if pl.Self != nil {
+			pl.Self.PoolInUse.Add(1)
 		}
 		return p
 	}
 	pl.News++
-	if self.On() {
-		self.PoolInUse.Add(1)
+	if pl.Self != nil {
+		pl.Self.PoolInUse.Add(1)
 	}
 	return &Packet{pool: pl}
 }
@@ -95,8 +99,8 @@ func (p *Packet) Release() {
 	p.freed = true
 	p.gen++
 	pl.free = append(pl.free, p)
-	if self.On() {
-		self.PoolInUse.Add(-1)
+	if pl.Self != nil {
+		pl.Self.PoolInUse.Add(-1)
 	}
 }
 

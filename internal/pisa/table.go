@@ -194,14 +194,6 @@ func (t *Table) DeleteExact(values ...uint64) bool {
 	return true
 }
 
-// Clear removes all entries.
-func (t *Table) Clear() {
-	t.entries = t.entries[:0]
-	if t.exactIndex != nil {
-		t.exactIndex = make(map[string]*Entry)
-	}
-}
-
 // Apply looks up the key and runs the matching entry's action (or the
 // default action on miss). It reports whether an entry hit.
 func (t *Table) Apply(ctx *Context) bool {

@@ -105,14 +105,9 @@ func (s *Scheduler) DropFired(at Time, seq uint64) int {
 	return len(dropped)
 }
 
-// RestoreWire re-creates a checkpointed wire-band event. Wire events are
-// keyed engine-independently, so replaying (at, k1, k2) reproduces the
-// original firing order exactly.
-func (s *Scheduler) RestoreWire(at Time, k1, k2 uint64, fn Action) {
-	s.wire.push(wireEvent{at: at, k1: k1, k2: k2, fn: fn})
-}
-
-// RestoreWireRunner is RestoreWire for pooled callback objects.
+// RestoreWireRunner re-creates a checkpointed wire-band event. Wire
+// events are keyed engine-independently, so replaying (at, k1, k2)
+// reproduces the original firing order exactly.
 func (s *Scheduler) RestoreWireRunner(at Time, k1, k2 uint64, r Runner) {
 	s.wire.push(wireEvent{at: at, k1: k1, k2: k2, runner: r})
 }

@@ -89,6 +89,14 @@ func NewPartition(n int) *Partition {
 // Domains returns the number of domains.
 func (p *Partition) Domains() int { return len(p.scheds) }
 
+// SetSelf hands every domain's scheduler the run's self-metrics plane
+// (Scheduler.SetSelf); the partition's own accounting follows domain 0's.
+func (p *Partition) SetSelf(pl *self.Plane) {
+	for _, s := range p.scheds {
+		s.self = pl
+	}
+}
+
 // Sched returns domain i's scheduler.
 func (p *Partition) Sched(i int) *Scheduler { return p.scheds[i] }
 
@@ -109,9 +117,6 @@ func (p *Partition) Index(s *Scheduler) int {
 // per-pair matrix is installed, and remains the floor of every edge when
 // one is.
 func (p *Partition) SetLookahead(d Time) { p.lookahead = d }
-
-// Lookahead returns the configured window width.
-func (p *Partition) Lookahead() Time { return p.lookahead }
 
 // SetCrossLatency records the minimum virtual latency of a direct
 // src→dst cross-domain interaction, tightening (never loosening) any
@@ -203,8 +208,8 @@ func (p *Partition) barrier() {
 	for _, fn := range p.barriers {
 		fn()
 	}
-	if self.On() {
-		self.PartBarriers.Inc()
+	if pl := p.scheds[0].self; pl != nil {
+		pl.PartBarriers.Inc()
 	}
 }
 
@@ -431,7 +436,7 @@ func (g *epochGate) work(d int, s *Scheduler, w *gateWorker) {
 	// sat out because it had nothing before its edge included. Wall-clock
 	// only; never observed by simulation code.
 	var idleSince time.Time
-	if self.On() {
+	if s.self != nil {
 		idleSince = time.Now()
 	}
 	for round := uint64(1); ; round++ {
@@ -439,18 +444,16 @@ func (g *epochGate) work(d int, s *Scheduler, w *gateWorker) {
 		if w.stop {
 			return
 		}
-		if self.On() && !idleSince.IsZero() {
-			self.DomainStallNS(d).Add(uint64(time.Since(idleSince).Nanoseconds()))
+		if s.self != nil {
+			s.self.DomainStallNS(d).Add(uint64(time.Since(idleSince).Nanoseconds()))
 		}
 		if w.incl {
 			w.fired += s.Run(w.edge)
 		} else {
 			w.fired += s.RunBefore(w.edge)
 		}
-		if self.On() {
+		if s.self != nil {
 			idleSince = time.Now()
-		} else {
-			idleSince = time.Time{}
 		}
 		g.done.signal()
 	}
@@ -475,7 +478,8 @@ func (p *Partition) round(g *epochGate, incl bool) uint64 {
 	case p.next[0] < p.edges[0]:
 		fired = p.scheds[0].RunBefore(p.edges[0])
 	}
-	if !self.On() {
+	pl := p.scheds[0].self
+	if pl == nil {
 		g.done.await(g.expected, g.spin)
 		return fired
 	}
@@ -484,9 +488,9 @@ func (p *Partition) round(g *epochGate, incl bool) uint64 {
 	// whether or not it had work in it.
 	t0 := time.Now()
 	g.done.await(g.expected, g.spin)
-	self.DomainStallNS(0).Add(uint64(time.Since(t0).Nanoseconds()))
+	pl.DomainStallNS(0).Add(uint64(time.Since(t0).Nanoseconds()))
 	for d := range p.scheds {
-		self.DomainWindows(d).Inc()
+		pl.DomainWindows(d).Inc()
 	}
 	return fired
 }
@@ -505,23 +509,24 @@ func (p *Partition) round(g *epochGate, incl bool) uint64 {
 // at or after until plus the pair latency and stay mailboxed for a later
 // Run, exactly as the single-scheduler run would leave them pending).
 func (p *Partition) Run(until Time) uint64 {
+	pl := p.scheds[0].self
 	if len(p.scheds) == 1 {
 		p.barrier()
 		p.windows.Add(1)
 		n := p.scheds[0].Run(until)
 		p.barrier()
-		if self.On() {
-			self.SetDomains(1)
-			self.DomainWindows(0).Inc()
-			self.SimNowPS.Set(int64(until))
+		if pl != nil {
+			pl.SetDomains(1)
+			pl.DomainWindows(0).Inc()
+			pl.SimNowPS.Set(int64(until))
 		}
 		return n
 	}
 	if p.lookahead <= 0 {
 		panic("sim: partition with multiple domains needs a positive lookahead")
 	}
-	if self.On() {
-		self.SetDomains(len(p.scheds))
+	if pl != nil {
+		pl.SetDomains(len(p.scheds))
 	}
 	if len(p.next) != len(p.scheds) {
 		p.next = make([]Time, len(p.scheds))
@@ -552,15 +557,15 @@ func (p *Partition) Run(until Time) uint64 {
 			p.computeEdges(until)
 		}
 		fired += p.round(g, false)
-		if self.On() {
+		if pl != nil {
 			minEdge, batched := Forever, false
 			for _, e := range p.edges {
 				minEdge = min(minEdge, e)
 				batched = batched || e > classic
 			}
-			self.SimNowPS.Set(int64(minEdge))
+			pl.SimNowPS.Set(int64(minEdge))
 			if batched {
-				self.PartBatchedWindows.Inc()
+				pl.PartBatchedWindows.Inc()
 			}
 		}
 	}
@@ -570,8 +575,8 @@ func (p *Partition) Run(until Time) uint64 {
 	}
 	fired += p.round(g, true)
 	p.barrier()
-	if self.On() {
-		self.SimNowPS.Set(int64(until))
+	if pl != nil {
+		pl.SimNowPS.Set(int64(until))
 	}
 	for _, w := range g.workers {
 		fired += w.fired

@@ -34,14 +34,10 @@ import (
 // wall-clock time that never touches simulation state. Run under -race
 // this also proves the accounting on both goroutines is clean.
 func TestPartitionBarrierAccounting(t *testing.T) {
-	self.Enable()
-	defer func() {
-		self.Disable()
-		self.Reset()
-	}()
 	for busy := 0; busy < 2; busy++ {
-		self.Reset()
+		pl := new(self.Plane)
 		p := NewPartition(2)
+		p.SetSelf(pl)
 		p.SetLookahead(25)
 		fired := 0
 		for i := 0; i < 10; i++ {
@@ -59,27 +55,27 @@ func TestPartitionBarrierAccounting(t *testing.T) {
 		if got := p.Windows(); got != wantWindows {
 			t.Errorf("busy=%d: Partition.Windows() = %d, want %d", busy, got, wantWindows)
 		}
-		if got := self.PartBarriers.Value(); got != 4 {
+		if got := pl.PartBarriers.Value(); got != 4 {
 			t.Errorf("busy=%d: self.PartBarriers = %d, want 4", busy, got)
 		}
-		if got := self.PartBatchedWindows.Value(); got != 2 {
+		if got := pl.PartBatchedWindows.Value(); got != 2 {
 			t.Errorf("busy=%d: self.PartBatchedWindows = %d, want 2 (the busy domain's edge should batch to its round trip)", busy, got)
 		}
-		if got := self.Domains(); got != 2 {
+		if got := pl.Domains(); got != 2 {
 			t.Errorf("busy=%d: self.Domains() = %d, want 2", busy, got)
 		}
 		for d := 0; d < 2; d++ {
-			if got := self.DomainWindows(d).Value(); got != wantWindows {
+			if got := pl.DomainWindows(d).Value(); got != wantWindows {
 				t.Errorf("busy=%d: domain %d window count = %d, want %d", busy, d, got, wantWindows)
 			}
 		}
 		// The idle domain waits ~10ms for the busy one; anything non-zero
 		// proves the stall clock ran, the 1ms floor proves it measured
 		// real waiting.
-		if got := self.DomainStallNS(1 - busy).Value(); got < uint64(time.Millisecond.Nanoseconds()) {
+		if got := pl.DomainStallNS(1 - busy).Value(); got < uint64(time.Millisecond.Nanoseconds()) {
 			t.Errorf("busy=%d: domain %d barrier stall = %dns, want >= 1ms of accumulated waiting", busy, 1-busy, got)
 		}
-		if got := self.SimNowPS.Value(); got != 100 {
+		if got := pl.SimNowPS.Value(); got != 100 {
 			t.Errorf("busy=%d: self.SimNowPS = %d, want 100", busy, got)
 		}
 	}
@@ -92,14 +88,9 @@ func TestPartitionBarrierAccounting(t *testing.T) {
 // exactly min(next)+lookahead, so the window count matches the
 // fixed-width protocol's.
 func TestPartitionBatchingBounded(t *testing.T) {
-	self.Reset()
-	self.Enable()
-	defer func() {
-		self.Disable()
-		self.Reset()
-	}()
-
+	pl := new(self.Plane)
 	p := NewPartition(2)
+	p.SetSelf(pl)
 	p.SetLookahead(10)
 	var fired [2]int // one slot per domain: no cross-goroutine writes
 	for i := 0; i < 10; i++ {
@@ -117,7 +108,7 @@ func TestPartitionBatchingBounded(t *testing.T) {
 	if got := p.Windows(); got != 11 {
 		t.Errorf("Partition.Windows() = %d, want 11 (no batching when both domains stay busy)", got)
 	}
-	if got := self.PartBatchedWindows.Value(); got != 0 {
+	if got := pl.PartBatchedWindows.Value(); got != 0 {
 		t.Errorf("self.PartBatchedWindows = %d, want 0", got)
 	}
 }

@@ -95,16 +95,6 @@ func (r *RNG) ExpTime(mean Time) Time {
 	return d
 }
 
-// Pareto returns a bounded Pareto-ish heavy-tailed value with shape alpha
-// and minimum xm. Used for flow-size distributions.
-func (r *RNG) Pareto(alpha, xm float64) float64 {
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return xm / math.Pow(u, 1/alpha)
-}
-
 // Perm returns a pseudo-random permutation of [0, n).
 func (r *RNG) Perm(n int) []int {
 	p := make([]int, n)
@@ -114,15 +104,6 @@ func (r *RNG) Perm(n int) []int {
 		p[j] = i
 	}
 	return p
-}
-
-// Shuffle pseudo-randomizes the order of n elements using the supplied
-// swap function.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }
 
 // Split returns a new RNG seeded from this one, for giving independent

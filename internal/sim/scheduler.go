@@ -213,11 +213,15 @@ type Scheduler struct {
 	fired  uint64
 	halted bool
 
+	// self is the run's wall-clock self-metrics plane, nil when nothing
+	// observes the run (SetSelf). Whatever is built on this scheduler —
+	// switches, their pools, networks — reaches the plane through Self.
+	self *self.Plane
 	// laneArms/auxArms count ArmAt and ArmExact calls; together with
-	// fired they feed the wall-clock self-metrics plane. They are plain
-	// fields bumped on the single-threaded hot path and published as
-	// deltas only at Run/RunBefore/RunAll exit (publishSelf), so the
-	// per-event cost of observability is zero — not even an atomic.
+	// fired they feed the plane. They are plain fields bumped on the
+	// single-threaded hot path and published as deltas only at
+	// Run/RunBefore/RunAll exit (publishSelf), so the per-event cost of
+	// observability is zero — not even an atomic.
 	laneArms, auxArms uint64
 	// pub* are the values already published to the self plane; the next
 	// publishSelf adds only the difference.
@@ -242,6 +246,14 @@ type Scheduler struct {
 func NewScheduler() *Scheduler {
 	return &Scheduler{runLimit: Forever}
 }
+
+// SetSelf hands the scheduler its run's self-metrics plane. Call it
+// before building anything on the scheduler: components read Self once,
+// at construction.
+func (s *Scheduler) SetSelf(p *self.Plane) { s.self = p }
+
+// Self returns the plane set by SetSelf, nil when the run is unobserved.
+func (s *Scheduler) Self() *self.Plane { return s.self }
 
 // Now returns the current virtual time.
 func (s *Scheduler) Now() Time { return s.now }
@@ -740,22 +752,22 @@ func (s *Scheduler) NextAt() (Time, bool) {
 
 // publishSelf pushes the delta of fired/arm counts accumulated since the
 // last publish into the wall-clock self-metrics plane. Called at run
-// exits only; a no-op when the plane is off. Checkpoint restore can move
+// exits only; a no-op without a plane. Checkpoint restore can move
 // fired backwards — a shrunken counter resets the baseline rather than
 // publishing a wrapped delta.
 func (s *Scheduler) publishSelf() {
-	if !self.On() {
-		s.pubFired, s.pubLaneArms, s.pubAuxArms = s.fired, s.laneArms, s.auxArms
+	p := s.self
+	if p == nil {
 		return
 	}
 	if s.fired > s.pubFired {
-		self.SchedDispatch.Add(s.fired - s.pubFired)
+		p.SchedDispatch.Add(s.fired - s.pubFired)
 	}
 	if s.laneArms > s.pubLaneArms {
-		self.SchedLaneArms.Add(s.laneArms - s.pubLaneArms)
+		p.SchedLaneArms.Add(s.laneArms - s.pubLaneArms)
 	}
 	if s.auxArms > s.pubAuxArms {
-		self.SchedAuxArms.Add(s.auxArms - s.pubAuxArms)
+		p.SchedAuxArms.Add(s.auxArms - s.pubAuxArms)
 	}
 	s.pubFired, s.pubLaneArms, s.pubAuxArms = s.fired, s.laneArms, s.auxArms
 }

@@ -27,14 +27,8 @@ const (
 // Forever is a sentinel Time later than any reachable simulation instant.
 const Forever Time = 1<<63 - 1
 
-// Picoseconds returns t as a raw picosecond count.
-func (t Time) Picoseconds() int64 { return int64(t) }
-
 // Nanoseconds returns t converted to nanoseconds, truncating toward zero.
 func (t Time) Nanoseconds() int64 { return int64(t) / int64(Nanosecond) }
-
-// Microseconds returns t converted to microseconds, truncating toward zero.
-func (t Time) Microseconds() int64 { return int64(t) / int64(Microsecond) }
 
 // Seconds returns t as a floating-point number of seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }

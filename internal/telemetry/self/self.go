@@ -9,12 +9,15 @@
 // change a single byte of simulation output (DESIGN.md §15).
 //
 // The package is a leaf (stdlib only) so every layer of the engine —
-// internal/sim, internal/core, internal/packet, internal/checkpoint,
-// internal/netsim — can record into it without import cycles. All
-// instruments are fixed package-level variables updated with atomic
-// operations; the hot path allocates nothing (TestSelfHotPathZeroAlloc)
-// and is gated behind one atomic load (On), so a run without the
-// observability plane pays a predictable branch and nothing else.
+// internal/sim, internal/core, internal/packet, internal/netsim — can
+// record into it without import cycles. The instruments are the fields
+// of one Plane, which a run owns and hands to its schedulers
+// (sim.Scheduler.SetSelf): a nil plane is "off", a new one is "reset",
+// and two runs in one process never share a counter. All
+// instruments are updated with atomic operations; the hot path allocates
+// nothing (TestSelfHotPathZeroAlloc) and is gated behind one nil test, so
+// a run without the observability plane pays a predictable branch and
+// nothing else.
 //
 // Writers follow two disciplines to keep the overhead honest:
 //
@@ -32,20 +35,6 @@ import (
 	"sort"
 	"sync/atomic"
 )
-
-// on gates every hot-path record. Off by default; the observability plane
-// (evbench/evsim -http, streaming export) switches it on at startup.
-var on atomic.Bool
-
-// Enable turns self-metric recording on.
-func Enable() { on.Store(true) }
-
-// Disable turns self-metric recording off. Instruments keep their values.
-func Disable() { on.Store(false) }
-
-// On reports whether self-metrics are being recorded. Hot paths check it
-// before touching any instrument.
-func On() bool { return on.Load() }
 
 // Counter is a monotonically increasing atomic counter. Safe for any
 // number of concurrent writers and readers.
@@ -157,10 +146,10 @@ func BucketHigh(i int) uint64 {
 // fold into a shared overflow slot rather than being dropped.
 const MaxDomains = 64
 
-// The engine's self-metric set. Fixed at compile time: every instrument
-// is a package-level variable so hot paths hold no pointers and pay no
-// lookups.
-var (
+// Plane is one run's self-metric set, fixed at compile time: every
+// instrument is a field, so hot paths pay no lookups. The zero Plane is
+// ready to use; writers hold a *Plane and treat nil as "off".
+type Plane struct {
 	// SchedDispatch counts events executed across all schedulers
 	// (published as batched deltas at Run/RunBefore/RunAll exit).
 	SchedDispatch Counter
@@ -175,8 +164,8 @@ var (
 	// mass well above 1.
 	BurstOcc Hist
 
-	// PoolInUse tracks outstanding packets across every packet.Pool:
-	// current level and process-wide high-water mark.
+	// PoolInUse tracks outstanding packets across every packet.Pool of
+	// the run: current level and high-water mark.
 	PoolInUse HighWater
 
 	// CheckpointWriteNS is the wall-clock latency of checkpoint file
@@ -224,13 +213,13 @@ var (
 
 	domainWindows [MaxDomains + 1]Counter // [MaxDomains] = overflow slot
 	domainStallNS [MaxDomains + 1]Counter
-)
+}
 
 // SetDomains records the domain count of the run in progress.
-func SetDomains(n int) { domains.Set(int64(n)) }
+func (p *Plane) SetDomains(n int) { p.domains.Set(int64(n)) }
 
 // Domains returns the recorded domain count.
-func Domains() int { return int(domains.Value()) }
+func (p *Plane) Domains() int { return int(p.domains.Value()) }
 
 // domainSlot clamps a domain index into the instrument arrays.
 func domainSlot(d int) int {
@@ -241,44 +230,13 @@ func domainSlot(d int) int {
 }
 
 // DomainWindows returns domain d's conservative-window counter.
-func DomainWindows(d int) *Counter { return &domainWindows[domainSlot(d)] }
+func (p *Plane) DomainWindows(d int) *Counter { return &p.domainWindows[domainSlot(d)] }
 
 // DomainStallNS returns domain d's barrier-stall counter: wall-clock
 // nanoseconds the domain spent waiting on the others — a worker between
 // one window handed to it and the next, domain 0 (which the partition's
 // coordinator runs) for the workers to finish each round.
-func DomainStallNS(d int) *Counter { return &domainStallNS[domainSlot(d)] }
-
-// Reset zeroes every instrument (tests and fresh campaigns). It does not
-// change the enabled state.
-func Reset() {
-	for _, c := range []*Counter{
-		&SchedDispatch, &SchedLaneArms, &SchedAuxArms,
-		&CheckpointBytes, &MailFrames,
-		&PartBarriers, &PartBatchedWindows,
-		&TrialsTotal, &TrialsDone,
-		&StreamFlushes, &StreamRecords, &StreamLost, &Scrapes,
-	} {
-		c.v.Store(0)
-	}
-	for _, h := range []*Hist{&BurstOcc, &CheckpointWriteNS} {
-		for i := range h.buckets {
-			h.buckets[i].Store(0)
-		}
-		h.count.Store(0)
-		h.sum.Store(0)
-		h.max.Store(0)
-	}
-	PoolInUse.cur.Store(0)
-	PoolInUse.hi.Store(0)
-	CheckpointLastUnixNS.Set(0)
-	SimNowPS.Set(0)
-	domains.Set(0)
-	for i := range domainWindows {
-		domainWindows[i].v.Store(0)
-		domainStallNS[i].v.Store(0)
-	}
-}
+func (p *Plane) DomainStallNS(d int) *Counter { return &p.domainStallNS[domainSlot(d)] }
 
 // Sample is one instrument's state in a Snapshot.
 type Sample struct {
@@ -303,7 +261,7 @@ type HistBucket struct {
 // scrapes. Reads are atomic; values observed mid-update are each
 // individually consistent but the set is not a single atomic cut — this
 // is observability, not accounting.
-func Snapshot() []Sample {
+func (p *Plane) Snapshot() []Sample {
 	counter := func(name string, c *Counter) Sample {
 		return Sample{Name: name, Kind: "counter", Value: int64(c.Value())}
 	}
@@ -326,33 +284,33 @@ func Snapshot() []Sample {
 		return s
 	}
 	out := []Sample{
-		hist("self.burst.slots_per_dispatch", &BurstOcc),
-		counter("self.checkpoint.bytes", &CheckpointBytes),
-		gauge("self.checkpoint.last_unix_ns", &CheckpointLastUnixNS),
-		hist("self.checkpoint.write_ns", &CheckpointWriteNS),
-		gauge("self.domains", &domains),
-		counter("self.http.scrapes", &Scrapes),
-		counter("self.mail.frames", &MailFrames),
-		counter("self.part.barriers", &PartBarriers),
-		counter("self.part.batched_windows", &PartBatchedWindows),
-		{Name: "self.pool.high_water", Kind: "gauge", Value: PoolInUse.High()},
-		{Name: "self.pool.in_use", Kind: "gauge", Value: PoolInUse.Cur()},
-		counter("self.sched.aux_arms", &SchedAuxArms),
-		counter("self.sched.dispatch", &SchedDispatch),
-		counter("self.sched.lane_arms", &SchedLaneArms),
-		gauge("self.sim.now_ps", &SimNowPS),
-		counter("self.stream.flushes", &StreamFlushes),
-		counter("self.stream.lost", &StreamLost),
-		counter("self.stream.records", &StreamRecords),
-		counter("self.trials.done", &TrialsDone),
-		counter("self.trials.total", &TrialsTotal),
+		hist("self.burst.slots_per_dispatch", &p.BurstOcc),
+		counter("self.checkpoint.bytes", &p.CheckpointBytes),
+		gauge("self.checkpoint.last_unix_ns", &p.CheckpointLastUnixNS),
+		hist("self.checkpoint.write_ns", &p.CheckpointWriteNS),
+		gauge("self.domains", &p.domains),
+		counter("self.http.scrapes", &p.Scrapes),
+		counter("self.mail.frames", &p.MailFrames),
+		counter("self.part.barriers", &p.PartBarriers),
+		counter("self.part.batched_windows", &p.PartBatchedWindows),
+		{Name: "self.pool.high_water", Kind: "gauge", Value: p.PoolInUse.High()},
+		{Name: "self.pool.in_use", Kind: "gauge", Value: p.PoolInUse.Cur()},
+		counter("self.sched.aux_arms", &p.SchedAuxArms),
+		counter("self.sched.dispatch", &p.SchedDispatch),
+		counter("self.sched.lane_arms", &p.SchedLaneArms),
+		gauge("self.sim.now_ps", &p.SimNowPS),
+		counter("self.stream.flushes", &p.StreamFlushes),
+		counter("self.stream.lost", &p.StreamLost),
+		counter("self.stream.records", &p.StreamRecords),
+		counter("self.trials.done", &p.TrialsDone),
+		counter("self.trials.total", &p.TrialsTotal),
 	}
-	nd := int(domains.Value())
+	nd := p.Domains()
 	if nd > MaxDomains {
 		nd = MaxDomains + 1
 	}
 	for d := 0; d <= MaxDomains; d++ {
-		w, st := domainWindows[d].Value(), domainStallNS[d].Value()
+		w, st := p.domainWindows[d].Value(), p.domainStallNS[d].Value()
 		if d >= nd && w == 0 && st == 0 {
 			continue
 		}

@@ -10,25 +10,20 @@ import (
 // deterministic registry: enabling the observability plane must never
 // put an allocation on a per-event engine path.
 func TestSelfHotPathZeroAlloc(t *testing.T) {
-	Reset()
-	Enable()
-	defer Disable()
-	w := DomainWindows(1)
-	st := DomainStallNS(1)
+	p := new(Plane)
+	w := p.DomainWindows(1)
+	st := p.DomainStallNS(1)
 	allocs := testing.AllocsPerRun(1000, func() {
-		if !On() {
-			t.Fatal("self disabled mid-run")
-		}
-		SchedDispatch.Add(17)
-		SchedLaneArms.Inc()
-		SchedAuxArms.Inc()
-		BurstOcc.Observe(42)
-		PoolInUse.Add(1)
-		PoolInUse.Add(-1)
-		CheckpointWriteNS.Observe(123456)
+		p.SchedDispatch.Add(17)
+		p.SchedLaneArms.Inc()
+		p.SchedAuxArms.Inc()
+		p.BurstOcc.Observe(42)
+		p.PoolInUse.Add(1)
+		p.PoolInUse.Add(-1)
+		p.CheckpointWriteNS.Observe(123456)
 		w.Inc()
 		st.Add(250)
-		SimNowPS.Set(99)
+		p.SimNowPS.Set(99)
 	})
 	if allocs != 0 {
 		t.Errorf("self-metrics hot path allocates %v allocs/op, want 0", allocs)
@@ -36,7 +31,6 @@ func TestSelfHotPathZeroAlloc(t *testing.T) {
 }
 
 func TestHighWater(t *testing.T) {
-	Reset()
 	var w HighWater
 	w.Add(3)
 	w.Add(2)
@@ -54,7 +48,6 @@ func TestHighWater(t *testing.T) {
 }
 
 func TestHistBuckets(t *testing.T) {
-	Reset()
 	var h Hist
 	for _, v := range []uint64{0, 1, 2, 3, 4, 1000} {
 		h.Observe(v)
@@ -87,10 +80,8 @@ func TestHistBuckets(t *testing.T) {
 // internal invariant: histogram counts always equal the bucket sum, even
 // mid-update.
 func TestConcurrentSnapshot(t *testing.T) {
-	Reset()
-	Enable()
-	defer Disable()
-	SetDomains(2)
+	p := new(Plane)
+	p.SetDomains(2)
 	var writers, readers sync.WaitGroup
 	stop := make(chan struct{})
 	for g := 0; g < 4; g++ {
@@ -98,12 +89,12 @@ func TestConcurrentSnapshot(t *testing.T) {
 		go func(g int) {
 			defer writers.Done()
 			for i := 0; i < 5000; i++ {
-				SchedDispatch.Add(1)
-				BurstOcc.Observe(uint64(i % 70))
-				PoolInUse.Add(1)
-				PoolInUse.Add(-1)
-				DomainWindows(g % 2).Inc()
-				DomainStallNS(g % 2).Add(10)
+				p.SchedDispatch.Add(1)
+				p.BurstOcc.Observe(uint64(i % 70))
+				p.PoolInUse.Add(1)
+				p.PoolInUse.Add(-1)
+				p.DomainWindows(g % 2).Inc()
+				p.DomainStallNS(g % 2).Add(10)
 			}
 		}(g)
 	}
@@ -116,7 +107,7 @@ func TestConcurrentSnapshot(t *testing.T) {
 				return
 			default:
 			}
-			for _, s := range Snapshot() {
+			for _, s := range p.Snapshot() {
 				if s.Kind != "hist" {
 					continue
 				}
@@ -136,23 +127,23 @@ func TestConcurrentSnapshot(t *testing.T) {
 	close(stop)
 	readers.Wait()
 
-	if got := SchedDispatch.Value(); got != 4*5000 {
+	if got := p.SchedDispatch.Value(); got != 4*5000 {
 		t.Errorf("SchedDispatch = %d, want %d", got, 4*5000)
 	}
-	if got := DomainWindows(0).Value() + DomainWindows(1).Value(); got != 4*5000 {
+	if got := p.DomainWindows(0).Value() + p.DomainWindows(1).Value(); got != 4*5000 {
 		t.Errorf("domain windows total = %d, want %d", got, 4*5000)
 	}
 }
 
 func TestDomainOverflowSlot(t *testing.T) {
-	Reset()
-	DomainWindows(MaxDomains + 7).Inc()
-	DomainWindows(-1).Inc()
-	if got := DomainWindows(MaxDomains).Value(); got != 2 {
+	p := new(Plane)
+	p.DomainWindows(MaxDomains + 7).Inc()
+	p.DomainWindows(-1).Inc()
+	if got := p.DomainWindows(MaxDomains).Value(); got != 2 {
 		t.Errorf("overflow slot = %d, want 2", got)
 	}
 	found := false
-	for _, s := range Snapshot() {
+	for _, s := range p.Snapshot() {
 		if s.Name == "self.domain_overflow.windows" {
 			found = true
 			if s.Value != 2 {
@@ -168,9 +159,9 @@ func TestDomainOverflowSlot(t *testing.T) {
 // TestSnapshotDeterministicOrder: two snapshots of quiescent instruments
 // list the same names in the same order — scrape output must be diffable.
 func TestSnapshotDeterministicOrder(t *testing.T) {
-	Reset()
-	SetDomains(3)
-	a, b := Snapshot(), Snapshot()
+	p := new(Plane)
+	p.SetDomains(3)
+	a, b := p.Snapshot(), p.Snapshot()
 	if len(a) != len(b) {
 		t.Fatalf("snapshot lengths differ: %d vs %d", len(a), len(b))
 	}

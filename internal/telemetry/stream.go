@@ -44,6 +44,7 @@ type StreamSink struct {
 	metricsW *bufio.Writer
 	metricsF *os.File
 
+	self   *self.Plane // StreamOptions.Self
 	buf    []Rec
 	ticker *time.Ticker
 	done   chan struct{}
@@ -70,6 +71,9 @@ type StreamOptions struct {
 	// Interval is the wall-clock flush period for Start; 0 means the
 	// host drives flushes itself via Flush.
 	Interval time.Duration
+	// Self, when set, counts flushes and flushed/lost records in the
+	// run's self-metrics plane.
+	Self *self.Plane
 }
 
 // chromePath reports whether path selects the Chrome array format.
@@ -82,7 +86,7 @@ func NewStreamSink(opts StreamOptions) (*StreamSink, error) {
 	if opts.TracePath == "" && opts.MetricsPath == "" {
 		return nil, fmt.Errorf("telemetry: stream sink needs a trace or metrics path")
 	}
-	sk := &StreamSink{done: make(chan struct{})}
+	sk := &StreamSink{done: make(chan struct{}), self: opts.Self}
 	if opts.TracePath != "" {
 		f, err := os.Create(opts.TracePath)
 		if err != nil {
@@ -161,8 +165,8 @@ func (sk *StreamSink) flushLocked() error {
 		for _, s := range streams {
 			var lost uint64
 			sk.buf, lost = s.DrainNew(sk.buf[:0])
-			if lost > 0 {
-				self.StreamLost.Add(lost)
+			if lost > 0 && sk.self != nil {
+				sk.self.StreamLost.Add(lost)
 			}
 			for _, rec := range sk.buf {
 				if err := sk.writeRec(e, s, rec); err != nil {
@@ -191,8 +195,10 @@ func (sk *StreamSink) flushLocked() error {
 			return err
 		}
 	}
-	self.StreamFlushes.Inc()
-	self.StreamRecords.Add(wrote)
+	if sk.self != nil {
+		sk.self.StreamFlushes.Inc()
+		sk.self.StreamRecords.Add(wrote)
+	}
 	return nil
 }
 

@@ -126,11 +126,11 @@ func TestStreamDrainNew(t *testing.T) {
 // mid-run, lines parse under the EncodeJSONL / evbench-metrics/v1
 // schemas, and the final trace export is unaffected by draining.
 func TestStreamSinkJSONL(t *testing.T) {
-	self.Reset()
+	plane := new(self.Plane)
 	dir := t.TempDir()
 	tracePath := filepath.Join(dir, "stream.jsonl")
 	metricsPath := filepath.Join(dir, "metrics.jsonl")
-	sk, err := NewStreamSink(StreamOptions{TracePath: tracePath, MetricsPath: metricsPath})
+	sk, err := NewStreamSink(StreamOptions{TracePath: tracePath, MetricsPath: metricsPath, Self: plane})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,11 +202,11 @@ func TestStreamSinkJSONL(t *testing.T) {
 		t.Error("post-run digest changed by stream draining")
 	}
 
-	if self.StreamFlushes.Value() != 2 {
-		t.Errorf("StreamFlushes = %d, want 2", self.StreamFlushes.Value())
+	if plane.StreamFlushes.Value() != 2 {
+		t.Errorf("StreamFlushes = %d, want 2", plane.StreamFlushes.Value())
 	}
-	if self.StreamRecords.Value() != uint64(want) {
-		t.Errorf("StreamRecords = %d, want %d", self.StreamRecords.Value(), want)
+	if plane.StreamRecords.Value() != uint64(want) {
+		t.Errorf("StreamRecords = %d, want %d", plane.StreamRecords.Value(), want)
 	}
 }
 
