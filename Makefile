@@ -13,10 +13,14 @@ check: lint build test race
 vet:
 	$(GO) vet ./...
 
-# Static analysis: go vet always; staticcheck when installed (the CI
-# image may not ship it — the gate degrades to vet-only with a notice
-# rather than failing on a missing tool).
+# Static analysis: gofmt (any file it would rewrite fails the gate) and
+# go vet always; staticcheck when installed (the CI image may not ship
+# it — the gate degrades to vet-only with a notice rather than failing on
+# a missing tool).
 lint: vet
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
+		echo "lint: gofmt would rewrite:"; echo "$$out"; exit 1; \
+	fi
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \

@@ -7,10 +7,12 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // TestExitCodes pins the exit-code contract: 0 ok, 1 runtime failure,
@@ -201,4 +203,60 @@ func TestCrashSIGKILLResume(t *testing.T) {
 	}
 	fmt.Fprintf(os.Stderr, "crash harness: killed after %v, resumed at %s\n",
 		delay, strings.TrimPrefix(strings.TrimSpace(resumedErr.String()), "evsim: "))
+}
+
+// TestDigestCoversBehaviour perturbs every field of config, one at a time,
+// and holds the digest to its contract: a behaviour field must move it (or
+// a checkpoint could resume under different flags), an output-only field
+// must not (or moving a trace file would orphan a checkpoint). The base
+// has every telemetry output on, so perturbing one path keeps
+// telemetryOn() where it was; the flip itself is checked last.
+func TestDigestCoversBehaviour(t *testing.T) {
+	base := config{
+		behaviour: behaviour{archName: "event", load: 0.9, size: 60, ms: 10, overspeed: 1.1,
+			ports: 4, gbps: 10, p4src: "control Ingress { apply { } }", seed: 1, ckptEvery: 500},
+		p4file: "a.up4", traceFile: "t.jsonl", metrics: "m.json", ckptPath: "c.ckpt", resume: "r.ckpt",
+		httpAddr: "127.0.0.1:0", streamTrace: "st.jsonl", streamMetrics: "sm.jsonl", streamEvery: time.Second,
+	}
+	perturb := func(v reflect.Value) {
+		v = reflect.NewAt(v.Type(), unsafe.Pointer(v.UnsafeAddr())).Elem() // unexported fields
+		switch v.Kind() {
+		case reflect.String:
+			v.SetString(v.String() + "x")
+		case reflect.Bool:
+			v.SetBool(!v.Bool())
+		case reflect.Int, reflect.Int64:
+			v.SetInt(v.Int() + 1)
+		case reflect.Uint64:
+			v.SetUint(v.Uint() + 1)
+		case reflect.Float64:
+			v.SetFloat(v.Float() + 0.25)
+		default:
+			t.Fatalf("config has a %v field; teach this test to perturb it", v.Kind())
+		}
+	}
+	check := func(name string, field func(*config) reflect.Value, wantMoved bool) {
+		c := base
+		perturb(field(&c))
+		if moved := c.digest() != base.digest(); moved != wantMoved {
+			t.Errorf("perturbing %s: digest moved = %v, want %v", name, moved, wantMoved)
+		}
+	}
+	ct, bt := reflect.TypeOf(base), reflect.TypeOf(base.behaviour)
+	for i := 0; i < ct.NumField(); i++ {
+		if ct.Field(i).Type == bt {
+			for j := 0; j < bt.NumField(); j++ {
+				check("behaviour."+bt.Field(j).Name, func(c *config) reflect.Value {
+					return reflect.ValueOf(c).Elem().Field(i).Field(j)
+				}, true)
+			}
+			continue
+		}
+		check(ct.Field(i).Name, func(c *config) reflect.Value { return reflect.ValueOf(c).Elem().Field(i) }, false)
+	}
+	quiet := base
+	quiet.traceFile, quiet.metrics, quiet.streamTrace, quiet.streamMetrics = "", "", "", ""
+	if quiet.digest() == base.digest() {
+		t.Error("turning every telemetry output off left the digest unchanged")
+	}
 }

@@ -85,9 +85,10 @@ func usagef(format string, args ...any) error {
 	return usageError{fmt.Errorf(format, args...)}
 }
 
-// config is every flag that affects simulation behaviour, resolved and
-// validated. Its digest pins a checkpoint to the exact run configuration.
-type config struct {
+// behaviour is every setting that changes what the simulation does,
+// resolved and validated. digest hashes the struct whole, so a setting
+// added here pins checkpoints without being listed anywhere else.
+type behaviour struct {
 	archName  string
 	load      float64
 	size      int
@@ -95,16 +96,24 @@ type config struct {
 	overspeed float64
 	ports     int
 	gbps      int64
-	p4file    string
 	p4src     string // program source (content, not path)
 	interp    bool
 	burst     int
 	seed      uint64
+	ckptEvery sim.Time
+}
+
+// config is the resolved command line: the run's behaviour plus where its
+// output lands. The fields outside behaviour change no simulated result
+// and stay out of the digest — except that asking for any telemetry
+// output changes the construction path (telemetryOn).
+type config struct {
+	behaviour
+
+	p4file    string // where p4src was read from
 	trace     int
 	traceFile string
 	metrics   string
-
-	ckptEvery sim.Time
 	ckptPath  string
 	resume    string
 
@@ -125,28 +134,13 @@ func (c *config) streaming() bool { return c.streamTrace != "" || c.streamMetric
 
 func (c *config) obsOn() bool { return c.httpAddr != "" || c.streaming() }
 
-// digest fingerprints the behaviour-affecting configuration. The
-// checkpoint and trace file paths are deliberately excluded: they change
-// where output lands, not what the simulation does. Whether telemetry is
-// enabled at all is included, because enabling it changes the
-// construction path (the sampler ticker draws an event sequence number).
+// digest fingerprints the behaviour-affecting configuration: the
+// behaviour struct (%#v names every field and quotes strings, so no two
+// configurations print alike), and whether telemetry is enabled at all,
+// because enabling it changes the construction path (the sampler ticker
+// draws an event sequence number).
 func (c *config) digest() uint64 {
-	return checkpoint.Digest(
-		"evsim",
-		c.archName,
-		fmt.Sprint(c.load),
-		fmt.Sprint(c.size),
-		fmt.Sprint(c.ms),
-		fmt.Sprint(c.overspeed),
-		fmt.Sprint(c.ports),
-		fmt.Sprint(c.gbps),
-		c.p4src,
-		fmt.Sprint(c.interp),
-		fmt.Sprint(c.burst),
-		fmt.Sprint(c.seed),
-		fmt.Sprint(c.telemetryOn()),
-		fmt.Sprint(int64(c.ckptEvery)),
-	)
+	return checkpoint.Digest("evsim", fmt.Sprintf("%#v", c.behaviour), fmt.Sprint(c.telemetryOn()))
 }
 
 func run(args []string, out, errw io.Writer) int {
@@ -189,9 +183,12 @@ func run(args []string, out, errw io.Writer) int {
 	}
 
 	cfg := &config{
-		archName: *arch, load: *load, size: *size, ms: *ms,
-		overspeed: *overspeed, ports: *ports, gbps: *rate,
-		p4file: *p4file, interp: *interp, burst: *burst, seed: *seed, trace: *trace,
+		behaviour: behaviour{
+			archName: *arch, load: *load, size: *size, ms: *ms,
+			overspeed: *overspeed, ports: *ports, gbps: *rate,
+			interp: *interp, burst: *burst, seed: *seed,
+		},
+		p4file: *p4file, trace: *trace,
 		traceFile: *traceFile, metrics: *metricsFile,
 		ckptPath: *ckptPath, resume: *resume,
 		httpAddr: *httpAddr, streamTrace: *streamTrace,

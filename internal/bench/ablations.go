@@ -213,10 +213,10 @@ func runPiggyback(env *Env, piggyback bool) (string, uint64) {
 func runMergerPriority(env *Env, timerFirst bool) *sim.Stats {
 	// The priority is per-switch configuration, so concurrently running
 	// trials never observe each other's ordering.
-	prio := append([]events.Kind(nil), core.MergerPriority...)
+	prio := core.DefaultMergerPriority()
 	if timerFirst {
-		prio = append(prio[:0], events.TimerExpiration)
-		for _, k := range core.MergerPriority {
+		prio = []events.Kind{events.TimerExpiration}
+		for _, k := range core.DefaultMergerPriority() {
 			if k != events.TimerExpiration {
 				prio = append(prio, k)
 			}

@@ -7,8 +7,8 @@ import "testing"
 // 1 and 2 domains, each with bursting off and on, must agree on the full
 // deterministic digest (switch stats, link counters, uplink bytes, host
 // counters) and on the telemetry digest. Burst slot loops, vectorized
-// frame delivery, bulk TM enqueue, and cross-domain burst mailbox
-// handoff all sit on this path; the per-packet oracle at -domains 1 is
+// frame delivery, and cross-domain burst mailbox handoff all sit on
+// this path; the per-packet oracle at -domains 1 is
 // the reference.
 func TestBurstFabricIdentical(t *testing.T) {
 	run := func(noBurst bool, domains int) (uint64, uint64) {

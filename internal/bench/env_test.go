@@ -135,12 +135,16 @@ func TestTwoCampaignsConcurrently(t *testing.T) {
 	}
 }
 
-// TestNoPackageState keeps the harness and the self-metrics package free
-// of package-level variables — the experiment registry and immutable
-// tables aside — so a run's state stays in its Env and its Plane.
+// TestNoPackageState keeps the harness, the self-metrics package and the
+// engine (core, tm, sim, netsim) free of package-level variables — the
+// harness's experiment registry and immutable tables aside — so a run's
+// state stays in its Env, its Plane and the objects it built.
 func TestNoPackageState(t *testing.T) {
-	allowed := map[string]bool{"registry": true, "up4Programs": true}
-	for _, dir := range []string{".", "../telemetry/self"} {
+	for _, dir := range []string{".", "../telemetry/self", "../core", "../tm", "../sim", "../netsim"} {
+		var allowed map[string]bool
+		if dir == "." {
+			allowed = map[string]bool{"registry": true, "up4Programs": true}
+		}
 		pkgs, err := parser.ParseDir(token.NewFileSet(), dir, func(fi os.FileInfo) bool {
 			return !strings.HasSuffix(fi.Name(), "_test.go")
 		}, 0)

@@ -427,3 +427,37 @@ func TestGeneratorPathZeroAlloc(t *testing.T) {
 		t.Fatalf("no generated packet crossed the switch during the measurement: %+v", after)
 	}
 }
+
+// TestStandingBacklogBoundedQueue holds three frames queued on one input
+// port for 200 000 cycles, one arrival per slot. A queue that recycles its
+// backing array only when it empties never does here: the port's array
+// grew by a slot per packet (len 200 004 for 3 live packets). The shared
+// FIFO compacts, so the array stays a few hundred slots.
+func TestStandingBacklogBoundedQueue(t *testing.T) {
+	sched := sim.NewScheduler()
+	sw := New(Config{}, EventDriven(), sched)
+	prog := pisa.NewProgram("sink")
+	prog.HandleFunc(events.IngressPacket, func(ctx *pisa.Context) { ctx.Drop() })
+	sw.MustLoad(prog)
+	f := frame(60, 1, 2)
+	for i := 0; i < 3; i++ {
+		sw.Inject(0, f)
+	}
+	minQueued := 3
+	for i := 0; i < 200_000; i++ {
+		sw.Inject(0, f)
+		sched.Run(sched.Now() + sw.CycleTime())
+		if q := sw.rxq[0].Len(); q < minQueued {
+			minQueued = q
+		}
+	}
+	if minQueued < 2 {
+		t.Fatalf("backlog fell to %d: the queue emptied and the test is vacuous", minQueued)
+	}
+	if st := sw.Stats(); st.PacketSlots < 199_000 {
+		t.Fatalf("PacketSlots = %d, want ~200000", st.PacketSlots)
+	}
+	if c := cap(sw.rxq[0].Live()); c > 1024 {
+		t.Errorf("rx queue holds %d packets in a backing array with %d slots past its head", sw.rxq[0].Len(), c)
+	}
+}

@@ -42,8 +42,8 @@ func burstForwardRig(tb testing.TB, noBurst bool) (step func(), sw *Switch, inst
 		}
 		sched.Run(sched.Now() + burstFrames*gap)
 	}
-	// Warm the rx rings, packet pool, TM queues, and the burst request
-	// slices past their steady-state sizes.
+	// Warm the rx rings, packet pool, and TM queues past their
+	// steady-state sizes.
 	for i := 0; i < 100; i++ {
 		step()
 	}
@@ -51,9 +51,8 @@ func burstForwardRig(tb testing.TB, noBurst bool) (step func(), sw *Switch, inst
 }
 
 // TestSwitchBurstForwardZeroAlloc asserts the vectorized forward path —
-// a same-instant arrival burst through burst pipeline slots to bulk TM
-// enqueue — performs
-// zero heap allocations in steady state, like its per-packet twin
+// a same-instant arrival burst through burst pipeline slots to the TM —
+// performs zero heap allocations in steady state, like its per-packet twin
 // TestSwitchForwardZeroAlloc.
 func TestSwitchBurstForwardZeroAlloc(t *testing.T) {
 	step, sw, _ := burstForwardRig(t, false)

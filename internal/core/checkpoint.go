@@ -41,6 +41,48 @@ func restorePacket(d *checkpoint.Decoder, pool *packet.Pool) *packet.Packet {
 	return pkt
 }
 
+// snapFIFO encodes a staging queue: its length, then its packets oldest
+// first.
+func snapFIFO(e *checkpoint.Encoder, f *sim.FIFO[*packet.Packet]) {
+	e.Int(f.Len())
+	for _, pkt := range f.Live() {
+		snapPacket(e, pkt)
+	}
+}
+
+// restoreFIFO refills a staging queue from snapFIFO's bytes; a short or
+// corrupt section leaves the decoder failed.
+func restoreFIFO(d *checkpoint.Decoder, pool *packet.Pool, f *sim.FIFO[*packet.Packet]) {
+	n := d.Int()
+	f.Reset()
+	for i := 0; i < n && d.Err() == nil; i++ {
+		if pkt := restorePacket(d, pool); pkt != nil {
+			f.Push(pkt)
+		}
+	}
+}
+
+// each visits every counter in checkpoint order. Snapshot and Restore both
+// walk it, so a counter added here is saved and loaded, and one left out
+// fails TestStatsVisitorCoversEveryCounter.
+func (st *Stats) each(f func(*uint64)) {
+	for _, c := range [...]*uint64{
+		&st.RxPackets, &st.RxBytes, &st.TxPackets, &st.TxBytes,
+		&st.RxDropped, &st.TxDroppedLinkDown, &st.PipelineDrops,
+		&st.Cycles, &st.PacketSlots, &st.EmptySlots, &st.DrainSlots,
+	} {
+		f(c)
+	}
+	for k := 0; k < events.NumKinds; k++ {
+		f(&st.EventsMerged[k])
+		f(&st.EventsDropped[k])
+		f(&st.EventsCoalesced[k])
+		f(&st.EventsShed[k])
+	}
+	f(&st.Recirculated)
+	f(&st.Generated)
+}
+
 func snapTicker(e *checkpoint.Encoder, st sim.TickerState) {
 	e.Bool(st.Stopped)
 	e.Bool(st.Pending)
@@ -84,22 +126,12 @@ func (s *Switch) Snapshot(e *checkpoint.Encoder) {
 
 	// Packet staging queues.
 	for p := range s.rxq {
-		live := s.rxq[p][s.rxHead[p]:]
-		e.Int(len(live))
-		for _, pkt := range live {
-			snapPacket(e, pkt)
-		}
+		snapFIFO(e, &s.rxq[p])
 	}
 	e.Int(s.rxRR)
 	e.Bool(s.lastRecirc)
-	e.Int(s.recirc.len())
-	for _, pkt := range s.recirc.live() {
-		snapPacket(e, pkt)
-	}
-	e.Int(s.genq.len())
-	for _, pkt := range s.genq.live() {
-		snapPacket(e, pkt)
-	}
+	snapFIFO(e, &s.recirc)
+	snapFIFO(e, &s.genq)
 
 	// Event FIFOs and the merger's arrival counter.
 	for k := 0; k < events.NumKinds; k++ {
@@ -116,12 +148,15 @@ func (s *Switch) Snapshot(e *checkpoint.Encoder) {
 	// Traffic manager (buffered packets ride along).
 	s.tmgr.Snapshot(e)
 
-	// Per-port link/tx state.
+	// Per-port link/tx state. The format carries a transmitter-busy byte
+	// next to the has-packet byte; busy is "a packet is on the wire", so
+	// both are written from txPkt.
 	for p := 0; p < s.cfg.Ports; p++ {
+		busy := s.txPkt[p] != nil
 		e.Bool(s.linkUp[p])
-		e.Bool(s.txBusy[p])
-		e.Bool(s.txPkt[p] != nil)
-		if s.txPkt[p] != nil {
+		e.Bool(busy)
+		e.Bool(busy)
+		if busy {
 			snapPacket(e, s.txPkt[p])
 		}
 		var td txDone
@@ -137,7 +172,7 @@ func (s *Switch) Snapshot(e *checkpoint.Encoder) {
 	// In-flight pipeline conveyor entries, oldest first. The conveyor is
 	// FIFO in (at, seq), which is exactly the event-seq order the old
 	// heap-based encoding sorted into, so the section bytes are unchanged.
-	live := s.pipeQ[s.pipeHead:]
+	live := s.pipe.Live()
 	e.Int(len(live))
 	for i := range live {
 		en := &live[i]
@@ -165,26 +200,7 @@ func (s *Switch) Snapshot(e *checkpoint.Encoder) {
 	}
 
 	// Lifetime counters.
-	st := &s.stats
-	e.U64(st.RxPackets)
-	e.U64(st.RxBytes)
-	e.U64(st.TxPackets)
-	e.U64(st.TxBytes)
-	e.U64(st.RxDropped)
-	e.U64(st.TxDroppedLinkDown)
-	e.U64(st.PipelineDrops)
-	e.U64(st.Cycles)
-	e.U64(st.PacketSlots)
-	e.U64(st.EmptySlots)
-	e.U64(st.DrainSlots)
-	for k := 0; k < events.NumKinds; k++ {
-		e.U64(st.EventsMerged[k])
-		e.U64(st.EventsDropped[k])
-		e.U64(st.EventsCoalesced[k])
-		e.U64(st.EventsShed[k])
-	}
-	e.U64(st.Recirculated)
-	e.U64(st.Generated)
+	s.stats.each(func(c *uint64) { e.U64(*c) })
 
 	// Telemetry sampler ticker.
 	e.Bool(s.telSampler != nil)
@@ -216,45 +232,14 @@ func (s *Switch) Restore(d *checkpoint.Decoder) {
 	}
 
 	for p := range s.rxq {
-		n := d.Int()
-		if d.Err() != nil {
-			return
-		}
-		s.rxq[p] = s.rxq[p][:0]
-		s.rxHead[p] = 0
-		for i := 0; i < n; i++ {
-			pkt := restorePacket(d, s.pool)
-			if pkt == nil {
-				return
-			}
-			s.rxq[p] = append(s.rxq[p], pkt)
-		}
+		restoreFIFO(d, s.pool, &s.rxq[p])
 	}
 	s.rxRR = d.Int()
 	s.lastRecirc = d.Bool()
-	nr := d.Int()
+	restoreFIFO(d, s.pool, &s.recirc)
+	restoreFIFO(d, s.pool, &s.genq)
 	if d.Err() != nil {
 		return
-	}
-	s.recirc.reset()
-	for i := 0; i < nr; i++ {
-		pkt := restorePacket(d, s.pool)
-		if pkt == nil {
-			return
-		}
-		s.recirc.push(pkt)
-	}
-	ng := d.Int()
-	if d.Err() != nil {
-		return
-	}
-	s.genq.reset()
-	for i := 0; i < ng; i++ {
-		pkt := restorePacket(d, s.pool)
-		if pkt == nil {
-			return
-		}
-		s.genq.push(pkt)
 	}
 
 	for k := 0; k < events.NumKinds; k++ {
@@ -268,7 +253,7 @@ func (s *Switch) Restore(d *checkpoint.Decoder) {
 	// Rebuild the derived O(1) work-check state from the restored queues.
 	s.rxPending = 0
 	for p := range s.rxq {
-		s.rxPending += len(s.rxq[p]) - s.rxHead[p]
+		s.rxPending += s.rxq[p].Len()
 	}
 	s.evMask = 0
 	for k := 0; k < events.NumKinds; k++ {
@@ -300,19 +285,25 @@ func (s *Switch) Restore(d *checkpoint.Decoder) {
 	s.txPend = s.txPend[:0]
 	for p := 0; p < s.cfg.Ports; p++ {
 		s.linkUp[p] = d.Bool()
-		s.txBusy[p] = d.Bool()
+		busy := d.Bool()
 		hasTx := d.Bool()
 		if d.Err() != nil {
 			return
 		}
+		s.txPkt[p] = nil
 		if hasTx {
 			s.txPkt[p] = restorePacket(d, s.pool)
-		} else {
-			s.txPkt[p] = nil
 		}
 		pend := d.Bool()
 		td := txDone{at: sim.Time(d.I64()), seq: d.U64(), port: p}
 		if d.Err() != nil {
+			return
+		}
+		// A transmitter is busy exactly while it holds a packet whose
+		// completion is pending; any other combination would resume into a
+		// completion with no packet, or a port that never transmits again.
+		if busy != hasTx || busy != pend {
+			d.Fail(fmt.Errorf("core: switch %s: port %d: snapshot tx state disagrees (busy=%v packet=%v completion=%v)", s.cfg.Name, p, busy, hasTx, pend))
 			return
 		}
 		if pend {
@@ -324,8 +315,7 @@ func (s *Switch) Restore(d *checkpoint.Decoder) {
 	if d.Err() != nil {
 		return
 	}
-	s.pipeQ = s.pipeQ[:0]
-	s.pipeHead = 0
+	s.pipe.Reset()
 	for i := 0; i < nj; i++ {
 		pkt := restorePacket(d, s.pool)
 		if pkt == nil {
@@ -342,7 +332,7 @@ func (s *Switch) Restore(d *checkpoint.Decoder) {
 		if d.Err() != nil {
 			return
 		}
-		s.pipeQ = append(s.pipeQ, en)
+		s.pipe.Push(en)
 	}
 	// Re-arm the aux lane at the restored conveyor's minimum: the entries
 	// carry their original coordinates, so the resumed schedule fires them
@@ -383,26 +373,7 @@ func (s *Switch) Restore(d *checkpoint.Decoder) {
 		g.ticker.RestoreState(restoreTicker(d))
 	}
 
-	st := &s.stats
-	st.RxPackets = d.U64()
-	st.RxBytes = d.U64()
-	st.TxPackets = d.U64()
-	st.TxBytes = d.U64()
-	st.RxDropped = d.U64()
-	st.TxDroppedLinkDown = d.U64()
-	st.PipelineDrops = d.U64()
-	st.Cycles = d.U64()
-	st.PacketSlots = d.U64()
-	st.EmptySlots = d.U64()
-	st.DrainSlots = d.U64()
-	for k := 0; k < events.NumKinds; k++ {
-		st.EventsMerged[k] = d.U64()
-		st.EventsDropped[k] = d.U64()
-		st.EventsCoalesced[k] = d.U64()
-		st.EventsShed[k] = d.U64()
-	}
-	st.Recirculated = d.U64()
-	st.Generated = d.U64()
+	s.stats.each(func(c *uint64) { *c = d.U64() })
 
 	hadSampler := d.Bool()
 	if d.Err() != nil {

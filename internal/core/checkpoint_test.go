@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"reflect"
 	"testing"
 
 	"repro/internal/checkpoint"
@@ -160,5 +162,111 @@ func TestSwitchRestoreZeroAlloc(t *testing.T) {
 	}
 	if b.sw.Stats().TxPackets == before {
 		t.Fatal("nothing forwarded during the measurement")
+	}
+}
+
+// TestRestoreRejectsInconsistentTxState snapshots a switch with one frame
+// on port 1's wire and breaks the per-port (busy, has-packet,
+// pending-completion) triple each way. A resumed run would nil-deref in
+// txComplete or leave the port silent forever, so Restore must fail the
+// decoder instead; the untouched snapshot must still load.
+func TestRestoreRejectsInconsistentTxState(t *testing.T) {
+	build := func() (*sim.Scheduler, *Switch) {
+		sched := sim.NewScheduler()
+		sw := New(Config{Name: "tx", Ports: 2}, EventDriven(), sched)
+		sw.MustLoad(xconnect())
+		return sched, sw
+	}
+	sched, sw := build()
+	sw.Inject(0, frame(200, 1, 2))
+	for sw.txPkt[1] == nil {
+		if sched.Now() > sim.Microsecond {
+			t.Fatal("frame never reached port 1's wire")
+		}
+		sched.Run(sched.Now() + sw.CycleTime())
+	}
+	snapshot := func() []byte {
+		e := checkpoint.NewEncoder()
+		sw.Snapshot(e)
+		return e.Bytes()
+	}
+	good := snapshot()
+
+	// Port 1's record is linkUp, busy, has-packet, the packet, then the
+	// completion's pending byte; the packet is the only one in the switch.
+	pe := checkpoint.NewEncoder()
+	snapPacket(pe, sw.txPkt[1])
+	rec := append([]byte{1, 1, 1}, pe.Bytes()...)
+	if bytes.Count(good, rec) != 1 {
+		t.Fatalf("port 1's tx record occurs %d times in the snapshot, want 1", bytes.Count(good, rec))
+	}
+	at := bytes.Index(good, rec)
+	patched := func(off int) []byte {
+		b := append([]byte(nil), good...)
+		b[off] = 0
+		return b
+	}
+	pend, pkt := sw.txPend, sw.txPkt[1]
+	sw.txPend = nil
+	noCompletion := snapshot()
+	sw.txPend, sw.txPkt[1] = pend, nil
+	noPacket := snapshot()
+	sw.txPkt[1] = pkt
+
+	for _, tc := range []struct {
+		name string
+		buf  []byte
+		ok   bool
+	}{
+		{"consistent", good, true},
+		{"busy byte cleared", patched(at + 1), false},
+		{"pending byte cleared", patched(at + len(rec)), false},
+		{"completion without its packet", noPacket, false},
+		{"packet without its completion", noCompletion, false},
+	} {
+		_, fresh := build()
+		d := checkpoint.NewDecoder(tc.buf)
+		fresh.Restore(d)
+		if got := d.Err() == nil; got != tc.ok {
+			t.Errorf("%s: Restore error = %v, want ok=%v", tc.name, d.Err(), tc.ok)
+		}
+	}
+}
+
+// TestStatsVisitorCoversEveryCounter walks Stats by reflection: every
+// uint64 it holds must be visited by each exactly once, so a counter added
+// to the struct cannot be left out of the checkpoint.
+func TestStatsVisitorCoversEveryCounter(t *testing.T) {
+	var st Stats
+	want := 0
+	v := reflect.ValueOf(&st).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Uint64:
+			want++
+		case reflect.Array:
+			want += f.Len()
+		default:
+			t.Fatalf("Stats.%s: kind %v is not a counter the visitor knows", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	n := 0
+	st.each(func(c *uint64) { *c++; n++ })
+	if n != want {
+		t.Errorf("each visited %d counters, Stats has %d", n, want)
+	}
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		if f.Kind() == reflect.Uint64 {
+			if f.Uint() != 1 {
+				t.Errorf("Stats.%s visited %d times", v.Type().Field(i).Name, f.Uint())
+			}
+			continue
+		}
+		for k := 0; k < f.Len(); k++ {
+			if f.Index(k).Uint() != 1 {
+				t.Errorf("Stats.%s[%d] visited %d times", v.Type().Field(i).Name, k, f.Index(k).Uint())
+			}
+		}
 	}
 }

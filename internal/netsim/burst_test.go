@@ -128,7 +128,7 @@ func impairedOrderRun(t *testing.T, cfg core.Config) (order []int, fp string, ma
 		// serializations (~26ns each) finish well inside the 2µs latency,
 		// so outside the impairment window the FIFO holds the whole burst.
 		sched.At(at+sim.Microsecond, func() {
-			if q := len(l.fifo[0].q) - l.fifo[0].head; q > maxQueued {
+			if q := l.fifo[0].q.Len(); q > maxQueued {
 				maxQueued = q
 			}
 		})
@@ -180,7 +180,7 @@ func fifoDepth(n *Network) int {
 	d := 0
 	for _, l := range n.links {
 		for dir := 0; dir < 2; dir++ {
-			d += len(l.fifo[dir].q) - l.fifo[dir].head
+			d += l.fifo[dir].q.Len()
 		}
 	}
 	return d

@@ -47,7 +47,7 @@ func (n *Network) inFlight() map[*Link][2][]wireFrame {
 				// One band registration stands for the whole arrival
 				// FIFO: every queued entry is an in-flight frame.
 				frames := out[v.l]
-				for _, en := range v.q[v.head:] {
+				for _, en := range v.q.Live() {
 					frames[v.dir] = append(frames[v.dir], wireFrame{at: en.at, seq: en.seq, buf: en.buf})
 				}
 				out[v.l] = frames
@@ -182,8 +182,7 @@ func (n *Network) Restore(d *checkpoint.Decoder) {
 			// its own per-frame flight, exactly as snapshotted runs
 			// without bursting would.
 			w := l.fifo[dir]
-			w.q = w.q[:0]
-			w.head = 0
+			w.q.Reset()
 			l.legacyPending[dir] = 0
 			frames := make([]wireFrame, 0, nf)
 			fifoOK := l.burstOK
@@ -201,9 +200,9 @@ func (n *Network) Restore(d *checkpoint.Decoder) {
 			}
 			if fifoOK && nf > 0 {
 				for _, f := range frames {
-					w.q = append(w.q, wireEntry{at: f.at, seq: f.seq, buf: append([]byte(nil), f.buf...)})
+					w.q.Push(wireEntry{at: f.at, seq: f.seq, buf: append([]byte(nil), f.buf...)})
 				}
-				h := &w.q[0]
+				h := w.q.Peek()
 				l.sched[1-dir].RestoreWireRunner(h.at, l.wireKey(dir), h.seq, w)
 			} else {
 				for _, fr := range frames {

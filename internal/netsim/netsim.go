@@ -143,8 +143,7 @@ type wireFIFO struct {
 	n    *Network
 	l    *Link
 	dir  int
-	q    []wireEntry
-	head int
+	q    sim.FIFO[wireEntry]
 	free [][]byte // recycled non-cross frame buffers
 }
 
@@ -157,8 +156,8 @@ func (w *wireFIFO) push(at sim.Time, seq uint64, data []byte) {
 		w.free[k-1] = nil
 		w.free = w.free[:k-1]
 	}
-	idle := w.head == len(w.q)
-	w.q = append(w.q, wireEntry{at: at, seq: seq, buf: append(buf[:0], data...)})
+	idle := w.q.Len() == 0
+	w.q.Push(wireEntry{at: at, seq: seq, buf: append(buf[:0], data...)})
 	if idle {
 		w.l.sched[1-w.dir].AtWireRunner(at, w.l.wireKey(w.dir), seq, w)
 	}
@@ -169,30 +168,20 @@ func (w *wireFIFO) push(at sim.Time, seq uint64, data []byte) {
 // for the remainder.
 func (w *wireFIFO) Run() {
 	l, dir := w.l, w.dir
-	at := w.q[w.head].at
-	for w.head < len(w.q) && w.q[w.head].at == at {
-		e := &w.q[w.head]
-		buf, m := e.buf, e.m
-		*e = wireEntry{}
-		w.head++
-		w.n.arrive(l, dir, buf)
-		if m != nil {
-			w.n.parkSpent(l, dir, m)
+	at := w.q.Peek().at
+	for w.q.Len() > 0 && w.q.Peek().at == at {
+		e := w.q.Pop()
+		w.n.arrive(l, dir, e.buf)
+		if e.m != nil {
+			w.n.parkSpent(l, dir, e.m)
 		} else {
-			w.free = append(w.free, buf)
+			w.free = append(w.free, e.buf)
 		}
 	}
-	if w.head < len(w.q) {
-		h := &w.q[w.head]
+	if w.q.Len() > 0 {
+		h := w.q.Peek()
 		l.sched[1-dir].AtWireRunner(h.at, l.wireKey(dir), h.seq, w)
-		if w.head > 512 && w.head*2 > len(w.q) {
-			w.q = append(w.q[:0], w.q[w.head:]...)
-			w.head = 0
-		}
-		return
 	}
-	w.q = w.q[:0]
-	w.head = 0
 }
 
 // mailFlight is a frame queued for cross-domain delivery at the next
@@ -828,13 +817,13 @@ func (n *Network) drainMail() {
 				// entries borrow the mailFlights' buffers; delivery
 				// parks each mailFlight on mailSpent as usual.
 				w := l.fifo[dir]
-				idle := w.head == len(w.q)
+				idle := w.q.Len() == 0
 				for j, m := range box {
-					w.q = append(w.q, wireEntry{at: m.at, seq: m.seq, buf: m.buf, m: m})
+					w.q.Push(wireEntry{at: m.at, seq: m.seq, buf: m.buf, m: m})
 					box[j] = nil
 				}
 				if idle {
-					h := &w.q[w.head]
+					h := w.q.Peek()
 					dst.AtWireRunner(h.at, key, h.seq, w)
 				}
 				l.mail[dir] = box[:0]

@@ -341,3 +341,47 @@ func TestStatsStddev(t *testing.T) {
 		t.Errorf("stddev = %v, want 2", got)
 	}
 }
+
+// TestFIFO holds the shared queue to its contract under every backlog
+// shape the datapath produces — drain to empty, standing backlog, deep
+// backlog: FIFO order, Peek/Live agreeing with the next Pop, no pointer
+// left behind in a popped slot, and a backing array bounded by the peak
+// occupancy, not by the number of elements that ever passed through.
+func TestFIFO(t *testing.T) {
+	for _, backlog := range []int{0, 3, 100, 1000} {
+		var f FIFO[*int]
+		next, want := 0, 0
+		push := func() { v := next; next++; f.Push(&v) }
+		for i := 0; i < backlog; i++ {
+			push()
+		}
+		for i := 0; i < 50_000; i++ {
+			push()
+			if f.Len() != backlog+1 {
+				t.Fatalf("backlog %d: Len = %d after push %d", backlog, f.Len(), i)
+			}
+			if got := **f.Peek(); got != want {
+				t.Fatalf("backlog %d: Peek = %d, want %d", backlog, got, want)
+			}
+			if live := f.Live(); len(live) != f.Len() || *live[0] != want || *live[len(live)-1] != next-1 {
+				t.Fatalf("backlog %d: Live = [%d..%d] (%d), want [%d..%d]", backlog, *live[0], *live[len(live)-1], len(live), want, next-1)
+			}
+			if got := *f.Pop(); got != want {
+				t.Fatalf("backlog %d: Pop = %d, want %d", backlog, got, want)
+			}
+			want++
+		}
+		if c := cap(f.q); c > 4*(backlog+fifoCompactAt) {
+			t.Errorf("backlog %d: backing array grew to %d slots", backlog, c)
+		}
+		for i, p := range f.q[:cap(f.q)] {
+			if live := i >= f.head && i < len(f.q); !live && p != nil {
+				t.Fatalf("backlog %d: dead slot %d still holds a pointer", backlog, i)
+			}
+		}
+		f.Reset()
+		if f.Len() != 0 || len(f.Live()) != 0 {
+			t.Errorf("backlog %d: Reset left %d elements", backlog, f.Len())
+		}
+	}
+}

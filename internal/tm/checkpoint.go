@@ -19,8 +19,9 @@ func (t *TM) Snapshot(e *checkpoint.Encoder) {
 		for qi := range p.queues {
 			q := &p.queues[qi]
 			e.Int(q.len())
-			for i := q.head; i < len(q.items); i++ {
-				it := &q.items[i]
+			live := q.items.Live()
+			for i := range live {
+				it := &live[i]
 				e.BytesField(it.pkt.Data)
 				e.Int(it.pkt.InPort)
 				e.Bool(it.pkt.Gen)
@@ -83,8 +84,7 @@ func (t *TM) Restore(d *checkpoint.Decoder, pool *packet.Pool) {
 			if d.Err() != nil {
 				return
 			}
-			q.items = q.items[:0]
-			q.head = 0
+			q.items.Reset()
 			q.bytes = 0
 			for i := 0; i < n; i++ {
 				data := d.BytesField()

@@ -62,30 +62,23 @@ type item struct {
 }
 
 type queue struct {
-	items []item
-	head  int
+	items sim.FIFO[item]
 	bytes int
 }
 
-func (q *queue) len() int { return len(q.items) - q.head }
+func (q *queue) len() int { return q.items.Len() }
 
 func (q *queue) push(it item) {
-	q.items = append(q.items, it)
+	q.items.Push(it)
 	q.bytes += it.pkt.Len()
 }
 
 func (q *queue) pop() (item, bool) {
-	if q.head >= len(q.items) {
+	if q.items.Len() == 0 {
 		return item{}, false
 	}
-	it := q.items[q.head]
-	q.items[q.head] = item{} // release reference
-	q.head++
+	it := q.items.Pop()
 	q.bytes -= it.pkt.Len()
-	if q.head > 512 && q.head*2 > len(q.items) {
-		q.items = append(q.items[:0], q.items[q.head:]...)
-		q.head = 0
-	}
 	return it, true
 }
 
@@ -213,40 +206,6 @@ func (t *TM) Enqueue(pkt *packet.Packet, outPort, q int, rank, flowHash uint64, 
 // themselves stay in per-queue FIFOs so that byte accounting is uniform.
 type pifoRef struct{ q int }
 
-// EnqueueReq is one packet of a bulk enqueue (EnqueueN).
-type EnqueueReq struct {
-	Pkt      *packet.Packet
-	Port, Q  int
-	Rank     uint64
-	FlowHash uint64
-}
-
-// EnqueueN offers a vector of packets to the TM in one call — the burst
-// datapath's bulk handoff from the ingress pipeline. Items are admitted
-// in slice order with exactly the semantics of calling Enqueue once per
-// item at the same instant: per-item tail-drop admission, per-item
-// BufferEnqueue/BufferOverflow events in order (so event sequence
-// numbers match the loop), and PIFO push order preserved. onResult, when
-// non-nil, runs for each item right after its admission decision —
-// before the next item is considered — which lets the caller interleave
-// its per-packet reaction (starting a transmit, releasing a dropped
-// packet) exactly where the equivalent Enqueue loop would have. It
-// returns the number of packets admitted.
-func (t *TM) EnqueueN(reqs []EnqueueReq, now sim.Time, onResult func(i int, ok bool)) int {
-	admitted := 0
-	for i := range reqs {
-		r := &reqs[i]
-		ok := t.Enqueue(r.Pkt, r.Port, r.Q, r.Rank, r.FlowHash, now)
-		if ok {
-			admitted++
-		}
-		if onResult != nil {
-			onResult(i, ok)
-		}
-	}
-	return admitted
-}
-
 // Dequeue removes the next packet from the given output port according to
 // the discipline. ok is false when the port is empty. A dequeue that
 // leaves the port with no buffered bytes raises BufferUnderflow after the
@@ -311,13 +270,13 @@ func (t *TM) drrPick(p *port) (item, int, bool) {
 			p.deficit[q] += t.cfg.DRRQuantum
 			p.granted = true
 		}
-		head := qu.items[qu.head]
-		if p.deficit[q] < head.pkt.Len() {
+		head := qu.items.Peek().pkt.Len()
+		if p.deficit[q] < head {
 			p.rr = (p.rr + 1) % n
 			p.granted = false
 			continue
 		}
-		p.deficit[q] -= head.pkt.Len()
+		p.deficit[q] -= head
 		it, _ := qu.pop()
 		if qu.len() == 0 {
 			p.deficit[q] = 0

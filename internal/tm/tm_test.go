@@ -322,112 +322,3 @@ func TestDisciplineStrings(t *testing.T) {
 		}
 	}
 }
-
-// TestEnqueueNMatchesLoop is the differential pin for the bulk enqueue
-// path: EnqueueN over a mixed batch (multiple ports, queues, ranks, and
-// enough bytes to overflow one queue) must leave the TM in exactly the
-// state a hand-written Enqueue loop produces — same admissions in the
-// same order, same emitted event stream, same dequeue order afterwards.
-func TestEnqueueNMatchesLoop(t *testing.T) {
-	mkReqs := func() []EnqueueReq {
-		var reqs []EnqueueReq
-		for i := 0; i < 40; i++ {
-			reqs = append(reqs, EnqueueReq{
-				Pkt:      mkPkt(100 + 17*(i%7)),
-				Port:     i % 2,
-				Q:        i % 2,
-				Rank:     uint64(40 - i), // descending: exercises PIFO ordering
-				FlowHash: uint64(i * 2654435761),
-			})
-		}
-		return reqs
-	}
-	type outcome struct {
-		oks    []bool
-		events []events.Event
-		deqLen []int
-	}
-	drain := func(tmgr *TM) []int {
-		var lens []int
-		for port := 0; port < 2; port++ {
-			for {
-				pkt, ok := tmgr.Dequeue(port, 500)
-				if !ok {
-					break
-				}
-				lens = append(lens, len(pkt.Data))
-			}
-		}
-		return lens
-	}
-	cfg := Config{Ports: 2, QueuesPerPort: 2, QueueCapBytes: 1500}
-
-	var loop outcome
-	{
-		tmgr := New(cfg)
-		tmgr.OnEvent = func(e *events.Event) { loop.events = append(loop.events, *e) }
-		for _, r := range mkReqs() {
-			loop.oks = append(loop.oks, tmgr.Enqueue(r.Pkt, r.Port, r.Q, r.Rank, r.FlowHash, 100))
-		}
-		loop.deqLen = drain(tmgr)
-	}
-
-	var bulk outcome
-	admitted := 0
-	{
-		tmgr := New(cfg)
-		tmgr.OnEvent = func(e *events.Event) { bulk.events = append(bulk.events, *e) }
-		reqs := mkReqs()
-		bulk.oks = make([]bool, len(reqs))
-		admitted = tmgr.EnqueueN(reqs, 100, func(i int, ok bool) { bulk.oks[i] = ok })
-		bulk.deqLen = drain(tmgr)
-	}
-
-	if len(loop.oks) != len(bulk.oks) {
-		t.Fatalf("ok counts differ: loop %d, bulk %d", len(loop.oks), len(bulk.oks))
-	}
-	wantAdmitted := 0
-	for i := range loop.oks {
-		if loop.oks[i] {
-			wantAdmitted++
-		}
-		if loop.oks[i] != bulk.oks[i] {
-			t.Errorf("req %d: loop ok=%v, bulk ok=%v", i, loop.oks[i], bulk.oks[i])
-		}
-	}
-	if admitted != wantAdmitted {
-		t.Errorf("EnqueueN admitted = %d, want %d", admitted, wantAdmitted)
-	}
-	if wantAdmitted == len(loop.oks) {
-		t.Error("no request was refused; the overflow path is uncovered")
-	}
-	if len(loop.events) != len(bulk.events) {
-		t.Fatalf("event counts differ: loop %d, bulk %d", len(loop.events), len(bulk.events))
-	}
-	for i := range loop.events {
-		if loop.events[i] != bulk.events[i] {
-			t.Errorf("event %d differs: loop %+v, bulk %+v", i, loop.events[i], bulk.events[i])
-		}
-	}
-	if len(loop.deqLen) != len(bulk.deqLen) {
-		t.Fatalf("dequeue counts differ: loop %d, bulk %d", len(loop.deqLen), len(bulk.deqLen))
-	}
-	for i := range loop.deqLen {
-		if loop.deqLen[i] != bulk.deqLen[i] {
-			t.Errorf("dequeue %d: loop len %d, bulk len %d", i, loop.deqLen[i], bulk.deqLen[i])
-		}
-	}
-}
-
-// TestEnqueueNNilCallback pins that the callback is optional.
-func TestEnqueueNNilCallback(t *testing.T) {
-	tmgr := New(Config{Ports: 1, QueuesPerPort: 1, QueueCapBytes: 1000})
-	n := tmgr.EnqueueN([]EnqueueReq{
-		{Pkt: mkPkt(400), Port: 0, Q: 0, Rank: 1},
-		{Pkt: mkPkt(400), Port: 0, Q: 0, Rank: 2},
-		{Pkt: mkPkt(400), Port: 0, Q: 0, Rank: 3}, // overflows 1000B cap
-	}, 10, nil)
-	if n != 2 {
-		t.Fatalf("admitted = %d, want 2", n)
-	}
-}
