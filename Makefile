@@ -52,14 +52,15 @@ race:
 	$(GO) test -race ./internal/telemetry ./internal/telemetry/self ./internal/obs
 
 # Coverage-guided fuzzing: the fault-schedule parser/validator, the
-# µP4 compiled-vs-interpreter differential target and the slot's
-# parse-once flow against packet.FlowOf. Not part of `check`
-# (open-ended); run before touching the DSL, the compilation backend or
-# the header decoders.
+# µP4 compiled-vs-interpreter differential target, the slot's
+# parse-once flow against packet.FlowOf and the EVCK checkpoint file
+# decoder. Not part of `check` (open-ended); run before touching the DSL,
+# the compilation backend, the header decoders or the checkpoint format.
 fuzz:
 	$(GO) test -fuzz FuzzParseSchedule -fuzztime 10s ./internal/faults
 	$(GO) test -fuzz FuzzCompiledVsInterp -fuzztime 10s ./internal/p4
 	$(GO) test -fuzz FuzzParserFlow -fuzztime 10s ./internal/packet
+	$(GO) test -fuzz FuzzDecode -fuzztime 10s ./internal/checkpoint
 
 # Hot-path micro-benchmarks (scheduler + switch cycle + event queue).
 bench:

@@ -25,11 +25,14 @@ type checkpointer struct {
 	path  string
 	dig   uint64
 
-	// Coordinates of the currently armed firing (the handle goes dead
-	// the moment it fires, so they are cached at arm time).
-	h       sim.Handle
-	nextAt  sim.Time
-	nextSeq uint64
+	// The "clock" section: the scheduler's counters, the just-fired
+	// event's coordinates (the DropFired cut line) and the armed one's
+	// (the handle goes dead the moment it fires, so they are cached at arm
+	// time).
+	clk             sim.ClockState
+	curAt, nextAt   sim.Time
+	curSeq, nextSeq uint64
+	h               sim.Handle
 
 	wrote int
 	err   error // first write failure; reported after the run
@@ -37,6 +40,50 @@ type checkpointer struct {
 
 func newCheckpointer(st *simState) *checkpointer {
 	return &checkpointer{st: st, every: st.cfg.ckptEvery, path: st.cfg.ckptPath, dig: st.cfg.digest()}
+}
+
+// section is one named part of the checkpoint file and the walk that
+// saves or loads it.
+type section struct {
+	name string
+	walk func(*checkpoint.Codec)
+}
+
+// sections lists what a checkpoint file holds, in file order. fire saves
+// the list and restoreRun loads it, so a section added here is both
+// written and read.
+func (c *checkpointer) sections() []section {
+	st := c.st
+	return []section{
+		{"clock", func(cc *checkpoint.Codec) {
+			cc.I64((*int64)(&c.clk.Now))
+			cc.U64(&c.clk.Seq)
+			cc.U64(&c.clk.Fired)
+			cc.I64((*int64)(&c.curAt))
+			cc.U64(&c.curSeq)
+			cc.I64((*int64)(&c.nextAt))
+			cc.U64(&c.nextSeq)
+		}},
+		{"switch", st.sw.Checkpoint},
+		{"gens", func(cc *checkpoint.Codec) {
+			cc.FixedInt("generators", len(st.gens))
+			for _, g := range st.gens {
+				g.Checkpoint(cc)
+			}
+		}},
+		{"p4", func(cc *checkpoint.Codec) {
+			cc.FixedBool("µP4 instance", st.inst != nil)
+			if st.inst != nil {
+				st.inst.Checkpoint(cc)
+			}
+		}},
+		{"telemetry", func(cc *checkpoint.Codec) {
+			cc.FixedBool("telemetry", st.tel != nil)
+			if st.tel != nil {
+				st.tel.Checkpoint(cc)
+			}
+		}},
+	}
 }
 
 // arm schedules the next firing d from now. Fresh runs arm once at
@@ -49,48 +96,19 @@ func (c *checkpointer) arm(d sim.Time) {
 }
 
 func (c *checkpointer) fire() {
-	curAt, curSeq := c.nextAt, c.nextSeq
+	c.curAt, c.curSeq = c.nextAt, c.nextSeq
 	// Arm the successor before snapshotting so its (at, seq) is part of
 	// the captured state: the resumed run re-creates it and keeps firing
 	// on the same cadence with the same sequence numbers.
 	c.arm(c.every)
+	c.clk = c.st.sched.Clock()
 
 	f := checkpoint.New(c.dig)
-	e := checkpoint.NewEncoder()
-	clk := c.st.sched.Clock()
-	e.I64(int64(clk.Now))
-	e.U64(clk.Seq)
-	e.U64(clk.Fired)
-	e.I64(int64(curAt))
-	e.U64(curSeq)
-	e.I64(int64(c.nextAt))
-	e.U64(c.nextSeq)
-	f.Add("clock", e.Bytes())
-
-	e = checkpoint.NewEncoder()
-	c.st.sw.Snapshot(e)
-	f.Add("switch", e.Bytes())
-
-	e = checkpoint.NewEncoder()
-	e.Int(len(c.st.gens))
-	for _, g := range c.st.gens {
-		g.Snapshot(e)
+	for _, s := range c.sections() {
+		cc := checkpoint.NewSaver()
+		s.walk(cc)
+		f.Add(s.name, cc.Saved())
 	}
-	f.Add("gens", e.Bytes())
-
-	e = checkpoint.NewEncoder()
-	e.Bool(c.st.inst != nil)
-	if c.st.inst != nil {
-		c.st.inst.Snapshot(e)
-	}
-	f.Add("p4", e.Bytes())
-
-	e = checkpoint.NewEncoder()
-	e.Bool(c.st.tel != nil)
-	if c.st.tel != nil {
-		c.st.tel.SnapshotTo(e)
-	}
-	f.Add("telemetry", e.Bytes())
 
 	start := time.Now()
 	n, err := f.WriteFile(c.path)
@@ -113,92 +131,19 @@ func (c *checkpointer) fire() {
 // construction-scheduled events the original run had already consumed,
 // and RestoreClock pins the counters last.
 func restoreRun(st *simState, f *checkpoint.File) (*checkpointer, error) {
-	section := func(name string) (*checkpoint.Decoder, error) {
-		b, ok := f.Section(name)
-		if !ok {
-			return nil, fmt.Errorf("checkpoint has no %q section", name)
-		}
-		return checkpoint.NewDecoder(b), nil
-	}
-
-	d, err := section("clock")
-	if err != nil {
-		return nil, err
-	}
-	var clk sim.ClockState
-	clk.Now = sim.Time(d.I64())
-	clk.Seq = d.U64()
-	clk.Fired = d.U64()
-	curAt := sim.Time(d.I64())
-	curSeq := d.U64()
-	nextAt := sim.Time(d.I64())
-	nextSeq := d.U64()
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-
-	d, err = section("switch")
-	if err != nil {
-		return nil, err
-	}
-	st.sw.Restore(d)
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-
-	d, err = section("gens")
-	if err != nil {
-		return nil, err
-	}
-	n := d.Int()
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	if n != len(st.gens) {
-		return nil, fmt.Errorf("checkpoint has %d generators, this run has %d", n, len(st.gens))
-	}
-	for _, g := range st.gens {
-		g.Restore(d)
-	}
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-
-	d, err = section("p4")
-	if err != nil {
-		return nil, err
-	}
-	hadInst := d.Bool()
-	if hadInst != (st.inst != nil) {
-		return nil, fmt.Errorf("checkpoint µP4 instance presence (%v) differs from this run", hadInst)
-	}
-	if st.inst != nil {
-		st.inst.Restore(d)
-	}
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-
-	d, err = section("telemetry")
-	if err != nil {
-		return nil, err
-	}
-	hadTel := d.Bool()
-	if hadTel != (st.tel != nil) {
-		return nil, fmt.Errorf("checkpoint telemetry presence (%v) differs from this run", hadTel)
-	}
-	if st.tel != nil {
-		st.tel.RestoreFrom(d)
-	}
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-
 	ck := newCheckpointer(st)
-	ck.nextAt, ck.nextSeq = nextAt, nextSeq
-	ck.h = st.sched.RestoreAt(nextAt, nextSeq, ck.fire)
-
-	st.sched.DropFired(curAt, curSeq)
-	st.sched.RestoreClock(clk)
+	for _, s := range ck.sections() {
+		b, ok := f.Section(s.name)
+		if !ok {
+			return nil, fmt.Errorf("checkpoint has no %q section", s.name)
+		}
+		cc := checkpoint.NewLoader(b)
+		if s.walk(cc); cc.Err() != nil {
+			return nil, fmt.Errorf("section %q: %w", s.name, cc.Err())
+		}
+	}
+	ck.h = st.sched.RestoreAt(ck.nextAt, ck.nextSeq, ck.fire)
+	st.sched.DropFired(ck.curAt, ck.curSeq)
+	st.sched.RestoreClock(ck.clk)
 	return ck, nil
 }

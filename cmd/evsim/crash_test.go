@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"os"
@@ -13,6 +14,8 @@ import (
 	"testing"
 	"time"
 	"unsafe"
+
+	"repro/internal/checkpoint"
 )
 
 // TestExitCodes pins the exit-code contract: 0 ok, 1 runtime failure,
@@ -129,6 +132,35 @@ func TestResumeByteIdenticalInProcess(t *testing.T) {
 	if ofirst.String() != plain.String() {
 		t.Errorf("burst engine and per-packet oracle diverge:\n--- burst ---\n%s--- oracle ---\n%s",
 			plain.String(), ofirst.String())
+	}
+
+	// The files themselves, as PR 19's binary wrote them for these flags
+	// (the last also carries compiled-µP4 externs, the instance and the
+	// telemetry section): changing one byte of the layout must come with
+	// a checkpoint.FormatVersion bump, not slip through a two-way walk.
+	ckptP4 := filepath.Join(dir, "p4.ckpt")
+	p4flags := []string{"-ms", "4", "-p4", "../../testdata/microburst.up4", "-metrics", filepath.Join(dir, "m.json"),
+		"-checkpoint-every", "1ms", "-checkpoint", ckptP4}
+	if code := run(p4flags, &bytes.Buffer{}, &errw); code != exitOK {
+		t.Fatalf("µP4 checkpointed run exited %d: %s", code, errw.String())
+	}
+	for _, pin := range []struct {
+		path string
+		size int
+		want uint64
+	}{
+		{ckpt, 6154, 0xcd235e74c981d7a9},
+		{ckptOracle, 6154, 0x2096e1888fd6a14d},
+		{ckptP4, 1028216, 0xf37d016edb4cb789}, // the program is named by the -p4 path as spelled
+	} {
+		b, err := os.ReadFile(pin.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := checkpoint.Digest(string(b)); got != pin.want || len(b) != pin.size {
+			t.Errorf("%s is %d bytes, digest %#x; the pinned format is %d bytes, digest %#x",
+				filepath.Base(pin.path), len(b), got, pin.size, pin.want)
+		}
 	}
 }
 
@@ -258,5 +290,107 @@ func TestDigestCoversBehaviour(t *testing.T) {
 	quiet.traceFile, quiet.metrics, quiet.streamTrace, quiet.streamMetrics = "", "", "", ""
 	if quiet.digest() == base.digest() {
 		t.Error("turning every telemetry output off left the digest unchanged")
+	}
+}
+
+// TestResumeDamageSweep feeds -resume files that are not checkpoints. The
+// file as written is damaged at every offset (cut short there; that byte
+// overwritten), which the header checks and section CRCs must refuse;
+// then every section payload is damaged the same way under a fresh CRC,
+// which reaches the component walks and must end in their error or a
+// completed load — never a panic, an unbounded loop or an allocation sized
+// by a damaged count. The two files ISSUE 20 was opened with come last.
+func TestResumeDamageSweep(t *testing.T) {
+	dir := t.TempDir()
+	ckpt := filepath.Join(dir, "run.ckpt")
+	flags := []string{"-ms", "1", "-checkpoint-every", "500us"}
+	if code := run(append(append([]string{}, flags...), "-checkpoint", ckpt), &bytes.Buffer{}, &bytes.Buffer{}); code != exitOK {
+		t.Fatalf("checkpointed run exited %d", code)
+	}
+	buf, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for off := range buf {
+		if _, err := checkpoint.Decode(buf[:off]); err == nil {
+			t.Fatalf("file truncated at %d of %d decoded", off, len(buf))
+		}
+		damaged := append([]byte(nil), buf...)
+		if damaged[off] ^= 0xFF; off >= 8 && off < 16 {
+			continue // the config digest is the caller's to compare
+		}
+		if _, err := checkpoint.Decode(damaged); err == nil {
+			t.Fatalf("file with byte %d inverted decoded", off)
+		}
+	}
+
+	good, err := checkpoint.Decode(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := &config{behaviour: behaviour{archName: "event", load: 0.9, size: 60, ms: 1, overspeed: 1.1,
+		ports: 4, gbps: 10, burst: -1, seed: 1}, ckptPath: ckpt}
+	if err := finishConfig(cfg, "500us"); err != nil {
+		t.Fatal(err)
+	}
+	// load pours good, with section name's payload replaced, into a
+	// freshly built run.
+	load := func(name string, payload []byte) error {
+		f := checkpoint.New(good.ConfigDigest)
+		for _, n := range good.Names() {
+			b, _ := good.Section(n)
+			if n == name {
+				b = payload
+			}
+			f.Add(n, b)
+		}
+		st, err := build(cfg, false, &bytes.Buffer{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = restoreRun(st, f)
+		return err
+	}
+	for _, name := range good.Names() {
+		b, _ := good.Section(name)
+		if err := checkpoint.DamageSweep(b, func(buf []byte) error { return load(name, buf) }); err != nil {
+			t.Fatalf("section %q: %v", name, err)
+		}
+	}
+
+	// A CRC-valid file whose pool free-list depth reads 2^40 (the pool's
+	// depth, News, Reuses end the switch section), and a file with two
+	// sections of one name: exit 1 with one line, not an out-of-memory
+	// abort or File.Add's panic.
+	sw, _ := good.Section("switch")
+	deep := append([]byte(nil), sw...)
+	binary.LittleEndian.PutUint64(deep[len(deep)-24:], 1<<40)
+	f := checkpoint.New(good.ConfigDigest)
+	for _, n := range good.Names() {
+		b, _ := good.Section(n)
+		if n == "switch" {
+			b = deep
+		}
+		f.Add(n, b)
+	}
+	deepPath := filepath.Join(dir, "deep.ckpt")
+	if _, err := f.WriteFile(deepPath); err != nil {
+		t.Fatal(err)
+	}
+	first := buf[20 : 20+4+binary.LittleEndian.Uint32(buf[20:])+4] // length, body, CRC
+	twice := append(append([]byte(nil), buf...), first...)
+	twice[16]++ // section count
+	twicePath := filepath.Join(dir, "twice.ckpt")
+	if err := os.WriteFile(twicePath, twice, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{deepPath, twicePath} {
+		var errw bytes.Buffer
+		code := run(append(append([]string{}, flags...), "-resume", path), &bytes.Buffer{}, &errw)
+		if msg := errw.String(); code != exitRuntime || strings.Count(msg, "\n") != 1 {
+			t.Errorf("-resume %s: exit %d, want %d with a one-line error; stderr:\n%s", filepath.Base(path), code, exitRuntime, msg)
+		} else {
+			t.Logf("%s: %s", filepath.Base(path), msg)
+		}
 	}
 }

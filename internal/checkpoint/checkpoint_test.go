@@ -2,73 +2,80 @@ package checkpoint
 
 import (
 	"bytes"
-	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
 
-func TestCodecRoundTrip(t *testing.T) {
-	e := NewEncoder()
-	e.U8(0xab)
-	e.Bool(true)
-	e.Bool(false)
-	e.U32(0xdeadbeef)
-	e.U64(1 << 62)
-	e.I64(-42)
-	e.Int(-7)
-	e.F64(math.Pi)
-	e.BytesField([]byte{1, 2, 3})
-	e.BytesField(nil)
-	e.String("hello")
+// fields is one of everything the Codec walks; walk names them once, the
+// way a component's Checkpoint method does.
+type fields struct {
+	u8   uint8
+	t, f bool
+	u32  uint32
+	u64  uint64
+	i64  int64
+	i    int
+	b, e []byte
+	s    string
+}
 
-	d := NewDecoder(e.Bytes())
-	if v := d.U8(); v != 0xab {
-		t.Errorf("U8 = %#x", v)
+func (v *fields) walk(c *Codec) {
+	c.U8(&v.u8)
+	c.Bool(&v.t)
+	c.Bool(&v.f)
+	c.U32(&v.u32)
+	c.U64(&v.u64)
+	c.I64(&v.i64)
+	c.Int(&v.i)
+	c.Bytes(&v.b)
+	c.Bytes(&v.e)
+	c.String(&v.s)
+}
+
+func TestCodecRoundTrip(t *testing.T) {
+	in := fields{u8: 0xab, t: true, u32: 0xdeadbeef, u64: 1 << 62, i64: -42, i: -7, b: []byte{1, 2, 3}, s: "hello"}
+	e := NewSaver()
+	in.walk(e)
+	if e.Loading() || e.Loaded() {
+		t.Error("a saver reports Loading")
 	}
-	if !d.Bool() || d.Bool() {
-		t.Error("Bool round trip failed")
-	}
-	if v := d.U32(); v != 0xdeadbeef {
-		t.Errorf("U32 = %#x", v)
-	}
-	if v := d.U64(); v != 1<<62 {
-		t.Errorf("U64 = %d", v)
-	}
-	if v := d.I64(); v != -42 {
-		t.Errorf("I64 = %d", v)
-	}
-	if v := d.Int(); v != -7 {
-		t.Errorf("Int = %d", v)
-	}
-	if v := d.F64(); v != math.Pi {
-		t.Errorf("F64 = %v", v)
-	}
-	if v := d.BytesField(); !bytes.Equal(v, []byte{1, 2, 3}) {
-		t.Errorf("BytesField = %v", v)
-	}
-	if v := d.BytesField(); len(v) != 0 {
-		t.Errorf("empty BytesField = %v", v)
-	}
-	if v := d.String(); v != "hello" {
-		t.Errorf("String = %q", v)
-	}
+
+	out := fields{t: false, f: true, b: make([]byte, 0, 16)}
+	keep := out.b[:1]
+	d := NewLoader(e.Saved())
+	out.walk(d)
 	if d.Err() != nil {
 		t.Fatalf("Err = %v", d.Err())
 	}
 	if d.Remaining() != 0 {
 		t.Errorf("Remaining = %d", d.Remaining())
 	}
+	if !d.Loading() || !d.Loaded() {
+		t.Error("a clean loader does not report Loaded")
+	}
+	if !reflect.DeepEqual(in, out) {
+		t.Errorf("round trip:\n in %+v\nout %+v", in, out)
+	}
+	// Bytes copies into the capacity it is handed and never aliases the
+	// section buffer.
+	if &keep[0] != &out.b[0] {
+		t.Error("Bytes did not reuse the target's capacity")
+	}
+	e.Saved()[len(e.Saved())-1] ^= 0xff
+	if out.s != "hello" || !bytes.Equal(out.b, []byte{1, 2, 3}) {
+		t.Error("loaded values alias the section buffer")
+	}
 }
 
 func TestDecoderDeterministicEncoding(t *testing.T) {
 	enc := func() []byte {
-		e := NewEncoder()
-		e.U64(12345)
-		e.String("section")
-		e.F64(0.25)
-		return e.Bytes()
+		v := fields{u64: 12345, s: "section", i64: -1}
+		e := NewSaver()
+		v.walk(e)
+		return e.Saved()
 	}
 	if !bytes.Equal(enc(), enc()) {
 		t.Fatal("same fields encoded to different bytes")
@@ -76,17 +83,24 @@ func TestDecoderDeterministicEncoding(t *testing.T) {
 }
 
 // TestDecoderStickyError verifies a truncated read poisons every later
-// read and zero values come back instead of garbage.
+// read and leaves the targets as they were instead of filling in garbage.
 func TestDecoderStickyError(t *testing.T) {
-	e := NewEncoder()
-	e.U32(7)
-	d := NewDecoder(e.Bytes())
-	d.U64() // needs 8 bytes, only 4 present
+	e := NewSaver()
+	seven := uint32(7)
+	e.U32(&seven)
+	d := NewLoader(e.Saved())
+	u64, u32, name := uint64(99), uint32(98), "kept"
+	d.U64(&u64) // needs 8 bytes, only 4 present
 	if d.Err() == nil {
 		t.Fatal("truncated U64 read did not set the error")
 	}
-	if v := d.U32(); v != 0 {
-		t.Errorf("read after error = %d, want 0", v)
+	d.U32(&u32)
+	d.String(&name)
+	if u64 != 99 || u32 != 98 || name != "kept" {
+		t.Errorf("reads after the error assigned: %d %d %q", u64, u32, name)
+	}
+	if d.Loaded() {
+		t.Error("a failed loader reports Loaded")
 	}
 	want := d.Err()
 	d.Fail(os.ErrInvalid)
@@ -96,14 +110,89 @@ func TestDecoderStickyError(t *testing.T) {
 }
 
 func TestDecoderBytesFieldHugeLength(t *testing.T) {
-	e := NewEncoder()
-	e.U32(1 << 30) // length prefix far past the buffer
-	d := NewDecoder(e.Bytes())
-	if b := d.BytesField(); b != nil {
-		t.Errorf("BytesField = %d bytes, want nil", len(b))
+	e := NewSaver()
+	huge := uint32(1 << 30) // length prefix far past the buffer
+	e.U32(&huge)
+	var b []byte
+	d := NewLoader(e.Saved())
+	if d.Bytes(&b); b != nil {
+		t.Errorf("Bytes = %d bytes, want nil", len(b))
 	}
 	if d.Err() == nil {
 		t.Error("oversized length prefix did not set the error")
+	}
+}
+
+// TestShapePrimitives pins the two ways a walk reads a shape: a fixed
+// datum must equal the rebuilt object's (the error names both), and a
+// variable length comes back bounded by the bytes left behind it.
+func TestShapePrimitives(t *testing.T) {
+	shape := func(c *Codec, n, m int, on bool, name string, pol uint8, key uint64) (int, int) {
+		c.FixedInt("rig: timers", n)
+		c.FixedU32("rig: banks", m)
+		c.FixedBool("rig: program", on)
+		c.FixedString("rig: table", name)
+		c.FixedU8("rig: policy", pol)
+		c.FixedU64("rig: key", key)
+		return c.Len(n), c.Len32(m)
+	}
+	e := NewSaver()
+	shape(e, 3, 2, true, "acl", 1, 0xfeed)
+	pad := make([]byte, 3)
+	e.Bytes(&pad) // 7 bytes behind the lengths
+	d := NewLoader(e.Saved())
+	if n, m := shape(d, 3, 2, true, "acl", 1, 0xfeed); d.Err() != nil || n != 3 || m != 2 {
+		t.Fatalf("matching shape: lengths %d %d, err %v", n, m, d.Err())
+	}
+	for _, tc := range []struct {
+		want string
+		load func(*Codec) (int, int)
+	}{
+		{"rig: timers: snapshot has 3, rebuilt run has 4", func(d *Codec) (int, int) { return shape(d, 4, 2, true, "acl", 1, 0xfeed) }},
+		{"rig: banks: snapshot has 0x2, rebuilt run has 0x5", func(d *Codec) (int, int) { return shape(d, 3, 5, true, "acl", 1, 0xfeed) }},
+		{"rig: program: snapshot has true, rebuilt run has false", func(d *Codec) (int, int) { return shape(d, 3, 2, false, "acl", 1, 0xfeed) }},
+		{`rig: table: snapshot has "acl", rebuilt run has "nat"`, func(d *Codec) (int, int) { return shape(d, 3, 2, true, "nat", 1, 0xfeed) }},
+		{"rig: policy: snapshot has 0x1, rebuilt run has 0x2", func(d *Codec) (int, int) { return shape(d, 3, 2, true, "acl", 2, 0xfeed) }},
+		{"rig: key: snapshot has 0xfeed, rebuilt run has 0xbeef", func(d *Codec) (int, int) { return shape(d, 3, 2, true, "acl", 1, 0xbeef) }},
+	} {
+		d := NewLoader(e.Saved())
+		n, m := tc.load(d)
+		if d.Err() == nil || d.Err().Error() != tc.want {
+			t.Errorf("error = %v, want %q", d.Err(), tc.want)
+		}
+		if n != 0 || m != 0 {
+			t.Errorf("%s: lengths after the failure = %d, %d, want 0", tc.want, n, m)
+		}
+	}
+
+	// A length is refused when negative or larger than what is left: 1<<40
+	// and -1 as 8 bytes, 1<<31 as 4, and one more than the bytes behind it.
+	for _, tc := range []struct {
+		n    int
+		wide bool
+		tail int
+	}{{1 << 40, true, 64}, {-1, true, 64}, {1 << 31, false, 64}, {65, true, 64}, {65, false, 64}} {
+		e := NewSaver()
+		if tc.wide {
+			e.Len(tc.n)
+		} else {
+			e.Len32(tc.n)
+		}
+		d := NewLoader(append(e.Saved(), make([]byte, tc.tail)...))
+		got := -1
+		if tc.wide {
+			got = d.Len(0)
+		} else {
+			got = d.Len32(0)
+		}
+		if got != 0 || d.Err() == nil {
+			t.Errorf("length %d (wide=%v) with %d bytes left: got %d, err %v", tc.n, tc.wide, tc.tail, got, d.Err())
+		}
+	}
+	e = NewSaver()
+	e.Len(64)
+	if d = NewLoader(append(e.Saved(), make([]byte, 64)...)); d.Len(0) != 64 || d.Err() != nil {
+		t.Errorf("a length equal to the bytes left was refused: %v", d.Err())
 	}
 }
 
@@ -208,4 +297,54 @@ func TestDigestSeparated(t *testing.T) {
 	if Digest("x") == Digest("y") {
 		t.Error("distinct inputs collide trivially")
 	}
+}
+
+// TestDecodeRefusesDuplicateSection feeds Decode a CRC-valid file that
+// carries one section twice. Add panics on a duplicate because a caller
+// adding one is a wiring bug; a file is not a caller, so Decode reports it.
+func TestDecodeRefusesDuplicateSection(t *testing.T) {
+	f := New(7)
+	f.Add("state", []byte("payload"))
+	enc := f.Encode()
+	const header = 4 + 4 + 8 + 4 // magic, version, digest, section count
+	twice := append(append([]byte(nil), enc...), enc[header:]...)
+	twice[header-4] = 2
+	if _, err := Decode(twice); err == nil || !strings.Contains(err.Error(), `repeats the name "state"`) {
+		t.Errorf("duplicate section: err = %v", err)
+	}
+}
+
+// FuzzDecode is the EVCK fuzzer: whatever the bytes, Decode returns a file
+// or an error, and a file it accepts re-encodes to bytes that decode to
+// the same digest and sections.
+func FuzzDecode(f *testing.F) {
+	small := New(0x1234)
+	small.Add("clock", []byte{1, 2, 3, 4, 5, 6, 7, 8})
+	small.Add("empty", nil)
+	enc := small.Encode()
+	f.Add(enc)
+	f.Add(enc[:len(enc)-5])
+	f.Add(append(append([]byte(nil), enc...), enc[20:]...)) // sections twice, count not bumped
+	f.Add(New(0).Encode())
+	f.Add([]byte("EVCK"))
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		a, err := Decode(buf)
+		if err != nil {
+			return
+		}
+		b, err := Decode(a.Encode())
+		if err != nil {
+			t.Fatalf("re-encoded file does not decode: %v", err)
+		}
+		if a.ConfigDigest != b.ConfigDigest || !reflect.DeepEqual(a.Names(), b.Names()) {
+			t.Fatalf("re-encoded file decodes to digest %#x sections %q, want %#x %q", b.ConfigDigest, b.Names(), a.ConfigDigest, a.Names())
+		}
+		for _, name := range a.Names() {
+			pa, _ := a.Section(name)
+			pb, _ := b.Section(name)
+			if !bytes.Equal(pa, pb) {
+				t.Fatalf("section %q changed across re-encode", name)
+			}
+		}
+	})
 }

@@ -58,51 +58,64 @@ func (f *File) Names() []string { return f.names }
 // CRC32 of both. A torn or bit-flipped file fails decode rather than
 // restoring corrupt state.
 func (f *File) Encode() []byte {
-	e := NewEncoder()
-	e.U32(Magic)
-	e.U32(FormatVersion)
-	e.U64(f.ConfigDigest)
-	e.U32(uint32(len(f.names)))
+	c := NewSaver()
+	magic, version := Magic, FormatVersion
+	c.U32(&magic)
+	c.U32(&version)
+	c.U64(&f.ConfigDigest)
+	c.Len32(len(f.names))
 	for _, name := range f.names {
-		se := NewEncoder()
-		se.String(name)
-		se.BytesField(f.sections[name])
-		e.BytesField(se.Bytes())
-		e.U32(crc32.ChecksumIEEE(se.Bytes()))
+		sc := NewSaver()
+		payload := f.sections[name]
+		sc.String(&name)
+		sc.Bytes(&payload)
+		body, sum := sc.Saved(), crc32.ChecksumIEEE(sc.Saved())
+		c.Bytes(&body)
+		c.U32(&sum)
 	}
-	return e.Bytes()
+	return c.Saved()
 }
 
 // Decode parses an encoded checkpoint, verifying magic, format version,
-// and every section CRC.
+// and every section CRC. Whatever the bytes are, it returns a file or an
+// error: a section name that occurs twice is the file's fault, not a
+// wiring bug, so it is refused here instead of reaching Add's panic.
 func Decode(buf []byte) (*File, error) {
-	d := NewDecoder(buf)
-	if m := d.U32(); d.Err() == nil && m != Magic {
-		return nil, fmt.Errorf("checkpoint: bad magic %#x (not a checkpoint file)", m)
+	c := NewLoader(buf)
+	var magic, version uint32
+	if c.U32(&magic); c.Err() == nil && magic != Magic {
+		return nil, fmt.Errorf("checkpoint: bad magic %#x (not a checkpoint file)", magic)
 	}
-	if v := d.U32(); d.Err() == nil && v != FormatVersion {
-		return nil, fmt.Errorf("checkpoint: format version %d, this build reads %d", v, FormatVersion)
+	if c.U32(&version); c.Err() == nil && version != FormatVersion {
+		return nil, fmt.Errorf("checkpoint: format version %d, this build reads %d", version, FormatVersion)
 	}
-	f := New(d.U64())
-	n := int(d.U32())
-	for i := 0; i < n && d.Err() == nil; i++ {
-		body := d.BytesField()
-		sum := d.U32()
-		if d.Err() != nil {
+	f := New(0)
+	c.U64(&f.ConfigDigest)
+	n := c.Len32(0)
+	for i := 0; i < n; i++ {
+		body := c.take(c.Len32(0))
+		var sum uint32
+		c.U32(&sum)
+		if c.Err() != nil {
 			break
 		}
 		if got := crc32.ChecksumIEEE(body); got != sum {
 			return nil, fmt.Errorf("checkpoint: section %d CRC mismatch (file corrupt)", i)
 		}
-		sd := NewDecoder(body)
-		name := sd.String()
-		payload := sd.BytesField()
-		if sd.Err() != nil {
-			return nil, fmt.Errorf("checkpoint: section %d: %w", i, sd.Err())
+		sc := NewLoader(body)
+		var name string
+		var payload []byte
+		sc.String(&name)
+		sc.Bytes(&payload)
+		if sc.Err() != nil {
+			return nil, fmt.Errorf("checkpoint: section %d: %w", i, sc.Err())
+		}
+		if _, dup := f.sections[name]; dup {
+			return nil, fmt.Errorf("checkpoint: section %d repeats the name %q (file corrupt)", i, name)
 		}
 		f.Add(name, payload)
 	}
-	if err := d.Err(); err != nil {
+	if err := c.Err(); err != nil {
 		return nil, err
 	}
 	return f, nil

@@ -61,17 +61,23 @@ func buildCkptRig(t testing.TB, start bool) *ckptRig {
 	return r
 }
 
-func (r *ckptRig) snapshot() []byte {
-	e := checkpoint.NewEncoder()
-	clk := r.sched.Clock()
-	e.I64(int64(clk.Now))
-	e.U64(clk.Seq)
-	e.U64(clk.Fired)
-	r.sw.Snapshot(e)
+// checkpoint walks the rig the way evsim's sections do: clock, switch,
+// generators.
+func (r *ckptRig) checkpoint(c *checkpoint.Codec, clk *sim.ClockState) {
+	c.I64((*int64)(&clk.Now))
+	c.U64(&clk.Seq)
+	c.U64(&clk.Fired)
+	r.sw.Checkpoint(c)
 	for _, g := range r.gens {
-		g.Snapshot(e)
+		g.Checkpoint(c)
 	}
-	return e.Bytes()
+}
+
+func (r *ckptRig) snapshot() []byte {
+	c := checkpoint.NewSaver()
+	clk := r.sched.Clock()
+	r.checkpoint(c, &clk)
+	return c.Saved()
 }
 
 // restore loads a snapshot taken between Run calls: the cut line for
@@ -79,20 +85,14 @@ func (r *ckptRig) snapshot() []byte {
 // ordered before it had already fired in the original run.
 func (r *ckptRig) restore(t testing.TB, buf []byte) {
 	t.Helper()
-	d := checkpoint.NewDecoder(buf)
+	c := checkpoint.NewLoader(buf)
 	var clk sim.ClockState
-	clk.Now = sim.Time(d.I64())
-	clk.Seq = d.U64()
-	clk.Fired = d.U64()
-	r.sw.Restore(d)
-	for _, g := range r.gens {
-		g.Restore(d)
-	}
-	if err := d.Err(); err != nil {
+	r.checkpoint(c, &clk)
+	if err := c.Err(); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
-	if d.Remaining() != 0 {
-		t.Fatalf("restore left %d bytes unread", d.Remaining())
+	if c.Remaining() != 0 {
+		t.Fatalf("restore left %d bytes unread", c.Remaining())
 	}
 	r.sched.DropFired(clk.Now, clk.Seq)
 	r.sched.RestoreClock(clk)
@@ -108,6 +108,11 @@ func TestSwitchCheckpointResumeIdentical(t *testing.T) {
 	a := buildCkptRig(t, true)
 	a.sched.Run(half)
 	snap := a.snapshot()
+	// The section bytes as PR 19 wrote them: a layout change must bump
+	// checkpoint.FormatVersion, not slip through a two-way walk.
+	if got, want := checkpoint.Digest(string(snap)), uint64(9768110592736983676); got != want || len(snap) != 7928 {
+		t.Errorf("snapshot is %d bytes, digest %d; the pinned format is 7928 bytes, digest %d", len(snap), got, want)
+	}
 	a.sched.Run(full + 500*sim.Microsecond)
 
 	b := buildCkptRig(t, false)
@@ -186,17 +191,17 @@ func TestRestoreRejectsInconsistentTxState(t *testing.T) {
 		sched.Run(sched.Now() + sw.CycleTime())
 	}
 	snapshot := func() []byte {
-		e := checkpoint.NewEncoder()
-		sw.Snapshot(e)
-		return e.Bytes()
+		c := checkpoint.NewSaver()
+		sw.Checkpoint(c)
+		return c.Saved()
 	}
 	good := snapshot()
 
 	// Port 1's record is linkUp, busy, has-packet, the packet, then the
 	// completion's pending byte; the packet is the only one in the switch.
-	pe := checkpoint.NewEncoder()
-	snapPacket(pe, sw.txPkt[1])
-	rec := append([]byte{1, 1, 1}, pe.Bytes()...)
+	pe := checkpoint.NewSaver()
+	sw.pool.CheckpointPacket(pe, &sw.txPkt[1])
+	rec := append([]byte{1, 1, 1}, pe.Saved()...)
 	if bytes.Count(good, rec) != 1 {
 		t.Fatalf("port 1's tx record occurs %d times in the snapshot, want 1", bytes.Count(good, rec))
 	}
@@ -225,10 +230,10 @@ func TestRestoreRejectsInconsistentTxState(t *testing.T) {
 		{"packet without its completion", noCompletion, false},
 	} {
 		_, fresh := build()
-		d := checkpoint.NewDecoder(tc.buf)
-		fresh.Restore(d)
-		if got := d.Err() == nil; got != tc.ok {
-			t.Errorf("%s: Restore error = %v, want ok=%v", tc.name, d.Err(), tc.ok)
+		c := checkpoint.NewLoader(tc.buf)
+		fresh.Checkpoint(c)
+		if got := c.Err() == nil; got != tc.ok {
+			t.Errorf("%s: load error = %v, want ok=%v", tc.name, c.Err(), tc.ok)
 		}
 	}
 }
@@ -268,5 +273,27 @@ func TestStatsVisitorCoversEveryCounter(t *testing.T) {
 				t.Errorf("Stats.%s[%d] visited %d times", v.Type().Field(i).Name, k, f.Index(k).Uint())
 			}
 		}
+	}
+}
+
+// TestSwitchCheckpointDamageSweep holds the load path to its contract for
+// bytes that are not a snapshot: for every offset of a small valid one,
+// the section cut short there and the section with that byte overwritten
+// load cleanly or end in the codec's error — no panic, no allocation or
+// loop sized by a damaged count. (Under PR 19's decoders offsets inside
+// the pool depth and the dirty-FIFO count read as 2^40 packets and 2^32
+// indices to fabricate.)
+func TestSwitchCheckpointDamageSweep(t *testing.T) {
+	a := buildCkptRig(t, true)
+	a.sched.Run(20 * sim.Microsecond)
+	snap := a.snapshot()
+	load := func(buf []byte) error {
+		c := checkpoint.NewLoader(buf)
+		var clk sim.ClockState
+		buildCkptRig(t, false).checkpoint(c, &clk)
+		return c.Err()
+	}
+	if err := checkpoint.DamageSweep(snap, load); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -133,10 +133,10 @@ func TestQueueRingIsLazy(t *testing.T) {
 	if _, ok := q.Peek(); ok {
 		t.Fatal("Peek on an untouched queue returned an event")
 	}
-	e := checkpoint.NewEncoder()
-	q.Snapshot(e)
+	e := checkpoint.NewSaver()
+	q.Checkpoint(e)
 	empty := NewQueue(BufferEnqueue, 8)
-	empty.Restore(checkpoint.NewDecoder(e.Bytes()))
+	empty.Checkpoint(checkpoint.NewLoader(e.Saved()))
 	if empty.buf != nil || empty.Len() != 0 {
 		t.Error("restoring an empty snapshot allocated the ring")
 	}
@@ -147,11 +147,11 @@ func TestQueueRingIsLazy(t *testing.T) {
 	if q.Len() != 8 || q.Drops() != 2 {
 		t.Fatalf("after 10 offers into 8 slots: Len %d Drops %d", q.Len(), q.Drops())
 	}
-	e = checkpoint.NewEncoder()
-	q.Snapshot(e)
+	e = checkpoint.NewSaver()
+	q.Checkpoint(e)
 	full := NewQueue(BufferEnqueue, 8)
-	d := checkpoint.NewDecoder(e.Bytes())
-	full.Restore(d)
+	d := checkpoint.NewLoader(e.Saved())
+	full.Checkpoint(d)
 	if err := d.Err(); err != nil {
 		t.Fatal(err)
 	}

@@ -1,69 +1,36 @@
 package faults
 
-import (
-	"fmt"
+import "repro/internal/checkpoint"
 
-	"repro/internal/checkpoint"
-)
-
-// Snapshot serializes the engine's per-spec impairment state: injector
+// Checkpoint walks the engine's per-spec impairment state: injector
 // statistics, each spec's RNG stream position, and the Gilbert–Elliott
-// chain bits. Pending storm callbacks are NOT captured — a checkpointed
-// run restores fault state for frame impairments (loss, corruption,
-// reordering, duplication) and for statically unrolled storms, but an
-// unbounded self-rearming flap or event storm caught mid-loop cannot be
-// resumed; use bounded storms (count/end set) in checkpointed campaigns
-// (documented limitation, DESIGN.md §13).
-func (e *Engine) Snapshot(enc *checkpoint.Encoder) {
-	enc.Int(len(e.stats))
+// chain bits. Loading needs an engine produced by re-running Apply with
+// the same schedule on the rebuilt network. Pending storm callbacks are
+// NOT captured — a checkpointed run restores fault state for frame
+// impairments (loss, corruption, reordering, duplication) and for
+// statically unrolled storms, but an unbounded self-rearming flap or
+// event storm caught mid-loop cannot be resumed; use bounded storms
+// (count/end set) in checkpointed campaigns (documented limitation,
+// DESIGN.md §13).
+func (e *Engine) Checkpoint(c *checkpoint.Codec) {
+	c.FixedInt("faults: specs", len(e.stats))
 	for i := range e.stats {
 		st := &e.stats[i]
-		enc.Int(st.Flaps)
-		enc.U64(st.Frames)
-		enc.U64(st.Lost)
-		enc.U64(st.Corrupted)
-		enc.U64(st.Reordered)
-		enc.U64(st.Duplicated)
-		enc.U64(st.EventsInjected)
-		enc.U64(st.EventsRefused)
+		c.Int(&st.Flaps)
+		c.U64(&st.Frames)
+		c.U64(&st.Lost)
+		c.U64(&st.Corrupted)
+		c.U64(&st.Reordered)
+		c.U64(&st.Duplicated)
+		c.U64(&st.EventsInjected)
+		c.U64(&st.EventsRefused)
 		rs := e.rngs[i].State()
-		for _, w := range rs {
-			enc.U64(w)
-		}
-		enc.Bool(e.geBad[i])
-	}
-}
-
-// Restore loads an engine snapshot into an engine produced by re-running
-// Apply with the same schedule on the rebuilt network.
-func (e *Engine) Restore(d *checkpoint.Decoder) {
-	n := d.Int()
-	if d.Err() != nil {
-		return
-	}
-	if n != len(e.stats) {
-		d.Fail(fmt.Errorf("faults: snapshot has %d specs, engine has %d", n, len(e.stats)))
-		return
-	}
-	for i := range e.stats {
-		st := &e.stats[i]
-		st.Flaps = d.Int()
-		st.Frames = d.U64()
-		st.Lost = d.U64()
-		st.Corrupted = d.U64()
-		st.Reordered = d.U64()
-		st.Duplicated = d.U64()
-		st.EventsInjected = d.U64()
-		st.EventsRefused = d.U64()
-		var rs [4]uint64
 		for j := range rs {
-			rs[j] = d.U64()
+			c.U64(&rs[j])
 		}
-		bad := d.Bool()
-		if d.Err() != nil {
-			return
+		c.Bool(&e.geBad[i])
+		if c.Loaded() {
+			e.rngs[i].SetState(rs)
 		}
-		e.rngs[i].SetState(rs)
-		e.geBad[i] = bad
 	}
 }

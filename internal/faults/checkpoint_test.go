@@ -52,33 +52,32 @@ func buildFaultRig(t testing.TB) *faultRig {
 	return r
 }
 
+func (r *faultRig) checkpoint(c *checkpoint.Codec, clk *sim.ClockState) {
+	c.I64((*int64)(&clk.Now))
+	c.U64(&clk.Seq)
+	c.U64(&clk.Fired)
+	r.sw.Checkpoint(c)
+	r.net.Checkpoint(c)
+	r.eng.Checkpoint(c)
+}
+
 func (r *faultRig) snapshot() []byte {
-	e := checkpoint.NewEncoder()
+	c := checkpoint.NewSaver()
 	clk := r.sched.Clock()
-	e.I64(int64(clk.Now))
-	e.U64(clk.Seq)
-	e.U64(clk.Fired)
-	r.sw.Snapshot(e)
-	r.net.Snapshot(e)
-	r.eng.Snapshot(e)
-	return e.Bytes()
+	r.checkpoint(c, &clk)
+	return c.Saved()
 }
 
 func (r *faultRig) restore(t testing.TB, buf []byte) {
 	t.Helper()
-	d := checkpoint.NewDecoder(buf)
+	c := checkpoint.NewLoader(buf)
 	var clk sim.ClockState
-	clk.Now = sim.Time(d.I64())
-	clk.Seq = d.U64()
-	clk.Fired = d.U64()
-	r.sw.Restore(d)
-	r.net.Restore(d)
-	r.eng.Restore(d)
-	if err := d.Err(); err != nil {
+	r.checkpoint(c, &clk)
+	if err := c.Err(); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
-	if d.Remaining() != 0 {
-		t.Fatalf("restore left %d bytes unread", d.Remaining())
+	if c.Remaining() != 0 {
+		t.Fatalf("restore left %d bytes unread", c.Remaining())
 	}
 	r.sched.DropFired(clk.Now, clk.Seq)
 	r.sched.RestoreClock(clk)
@@ -94,6 +93,11 @@ func TestFaultsCheckpointResumeIdentical(t *testing.T) {
 	a := buildFaultRig(t)
 	a.sched.Run(half)
 	snap := a.snapshot()
+	// The section bytes as PR 19 wrote them: a layout change must bump
+	// checkpoint.FormatVersion, not slip through a two-way walk.
+	if got, want := checkpoint.Digest(string(snap)), uint64(4234022512321573660); got != want || len(snap) != 2276 {
+		t.Errorf("snapshot is %d bytes, digest %d; the pinned format is 2276 bytes, digest %d", len(snap), got, want)
+	}
 	a.sched.Run(full)
 
 	b := buildFaultRig(t)
@@ -129,19 +133,19 @@ func TestFaultsCheckpointResumeIdentical(t *testing.T) {
 func TestEngineSnapshotFidelity(t *testing.T) {
 	a := buildFaultRig(t)
 	a.sched.Run(5 * sim.Millisecond)
-	e := checkpoint.NewEncoder()
-	a.eng.Snapshot(e)
-	first := append([]byte(nil), e.Bytes()...)
+	e := checkpoint.NewSaver()
+	a.eng.Checkpoint(e)
+	first := e.Saved()
 
 	b := buildFaultRig(t)
-	d := checkpoint.NewDecoder(first)
-	b.eng.Restore(d)
+	d := checkpoint.NewLoader(first)
+	b.eng.Checkpoint(d)
 	if err := d.Err(); err != nil {
-		t.Fatalf("Restore: %v", err)
+		t.Fatalf("load: %v", err)
 	}
-	e2 := checkpoint.NewEncoder()
-	b.eng.Snapshot(e2)
-	if !bytes.Equal(first, e2.Bytes()) {
+	e2 := checkpoint.NewSaver()
+	b.eng.Checkpoint(e2)
+	if !bytes.Equal(first, e2.Saved()) {
 		t.Error("snapshot -> restore -> snapshot is not byte-identical")
 	}
 
@@ -158,9 +162,28 @@ func TestEngineSnapshotFidelity(t *testing.T) {
 	one := MustApply(net, &Schedule{Seed: 1, Specs: []Spec{
 		{Kind: Corrupt, Link: 0, Prob: 0.1},
 	}}, Options{})
-	d2 := checkpoint.NewDecoder(first)
-	one.Restore(d2)
+	d2 := checkpoint.NewLoader(first)
+	one.Checkpoint(d2)
 	if d2.Err() == nil {
 		t.Fatal("spec-count mismatch accepted")
+	}
+}
+
+// TestFaultsCheckpointDamageSweep cuts the rig's snapshot (switch,
+// network with impaired frames in flight, engine) short at every offset
+// and overwrites every byte of it: each load ends in the codec's error or
+// completes — no panic, no loop or allocation sized by a damaged count.
+func TestFaultsCheckpointDamageSweep(t *testing.T) {
+	a := buildFaultRig(t)
+	a.sched.Run(105 * sim.Microsecond)
+	snap := a.snapshot()
+	load := func(buf []byte) error {
+		c := checkpoint.NewLoader(buf)
+		var clk sim.ClockState
+		buildFaultRig(t).checkpoint(c, &clk)
+		return c.Err()
+	}
+	if err := checkpoint.DamageSweep(snap, load); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/checkpoint"
@@ -12,7 +11,7 @@ import (
 // §13): per-link direction counters, wire sequence numbers, endpoint
 // link views, frames in flight on the wire band, cross-domain mailbox
 // contents, and host NIC state. Switches are snapshotted separately
-// (core.Switch.Snapshot); link-transition events scheduled during
+// (core.Switch.Checkpoint); link-transition events scheduled during
 // construction are handled by Scheduler.DropFired on the restore side.
 
 // wireFrame is one in-flight frame copy gathered from a wire band.
@@ -69,211 +68,138 @@ func (n *Network) inFlight() map[*Link][2][]wireFrame {
 	return out
 }
 
-// Snapshot serializes the network's link and host state.
-func (n *Network) Snapshot(e *checkpoint.Encoder) {
-	flights := n.inFlight()
-	e.Int(len(n.links))
-	for _, l := range n.links {
-		e.Bool(l.sideUp[0])
-		e.Bool(l.sideUp[1])
-		for dir := 0; dir < 2; dir++ {
-			c := &l.dir[dir]
-			e.U64(c.Sent)
-			e.U64(c.LostAtSend)
-			e.U64(c.Dropped)
-			e.U64(c.Duplicated)
-			e.U64(c.Propagated)
-			e.U64(c.Delivered)
-			e.U64(c.LostInFlight)
-			e.U64(l.wireSeq[dir])
+// rearm re-creates one direction's in-flight frames on the receiving
+// side's wire band with their original (arrival, link, seq) keys. Frames
+// are saved sorted by send seq. When this network batches deliveries
+// (burstOK) and the arrival times are non-decreasing in that order —
+// always true for frames that were queued in a FIFO, and for any
+// unimpaired stretch — they reload as one arrival FIFO with a single band
+// registration. Otherwise (impairment-scattered arrival times, or
+// bursting disabled) each frame reloads as its own per-frame flight,
+// exactly as snapshotted runs without bursting would.
+func (n *Network) rearm(l *Link, dir int, frames []wireFrame) {
+	w, to, key := l.fifo[dir], l.sched[1-dir], l.wireKey(dir)
+	w.q.Reset()
+	l.legacyPending[dir] = 0
+	fifoOK := l.burstOK && len(frames) > 0
+	for i := 1; i < len(frames); i++ {
+		fifoOK = fifoOK && frames[i].at >= frames[i-1].at
+	}
+	if fifoOK {
+		for _, f := range frames {
+			w.q.Push(wireEntry{at: f.at, seq: f.seq, buf: f.buf})
 		}
-		lf := flights[l]
+		h := w.q.Peek()
+		to.RestoreWireRunner(h.at, key, h.seq, w)
+		return
+	}
+	for _, f := range frames {
+		if l.cross {
+			to.RestoreWireRunner(f.at, key, f.seq, &mailFlight{n: n, l: l, dir: dir, at: f.at, seq: f.seq, buf: f.buf})
+		} else {
+			l.legacyPending[dir]++
+			to.RestoreWireRunner(f.at, key, f.seq, &flight{n: n, l: l, dir: dir, buf: f.buf})
+		}
+	}
+}
+
+// Checkpoint walks the network's link and host state. Loading needs an
+// identically constructed network (same topology, same link order, same
+// hosts); host serializations come back with their original (at, seq).
+// The attached switches' own port views (linkUp) are walked by
+// core.Switch.Checkpoint; here only the link's endpoint views and its
+// in-flight frames are.
+func (n *Network) Checkpoint(c *checkpoint.Codec) {
+	var flights map[*Link][2][]wireFrame
+	if !c.Loading() {
+		flights = n.inFlight()
+	}
+	c.FixedInt("netsim: links", len(n.links))
+	for _, l := range n.links {
+		c.Bool(&l.sideUp[0])
+		c.Bool(&l.sideUp[1])
 		for dir := 0; dir < 2; dir++ {
-			e.Int(len(lf[dir]))
-			for _, f := range lf[dir] {
-				e.I64(int64(f.at))
-				e.U64(f.seq)
-				e.BytesField(f.buf)
+			cn := &l.dir[dir]
+			c.U64(&cn.Sent)
+			c.U64(&cn.LostAtSend)
+			c.U64(&cn.Dropped)
+			c.U64(&cn.Duplicated)
+			c.U64(&cn.Propagated)
+			c.U64(&cn.Delivered)
+			c.U64(&cn.LostInFlight)
+			c.U64(&l.wireSeq[dir])
+		}
+		for dir := 0; dir < 2; dir++ {
+			frames := flights[l][dir]
+			nf := c.Len(len(frames))
+			if c.Loading() {
+				frames = make([]wireFrame, nf)
+			}
+			for i := range frames {
+				f := &frames[i]
+				c.I64((*int64)(&f.at))
+				c.U64(&f.seq)
+				c.Bytes(&f.buf)
+			}
+			if c.Loaded() {
+				n.rearm(l, dir, frames)
 			}
 			// Cross-domain frames parked in the mailbox, awaiting the next
 			// barrier (always empty for non-cross links and at barriers).
-			e.Int(len(l.mail[dir]))
+			nm := c.Len(len(l.mail[dir]))
+			if c.Loading() {
+				l.mail[dir] = l.mail[dir][:0]
+				for i := 0; i < nm; i++ {
+					l.mail[dir] = append(l.mail[dir], &mailFlight{n: n, l: l, dir: dir})
+				}
+			}
 			for _, m := range l.mail[dir] {
-				e.I64(int64(m.at))
-				e.U64(m.seq)
-				e.BytesField(m.buf)
+				c.I64((*int64)(&m.at))
+				c.U64(&m.seq)
+				c.Bytes(&m.buf)
 			}
 		}
 	}
-	e.Int(len(n.hosts))
+	c.FixedInt("netsim: hosts", len(n.hosts))
 	for _, h := range n.hosts {
-		e.U64(h.RxPackets)
-		e.U64(h.RxBytes)
-		e.U64(h.HeldFrames)
-		e.I64(int64(h.busy))
-		e.Bool(h.paused)
-		e.Int(len(h.held))
-		for _, f := range h.held {
-			e.BytesField(f)
+		c.U64(&h.RxPackets)
+		c.U64(&h.RxBytes)
+		c.U64(&h.HeldFrames)
+		c.I64((*int64)(&h.busy))
+		c.Bool(&h.paused)
+		nheld := c.Len(len(h.held))
+		if c.Loading() {
+			h.held = make([][]byte, nheld)
+		}
+		for i := range h.held {
+			c.Bytes(&h.held[i])
 		}
 		// Pending NIC serializations, ordered by event seq.
-		txs := make([]*hostTx, len(h.txActive))
-		copy(txs, h.txActive)
+		txs := append([]*hostTx(nil), h.txActive...)
 		sort.Slice(txs, func(i, j int) bool {
 			_, si, _ := txs[i].hd.When()
 			_, sj, _ := txs[j].hd.When()
 			return si < sj
 		})
-		e.Int(len(txs))
+		ntx := c.Len(len(txs))
+		if c.Loading() {
+			h.txActive, txs = h.txActive[:0], make([]*hostTx, ntx)
+			for i := range txs {
+				txs[i] = &hostTx{h: h, idx: i}
+			}
+		}
 		for _, t := range txs {
 			at, seq, ok := t.hd.When()
-			if !ok {
+			if !c.Loading() && !ok {
 				panic("netsim: active host tx with no pending event")
 			}
-			e.I64(int64(at))
-			e.U64(seq)
-			e.BytesField(t.buf)
-		}
-	}
-}
-
-// Restore loads a network snapshot into an identically constructed
-// network (same topology, same link order, same hosts). In-flight
-// frames are re-created on the wire bands with their original (arrival,
-// link, seq) keys; host serializations with their original (at, seq).
-func (n *Network) Restore(d *checkpoint.Decoder) {
-	nl := d.Int()
-	if d.Err() != nil {
-		return
-	}
-	if nl != len(n.links) {
-		d.Fail(fmt.Errorf("netsim: snapshot has %d links, network has %d", nl, len(n.links)))
-		return
-	}
-	for _, l := range n.links {
-		l.sideUp[0] = d.Bool()
-		l.sideUp[1] = d.Bool()
-		for dir := 0; dir < 2; dir++ {
-			c := &l.dir[dir]
-			c.Sent = d.U64()
-			c.LostAtSend = d.U64()
-			c.Dropped = d.U64()
-			c.Duplicated = d.U64()
-			c.Propagated = d.U64()
-			c.Delivered = d.U64()
-			c.LostInFlight = d.U64()
-			l.wireSeq[dir] = d.U64()
-		}
-		// The attached switches' own port views (linkUp) come back via
-		// core.Switch.Restore; here only the link's endpoint views and
-		// its in-flight frames are rebuilt.
-		for dir := 0; dir < 2; dir++ {
-			nf := d.Int()
-			if d.Err() != nil {
-				return
+			c.I64((*int64)(&at))
+			c.U64(&seq)
+			c.Bytes(&t.buf)
+			if c.Loaded() {
+				h.txActive = append(h.txActive, t)
+				t.hd = h.Scheduler().RestoreAtRunner(at, seq, t)
 			}
-			// Frames were snapshotted sorted by send seq. When the
-			// restoring network batches deliveries (burstOK) and the
-			// arrival times are non-decreasing in that order — always
-			// true for frames that were queued in a FIFO, and for any
-			// unimpaired stretch — they reload as one arrival FIFO with
-			// a single band registration. Otherwise (impairment-scattered
-			// arrival times, or bursting disabled) each frame reloads as
-			// its own per-frame flight, exactly as snapshotted runs
-			// without bursting would.
-			w := l.fifo[dir]
-			w.q.Reset()
-			l.legacyPending[dir] = 0
-			frames := make([]wireFrame, 0, nf)
-			fifoOK := l.burstOK
-			for i := 0; i < nf; i++ {
-				at := sim.Time(d.I64())
-				seq := d.U64()
-				buf := d.BytesField()
-				if d.Err() != nil {
-					return
-				}
-				if i > 0 && at < frames[i-1].at {
-					fifoOK = false
-				}
-				frames = append(frames, wireFrame{at: at, seq: seq, buf: buf})
-			}
-			if fifoOK && nf > 0 {
-				for _, f := range frames {
-					w.q.Push(wireEntry{at: f.at, seq: f.seq, buf: append([]byte(nil), f.buf...)})
-				}
-				h := w.q.Peek()
-				l.sched[1-dir].RestoreWireRunner(h.at, l.wireKey(dir), h.seq, w)
-			} else {
-				for _, fr := range frames {
-					if l.cross {
-						m := &mailFlight{n: n, l: l, dir: dir, at: fr.at, seq: fr.seq}
-						m.buf = append(m.buf, fr.buf...)
-						l.sched[1-dir].RestoreWireRunner(fr.at, l.wireKey(dir), fr.seq, m)
-					} else {
-						f := &flight{n: n, l: l, dir: dir}
-						f.buf = append(f.buf, fr.buf...)
-						l.legacyPending[dir]++
-						l.sched[1-dir].RestoreWireRunner(fr.at, l.wireKey(dir), fr.seq, f)
-					}
-				}
-			}
-			nm := d.Int()
-			if d.Err() != nil {
-				return
-			}
-			l.mail[dir] = l.mail[dir][:0]
-			for i := 0; i < nm; i++ {
-				m := &mailFlight{n: n, l: l, dir: dir}
-				m.at = sim.Time(d.I64())
-				m.seq = d.U64()
-				m.buf = append(m.buf, d.BytesField()...)
-				if d.Err() != nil {
-					return
-				}
-				l.mail[dir] = append(l.mail[dir], m)
-			}
-		}
-	}
-	nh := d.Int()
-	if d.Err() != nil {
-		return
-	}
-	if nh != len(n.hosts) {
-		d.Fail(fmt.Errorf("netsim: snapshot has %d hosts, network has %d", nh, len(n.hosts)))
-		return
-	}
-	for _, h := range n.hosts {
-		h.RxPackets = d.U64()
-		h.RxBytes = d.U64()
-		h.HeldFrames = d.U64()
-		h.busy = sim.Time(d.I64())
-		h.paused = d.Bool()
-		nheld := d.Int()
-		if d.Err() != nil {
-			return
-		}
-		h.held = h.held[:0]
-		for i := 0; i < nheld; i++ {
-			h.held = append(h.held, append([]byte(nil), d.BytesField()...))
-		}
-		ntx := d.Int()
-		if d.Err() != nil {
-			return
-		}
-		h.txActive = h.txActive[:0]
-		for i := 0; i < ntx; i++ {
-			at := sim.Time(d.I64())
-			seq := d.U64()
-			buf := d.BytesField()
-			if d.Err() != nil {
-				return
-			}
-			t := &hostTx{h: h}
-			t.buf = append(t.buf, buf...)
-			t.idx = len(h.txActive)
-			h.txActive = append(h.txActive, t)
-			t.hd = h.Scheduler().RestoreAtRunner(at, seq, t)
 		}
 	}
 }

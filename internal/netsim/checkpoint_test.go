@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"encoding/binary"
 	"fmt"
 	"testing"
 
@@ -62,41 +63,36 @@ func buildNetRig(t testing.TB, start bool, cfg core.Config) *netRig {
 	return r
 }
 
-func (r *netRig) snapshot() []byte {
-	e := checkpoint.NewEncoder()
-	clk := r.sched.Clock()
-	e.I64(int64(clk.Now))
-	e.U64(clk.Seq)
-	e.U64(clk.Fired)
+func (r *netRig) checkpoint(c *checkpoint.Codec, clk *sim.ClockState) {
+	c.I64((*int64)(&clk.Now))
+	c.U64(&clk.Seq)
+	c.U64(&clk.Fired)
 	for _, sw := range r.sws {
-		sw.Snapshot(e)
+		sw.Checkpoint(c)
 	}
-	r.net.Snapshot(e)
+	r.net.Checkpoint(c)
 	for _, g := range r.gens {
-		g.Snapshot(e)
+		g.Checkpoint(c)
 	}
-	return e.Bytes()
+}
+
+func (r *netRig) snapshot() []byte {
+	c := checkpoint.NewSaver()
+	clk := r.sched.Clock()
+	r.checkpoint(c, &clk)
+	return c.Saved()
 }
 
 func (r *netRig) restore(t testing.TB, buf []byte) {
 	t.Helper()
-	d := checkpoint.NewDecoder(buf)
+	c := checkpoint.NewLoader(buf)
 	var clk sim.ClockState
-	clk.Now = sim.Time(d.I64())
-	clk.Seq = d.U64()
-	clk.Fired = d.U64()
-	for _, sw := range r.sws {
-		sw.Restore(d)
-	}
-	r.net.Restore(d)
-	for _, g := range r.gens {
-		g.Restore(d)
-	}
-	if err := d.Err(); err != nil {
+	r.checkpoint(c, &clk)
+	if err := c.Err(); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
-	if d.Remaining() != 0 {
-		t.Fatalf("restore left %d bytes unread", d.Remaining())
+	if c.Remaining() != 0 {
+		t.Fatalf("restore left %d bytes unread", c.Remaining())
 	}
 	r.sched.DropFired(clk.Now, clk.Seq)
 	r.sched.RestoreClock(clk)
@@ -146,6 +142,11 @@ func TestNetworkCheckpointResumeIdentical(t *testing.T) {
 		t.Fatal("no frames in flight at the snapshot cut; wire restore is vacuous")
 	}
 	snap := a.snapshot()
+	// The section bytes as PR 19 wrote them: a layout change must bump
+	// checkpoint.FormatVersion, not slip through a two-way walk.
+	if got, want := checkpoint.Digest(string(snap)), uint64(9267853302193984936); got != want || len(snap) != 10560 {
+		t.Errorf("snapshot is %d bytes, digest %d; the pinned format is 10560 bytes, digest %d", len(snap), got, want)
+	}
 	a.sched.Run(full)
 
 	b := buildNetRig(t, false, core.Config{})
@@ -168,8 +169,8 @@ func TestNetworkCheckpointResumeIdentical(t *testing.T) {
 func TestNetworkRestoreRefusesTopologyMismatch(t *testing.T) {
 	a := buildNetRig(t, true, core.Config{})
 	a.sched.Run(100 * sim.Microsecond)
-	e := checkpoint.NewEncoder()
-	a.net.Snapshot(e)
+	e := checkpoint.NewSaver()
+	a.net.Checkpoint(e)
 
 	sched := sim.NewScheduler()
 	small := New(sched)
@@ -179,9 +180,76 @@ func TestNetworkRestoreRefusesTopologyMismatch(t *testing.T) {
 	h := small.NewHost("h", packet.IP4(10, 9, 0, 1))
 	small.Attach(h, sw, 0, 0)
 
-	d := checkpoint.NewDecoder(e.Bytes())
-	small.Restore(d)
+	d := checkpoint.NewLoader(e.Saved())
+	small.Checkpoint(d)
 	if d.Err() == nil {
 		t.Fatal("restore into a different topology did not fail")
+	}
+}
+
+// TestNetworkCheckpointDamageSweep cuts a small two-switch snapshot short
+// at every offset and overwrites every byte of it: each load ends in the
+// codec's error or completes — no panic, no loop or allocation sized by a
+// damaged count.
+func TestNetworkCheckpointDamageSweep(t *testing.T) {
+	a := buildNetRig(t, true, core.Config{})
+	a.sched.Run(20 * sim.Microsecond)
+	snap := a.snapshot()
+	load := func(buf []byte) error {
+		c := checkpoint.NewLoader(buf)
+		var clk sim.ClockState
+		buildNetRig(t, false, core.Config{}).checkpoint(c, &clk)
+		return c.Err()
+	}
+	if err := checkpoint.DamageSweep(snap, load); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestNetworkCheckpointRefusesDamagedCounts aims at the three counts PR
+// 19's Restore took from the file unchecked: a negative in-flight frame
+// count sized a make (runtime panic), and the held-frame and NIC counts
+// ran their loops after the decoder had failed.
+func TestNetworkCheckpointRefusesDamagedCounts(t *testing.T) {
+	a := buildNetRig(t, true, core.Config{})
+	a.sched.Run(20 * sim.Microsecond)
+	c := checkpoint.NewSaver()
+	a.net.Checkpoint(c)
+	snap := c.Saved()
+
+	// Link 0, direction 0's frame count follows the link count, two
+	// endpoint views and two directions of eight counters.
+	const frames = 8 + 2 + 2*8*8
+	if got, want := int64(binary.LittleEndian.Uint64(snap[frames:])), int64(len(a.net.inFlight()[a.net.links[0]][0])); got != want {
+		t.Fatalf("offset %d holds %d, link 0 has %d frames in flight: the layout moved", frames, got, want)
+	}
+	// The section ends with the last host's held-frame count (none are
+	// held), its NIC count and one record (at, seq, frame) per pending
+	// serialization.
+	last := a.net.hosts[len(a.net.hosts)-1]
+	ntx := len(snap) - 8
+	for _, tx := range last.txActive {
+		ntx -= 8 + 8 + 4 + len(tx.buf)
+	}
+	if len(last.held) != 0 || binary.LittleEndian.Uint64(snap[ntx:]) != uint64(len(last.txActive)) {
+		t.Fatalf("offset %d does not hold the last host's NIC count: the layout moved", ntx)
+	}
+	for _, tc := range []struct {
+		name string
+		off  int
+		n    int64
+	}{
+		{"negative frame count", frames, -1},
+		{"frame count past the section", frames, 1 << 40},
+		{"held-frame count past the section", ntx - 8, 1 << 40},
+		{"NIC count past the section", ntx, 1 << 40},
+	} {
+		damaged := append([]byte(nil), snap...)
+		binary.LittleEndian.PutUint64(damaged[tc.off:], uint64(tc.n))
+		d := checkpoint.NewLoader(damaged)
+		buildNetRig(t, false, core.Config{}).net.Checkpoint(d)
+		if d.Err() == nil {
+			t.Errorf("%s: loaded without an error", tc.name)
+		}
 	}
 }

@@ -2,16 +2,11 @@ package p4
 
 import "repro/internal/checkpoint"
 
-// Snapshot serializes the µP4 instance's persistent mutable state. The
+// Checkpoint walks the µP4 instance's persistent mutable state. The
 // header scratch frames are zeroed at every Apply, so only the telemetry
 // report sequence survives a slot boundary; everything else (switch ID,
-// handlers) is configuration rebuilt by the restore path's construction.
-// The program's externs are snapshotted by the owning switch.
-func (inst *Instance) Snapshot(e *checkpoint.Encoder) {
-	e.U32(inst.reportSeq)
-}
-
-// Restore loads an instance snapshot.
-func (inst *Instance) Restore(d *checkpoint.Decoder) {
-	inst.reportSeq = d.U32()
+// handlers) is configuration rebuilt by the load path's construction.
+// The program's externs are walked by the owning switch.
+func (inst *Instance) Checkpoint(c *checkpoint.Codec) {
+	c.U32(&inst.reportSeq)
 }

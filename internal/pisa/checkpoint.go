@@ -1,286 +1,96 @@
 package pisa
 
-import (
-	"fmt"
-	"sort"
+import "repro/internal/checkpoint"
 
-	"repro/internal/checkpoint"
-	"repro/internal/sim"
-)
-
-// Snapshot serializes the register: the backing memories (main array and
+// Checkpoint walks the register: the backing memories (main array and
 // aggregation banks, or the multi-ported array), per-kind transaction
 // cycles, and the conflict counters.
-func (r *SharedRegister) Snapshot(e *checkpoint.Encoder) {
-	e.Bool(r.agg != nil)
+func (r *SharedRegister) Checkpoint(c *checkpoint.Codec) {
+	c.FixedBool("pisa: register "+r.name+": aggregated", r.agg != nil)
 	if r.agg != nil {
-		r.agg.Snapshot(e)
+		r.agg.Checkpoint(c)
 	} else {
-		r.arr.Snapshot(e)
-	}
-	for _, c := range r.heldCycle {
-		e.U64(c)
-	}
-	e.U64(r.conflicts)
-	e.U64(r.staleRead)
-}
-
-// Restore loads a snapshot into an identically constructed register.
-func (r *SharedRegister) Restore(d *checkpoint.Decoder) {
-	wasAgg := d.Bool()
-	if d.Err() != nil {
-		return
-	}
-	if wasAgg != (r.agg != nil) {
-		d.Fail(fmt.Errorf("pisa: register %s: snapshot mode (aggregated=%v) differs from register", r.name, wasAgg))
-		return
-	}
-	if r.agg != nil {
-		r.agg.Restore(d)
-	} else {
-		r.arr.Restore(d)
+		r.arr.Checkpoint(c)
 	}
 	for i := range r.heldCycle {
-		r.heldCycle[i] = d.U64()
+		c.U64(&r.heldCycle[i])
 	}
-	r.conflicts = d.U64()
-	r.staleRead = d.U64()
+	c.U64(&r.conflicts)
+	c.U64(&r.staleRead)
 }
 
-// Snapshot serializes the counter array.
-func (c *Counter) Snapshot(e *checkpoint.Encoder) {
-	e.U32(uint32(len(c.packets)))
-	for i := range c.packets {
-		e.U64(c.packets[i])
-		e.U64(c.bytes[i])
-	}
-}
-
-// Restore loads a counter snapshot.
-func (c *Counter) Restore(d *checkpoint.Decoder) {
-	n := int(d.U32())
-	if d.Err() != nil {
-		return
-	}
-	if n != len(c.packets) {
-		d.Fail(fmt.Errorf("pisa: counter %s: snapshot has %d entries, counter has %d", c.name, n, len(c.packets)))
-		return
-	}
-	for i := range c.packets {
-		c.packets[i] = d.U64()
-		c.bytes[i] = d.U64()
+// Checkpoint walks the counter array.
+func (ct *Counter) Checkpoint(c *checkpoint.Codec) {
+	c.FixedU32("pisa: counter "+ct.name+": entries", len(ct.packets))
+	for i := range ct.packets {
+		c.U64(&ct.packets[i])
+		c.U64(&ct.bytes[i])
 	}
 }
 
-// Snapshot serializes the meter's bucket levels and refill timestamps.
-func (m *Meter) Snapshot(e *checkpoint.Encoder) {
-	e.U32(uint32(len(m.tokens)))
+// Checkpoint walks the meter's bucket levels and refill timestamps.
+func (m *Meter) Checkpoint(c *checkpoint.Codec) {
+	c.FixedU32("pisa: meter "+m.name+": buckets", len(m.tokens))
 	for i := range m.tokens {
-		e.I64(m.tokens[i])
-		e.I64(int64(m.last[i]))
+		c.I64(&m.tokens[i])
+		c.I64((*int64)(&m.last[i]))
 	}
 }
 
-// Restore loads a meter snapshot.
-func (m *Meter) Restore(d *checkpoint.Decoder) {
-	n := int(d.U32())
-	if d.Err() != nil {
-		return
-	}
-	if n != len(m.tokens) {
-		d.Fail(fmt.Errorf("pisa: meter %s: snapshot has %d buckets, meter has %d", m.name, n, len(m.tokens)))
-		return
-	}
-	for i := range m.tokens {
-		m.tokens[i] = d.I64()
-		m.last[i] = sim.Time(d.I64())
-	}
-}
-
-// Snapshot serializes the table's mutable state: lookup counters and,
-// per entry, the match key tuple with its hit count and parameters.
-// Action functions cannot be serialized; Restore matches entries by
-// (values, masks, priority) against the rebuilt table, so a table whose
-// entry set was mutated at runtime after construction cannot be restored
-// (documented limitation, DESIGN.md §13).
-func (t *Table) Snapshot(e *checkpoint.Encoder) {
-	e.U64(t.lookups)
-	e.U64(t.misses)
-	e.U32(uint32(len(t.entries)))
+// Checkpoint walks the table's mutable state: lookup counters and, per
+// entry, the match key tuple with its hit count and parameters. Action
+// functions cannot be serialized, so the key tuple (values, masks,
+// priority) is fixed: entries must appear in the same order with the
+// same keys in the rebuilt table, parameters and hit counts are loaded,
+// actions stay as constructed. A table whose entry set was mutated at
+// runtime after construction therefore cannot be restored (documented
+// limitation, DESIGN.md §13).
+func (t *Table) Checkpoint(c *checkpoint.Codec) {
+	what := "pisa: table " + t.name
+	key, params := what+": entry key (values, masks, priority)", what+": entry params"
+	c.U64(&t.lookups)
+	c.U64(&t.misses)
+	c.FixedU32(what+": entries (runtime entry mutation is not checkpointable)", len(t.entries))
 	for _, en := range t.entries {
-		e.U32(uint32(len(en.Values)))
+		c.FixedU32(key, len(en.Values))
 		for _, v := range en.Values {
-			e.U64(v)
+			c.FixedU64(key, v)
 		}
-		e.Bool(en.Masks != nil)
+		c.FixedBool(key, en.Masks != nil)
 		for _, m := range en.Masks {
-			e.U64(m)
+			c.FixedU64(key, m)
 		}
-		e.Int(en.Priority)
-		e.U32(uint32(len(en.Params)))
-		for _, p := range en.Params {
-			e.U64(p)
-		}
-		e.U64(en.hits)
-	}
-}
-
-// Restore loads a table snapshot into an identically populated table.
-// Entries must appear in the same order with the same keys; parameters
-// and hit counts are restored, actions stay as constructed.
-func (t *Table) Restore(d *checkpoint.Decoder) {
-	t.lookups = d.U64()
-	t.misses = d.U64()
-	n := int(d.U32())
-	if d.Err() != nil {
-		return
-	}
-	if n != len(t.entries) {
-		d.Fail(fmt.Errorf("pisa: table %s: snapshot has %d entries, table has %d (runtime entry mutation is not checkpointable)",
-			t.name, n, len(t.entries)))
-		return
-	}
-	for _, en := range t.entries {
-		nv := int(d.U32())
-		if d.Err() != nil {
-			return
-		}
-		if nv != len(en.Values) {
-			d.Fail(fmt.Errorf("pisa: table %s: entry key width mismatch", t.name))
-			return
-		}
-		for i, v := range en.Values {
-			if got := d.U64(); got != v {
-				d.Fail(fmt.Errorf("pisa: table %s: entry value %d mismatch (snapshot %#x, table %#x)", t.name, i, got, v))
-				return
-			}
-		}
-		hadMasks := d.Bool()
-		if d.Err() != nil {
-			return
-		}
-		if hadMasks != (en.Masks != nil) {
-			d.Fail(fmt.Errorf("pisa: table %s: entry mask presence mismatch", t.name))
-			return
-		}
-		for i, m := range en.Masks {
-			if got := d.U64(); got != m {
-				d.Fail(fmt.Errorf("pisa: table %s: entry mask %d mismatch", t.name, i))
-				return
-			}
-		}
-		if pr := d.Int(); pr != en.Priority {
-			d.Fail(fmt.Errorf("pisa: table %s: entry priority mismatch (snapshot %d, table %d)", t.name, pr, en.Priority))
-			return
-		}
-		np := int(d.U32())
-		if d.Err() != nil {
-			return
-		}
-		if np != len(en.Params) {
-			d.Fail(fmt.Errorf("pisa: table %s: entry param count mismatch", t.name))
-			return
-		}
+		c.FixedInt(key, en.Priority)
+		c.FixedU32(params, len(en.Params))
 		for i := range en.Params {
-			en.Params[i] = d.U64()
+			c.U64(&en.Params[i])
 		}
-		en.hits = d.U64()
+		c.U64(&en.hits)
 	}
 }
 
-// Snapshot serializes every stateful extern of the program: shared
+// Checkpoint walks every stateful extern of the program: shared
 // registers (insertion order), then tables, counters, and meters (sorted
-// by name). Handlers are code, not state — the restore path rebuilds
-// them by re-running the program's construction.
-func (p *Program) Snapshot(e *checkpoint.Encoder) {
-	e.String(p.name)
-	e.U32(uint32(len(p.regList)))
+// by name), each under its fixed name. Handlers are code, not state — the
+// load path rebuilds them by re-running the program's construction.
+func (p *Program) Checkpoint(c *checkpoint.Codec) {
+	c.FixedString("pisa: program", p.name)
+	what := "pisa: program " + p.name
+	c.FixedU32(what+": registers", len(p.regList))
 	for _, r := range p.regList {
-		e.String(r.Name())
-		r.Snapshot(e)
+		c.FixedString(what+": register", r.Name())
+		r.Checkpoint(c)
 	}
-	tnames := p.TableNames()
-	e.U32(uint32(len(tnames)))
-	for _, n := range tnames {
-		e.String(n)
-		p.tables[n].Snapshot(e)
-	}
-	cnames := sortedKeys(p.counters)
-	e.U32(uint32(len(cnames)))
-	for _, n := range cnames {
-		e.String(n)
-		p.counters[n].Snapshot(e)
-	}
-	mnames := sortedKeys(p.meters)
-	e.U32(uint32(len(mnames)))
-	for _, n := range mnames {
-		e.String(n)
-		p.meters[n].Snapshot(e)
-	}
+	checkpointNamed(c, what+": table", p.tables)
+	checkpointNamed(c, what+": counter", p.counters)
+	checkpointNamed(c, what+": meter", p.meters)
 }
 
-// Restore loads a program snapshot into an identically constructed
-// program (same externs under the same names).
-func (p *Program) Restore(d *checkpoint.Decoder) {
-	name := d.String()
-	if d.Err() != nil {
-		return
+func checkpointNamed[T interface{ Checkpoint(*checkpoint.Codec) }](c *checkpoint.Codec, what string, m map[string]T) {
+	names := checkpoint.SortedKeys(m)
+	c.FixedU32(what+"s", len(names))
+	for _, n := range names {
+		c.FixedString(what, n)
+		m[n].Checkpoint(c)
 	}
-	if name != p.name {
-		d.Fail(fmt.Errorf("pisa: snapshot is of program %q, loaded program is %q", name, p.name))
-		return
-	}
-	nr := int(d.U32())
-	if d.Err() != nil {
-		return
-	}
-	if nr != len(p.regList) {
-		d.Fail(fmt.Errorf("pisa: program %s: snapshot has %d registers, program has %d", p.name, nr, len(p.regList)))
-		return
-	}
-	for _, r := range p.regList {
-		rn := d.String()
-		if d.Err() != nil {
-			return
-		}
-		if rn != r.Name() {
-			d.Fail(fmt.Errorf("pisa: program %s: register order mismatch (snapshot %q, program %q)", p.name, rn, r.Name()))
-			return
-		}
-		r.Restore(d)
-	}
-	restoreNamed(d, p.name, "table", p.TableNames(), func(n string) interface{ Restore(*checkpoint.Decoder) } { return p.tables[n] })
-	restoreNamed(d, p.name, "counter", sortedKeys(p.counters), func(n string) interface{ Restore(*checkpoint.Decoder) } { return p.counters[n] })
-	restoreNamed(d, p.name, "meter", sortedKeys(p.meters), func(n string) interface{ Restore(*checkpoint.Decoder) } { return p.meters[n] })
-}
-
-func restoreNamed(d *checkpoint.Decoder, prog, kind string, names []string, get func(string) interface{ Restore(*checkpoint.Decoder) }) {
-	n := int(d.U32())
-	if d.Err() != nil {
-		return
-	}
-	if n != len(names) {
-		d.Fail(fmt.Errorf("pisa: program %s: snapshot has %d %ss, program has %d", prog, n, kind, len(names)))
-		return
-	}
-	for _, want := range names {
-		got := d.String()
-		if d.Err() != nil {
-			return
-		}
-		if got != want {
-			d.Fail(fmt.Errorf("pisa: program %s: %s name mismatch (snapshot %q, program %q)", prog, kind, got, want))
-			return
-		}
-		get(want).Restore(d)
-	}
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	names := make([]string, 0, len(m))
-	for n := range m {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

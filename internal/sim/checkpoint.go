@@ -123,14 +123,6 @@ func (s *Scheduler) EachWire(visit func(at Time, k1, k2 uint64, fn Action, r Run
 	}
 }
 
-// RestoreArm arms the lane with explicit (at, seq) coordinates from a
-// checkpoint, without drawing from the scheduler's seq counter. Lanes
-// may be restored in any order: the lane heap is keyed by the
-// coordinates, so firing order does not depend on insertion order.
-func (l *Lane) RestoreArm(at Time, seq uint64) {
-	l.ArmExact(at, seq)
-}
-
 // ArmedAt returns the lane's pending (at, seq), for checkpointing.
 func (l *Lane) ArmedAt() (at Time, seq uint64, ok bool) {
 	if l.index < 0 {

@@ -38,6 +38,13 @@ func (f *FIFO[T]) Reset() {
 	f.q, f.head = f.q[:0], 0
 }
 
+// Refill replaces the queue's contents with n zero elements, for a
+// checkpoint load to fill in place through Live.
+func (f *FIFO[T]) Refill(n int) {
+	f.Reset()
+	f.q = append(f.q, make([]T, n)...)
+}
+
 // Pop removes and returns the oldest element. The queue must not be empty.
 //
 // Compaction runs once the dead prefix is at least as long as the live

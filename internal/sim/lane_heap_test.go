@@ -263,7 +263,7 @@ func TestRestoreArmShuffledOrder(t *testing.T) {
 	})
 	got := run(func(lanes []*Lane, s *Scheduler) {
 		for _, i := range NewRNG(11).Perm(L) {
-			lanes[i].RestoreArm(coords[i].at, coords[i].seq)
+			lanes[i].ArmExact(coords[i].at, coords[i].seq)
 		}
 		s.RestoreClock(clock)
 	})

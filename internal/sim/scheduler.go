@@ -555,7 +555,8 @@ func (l *Lane) ArmAt(at Time) {
 // restored, or a conveyor entry that drew its seq (NextSeq) when it was
 // scheduled — and the lane must fire in exactly that position. No
 // past-check is applied: checkpoint restore arms lanes before the clock
-// is restored.
+// is restored, and in any order — the lane heap is keyed by the
+// coordinates, so firing order does not depend on insertion order.
 func (l *Lane) ArmExact(at Time, seq uint64) {
 	l.arm(at, seq)
 	l.s.auxArms++

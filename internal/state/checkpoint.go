@@ -1,121 +1,52 @@
 package state
 
-import (
-	"fmt"
+import "repro/internal/checkpoint"
 
-	"repro/internal/checkpoint"
-)
-
-// Snapshot serializes the array: values, cycle, per-cycle port usage,
-// and lifetime access counters.
-func (a *Array) Snapshot(e *checkpoint.Encoder) {
-	e.U32(uint32(len(a.vals)))
-	for _, v := range a.vals {
-		e.U64(v)
-	}
-	e.Int(a.used)
-	e.U64(a.cycle)
-	e.U64(a.reads)
-	e.U64(a.writes)
-	e.U64(a.denied)
-}
-
-// Restore loads a snapshot taken from an identically sized array. The
-// cycle is set directly (Tick would refuse to move backwards from a
-// partially run constructor state, and must not reset the restored port
-// usage).
-func (a *Array) Restore(d *checkpoint.Decoder) {
-	n := int(d.U32())
-	if d.Err() != nil {
-		return
-	}
-	if n != len(a.vals) {
-		d.Fail(fmt.Errorf("state: array %s: snapshot has %d entries, array has %d", a.name, n, len(a.vals)))
-		return
-	}
+// Checkpoint walks the array: values, cycle, per-cycle port usage, and
+// lifetime access counters. The cycle is assigned directly on load (Tick
+// would refuse to move backwards from a partially run constructor state,
+// and must not reset the restored port usage).
+func (a *Array) Checkpoint(c *checkpoint.Codec) {
+	c.FixedU32("state: array "+a.name+": entries", len(a.vals))
 	for i := range a.vals {
-		a.vals[i] = d.U64()
+		c.U64(&a.vals[i])
 	}
-	a.used = d.Int()
-	a.cycle = d.U64()
-	a.reads = d.U64()
-	a.writes = d.U64()
-	a.denied = d.U64()
+	c.Int(&a.used)
+	c.U64(&a.cycle)
+	c.U64(&a.reads)
+	c.U64(&a.writes)
+	c.U64(&a.denied)
 }
 
-// Snapshot serializes the aggregation machinery: the main array, every
-// bank (deltas, dirty FIFO live region, per-index enqueue cycles), and
-// the drain statistics. The dirty FIFO is written live-region-only and
-// restored with head 0, which preserves pop order exactly.
-func (ag *Aggregated) Snapshot(e *checkpoint.Encoder) {
-	ag.main.Snapshot(e)
-	e.U32(uint32(len(ag.banks)))
+// Checkpoint walks the aggregation machinery: the main array, every bank
+// (deltas, dirty FIFO live region, per-index enqueue cycles), and the
+// drain statistics. The dirty FIFO is written live-region-only and loaded
+// at head 0, which preserves pop order exactly.
+func (ag *Aggregated) Checkpoint(c *checkpoint.Codec) {
+	ag.main.Checkpoint(c)
+	c.FixedU32("state: "+ag.main.Name()+": banks", len(ag.banks))
 	for _, b := range ag.banks {
-		b.arr.Snapshot(e)
-		e.U32(uint32(len(b.delta)))
+		b.arr.Checkpoint(c)
+		c.FixedU32("state: bank "+b.name+": entries", len(b.delta))
 		for i := range b.delta {
-			e.I64(b.delta[i])
-			e.U64(b.since[i])
-			e.Bool(b.inq[i])
+			c.I64(&b.delta[i])
+			c.U64(&b.since[i])
+			c.Bool(&b.inq[i])
 		}
-		live := b.dirty[b.head:]
-		e.U32(uint32(len(live)))
-		for _, idx := range live {
-			e.U32(idx)
+		n := c.Len32(len(b.dirty) - b.head)
+		if c.Loading() {
+			b.dirty, b.head = append(b.dirty[:0], make([]uint32, n)...), 0
 		}
-		e.U64(b.lastDrain)
+		for i := range b.dirty[b.head:] {
+			c.U32(&b.dirty[b.head+i])
+		}
+		c.U64(&b.lastDrain)
 	}
-	e.U64(ag.drained)
-	e.U64(ag.deferred)
-	e.U64(ag.dropped)
-	e.Int(ag.maxBacklog)
-	e.U64(ag.stalenessSum)
-	e.U64(ag.stalenessMax)
-	e.Int(ag.rrNext)
-}
-
-// Restore loads a snapshot taken from an identically shaped Aggregated.
-func (ag *Aggregated) Restore(d *checkpoint.Decoder) {
-	ag.main.Restore(d)
-	nb := int(d.U32())
-	if d.Err() != nil {
-		return
-	}
-	if nb != len(ag.banks) {
-		d.Fail(fmt.Errorf("state: %s: snapshot has %d banks, register has %d", ag.main.Name(), nb, len(ag.banks)))
-		return
-	}
-	for _, b := range ag.banks {
-		b.arr.Restore(d)
-		n := int(d.U32())
-		if d.Err() != nil {
-			return
-		}
-		if n != len(b.delta) {
-			d.Fail(fmt.Errorf("state: bank %s: snapshot has %d entries, bank has %d", b.name, n, len(b.delta)))
-			return
-		}
-		for i := range b.delta {
-			b.delta[i] = d.I64()
-			b.since[i] = d.U64()
-			b.inq[i] = d.Bool()
-		}
-		nd := int(d.U32())
-		if d.Err() != nil {
-			return
-		}
-		b.dirty = b.dirty[:0]
-		for i := 0; i < nd; i++ {
-			b.dirty = append(b.dirty, d.U32())
-		}
-		b.head = 0
-		b.lastDrain = d.U64()
-	}
-	ag.drained = d.U64()
-	ag.deferred = d.U64()
-	ag.dropped = d.U64()
-	ag.maxBacklog = d.Int()
-	ag.stalenessSum = d.U64()
-	ag.stalenessMax = d.U64()
-	ag.rrNext = d.Int()
+	c.U64(&ag.drained)
+	c.U64(&ag.deferred)
+	c.U64(&ag.dropped)
+	c.Int(&ag.maxBacklog)
+	c.U64(&ag.stalenessSum)
+	c.U64(&ag.stalenessMax)
+	c.Int(&ag.rrNext)
 }

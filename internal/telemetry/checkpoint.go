@@ -2,170 +2,81 @@ package telemetry
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/checkpoint"
-	"repro/internal/sim"
 )
 
-// SnapshotTo serializes every instrument by name (sorted, so the section
-// is deterministic) plus, when tracing is on, every stream's ring
-// content. Restore pours the values back into instruments re-created by
-// the rebuilt simulation's construction path, so names must match.
-func (c *Collector) SnapshotTo(e *checkpoint.Encoder) {
+// Checkpoint walks every instrument under its name (sorted, so the
+// section is deterministic) plus, when tracing is on, every stream's ring
+// content in creation order. The names are fixed: values pour back into
+// the instruments and streams the rebuilt simulation's construction path
+// re-created, so a name the rebuilt run lacks means it was built
+// differently from the checkpointed one.
+func (c *Collector) Checkpoint(cc *checkpoint.Codec) {
 	r := c.reg
-	names := make([]string, 0, len(r.counters))
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	e.U32(uint32(len(names)))
+	names := checkpoint.SortedKeys(r.counters)
+	cc.FixedU32("telemetry: counters", len(names))
 	for _, n := range names {
-		e.String(n)
-		e.U64(r.counters[n].v)
+		cc.FixedString("telemetry: counter", n)
+		cc.U64(&r.counters[n].v)
 	}
-	names = names[:0]
-	for n := range r.gauges {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	e.U32(uint32(len(names)))
+	names = checkpoint.SortedKeys(r.gauges)
+	cc.FixedU32("telemetry: gauges", len(names))
 	for _, n := range names {
-		e.String(n)
-		e.I64(r.gauges[n].v)
+		cc.FixedString("telemetry: gauge", n)
+		cc.I64(&r.gauges[n].v)
 	}
-	names = names[:0]
-	for n := range r.hists {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	e.U32(uint32(len(names)))
+	names = checkpoint.SortedKeys(r.hists)
+	cc.FixedU32("telemetry: histograms", len(names))
 	for _, n := range names {
-		e.String(n)
+		cc.FixedString("telemetry: histogram", n)
 		h := r.hists[n]
 		for i := range h.buckets {
-			e.U64(h.buckets[i])
+			cc.U64(&h.buckets[i])
 		}
-		e.U64(h.count)
-		e.U64(h.sum)
-		e.U64(h.max)
+		cc.U64(&h.count)
+		cc.U64(&h.sum)
+		cc.U64(&h.max)
 	}
-	if c.tracer == nil {
-		e.U32(0)
-		return
+	var streams []*Stream
+	if c.tracer != nil {
+		streams = c.tracer.streams
 	}
-	e.U32(uint32(len(c.tracer.streams)))
-	for _, s := range c.tracer.streams {
-		e.String(s.name)
-		e.U64(s.n)
-		n := s.n
-		if n > uint64(len(s.ring)) {
-			n = uint64(len(s.ring))
-		}
-		e.U32(uint32(n))
-		for _, rec := range s.records() {
-			e.I64(int64(rec.At))
-			e.U64(rec.Seq)
-			e.U64(rec.Arg)
-			e.U8(rec.Kind)
-			e.U8(uint8(rec.Stg))
-			e.U8(uint8(rec.Out))
-		}
-	}
-}
-
-// RestoreFrom loads a snapshot into this collector. Every snapshotted
-// instrument and stream must already exist (created by the rebuilt
-// simulation during construction); an unknown name means the restored
-// run was built differently from the checkpointed one.
-func (c *Collector) RestoreFrom(d *checkpoint.Decoder) {
-	r := c.reg
-	nc := int(d.U32())
-	for i := 0; i < nc && d.Err() == nil; i++ {
-		n := d.String()
-		v := d.U64()
-		ctr, ok := r.counters[n]
-		if !ok {
-			d.Fail(fmt.Errorf("telemetry: snapshot counter %q not present in rebuilt run", n))
-			return
-		}
-		ctr.v = v
-	}
-	ng := int(d.U32())
-	for i := 0; i < ng && d.Err() == nil; i++ {
-		n := d.String()
-		v := d.I64()
-		g, ok := r.gauges[n]
-		if !ok {
-			d.Fail(fmt.Errorf("telemetry: snapshot gauge %q not present in rebuilt run", n))
-			return
-		}
-		g.v = v
-	}
-	nh := int(d.U32())
-	for i := 0; i < nh && d.Err() == nil; i++ {
-		n := d.String()
-		h, ok := r.hists[n]
-		if !ok {
-			d.Fail(fmt.Errorf("telemetry: snapshot histogram %q not present in rebuilt run", n))
-			return
-		}
-		for bi := range h.buckets {
-			h.buckets[bi] = d.U64()
-		}
-		h.count = d.U64()
-		h.sum = d.U64()
-		h.max = d.U64()
-	}
-	ns := int(d.U32())
-	if d.Err() != nil {
-		return
-	}
-	if ns > 0 && c.tracer == nil {
-		d.Fail(fmt.Errorf("telemetry: snapshot has %d trace streams but tracing is disabled in rebuilt run", ns))
-		return
-	}
-	for i := 0; i < ns && d.Err() == nil; i++ {
-		name := d.String()
-		total := d.U64()
-		kept := int(d.U32())
-		if d.Err() != nil {
-			return
-		}
-		s := c.tracer.Stream(name)
-		if kept > len(s.ring) {
-			d.Fail(fmt.Errorf("telemetry: stream %q: snapshot keeps %d records, ring holds %d", name, kept, len(s.ring)))
-			return
-		}
-		// Replay the retained records oldest-first through Emit-equivalent
-		// writes, then pin the emitted total so Dropped() matches.
-		for j := 0; j < kept; j++ {
-			s.ring[j] = Rec{
-				At:   sim.Time(d.I64()),
-				Seq:  d.U64(),
-				Arg:  d.U64(),
-				Kind: d.U8(),
-				Stg:  Stage(d.U8()),
-				Out:  Outcome(d.U8()),
+	cc.FixedU32("telemetry: trace streams", len(streams))
+	for _, s := range streams {
+		cc.FixedString("telemetry: trace stream", s.name)
+		// The retained records are written oldest first, whatever the
+		// ring's rotation; loading lays them out from slot 0.
+		recs := s.records()
+		cc.U64(&s.n)
+		kept := cc.Len32(len(recs))
+		if cc.Loading() {
+			if kept > len(s.ring) {
+				cc.Fail(fmt.Errorf("telemetry: stream %q: snapshot keeps %d records, ring holds %d", s.name, kept, len(s.ring)))
+				return
 			}
+			recs = s.ring[:kept]
 		}
-		// Lay the ring out so the next Emit lands where the original run's
-		// would: records occupy [0, kept) and n ≡ position of next write.
-		// For an unwrapped ring n == kept and the layout is identical; for
-		// a wrapped ring the original layout is a rotation, which records()
-		// normalizes on export, so exports stay byte-identical.
-		if total <= uint64(len(s.ring)) {
-			s.n = total
-		} else {
-			// Rotate so that physical slot (n % len) is the oldest record,
-			// matching where the original ring's next write would land.
-			rot := int(total % uint64(len(s.ring)))
-			rotated := make([]Rec, len(s.ring))
-			for j := 0; j < kept; j++ {
-				rotated[(rot+j)%len(s.ring)] = s.ring[j]
+		for i := range recs {
+			rec := &recs[i]
+			cc.I64((*int64)(&rec.At))
+			cc.U64(&rec.Seq)
+			cc.U64(&rec.Arg)
+			cc.U8(&rec.Kind)
+			cc.U8((*uint8)(&rec.Stg))
+			cc.U8((*uint8)(&rec.Out))
+		}
+		// An unwrapped ring (n == kept) is now laid out exactly as the
+		// original. A wrapped one must have its oldest record at physical
+		// slot n % len, where the original's next Emit would land, so
+		// later writes evict in the same order; records() normalizes the
+		// rotation on export, so exports stay byte-identical.
+		if size := uint64(len(s.ring)); cc.Loading() && s.n > size {
+			rotated := make([]Rec, size)
+			for j := range recs {
+				rotated[(s.n+uint64(j))%size] = recs[j]
 			}
 			copy(s.ring, rotated)
-			s.n = total
 		}
 	}
 }

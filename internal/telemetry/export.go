@@ -39,18 +39,24 @@ type metricsRun struct {
 // MetricsSchema names the metrics document schema version.
 const MetricsSchema = "evbench-metrics/v1"
 
+// add appends one labelled collector's current state to the document:
+// the one builder behind the post-run export and every streamed line.
+func (doc *metricsDoc) add(label string, c *Collector) {
+	mr := metricsRun{Label: label, Metrics: c.Registry().Snapshot()}
+	if t := c.Tracer(); t != nil {
+		mr.TraceRecords = t.Emitted()
+		mr.TraceDropped = t.Dropped()
+	}
+	doc.Runs = append(doc.Runs, mr)
+}
+
 // EncodeMetrics renders the labelled collectors' registries as an
 // indented "evbench-metrics/v1" JSON document. Output is a pure function
 // of each collector's deterministic state and its label.
 func EncodeMetrics(runs []RunExport) ([]byte, error) {
 	doc := metricsDoc{Schema: MetricsSchema, Runs: []metricsRun{}}
 	for _, r := range sortRuns(runs) {
-		mr := metricsRun{Label: r.Label, Metrics: r.C.Registry().Snapshot()}
-		if t := r.C.Tracer(); t != nil {
-			mr.TraceRecords = t.Emitted()
-			mr.TraceDropped = t.Dropped()
-		}
-		doc.Runs = append(doc.Runs, mr)
+		doc.add(r.Label, r.C)
 	}
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
@@ -177,6 +183,29 @@ func WriteChromeTrace(path string, runs []RunExport) error {
 	return os.WriteFile(path, b, 0o644)
 }
 
+// jsonlRec is one line of a JSONL trace, post-run (EncodeJSONL) or
+// streamed (StreamSink), so the two are line-compatible.
+type jsonlRec struct {
+	Run     string `json:"run"`
+	Stream  string `json:"stream"`
+	TsPs    int64  `json:"ts_ps"`
+	Stage   string `json:"stage"`
+	Kind    string `json:"kind"`
+	Outcome string `json:"outcome,omitempty"`
+	Seq     uint64 `json:"seq"`
+	Arg     uint64 `json:"arg"`
+}
+
+// jsonlLine renders one record of the named run and stream.
+func jsonlLine(run, stream string, rec Rec) ([]byte, error) {
+	return json.Marshal(jsonlRec{
+		Run: run, Stream: stream,
+		TsPs: int64(rec.At), Stage: rec.Stg.String(),
+		Kind: kindName(rec.Kind), Outcome: rec.Out.String(),
+		Seq: rec.Seq, Arg: rec.Arg,
+	})
+}
+
 // EncodeJSONL renders the trace as one JSON object per line — friendlier
 // to grep/jq pipelines than the Chrome array. Fields: run, stream, ts_ps,
 // stage, kind, outcome, seq, arg.
@@ -189,22 +218,7 @@ func EncodeJSONL(runs []RunExport) ([]byte, error) {
 		}
 		streams := t.Streams()
 		for _, rec := range t.merged() {
-			line := struct {
-				Run     string `json:"run"`
-				Stream  string `json:"stream"`
-				TsPs    int64  `json:"ts_ps"`
-				Stage   string `json:"stage"`
-				Kind    string `json:"kind"`
-				Outcome string `json:"outcome,omitempty"`
-				Seq     uint64 `json:"seq"`
-				Arg     uint64 `json:"arg"`
-			}{
-				Run: r.Label, Stream: streams[rec.stream].name,
-				TsPs: int64(rec.At), Stage: rec.Stg.String(),
-				Kind: kindName(rec.Kind), Outcome: rec.Out.String(),
-				Seq: rec.Seq, Arg: rec.Arg,
-			}
-			b, err := json.Marshal(line)
+			b, err := jsonlLine(r.Label, streams[rec.stream].name, rec.Rec)
 			if err != nil {
 				return nil, err
 			}

@@ -20,7 +20,7 @@ import (
 // collector's trace rings on a wall-clock ticker (or whenever the host
 // calls Flush, e.g. from a sim-time Every callback), writing:
 //
-//   - trace records as JSONL lines with exactly the EncodeJSONL schema
+//   - trace records as JSONL lines, the same jsonlRec EncodeJSONL writes
 //     (run/stream/ts_ps/stage/kind/outcome/seq/arg), or as an
 //     incrementally-grown Chrome trace-event array when the path ends in
 //     ".json" / ".trace";
@@ -202,19 +202,6 @@ func (sk *StreamSink) flushLocked() error {
 	return nil
 }
 
-// jsonlRec mirrors EncodeJSONL's per-line schema exactly, so streamed
-// and post-run JSONL traces are line-compatible.
-type jsonlRec struct {
-	Run     string `json:"run"`
-	Stream  string `json:"stream"`
-	TsPs    int64  `json:"ts_ps"`
-	Stage   string `json:"stage"`
-	Kind    string `json:"kind"`
-	Outcome string `json:"outcome,omitempty"`
-	Seq     uint64 `json:"seq"`
-	Arg     uint64 `json:"arg"`
-}
-
 func (sk *StreamSink) writeRec(e sinkEntry, s *Stream, rec Rec) error {
 	if sk.chrome {
 		ev := chromeEvent{
@@ -234,12 +221,7 @@ func (sk *StreamSink) writeRec(e sinkEntry, s *Stream, rec Rec) error {
 		_, err = sk.traceW.Write(b)
 		return err
 	}
-	b, err := json.Marshal(jsonlRec{
-		Run: e.label, Stream: s.Name(),
-		TsPs: int64(rec.At), Stage: rec.Stg.String(),
-		Kind: kindName(rec.Kind), Outcome: rec.Out.String(),
-		Seq: rec.Seq, Arg: rec.Arg,
-	})
+	b, err := jsonlLine(e.label, s.Name(), rec)
 	if err != nil {
 		return err
 	}
@@ -252,12 +234,7 @@ func (sk *StreamSink) writeRec(e sinkEntry, s *Stream, rec Rec) error {
 func (sk *StreamSink) writeMetricsLine(entries []sinkEntry) error {
 	doc := metricsDoc{Schema: MetricsSchema, Runs: []metricsRun{}}
 	for _, e := range entries {
-		mr := metricsRun{Label: e.label, Metrics: e.c.Registry().Snapshot()}
-		if t := e.c.Tracer(); t != nil {
-			mr.TraceRecords = t.Emitted()
-			mr.TraceDropped = t.Dropped()
-		}
-		doc.Runs = append(doc.Runs, mr)
+		doc.add(e.label, e.c)
 	}
 	b, err := json.Marshal(doc)
 	if err != nil {

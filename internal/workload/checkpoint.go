@@ -4,51 +4,35 @@ import (
 	"fmt"
 
 	"repro/internal/checkpoint"
-	"repro/internal/sim"
 )
 
-// Snapshot serializes a saturate generator: emission counters, the
-// sub-flow cursor, the RNG stream position, and the (at, seq) of the
-// pending next-emission event.
-func (g *Gen) Snapshot(e *checkpoint.Encoder) {
-	e.U64(g.SentPackets)
-	e.U64(g.SentBytes)
-	e.Bool(g.stopped)
-	e.U32(g.satSeq)
+// Checkpoint walks a saturate generator: emission counters, the sub-flow
+// cursor, the RNG stream position, and the (at, seq) of the pending
+// next-emission event. Loading needs a generator prepared with
+// PrepareSaturate (closure built, no emission yet); the pending emission
+// is re-created at its checkpointed (at, seq) so the resumed schedule is
+// identical.
+func (g *Gen) Checkpoint(c *checkpoint.Codec) {
+	if c.Loading() && g.satStep == nil {
+		c.Fail(fmt.Errorf("workload: loading a checkpoint needs PrepareSaturate first"))
+		return
+	}
+	c.U64(&g.SentPackets)
+	c.U64(&g.SentBytes)
+	c.Bool(&g.stopped)
+	c.U32(&g.satSeq)
 	st := g.rng.State()
-	for _, w := range st {
-		e.U64(w)
-	}
-	at, seq, ok := g.pending.When()
-	e.Bool(ok)
-	e.I64(int64(at))
-	e.U64(seq)
-}
-
-// Restore loads a snapshot into a generator prepared with PrepareSaturate
-// (closure built, no emission yet). The pending emission is re-created at
-// its checkpointed (at, seq) so the resumed schedule is identical.
-func (g *Gen) Restore(d *checkpoint.Decoder) {
-	if g.satStep == nil {
-		d.Fail(fmt.Errorf("workload: Restore needs PrepareSaturate first"))
-		return
-	}
-	g.SentPackets = d.U64()
-	g.SentBytes = d.U64()
-	g.stopped = d.Bool()
-	g.satSeq = d.U32()
-	var st [4]uint64
 	for i := range st {
-		st[i] = d.U64()
+		c.U64(&st[i])
 	}
-	hadPending := d.Bool()
-	at := sim.Time(d.I64())
-	seq := d.U64()
-	if d.Err() != nil {
-		return
-	}
-	g.rng.SetState(st)
-	if hadPending {
-		g.pending = g.sched.RestoreAt(at, seq, g.satStep)
+	at, seq, pending := g.pending.When()
+	c.Bool(&pending)
+	c.I64((*int64)(&at))
+	c.U64(&seq)
+	if c.Loading() && c.Err() == nil {
+		g.rng.SetState(st)
+		if pending {
+			g.pending = g.sched.RestoreAt(at, seq, g.satStep)
+		}
 	}
 }
