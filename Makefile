@@ -5,8 +5,8 @@ GO ?= go
 # The gate everything must pass: static checks, a full build, the test
 # suite (which holds every differential: the golden evbench output and
 # its oracle re-run, the crash/resume harness, the observability plane,
-# the real telemetry export through tracecheck), and the concurrent
-# packages under the race detector. Perf is measured by `go run
+# the real telemetry export through tracecheck), and the whole tree
+# under the race detector. Perf is measured by `go run
 # ./benchmark` (BENCHMARK.json), not here.
 check: lint build test race
 
@@ -33,34 +33,37 @@ build:
 test:
 	$(GO) test ./...
 
-# Every concurrent package is raced whole. -short spares internal/bench
-# its two long sweeps (TestHarnessGoldenAndOracles, TestScaleDigestsMatch:
-# minutes under the detector; TestFatTreeScaleSmoke is the reduced fat
-# tree and TestTwoCampaignsConcurrently races two whole campaigns) and
-# cmd/tracecheck the hula export (45 s raced; bench's TestTelemetry* race
-# that path). The partition packages run at three widths so every rung of
-# the window gate's wait ladder is raced: -cpu 1 has no spin and hands
-# over by yield or park, -cpu 2 spins then yields with a P per domain,
-# and the 3- to 7-domain tests at either width (plus -cpu 4 on a 2-CPU
-# host) have more waiters than processors.
+# The whole tree is raced. -short skips only long runs that `test`
+# already covers unraced: internal/bench's two sweeps
+# (TestHarnessGoldenAndOracles, TestScaleDigestsMatch: minutes under the
+# detector; TestFatTreeScaleSmoke is the reduced fat tree and
+# TestTwoCampaignsConcurrently races two whole campaigns), cmd/tracecheck's
+# hula exports (bench's TestTelemetry* race that path), cmd/evbench's
+# TestObsSmoke (the scale experiment, past go test's 10-minute timeout
+# raced; bench's TestObsStreamingIdentical is its raced twin), cmd/evsim's
+# SIGKILL harness and internal/apps' scale and soak tests. The partition
+# packages run again at three widths so every rung of the window gate's
+# wait ladder is raced: -cpu 1 has no spin and hands over by yield or
+# park, -cpu 2 spins then yields with a P per domain, and the 3- to
+# 7-domain tests at either width (plus -cpu 4 on a 2-CPU host) have more
+# waiters than processors.
 race:
-	$(GO) test -race -short ./internal/bench
+	$(GO) test -race -short ./...
 	$(GO) test -race -cpu 1,2,4 ./internal/sim ./internal/netsim
-	$(GO) test -race ./internal/core ./internal/events ./internal/tm ./internal/packet ./internal/pisa
-	$(GO) test -race -short ./internal/p4 ./internal/state ./internal/workload ./cmd/tracecheck
-	$(GO) test -race ./internal/faults ./internal/checkpoint
-	$(GO) test -race ./internal/telemetry ./internal/telemetry/self ./internal/obs
 
 # Coverage-guided fuzzing: the fault-schedule parser/validator, the
 # µP4 compiled-vs-interpreter differential target, the slot's
-# parse-once flow against packet.FlowOf and the EVCK checkpoint file
-# decoder. Not part of `check` (open-ended); run before touching the DSL,
-# the compilation backend, the header decoders or the checkpoint format.
+# parse-once flow against packet.FlowOf, the EVCK checkpoint file
+# decoder and the JSON-lines trace reader with its Chrome conversion.
+# Not part of `check` (open-ended); run before touching the DSL, the
+# compilation backend, the header decoders, the checkpoint format or the
+# trace format.
 fuzz:
 	$(GO) test -fuzz FuzzParseSchedule -fuzztime 10s ./internal/faults
 	$(GO) test -fuzz FuzzCompiledVsInterp -fuzztime 10s ./internal/p4
 	$(GO) test -fuzz FuzzParserFlow -fuzztime 10s ./internal/packet
 	$(GO) test -fuzz FuzzDecode -fuzztime 10s ./internal/checkpoint
+	$(GO) test -fuzz FuzzTraceJSONL -fuzztime 10s ./cmd/tracecheck
 
 # Hot-path micro-benchmarks (scheduler + switch cycle + event queue).
 bench:

@@ -9,7 +9,7 @@
 //	evbench -domains 4               # split topologies across 4 partition domains
 //	evbench -cpuprofile cpu.pprof    # write a CPU profile
 //	evbench -memprofile mem.pprof    # write an allocation profile
-//	evbench -exp hula -trace t.json -metrics m.json
+//	evbench -exp hula -trace t.jsonl -metrics m.json
 //	                                 # telemetry: lifecycle trace + metrics export
 //	evbench -exp scale -resume scale.journal
 //	                                 # campaign resumption: completed trials are
@@ -26,10 +26,11 @@
 // trace/metrics exports are byte-identical with it on or off, at every
 // -parallel and -domains setting.
 //
-// -trace writes the event-lifecycle trace (Chrome/Perfetto trace-event
-// JSON, or JSON lines when the file ends in .jsonl); -metrics writes the
-// metrics registry document. Both need -exp (one experiment per export)
-// and work for the instrumented experiments (staleness, hula, scale).
+// -trace writes the event-lifecycle trace as JSON lines whatever the
+// file's suffix (cmd/tracecheck converts it to a Perfetto trace-event
+// array); -metrics writes the metrics registry document. Both need -exp
+// (one experiment per export) and work for the instrumented experiments
+// (staleness, hula, scale).
 //
 // -resume names a trial journal (one per experiment): every completed
 // trial is appended as it finishes, and a rerun after a crash loads the
@@ -83,7 +84,7 @@ func run(args []string, out, errw io.Writer) int {
 	par := fs.Int("parallel", runtime.GOMAXPROCS(0),
 		"worker goroutines for experiment trials (0 = GOMAXPROCS)")
 	domains := fs.Int("domains", 1,
-		"partition domains for topology experiments (intra-trial parallelism)")
+		"partition domains for topology experiments (intra-trial parallelism; clamped to the topology's switch count)")
 	cpuprofile := fs.String("cpuprofile", "", "write CPU profile to `file`")
 	memprofile := fs.String("memprofile", "", "write allocation profile to `file`")
 	blockprofile := fs.String("blockprofile", "", "write goroutine blocking profile to `file`")
@@ -91,13 +92,13 @@ func run(args []string, out, errw io.Writer) int {
 	httpAddr := fs.String("http", "",
 		"serve the introspection endpoint (/metrics, /status, /debug/pprof) on `addr`")
 	streamTrace := fs.String("stream-trace", "",
-		"stream trace records incrementally to `file` during the run (.json/.trace = Chrome array, else JSONL); needs -exp")
+		"stream trace records incrementally to `file` as JSON lines during the run; needs -exp")
 	streamMetrics := fs.String("stream-metrics", "",
 		"stream one metrics-document line per flush to `file` during the run; needs -exp")
 	streamEvery := fs.Duration("stream-every", 500*time.Millisecond,
 		"wall-clock flush period for -stream-trace/-stream-metrics")
 	traceFile := fs.String("trace", "",
-		"write the event-lifecycle trace to `file` (.jsonl = JSON lines, else Chrome JSON); needs -exp")
+		"write the event-lifecycle trace to `file` as JSON lines (cmd/tracecheck converts it for Perfetto); needs -exp")
 	metricsFile := fs.String("metrics", "",
 		"write the telemetry metrics document to `file`; needs -exp")
 	resume := fs.String("resume", "",
@@ -118,6 +119,10 @@ func run(args []string, out, errw io.Writer) int {
 
 	if *domains < 1 {
 		fmt.Fprintf(errw, "evbench: -domains must be a positive integer (got %d)\n", *domains)
+		return exitUsage
+	}
+	if *par < 0 {
+		fmt.Fprintf(errw, "evbench: -parallel must not be negative (got %d)\n", *par)
 		return exitUsage
 	}
 	fail := func(err error) int {
@@ -241,7 +246,7 @@ func run(args []string, out, errw io.Writer) int {
 
 	if env.Sink != nil {
 		// Final flush before the post-run exports, so the streamed files
-		// cover every record and close cleanly (Chrome array terminator).
+		// cover every record.
 		if err := env.Sink.Close(); err != nil {
 			return fail(err)
 		}

@@ -44,6 +44,9 @@ var (
 // check the table output is byte-identical to a plain run. This is the
 // cmd-level counterpart of bench.TestObsStreamingIdentical.
 func TestObsSmoke(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the scale experiment twice; bench.TestObsStreamingIdentical is its raced harness-level twin")
+	}
 	base := []string{"-exp", "scale", "-parallel", "8", "-domains", "2"}
 	var plain bytes.Buffer
 	if code := run(base, &plain, io.Discard); code != exitOK {

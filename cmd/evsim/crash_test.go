@@ -72,6 +72,30 @@ func TestExitCodes(t *testing.T) {
 	}
 }
 
+// TestFatalHazardRefused: a program whose Enqueue control writes a
+// shared register absolutely cannot run under aggregation. It is refused
+// at load with exit 1 and one line naming the write, where it used to
+// load, print the hazard, and die in the first Enqueue event with a
+// goroutine dump.
+func TestFatalHazardRefused(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "hazard.up4")
+	src := "shared_register<bit<8>>(4) r;\n" +
+		"control Ingress { apply { forward(std.ingress_port ^ 1); } }\n" +
+		"control Enqueue { apply { r.write(0, 2); } }\n"
+	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out, errw bytes.Buffer
+	code := run([]string{"-p4", path, "-ms", "1"}, &out, &errw)
+	msg := errw.String()
+	if code != exitRuntime || strings.Count(msg, "\n") != 1 || !strings.Contains(msg, "3:27: deferred-write") {
+		t.Errorf("exit %d, want %d with one line naming the write at 3:27; stderr:\n%s", code, exitRuntime, msg)
+	}
+	if out.Len() != 0 {
+		t.Errorf("refused program still printed:\n%s", out.String())
+	}
+}
+
 func runQuiet(t *testing.T, args ...string) int {
 	t.Helper()
 	var out, errw bytes.Buffer

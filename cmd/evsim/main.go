@@ -11,6 +11,7 @@
 //	evsim -ms 10 -checkpoint-every 1ms -resume run.ckpt
 //	evsim -ms 10 -http 127.0.0.1:9100   # /metrics, /status, /debug/pprof
 //	evsim -ms 10 -stream-trace t.jsonl -stream-metrics m.jsonl -stream-every 250ms
+//	evsim -ms 10 -tracefile t.jsonl -metrics m.json
 //
 // With -p4, the given µP4 program is compiled and loaded instead of the
 // built-in port-pairing forwarder (ports are paired 0<->1, 2<->3 there).
@@ -25,6 +26,11 @@
 // run's. A resume must use the same flags as the run that wrote the
 // checkpoint — the file carries a config digest and mismatches are
 // refused (see DESIGN.md §13).
+//
+// -tracefile writes the event-lifecycle trace and -metrics the telemetry
+// metrics document after the run. Traces are JSON lines whatever the
+// file's suffix, streamed or not; cmd/tracecheck converts one for
+// Perfetto.
 //
 // -http serves a read-only introspection endpoint while the run is in
 // flight: Prometheus-text self-metrics and the latest deterministic
@@ -48,7 +54,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"strings"
 	"time"
 
 	"repro/internal/checkpoint"
@@ -161,7 +166,7 @@ func run(args []string, out, errw io.Writer) int {
 	seed := fs.Uint64("seed", 1, "workload RNG seed")
 	trace := fs.Int("trace", 0, "print the first N pipeline slots")
 	traceFile := fs.String("tracefile", "",
-		"write the event-lifecycle trace to `file` (.jsonl = JSON lines, else Chrome JSON)")
+		"write the event-lifecycle trace to `file` as JSON lines (cmd/tracecheck converts it for Perfetto)")
 	metricsFile := fs.String("metrics", "", "write the telemetry metrics document to `file`")
 	ckptEvery := fs.String("checkpoint-every", "",
 		"write a checkpoint every simulated `interval` (e.g. 500us, 2ms; empty = off)")
@@ -170,7 +175,7 @@ func run(args []string, out, errw io.Writer) int {
 	httpAddr := fs.String("http", "",
 		"serve the introspection endpoint (/metrics, /status, /debug/pprof) on `addr`")
 	streamTrace := fs.String("stream-trace", "",
-		"stream trace records incrementally to `file` during the run (.json/.trace = Chrome array, else JSONL)")
+		"stream trace records incrementally to `file` as JSON lines during the run")
 	streamMetrics := fs.String("stream-metrics", "",
 		"stream one metrics-document line per flush to `file` during the run")
 	streamEvery := fs.Duration("stream-every", 500*time.Millisecond,
@@ -318,11 +323,7 @@ func build(cfg *config, start bool, out io.Writer) (*simState, error) {
 		}
 		fmt.Fprintf(out, "loaded %s (controls: %v, backend: %s)\n", cfg.p4file, compiled.Controls(), backend)
 		for _, h := range compiled.Analyze() {
-			level := "note"
-			if h.Fatal {
-				level = "ERROR"
-			}
-			fmt.Fprintf(out, "analysis %s: %v\n", level, h)
+			fmt.Fprintf(out, "analysis note: %v\n", h)
 		}
 	} else {
 		prog = pisa.NewProgram("forwarder")
@@ -488,13 +489,7 @@ func simulate(cfg *config, out, errw io.Writer) error {
 	if st.tel != nil {
 		runs := []telemetry.RunExport{{Label: "evsim", C: st.tel}}
 		if cfg.traceFile != "" {
-			var err error
-			if strings.HasSuffix(cfg.traceFile, ".jsonl") {
-				err = telemetry.WriteJSONL(cfg.traceFile, runs)
-			} else {
-				err = telemetry.WriteChromeTrace(cfg.traceFile, runs)
-			}
-			if err != nil {
+			if err := telemetry.WriteJSONL(cfg.traceFile, runs); err != nil {
 				return fmt.Errorf("writing trace: %w", err)
 			}
 			fmt.Fprintf(errw, "evsim: wrote trace %s\n", cfg.traceFile)

@@ -1,10 +1,10 @@
 // Command tracecheck validates telemetry export files without external
-// JSON tooling.
+// JSON tooling, and converts a trace for Perfetto.
 //
-//	tracecheck -trace t.json         # Chrome trace-event JSON
-//	tracecheck -trace t.jsonl        # JSON-lines trace
-//	tracecheck -metrics m.json       # evbench-metrics/v1 document
-//	tracecheck -metrics live.jsonl   # streamed: one document line per flush
+//	tracecheck -trace t.jsonl                # JSON-lines trace
+//	tracecheck -metrics m.json               # evbench-metrics/v1 document
+//	tracecheck -metrics live.jsonl           # streamed: one document line per flush
+//	tracecheck -chrome t.jsonl > t.json      # Chrome/Perfetto trace-event array
 //
 // Each file is parsed and schema-checked (required fields, known stage /
 // outcome / metric-type vocabularies, monotone timestamps per stream); a
@@ -12,14 +12,20 @@
 // exit status 1.
 //
 // Incrementally streamed files (-stream-trace / -stream-metrics) are
-// accepted too, including ones cut short by a crash: a torn final record
-// — a truncated last JSONL line, an unterminated Chrome event array — is
-// tolerated and reported as "truncated tail" in the summary rather than
-// failing the file. Everything before the tear is still validated in
+// accepted too, including ones cut short by a crash: a torn final line
+// is tolerated and reported as "truncated tail" in the summary rather
+// than failing the file. Everything before the tear is still validated in
 // full. Streamed metrics files hold one compact document per flush;
 // their histogram snapshots are taken while writers run, so the
 // max-in-top-bucket check (which only converges at quiescence) is
 // relaxed for them while the bucket-sum invariant stays enforced.
+//
+// JSON lines are the only trace format the simulator writes. -chrome
+// reads one with the same reader -trace uses (a torn tail converts up to
+// the tear) and writes the Chrome trace-event array that
+// ui.perfetto.dev and chrome://tracing open: each run a process and each
+// stream a thread, numbered in order of first appearance, one instant
+// per record with timestamps in simulated microseconds.
 package main
 
 import (
@@ -47,23 +53,35 @@ var metricTypes = map[string]bool{
 }
 
 func main() {
-	traceFile := flag.String("trace", "", "trace `file` to validate (.jsonl = JSON lines, else Chrome JSON)")
+	traceFile := flag.String("trace", "", "JSON-lines trace `file` to validate")
 	metricsFile := flag.String("metrics", "", "metrics document `file` to validate")
+	chromeFile := flag.String("chrome", "",
+		"convert the JSON-lines trace `file` to a Chrome/Perfetto trace-event array on stdout")
 	flag.Parse()
 
+	if *chromeFile != "" {
+		if *traceFile != "" || *metricsFile != "" {
+			fmt.Fprintln(os.Stderr, "tracecheck: -chrome writes to stdout and takes no other flag")
+			os.Exit(2)
+		}
+		f, err := os.Open(*chromeFile)
+		if err == nil {
+			err = toChrome(os.Stdout, f)
+			f.Close()
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "tracecheck: %s: %v\n", *chromeFile, err)
+			os.Exit(1)
+		}
+		return
+	}
 	if *traceFile == "" && *metricsFile == "" {
-		fmt.Fprintln(os.Stderr, "tracecheck: nothing to do (need -trace and/or -metrics)")
+		fmt.Fprintln(os.Stderr, "tracecheck: nothing to do (need -trace, -metrics or -chrome)")
 		os.Exit(2)
 	}
 	ok := true
 	if *traceFile != "" {
-		var err error
-		if strings.HasSuffix(*traceFile, ".jsonl") {
-			err = checkJSONL(os.Stdout, *traceFile)
-		} else {
-			err = checkChrome(os.Stdout, *traceFile)
-		}
-		if err != nil {
+		if err := checkJSONL(os.Stdout, *traceFile); err != nil {
 			fmt.Fprintf(os.Stderr, "tracecheck: %s: %v\n", *traceFile, err)
 			ok = false
 		}
@@ -87,148 +105,152 @@ func tailNote(truncated bool) string {
 	return ""
 }
 
-type chromeEvent struct {
-	Name string         `json:"name"`
-	Ph   string         `json:"ph"`
-	Ts   float64        `json:"ts"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	Args map[string]any `json:"args"`
+// traceRec is one line of a JSON-lines trace.
+type traceRec struct {
+	Run     string `json:"run"`
+	Stream  string `json:"stream"`
+	TsPs    int64  `json:"ts_ps"`
+	Stage   string `json:"stage"`
+	Kind    string `json:"kind"`
+	Outcome string `json:"outcome"`
+	Seq     uint64 `json:"seq"`
+	Arg     uint64 `json:"arg"`
 }
 
-// checkChrome validates a Chrome trace-event JSON array: metadata events
-// name processes/threads, instant events carry a valid stage name and
-// non-decreasing timestamps per (pid, tid). The events are decoded one
-// at a time, so an incrementally streamed array whose writer died before
-// the closing bracket — or mid-event — validates up to the tear.
-func checkChrome(out io.Writer, path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	dec := json.NewDecoder(bufio.NewReaderSize(f, 1<<20))
-	tok, err := dec.Token()
-	if err != nil {
-		return fmt.Errorf("not a JSON array of trace events: %w", err)
-	}
-	if d, ok := tok.(json.Delim); !ok || d != '[' {
-		return fmt.Errorf("not a JSON array of trace events (starts with %v)", tok)
-	}
-	meta, instants := 0, 0
-	truncated := false
-	lastTs := map[[2]int]float64{}
-	for i := 0; ; i++ {
-		if !dec.More() {
-			// A clean array closes with ']'; a streamed file cut short
-			// just stops.
-			if _, err := dec.Token(); err != nil {
-				truncated = true
-			}
-			break
+// readJSONL is the one trace reader. It validates every line — an object
+// with run/stream/stage, known stage and outcome names, monotone ts_ps
+// per (run, stream) — and hands each record to fn in file order. A final
+// line with no terminating newline that fails to parse is a torn tail
+// from an interrupted streamed run: it is tolerated and reported as
+// truncated. It returns the number of records and streams read.
+func readJSONL(r io.Reader, fn func(*traceRec)) (n, streams int, truncated bool, err error) {
+	br := bufio.NewReaderSize(r, 1<<20)
+	lastTs := map[string]int64{}
+	for {
+		line, rerr := br.ReadString('\n')
+		atEOF := errors.Is(rerr, io.EOF)
+		if rerr != nil && !atEOF {
+			return n, len(lastTs), false, rerr
 		}
-		var ev chromeEvent
-		if err := dec.Decode(&ev); err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				truncated = true
-				break
+		if strings.TrimSpace(line) != "" {
+			var rec traceRec
+			if jerr := json.Unmarshal([]byte(line), &rec); jerr != nil {
+				if atEOF {
+					return n, len(lastTs), true, nil
+				}
+				return n, len(lastTs), false, fmt.Errorf("line %d: %w", n+1, jerr)
 			}
-			return fmt.Errorf("event %d: %w", i, err)
+			n++
+			key := rec.Run + "\x00" + rec.Stream
+			switch {
+			case rec.Run == "" || rec.Stream == "":
+				err = errors.New("missing run/stream")
+			case !stages[rec.Stage]:
+				err = fmt.Errorf("unknown stage %q", rec.Stage)
+			case !outcomes[rec.Outcome]:
+				err = fmt.Errorf("unknown outcome %q", rec.Outcome)
+			case rec.TsPs < lastTs[key]:
+				err = fmt.Errorf("ts_ps not monotone within stream %s/%s", rec.Run, rec.Stream)
+			}
+			if err != nil {
+				return n, len(lastTs), false, fmt.Errorf("line %d: %w", n, err)
+			}
+			lastTs[key] = rec.TsPs
+			fn(&rec)
 		}
-		switch ev.Ph {
-		case "M":
-			meta++
-			if ev.Args["name"] == nil {
-				return fmt.Errorf("event %d: metadata without args.name", i)
-			}
-		case "i":
-			instants++
-			stage, _, _ := strings.Cut(ev.Name, ":")
-			if !stages[stage] {
-				return fmt.Errorf("event %d: unknown stage %q", i, ev.Name)
-			}
-			if ev.Ts < 0 {
-				return fmt.Errorf("event %d: negative timestamp", i)
-			}
-			key := [2]int{ev.Pid, ev.Tid}
-			if ev.Ts < lastTs[key] {
-				return fmt.Errorf("event %d: timestamps not monotone within stream pid=%d tid=%d", i, ev.Pid, ev.Tid)
-			}
-			lastTs[key] = ev.Ts
-		default:
-			return fmt.Errorf("event %d: unexpected ph %q", i, ev.Ph)
+		if atEOF {
+			return n, len(lastTs), false, nil
 		}
 	}
-	fmt.Fprintf(out, "tracecheck: %s ok: %d instant events, %d metadata, %d streams%s\n",
-		path, instants, meta, len(lastTs), tailNote(truncated))
-	return nil
 }
 
-// checkJSONL validates a JSON-lines trace: every line an object with
-// run/stream/stage, known stage and outcome names, monotone ts_ps per
-// (run, stream). A final line with no terminating newline that fails to
-// parse is a torn tail from an interrupted streamed run — tolerated.
+// checkJSONL validates a JSON-lines trace file and prints its summary.
 func checkJSONL(out io.Writer, path string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<20)
-	n := 0
-	truncated := false
-	lastTs := map[string]int64{}
-	for {
-		line, err := r.ReadString('\n')
-		atEOF := errors.Is(err, io.EOF)
-		if err != nil && !atEOF {
-			return err
-		}
-		if strings.TrimSpace(line) == "" {
-			if atEOF {
-				break
-			}
-			continue
-		}
-		n++
-		var rec struct {
-			Run     string `json:"run"`
-			Stream  string `json:"stream"`
-			TsPs    int64  `json:"ts_ps"`
-			Stage   string `json:"stage"`
-			Kind    string `json:"kind"`
-			Outcome string `json:"outcome"`
-		}
-		if jerr := json.Unmarshal([]byte(line), &rec); jerr != nil {
-			if atEOF {
-				// Unterminated final line: torn tail from a live stream.
-				n--
-				truncated = true
-				break
-			}
-			return fmt.Errorf("line %d: %w", n, jerr)
-		}
-		if rec.Run == "" || rec.Stream == "" {
-			return fmt.Errorf("line %d: missing run/stream", n)
-		}
-		if !stages[rec.Stage] {
-			return fmt.Errorf("line %d: unknown stage %q", n, rec.Stage)
-		}
-		if !outcomes[rec.Outcome] {
-			return fmt.Errorf("line %d: unknown outcome %q", n, rec.Outcome)
-		}
-		key := rec.Run + "\x00" + rec.Stream
-		if rec.TsPs < lastTs[key] {
-			return fmt.Errorf("line %d: ts_ps not monotone within stream %s/%s", n, rec.Run, rec.Stream)
-		}
-		lastTs[key] = rec.TsPs
-		if atEOF {
-			break
-		}
+	n, streams, truncated, err := readJSONL(f, func(*traceRec) {})
+	if err != nil {
+		return err
 	}
-	fmt.Fprintf(out, "tracecheck: %s ok: %d records, %d streams%s\n",
-		path, n, len(lastTs), tailNote(truncated))
+	fmt.Fprintf(out, "tracecheck: %s ok: %d records, %d streams%s\n", path, n, streams, tailNote(truncated))
 	return nil
+}
+
+// traceEvent is one Chrome trace-event object: an instant ("ph":"i") per
+// record, or metadata ("ph":"M") naming a run's process or a stream's
+// thread.
+type traceEvent struct {
+	Name string         `json:"name"`
+	Ph   string         `json:"ph"`
+	Ts   float64        `json:"ts"` // microseconds of simulated time
+	Pid  int            `json:"pid"`
+	Tid  int            `json:"tid"`
+	S    string         `json:"s,omitempty"` // instant scope: "t" = thread
+	Args map[string]any `json:"args,omitempty"`
+}
+
+// instantArgs rebuilds a record's stage-specific args; the keys are fixed
+// per stage.
+func instantArgs(r *traceRec) map[string]any {
+	switch r.Stage {
+	case "gen":
+		return map[string]any{"kind": r.Kind, "seq": r.Seq, "port": int64(r.Arg)}
+	case "enqueue":
+		return map[string]any{"kind": r.Kind, "seq": r.Seq, "outcome": r.Outcome}
+	case "merge":
+		return map[string]any{"kind": r.Kind, "seq": r.Seq, "cycle": r.Arg, "outcome": r.Outcome}
+	case "slot":
+		return map[string]any{"kind": r.Kind, "cycle": r.Seq, "outcome": r.Outcome}
+	}
+	return map[string]any{"index": r.Seq, "lag_cycles": r.Arg} // commit
+}
+
+// toChrome converts a JSON-lines trace into a Chrome trace-event array.
+// Runs become processes and streams threads, numbered by first
+// appearance; each is named by a metadata event just before its first
+// instant. Write errors surface at the final flush.
+func toChrome(w io.Writer, r io.Reader) error {
+	bw := bufio.NewWriter(w)
+	bw.WriteString("[")
+	sep := "\n"
+	emit := func(ev traceEvent) {
+		b, _ := json.Marshal(ev) // strings and numbers only: cannot fail
+		bw.WriteString(sep)
+		bw.Write(b)
+		sep = ",\n"
+	}
+	pids := map[string]int{}
+	tids := map[[2]string]int{}
+	threads := map[string]int{} // streams seen so far per run
+	_, _, _, err := readJSONL(r, func(rec *traceRec) {
+		pid, ok := pids[rec.Run]
+		if !ok {
+			pid = len(pids)
+			pids[rec.Run] = pid
+			emit(traceEvent{Name: "process_name", Ph: "M", Pid: pid, Args: map[string]any{"name": rec.Run}})
+		}
+		tid, ok := tids[[2]string{rec.Run, rec.Stream}]
+		if !ok {
+			tid = threads[rec.Run]
+			threads[rec.Run]++
+			tids[[2]string{rec.Run, rec.Stream}] = tid
+			emit(traceEvent{Name: "thread_name", Ph: "M", Pid: pid, Tid: tid, Args: map[string]any{"name": rec.Stream}})
+		}
+		name := rec.Stage
+		if rec.Outcome != "" {
+			name += ":" + rec.Outcome
+		}
+		emit(traceEvent{Name: name, Ph: "i", S: "t", Ts: float64(rec.TsPs) / 1e6,
+			Pid: pid, Tid: tid, Args: instantArgs(rec)})
+	})
+	if err != nil {
+		return err
+	}
+	bw.WriteString("\n]\n")
+	return bw.Flush()
 }
 
 type metricsDoc struct {

@@ -2,9 +2,14 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"hash/fnv"
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -64,39 +69,193 @@ func TestJSONLCleanAndTorn(t *testing.T) {
 	}
 }
 
-const chromeEvents = `{"name":"gen:IngressPacket","ph":"i","ts":0.1,"pid":0,"tid":1,"s":"t"},
-{"name":"slot:IngressPacket","ph":"i","ts":0.2,"pid":0,"tid":1,"s":"t"},
-{"name":"gen:IngressPacket","ph":"i","ts":0.05,"pid":1,"tid":1,"s":"t"}`
+// chromeOf converts a JSON-lines trace and decodes the resulting array,
+// keeping numbers as written.
+func chromeOf(t *testing.T, jsonl string) []traceEvent {
+	t.Helper()
+	var out bytes.Buffer
+	if err := toChrome(&out, strings.NewReader(jsonl)); err != nil {
+		t.Fatal(err)
+	}
+	var evs []traceEvent
+	if err := json.Unmarshal(out.Bytes(), &evs); err != nil {
+		t.Fatalf("converted trace is not a JSON array: %v\n%s", err, out.String())
+	}
+	return evs
+}
 
-func TestChromeCleanAndTorn(t *testing.T) {
-	clean := writeFile(t, "t.json", "[\n"+chromeEvents+"\n]\n")
-	if got := check(t, checkChrome, clean); !strings.Contains(got, "3 instant events") ||
-		strings.Contains(got, "truncated") {
-		t.Errorf("clean summary: %q", got)
+// TestChromeConversion: runs become processes and streams threads in
+// first-appearance order, each named before its first instant; every
+// record becomes one thread-scoped instant with the stage args; a torn
+// tail converts up to the tear.
+func TestChromeConversion(t *testing.T) {
+	evs := chromeOf(t, jsonlBody)
+	want := []string{
+		`{"name":"process_name","ph":"M","ts":0,"pid":0,"tid":0,"args":{"name":"a"}}`,
+		`{"name":"thread_name","ph":"M","ts":0,"pid":0,"tid":0,"args":{"name":"s0"}}`,
+		`{"name":"gen","ph":"i","ts":0.0001,"pid":0,"tid":0,"s":"t","args":{"kind":"IngressPacket","port":0,"seq":1}}`,
+		`{"name":"slot:injected","ph":"i","ts":0.0002,"pid":0,"tid":0,"s":"t","args":{"cycle":2,"kind":"IngressPacket","outcome":"injected"}}`,
+		`{"name":"process_name","ph":"M","ts":0,"pid":1,"tid":0,"args":{"name":"b"}}`,
+		`{"name":"thread_name","ph":"M","ts":0,"pid":1,"tid":0,"args":{"name":"s0"}}`,
+		`{"name":"commit:stored","ph":"i","ts":0.00005,"pid":1,"tid":0,"s":"t","args":{"index":1,"lag_cycles":64}}`,
+	}
+	if len(evs) != len(want) {
+		t.Fatalf("got %d events, want %d: %+v", len(evs), len(want), evs)
+	}
+	for i, ev := range evs {
+		if b, _ := json.Marshal(ev); string(b) != want[i] {
+			t.Errorf("event %d:\n got %s\nwant %s", i, b, want[i])
+		}
 	}
 
-	// A streamed array cut before the closing bracket (killed run).
-	unclosed := writeFile(t, "unclosed.json", "[\n"+chromeEvents)
-	if got := check(t, checkChrome, unclosed); !strings.Contains(got, "3 instant events") ||
-		!strings.Contains(got, "truncated tail tolerated") {
-		t.Errorf("unclosed summary: %q", got)
+	torn := chromeOf(t, jsonlBody+`{"run":"a","stream":"s0","ts_ps":300,"st`)
+	if len(torn) != len(want) {
+		t.Errorf("torn trace converted to %d events, want %d", len(torn), len(want))
 	}
+	if err := toChrome(io.Discard, strings.NewReader(`{"run":"a","st`+"\n"+jsonlBody)); err == nil {
+		t.Error("mid-file garbage converted")
+	}
+}
 
-	// Cut mid-event: the partial event is dropped, the rest validated.
-	midEvent := writeFile(t, "mid.json", "[\n"+chromeEvents+",\n{\"name\":\"gen:Ing")
-	if got := check(t, checkChrome, midEvent); !strings.Contains(got, "3 instant events") ||
-		!strings.Contains(got, "truncated tail tolerated") {
-		t.Errorf("mid-event summary: %q", got)
+// chromeCanonical hashes a Chrome trace-event array in a form that does
+// not depend on how pids and tids are numbered: every instant as
+// run-label, stream-name, name, ts and args JSON (tab-separated, in file
+// order), then the sorted run/stream thread names. It also requires
+// every pid to carry a process_name and every (pid, tid) with an instant
+// a thread_name.
+func chromeCanonical(t *testing.T, b []byte) uint64 {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.UseNumber()
+	var evs []struct {
+		Name, Ph string
+		Ts       json.Number
+		Pid, Tid int
+		Args     map[string]any
 	}
+	if err := dec.Decode(&evs); err != nil {
+		t.Fatal(err)
+	}
+	procs := map[int]string{}
+	threads := map[[2]int]string{}
+	for _, ev := range evs {
+		name, _ := ev.Args["name"].(string)
+		switch {
+		case ev.Ph == "M" && ev.Name == "process_name":
+			procs[ev.Pid] = name
+		case ev.Ph == "M" && ev.Name == "thread_name":
+			threads[[2]int{ev.Pid, ev.Tid}] = name
+		}
+	}
+	h := fnv.New64a()
+	for _, ev := range evs {
+		if ev.Ph != "i" {
+			continue
+		}
+		run, ok := procs[ev.Pid]
+		if !ok {
+			t.Fatalf("pid %d has no process_name", ev.Pid)
+		}
+		stream, ok := threads[[2]int{ev.Pid, ev.Tid}]
+		if !ok {
+			t.Fatalf("pid %d tid %d has no thread_name", ev.Pid, ev.Tid)
+		}
+		ts, err := ev.Ts.Float64()
+		if err != nil {
+			t.Fatal(err)
+		}
+		args, _ := json.Marshal(ev.Args)
+		fmt.Fprintf(h, "%s\t%s\t%s\t%s\t%s\n", run, stream, ev.Name, strconv.FormatFloat(ts, 'g', -1, 64), args)
+	}
+	var names []string
+	for k, stream := range threads {
+		names = append(names, procs[k[0]]+"\t"+stream)
+	}
+	sort.Strings(names)
+	for _, n := range names {
+		fmt.Fprintln(h, n)
+	}
+	return h.Sum64()
+}
 
-	// Same-tid streams in different pids are independent for the
-	// monotonicity check (streamed sinks namespace collectors by pid),
-	// but a reversal inside one (pid, tid) is still an error.
-	rev := writeFile(t, "rev.json",
-		"[\n"+chromeEvents+",\n{\"name\":\"gen:IngressPacket\",\"ph\":\"i\",\"ts\":0.15,\"pid\":0,\"tid\":1,\"s\":\"t\"}\n]\n")
-	if err := checkChrome(io.Discard, rev); err == nil {
-		t.Error("non-monotone chrome stream not rejected")
+// hulaChromeCanonical is chromeCanonical of the in-process Chrome encoder
+// that the trace exporter carried before JSON lines became the only
+// on-disk format, on the hula export at one domain. The converter must
+// reproduce it from that export's JSON lines: equivalence up to pid/tid
+// numbering, which the retired encoder took from stream creation order.
+const hulaChromeCanonical = 0xf5087c34840fa3f8
+
+func TestChromeMatchesRetiredEncoder(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the hula experiment")
 	}
+	hula, ok := bench.Get("hula")
+	if !ok {
+		t.Fatal("experiment hula not registered")
+	}
+	env := &bench.Env{Domains: 1, Telemetry: &telemetry.Options{
+		TraceCap:     telemetry.DefaultTraceCap,
+		SamplePeriod: telemetry.DefaultSamplePeriod,
+	}}
+	hula.Run(env)
+	trace, err := telemetry.EncodeJSONL(env.TelemetryRuns())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := toChrome(&out, bytes.NewReader(trace)); err != nil {
+		t.Fatal(err)
+	}
+	if got := chromeCanonical(t, out.Bytes()); got != hulaChromeCanonical {
+		t.Errorf("canonical Chrome form = %#x, want %#x", got, uint64(hulaChromeCanonical))
+	}
+}
+
+// FuzzTraceJSONL holds the one trace reader to its contract on any
+// input: it never panics; an accepted input followed by a torn line with
+// no newline is still accepted with the same records, while the same
+// line terminated mid-file is an error; and every accepted input
+// converts to a Chrome array that encoding/json parses, with one instant
+// per record.
+func FuzzTraceJSONL(f *testing.F) {
+	f.Add([]byte(jsonlBody))
+	f.Add([]byte(jsonlBody + `{"run":"a","stream":"s0","ts_ps":300,"st`))
+	f.Add([]byte(`{"run":"a","stream":"s0","ts_ps":100,"st` + "\n" + jsonlBody))
+	f.Add([]byte(jsonlBody + `{"run":"a","stream":"s0","ts_ps":150,"stage":"gen","kind":"IngressPacket","seq":3,"arg":0}` + "\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		n, _, _, err := readJSONL(bytes.NewReader(data), func(*traceRec) {})
+		if err != nil {
+			return
+		}
+		if len(data) == 0 || data[len(data)-1] == '\n' {
+			const tear = `{"run":"a","st`
+			m, _, truncated, err := readJSONL(bytes.NewReader(append(data[:len(data):len(data)], tear...)), func(*traceRec) {})
+			if err != nil || !truncated || m != n {
+				t.Errorf("torn tail: %d records, truncated=%v, err=%v; want %d, true, nil", m, truncated, err, n)
+			}
+			garbage := append(data[:len(data):len(data)], tear+"\n"...)
+			if _, _, _, err := readJSONL(bytes.NewReader(garbage), func(*traceRec) {}); err == nil {
+				t.Error("garbage line before end of file accepted")
+			}
+		}
+		var out bytes.Buffer
+		if err := toChrome(&out, bytes.NewReader(data)); err != nil {
+			t.Fatalf("accepted input does not convert: %v", err)
+		}
+		var evs []traceEvent
+		if err := json.Unmarshal(out.Bytes(), &evs); err != nil {
+			t.Fatalf("converted trace is not a JSON array: %v", err)
+		}
+		instants := 0
+		for _, ev := range evs {
+			if ev.Ph == "i" {
+				instants++
+			}
+		}
+		if instants != n {
+			t.Errorf("%d instants for %d records", instants, n)
+		}
+	})
 }
 
 const metricsLine = `{"schema":"evbench-metrics/v1","runs":[{"label":"t0","metrics":[` +

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"sort"
-	"strings"
 
 	"repro/internal/telemetry"
 )
@@ -38,13 +37,9 @@ func (e *Env) TelemetryRuns() []telemetry.RunExport {
 	return runs
 }
 
-// WriteTrace writes the collected trace to path: JSONL when the path
-// ends in ".jsonl", Chrome/Perfetto trace-event JSON otherwise.
+// WriteTrace writes the collected trace to path as JSONL.
 func (e *Env) WriteTrace(path string) error {
-	if strings.HasSuffix(path, ".jsonl") {
-		return telemetry.WriteJSONL(path, e.TelemetryRuns())
-	}
-	return telemetry.WriteChromeTrace(path, e.TelemetryRuns())
+	return telemetry.WriteJSONL(path, e.TelemetryRuns())
 }
 
 // WriteMetrics writes the collected metrics document to path.

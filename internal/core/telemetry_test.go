@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math/bits"
 	"testing"
 
 	"repro/internal/events"
@@ -188,7 +189,7 @@ func TestSwitchTelemetryLifecycleStages(t *testing.T) {
 	if am.Drained == 0 {
 		t.Fatal("no drains happened; scenario too small")
 	}
-	if mb := h.MaxBucket(); mb < 0 || telemetry.BucketLow(mb) > am.MaxLag || telemetry.BucketHigh(mb) < am.MaxLag {
-		t.Errorf("max bucket %d does not contain MaxLag %d", mb, am.MaxLag)
+	if b := bits.Len64(am.MaxLag); h.Bucket(b) == 0 {
+		t.Errorf("MaxLag %d not counted in its bucket %d", am.MaxLag, b)
 	}
 }

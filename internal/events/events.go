@@ -201,11 +201,6 @@ type Queue struct {
 	coalesced uint64
 	shed      uint64
 	hwm       int
-
-	// OnOutcome, when non-nil, observes every Offer's verdict. It lets
-	// telemetry count outcomes without this package importing it; the
-	// nil check is the only cost when unset.
-	OnOutcome func(Event, Outcome)
 }
 
 // NewQueue returns a bounded event queue for one event kind.
@@ -273,14 +268,6 @@ func (q *Queue) Offer(e Event) Outcome {
 // the pending same-port entry) before OfferRef returns and the pointer is
 // not retained, so the caller may reuse or overwrite *e at once.
 func (q *Queue) OfferRef(e *Event) Outcome {
-	out := q.offer(e)
-	if q.OnOutcome != nil {
-		q.OnOutcome(*e, out)
-	}
-	return out
-}
-
-func (q *Queue) offer(e *Event) Outcome {
 	if q.policy == CoalescePort && q.sz > 0 {
 		// Scan the occupied ring region as at most two contiguous runs
 		// (no per-element modulo): a fault storm offers events far

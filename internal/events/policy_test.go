@@ -152,10 +152,7 @@ func TestQueueByReferenceMatchesValue(t *testing.T) {
 		byVal, byRef := NewQueue(LinkStatusChange, 5), NewQueue(LinkStatusChange, 5)
 		byVal.SetPolicy(pol)
 		byRef.SetPolicy(pol)
-		var refOutcomes []Outcome
-		byRef.OnOutcome = func(_ Event, out Outcome) { refOutcomes = append(refOutcomes, out) }
 		rng := rand.New(rand.NewSource(int64(pol) + 42))
-		offers := 0
 		for step := 0; step < 4000; step++ {
 			if rng.Intn(5) < 3 { // offers outrun pops: the ring wraps, fills and overflows
 				e := Event{Kind: LinkStatusChange, Seq: uint64(step), Port: rng.Intn(7), Up: rng.Intn(2) == 0, Data: uint64(step)}
@@ -163,9 +160,8 @@ func TestQueueByReferenceMatchesValue(t *testing.T) {
 				scratch := e
 				got := byRef.OfferRef(&scratch)
 				scratch = Event{Port: -99, Data: ^uint64(0)}
-				offers++
-				if got != want || refOutcomes[len(refOutcomes)-1] != want {
-					t.Fatalf("policy %d step %d: OfferRef = %v (hook %v), Offer = %v", pol, step, got, refOutcomes[len(refOutcomes)-1], want)
+				if got != want {
+					t.Fatalf("policy %d step %d: OfferRef = %v, Offer = %v", pol, step, got, want)
 				}
 			} else {
 				want, wantOK := byVal.Pop()
@@ -184,9 +180,6 @@ func TestQueueByReferenceMatchesValue(t *testing.T) {
 					pol, step, byRef.Len(), byRef.Drops(), byRef.HighWater(), byRef.Shed(), byRef.Coalesced(), byRef.Pushed(),
 					byVal.Len(), byVal.Drops(), byVal.HighWater(), byVal.Shed(), byVal.Coalesced(), byVal.Pushed())
 			}
-		}
-		if len(refOutcomes) != offers {
-			t.Errorf("policy %d: OnOutcome ran %d times for %d offers", pol, len(refOutcomes), offers)
 		}
 		if byVal.Drops()+byVal.Shed()+byVal.Coalesced() == 0 {
 			t.Errorf("policy %d: the sequence never put the queue under pressure", pol)

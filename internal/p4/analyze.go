@@ -33,8 +33,8 @@ const (
 	// value: the write does not fully take effect.
 	HazardLostUpdate
 	// HazardDeferredWrite: a deferred thread writes a register
-	// absolutely. This is undefined under aggregation semantics and
-	// panics at run time; the analyzer reports it statically.
+	// absolutely. This is undefined under aggregation semantics (and
+	// panics at run time), so Compile rejects it.
 	HazardDeferredWrite
 	// HazardDeferredRead: a deferred thread reads a register. It sees
 	// the stale main value, which in particular does not include its
@@ -64,8 +64,11 @@ type Hazard struct {
 	Register string
 	// Controls lists the involved control names, sorted.
 	Controls []string
-	// Fatal marks hazards that fail at run time (HazardDeferredWrite).
+	// Fatal marks hazards that fail at run time (HazardDeferredWrite);
+	// Compile reports the first one as an error at Pos.
 	Fatal bool
+	// Pos is the first offending access of a fatal hazard.
+	Pos Pos
 	// Msg is a human-readable explanation.
 	Msg string
 }
@@ -78,6 +81,7 @@ func (h Hazard) String() string {
 // regAccess describes how one control touches one register.
 type regAccess struct {
 	reads, adds, writes bool
+	writeAt             Pos // first absolute write
 }
 
 // deferredControl reports whether a control's register updates go
@@ -129,6 +133,9 @@ func (c *Compiled) Analyze() []Hazard {
 				case callRegRead:
 					a.reads = true
 				case callRegWrite:
+					if !a.writes {
+						a.writeAt = st.Pos
+					}
 					a.writes = true
 				case callRegAdd:
 					a.adds = true
@@ -168,7 +175,8 @@ func (c *Compiled) Analyze() []Hazard {
 		if len(defWriters) > 0 {
 			out = append(out, Hazard{
 				Kind: HazardDeferredWrite, Register: reg, Controls: defWriters, Fatal: true,
-				Msg: "absolute writes from aggregated event threads are undefined and panic at run time; use .add",
+				Pos: byControl[defWriters[0]].writeAt,
+				Msg: "absolute writes from aggregated event threads are undefined; use .add",
 			})
 		}
 		if len(defAdders) > 0 && len(directReaders) > 0 {

@@ -40,14 +40,20 @@ func TestAnalyzeMicroburstStaleReadOnly(t *testing.T) {
 	}
 }
 
+// TestAnalyzeDeferredWriteFatal: the one fatal hazard is a check error
+// that names the offending write, so the program never instantiates.
 func TestAnalyzeDeferredWriteFatal(t *testing.T) {
-	hs := MustCompile(`
+	c, err := Compile(`
 shared_register<bit<8>>(4) r;
 control Ingress { apply { forward(1); } }
 control Enqueue { apply { r.write(0, 1); } }
-`).Analyze()
-	if len(hs) != 1 || hs[0].Kind != HazardDeferredWrite || !hs[0].Fatal {
-		t.Fatalf("hazards = %v", hs)
+`)
+	var perr *Error
+	if c != nil || !errorsAs(err, &perr) {
+		t.Fatalf("Compile = %v, %v; want a *p4.Error", c, err)
+	}
+	if perr.Pos.Line != 4 || !strings.Contains(err.Error(), "deferred-write") {
+		t.Errorf("error = %v, want a deferred-write at line 4", err)
 	}
 }
 

@@ -85,9 +85,7 @@ func pktOf(data []byte) *packet.Packet {
 // that compiles is executed under both backends against the fuzzed
 // packet bytes and event metadata, and every observable — context
 // outcome, generated frames, raised events, mutated packet bytes,
-// register and counter state — must be identical. Programs whose static
-// analysis flags a fatal hazard (deferred-thread absolute writes) are
-// skipped: they legitimately panic at run time on both backends.
+// register and counter state — must be identical.
 func FuzzCompiledVsInterp(f *testing.F) {
 	for _, src := range Programs {
 		f.Add(src, []byte{}, uint64(5))
@@ -100,11 +98,6 @@ func FuzzCompiledVsInterp(f *testing.F) {
 		compiled, err := Compile(src)
 		if err != nil {
 			t.Skip()
-		}
-		for _, h := range compiled.Analyze() {
-			if h.Fatal {
-				t.Skip()
-			}
 		}
 		snap := func(interp bool) string {
 			inst := compiled.Instantiate("fuzz", Options{Interpret: interp})

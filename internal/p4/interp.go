@@ -45,7 +45,9 @@ type Compiled struct {
 	src  string
 }
 
-// Compile parses and checks µP4 source.
+// Compile parses and checks µP4 source. A fatal consistency hazard
+// (Analyze) is a check error too: the default, aggregated instantiation
+// would panic on it at run time.
 func Compile(src string) (*Compiled, error) {
 	f, err := parse(src)
 	if err != nil {
@@ -54,7 +56,13 @@ func Compile(src string) (*Compiled, error) {
 	if err := check(f); err != nil {
 		return nil, err
 	}
-	return &Compiled{file: f, src: src}, nil
+	c := &Compiled{file: f, src: src}
+	for _, h := range c.Analyze() {
+		if h.Fatal {
+			return nil, &Error{Pos: h.Pos, Msg: h.String()}
+		}
+	}
+	return c, nil
 }
 
 // MustCompile is Compile that panics on error, for tests and examples

@@ -540,25 +540,6 @@ func errorsAs(err error, target **Error) bool {
 	return false
 }
 
-func TestDeferredWriteCompilesButPanics(t *testing.T) {
-	// reg.write from an Enqueue control is the documented misuse: it
-	// compiles (the checker cannot know the instantiation mode) and
-	// panics when executed on an aggregated register.
-	inst := MustCompile(`
-shared_register<bit<8>>(4) r;
-control Ingress { apply { forward(1); } }
-control Enqueue { apply { r.write(0, 1); } }
-`).Instantiate("misuse", Options{})
-	ctx := &pisa.Context{}
-	ctx.Reset(nil, &events.Event{Kind: events.BufferEnqueue}, 0, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on deferred write")
-		}
-	}()
-	inst.Program().Apply(ctx)
-}
-
 func TestReturnStatement(t *testing.T) {
 	src := `
 control Ingress {

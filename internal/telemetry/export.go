@@ -76,111 +76,12 @@ func WriteMetrics(path string, runs []RunExport) error {
 	return os.WriteFile(path, b, 0o644)
 }
 
-// chromeEvent is one Chrome/Perfetto trace-event object. Instant events
-// ("ph":"i") carry the lifecycle stamp; metadata events ("ph":"M") name
-// the per-run processes and per-stream threads.
-type chromeEvent struct {
-	Name string         `json:"name"`
-	Ph   string         `json:"ph"`
-	Ts   float64        `json:"ts"` // microseconds of simulated time
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	S    string         `json:"s,omitempty"` // instant scope: "t" = thread
-	Args map[string]any `json:"args,omitempty"`
-}
-
-// recArgs renders one record's stage-specific fields. Keys are fixed per
-// stage so encoding/json's sorted-key output is stable.
-func recArgs(r flatRec) map[string]any {
-	a := map[string]any{}
-	switch r.Stg {
-	case StageGen:
-		a["kind"] = kindName(r.Kind)
-		a["seq"] = r.Seq
-		a["port"] = int64(r.Arg)
-	case StageEnqueue:
-		a["kind"] = kindName(r.Kind)
-		a["seq"] = r.Seq
-		a["outcome"] = r.Out.String()
-	case StageMerge:
-		a["kind"] = kindName(r.Kind)
-		a["seq"] = r.Seq
-		a["cycle"] = r.Arg
-		a["outcome"] = r.Out.String()
-	case StageSlot:
-		a["kind"] = kindName(r.Kind)
-		a["cycle"] = r.Seq
-		a["outcome"] = r.Out.String()
-	case StageCommit:
-		a["index"] = r.Seq
-		a["lag_cycles"] = r.Arg
-	}
-	return a
-}
-
 // kindName names a record's kind field, including the register marker.
 func kindName(k uint8) string {
 	if k == KindRegister {
 		return "register"
 	}
 	return eventKindName(k)
-}
-
-// recName is the instant event's display name, e.g. "enqueue:dropped".
-func recName(r flatRec) string {
-	if s := r.Out.String(); s != "" {
-		return r.Stg.String() + ":" + s
-	}
-	return r.Stg.String()
-}
-
-// EncodeChromeTrace renders every retained trace record across the
-// labelled collectors as a Chrome trace-event JSON array (the format
-// ui.perfetto.dev and chrome://tracing open directly). Each run is a
-// process (pid = its index in label order) and each stream a thread
-// (tid = stream creation index); timestamps are simulated microseconds.
-func EncodeChromeTrace(runs []RunExport) ([]byte, error) {
-	evs := []chromeEvent{}
-	for pid, r := range sortRuns(runs) {
-		t := r.C.Tracer()
-		if t == nil {
-			continue
-		}
-		evs = append(evs, chromeEvent{
-			Name: "process_name", Ph: "M", Pid: pid,
-			Args: map[string]any{"name": r.Label},
-		})
-		for _, s := range t.Streams() {
-			evs = append(evs, chromeEvent{
-				Name: "thread_name", Ph: "M", Pid: pid, Tid: int(s.id),
-				Args: map[string]any{"name": s.name},
-			})
-		}
-		for _, rec := range t.merged() {
-			evs = append(evs, chromeEvent{
-				Name: recName(rec), Ph: "i", S: "t",
-				Ts:  float64(rec.At) / 1e6, // ps -> µs
-				Pid: pid, Tid: int(rec.stream),
-				Args: recArgs(rec),
-			})
-		}
-	}
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", " ")
-	if err := enc.Encode(evs); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// WriteChromeTrace writes the Chrome trace-event JSON to path.
-func WriteChromeTrace(path string, runs []RunExport) error {
-	b, err := EncodeChromeTrace(runs)
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, b, 0o644)
 }
 
 // jsonlRec is one line of a JSONL trace, post-run (EncodeJSONL) or
@@ -206,9 +107,9 @@ func jsonlLine(run, stream string, rec Rec) ([]byte, error) {
 	})
 }
 
-// EncodeJSONL renders the trace as one JSON object per line — friendlier
-// to grep/jq pipelines than the Chrome array. Fields: run, stream, ts_ps,
-// stage, kind, outcome, seq, arg.
+// EncodeJSONL renders the trace as one JSON object per line, the only
+// trace format written to disk (cmd/tracecheck converts it for Perfetto
+// offline). Fields: run, stream, ts_ps, stage, kind, outcome, seq, arg.
 func EncodeJSONL(runs []RunExport) ([]byte, error) {
 	var buf bytes.Buffer
 	for _, r := range sortRuns(runs) {

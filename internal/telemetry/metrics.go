@@ -1,8 +1,8 @@
 // Package telemetry is the simulator's observability subsystem: a
 // metrics registry (named counters, gauges, and fixed-boundary log2
 // histograms), an event-lifecycle tracer recording bounded per-stream
-// ring buffers, and deterministic exporters (Chrome/Perfetto trace-event
-// JSON, JSONL, and a metrics JSON document).
+// ring buffers, and deterministic exporters (a JSONL trace, the only trace
+// format written to disk, and a metrics JSON document).
 //
 // Everything is driven by simulated time, never the wall clock, and every
 // instrument is single-writer: a counter, gauge, histogram, or trace
@@ -149,17 +149,6 @@ func (h *Histogram) Bucket(i int) uint64 {
 		return atomic.LoadUint64(&h.buckets[i])
 	}
 	return h.buckets[i]
-}
-
-// MaxBucket returns the index of the highest non-empty bucket, or -1 when
-// the histogram is empty.
-func (h *Histogram) MaxBucket() int {
-	for i := HistBuckets - 1; i >= 0; i-- {
-		if h.Bucket(i) != 0 {
-			return i
-		}
-	}
-	return -1
 }
 
 // BucketLow returns the smallest value that falls in bucket i.

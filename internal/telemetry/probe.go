@@ -47,16 +47,6 @@ func (c *Collector) NewQueueCounters(prefix string) QueueCounters {
 	}
 }
 
-// InstrumentQueue attaches outcome counters to a standalone event queue
-// via its OnOutcome hook and returns them. (core.Switch does not use the
-// hook — its probe observes outcomes directly in pushEvent, which also
-// stamps trace records with the event's sequence number.)
-func InstrumentQueue(c *Collector, prefix string, q *events.Queue) QueueCounters {
-	qc := c.NewQueueCounters(prefix)
-	q.OnOutcome = func(_ events.Event, out events.Outcome) { qc.Observe(out) }
-	return qc
-}
-
 // eventKindName names a Table 1 event kind byte for export.
 func eventKindName(k uint8) string {
 	return events.Kind(k).String()

@@ -9,7 +9,8 @@ import (
 // TestQueueAccountingIdentities drives small queues of every overflow
 // policy through a deterministic mixed offer/pop schedule and checks the
 // two conservation identities the events package documents — through the
-// telemetry counters, which must agree with the queue's own accounting:
+// telemetry counters, fed each Offer's verdict, which must agree with the
+// queue's own accounting:
 //
 //	offered = Pushed + Coalesced + Drops   (every offer lands once)
 //	Pushed  = popped + Shed + Len          (every stored event leaves once)
@@ -27,7 +28,7 @@ func TestQueueAccountingIdentities(t *testing.T) {
 			c := New(Options{})
 			q := events.NewQueue(events.LinkStatusChange, 4)
 			q.SetPolicy(pc.pol)
-			qc := InstrumentQueue(c, "q", q)
+			qc := c.NewQueueCounters("q")
 
 			// xorshift keeps the schedule deterministic yet mixed: bursts
 			// of offers over a small port space (to exercise coalescing)
@@ -50,11 +51,11 @@ func TestQueueAccountingIdentities(t *testing.T) {
 					continue
 				}
 				offered++
-				q.Offer(events.Event{
+				qc.Observe(q.Offer(events.Event{
 					Kind: events.LinkStatusChange,
 					Port: int(r>>8) % 6,
 					Up:   r&1 == 0,
-				})
+				}))
 			}
 
 			if got := qc.Offered(); got != offered {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -21,9 +20,7 @@ import (
 // calls Flush, e.g. from a sim-time Every callback), writing:
 //
 //   - trace records as JSONL lines, the same jsonlRec EncodeJSONL writes
-//     (run/stream/ts_ps/stage/kind/outcome/seq/arg), or as an
-//     incrementally-grown Chrome trace-event array when the path ends in
-//     ".json" / ".trace";
+//     (run/stream/ts_ps/stage/kind/outcome/seq/arg);
 //   - one compact "evbench-metrics/v1" document per flush as a JSONL
 //     line in the metrics file.
 //
@@ -39,8 +36,6 @@ type StreamSink struct {
 
 	traceW   *bufio.Writer
 	traceF   *os.File
-	chrome   bool
-	wroteAny bool // chrome: whether a first event needs no leading comma
 	metricsW *bufio.Writer
 	metricsF *os.File
 
@@ -56,14 +51,12 @@ type StreamSink struct {
 type sinkEntry struct {
 	label string
 	c     *Collector
-	pid   int // Chrome "process" id: distinguishes same-id streams across collectors
 }
 
 // StreamOptions configures a StreamSink.
 type StreamOptions struct {
-	// TracePath receives trace records; empty disables trace streaming.
-	// A ".json" or ".trace" suffix selects the incremental Chrome array
-	// format, anything else JSONL.
+	// TracePath receives trace records as JSONL; empty disables trace
+	// streaming.
 	TracePath string
 	// MetricsPath receives one metrics-document line per flush; empty
 	// disables metric streaming.
@@ -74,11 +67,6 @@ type StreamOptions struct {
 	// Self, when set, counts flushes and flushed/lost records in the
 	// run's self-metrics plane.
 	Self *self.Plane
-}
-
-// chromePath reports whether path selects the Chrome array format.
-func chromePath(path string) bool {
-	return strings.HasSuffix(path, ".json") || strings.HasSuffix(path, ".trace")
 }
 
 // NewStreamSink opens the output files. At least one path must be set.
@@ -94,10 +82,6 @@ func NewStreamSink(opts StreamOptions) (*StreamSink, error) {
 		}
 		sk.traceF = f
 		sk.traceW = bufio.NewWriter(f)
-		sk.chrome = chromePath(opts.TracePath)
-		if sk.chrome {
-			sk.traceW.WriteString("[\n")
-		}
 	}
 	if opts.MetricsPath != "" {
 		f, err := os.Create(opts.MetricsPath)
@@ -136,7 +120,7 @@ func (sk *StreamSink) Attach(label string, c *Collector) {
 		panic("telemetry: StreamSink.Attach needs a live collector (Options.Live)")
 	}
 	sk.mu.Lock()
-	sk.entries = append(sk.entries, sinkEntry{label, c, len(sk.entries)})
+	sk.entries = append(sk.entries, sinkEntry{label, c})
 	sk.mu.Unlock()
 }
 
@@ -169,7 +153,7 @@ func (sk *StreamSink) flushLocked() error {
 				sk.self.StreamLost.Add(lost)
 			}
 			for _, rec := range sk.buf {
-				if err := sk.writeRec(e, s, rec); err != nil {
+				if err := sk.writeRec(e.label, s, rec); err != nil {
 					sk.err = err
 					return err
 				}
@@ -202,26 +186,8 @@ func (sk *StreamSink) flushLocked() error {
 	return nil
 }
 
-func (sk *StreamSink) writeRec(e sinkEntry, s *Stream, rec Rec) error {
-	if sk.chrome {
-		ev := chromeEvent{
-			Name: recName(flatRec{Rec: rec}), Ph: "i", S: "t",
-			Ts:  float64(rec.At) / 1e6,
-			Pid: e.pid, Tid: int(s.id),
-			Args: recArgs(flatRec{Rec: rec}),
-		}
-		b, err := json.Marshal(ev)
-		if err != nil {
-			return err
-		}
-		if sk.wroteAny {
-			sk.traceW.WriteString(",\n")
-		}
-		sk.wroteAny = true
-		_, err = sk.traceW.Write(b)
-		return err
-	}
-	b, err := jsonlLine(e.label, s.Name(), rec)
+func (sk *StreamSink) writeRec(label string, s *Stream, rec Rec) error {
+	b, err := jsonlLine(label, s.Name(), rec)
 	if err != nil {
 		return err
 	}
@@ -244,8 +210,7 @@ func (sk *StreamSink) writeMetricsLine(entries []sinkEntry) error {
 	return sk.metricsW.WriteByte('\n')
 }
 
-// Close performs a final flush, terminates the Chrome array cleanly, and
-// closes the files. Call after the run quiesces and before post-run
+// Close performs a final flush and closes the files. Call after the run quiesces and before post-run
 // exports, so every emitted record lands in the streamed files.
 func (sk *StreamSink) Close() error {
 	sk.mu.Lock()
@@ -265,9 +230,6 @@ func (sk *StreamSink) Close() error {
 	defer sk.mu.Unlock()
 	sk.flushLocked()
 	if sk.traceW != nil {
-		if sk.chrome {
-			sk.traceW.WriteString("\n]\n")
-		}
 		if err := sk.traceW.Flush(); err != nil && sk.err == nil {
 			sk.err = err
 		}

@@ -61,11 +61,6 @@ func TestLiveExportIdentical(t *testing.T) {
 	if !bytes.Equal(pj, lj) {
 		t.Error("JSONL traces differ between live and plain collectors")
 	}
-	pc, _ := EncodeChromeTrace(pr)
-	lc, _ := EncodeChromeTrace(lr)
-	if !bytes.Equal(pc, lc) {
-		t.Error("Chrome traces differ between live and plain collectors")
-	}
 	pd, _ := Digest(pr)
 	ld, _ := Digest(lr)
 	if pd != ld {
@@ -207,38 +202,5 @@ func TestStreamSinkJSONL(t *testing.T) {
 	}
 	if plane.StreamRecords.Value() != uint64(want) {
 		t.Errorf("StreamRecords = %d, want %d", plane.StreamRecords.Value(), want)
-	}
-}
-
-// TestStreamSinkChrome: the ".trace" path produces a valid Chrome
-// trace-event array once closed.
-func TestStreamSinkChrome(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "stream.trace")
-	sk, err := NewStreamSink(StreamOptions{TracePath: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := New(Options{TraceCap: 256, Live: true})
-	sk.Attach("t", c)
-	emitFixture(c)
-	if err := sk.Close(); err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var evs []map[string]any
-	if err := json.Unmarshal(b, &evs); err != nil {
-		t.Fatalf("closed chrome stream is not a JSON array: %v", err)
-	}
-	if len(evs) == 0 {
-		t.Fatal("no events streamed")
-	}
-	for _, ev := range evs {
-		if ev["ph"] != "i" {
-			t.Fatalf("unexpected event phase %v", ev["ph"])
-		}
 	}
 }
