@@ -65,9 +65,10 @@ fuzz:
 	$(GO) test -fuzz FuzzDecode -fuzztime 10s ./internal/checkpoint
 	$(GO) test -fuzz FuzzTraceJSONL -fuzztime 10s ./cmd/tracecheck
 
-# Hot-path micro-benchmarks (scheduler + switch cycle + event queue).
+# Hot-path micro-benchmarks (scheduler + switch cycle + event queue +
+# traffic generators).
 bench:
-	$(GO) test -bench 'BenchmarkScheduler|BenchmarkSwitch|BenchmarkQueue' -benchmem -run xxx ./internal/sim ./internal/core ./internal/events
+	$(GO) test -bench 'BenchmarkScheduler|BenchmarkSwitch|BenchmarkQueue|BenchmarkGen' -benchmem -run xxx ./internal/sim ./internal/core ./internal/events ./internal/workload
 
 # Regenerate every table and figure; redirect into
 # internal/bench/testdata/evbench.golden when a table changes on purpose.

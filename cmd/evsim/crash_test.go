@@ -104,6 +104,21 @@ func runQuiet(t *testing.T, args ...string) int {
 	return code
 }
 
+// TestLoadZeroRefused: -load 0 is a usage error with one line. The
+// saturate generator reads a zero load as line rate, so it used to run
+// at -load 1 instead of offering nothing.
+func TestLoadZeroRefused(t *testing.T) {
+	var out, errw bytes.Buffer
+	code := run([]string{"-load", "0", "-ms", "1"}, &out, &errw)
+	msg := errw.String()
+	if code != exitUsage || strings.Count(msg, "\n") != 1 || !strings.Contains(msg, "-load must be in (0, 16]") {
+		t.Errorf("exit %d, want %d with one line naming -load's range; stderr:\n%s", code, exitUsage, msg)
+	}
+	if out.Len() != 0 {
+		t.Errorf("refused run still printed:\n%s", out.String())
+	}
+}
+
 // TestResumeByteIdenticalInProcess verifies, without any crash, that a
 // run resumed from its last checkpoint prints byte-identical statistics
 // to the uninterrupted run.

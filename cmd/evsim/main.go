@@ -152,7 +152,7 @@ func run(args []string, out, errw io.Writer) int {
 	fs := flag.NewFlagSet("evsim", flag.ContinueOnError)
 	fs.SetOutput(errw)
 	arch := fs.String("arch", "event", "architecture: event | baseline")
-	load := fs.Float64("load", 0.9, "offered load per port (1.0 = line rate; 0..16)")
+	load := fs.Float64("load", 0.9, "offered load per port (1.0 = line rate; (0, 16])")
 	size := fs.Int("size", 60, "frame size in bytes (60..1514)")
 	ms := fs.Int("ms", 10, "simulated milliseconds")
 	overspeed := fs.Float64("overspeed", 1.1, "pipeline overspeed factor (> 0)")
@@ -239,8 +239,9 @@ func finishConfig(cfg *config, every string) error {
 	if cfg.gbps <= 0 || cfg.gbps > 1000 {
 		return usagef("-gbps must be in 1..1000, got %d", cfg.gbps)
 	}
-	if !(cfg.load >= 0 && cfg.load <= 16) { // written so NaN fails
-		return usagef("-load must be in 0..16, got %v", cfg.load)
+	// 0 is out: the generator reads a zero load as line rate.
+	if !(cfg.load > 0 && cfg.load <= 16) { // written so NaN fails
+		return usagef("-load must be in (0, 16], got %v", cfg.load)
 	}
 	if cfg.size < 60 || cfg.size > 1514 {
 		return usagef("-size must be in 60..1514, got %d", cfg.size)

@@ -11,6 +11,8 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"repro/internal/apps"
 	"repro/internal/core"
@@ -19,7 +21,10 @@ import (
 	"repro/internal/workload"
 )
 
-func main() {
+func main() { run(os.Stdout) }
+
+// run is the example, writing its report to w.
+func run(w io.Writer) {
 	sched := sim.NewScheduler()
 	sw := core.New(core.Config{Name: "aqm", QueueCapBytes: 1 << 20}, core.EventDriven(), sched)
 
@@ -62,15 +67,15 @@ func main() {
 
 	sched.Run(45 * sim.Millisecond)
 
-	fmt.Printf("hog:   offered=%-6d delivered=%-6d dropped-by-AQM=%d\n",
+	fmt.Fprintf(w, "hog:   offered=%-6d delivered=%-6d dropped-by-AQM=%d\n",
 		ghog.SentPackets, hogTx, fred.Dropped)
-	fmt.Printf("mouse: offered=%-6d delivered=%-6d (%.1f%%)\n",
+	fmt.Fprintf(w, "mouse: offered=%-6d delivered=%-6d (%.1f%%)\n",
 		gmouse.SentPackets, mouseTx, 100*float64(mouseTx)/float64(gmouse.SentPackets))
-	fmt.Printf("congestion signals at end: total occupancy=%dB active flows=%d\n",
+	fmt.Fprintf(w, "congestion signals at end: total occupancy=%dB active flows=%d\n",
 		fred.TotalOccupancy(), fred.ActiveFlows())
-	fmt.Printf("occupancy time series (from timer events): %d samples\n", len(fred.Samples))
+	fmt.Fprintf(w, "occupancy time series (from timer events): %d samples\n", len(fred.Samples))
 	for i := 0; i < len(fred.Samples) && i < 8; i++ {
 		s := fred.Samples[i]
-		fmt.Printf("  t=%-6v occupancy=%dB\n", s.At, s.Value)
+		fmt.Fprintf(w, "  t=%-6v occupancy=%dB\n", s.At, s.Value)
 	}
 }

@@ -9,6 +9,8 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"repro/internal/apps"
 	"repro/internal/core"
@@ -20,7 +22,10 @@ import (
 	"repro/internal/workload"
 )
 
-func main() {
+func main() { run(os.Stdout) }
+
+// run is the example, writing its report to w.
+func run(w io.Writer) {
 	sched := sim.NewScheduler()
 	net := netsim.New(sched)
 
@@ -65,25 +70,25 @@ func main() {
 	})
 
 	sched.At(10*sim.Millisecond, func() {
-		fmt.Printf("t=%v  FAIL primary link %v\n", sched.Now(), primary)
+		fmt.Fprintf(w, "t=%v  FAIL primary link %v\n", sched.Now(), primary)
 		net.Fail(primary)
 	})
 	sched.At(20*sim.Millisecond, func() {
-		fmt.Printf("t=%v  REPAIR primary link\n", sched.Now())
+		fmt.Fprintf(w, "t=%v  REPAIR primary link\n", sched.Now())
 		net.Repair(primary)
 	})
 
 	// Report path usage every 5 ms.
 	sched.Every(5*sim.Millisecond, func() {
-		fmt.Printf("t=%-6v delivered: via-s2=%-6d via-s3=%-6d (failovers=%d)\n",
+		fmt.Fprintf(w, "t=%-6v delivered: via-s2=%-6d via-s3=%-6d (failovers=%d)\n",
 			sched.Now(), sinkA.RxPackets, sinkB.RxPackets, frr.Failovers)
 	})
 
 	sched.Run(32 * sim.Millisecond)
 
 	lost := gen.SentPackets - sinkA.RxPackets - sinkB.RxPackets
-	fmt.Printf("\nsent=%d delivered=%d lost=%d (only packets in flight on the failed link)\n",
+	fmt.Fprintf(w, "\nsent=%d delivered=%d lost=%d (only packets in flight on the failed link)\n",
 		gen.SentPackets, sinkA.RxPackets+sinkB.RxPackets, lost)
-	fmt.Printf("primary-routed=%d backup-routed=%d failovers=%d\n",
+	fmt.Fprintf(w, "primary-routed=%d backup-routed=%d failovers=%d\n",
 		frr.RoutedPrimary, frr.RoutedBackup, frr.Failovers)
 }

@@ -9,6 +9,8 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"repro/internal/apps"
 	"repro/internal/core"
@@ -17,7 +19,10 @@ import (
 	"repro/internal/sim"
 )
 
-func main() {
+func main() { run(os.Stdout) }
+
+// run is the example, writing its report to w.
+func run(w io.Writer) {
 	sched := sim.NewScheduler()
 	net := netsim.New(sched)
 
@@ -44,7 +49,7 @@ func main() {
 		var p packet.Parser
 		var dec []packet.LayerType
 		if p.Decode(data, &dec) == nil && len(dec) == 2 && dec[1] == packet.LayerReport {
-			fmt.Printf("t=%-7v collector: report kind=%d switch=%d port=%d\n",
+			fmt.Fprintf(w, "t=%-7v collector: report kind=%d switch=%d port=%d\n",
 				sched.Now(), p.Report.Kind, p.Report.Switch, p.Report.V0)
 		}
 	}
@@ -56,25 +61,25 @@ func main() {
 	failAt := 20 * sim.Millisecond
 	repairAt := 45 * sim.Millisecond
 	sched.At(failAt, func() {
-		fmt.Printf("t=%-7v link to neighbor FAILS\n", sched.Now())
+		fmt.Fprintf(w, "t=%-7v link to neighbor FAILS\n", sched.Now())
 		net.Fail(link)
 	})
 	sched.At(repairAt, func() {
-		fmt.Printf("t=%-7v link REPAIRED\n", sched.Now())
+		fmt.Fprintf(w, "t=%-7v link REPAIRED\n", sched.Now())
 		net.Repair(link)
 	})
 	sched.Every(10*sim.Millisecond, func() {
-		fmt.Printf("t=%-7v monitor's view: neighbor alive=%v (echo replies so far: %d)\n",
+		fmt.Fprintf(w, "t=%-7v monitor's view: neighbor alive=%v (echo replies so far: %d)\n",
 			sched.Now(), lv.Alive(1), lv.RepliesSeen)
 	})
 
 	sched.Run(70 * sim.Millisecond)
 
-	fmt.Println()
+	fmt.Fprintln(w)
 	for _, n := range lv.Notifications {
-		fmt.Printf("neighbor-down notification at %v (%v after failure)\n", n.At, n.At-failAt)
+		fmt.Fprintf(w, "neighbor-down notification at %v (%v after failure)\n", n.At, n.At-failAt)
 	}
 	for _, r := range lv.Recoveries {
-		fmt.Printf("neighbor recovered at %v (%v after repair)\n", r.At, r.At-repairAt)
+		fmt.Fprintf(w, "neighbor recovered at %v (%v after repair)\n", r.At, r.At-repairAt)
 	}
 }

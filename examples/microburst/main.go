@@ -10,6 +10,8 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"repro/internal/apps"
 	"repro/internal/core"
@@ -20,21 +22,24 @@ import (
 
 const threshold = 15000
 
-func main() {
-	fmt.Println("running identical traffic through both detectors...")
-	evDet, evState := run("event")
-	snDet, snState := run("snappy")
+func main() { run(os.Stdout) }
 
-	fmt.Printf("\n%-22s %-12s %-12s\n", "design", "state bytes", "detections")
-	fmt.Printf("%-22s %-12d %-12d\n", "event-driven (§2)", evState, evDet)
-	fmt.Printf("%-22s %-12d %-12d\n", "snappy baseline", snState, snDet)
-	fmt.Printf("\nstate ratio: %.1fx — the paper's 'at least four-fold' reduction\n",
+// run is the example, writing its report to w.
+func run(w io.Writer) {
+	fmt.Fprintln(w, "running identical traffic through both detectors...")
+	evDet, evState := detect(w, "event")
+	snDet, snState := detect(w, "snappy")
+
+	fmt.Fprintf(w, "\n%-22s %-12s %-12s\n", "design", "state bytes", "detections")
+	fmt.Fprintf(w, "%-22s %-12d %-12d\n", "event-driven (§2)", evState, evDet)
+	fmt.Fprintf(w, "%-22s %-12d %-12d\n", "snappy baseline", snState, snDet)
+	fmt.Fprintf(w, "\nstate ratio: %.1fx — the paper's 'at least four-fold' reduction\n",
 		float64(snState)/float64(evState))
 }
 
-// run pushes background traffic plus one incast microburst through the
+// detect pushes background traffic plus one incast microburst through the
 // chosen detector and returns (unique flows flagged, state bytes).
-func run(mode string) (int, int) {
+func detect(w io.Writer, mode string) (int, int) {
 	sched := sim.NewScheduler()
 	arch := core.EventDriven()
 	if mode == "snappy" {
@@ -88,7 +93,7 @@ func run(mode string) (int, int) {
 		unique[det.FlowSlot] = true
 	}
 	culpritSlot := uint32(culprit.Hash() % 1024)
-	fmt.Printf("  %-7s: %d unique flow(s) flagged; culprit flagged: %v\n",
+	fmt.Fprintf(w, "  %-7s: %d unique flow(s) flagged; culprit flagged: %v\n",
 		mode, len(unique), unique[culpritSlot])
 	return len(unique), state
 }

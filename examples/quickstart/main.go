@@ -7,6 +7,8 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"repro/internal/core"
 	"repro/internal/events"
@@ -50,7 +52,10 @@ control UserEvent {
 }
 `
 
-func main() {
+func main() { run(os.Stdout) }
+
+// run is the example, writing its report to w.
+func run(w io.Writer) {
 	compiled, err := p4.Compile(microburstP4)
 	if err != nil {
 		panic(err)
@@ -92,16 +97,16 @@ func main() {
 
 	sched.Run(5 * sim.Millisecond)
 
-	fmt.Printf("switch %s ran %d pipeline cycles, forwarded %d packets\n",
+	fmt.Fprintf(w, "switch %s ran %d pipeline cycles, forwarded %d packets\n",
 		sw.Name(), sw.Stats().Cycles, sw.Stats().TxPackets)
 	if len(culprits) == 0 {
-		fmt.Println("no culprit detected (unexpected)")
+		fmt.Fprintln(w, "no culprit detected (unexpected)")
 		return
 	}
 	for flowID, n := range culprits {
-		fmt.Printf("microburst culprit: flow %#x flagged %d times while its queue exceeded %d bytes\n",
+		fmt.Fprintf(w, "microburst culprit: flow %#x flagged %d times while its queue exceeded %d bytes\n",
 			flowID, n, 15000)
 	}
 	reg := inst.Register("bufSize_reg")
-	fmt.Printf("occupancy register drained back to zero: %v\n", reg.True(uint32(burst.Hash()%1024)) == 0)
+	fmt.Fprintf(w, "occupancy register drained back to zero: %v\n", reg.True(uint32(burst.Hash()%1024)) == 0)
 }

@@ -9,6 +9,8 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"repro/internal/controlplane"
 	"repro/internal/core"
@@ -51,7 +53,10 @@ control Timer {
 }
 `
 
-func main() {
+func main() { run(os.Stdout) }
+
+// run is the example, writing its report to w.
+func run(w io.Writer) {
 	inst := p4.MustCompile(routerP4).Instantiate("router", p4.Options{})
 
 	sched := sim.NewScheduler()
@@ -106,13 +111,13 @@ func main() {
 	}
 	sched.Run(5 * sim.Millisecond)
 
-	fmt.Printf("control plane: %d messages, %d installs applied\n", agent.Messages, agent.Completed)
+	fmt.Fprintf(w, "control plane: %d messages, %d installs applied\n", agent.Messages, agent.Completed)
 	for port, n := range perPort {
 		if n > 0 {
-			fmt.Printf("port %d forwarded %d packets\n", port, n)
+			fmt.Fprintf(w, "port %d forwarded %d packets\n", port, n)
 		}
 	}
-	fmt.Printf("dropped in pipeline (miss or pre-install): %d\n", sw.Stats().PipelineDrops)
+	fmt.Fprintf(w, "dropped in pipeline (miss or pre-install): %d\n", sw.Stats().PipelineDrops)
 	pk, by := inst.Program().Counter("port_bytes").Value(0)
-	fmt.Printf("ingress port 0 counter: %d packets, %d bytes\n", pk, by)
+	fmt.Fprintf(w, "ingress port 0 counter: %d packets, %d bytes\n", pk, by)
 }

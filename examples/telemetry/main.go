@@ -9,6 +9,8 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"repro/internal/apps"
 	"repro/internal/core"
@@ -18,7 +20,10 @@ import (
 	"repro/internal/workload"
 )
 
-func main() {
+func main() { run(os.Stdout) }
+
+// run is the example, writing its report to w.
+func run(w io.Writer) {
 	sched := sim.NewScheduler()
 	net := netsim.New(sched)
 
@@ -91,9 +96,9 @@ func main() {
 
 	sched.Run(15 * sim.Millisecond)
 
-	fmt.Printf("sink received %d instrumented packets, each carrying 3 hop records\n", received)
+	fmt.Fprintf(w, "sink received %d instrumented packets, each carrying 3 hop records\n", received)
 	for hop := uint32(1); hop <= 3; hop++ {
-		fmt.Printf("  switch %d peak queue along the path: %6d bytes\n", hop, peaks[hop])
+		fmt.Fprintf(w, "  switch %d peak queue along the path: %6d bytes\n", hop, peaks[hop])
 	}
-	fmt.Println("the congested hop is visible directly in the packets — no polling, no control plane")
+	fmt.Fprintln(w, "the congested hop is visible directly in the packets — no polling, no control plane")
 }

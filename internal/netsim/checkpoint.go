@@ -32,7 +32,7 @@ func (n *Network) inFlight() map[*Link][2][]wireFrame {
 			return
 		}
 		seen[s] = true
-		s.EachWire(func(at sim.Time, k1, k2 uint64, fn sim.Action, r sim.Runner) {
+		s.EachWire(func(at sim.Time, k1, k2 uint64, r sim.Runner) {
 			switch v := r.(type) {
 			case *flight:
 				frames := out[v.l]

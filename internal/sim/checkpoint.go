@@ -116,10 +116,10 @@ func (s *Scheduler) RestoreWireRunner(at Time, k1, k2 uint64, r Runner) {
 // visit order is the heap's internal layout, not firing order; callers
 // that need determinism across encode/restore get it anyway because the
 // band is rebuilt as a heap on restore.
-func (s *Scheduler) EachWire(visit func(at Time, k1, k2 uint64, fn Action, r Runner)) {
+func (s *Scheduler) EachWire(visit func(at Time, k1, k2 uint64, r Runner)) {
 	for i := range s.wire {
 		w := &s.wire[i]
-		visit(w.at, w.k1, w.k2, w.fn, w.runner)
+		visit(w.at, w.k1, w.k2, w.runner)
 	}
 }
 

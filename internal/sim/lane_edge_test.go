@@ -25,7 +25,8 @@ func TestLaneDisarmThenArmSameCycle(t *testing.T) {
 		s.At(Microsecond, func() { order = append(order, "second") })
 		l.ArmAt(Microsecond)
 	})
-	s.RunAll()
+	for s.Step() {
+	}
 	want := "[first second lane]"
 	if got := fmt.Sprint(order); got != want {
 		t.Errorf("order = %v, want %v (re-arm must draw a fresh seq)", got, want)
@@ -51,7 +52,8 @@ func TestLaneRearmAtCurrentTimeFromCallback(t *testing.T) {
 		}
 	})
 	l.ArmAt(Microsecond)
-	s.RunAll()
+	for s.Step() {
+	}
 	want := "[lane1 heap lane2]"
 	if got := fmt.Sprint(order); got != want {
 		t.Errorf("order = %v, want %v", got, want)
@@ -76,7 +78,8 @@ func TestLaneHeapInterleaveEqualTimestamps(t *testing.T) {
 	s.At(Microsecond, func() { order = append(order, "heap2") }) // seq 2
 	lb.ArmAt(Microsecond)                                        // seq 3
 	s.At(Microsecond, func() { order = append(order, "heap3") }) // seq 4
-	s.RunAll()
+	for s.Step() {
+	}
 	want := "[heap1 laneA heap2 laneB heap3]"
 	if got := fmt.Sprint(order); got != want {
 		t.Errorf("order = %v, want %v", got, want)

@@ -22,7 +22,7 @@ func refNextLane(lanes []*Lane) *Lane {
 	return best
 }
 
-// refPending is one pending At or AtWire event in the reference model.
+// refPending is one pending At or AtWireRunner event in the reference model.
 // Ordinary events order by (at, k1) with k1 the seq; wire events by
 // (at, k1, k2).
 type refPending struct {
@@ -62,7 +62,7 @@ type laneDiff struct {
 	rng    *RNG
 	lanes  []*Lane
 	evs    []refPending // pending At events, k1 = seq
-	wires  []refPending // pending AtWire events
+	wires  []refPending // pending AtWireRunner events
 	spare  []uint64     // seqs reserved with NextSeq, for ArmExact
 	nextID int          // lanes are ids 0..len(lanes)-1; events count up from there
 	wireK2 uint64
@@ -103,7 +103,7 @@ func (d *laneDiff) mutate(self int) {
 			d.nextID++
 			d.wireK2++
 			d.wires = append(d.wires, refPending{at: at, k1: k1, k2: d.wireK2, id: id})
-			d.s.AtWire(at, k1, d.wireK2, func() { d.fired = id; d.mutate(-1) })
+			d.s.AtWireRunner(at, k1, d.wireK2, runFunc(func() { d.fired = id; d.mutate(-1) }))
 		case 7:
 			d.spare = append(d.spare, d.s.NextSeq())
 		}
@@ -187,7 +187,7 @@ func (d *laneDiff) check() {
 // TestLaneHeapMatchesLinearScan is the differential test for the lane
 // heap: 256 lanes under mixed ArmAt / ArmExact (older seqs, equal
 // timestamps) / Disarm / re-arm-from-own-callback / re-arm-another-lane
-// traffic, interleaved with At and AtWire events, must fire in exactly
+// traffic, interleaved with At and AtWireRunner events, must fire in exactly
 // the order the naive linear-scan model predicts, firing by firing.
 func TestLaneHeapMatchesLinearScan(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3} {
@@ -228,6 +228,17 @@ func TestLaneHeapMatchesLinearScan(t *testing.T) {
 	}
 }
 
+// perm returns a pseudo-random permutation of [0, n) drawn from r.
+func perm(r *RNG, n int) []int {
+	p := make([]int, n)
+	for i := range p {
+		j := r.Intn(i + 1)
+		p[i] = p[j]
+		p[j] = i
+	}
+	return p
+}
+
 // TestRestoreArmShuffledOrder arms 64 lanes (with ties on the instant),
 // then restores the same arms into a fresh scheduler in shuffled order:
 // the heap is built by a different insertion sequence and must still
@@ -243,7 +254,8 @@ func TestRestoreArmShuffledOrder(t *testing.T) {
 			lanes[i] = s.NewLane(func() { order = append(order, i) })
 		}
 		arm(lanes, s)
-		s.RunAll()
+		for s.Step() {
+		}
 		return order
 	}
 
@@ -262,7 +274,7 @@ func TestRestoreArmShuffledOrder(t *testing.T) {
 		clock = s.Clock()
 	})
 	got := run(func(lanes []*Lane, s *Scheduler) {
-		for _, i := range NewRNG(11).Perm(L) {
+		for _, i := range perm(NewRNG(11), L) {
 			lanes[i].ArmExact(coords[i].at, coords[i].seq)
 		}
 		s.RestoreClock(clock)
@@ -301,6 +313,7 @@ func TestPendingArmedDisarmedLanes(t *testing.T) {
 	expect(1, "after one firing")
 	s.At(6*Microsecond, func() {})
 	expect(2, "with one lane and one heap event")
-	s.RunAll()
+	for s.Step() {
+	}
 	expect(0, "after draining")
 }

@@ -200,7 +200,7 @@ func (p *Partition) closure() {
 // point (before the first window, between windows, and after the last),
 // while no domain is executing. Exchange hooks deliver
 // cross-domain messages here by scheduling them on the destination
-// domain, typically via AtWire.
+// domain, typically via AtWireRunner.
 func (p *Partition) OnBarrier(fn func()) { p.barriers = append(p.barriers, fn) }
 
 func (p *Partition) barrier() {

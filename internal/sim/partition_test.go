@@ -10,7 +10,7 @@ import (
 // traced, spawns same-instant local work (a heap event and a lane, so
 // band ordering is exercised), and is forwarded to domain (d+1)%N with
 // one link latency of delay. Cross-domain forwarding goes through
-// mailboxes drained at barriers via AtWire with engine-independent keys
+// mailboxes drained at barriers via AtWireRunner with engine-independent keys
 // (source id, per-source frame counter), exactly like netsim.
 type ring struct {
 	p       *Partition
@@ -58,7 +58,7 @@ func (m *ring) drain() {
 	for d := range m.mail {
 		for _, f := range m.mail[d] {
 			f := f
-			m.p.Sched(f.dst).AtWire(f.at, f.k1, f.k2, func() { m.arrive(f.dst, f.token) })
+			m.p.Sched(f.dst).AtWireRunner(f.at, f.k1, f.k2, runFunc(func() { m.arrive(f.dst, f.token) }))
 		}
 		m.mail[d] = m.mail[d][:0]
 	}
@@ -247,9 +247,9 @@ func TestAtWireOrdering(t *testing.T) {
 	s.At(Microsecond, func() { got = append(got, "heap") })
 	lane := s.NewLane(func() { got = append(got, "lane") })
 	s.At(0, func() { lane.ArmAt(Microsecond) })
-	s.AtWire(Microsecond, 2, 0, func() { got = append(got, "wire-k1=2") })
-	s.AtWire(Microsecond, 1, 1, func() { got = append(got, "wire-k2=1") })
-	s.AtWire(Microsecond, 1, 0, func() { got = append(got, "wire-k2=0") })
+	s.AtWireRunner(Microsecond, 2, 0, runFunc(func() { got = append(got, "wire-k1=2") }))
+	s.AtWireRunner(Microsecond, 1, 1, runFunc(func() { got = append(got, "wire-k2=1") }))
+	s.AtWireRunner(Microsecond, 1, 0, runFunc(func() { got = append(got, "wire-k2=0") }))
 	s.Run(Microsecond)
 	want := []string{"wire-k2=0", "wire-k2=1", "wire-k1=2", "heap", "lane"}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
@@ -267,7 +267,7 @@ func TestAtWirePastPanics(t *testing.T) {
 			t.Error("expected panic scheduling wire event in the past")
 		}
 	}()
-	s.AtWire(0, 0, 0, func() {})
+	s.AtWireRunner(0, 0, 0, runFunc(func() {}))
 }
 
 // wireRunner records its firing order for TestAtWireRunnerOrdering.
@@ -278,15 +278,14 @@ type wireRunner struct {
 
 func (r *wireRunner) Run() { *r.got = append(*r.got, r.tag) }
 
-// TestAtWireRunnerOrdering pins the pooled wire variant to the same
-// contract as AtWire, including interleaving between Runner-backed and
-// closure-backed wire events at one instant.
+// TestAtWireRunnerOrdering pins pooled wire records to the same
+// contract, interleaved at one instant with func-backed wire events.
 func TestAtWireRunnerOrdering(t *testing.T) {
 	s := NewScheduler()
 	var got []string
 	s.At(Microsecond, func() { got = append(got, "heap") })
 	s.AtWireRunner(Microsecond, 2, 0, &wireRunner{"runner-k1=2", &got})
-	s.AtWire(Microsecond, 1, 1, func() { got = append(got, "fn-k2=1") })
+	s.AtWireRunner(Microsecond, 1, 1, runFunc(func() { got = append(got, "fn-k2=1") }))
 	s.AtWireRunner(Microsecond, 1, 0, &wireRunner{"runner-k2=0", &got})
 	s.Run(Microsecond)
 	want := []string{"runner-k2=0", "fn-k2=1", "runner-k1=2", "heap"}

@@ -95,17 +95,6 @@ func (r *RNG) ExpTime(mean Time) Time {
 	return d
 }
 
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
 // Split returns a new RNG seeded from this one, for giving independent
 // streams to sub-components without correlating their draws.
 func (r *RNG) Split() *RNG {

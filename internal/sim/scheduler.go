@@ -56,7 +56,6 @@ type schedEvent struct {
 type wireEvent struct {
 	at     Time
 	k1, k2 uint64
-	fn     Action
 	runner Runner
 }
 
@@ -204,14 +203,13 @@ func (s *Scheduler) heapPopHead() *schedEvent {
 // for the same instant fire in the order they were scheduled. Scheduler is
 // not safe for concurrent use; a simulation is a single logical thread.
 type Scheduler struct {
-	now    Time
-	seq    uint64
-	queue  eventHeap
-	wire   wireHeap
-	lanes  laneHeap
-	free   []*schedEvent
-	fired  uint64
-	halted bool
+	now   Time
+	seq   uint64
+	queue eventHeap
+	wire  wireHeap
+	lanes laneHeap
+	free  []*schedEvent
+	fired uint64
 
 	// self is the run's wall-clock self-metrics plane, nil when nothing
 	// observes the run (SetSelf). Whatever is built on this scheduler —
@@ -220,7 +218,7 @@ type Scheduler struct {
 	// laneArms/auxArms count ArmAt and ArmExact calls; together with
 	// fired they feed the plane. They are plain fields bumped on the
 	// single-threaded hot path and published as deltas only at
-	// Run/RunBefore/RunAll exit (publishSelf), so the per-event cost of
+	// Run/RunBefore exit (publishSelf), so the per-event cost of
 	// observability is zero — not even an atomic.
 	laneArms, auxArms uint64
 	// pub* are the values already published to the self plane; the next
@@ -335,22 +333,13 @@ func (s *Scheduler) schedule(at Time) *schedEvent {
 	return ev
 }
 
-// AtWire schedules fn on the wire band: at equal timestamps wire events
-// fire before ordinary events and lanes, ordered among themselves by the
-// caller-supplied key (k1, then k2). The key must be engine-independent
-// (netsim uses k1 = directed-link id and k2 = the sender's frame counter
-// on that direction) so that every partitioning of a topology fires the
-// same arrivals in the same order. Wire events cannot be cancelled.
-func (s *Scheduler) AtWire(at Time, k1, k2 uint64, fn Action) {
-	if at < s.now {
-		panic("sim: wire event scheduled in the past")
-	}
-	s.wire.push(wireEvent{at: at, k1: k1, k2: k2, fn: fn})
-}
-
-// AtWireRunner is the allocation-free variant of AtWire for pooled
-// callback objects, mirroring AtRunner/At. Ordering semantics are
-// identical.
+// AtWireRunner schedules r.Run on the wire band: at equal timestamps
+// wire events fire before ordinary events and lanes, ordered among
+// themselves by the caller-supplied key (k1, then k2). The key must be
+// engine-independent (netsim uses k1 = directed-link id and k2 = the
+// sender's frame counter on that direction) so that every partitioning
+// of a topology fires the same arrivals in the same order. Wire events
+// cannot be cancelled.
 func (s *Scheduler) AtWireRunner(at Time, k1, k2 uint64, r Runner) {
 	if at < s.now {
 		panic("sim: wire event scheduled in the past")
@@ -638,11 +627,7 @@ func (s *Scheduler) stepBounded(limit Time, strict bool) bool {
 		w := s.wire.pop()
 		s.now = at
 		s.fired++
-		if w.runner != nil {
-			w.runner.Run()
-		} else {
-			w.fn()
-		}
+		w.runner.Run()
 		return true
 	}
 	switch {
@@ -779,9 +764,8 @@ func (s *Scheduler) publishSelf() {
 // fired event). It returns the number of events executed.
 func (s *Scheduler) Run(until Time) uint64 {
 	start := s.fired
-	s.halted = false
 	s.runLimit, s.runStrict = until, false
-	for !s.halted && s.stepBounded(until, false) {
+	for s.stepBounded(until, false) {
 	}
 	s.runLimit, s.runStrict = Forever, false
 	if s.now < until {
@@ -799,9 +783,8 @@ func (s *Scheduler) Run(until Time) uint64 {
 // another domain may still arrive exactly at limit.
 func (s *Scheduler) RunBefore(limit Time) uint64 {
 	start := s.fired
-	s.halted = false
 	s.runLimit, s.runStrict = limit, true
-	for !s.halted && s.stepBounded(limit, true) {
+	for s.stepBounded(limit, true) {
 	}
 	s.runLimit, s.runStrict = Forever, false
 	s.publishSelf()
@@ -814,19 +797,3 @@ func (s *Scheduler) RunBefore(limit Time) uint64 {
 func (s *Scheduler) RunBound() (limit Time, strict bool) {
 	return s.runLimit, s.runStrict
 }
-
-// RunAll executes events until none remain. It returns the number of
-// events executed. Use with care: self-rescheduling processes (tickers)
-// never drain; prefer Run with a horizon.
-func (s *Scheduler) RunAll() uint64 {
-	start := s.fired
-	s.halted = false
-	for !s.halted && s.Step() {
-	}
-	s.publishSelf()
-	return s.fired - start
-}
-
-// Halt stops Run/RunAll after the currently executing event returns.
-// It is intended to be called from inside event callbacks.
-func (s *Scheduler) Halt() { s.halted = true }

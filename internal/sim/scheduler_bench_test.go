@@ -133,7 +133,8 @@ func TestCancelReleasesToPool(t *testing.T) {
 	if h.Pending() {
 		t.Error("cancelled handle reports pending")
 	}
-	s.RunAll()
+	for s.Step() {
+	}
 	if ran {
 		t.Error("cancelled event fired")
 	}
@@ -153,7 +154,8 @@ func TestLaneOrderingMatchesAt(t *testing.T) {
 	l := s.NewLane(func() { order = append(order, "lane") })
 	s.At(Microsecond, func() { order = append(order, "at") })
 	l.ArmAt(Microsecond)
-	s.RunAll()
+	for s.Step() {
+	}
 	if len(order) != 2 || order[0] != "at" || order[1] != "lane" {
 		t.Errorf("at-then-arm order = %v, want [at lane]", order)
 	}
@@ -164,7 +166,8 @@ func TestLaneOrderingMatchesAt(t *testing.T) {
 	l = s.NewLane(func() { order = append(order, "lane") })
 	l.ArmAt(Microsecond)
 	s.At(Microsecond, func() { order = append(order, "at") })
-	s.RunAll()
+	for s.Step() {
+	}
 	if len(order) != 2 || order[0] != "lane" || order[1] != "at" {
 		t.Errorf("arm-then-at order = %v, want [lane at]", order)
 	}
@@ -183,14 +186,16 @@ func TestLaneDisarmRearm(t *testing.T) {
 		t.Error("armed lane reports disarmed")
 	}
 	l.Disarm()
-	s.RunAll()
+	for s.Step() {
+	}
 	if fired != 0 {
 		t.Error("disarmed lane fired")
 	}
 
 	l.ArmAt(2 * Microsecond)
 	l.ArmAt(3 * Microsecond) // re-arm moves the firing time
-	s.RunAll()
+	for s.Step() {
+	}
 	if fired != 1 {
 		t.Errorf("fired %d times, want 1", fired)
 	}
@@ -206,7 +211,8 @@ func TestLaneDisarmRearm(t *testing.T) {
 func TestLanePastPanics(t *testing.T) {
 	s := NewScheduler()
 	s.At(Microsecond, func() {})
-	s.RunAll()
+	for s.Step() {
+	}
 	l := s.NewLane(func() {})
 	defer func() {
 		if recover() == nil {
@@ -244,7 +250,8 @@ func TestRunnerScheduling(t *testing.T) {
 	if !h.Pending() {
 		t.Error("runner handle should be pending")
 	}
-	s.RunAll()
+	for s.Step() {
+	}
 	if r.n != 2 {
 		t.Errorf("runner ran %d times, want 2", r.n)
 	}

@@ -6,6 +6,12 @@ import (
 	"testing/quick"
 )
 
+// runFunc adapts a closure to Runner for tests that schedule through the
+// Runner-only entry points (AtWireRunner).
+type runFunc func()
+
+func (f runFunc) Run() { f() }
+
 func TestTimeString(t *testing.T) {
 	cases := []struct {
 		in   Time
@@ -57,7 +63,8 @@ func TestSchedulerOrdering(t *testing.T) {
 	s.At(10, func() { order = append(order, 1) })
 	s.At(20, func() { order = append(order, 2) })
 	s.At(10, func() { order = append(order, 11) }) // same instant: FIFO
-	s.RunAll()
+	for s.Step() {
+	}
 	want := []int{1, 11, 2, 3}
 	if len(order) != len(want) {
 		t.Fatalf("fired %v, want %v", order, want)
@@ -99,7 +106,8 @@ func TestSchedulerCancel(t *testing.T) {
 		t.Error("handle should be pending before firing")
 	}
 	h.Cancel()
-	s.RunAll()
+	for s.Step() {
+	}
 	if fired {
 		t.Error("cancelled event fired")
 	}
@@ -111,7 +119,8 @@ func TestSchedulerCancel(t *testing.T) {
 func TestSchedulerPastPanics(t *testing.T) {
 	s := NewScheduler()
 	s.At(10, func() {})
-	s.RunAll()
+	for s.Step() {
+	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic scheduling in the past")
@@ -127,7 +136,8 @@ func TestSchedulerReentrant(t *testing.T) {
 		times = append(times, s.Now())
 		s.After(5, func() { times = append(times, s.Now()) })
 	})
-	s.RunAll()
+	for s.Step() {
+	}
 	if len(times) != 2 || times[0] != 10 || times[1] != 15 {
 		t.Errorf("times = %v, want [10 15]", times)
 	}
@@ -168,22 +178,6 @@ func TestTickerStopInsideCallback(t *testing.T) {
 	s.Run(1000)
 	if n != 2 {
 		t.Errorf("ticker fired %d times after self-stop, want 2", n)
-	}
-}
-
-func TestSchedulerHalt(t *testing.T) {
-	s := NewScheduler()
-	fired := 0
-	s.At(10, func() { fired++; s.Halt() })
-	s.At(20, func() { fired++ })
-	s.Run(100)
-	if fired != 1 {
-		t.Errorf("fired=%d after Halt, want 1", fired)
-	}
-	// A subsequent Run resumes.
-	s.Run(100)
-	if fired != 2 {
-		t.Errorf("fired=%d after resume, want 2", fired)
 	}
 }
 
@@ -256,18 +250,6 @@ func TestRNGExpMean(t *testing.T) {
 	}
 }
 
-func TestRNGPerm(t *testing.T) {
-	r := NewRNG(3)
-	p := r.Perm(100)
-	seen := make([]bool, 100)
-	for _, v := range p {
-		if v < 0 || v >= 100 || seen[v] {
-			t.Fatalf("invalid permutation %v", p)
-		}
-		seen[v] = true
-	}
-}
-
 func TestRNGSplitIndependence(t *testing.T) {
 	r := NewRNG(5)
 	a := r.Split()
@@ -329,16 +311,6 @@ func TestStatsAddAfterPercentile(t *testing.T) {
 	s.Add(1) // must re-sort lazily
 	if p := s.Percentile(0); p != 1 {
 		t.Errorf("p0 after re-add = %v, want 1", p)
-	}
-}
-
-func TestStatsStddev(t *testing.T) {
-	s := NewStats()
-	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		s.Add(v)
-	}
-	if got := s.Stddev(); math.Abs(got-2) > 1e-9 {
-		t.Errorf("stddev = %v, want 2", got)
 	}
 }
 

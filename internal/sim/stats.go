@@ -45,23 +45,6 @@ func (s *Stats) Reset() {
 	s.max = math.Inf(-1)
 }
 
-// AddAll merges every sample of o into s (o is unchanged). Histogram and
-// percentile export paths use it to fold per-trial accumulators into one
-// distribution.
-func (s *Stats) AddAll(o *Stats) {
-	if o == nil || len(o.samples) == 0 {
-		return
-	}
-	s.samples = append(s.samples, o.samples...)
-	s.sum += o.sum
-	if o.min < s.min {
-		s.min = o.min
-	}
-	if o.max > s.max {
-		s.max = o.max
-	}
-}
-
 // Samples returns the recorded samples in insertion order. The slice is
 // the accumulator's own storage: read-only, valid until the next Add.
 func (s *Stats) Samples() []float64 { return s.samples }
@@ -97,21 +80,6 @@ func (s *Stats) Max() float64 {
 		return 0
 	}
 	return s.max
-}
-
-// Stddev returns the population standard deviation, or 0 when empty.
-func (s *Stats) Stddev() float64 {
-	n := len(s.samples)
-	if n == 0 {
-		return 0
-	}
-	mean := s.Mean()
-	var ss float64
-	for _, v := range s.samples {
-		d := v - mean
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n))
 }
 
 // Percentile returns the p-th percentile (0 <= p <= 100) using

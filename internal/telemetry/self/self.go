@@ -151,7 +151,7 @@ const MaxDomains = 64
 // ready to use; writers hold a *Plane and treat nil as "off".
 type Plane struct {
 	// SchedDispatch counts events executed across all schedulers
-	// (published as batched deltas at Run/RunBefore/RunAll exit).
+	// (published as batched deltas at Run/RunBefore exit).
 	SchedDispatch Counter
 	// SchedLaneArms counts cycle-lane arms (Lane.ArmAt) and SchedAuxArms
 	// counts exact-coordinate arms (Lane.ArmExact — the burst conveyor's

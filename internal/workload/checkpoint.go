@@ -9,11 +9,11 @@ import (
 // Checkpoint walks a saturate generator: emission counters, the sub-flow
 // cursor, the RNG stream position, and the (at, seq) of the pending
 // next-emission event. Loading needs a generator prepared with
-// PrepareSaturate (closure built, no emission yet); the pending emission
+// PrepareSaturate (stream set up, no emission yet); the pending emission
 // is re-created at its checkpointed (at, seq) so the resumed schedule is
 // identical.
 func (g *Gen) Checkpoint(c *checkpoint.Codec) {
-	if c.Loading() && g.satStep == nil {
+	if c.Loading() && g.sat == nil {
 		c.Fail(fmt.Errorf("workload: loading a checkpoint needs PrepareSaturate first"))
 		return
 	}
@@ -29,10 +29,10 @@ func (g *Gen) Checkpoint(c *checkpoint.Codec) {
 	c.Bool(&pending)
 	c.I64((*int64)(&at))
 	c.U64(&seq)
-	if c.Loading() && c.Err() == nil {
+	if c.Loaded() {
 		g.rng.SetState(st)
 		if pending {
-			g.pending = g.sched.RestoreAt(at, seq, g.satStep)
+			g.pending = g.sched.RestoreAtRunner(at, seq, g.sat)
 		}
 	}
 }

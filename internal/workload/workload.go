@@ -8,6 +8,16 @@
 // DESIGN.md §2): what matters for every claim is arrival spacing relative
 // to the pipeline's cycle budget and the flow structure, both of which
 // these generators control exactly.
+//
+// Every stream is a sim.Runner record owned by its Gen and re-armed with
+// AfterRunner, so running, ending and restarting a stream allocates
+// nothing once the generator has run one of its kind: finished CBR,
+// Poisson and burst records wait on the generator's free lists. A record
+// keeps the last frame it built, with the flow and size that built it,
+// and hands the same bytes to the sink while they repeat; a saturate
+// stream keeps one frame per sub-flow. Only the bytes are
+// cached: every random draw and every scheduled event happens as if each
+// frame were built afresh.
 package workload
 
 import (
@@ -18,10 +28,12 @@ import (
 )
 
 // Sink consumes generated frames, timed by the scheduler. core.Switch's
-// Inject method (curried with a port) is the usual sink. The frame slice
-// is only valid for the duration of the call — generators reuse a scratch
-// buffer — so a sink that defers consumption must copy (Switch.Inject and
-// Host.Send both copy before returning).
+// Inject method (curried with a port) is the usual sink. The frame is
+// read-only and valid only for the duration of the call: a stream hands
+// the same bytes to its sink again for as long as its frame does not
+// change, so a sink that writes to them corrupts later frames, and one
+// that defers consumption must copy (Switch.Inject and Host.Send both
+// copy before returning).
 type Sink func(data []byte)
 
 // SizeDist picks frame sizes.
@@ -130,21 +142,19 @@ type Gen struct {
 	SentBytes   uint64
 	stopped     bool
 
-	// pending is the stream's next scheduled emission and satSeq/satStep
-	// the saturate stream's cursor and step closure; together they are
-	// what a checkpoint needs to re-arm the stream (checkpoint.go).
+	// pending is the saturate stream's next scheduled emission and satSeq
+	// its sub-flow cursor, shared by every saturate stream the generator
+	// starts; with sat they are what a checkpoint needs to re-arm the
+	// stream (checkpoint.go).
 	pending sim.Handle
 	satSeq  uint32
-	satStep sim.Action
+	sat     *saturate
 
-	// buf is the scratch frame reused across emissions (see Sink).
-	buf []byte
-}
-
-// frame serializes spec into the generator's scratch buffer.
-func (g *Gen) frame(spec packet.FrameSpec) []byte {
-	g.buf = packet.AppendFrame(g.buf[:0], spec)
-	return g.buf
+	// Finished CBR, Poisson and burst records, each list linked through
+	// the records' next fields.
+	freeCBR     *cbr
+	freePoisson *poisson
+	freeBurst   *burst
 }
 
 // NewGen builds a generator.
@@ -164,6 +174,29 @@ func (g *Gen) emit(data []byte) {
 	g.sink(data)
 }
 
+// done reports whether a stream that stops at until must not emit now.
+func (g *Gen) done(until sim.Time) bool {
+	return g.stopped || (until > 0 && g.sched.Now() >= until)
+}
+
+// frameCache is a stream's last frame and the flow and size that built
+// it, the only FrameSpec fields a stream sets. While they repeat, the
+// same bytes go to the sink again instead of being re-serialised and
+// re-checksummed.
+type frameCache struct {
+	flow packet.Flow
+	size int
+	buf  []byte
+}
+
+func (c *frameCache) frame(flow packet.Flow, size int) []byte {
+	if size != c.size || flow != c.flow || len(c.buf) == 0 {
+		c.buf = packet.AppendFrame(c.buf[:0], packet.FrameSpec{Flow: flow, TotalLen: size})
+		c.flow, c.size = flow, size
+	}
+	return c.buf
+}
+
 // CBRConfig describes a constant-bit-rate stream.
 type CBRConfig struct {
 	Flow  packet.Flow
@@ -172,23 +205,43 @@ type CBRConfig struct {
 	Until sim.Time // stop time (0 = run forever)
 }
 
+// cbr is one running CBR stream. It re-arms itself after every emission
+// and goes back on its generator's free list from the Run that finds the
+// stream over.
+type cbr struct {
+	g    *Gen
+	cfg  CBRConfig
+	next *cbr
+	frameCache
+}
+
 // StartCBR emits frames back-to-back spaced to match the offered rate.
 func (g *Gen) StartCBR(cfg CBRConfig) {
 	if cfg.Size == nil {
 		cfg.Size = FixedSize(packet.MinFrameLen)
 	}
-	var step func()
-	step = func() {
-		if g.stopped || (cfg.Until > 0 && g.sched.Now() >= cfg.Until) {
-			return
-		}
-		n := cfg.Size.Next(g.rng)
-		data := g.frame(packet.FrameSpec{Flow: cfg.Flow, TotalLen: n})
-		g.emit(data)
-		gap := cfg.Rate.ByteTime(len(data) + 24) // wire footprint spacing
-		g.sched.After(gap, step)
+	c := g.freeCBR
+	if c == nil {
+		c = &cbr{g: g}
+	} else {
+		g.freeCBR, c.next = c.next, nil
 	}
-	step()
+	c.cfg = cfg
+	c.Run()
+}
+
+// Run emits one frame and schedules the next.
+func (c *cbr) Run() {
+	g := c.g
+	if g.done(c.cfg.Until) {
+		c.next, g.freeCBR = g.freeCBR, c
+		return
+	}
+	n := c.cfg.Size.Next(g.rng)
+	data := c.frame(c.cfg.Flow, n)
+	g.emit(data)
+	gap := c.cfg.Rate.ByteTime(len(data) + 24) // wire footprint spacing
+	g.sched.AfterRunner(gap, c)
 }
 
 // PoissonConfig describes Poisson packet arrivals over a flow set.
@@ -200,23 +253,43 @@ type PoissonConfig struct {
 	Until   sim.Time
 }
 
+// poisson is one running Poisson stream, recycled like cbr. Its frame
+// cache rarely hits — consecutive frames seldom share flow and size —
+// and costs one spec compare when it misses.
+type poisson struct {
+	g    *Gen
+	cfg  PoissonConfig
+	next *poisson
+	frameCache
+}
+
 // StartPoisson emits frames with exponential inter-arrival times, drawing
 // each frame's flow from the flow set's popularity distribution.
 func (g *Gen) StartPoisson(cfg PoissonConfig) {
 	if cfg.Size == nil {
 		cfg.Size = IMix{}
 	}
-	var step func()
-	step = func() {
-		if g.stopped || (cfg.Until > 0 && g.sched.Now() >= cfg.Until) {
-			return
-		}
-		fl := cfg.Flows.Flow(cfg.Flows.Pick(g.rng))
-		n := cfg.Size.Next(g.rng)
-		g.emit(g.frame(packet.FrameSpec{Flow: fl, TotalLen: n}))
-		g.sched.After(g.rng.ExpTime(cfg.MeanGap), step)
+	p := g.freePoisson
+	if p == nil {
+		p = &poisson{g: g}
+	} else {
+		g.freePoisson, p.next = p.next, nil
 	}
-	g.sched.After(g.rng.ExpTime(cfg.MeanGap), step)
+	p.cfg = cfg
+	g.sched.AfterRunner(g.rng.ExpTime(cfg.MeanGap), p)
+}
+
+// Run emits one frame and schedules the next.
+func (p *poisson) Run() {
+	g := p.g
+	if g.done(p.cfg.Until) {
+		p.next, g.freePoisson = g.freePoisson, p
+		return
+	}
+	fl := p.cfg.Flows.Flow(p.cfg.Flows.Pick(g.rng))
+	n := p.cfg.Size.Next(g.rng)
+	g.emit(p.frame(fl, n))
+	g.sched.AfterRunner(g.rng.ExpTime(p.cfg.MeanGap), p)
 }
 
 // BurstConfig describes a microburst: a train of frames from one flow
@@ -229,6 +302,18 @@ type BurstConfig struct {
 	At      sim.Time // burst start
 }
 
+// burst is one scheduled train. Its first Run starts the train by
+// scheduling the record once per frame; every later Run emits one frame,
+// and the last returns the record to the free list.
+type burst struct {
+	g       *Gen
+	cfg     BurstConfig
+	started bool
+	left    int // emissions still scheduled
+	next    *burst
+	frameCache
+}
+
 // ScheduleBurst injects a burst at the configured time.
 func (g *Gen) ScheduleBurst(cfg BurstConfig) {
 	if cfg.Size == nil {
@@ -237,15 +322,33 @@ func (g *Gen) ScheduleBurst(cfg BurstConfig) {
 	if cfg.Spacing <= 0 {
 		cfg.Spacing = sim.Nanosecond
 	}
-	g.sched.At(cfg.At, func() {
-		for i := 0; i < cfg.Count; i++ {
-			i := i
-			g.sched.After(sim.Time(i)*cfg.Spacing, func() {
-				n := cfg.Size.Next(g.rng)
-				g.emit(g.frame(packet.FrameSpec{Flow: cfg.Flow, TotalLen: n}))
-			})
+	b := g.freeBurst
+	if b == nil {
+		b = &burst{g: g}
+	} else {
+		g.freeBurst, b.next = b.next, nil
+	}
+	b.cfg, b.started = cfg, false
+	g.sched.AtRunner(cfg.At, b)
+}
+
+// Run starts the train or emits one of its frames.
+func (b *burst) Run() {
+	g := b.g
+	if !b.started {
+		b.started = true
+		b.left = b.cfg.Count
+		for i := 0; i < b.cfg.Count; i++ {
+			g.sched.AfterRunner(sim.Time(i)*b.cfg.Spacing, b)
 		}
-	})
+	} else {
+		n := b.cfg.Size.Next(g.rng)
+		g.emit(b.frame(b.cfg.Flow, n))
+		b.left--
+	}
+	if b.left <= 0 {
+		b.next, g.freeBurst = g.freeBurst, b
+	}
 }
 
 // SaturateConfig describes full-line-rate arrival of minimum-size frames —
@@ -255,21 +358,38 @@ type SaturateConfig struct {
 	Rate  sim.Rate
 	Size  int // frame length (default minimum)
 	Until sim.Time
-	// Load scales the offered rate (1.0 = exactly line rate).
+	// Load scales the offered rate (1.0 = exactly line rate). Zero — what
+	// a config that leaves Load out holds — or less means 1.0.
 	Load float64
+}
+
+// satFlows is the number of sub-flows a saturate stream cycles through.
+const satFlows = 16
+
+// saturate is a saturate stream. Its frames take satFlows distinct
+// values, one per sub-flow; each is built once, in place in its slot of
+// frames, the first time the stream emits it.
+type saturate struct {
+	g      *Gen
+	cfg    SaturateConfig
+	gap    sim.Time
+	flen   int    // frame length: cfg.Size raised to the minimum frame
+	frames []byte // satFlows slots of flen bytes
+	built  uint16 // bit i: slot i holds sub-flow i's frame
 }
 
 // StartSaturate emits fixed-size frames at Load x line rate with exact
 // deterministic spacing.
 func (g *Gen) StartSaturate(cfg SaturateConfig) {
 	g.PrepareSaturate(cfg)
-	g.satStep()
+	g.sat.Run()
 }
 
-// PrepareSaturate builds (but does not fire) the saturate step closure.
-// The stream's cursor lives on the generator rather than in the closure
-// so a checkpoint can capture it and a restored run can re-arm the same
-// closure without the initial emission (checkpoint.go).
+// PrepareSaturate sets up (but does not fire) the saturate stream. The
+// stream's cursor lives on the generator rather than on the stream, so a
+// later stream continues the sub-flow rotation, a checkpoint can capture
+// it, and a restored run can re-arm the stream without the initial
+// emission (checkpoint.go).
 func (g *Gen) PrepareSaturate(cfg SaturateConfig) {
 	if cfg.Size <= 0 {
 		cfg.Size = packet.MinFrameLen
@@ -277,17 +397,30 @@ func (g *Gen) PrepareSaturate(cfg SaturateConfig) {
 	if cfg.Load <= 0 {
 		cfg.Load = 1.0
 	}
-	gap := sim.Time(float64(cfg.Rate.ByteTime(cfg.Size+24)) / cfg.Load)
-	var step func()
-	step = func() {
-		if g.stopped || (cfg.Until > 0 && g.sched.Now() >= cfg.Until) {
-			return
-		}
-		fl := cfg.Flow
-		fl.SrcPort = uint16(1024 + g.satSeq%16) // a few sub-flows for hashing
-		g.satSeq++
-		g.emit(g.frame(packet.FrameSpec{Flow: fl, TotalLen: cfg.Size}))
-		g.pending = g.sched.After(gap, step)
+	flen := max(cfg.Size, packet.MinFrameLen)
+	g.sat = &saturate{
+		g: g, cfg: cfg, flen: flen,
+		gap:    sim.Time(float64(cfg.Rate.ByteTime(cfg.Size+24)) / cfg.Load),
+		frames: make([]byte, satFlows*flen),
 	}
-	g.satStep = step
+}
+
+// Run emits the next sub-flow's frame and schedules the one after.
+func (s *saturate) Run() {
+	g := s.g
+	if g.done(s.cfg.Until) {
+		return
+	}
+	i := int(g.satSeq % satFlows) // a few sub-flows for hashing
+	g.satSeq++
+	lo, hi := i*s.flen, (i+1)*s.flen
+	frame := s.frames[lo:hi:hi]
+	if s.built&(1<<i) == 0 {
+		fl := s.cfg.Flow
+		fl.SrcPort = uint16(1024 + i)
+		packet.AppendFrame(frame[:0], packet.FrameSpec{Flow: fl, TotalLen: s.cfg.Size})
+		s.built |= 1 << i
+	}
+	g.emit(frame)
+	g.pending = g.sched.AfterRunner(s.gap, s)
 }
