@@ -51,15 +51,13 @@ race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -cpu 1,2,4 ./internal/sim ./internal/netsim
 
-# Coverage-guided fuzzing: the fault-schedule parser/validator, the
-# µP4 compiled-vs-interpreter differential target, the slot's
-# parse-once flow against packet.FlowOf, the EVCK checkpoint file
-# decoder and the JSON-lines trace reader with its Chrome conversion.
-# Not part of `check` (open-ended); run before touching the DSL, the
+# Coverage-guided fuzzing: the µP4 compiled-vs-interpreter differential
+# target, the slot's parse-once flow against packet.FlowOf, the EVCK
+# checkpoint file decoder and the JSON-lines trace reader with its Chrome
+# conversion. Not part of `check` (open-ended); run before touching the
 # compilation backend, the header decoders, the checkpoint format or the
 # trace format.
 fuzz:
-	$(GO) test -fuzz FuzzParseSchedule -fuzztime 10s ./internal/faults
 	$(GO) test -fuzz FuzzCompiledVsInterp -fuzztime 10s ./internal/p4
 	$(GO) test -fuzz FuzzParserFlow -fuzztime 10s ./internal/packet
 	$(GO) test -fuzz FuzzDecode -fuzztime 10s ./internal/checkpoint

@@ -11,9 +11,6 @@
 //	evbench -memprofile mem.pprof    # write an allocation profile
 //	evbench -exp hula -trace t.jsonl -metrics m.json
 //	                                 # telemetry: lifecycle trace + metrics export
-//	evbench -exp scale -resume scale.journal
-//	                                 # campaign resumption: completed trials are
-//	                                 # journaled and skipped on the next run
 //	evbench -exp scale -http 127.0.0.1:9100
 //	                                 # live introspection: /metrics (Prometheus),
 //	                                 # /status (JSON), /debug/pprof
@@ -32,20 +29,14 @@
 // (one experiment per export) and work for the instrumented experiments
 // (staleness, hula, scale).
 //
-// -resume names a trial journal (one per experiment): every completed
-// trial is appended as it finishes, and a rerun after a crash loads the
-// recorded results instead of recomputing them, producing byte-identical
-// tables. It needs -exp and composes with -parallel/-domains; it does
-// not compose with -trace/-metrics (telemetry is recorded while trials
-// execute, so skipped trials would leave holes in the export).
-//
 // Output is identical for every -parallel and -domains value: trials are
 // distributed across workers but result rows are emitted in trial order,
 // and partitioned topologies execute byte-identically to single-threaded.
 // That extends to telemetry: trace and metrics files are byte-identical
 // at any -parallel and -domains setting.
 //
-// Exit codes: 0 on success, 1 on runtime failure (profile or export
+// Exit codes: 0 on success, 1 on runtime failure (a panicking trial,
+// named by experiment id and trial index on one line; profile or export
 // write errors), 2 on usage errors (unknown experiment, invalid flag
 // combinations).
 package main
@@ -101,8 +92,6 @@ func run(args []string, out, errw io.Writer) int {
 		"write the event-lifecycle trace to `file` as JSON lines (cmd/tracecheck converts it for Perfetto); needs -exp")
 	metricsFile := fs.String("metrics", "",
 		"write the telemetry metrics document to `file`; needs -exp")
-	resume := fs.String("resume", "",
-		"journal completed trials in `file` and skip them on rerun; needs -exp")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return exitOK
@@ -136,14 +125,6 @@ func run(args []string, out, errw io.Writer) int {
 	telemetryOn := *traceFile != "" || *metricsFile != "" || streaming
 	if telemetryOn && *exp == "" {
 		fmt.Fprintln(errw, "evbench: -trace/-metrics/-stream-* need -exp (one experiment per export)")
-		return exitUsage
-	}
-	if *resume != "" && *exp == "" {
-		fmt.Fprintln(errw, "evbench: -resume needs -exp (one experiment per journal)")
-		return exitUsage
-	}
-	if *resume != "" && telemetryOn {
-		fmt.Fprintln(errw, "evbench: -resume does not compose with -trace/-metrics (skipped trials record no telemetry)")
 		return exitUsage
 	}
 	var todo []bench.Experiment
@@ -226,22 +207,12 @@ func run(args []string, out, errw io.Writer) int {
 		runtime.SetMutexProfileFraction(1)
 	}
 
-	if *resume != "" {
-		j, err := bench.OpenJournal(*resume, *exp, *domains)
+	for _, e := range todo {
+		res, err := runExperiment(e, env)
 		if err != nil {
 			return fail(err)
 		}
-		env.Journal = j
-		defer func() {
-			if hits := j.Hits(); hits > 0 {
-				fmt.Fprintf(errw, "evbench: %d trial(s) loaded from %s\n", hits, *resume)
-			}
-			j.Close()
-		}()
-	}
-
-	for _, e := range todo {
-		fmt.Fprintln(out, e.Run(env).String())
+		fmt.Fprintln(out, res.String())
 	}
 
 	if env.Sink != nil {
@@ -291,6 +262,22 @@ func run(args []string, out, errw io.Writer) int {
 		return fail(err)
 	}
 	return exitOK
+}
+
+// runExperiment runs one experiment and turns a trial panic into an error
+// naming the experiment and the trial. Any other panic is a bug outside
+// the trials and keeps its stack.
+func runExperiment(e bench.Experiment, env *bench.Env) (res *bench.Result, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			tp, ok := r.(*bench.TrialPanic)
+			if !ok {
+				panic(r)
+			}
+			err = fmt.Errorf("%s: %w", e.ID, tp)
+		}
+	}()
+	return e.Run(env), nil
 }
 
 // writeLookupProfile writes a named runtime profile (block, mutex) to

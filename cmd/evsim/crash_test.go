@@ -372,11 +372,20 @@ func TestResumeDamageSweep(t *testing.T) {
 	if err := finishConfig(cfg, "500us"); err != nil {
 		t.Fatal(err)
 	}
+	// names lists the file's sections in the order evsim writes them.
+	var names []string
+	if st, err := build(cfg, false, &bytes.Buffer{}); err != nil {
+		t.Fatal(err)
+	} else {
+		for _, sec := range newCheckpointer(st).sections() {
+			names = append(names, sec.name)
+		}
+	}
 	// load pours good, with section name's payload replaced, into a
 	// freshly built run.
 	load := func(name string, payload []byte) error {
 		f := checkpoint.New(good.ConfigDigest)
-		for _, n := range good.Names() {
+		for _, n := range names {
 			b, _ := good.Section(n)
 			if n == name {
 				b = payload
@@ -390,7 +399,7 @@ func TestResumeDamageSweep(t *testing.T) {
 		_, err = restoreRun(st, f)
 		return err
 	}
-	for _, name := range good.Names() {
+	for _, name := range names {
 		b, _ := good.Section(name)
 		if err := checkpoint.DamageSweep(b, func(buf []byte) error { return load(name, buf) }); err != nil {
 			t.Fatalf("section %q: %v", name, err)
@@ -405,7 +414,7 @@ func TestResumeDamageSweep(t *testing.T) {
 	deep := append([]byte(nil), sw...)
 	binary.LittleEndian.PutUint64(deep[len(deep)-24:], 1<<40)
 	f := checkpoint.New(good.ConfigDigest)
-	for _, n := range good.Names() {
+	for _, n := range names {
 		b, _ := good.Section(n)
 		if n == "switch" {
 			b = deep

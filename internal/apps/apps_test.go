@@ -93,35 +93,6 @@ func TestSnappyBaselineDetectsApproximately(t *testing.T) {
 	}
 }
 
-func TestPolicerEnforcesRate(t *testing.T) {
-	sched := sim.NewScheduler()
-	sw := core.New(core.Config{}, core.EventDriven(), sched)
-	// 8 Mb/s per bucket = 1 MB/s; offered 5 MB/s -> ~80% dropped.
-	pl, prog := NewPolicer(PolicerConfig{
-		Slots: 16, Rate: 8 * sim.Mbps, BurstBytes: 2000,
-		RefillEach: 100 * sim.Microsecond, EgressPort: 1,
-	})
-	sw.MustLoad(prog)
-	if err := pl.Arm(sw); err != nil {
-		t.Fatal(err)
-	}
-	fl := flowN(3)
-	// 1000B every 200us = 5 MB/s for 100 ms.
-	for i := 0; i < 500; i++ {
-		at := sim.Time(i) * 200 * sim.Microsecond
-		sched.At(at, func() { sw.Inject(0, frameFor(fl, 1000)) })
-	}
-	sched.Run(110 * sim.Millisecond)
-	total := pl.Passed + pl.Dropped
-	if total != 500 {
-		t.Fatalf("accounted %d packets", total)
-	}
-	passedRate := float64(pl.Passed) * 1000 / 0.1 // bytes/s over 100ms
-	if passedRate < 0.7e6 || passedRate > 1.5e6 {
-		t.Errorf("passed rate = %.2f MB/s, want ~1 MB/s", passedRate/1e6)
-	}
-}
-
 func TestFREDFairness(t *testing.T) {
 	sched := sim.NewScheduler()
 	sw := core.New(core.Config{QueueCapBytes: 1 << 20}, core.EventDriven(), sched)
@@ -289,6 +260,12 @@ func TestFlowRateMeasuresKnownRates(t *testing.T) {
 	}
 }
 
+// cached reports whether a key is currently cached.
+func cached(c *Cache, key uint64) bool {
+	_, hit := c.lookup(key)
+	return hit
+}
+
 func TestCacheHitsAndInvalidation(t *testing.T) {
 	sched := sim.NewScheduler()
 	sw := core.New(core.Config{}, core.EventDriven(), sched)
@@ -326,7 +303,7 @@ func TestCacheHitsAndInvalidation(t *testing.T) {
 		sched.At(at, func() { sw.Inject(0, BuildCacheRequest(client, CacheGet, 7, 0)) })
 	}
 	sched.Run(10 * sim.Millisecond)
-	if !c.Cached(7) {
+	if !cached(c, 7) {
 		t.Fatal("hot key not admitted")
 	}
 	if c.Hits != 1 || c.Misses != 2 {
@@ -335,7 +312,7 @@ func TestCacheHitsAndInvalidation(t *testing.T) {
 	// A PUT invalidates.
 	sw.Inject(0, BuildCacheRequest(client, CachePut, 7, 99))
 	sched.Run(20 * sim.Millisecond)
-	if c.Cached(7) {
+	if cached(c, 7) {
 		t.Error("PUT did not invalidate")
 	}
 }
@@ -365,13 +342,13 @@ func TestCacheLRUAgingEvictsCold(t *testing.T) {
 	// Admit key 3: must evict cold key 2, not hot key 1.
 	admit(3, 30*sim.Millisecond+500*sim.Microsecond)
 	sched.Run(40 * sim.Millisecond)
-	if !c.Cached(1) {
+	if !cached(c, 1) {
 		t.Error("hot key evicted")
 	}
-	if c.Cached(2) {
+	if cached(c, 2) {
 		t.Error("cold key survived")
 	}
-	if !c.Cached(3) {
+	if !cached(c, 3) {
 		t.Error("new key not admitted")
 	}
 	if c.Evictions != 1 {

@@ -200,12 +200,6 @@ func (c *Cache) admit(key, val uint64) {
 	c.slots[victim] = cacheSlot{key: key, value: val, valid: true, hits: 1}
 }
 
-// Cached reports whether a key is currently cached.
-func (c *Cache) Cached(key uint64) bool {
-	_, hit := c.lookup(key)
-	return hit
-}
-
 // BuildCacheRequest builds a client GET/PUT frame for the cache protocol.
 func BuildCacheRequest(flow packet.Flow, op int, key, val uint64) []byte {
 	flow.DstPort = CachePort

@@ -169,6 +169,3 @@ func NewPIE(cfg PIEConfig, rng *sim.RNG) (*PIE, *pisa.Program) {
 func (pie *PIE) Arm(sw *core.Switch) error {
 	return sw.ConfigureTimer(0, pie.cfg.Update)
 }
-
-// DropProb returns the current drop probability in [0,1].
-func (pie *PIE) DropProb() float64 { return float64(pie.prob256) / 256 }

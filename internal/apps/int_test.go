@@ -139,7 +139,7 @@ func TestPIEHoldsDelayNearTarget(t *testing.T) {
 	if p50 > 0.001 {
 		t.Errorf("median estimated delay = %.0fus, want near the 200us target", p50*1e6)
 	}
-	if pie.DropProb() == 0 && pie.Dropped < 100 {
+	if pie.prob256 == 0 && pie.Dropped < 100 {
 		t.Error("controller inactive")
 	}
 }

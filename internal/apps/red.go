@@ -97,6 +97,3 @@ func NewRED(cfg REDConfig, rng *sim.RNG) (*RED, *pisa.Program) {
 	})
 	return r, p
 }
-
-// AvgOccupancy returns the current smoothed occupancy signal.
-func (r *RED) AvgOccupancy() uint64 { return r.avg.Value() }

@@ -7,106 +7,6 @@ import (
 	"repro/internal/sim"
 )
 
-// PolicerConfig parameterizes the timer-built token-bucket policer
-// (paper §3, Traffic Management: "if we use timer events, token bucket
-// meters can be constructed from simple registers" — instead of relying
-// on a fixed-function meter extern).
-type PolicerConfig struct {
-	Slots      int      // independent buckets (per flow slot)
-	Rate       sim.Rate // token fill rate per bucket
-	BurstBytes int      // bucket depth
-	RefillEach sim.Time // timer period
-	EgressPort int
-}
-
-// Policer enforces per-flow rates with registers refilled by a timer
-// event: each timer expiration adds rate*period tokens (clamped to the
-// burst), and each packet spends tokens or is dropped.
-type Policer struct {
-	cfg    PolicerConfig
-	tokens *pisa.SharedRegister
-
-	Passed  uint64
-	Dropped uint64
-	refill  int64
-}
-
-// NewPolicer builds the policer and its program.
-func NewPolicer(cfg PolicerConfig) (*Policer, *pisa.Program) {
-	if cfg.Slots <= 0 {
-		cfg.Slots = 256
-	}
-	if cfg.BurstBytes <= 0 {
-		cfg.BurstBytes = 3000
-	}
-	if cfg.RefillEach <= 0 {
-		cfg.RefillEach = 100 * sim.Microsecond
-	}
-	pl := &Policer{cfg: cfg}
-	pl.refill = int64(cfg.Rate) / 8 * int64(cfg.RefillEach) / int64(sim.Second)
-	if pl.refill <= 0 {
-		pl.refill = 1
-	}
-	p := pisa.NewProgram("policer-timer")
-	// Packet threads own the main token register; timer refills go
-	// through an aggregation bank (Figure 3) so a refill coinciding
-	// with a packet slot is deferred to an idle cycle instead of lost.
-	pl.tokens = p.AddRegister(pisa.NewAggregatedRegister("tokens", cfg.Slots,
-		events.TimerExpiration))
-	// Pre-fill buckets (control-plane initialization).
-	for i := 0; i < cfg.Slots; i++ {
-		pl.tokens.Write(freshCtx(events.ControlPlaneTriggered, 0), uint32(i), uint64(cfg.BurstBytes))
-	}
-
-	p.HandleFunc(events.IngressPacket, func(ctx *pisa.Context) {
-		if !ctx.FlowOK {
-			ctx.EgressPort = cfg.EgressPort
-			return
-		}
-		slot := uint32(ctx.Ev.FlowHash % uint64(cfg.Slots))
-		have := pl.tokens.Read(ctx, slot)
-		need := uint64(ctx.Pkt.Len())
-		if have < need {
-			pl.Dropped++
-			ctx.Drop()
-			return
-		}
-		pl.tokens.Add(ctx, slot, -int64(need))
-		pl.Passed++
-		ctx.EgressPort = cfg.EgressPort
-	})
-	p.HandleFunc(events.TimerExpiration, func(ctx *pisa.Context) {
-		burst := int64(cfg.BurstBytes)
-		for i := 0; i < cfg.Slots; i++ {
-			slot := uint32(i)
-			// The stale read bounds the clamp; any overshoot is at most
-			// the undrained refill backlog, which idle cycles clear.
-			have := int64(pl.tokens.Read(ctx, slot))
-			add := pl.refill
-			if have+add > burst {
-				add = burst - have
-			}
-			if add > 0 {
-				pl.tokens.Add(ctx, slot, add)
-			}
-		}
-	})
-	return pl, p
-}
-
-// freshCtx builds a one-shot context for out-of-band register access
-// during setup.
-func freshCtx(kind events.Kind, cycle uint64) *pisa.Context {
-	ctx := &pisa.Context{}
-	ctx.Reset(nil, &events.Event{Kind: kind}, 0, cycle)
-	return ctx
-}
-
-// Arm configures the refill timer.
-func (pl *Policer) Arm(sw *core.Switch) error {
-	return sw.ConfigureTimer(0, pl.cfg.RefillEach)
-}
-
 // FREDConfig parameterizes the FRED-like fair AQM (paper §5, "Computing
 // Congestion Signals": enqueue/dequeue events compute total occupancy,
 // per-active-flow occupancy, and active flow count; the policy enforces

@@ -3,7 +3,6 @@ package bench
 import (
 	"runtime"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/netsim"
@@ -12,8 +11,8 @@ import (
 	"repro/internal/telemetry/self"
 )
 
-// Env is everything one campaign owns: how wide it runs, what it
-// collects and where its progress is recorded. Experiments are handed
+// Env is everything one campaign owns: how wide it runs and what it
+// collects. Experiments are handed
 // their Env and keep no state of their own, so campaigns with different
 // settings can share a process. The zero Env is the default run; set the
 // fields before the first experiment starts and leave them alone after.
@@ -32,19 +31,14 @@ type Env struct {
 	Telemetry *telemetry.Options
 	// Sink, when set, streams every trial collector to disk as it runs.
 	Sink *telemetry.StreamSink
-	// Journal, when set, records completed trials and serves recorded
-	// ones instead of re-running them (OpenJournal).
-	Journal *Journal
 	// Self, when set, is the wall-clock self-metrics plane every
 	// scheduler, switch and worker pool of the campaign records into.
 	Self *self.Plane
 
 	// Engine reference paths for this package's differential tests: the
 	// per-packet datapath instead of the burst loop, the cycle-by-cycle
-	// drain instead of the fast-forward. backoff replaces the base of
-	// the trial-retry backoff so the panic tests do not sleep.
+	// drain instead of the fast-forward.
 	noBurst, slowDrain bool
-	backoff            time.Duration
 
 	mu   sync.Mutex // guards runs: RunParallel workers add collectors concurrently
 	runs []telemetry.RunExport

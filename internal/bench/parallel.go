@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // RunParallel evaluates fn(0..n-1) on env's worker pool and returns the
@@ -18,98 +17,76 @@ import (
 // experiment are independent simulations, which is exactly the
 // parallelism this helper exploits. Under this contract the rendered
 // experiment tables are byte-identical at every parallelism level.
-// Worker panics do not kill the campaign outright: a panicking trial is
-// retried from its last checkpoint — the trial boundary, since trials
-// are self-contained — up to trialAttempts times with linear backoff. A
-// trial that panics on every attempt re-panics with context, and any
-// trials already recorded in env.Journal survive for the next -resume.
+//
+// Under the same contract a panicking trial would panic again, so it is
+// not retried. The worker recovers it, no further trial starts, and
+// RunParallel re-panics on the calling goroutine with a *TrialPanic for
+// the lowest-numbered trial that panicked. Trials start in index order,
+// so that is the same trial at every parallelism level.
 func RunParallel[T any](env *Env, n int, fn func(trial int) T) []T {
-	run := func(trial int) T { return runTrial(env, fn, trial) }
-	if j := env.Journal; j != nil {
-		call := j.nextCall()
-		run = func(trial int) T {
-			if v, ok := journalLookup[T](j, call, trial); ok {
-				return v
-			}
-			v := runTrial(env, fn, trial)
-			journalRecord(j, call, trial, v)
-			return v
-		}
-	}
-	if p := env.Self; p != nil {
-		p.TrialsTotal.Add(uint64(n))
-		inner := run
-		run = func(trial int) T {
-			v := inner(trial)
-			p.TrialsDone.Inc()
-			return v
-		}
-	}
 	out := make([]T, n)
-	workers := env.workers()
-	if workers > n {
-		workers = n
+	p := env.Self
+	if p != nil {
+		p.TrialsTotal.Add(uint64(n))
 	}
-	if workers <= 1 {
-		for i := range out {
-			out[i] = run(i)
-		}
-		return out
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
+	var mu sync.Mutex
+	var failed *TrialPanic
+	run := func(trial int) (ok bool) {
+		defer func() {
+			if r := recover(); r != nil {
+				mu.Lock()
+				if failed == nil || trial < failed.Trial {
+					failed = &TrialPanic{Trial: trial, Value: r}
 				}
-				out[i] = run(i)
+				mu.Unlock()
 			}
 		}()
+		out[trial] = fn(trial)
+		if p != nil {
+			p.TrialsDone.Inc()
+		}
+		return true
 	}
-	wg.Wait()
+	workers := min(env.workers(), n)
+	if workers <= 1 {
+		for i := 0; i < n && run(i); i++ {
+		}
+	} else {
+		var next atomic.Int64
+		var stop atomic.Bool
+		var wg sync.WaitGroup
+		wg.Add(workers)
+		for w := 0; w < workers; w++ {
+			go func() {
+				defer wg.Done()
+				for !stop.Load() {
+					i := int(next.Add(1)) - 1
+					if i >= n {
+						return
+					}
+					if !run(i) {
+						stop.Store(true)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	if failed != nil {
+		panic(failed)
+	}
 	return out
 }
 
-// trialAttempts bounds how many times a panicking trial is retried;
-// trialBackoff is the linear backoff base between attempts.
-const (
-	trialAttempts = 3
-	trialBackoff  = 5 * time.Millisecond
-)
-
-// runTrial executes one trial with panic recovery and bounded retry.
-func runTrial[T any](env *Env, fn func(trial int) T, trial int) T {
-	backoff := trialBackoff
-	if env.backoff > 0 {
-		backoff = env.backoff
-	}
-	var lastPanic any
-	for attempt := 1; attempt <= trialAttempts; attempt++ {
-		v, panicked := tryTrial(fn, trial)
-		if panicked == nil {
-			return v
-		}
-		lastPanic = panicked
-		if attempt < trialAttempts {
-			time.Sleep(time.Duration(attempt) * backoff)
-		}
-	}
-	panic(fmt.Sprintf("bench: trial %d panicked on all %d attempts, last: %v", trial, trialAttempts, lastPanic))
+// TrialPanic is what RunParallel panics with when a trial panics: the
+// trial's index and the value it panicked with.
+type TrialPanic struct {
+	Trial int
+	Value any
 }
 
-func tryTrial[T any](fn func(trial int) T, trial int) (v T, panicked any) {
-	defer func() {
-		if r := recover(); r != nil {
-			panicked = r
-		}
-	}()
-	v = fn(trial)
-	return v, nil
+func (p *TrialPanic) Error() string {
+	return fmt.Sprintf("trial %d panicked: %v", p.Trial, p.Value)
 }
 
 // TrialSeed derives a per-trial RNG seed from an experiment's base seed

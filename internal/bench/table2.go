@@ -39,8 +39,8 @@ func Table2(env *Env) *Result {
 	}
 
 	res.Notef("each row ran as its own end-to-end scenario; 'events used' are the kinds the program binds")
-	res.Notef("a second example per class also exists in internal/apps: CONGA-style flowlets, swing-state migration,")
-	res.Notef("INT transit + report filtering, RED/PIE/AFD and a token-bucket policer, and NetChain-style coordination")
+	res.Notef("three classes have a further example in internal/apps: INT transit + report filtering (monitoring),")
+	res.Notef("RED/PIE/AFD (traffic management) and NetChain-style coordination (in-network computing)")
 	return res
 }
 

@@ -209,8 +209,8 @@ func TestFileRoundTrip(t *testing.T) {
 	if g.ConfigDigest != 0x1234 {
 		t.Errorf("ConfigDigest = %#x", g.ConfigDigest)
 	}
-	if names := g.Names(); len(names) != 3 || names[0] != "alpha" || names[1] != "beta" || names[2] != "gamma" {
-		t.Errorf("Names = %v", names)
+	if names := g.names; len(names) != 3 || names[0] != "alpha" || names[1] != "beta" || names[2] != "gamma" {
+		t.Errorf("section names = %v", names)
 	}
 	for _, name := range []string{"alpha", "beta", "gamma"} {
 		want, _ := f.Section(name)
@@ -336,10 +336,10 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoded file does not decode: %v", err)
 		}
-		if a.ConfigDigest != b.ConfigDigest || !reflect.DeepEqual(a.Names(), b.Names()) {
-			t.Fatalf("re-encoded file decodes to digest %#x sections %q, want %#x %q", b.ConfigDigest, b.Names(), a.ConfigDigest, a.Names())
+		if a.ConfigDigest != b.ConfigDigest || !reflect.DeepEqual(a.names, b.names) {
+			t.Fatalf("re-encoded file decodes to digest %#x sections %q, want %#x %q", b.ConfigDigest, b.names, a.ConfigDigest, a.names)
 		}
-		for _, name := range a.Names() {
+		for _, name := range a.names {
 			pa, _ := a.Section(name)
 			pb, _ := b.Section(name)
 			if !bytes.Equal(pa, pb) {

@@ -50,9 +50,6 @@ func (f *File) Section(name string) ([]byte, bool) {
 	return b, ok
 }
 
-// Names returns the section names in write order.
-func (f *File) Names() []string { return f.names }
-
 // Encode serializes the file: header (magic, format version, config
 // digest, section count), then each section as name, payload, and a
 // CRC32 of both. A torn or bit-flipped file fails decode rather than

@@ -10,7 +10,6 @@ package controlplane
 import (
 	"repro/internal/pisa"
 	"repro/internal/sim"
-	"repro/internal/sketch"
 )
 
 // Agent is a control-plane process attached to one switch's control
@@ -77,23 +76,4 @@ func (a *Agent) InstallEntry(t *pisa.Table, e *pisa.Entry) {
 			panic(err)
 		}
 	})
-}
-
-// ResetRegister zeroes a shared register (one message per register).
-func (a *Agent) ResetRegister(r *pisa.SharedRegister) {
-	a.Do(1, r.Reset)
-}
-
-// ResetCMS resets a count-min sketch row by row, as a baseline
-// architecture's control plane must (one message per row; paper §1:
-// "This can lead to significant overhead for the control plane,
-// especially if the data structure must be frequently reset.").
-func (a *Agent) ResetCMS(c *sketch.CMS) sim.Time {
-	return a.Do(c.ResetCost(), c.Reset)
-}
-
-// PeriodicCMSReset arranges a control-plane-driven reset every period,
-// returning the ticker so callers can stop it.
-func (a *Agent) PeriodicCMSReset(c *sketch.CMS, period sim.Time) *sim.Ticker {
-	return a.sched.Every(period, func() { a.ResetCMS(c) })
 }

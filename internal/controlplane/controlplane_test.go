@@ -3,7 +3,6 @@ package controlplane
 import (
 	"testing"
 
-	"repro/internal/events"
 	"repro/internal/pisa"
 	"repro/internal/sim"
 	"repro/internal/sketch"
@@ -65,49 +64,19 @@ func TestInstallEntryTakesEffectLater(t *testing.T) {
 	}
 }
 
+// TestResetCMSCostsRowMessages: a count-min sketch reset through the
+// control channel, as the baseline sends it, costs one message per row.
 func TestResetCMSCostsRowMessages(t *testing.T) {
 	sched := sim.NewScheduler()
 	a := New(sched, sim.NewRNG(4))
 	c := sketch.NewCMS(5, 64)
 	c.Update(1, 10)
-	a.ResetCMS(c)
+	a.Do(c.ResetCost(), c.Reset)
 	sched.Run(sim.Second)
 	if a.Messages != 5 {
 		t.Errorf("messages = %d, want 5 (one per row)", a.Messages)
 	}
 	if c.Estimate(1) != 0 {
 		t.Error("sketch not reset")
-	}
-}
-
-func TestPeriodicCMSReset(t *testing.T) {
-	sched := sim.NewScheduler()
-	a := New(sched, sim.NewRNG(5))
-	a.Latency, a.Jitter = 10*sim.Microsecond, 0
-	c := sketch.NewCMS(3, 16)
-	tk := a.PeriodicCMSReset(c, 10*sim.Millisecond)
-	sched.Run(55 * sim.Millisecond)
-	tk.Stop()
-	if a.Completed != 5 {
-		t.Errorf("completed = %d resets, want 5", a.Completed)
-	}
-	if a.Messages != 15 {
-		t.Errorf("messages = %d, want 15", a.Messages)
-	}
-}
-
-func TestResetRegister(t *testing.T) {
-	sched := sim.NewScheduler()
-	a := New(sched, sim.NewRNG(6))
-	a.Latency, a.Jitter = sim.Microsecond, 0
-	r := pisa.NewMultiPortRegister("r", 4, 2)
-	r.Tick(1)
-	var ctx pisa.Context
-	ctx.Reset(nil, &events.Event{Kind: events.IngressPacket}, 0, 1)
-	r.Write(&ctx, 0, 99)
-	a.ResetRegister(r)
-	sched.Run(sim.Millisecond)
-	if r.Stale(0) != 0 {
-		t.Error("register not reset")
 	}
 }

@@ -42,17 +42,6 @@ type Arch struct {
 // Supports reports whether the architecture exposes event kind k.
 func (a *Arch) Supports(k events.Kind) bool { return a.Supported[k] }
 
-// SupportedKinds lists the exposed kinds in kind order.
-func (a *Arch) SupportedKinds() []events.Kind {
-	var ks []events.Kind
-	for k := 0; k < events.NumKinds; k++ {
-		if a.Supported[k] {
-			ks = append(ks, events.Kind(k))
-		}
-	}
-	return ks
-}
-
 // Validate checks that a program only handles events the architecture
 // exposes. Loading a program that binds an unsupported event fails, the
 // way a P4 compile against the wrong architecture file would.

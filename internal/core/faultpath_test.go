@@ -48,7 +48,7 @@ func TestLinkFlapBurstCoalesces(t *testing.T) {
 	if st.EventsDropped[events.LinkStatusChange] != 0 {
 		t.Errorf("dropped = %d, want 0 (coalescing saved them)", st.EventsDropped[events.LinkStatusChange])
 	}
-	if hw := sw.EventQueueHighWater(events.LinkStatusChange); hw != 2 {
+	if hw := sw.EventQueue(events.LinkStatusChange).HighWater(); hw != 2 {
 		t.Errorf("high water = %d, want 2", hw)
 	}
 }

@@ -5,15 +5,8 @@ import "repro/internal/events"
 // Monitoring views: event-FIFO occupancy and the in-flight packet
 // population that closes the conservation identity.
 
-// EventQueueLen reports the occupancy of the merger FIFO for a kind
-// (monitoring).
-func (s *Switch) EventQueueLen(k events.Kind) int { return s.evq[k].Len() }
-
 // EventQueueDrops reports FIFO-full losses for a kind.
 func (s *Switch) EventQueueDrops(k events.Kind) uint64 { return s.evq[k].Drops() }
-
-// EventQueueHighWater reports the peak occupancy of a kind's FIFO.
-func (s *Switch) EventQueueHighWater(k events.Kind) int { return s.evq[k].HighWater() }
 
 // EventQueue exposes one merger FIFO read-only for audits.
 func (s *Switch) EventQueue(k events.Kind) *events.Queue { return s.evq[k] }

@@ -163,9 +163,6 @@ func (s *Switch) SetLink(port int, up bool) {
 	}
 }
 
-// LinkIsUp reports a port's link status.
-func (s *Switch) LinkIsUp(port int) bool { return s.linkUp[port] }
-
 // TriggerControlEvent injects a ControlPlaneTriggered event carrying an
 // opaque payload (the control plane's side channel into the data plane).
 func (s *Switch) TriggerControlEvent(data uint64) {

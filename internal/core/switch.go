@@ -336,9 +336,6 @@ func (s *Switch) Config() Config { return s.cfg }
 // netsim links, which is what makes domain-parallel execution safe.
 func (s *Switch) Scheduler() *sim.Scheduler { return s.sched }
 
-// Arch returns the switch's architecture description.
-func (s *Switch) Arch() *Arch { return s.arch }
-
 // CycleTime returns the pipeline clock period.
 func (s *Switch) CycleTime() sim.Time { return s.cycleTime }
 

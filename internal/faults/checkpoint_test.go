@@ -104,7 +104,7 @@ func TestFaultsCheckpointResumeIdentical(t *testing.T) {
 	b.restore(t, snap)
 	b.sched.Run(full)
 
-	for i := 0; i < a.eng.NumSpecs(); i++ {
+	for i := 0; i < len(a.eng.stats); i++ {
 		if a.eng.Stats(i) != b.eng.Stats(i) {
 			t.Errorf("spec %d stats diverge:\noriginal: %+v\nresumed:  %+v", i, a.eng.Stats(i), b.eng.Stats(i))
 		}

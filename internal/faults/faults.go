@@ -63,7 +63,7 @@ const (
 	kindEnd
 )
 
-// String names the fault kind (also the DSL keyword, lowercased).
+// String names the fault kind.
 func (k Kind) String() string {
 	switch k {
 	case FlapStorm:
@@ -92,10 +92,6 @@ func (k Kind) String() string {
 // misbehave (negative probabilities, unbounded storms, ...).
 type Spec struct {
 	Kind Kind
-
-	// ID optionally names the spec ("id=..." in the DSL) so reports and
-	// error messages can refer to it. ParseSchedule rejects duplicates.
-	ID string
 
 	// Link, Switch, Host and Agent select the fault's target by index
 	// into the network's Links()/Switches()/Hosts() slices or the

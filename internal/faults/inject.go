@@ -43,9 +43,6 @@ type Engine struct {
 	geBad []bool
 }
 
-// NumSpecs returns the number of specs in the applied schedule.
-func (e *Engine) NumSpecs() int { return len(e.stats) }
-
 // Stats returns a snapshot of spec i's injector counters.
 func (e *Engine) Stats(i int) SpecStats { return e.stats[i] }
 

@@ -2,6 +2,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/controlplane"
@@ -191,8 +192,8 @@ func TestEventStormAccounting(t *testing.T) {
 		t.Errorf("merged %d + dropped %d != 192",
 			sst.EventsMerged[events.UserEvent], sst.EventsDropped[events.UserEvent])
 	}
-	if hw := sw.EventQueueHighWater(events.UserEvent); hw != sw.EventQueue(events.UserEvent).Cap() {
-		t.Errorf("high water %d, want full FIFO %d", hw, sw.EventQueue(events.UserEvent).Cap())
+	if hw := sw.EventQueue(events.UserEvent).HighWater(); hw != sw.Config().EventQueueDepth {
+		t.Errorf("high water %d, want full FIFO %d", hw, sw.Config().EventQueueDepth)
 	}
 	if r := Audit(net); !r.OK() {
 		t.Fatal(r)
@@ -275,6 +276,51 @@ func TestApplyRejectsBadTargets(t *testing.T) {
 		if _, err := Apply(net, &Schedule{Specs: []Spec{spec}}, Options{}); err == nil {
 			t.Errorf("case %d: Apply accepted out-of-range target", i)
 		}
+	}
+}
+
+// TestValidateRejects pins Validate's value checks, which Apply runs
+// before arming anything: probabilities outside [0,1] (NaN included),
+// unbounded or inconsistent windows, and kinds missing a required
+// parameter are refused; boundary probabilities are legal.
+func TestValidateRejects(t *testing.T) {
+	flap := Spec{Kind: FlapStorm, Down: sim.Microsecond, Up: sim.Microsecond, Count: 1}
+	bad := []Spec{
+		{Kind: GELoss, PGoodBad: 1.5},
+		{Kind: GELoss, PBadGood: -0.1},
+		{Kind: GELoss, LossBad: 1.0001},
+		{Kind: Corrupt, Prob: math.NaN()},
+		{Kind: Reorder, Prob: 0.5},
+		{Kind: FlapStorm, Down: sim.Microsecond, Up: sim.Microsecond},
+		{Kind: HostPause},
+		{Kind: EventStorm, Event: events.UserEvent, Burst: 1},
+		{Kind: CPDelay, Factor: 0.5, End: sim.Millisecond},
+	}
+	late := flap
+	late.Start, late.End = 2*sim.Millisecond, sim.Millisecond
+	bad = append(bad, late)
+	for i, spec := range bad {
+		if err := (&Schedule{Specs: []Spec{flap, spec}}).Validate(); err == nil {
+			t.Errorf("case %d (%v): invalid spec accepted", i, spec.Kind)
+		}
+	}
+	ok := Spec{Kind: GELoss, PGoodBad: 0, PBadGood: 1, LossBad: 1}
+	if err := (&Schedule{Specs: []Spec{flap, ok}}).Validate(); err != nil {
+		t.Errorf("boundary probabilities rejected: %v", err)
+	}
+}
+
+func TestSpecSeedIndependence(t *testing.T) {
+	seen := map[uint64]bool{}
+	for i := 0; i < 100; i++ {
+		s := specSeed(7, i)
+		if seen[s] {
+			t.Fatalf("specSeed collision at index %d", i)
+		}
+		seen[s] = true
+	}
+	if specSeed(7, 0) == specSeed(8, 0) {
+		t.Error("specSeed ignores the schedule seed")
 	}
 }
 

@@ -149,8 +149,8 @@ func TestHostPauseResume(t *testing.T) {
 	if len(sizes) != 0 {
 		t.Fatalf("paused host delivered %d frames", len(sizes))
 	}
-	if h1.HeldFrames != 2 || !h1.Paused() {
-		t.Errorf("held=%d paused=%v", h1.HeldFrames, h1.Paused())
+	if h1.HeldFrames != 2 || !h1.paused {
+		t.Errorf("held=%d paused=%v", h1.HeldFrames, h1.paused)
 	}
 	h1.Resume()
 	sched.Run(2 * sim.Millisecond)

@@ -440,9 +440,6 @@ func (h *Host) Send(data []byte) {
 // without losing its transmit queue.
 func (h *Host) Pause() { h.paused = true }
 
-// Paused reports whether the host is paused.
-func (h *Host) Paused() bool { return h.paused }
-
 // Resume releases a paused host: frames held during the pause are sent
 // immediately, in order, through the normal NIC serialization path.
 func (h *Host) Resume() {

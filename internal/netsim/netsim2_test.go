@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/events"
 	"repro/internal/packet"
+	"repro/internal/pisa"
 	"repro/internal/sim"
 )
 
@@ -51,6 +53,19 @@ func TestFailRepairIdempotent(t *testing.T) {
 	net := New(sched)
 	s1 := core.New(core.Config{Name: "s1"}, core.EventDriven(), sched)
 	s2 := core.New(core.Config{Name: "s2"}, core.EventDriven(), sched)
+	// Each switch sends what it is handed on port 0 over the link and
+	// drops what arrives from it.
+	edge := func() *pisa.Program {
+		p := pisa.NewProgram("edge")
+		p.HandleFunc(events.IngressPacket, func(ctx *pisa.Context) {
+			if ctx.Pkt.InPort == 0 {
+				ctx.EgressPort = 1
+			}
+		})
+		return p
+	}
+	s1.MustLoad(edge())
+	s2.MustLoad(edge())
 	net.AddSwitch(s1)
 	net.AddSwitch(s2)
 	l := net.Connect(s1, 1, s2, 1, 0)
@@ -61,8 +76,14 @@ func TestFailRepairIdempotent(t *testing.T) {
 	if !l.Up() {
 		t.Error("link down after repair")
 	}
-	if !s1.LinkIsUp(1) || !s2.LinkIsUp(1) {
-		t.Error("switch port state inconsistent")
+	// Both ends of the repaired link transmit again.
+	s1.Inject(0, testFrame(100))
+	s2.Inject(0, testFrame(100))
+	sched.Run(sim.Millisecond)
+	for _, sw := range []*core.Switch{s1, s2} {
+		if st := sw.Stats(); st.TxDroppedLinkDown != 0 || st.TxPackets != 1 {
+			t.Errorf("%s: tx=%d dropped on a down link=%d, want 1/0", sw.Name(), st.TxPackets, st.TxDroppedLinkDown)
+		}
 	}
 }
 

@@ -477,8 +477,8 @@ control Enqueue { apply { r.add(0, 1); } }`
 	sw.Inject(0, udpFrame(1, 2, 100))
 	sched.Run(sim.Millisecond)
 	reg := inst.Register("r")
-	if reg.Aggregated() {
-		t.Error("expected multiport register")
+	if m, _ := reg.Metrics(); m.Deferred != 0 {
+		t.Errorf("multiport register deferred %d deltas, want none", m.Deferred)
 	}
 	if got := reg.True(0); got != 2 {
 		t.Errorf("r[0] = %d, want 2 (ingress + enqueue)", got)

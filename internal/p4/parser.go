@@ -6,15 +6,7 @@ type parser struct {
 	i    int
 }
 
-func (p *parser) cur() token  { return p.toks[p.i] }
-func (p *parser) peek() token { return p.toks[min(p.i+1, len(p.toks)-1)] }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
+func (p *parser) cur() token { return p.toks[p.i] }
 
 func (p *parser) advance() token {
 	t := p.toks[p.i]

@@ -26,19 +26,6 @@ func ExampleParser_Decode() {
 	// 10.0.0.1 -> 10.0.0.2 dport 80
 }
 
-// Flow keys are comparable, hashable, and symmetric under FastHash.
-func ExampleFlow_FastHash() {
-	f := packet.Flow{
-		Src: packet.IP4(1, 1, 1, 1), Dst: packet.IP4(2, 2, 2, 2),
-		SrcPort: 1234, DstPort: 80, Proto: packet.ProtoTCP,
-	}
-	fmt.Println(f.FastHash() == f.Reverse().FastHash())
-	fmt.Println(f.Hash() == f.Reverse().Hash())
-	// Output:
-	// true
-	// false
-}
-
 // SetTOS performs the paper's multi-bit ECN-style marking in place,
 // keeping the IPv4 checksum valid.
 func ExampleSetTOS() {

@@ -65,8 +65,6 @@ func (t LayerType) String() string {
 type DecodingLayer interface {
 	// DecodeFromBytes parses the layer's header from the front of data.
 	DecodeFromBytes(data []byte) error
-	// LayerType reports which protocol this layer decodes.
-	LayerType() LayerType
 	// NextLayerType reports the type of the layer following this one,
 	// based on the decoded header, or LayerPayload if opaque.
 	NextLayerType() LayerType
@@ -105,9 +103,6 @@ func (e *Ethernet) DecodeFromBytes(data []byte) error {
 	e.payload = data[EthernetHeaderLen:]
 	return nil
 }
-
-// LayerType implements DecodingLayer.
-func (e *Ethernet) LayerType() LayerType { return LayerEthernet }
 
 // NextLayerType implements DecodingLayer.
 func (e *Ethernet) NextLayerType() LayerType {
@@ -194,9 +189,6 @@ func (ip *IPv4) DecodeFromBytes(data []byte) error {
 	return nil
 }
 
-// LayerType implements DecodingLayer.
-func (ip *IPv4) LayerType() LayerType { return LayerIPv4 }
-
 // NextLayerType implements DecodingLayer.
 func (ip *IPv4) NextLayerType() LayerType {
 	switch ip.Protocol {
@@ -234,15 +226,6 @@ func (ip *IPv4) SerializeTo(b []byte) int {
 	return IPv4HeaderLen
 }
 
-// VerifyChecksum reports whether the stored header checksum is consistent
-// with the rest of the decoded header fields.
-func (ip *IPv4) VerifyChecksum(raw []byte) bool {
-	if len(raw) < IPv4HeaderLen {
-		return false
-	}
-	return Checksum(raw[:IPv4HeaderLen], 0) == 0
-}
-
 // UDP is a UDP header.
 type UDP struct {
 	SrcPort  uint16
@@ -269,9 +252,6 @@ func (u *UDP) DecodeFromBytes(data []byte) error {
 	u.payload = data[UDPHeaderLen:end]
 	return nil
 }
-
-// LayerType implements DecodingLayer.
-func (u *UDP) LayerType() LayerType { return LayerUDP }
 
 // NextLayerType implements DecodingLayer.
 func (u *UDP) NextLayerType() LayerType { return LayerPayload }
@@ -343,9 +323,6 @@ func (t *TCP) DecodeFromBytes(data []byte) error {
 	return nil
 }
 
-// LayerType implements DecodingLayer.
-func (t *TCP) LayerType() LayerType { return LayerTCP }
-
 // NextLayerType implements DecodingLayer.
 func (t *TCP) NextLayerType() LayerType { return LayerPayload }
 
@@ -404,9 +381,6 @@ func (a *ARP) DecodeFromBytes(data []byte) error {
 	return nil
 }
 
-// LayerType implements DecodingLayer.
-func (a *ARP) LayerType() LayerType { return LayerARP }
-
 // NextLayerType implements DecodingLayer.
 func (a *ARP) NextLayerType() LayerType { return LayerPayload }
 
@@ -456,9 +430,6 @@ func (v *VLAN) DecodeFromBytes(data []byte) error {
 	v.payload = data[VLANHeaderLen:]
 	return nil
 }
-
-// LayerType implements DecodingLayer.
-func (v *VLAN) LayerType() LayerType { return LayerVLAN }
 
 // NextLayerType implements DecodingLayer.
 func (v *VLAN) NextLayerType() LayerType {

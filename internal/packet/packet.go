@@ -26,11 +26,10 @@ type Packet struct {
 	// Recirc counts how many times the packet has been recirculated.
 	Recirc int
 
-	// pool, gen and freed implement the recycling arena (pool.go). A
-	// packet built with a plain literal has pool == nil and Release is a
-	// no-op, so pooled and unpooled packets mix freely.
+	// pool and freed implement the recycling arena (pool.go). A packet
+	// built with a plain literal has pool == nil and Release is a no-op,
+	// so pooled and unpooled packets mix freely.
 	pool  *Pool
-	gen   uint32
 	freed bool
 }
 
@@ -40,15 +39,6 @@ func (p *Packet) Len() int {
 		return 0
 	}
 	return len(p.Data)
-}
-
-// Clone returns an unpooled deep copy of the packet. For a recycled copy
-// use Pool.Clone.
-func (p *Packet) Clone() *Packet {
-	q := *p
-	q.Data = append([]byte(nil), p.Data...)
-	q.pool, q.gen, q.freed = nil, 0, false
-	return &q
 }
 
 // String summarizes the packet for traces.

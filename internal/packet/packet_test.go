@@ -14,12 +14,6 @@ func TestMACRoundTrip(t *testing.T) {
 	if m.String() != "de:ad:be:ef:00:01" {
 		t.Errorf("String = %q", m.String())
 	}
-	if !Broadcast.IsBroadcast() {
-		t.Error("Broadcast.IsBroadcast() = false")
-	}
-	if m.IsBroadcast() {
-		t.Error("unicast reported as broadcast")
-	}
 }
 
 func TestIPRoundTrip(t *testing.T) {
@@ -91,11 +85,11 @@ func TestIPv4RoundTrip(t *testing.T) {
 		d.TTL != ip.TTL || d.TotalLen != ip.TotalLen {
 		t.Errorf("decoded %+v, want %+v", d, ip)
 	}
-	if !d.VerifyChecksum(buf) {
+	if Checksum(buf[:IPv4HeaderLen], 0) != 0 {
 		t.Error("checksum did not verify")
 	}
 	buf[9] ^= 0xff // corrupt protocol
-	if d.VerifyChecksum(buf) {
+	if Checksum(buf[:IPv4HeaderLen], 0) == 0 {
 		t.Error("corrupted header verified")
 	}
 }
@@ -305,18 +299,6 @@ func TestParserTruncatedMidStack(t *testing.T) {
 	}
 }
 
-func TestPacketCloneIndependent(t *testing.T) {
-	p := &Packet{Data: []byte{1, 2, 3}, InPort: 2}
-	q := p.Clone()
-	q.Data[0] = 9
-	if p.Data[0] != 1 {
-		t.Error("Clone shares data")
-	}
-	if q.InPort != 2 {
-		t.Error("Clone lost metadata")
-	}
-}
-
 func TestPacketLen(t *testing.T) {
 	if (&Packet{Empty: true, Data: []byte{1}}).Len() != 0 {
 		t.Error("empty packet should have zero length")
@@ -324,16 +306,6 @@ func TestPacketLen(t *testing.T) {
 	var nilPkt *Packet
 	if nilPkt.Len() != 0 {
 		t.Error("nil packet length")
-	}
-}
-
-func TestFlowHashSymmetry(t *testing.T) {
-	f := func(a, b uint32, sp, dp uint16) bool {
-		fl := Flow{Src: IP(a), Dst: IP(b), SrcPort: sp, DstPort: dp, Proto: ProtoTCP}
-		return fl.FastHash() == fl.Reverse().FastHash()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -352,25 +324,6 @@ func TestFlowIndexInRange(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestEndpointPairSymmetricHash(t *testing.T) {
-	p := EndpointPair{Src: IPEndpoint(IP4(9, 9, 9, 9)), Dst: PortEndpoint(80)}
-	if p.FastHash() != p.Reverse().FastHash() {
-		t.Error("EndpointPair FastHash not symmetric")
-	}
-}
-
-func TestEndpointStrings(t *testing.T) {
-	if s := IPEndpoint(IP4(1, 2, 3, 4)).String(); s != "1.2.3.4" {
-		t.Errorf("IP endpoint = %q", s)
-	}
-	if s := PortEndpoint(443).String(); s != "port 443" {
-		t.Errorf("port endpoint = %q", s)
-	}
-	if s := MACEndpoint(MACFromUint64(0x10)).String(); s != "00:00:00:00:00:10" {
-		t.Errorf("mac endpoint = %q", s)
 	}
 }
 

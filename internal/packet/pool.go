@@ -14,10 +14,6 @@ import "repro/internal/telemetry/self"
 //     time. Whoever drops the last reference calls Release; releasing
 //     twice panics (the freed flag catches the first offender rather than
 //     silently corrupting a later holder).
-//   - Release bumps the packet's generation counter, so a Ref captured
-//     before the release observes Valid() == false afterwards even though
-//     the *Packet itself is recycled. Refs are a debugging/assertion aid:
-//     the hot path never needs them.
 //   - Data buffers keep their capacity across recycling (they only grow),
 //     which is what makes the steady state allocation-free.
 //
@@ -73,18 +69,6 @@ func (pl *Pool) GetCopy(data []byte, inPort int) *Packet {
 	return p
 }
 
-// Clone returns a pooled deep copy of src (which may itself be pooled or
-// not).
-func (pl *Pool) Clone(src *Packet) *Packet {
-	p := pl.Get()
-	p.Data = append(p.Data, src.Data...)
-	p.InPort = src.InPort
-	p.Empty = src.Empty
-	p.Gen = src.Gen
-	p.Recirc = src.Recirc
-	return p
-}
-
 // Release returns the packet to its pool. It is a no-op for unpooled
 // packets (pool == nil), so callers can release unconditionally. Releasing
 // a pooled packet twice panics.
@@ -97,40 +81,8 @@ func (p *Packet) Release() {
 		panic("packet: double Release")
 	}
 	p.freed = true
-	p.gen++
 	pl.free = append(pl.free, p)
 	if pl.Self != nil {
 		pl.Self.PoolInUse.Add(-1)
 	}
-}
-
-// Pooled reports whether the packet came from a Pool.
-func (p *Packet) Pooled() bool { return p.pool != nil }
-
-// Generation returns the packet's recycling generation (0 for unpooled
-// packets; bumped on every Release).
-func (p *Packet) Generation() uint32 { return p.gen }
-
-// Ref is a generation-checked weak reference to a pooled packet. It stays
-// Valid only until the packet is released; after recycling, the generation
-// mismatch exposes the stale reference instead of silently aliasing the
-// next tenant's bytes.
-type Ref struct {
-	p   *Packet
-	gen uint32
-}
-
-// NewRef captures a reference to p at its current generation.
-func (p *Packet) NewRef() Ref { return Ref{p: p, gen: p.gen} }
-
-// Valid reports whether the referenced packet is still live in the same
-// generation as when the Ref was taken.
-func (r Ref) Valid() bool { return r.p != nil && !r.p.freed && r.p.gen == r.gen }
-
-// Packet returns the referenced packet, or nil if the reference is stale.
-func (r Ref) Packet() *Packet {
-	if !r.Valid() {
-		return nil
-	}
-	return r.p
 }

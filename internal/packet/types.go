@@ -6,8 +6,8 @@
 // The design follows the gopacket conventions: each header type is a
 // DecodingLayer that parses itself from a byte slice into preallocated
 // storage without heap allocation, and a Parser walks a known layer stack
-// the way gopacket's DecodingLayerParser does. Flow and Endpoint values are
-// compact, hashable flow identifiers with a symmetric FastHash.
+// the way gopacket's DecodingLayerParser does. Flow values are compact,
+// comparable flow identifiers.
 package packet
 
 import (
@@ -21,11 +21,6 @@ type MAC [6]byte
 // String formats the address in canonical colon-separated hex.
 func (m MAC) String() string {
 	return fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", m[0], m[1], m[2], m[3], m[4], m[5])
-}
-
-// IsBroadcast reports whether m is the all-ones broadcast address.
-func (m MAC) IsBroadcast() bool {
-	return m == MAC{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
 }
 
 // Broadcast is the Ethernet broadcast address.

@@ -28,15 +28,6 @@ func (ct *Counter) Checkpoint(c *checkpoint.Codec) {
 	}
 }
 
-// Checkpoint walks the meter's bucket levels and refill timestamps.
-func (m *Meter) Checkpoint(c *checkpoint.Codec) {
-	c.FixedU32("pisa: meter "+m.name+": buckets", len(m.tokens))
-	for i := range m.tokens {
-		c.I64(&m.tokens[i])
-		c.I64((*int64)(&m.last[i]))
-	}
-}
-
 // Checkpoint walks the table's mutable state: lookup counters and, per
 // entry, the match key tuple with its hit count and parameters. Action
 // functions cannot be serialized, so the key tuple (values, masks,
@@ -70,9 +61,10 @@ func (t *Table) Checkpoint(c *checkpoint.Codec) {
 }
 
 // Checkpoint walks every stateful extern of the program: shared
-// registers (insertion order), then tables, counters, and meters (sorted
-// by name), each under its fixed name. Handlers are code, not state — the
-// load path rebuilds them by re-running the program's construction.
+// registers (insertion order), then tables and counters (sorted by name),
+// each under its fixed name. Handlers are code, not state — the load path
+// rebuilds them by re-running the program's construction. The v1 layout
+// ends with a meter count; programs have no meters, so it is always zero.
 func (p *Program) Checkpoint(c *checkpoint.Codec) {
 	c.FixedString("pisa: program", p.name)
 	what := "pisa: program " + p.name
@@ -83,7 +75,7 @@ func (p *Program) Checkpoint(c *checkpoint.Codec) {
 	}
 	checkpointNamed(c, what+": table", p.tables)
 	checkpointNamed(c, what+": counter", p.counters)
-	checkpointNamed(c, what+": meter", p.meters)
+	c.FixedU32(what+": meters", 0)
 }
 
 func checkpointNamed[T interface{ Checkpoint(*checkpoint.Codec) }](c *checkpoint.Codec, what string, m map[string]T) {

@@ -100,18 +100,6 @@ func (c *Context) Has(t packet.LayerType) bool {
 	return false
 }
 
-// SetMeta stores a named metadata field.
-func (c *Context) SetMeta(name string, v uint64) {
-	if c.Meta == nil {
-		c.Meta = make(map[string]uint64, 8)
-	}
-	c.Meta[name] = v
-}
-
-// GetMeta loads a named metadata field (zero when unset, like P4
-// metadata initialized to zero).
-func (c *Context) GetMeta(name string) uint64 { return c.Meta[name] }
-
 // Emit queues a generated packet for transmission on the given port.
 func (c *Context) Emit(data []byte, port int) {
 	c.Generated = append(c.Generated, GenRequest{Data: data, Port: port})

@@ -1,0 +1,13 @@
+package pisa
+
+// SetMeta stores a named metadata field.
+func (c *Context) SetMeta(name string, v uint64) {
+	if c.Meta == nil {
+		c.Meta = make(map[string]uint64, 8)
+	}
+	c.Meta[name] = v
+}
+
+// GetMeta loads a named metadata field (zero when unset, like P4
+// metadata initialized to zero).
+func (c *Context) GetMeta(name string) uint64 { return c.Meta[name] }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/events"
-	"repro/internal/sim"
 	"repro/internal/state"
 )
 
@@ -84,9 +83,6 @@ func (r *SharedRegister) Name() string { return r.name }
 
 // Size returns the number of entries.
 func (r *SharedRegister) Size() int { return r.size }
-
-// Aggregated reports whether the register runs in aggregated mode.
-func (r *SharedRegister) Aggregated() bool { return r.agg != nil }
 
 func (r *SharedRegister) mainArr() *state.Array {
 	if r.agg != nil {
@@ -298,86 +294,6 @@ func (c *Counter) Value(idx uint32) (pkts, bytes uint64) {
 func (c *Counter) Reset() {
 	for i := range c.packets {
 		c.packets[i], c.bytes[i] = 0, 0
-	}
-}
-
-// MeterColor is the result of a meter execution.
-type MeterColor uint8
-
-// Meter colors (single-rate, two-color-with-burst semantics).
-const (
-	ColorGreen MeterColor = iota
-	ColorYellow
-	ColorRed
-)
-
-// String names the color.
-func (c MeterColor) String() string {
-	switch c {
-	case ColorGreen:
-		return "green"
-	case ColorYellow:
-		return "yellow"
-	case ColorRed:
-		return "red"
-	default:
-		return fmt.Sprintf("color(%d)", uint8(c))
-	}
-}
-
-// Meter is a fixed-function token-bucket meter extern, as baseline PISA
-// targets expose for policing (paper §3 Traffic Management). Each index
-// is an independent bucket: tokens accrue at Rate bytes/s up to
-// CommittedBurst (+ExcessBurst for yellow).
-type Meter struct {
-	name           string
-	rate           sim.Rate // token fill rate, in bits/s
-	committedBurst int64    // bytes
-	excessBurst    int64    // bytes
-
-	tokens []int64
-	last   []sim.Time
-}
-
-// NewMeter builds a meter array. excessBurst of zero disables yellow.
-func NewMeter(name string, size int, rate sim.Rate, committedBurst, excessBurst int) *Meter {
-	m := &Meter{
-		name: name, rate: rate,
-		committedBurst: int64(committedBurst), excessBurst: int64(excessBurst),
-		tokens: make([]int64, size), last: make([]sim.Time, size),
-	}
-	for i := range m.tokens {
-		m.tokens[i] = m.committedBurst + m.excessBurst
-	}
-	return m
-}
-
-// Name returns the meter's name.
-func (m *Meter) Name() string { return m.name }
-
-// Execute charges n bytes against bucket idx at the given time and
-// returns the color.
-func (m *Meter) Execute(idx uint32, n int, now sim.Time) MeterColor {
-	i := idx % uint32(len(m.tokens))
-	elapsed := now - m.last[i]
-	if elapsed > 0 {
-		fill := int64(elapsed) * int64(m.rate) / (8 * int64(sim.Second)) // bytes
-		m.tokens[i] += fill
-		if max := m.committedBurst + m.excessBurst; m.tokens[i] > max {
-			m.tokens[i] = max
-		}
-		m.last[i] = now
-	}
-	m.tokens[i] -= int64(n)
-	switch {
-	case m.tokens[i] >= m.excessBurst:
-		return ColorGreen
-	case m.tokens[i] >= 0:
-		return ColorYellow
-	default:
-		// Red packets do not consume tokens.
-		m.tokens[i] += int64(n)
-		return ColorRed
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/events"
 	"repro/internal/packet"
-	"repro/internal/sim"
 )
 
 func newCtx(kind events.Kind, cycle uint64) *Context {
@@ -145,15 +144,6 @@ func TestTableExactReplaceAndDelete(t *testing.T) {
 	tbl.Apply(ctx)
 	if out != 2 {
 		t.Errorf("replaced entry not used: out=%d", out)
-	}
-	if !tbl.DeleteExact(1) {
-		t.Fatal("delete failed")
-	}
-	if tbl.Len() != 0 {
-		t.Errorf("len = %d after delete", tbl.Len())
-	}
-	if tbl.DeleteExact(1) {
-		t.Error("double delete succeeded")
 	}
 }
 
@@ -381,46 +371,6 @@ func TestCounter(t *testing.T) {
 	}
 }
 
-func TestMeterColors(t *testing.T) {
-	// 8 Mb/s = 1 MB/s; committed burst 1000B, excess 1000B.
-	m := NewMeter("m", 1, 8_000_000, 1000, 1000)
-	now := sim.Time(0)
-	// Full buckets: first 1000 bytes green.
-	if c := m.Execute(0, 1000, now); c != ColorGreen {
-		t.Errorf("first = %v, want green", c)
-	}
-	// Next 1000 dips into excess: yellow.
-	if c := m.Execute(0, 1000, now); c != ColorYellow {
-		t.Errorf("second = %v, want yellow", c)
-	}
-	// Bucket empty: red, and red must not consume tokens.
-	if c := m.Execute(0, 1000, now); c != ColorRed {
-		t.Errorf("third = %v, want red", c)
-	}
-	// After 1 ms, 1000 bytes refill: yellow zone again.
-	later := now + sim.Millisecond
-	if c := m.Execute(0, 1000, later); c == ColorRed {
-		t.Errorf("after refill = %v, want non-red", c)
-	}
-}
-
-func TestMeterSustainedRate(t *testing.T) {
-	// Offered 2x the meter rate: ~half the bytes should be red.
-	m := NewMeter("m", 1, 8_000_000, 1500, 0) // 1 MB/s
-	red, total := 0, 0
-	for i := 0; i < 2000; i++ {
-		now := sim.Millisecond * sim.Time(i) / 2 // one 1000B packet every 0.5 ms = 2 MB/s
-		if m.Execute(0, 1000, now) == ColorRed {
-			red++
-		}
-		total++
-	}
-	frac := float64(red) / float64(total)
-	if frac < 0.4 || frac > 0.6 {
-		t.Errorf("red fraction = %.2f, want ~0.5", frac)
-	}
-}
-
 func TestHashDeterministicAndSpreads(t *testing.T) {
 	a := Hash(1, 10, 20)
 	if a != Hash(1, 10, 20) {
@@ -467,15 +417,11 @@ func TestProgramNamedObjects(t *testing.T) {
 	p.AddRegister(NewAggregatedRegister("r1", 4, events.BufferEnqueue))
 	p.AddTable(NewTable("t1", []MatchKind{Exact}, nil))
 	p.AddCounter(NewCounter("c1", 4))
-	p.AddMeter(NewMeter("m1", 1, 1_000_000, 100, 0))
-	if p.Register("r1") == nil || p.Table("t1") == nil || p.Counter("c1") == nil || p.Meter("m1") == nil {
+	if p.Register("r1") == nil || p.Table("t1") == nil || p.Counter("c1") == nil {
 		t.Error("lookup failed")
 	}
 	if p.Register("nope") != nil {
 		t.Error("phantom register")
-	}
-	if names := p.RegisterNames(); len(names) != 1 || names[0] != "r1" {
-		t.Errorf("RegisterNames = %v", names)
 	}
 	if names := p.TableNames(); len(names) != 1 || names[0] != "t1" {
 		t.Errorf("TableNames = %v", names)

@@ -22,7 +22,6 @@ type Program struct {
 	registers map[string]*SharedRegister
 	regList   []*SharedRegister // insertion order, for deterministic iteration
 	counters  map[string]*Counter
-	meters    map[string]*Meter
 }
 
 // NewProgram returns an empty program.
@@ -32,7 +31,6 @@ func NewProgram(name string) *Program {
 		tables:    make(map[string]*Table),
 		registers: make(map[string]*SharedRegister),
 		counters:  make(map[string]*Counter),
-		meters:    make(map[string]*Meter),
 	}
 }
 
@@ -108,28 +106,6 @@ func (p *Program) AddCounter(c *Counter) *Counter {
 
 // Counter looks up a counter by name (nil if absent).
 func (p *Program) Counter(name string) *Counter { return p.counters[name] }
-
-// AddMeter registers a named meter.
-func (p *Program) AddMeter(m *Meter) *Meter {
-	if _, dup := p.meters[m.Name()]; dup {
-		panic(fmt.Sprintf("pisa: duplicate meter %q in program %q", m.Name(), p.name))
-	}
-	p.meters[m.Name()] = m
-	return m
-}
-
-// Meter looks up a meter by name (nil if absent).
-func (p *Program) Meter(name string) *Meter { return p.meters[name] }
-
-// RegisterNames lists registered shared registers, sorted.
-func (p *Program) RegisterNames() []string {
-	var names []string
-	for n := range p.registers {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
 
 // TableNames lists registered tables, sorted.
 func (p *Program) TableNames() []string {

@@ -174,26 +174,6 @@ func (t *Table) AddEntry(e *Entry) error {
 	return nil
 }
 
-// DeleteExact removes the exact-match entry with the given values.
-func (t *Table) DeleteExact(values ...uint64) bool {
-	if !t.allExact {
-		return false
-	}
-	k := exactKey(values)
-	e, ok := t.exactIndex[k]
-	if !ok {
-		return false
-	}
-	delete(t.exactIndex, k)
-	for i, x := range t.entries {
-		if x == e {
-			t.entries = append(t.entries[:i], t.entries[i+1:]...)
-			break
-		}
-	}
-	return true
-}
-
 // Apply looks up the key and runs the matching entry's action (or the
 // default action on miss). It reports whether an entry hit.
 func (t *Table) Apply(ctx *Context) bool {

@@ -594,16 +594,10 @@ func (s *Scheduler) peekHeap() *schedEvent {
 	return nil
 }
 
-// Step executes the single earliest pending event, advancing the clock to
-// its timestamp. At equal timestamps the wire band fires first; ordinary
-// events and lanes then interleave by shared sequence number. It returns
-// false when no events remain.
-func (s *Scheduler) Step() bool { return s.stepBounded(Forever, false) }
-
-// stepBounded is the fused core of Step/Run/RunBefore: one candidate scan
+// stepBounded is the fused core of Run/RunBefore: one candidate scan
 // (heap head, earliest lane, wire head) picks the winner, checks it
 // against the bound, and fires it. Run's old loop scanned every candidate
-// twice per event — once in NextAt to test the horizon, once in Step to
+// twice per event — once in NextAt to test the horizon, once more to
 // fire — and the scan is the engine's hottest code. It returns false
 // without firing when nothing is pending or the earliest event lies past
 // the bound (at > limit, or at == limit when strict).

@@ -1,9 +1,9 @@
 // Package sketch implements the approximate data-plane data structures
 // the paper's applications rely on: the count-min sketch (which baseline
 // architectures must ask the control plane to reset, and an event-driven
-// architecture resets from a timer event — paper §1), a Bloom filter, a
-// shift-register sliding-window rate estimator (paper §5, "Time-Windowed
-// Network Measurement"), and an EWMA smoother.
+// architecture resets from a timer event — paper §1), a shift-register
+// sliding-window rate estimator (paper §5, "Time-Windowed Network
+// Measurement"), and an EWMA smoother.
 package sketch
 
 import "repro/internal/pisa"
@@ -81,55 +81,6 @@ func (c *CMS) ResetCost() int { return c.rows }
 // MemoryBytes reports the sketch's counter memory footprint assuming the
 // 32-bit counters a data-plane register array would use.
 func (c *CMS) MemoryBytes() int { return c.rows * c.width * 4 }
-
-// Bloom is a Bloom filter over uint64 keys.
-type Bloom struct {
-	bits  []uint64
-	nbits uint64
-	k     int
-	seeds []uint64
-}
-
-// NewBloom builds a filter with the given number of bits (rounded up to a
-// multiple of 64) and hash functions.
-func NewBloom(nbits, k int) *Bloom {
-	if nbits <= 0 || k <= 0 {
-		panic("sketch: Bloom needs positive geometry")
-	}
-	words := (nbits + 63) / 64
-	b := &Bloom{bits: make([]uint64, words), nbits: uint64(words * 64), k: k}
-	for i := 0; i < k; i++ {
-		b.seeds = append(b.seeds, uint64(i)*0xbf58476d1ce4e5b9+7)
-	}
-	return b
-}
-
-// Add inserts a key.
-func (b *Bloom) Add(key uint64) {
-	for _, s := range b.seeds {
-		h := pisa.Hash(s, key) % b.nbits
-		b.bits[h/64] |= 1 << (h % 64)
-	}
-}
-
-// Has reports whether the key may have been added (false positives
-// possible, false negatives impossible).
-func (b *Bloom) Has(key uint64) bool {
-	for _, s := range b.seeds {
-		h := pisa.Hash(s, key) % b.nbits
-		if b.bits[h/64]&(1<<(h%64)) == 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Reset clears the filter.
-func (b *Bloom) Reset() {
-	for i := range b.bits {
-		b.bits[i] = 0
-	}
-}
 
 // WindowRate measures a byte rate over a sliding window using a shift
 // register of per-interval buckets — the structure one student group

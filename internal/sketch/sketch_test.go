@@ -59,38 +59,6 @@ func TestCMSResetAndCost(t *testing.T) {
 	}
 }
 
-func TestBloomNoFalseNegatives(t *testing.T) {
-	b := NewBloom(1024, 3)
-	for k := uint64(0); k < 100; k++ {
-		b.Add(k * 7919)
-	}
-	for k := uint64(0); k < 100; k++ {
-		if !b.Has(k * 7919) {
-			t.Fatalf("false negative for %d", k*7919)
-		}
-	}
-}
-
-func TestBloomFalsePositiveRateReasonable(t *testing.T) {
-	b := NewBloom(4096, 3)
-	for k := uint64(0); k < 100; k++ {
-		b.Add(k)
-	}
-	fp := 0
-	for k := uint64(1000000); k < 1010000; k++ {
-		if b.Has(k) {
-			fp++
-		}
-	}
-	if fp > 200 { // 100 keys in 4096 bits, 3 hashes: fp rate well under 2%
-		t.Errorf("false positives = %d of 10000", fp)
-	}
-	b.Reset()
-	if b.Has(1) {
-		t.Error("reset left bits set")
-	}
-}
-
 func TestWindowRateSliding(t *testing.T) {
 	w := NewWindowRate(4)
 	// Intervals: 100, 200, 300, 400 — window keeps all 4 buckets.
@@ -155,7 +123,6 @@ func TestEWMAConverges(t *testing.T) {
 func TestPanicsOnBadGeometry(t *testing.T) {
 	for _, f := range []func(){
 		func() { NewCMS(0, 10) },
-		func() { NewBloom(0, 1) },
 		func() { NewWindowRate(0) },
 	} {
 		func() {

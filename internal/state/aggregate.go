@@ -112,20 +112,6 @@ func NewAggregated(name string, size, mainPorts int, classes ...string) *Aggrega
 // the algorithmic state) and for monitor inspection via Peek.
 func (ag *Aggregated) Main() *Array { return ag.main }
 
-// Classes returns the number of aggregation banks.
-func (ag *Aggregated) Classes() int { return len(ag.banks) }
-
-// ClassIndex returns the bank index for a class name, or -1.
-func (ag *Aggregated) ClassIndex(name string) int {
-	for i, b := range ag.banks {
-		want := ag.main.Name() + "." + name
-		if b.name == want {
-			return i
-		}
-	}
-	return -1
-}
-
 // Defer records a delta from event class c against entry i. It consumes
 // one port on the class's aggregation bank; if that bank's port budget for
 // this cycle is exhausted the delta is rejected (the caller sees the event

@@ -81,18 +81,6 @@ func (a *Array) TryRead(i uint32) (v uint64, ok bool) {
 	return a.vals[i%uint32(len(a.vals))], true
 }
 
-// TryWrite writes entry i, consuming one port; false when over budget.
-func (a *Array) TryWrite(i uint32, v uint64) bool {
-	if a.used >= a.ports {
-		a.denied++
-		return false
-	}
-	a.used++
-	a.writes++
-	a.vals[i%uint32(len(a.vals))] = v
-	return true
-}
-
 // TryRMW atomically applies f to entry i, consuming one port (a stateful
 // ALU performs read-modify-write as a single memory transaction).
 func (a *Array) TryRMW(i uint32, f func(uint64) uint64) (uint64, bool) {

@@ -11,7 +11,7 @@ func TestArrayBasics(t *testing.T) {
 		t.Fatalf("metadata wrong: %s %d %d", a.Name(), a.Size(), a.Ports())
 	}
 	a.Tick(1)
-	if ok := a.TryWrite(3, 42); !ok {
+	if _, ok := a.TryRMW(3, func(uint64) uint64 { return 42 }); !ok {
 		t.Fatal("first write denied")
 	}
 	// Port budget exhausted within the same cycle.
@@ -24,8 +24,8 @@ func TestArrayBasics(t *testing.T) {
 		t.Fatalf("read = %d ok=%v, want 42", v, ok)
 	}
 	reads, writes, denied := a.Stats()
-	if reads != 1 || writes != 1 || denied != 1 {
-		t.Errorf("stats = %d/%d/%d, want 1/1/1", reads, writes, denied)
+	if reads != 2 || writes != 1 || denied != 1 {
+		t.Errorf("stats = %d/%d/%d, want 2/1/1", reads, writes, denied)
 	}
 }
 
@@ -64,7 +64,7 @@ func TestArrayRMW(t *testing.T) {
 func TestArrayIndexWraps(t *testing.T) {
 	a := NewArray("r", 4, 4)
 	a.Tick(1)
-	a.TryWrite(5, 7) // wraps to 1
+	a.TryRMW(5, func(uint64) uint64 { return 7 }) // wraps to 1
 	if a.Peek(1) != 7 {
 		t.Errorf("index should wrap modulo size")
 	}
@@ -257,19 +257,6 @@ func TestAggregatedTrueInvariant(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestAggregatedClassIndex(t *testing.T) {
-	ag := NewAggregated("x", 4, 1, "enq", "deq")
-	if ag.ClassIndex("enq") != 0 || ag.ClassIndex("deq") != 1 {
-		t.Errorf("class indices wrong: %d %d", ag.ClassIndex("enq"), ag.ClassIndex("deq"))
-	}
-	if ag.ClassIndex("nope") != -1 {
-		t.Error("unknown class should be -1")
-	}
-	if ag.Classes() != 2 {
-		t.Errorf("Classes = %d", ag.Classes())
 	}
 }
 

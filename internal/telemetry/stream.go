@@ -24,9 +24,10 @@ import (
 //   - one compact "evbench-metrics/v1" document per flush as a JSONL
 //     line in the metrics file.
 //
-// Both outputs are append-only, so a crash mid-flush leaves at most one
-// torn final record — the same tolerance contract as bench.Journal, and
-// what cmd/tracecheck's truncated-file mode accepts. Collectors attached
+// Both outputs are append-only, one complete line per record, so a crash
+// mid-flush leaves at most one torn final record and every line before it
+// parses; cmd/tracecheck's truncated-file mode accepts such a file and
+// reports the tear. Collectors attached
 // to a sink must be built with Options.Live; draining never disturbs the
 // rings, so the run's post-run exports are byte-identical with a sink
 // attached or not.

@@ -66,11 +66,3 @@ func (p *PIFO) Pop() (any, bool) {
 	e := heap.Pop(&p.h).(pifoEntry)
 	return e.item, true
 }
-
-// PeekRank returns the rank at the head without removing it.
-func (p *PIFO) PeekRank() (uint64, bool) {
-	if len(p.h) == 0 {
-		return 0, false
-	}
-	return p.h[0].rank, true
-}

@@ -294,12 +294,6 @@ func (t *TM) PortBytes(outPort int) int { return t.ports[outPort].bytes }
 // QueueBytes returns the buffered bytes in one queue.
 func (t *TM) QueueBytes(outPort, q int) int { return t.ports[outPort].queues[q].bytes }
 
-// QueueLen returns the number of packets in one queue.
-func (t *TM) QueueLen(outPort, q int) int { return t.ports[outPort].queues[q].len() }
-
-// TotalBytes returns the buffered bytes across the whole TM.
-func (t *TM) TotalBytes() int { return t.totalByte }
-
 // Stats reports lifetime counters: enqueues, dequeues, overflow drops and
 // the peak total buffer occupancy in bytes.
 func (t *TM) Stats() (enq, deq, drops uint64, peakBytes int) {

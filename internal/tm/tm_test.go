@@ -38,8 +38,8 @@ func TestPIFOCapacity(t *testing.T) {
 	if p.Push(3, 3) {
 		t.Fatal("push beyond capacity accepted")
 	}
-	if r, ok := p.PeekRank(); !ok || r != 1 {
-		t.Errorf("PeekRank = %d ok=%v", r, ok)
+	if len(p.h) != 2 || p.h[0].rank != 1 {
+		t.Errorf("head rank = %d of %d entries, want 1 of 2", p.h[0].rank, len(p.h))
 	}
 }
 
@@ -50,11 +50,8 @@ func TestPIFOHeapProperty(t *testing.T) {
 			p.Push(nil, uint64(r))
 		}
 		prev := uint64(0)
-		for {
-			r, ok := p.PeekRank()
-			if !ok {
-				break
-			}
+		for len(p.h) > 0 {
+			r := p.h[0].rank
 			if r < prev {
 				return false
 			}
@@ -76,8 +73,8 @@ func TestTMEnqueueDequeueEvents(t *testing.T) {
 	if !tmgr.Enqueue(mkPkt(100), 1, 0, 0, 777, 10) {
 		t.Fatal("enqueue refused")
 	}
-	if tmgr.PortBytes(1) != 100 || tmgr.TotalBytes() != 100 {
-		t.Errorf("bytes = %d/%d", tmgr.PortBytes(1), tmgr.TotalBytes())
+	if tmgr.PortBytes(1) != 100 || tmgr.totalByte != 100 {
+		t.Errorf("bytes = %d/%d", tmgr.PortBytes(1), tmgr.totalByte)
 	}
 	pkt, ok := tmgr.Dequeue(1, 20)
 	if !ok || pkt.Len() != 100 {
@@ -186,8 +183,8 @@ func TestTMOverflow(t *testing.T) {
 		t.Errorf("overflow event = %+v", last)
 	}
 	// The packet that was dropped must not affect occupancy.
-	if tmgr.TotalBytes() != 100 {
-		t.Errorf("total = %d, want 100", tmgr.TotalBytes())
+	if tmgr.totalByte != 100 {
+		t.Errorf("total = %d, want 100", tmgr.totalByte)
 	}
 }
 
@@ -280,11 +277,11 @@ func TestTMQueueAccounting(t *testing.T) {
 	tmgr := New(Config{Ports: 2, QueuesPerPort: 2})
 	tmgr.Enqueue(mkPkt(100), 0, 1, 0, 0, 0)
 	tmgr.Enqueue(mkPkt(50), 1, 0, 0, 0, 0)
-	if tmgr.QueueBytes(0, 1) != 100 || tmgr.QueueLen(0, 1) != 1 {
-		t.Errorf("queue(0,1) = %d bytes %d pkts", tmgr.QueueBytes(0, 1), tmgr.QueueLen(0, 1))
+	if q := tmgr.ports[0].queues[1]; tmgr.QueueBytes(0, 1) != 100 || q.len() != 1 {
+		t.Errorf("queue(0,1) = %d bytes %d pkts", tmgr.QueueBytes(0, 1), q.len())
 	}
-	if tmgr.TotalBytes() != 150 {
-		t.Errorf("total = %d", tmgr.TotalBytes())
+	if tmgr.totalByte != 150 {
+		t.Errorf("total = %d", tmgr.totalByte)
 	}
 	enq, deq, drops, peak := tmgr.Stats()
 	if enq != 2 || deq != 0 || drops != 0 || peak != 150 {
@@ -308,7 +305,7 @@ func TestTMConservationProperty(t *testing.T) {
 				out += pkt.Len()
 			}
 		}
-		return in == out+tmgr.TotalBytes()
+		return in == out+tmgr.totalByte
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -156,8 +156,7 @@ func TestFramesMatchAppendFrame(t *testing.T) {
 				}
 			})
 			c.start(g, sched)
-			for n < emissions && sched.Step() {
-			}
+			sched.Run(sim.Forever)
 			if n != emissions {
 				t.Fatalf("%s seed %d: %d emissions, want %d", c.name, seed, n, emissions)
 			}
@@ -169,13 +168,17 @@ func TestFramesMatchAppendFrame(t *testing.T) {
 // op is one emission.
 func BenchmarkGenSaturate(b *testing.B) {
 	sched := sim.NewScheduler()
-	g := NewGen(sched, sim.NewRNG(1), func([]byte) {})
+	n := 0
+	var g *Gen
+	g = NewGen(sched, sim.NewRNG(1), func([]byte) {
+		if n++; n == b.N {
+			g.Stop()
+		}
+	})
 	g.StartSaturate(SaturateConfig{Flow: udpFlow, Rate: 10 * sim.Gbps, Size: 60})
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sched.Step()
-	}
+	sched.Run(sim.Forever)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/frame")
 }
 
