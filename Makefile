@@ -64,9 +64,10 @@ fuzz:
 	$(GO) test -fuzz FuzzTraceJSONL -fuzztime 10s ./cmd/tracecheck
 
 # Hot-path micro-benchmarks (scheduler + switch cycle + event queue +
-# traffic generators).
+# traffic generators + one frame across two links, the one way a frame
+# crosses a link).
 bench:
-	$(GO) test -bench 'BenchmarkScheduler|BenchmarkSwitch|BenchmarkQueue|BenchmarkGen' -benchmem -run xxx ./internal/sim ./internal/core ./internal/events ./internal/workload
+	$(GO) test -bench 'BenchmarkScheduler|BenchmarkSwitch|BenchmarkQueue|BenchmarkGen|BenchmarkNetsimDeliver' -benchmem -run xxx ./internal/sim ./internal/core ./internal/events ./internal/workload ./internal/netsim
 
 # Regenerate every table and figure; redirect into
 # internal/bench/testdata/evbench.golden when a table changes on purpose.

@@ -6,10 +6,9 @@ import "testing"
 // burst datapath on the partitioned engine: a HULA leaf-spine fabric at
 // 1 and 2 domains, each with bursting off and on, must agree on the full
 // deterministic digest (switch stats, link counters, uplink bytes, host
-// counters) and on the telemetry digest. Burst slot loops, vectorized
-// frame delivery, and cross-domain burst mailbox handoff all sit on
-// this path; the per-packet oracle at -domains 1 is
-// the reference.
+// counters) and on the telemetry digest. Burst slot loops and the
+// cross-domain mailboxes sit on this path; the per-packet oracle at
+// -domains 1 is the reference.
 func TestBurstFabricIdentical(t *testing.T) {
 	run := func(noBurst bool, domains int) (uint64, uint64) {
 		return smallFabricDigests(t, &Env{noBurst: noBurst}, domains)

@@ -149,7 +149,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 	allowed := map[string]string{
 		"repro/internal/tm.pifoHeap.Less":       "heap.Interface, called by container/heap",
 		"repro/internal/tm.pifoHeap.Swap":       "heap.Interface, called by container/heap",
-		"repro/internal/checkpoint.DamageSweep": "test hook shared by the core, netsim, faults and evsim checkpoint tests",
+		"repro/internal/checkpoint.DamageSweep": "test hook shared by the core and evsim checkpoint tests",
 		"repro/internal/telemetry.Digest":       "determinism witness the telemetry and bench tests compare",
 		"repro/internal/events.Queue.HighWater": "FIFO peak the checkpoint carries; the core and faults tests pin storm pressure with it",
 	}

@@ -12,8 +12,8 @@ const burstFrames = 64
 
 // burstForwardRig is p4ForwardRig's vectorized twin: the same compiled
 // µP4 forward program, but each step injects a whole burst of frames at
-// one instant — as netsim's wire FIFO delivers a same-instant arrival
-// group, one Inject per frame — and advances the scheduler far enough to
+// one instant — as a same-instant arrival group reaches a switch from
+// the wire band, one Inject per frame — and advances the scheduler far enough to
 // drain it. With noBurst the switch executes the identical workload one slot
 // per wakeup — the per-packet differential oracle.
 func burstForwardRig(tb testing.TB, noBurst bool) (step func(), sw *Switch, inst *p4.Instance) {

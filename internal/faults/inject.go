@@ -32,15 +32,10 @@ type SpecStats struct {
 
 // Engine is a schedule compiled onto a network's scheduler. It exists to
 // expose per-spec statistics; the injectors themselves run as scheduler
-// callbacks and link impairments. The per-spec RNGs and the
-// Gilbert–Elliott chain bits live on the engine (not in the injector
-// closures) so a checkpoint can capture and restore mid-stream fault
-// state (checkpoint.go).
+// callbacks and link impairments.
 type Engine struct {
 	sch   *Schedule
 	stats []SpecStats
-	rngs  []*sim.RNG
-	geBad []bool
 }
 
 // Stats returns a snapshot of spec i's injector counters.
@@ -68,8 +63,6 @@ func Apply(net *netsim.Network, sch *Schedule, opts Options) (*Engine, error) {
 	eng := &Engine{
 		sch:   sch,
 		stats: make([]SpecStats, len(sch.Specs)),
-		rngs:  make([]*sim.RNG, len(sch.Specs)),
-		geBad: make([]bool, len(sch.Specs)),
 	}
 	sched := net.Scheduler()
 	chains := make(map[*netsim.Link][]stage)
@@ -77,7 +70,6 @@ func Apply(net *netsim.Network, sch *Schedule, opts Options) (*Engine, error) {
 	for i := range sch.Specs {
 		s := &sch.Specs[i]
 		rng := sim.NewRNG(specSeed(sch.Seed, i))
-		eng.rngs[i] = rng
 		st := &eng.stats[i]
 		switch s.Kind {
 		case FlapStorm:
@@ -105,7 +97,7 @@ func Apply(net *netsim.Network, sch *Schedule, opts Options) (*Engine, error) {
 			if l.Cross() {
 				return nil, fmt.Errorf("spec %d: impairment on cross-domain link %v (impairments keep shared state; keep the link inside one domain)", i, l)
 			}
-			chains[l] = append(chains[l], frameStage(l.Scheduler(), s, rng, st, &eng.geBad[i]))
+			chains[l] = append(chains[l], frameStage(l.Scheduler(), s, rng, st))
 		case HostPause:
 			hosts := net.Hosts()
 			if s.Host >= len(hosts) {
@@ -284,30 +276,29 @@ func active(sched *sim.Scheduler, s *Spec) bool {
 	return now >= s.Start && (s.End == 0 || now <= s.End)
 }
 
-// frameStage builds the per-frame impairment step for one spec. bad is
-// the engine-held Gilbert–Elliott chain bit for this spec (only GELoss
-// reads it); keeping it out of the closure makes it checkpointable.
-func frameStage(sched *sim.Scheduler, s *Spec, rng *sim.RNG, st *SpecStats, bad *bool) stage {
+// frameStage builds the per-frame impairment step for one spec.
+func frameStage(sched *sim.Scheduler, s *Spec, rng *sim.RNG, st *SpecStats) stage {
 	switch s.Kind {
 	case GELoss:
 		// Two-state Gilbert–Elliott chain: per frame, lose with the
 		// current state's probability, then step the chain.
+		bad := false
 		return func(d netsim.Deliverable) []netsim.Deliverable {
 			if !active(sched, s) {
 				return []netsim.Deliverable{d}
 			}
 			st.Frames++
 			loss := s.LossGood
-			if *bad {
+			if bad {
 				loss = s.LossBad
 			}
 			lost := rng.Bool(loss)
-			if *bad {
+			if bad {
 				if rng.Bool(s.PBadGood) {
-					*bad = false
+					bad = false
 				}
 			} else if rng.Bool(s.PGoodBad) {
-				*bad = true
+				bad = true
 			}
 			if lost {
 				st.Lost++

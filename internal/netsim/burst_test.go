@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"testing"
 
@@ -13,12 +14,12 @@ import (
 	"repro/internal/workload"
 )
 
-// burstDeliverRig is deliverRig's vectorized twin: each step pushes a
-// whole burst of frames through host NIC serialization, the arrival
-// FIFO on the first link, the switch's burst slot loop, and the second
-// link's FIFO. NIC serialization (~18ns/frame at 100G) is much shorter
-// than the 100ns propagation, so several frames are queued in the
-// wireFIFO whenever it fires.
+// burstDeliverRig is deliverRig's burst twin: each step pushes a whole
+// burst of frames through host NIC serialization, one pooled wire-band
+// flight per frame on the first link, the switch's burst slot loop, and
+// the second link. NIC serialization (~18ns/frame at 100G) is much
+// shorter than the 100ns propagation, so several flights are in the air
+// on each link at once.
 func burstDeliverRig(tb testing.TB) (step func(), rx *uint64) {
 	const frames = 16
 	sched := sim.NewScheduler()
@@ -45,9 +46,9 @@ func burstDeliverRig(tb testing.TB) (step func(), rx *uint64) {
 	return step, &dst.RxPackets
 }
 
-// TestNetsimBurstDeliverZeroAlloc asserts the vectorized delivery path —
-// burst sends through pooled NIC transmissions, wireFIFO batched
-// arrivals, the switch burst loop, and back out — performs zero heap
+// TestNetsimBurstDeliverZeroAlloc asserts the burst delivery path —
+// burst sends through pooled NIC transmissions, pooled per-frame wire
+// flights, the switch burst loop, and back out — performs zero heap
 // allocations in steady state.
 func TestNetsimBurstDeliverZeroAlloc(t *testing.T) {
 	step, rx := burstDeliverRig(t)
@@ -72,18 +73,35 @@ func lenFrame(n int) []byte {
 	})
 }
 
-// impairedOrderRun drives the wire-order property workload once and
-// returns the delivered frame sizes (in arrival order) plus a counter
-// fingerprint. The workload sends bursts of 8 length-tagged frames every
-// 20µs; for a middle window the h1-side link carries a deterministic
-// impairment (drop every 5th frame, duplicate every 7th with enough
-// extra delay to reorder it past later bursts, jitter every 3rd), so the
-// run crosses FIFO→legacy→FIFO transitions: frames sent right after the
-// impairment is removed still ride the per-frame path while delayed
-// duplicates are in the air (the legacyPending guard), then the
-// direction returns to batched delivery.
-func impairedOrderRun(t *testing.T, cfg core.Config) (order []int, fp string, maxQueued int) {
+// sentFrame is one frame entering the h1 link in the wire-order test:
+// its size (the frame's identity), the instant it is put on the wire,
+// and the extra delay of each copy the link carries (one zero entry when
+// no impairment saw it, none when the impairment dropped it).
+type sentFrame struct {
+	size   int
+	sentAt sim.Time
+	extra  []sim.Time
+}
+
+// impairedOrderRun drives the wire-order workload once. It returns the
+// frame sizes h2 received (in arrival order), the order the wire band
+// must produce, and a counter fingerprint.
+//
+// h1 sends bursts of 8 length-tagged frames every 20µs through its NIC;
+// for a middle window its link carries a deterministic impairment (drop
+// every 5th frame, duplicate every 7th with enough extra delay to reorder
+// it past later bursts, jitter every 3rd). Three groups of four frames
+// are also entered below h1's serializer, each group at one instant, one
+// of them inside the impairment window. The expected order is computed
+// independently of netsim's delivery code: each copy's arrival at the
+// switch is its send instant (replaying the NIC's serialization clock
+// for sent frames) plus the link latency plus the copy's ExtraDelay, and
+// copies are ordered by (arrival, send index, copy index) — the wire
+// band's (arrival, link, send seq) key on a single link direction. The
+// switch forwards everything to h2 in arrival order.
+func impairedOrderRun(t *testing.T, cfg core.Config) (order, want []int, fp string) {
 	t.Helper()
+	const latency = 2 * sim.Microsecond
 	sched := sim.NewScheduler()
 	net := New(sched)
 	cfg.Name = "s"
@@ -92,146 +110,143 @@ func impairedOrderRun(t *testing.T, cfg core.Config) (order []int, fp string, ma
 	net.AddSwitch(sw)
 	h1 := net.NewHost("h1", packet.IP4(10, 0, 0, 1))
 	h2 := net.NewHost("h2", packet.IP4(10, 0, 0, 2))
-	l := net.Attach(h1, sw, 0, 2*sim.Microsecond)
+	l := net.Attach(h1, sw, 0, latency)
 	net.Attach(h2, sw, 1, 100*sim.Nanosecond)
 
 	h2.OnRecv = func(d []byte) { order = append(order, len(d)) }
 
+	var sent []sentFrame
+	bySize := map[int]int{} // frame size -> index in sent
+	record := func(size int, at sim.Time) {
+		bySize[size] = len(sent)
+		sent = append(sent, sentFrame{size: size, sentAt: at, extra: []sim.Time{0}})
+	}
+
 	nimp := 0
 	impair := func(data []byte) []Deliverable {
 		nimp++
+		var outs []Deliverable
 		switch {
 		case nimp%5 == 0:
-			return nil
 		case nimp%7 == 0:
-			return []Deliverable{
+			outs = []Deliverable{
 				{Data: data},
 				{Data: append([]byte(nil), data...), ExtraDelay: 30 * sim.Microsecond},
 			}
 		case nimp%3 == 0:
-			return []Deliverable{{Data: data, ExtraDelay: 200 * sim.Nanosecond}}
+			outs = []Deliverable{{Data: data, ExtraDelay: 200 * sim.Nanosecond}}
 		default:
-			return []Deliverable{{Data: data}}
+			outs = []Deliverable{{Data: data}}
 		}
+		f := &sent[bySize[len(data)]]
+		f.extra = f.extra[:0]
+		for _, o := range outs {
+			f.extra = append(f.extra, o.ExtraDelay)
+		}
+		return outs
 	}
 
+	// Bursts through the NIC. The sender replays the NIC's serialization
+	// clock to know when each frame goes on the wire.
 	const bursts = 30
+	rate := sw.Config().LineRate
+	var nicBusy sim.Time
 	for i := 0; i < bursts; i++ {
 		i := i
-		at := sim.Time(1+i*20) * sim.Microsecond
-		sched.At(at, func() {
+		sched.At(sim.Time(1+i*20)*sim.Microsecond, func() {
 			for j := 0; j < 8; j++ {
-				h1.Send(lenFrame(100 + i*8 + j))
-			}
-		})
-		// Probe the arrival FIFO mid-propagation: all eight NIC
-		// serializations (~26ns each) finish well inside the 2µs latency,
-		// so outside the impairment window the FIFO holds the whole burst.
-		sched.At(at+sim.Microsecond, func() {
-			if q := l.fifo[0].q.Len(); q > maxQueued {
-				maxQueued = q
+				size := 100 + i*8 + j
+				nicBusy = max(nicBusy, sched.Now()) + rate.ByteTime(size+core.WireOverhead)
+				record(size, nicBusy)
+				h1.Send(lenFrame(size))
 			}
 		})
 	}
-	// Impairment window covering bursts 10-19.
+	// Groups entered below the serializer, at instants clear of every
+	// burst's serialization, so record order is send order.
+	const perGroup = 4
+	for g, at := range []sim.Time{11, 251, 451} {
+		g := g
+		sched.At(at*sim.Microsecond, func() {
+			for i := 0; i < perGroup; i++ {
+				size := 400 + g*perGroup + i
+				record(size, sched.Now())
+				net.deliver(l, endpoint{host: h1}, lenFrame(size))
+			}
+		})
+	}
+	// Impairment window covering bursts 10-19 and the second group.
 	sched.At(200*sim.Microsecond, func() { l.SetImpair(impair) })
 	sched.At(400*sim.Microsecond, func() { l.SetImpair(nil) })
 	sched.Run(sim.Millisecond)
 
+	type wireCopy struct {
+		at         sim.Time
+		send, copy int
+		size       int
+	}
+	var copies []wireCopy
+	var sendOrder []int
+	for i, f := range sent {
+		for c, extra := range f.extra {
+			copies = append(copies, wireCopy{at: f.sentAt + latency + extra, send: i, copy: c, size: f.size})
+			sendOrder = append(sendOrder, f.size)
+		}
+	}
+	sort.Slice(copies, func(i, j int) bool {
+		a, b := copies[i], copies[j]
+		if a.at != b.at {
+			return a.at < b.at
+		}
+		if a.send != b.send {
+			return a.send < b.send
+		}
+		return a.copy < b.copy
+	})
+	for _, c := range copies {
+		want = append(want, c.size)
+	}
+	if fmt.Sprint(want) == fmt.Sprint(sendOrder) || l.Dropped() == 0 || l.Duplicated() == 0 {
+		t.Fatalf("impairment dropped %d, duplicated %d and reordered nothing else: the property is vacuous",
+			l.Dropped(), l.Duplicated())
+	}
+
 	fp = fmt.Sprintf("rx=%d/%dB sent=%d delivered=%d dropped=%d dup=%d inflight=%d sw=%+v",
 		h2.RxPackets, h2.RxBytes, l.Sent(), l.Delivered(), l.Dropped(), l.Duplicated(),
 		l.InFlight(), sw.Stats())
-	return order, fp, maxQueued
+	return order, want, fp
 }
 
-// TestBurstWireOrderUnderImpairments is the wire-order property pin: the
-// batched arrival FIFO must deliver frames in exactly the wire-band
-// (arrival time, directed link id, send seq) total order of the
-// per-frame path, across impairment windows that force the link back and
-// forth between the FIFO and legacy-flight paths. The delivered frame
-// sequence and every counter must match a rebuild of the identical
-// workload on a NoBurst switch.
+// TestBurstWireOrderUnderImpairments is the wire-order property pin: h2
+// must receive frames in exactly the (arrival, send seq) order computed
+// from the send instants, the link latency and each copy's ExtraDelay,
+// across an impairment window that drops, duplicates and reorders
+// frames, and for frames entered at one instant. A rebuild of the same
+// workload on a NoBurst switch (which takes the per-packet datapath in
+// core) must deliver the same sequence with the same counters.
 func TestBurstWireOrderUnderImpairments(t *testing.T) {
-	order, fp, maxQueued := impairedOrderRun(t, core.Config{})
-	orderRef, fpRef, _ := impairedOrderRun(t, core.Config{NoBurst: true})
+	order, want, fp := impairedOrderRun(t, core.Config{})
+	orderRef, _, fpRef := impairedOrderRun(t, core.Config{NoBurst: true})
 
 	if len(order) == 0 {
 		t.Fatal("nothing delivered; property is vacuous")
 	}
-	if maxQueued < 4 {
-		t.Fatalf("arrival FIFO peaked at %d queued frames; burst path not exercised", maxQueued)
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Errorf("delivery order differs from the wire-band expectation:\ngot:  %v\nwant: %v", order, want)
 	}
 	if fp != fpRef {
 		t.Errorf("counters diverge:\nburst:   %s\nnoburst: %s", fp, fpRef)
 	}
-	if len(order) != len(orderRef) {
-		t.Fatalf("delivered %d frames with burst, %d without", len(order), len(orderRef))
-	}
-	for i := range order {
-		if order[i] != orderRef[i] {
-			t.Fatalf("delivery order diverges at %d: burst=%d noburst=%d", i, order[i], orderRef[i])
-		}
+	if fmt.Sprint(order) != fmt.Sprint(orderRef) {
+		t.Errorf("delivery order differs on a NoBurst switch:\nburst:   %v\nnoburst: %v", order, orderRef)
 	}
 }
 
-// fifoDepth sums the queued arrival-FIFO entries across a network's
-// links, both directions.
-func fifoDepth(n *Network) int {
-	d := 0
-	for _, l := range n.links {
-		for dir := 0; dir < 2; dir++ {
-			d += l.fifo[dir].q.Len()
-		}
-	}
-	return d
-}
-
-// TestBurstCheckpointMidFIFO pins checkpoint coverage for in-flight
-// bursts: the snapshot is cut while arrival FIFOs are non-empty, and the
-// resumed run — including a resume into a run with bursting disabled,
-// which reloads the same frames as per-frame flights with their original
-// (arrival, link, seq) wire keys — must match the uninterrupted run on
-// every observable.
-func TestBurstCheckpointMidFIFO(t *testing.T) {
-	const half, full = sim.Millisecond, 2500 * sim.Microsecond
-
-	a := buildNetRig(t, true, core.Config{})
-	a.sched.Run(half)
-	if d := fifoDepth(a.net); d == 0 {
-		t.Fatal("no frames queued in arrival FIFOs at the cut; mid-burst restore is vacuous")
-	}
-	snap := a.snapshot()
-	a.sched.Run(full)
-	want := a.fingerprint()
-
-	b := buildNetRig(t, false, core.Config{})
-	b.restore(t, snap)
-	if d := fifoDepth(b.net); d == 0 {
-		t.Fatal("restore rebuilt no arrival FIFO entries")
-	}
-	b.sched.Run(full)
-	if got := b.fingerprint(); got != want {
-		t.Errorf("mid-burst resume diverges:\n--- uninterrupted ---\n%s--- resumed ---\n%s", want, got)
-	}
-
-	// Cross-mode resume: the same snapshot poured into a no-burst run.
-	c := buildNetRig(t, false, core.Config{NoBurst: true})
-	c.restore(t, snap)
-	if d := fifoDepth(c.net); d != 0 {
-		t.Errorf("no-burst restore left %d frames in arrival FIFOs; want per-frame flights", d)
-	}
-	c.sched.Run(full)
-	if got := c.fingerprint(); got != want {
-		t.Errorf("cross-mode resume diverges:\n--- uninterrupted ---\n%s--- resumed ---\n%s", want, got)
-	}
-}
-
-// TestLinkBatchingDerivedFromSwitches pins where a link's delivery mode
-// comes from: the switches on its ends, not process state. Three groups
-// of four frames each enter one link direction at a single instant; the
-// link of a default switch fires the wire band once per same-instant
-// group, the same link on a NoBurst switch once per frame, and both
-// deliver in the same order.
+// TestLinkBatchingDerivedFromSwitches pins that a link's delivery does
+// not depend on the switches on its ends: three groups of four frames
+// each enter one link direction at a single instant, and the link of a
+// default switch and of a NoBurst switch both fire the wire band once per
+// frame and deliver every frame in send order.
 func TestLinkBatchingDerivedFromSwitches(t *testing.T) {
 	const groups, perGroup = 3, 4
 	run := func(cfg core.Config) (order []int, fired uint64) {
@@ -258,16 +273,21 @@ func TestLinkBatchingDerivedFromSwitches(t *testing.T) {
 		sched.Run(sim.Millisecond)
 		return order, sched.Fired() - groups // minus the injecting events
 	}
-	batched, bFired := run(core.Config{})
-	perFrame, pFired := run(core.Config{NoBurst: true})
-	if bFired != groups {
-		t.Errorf("default switch: %d wire firings, want one per group (%d)", bFired, groups)
+	var want []int
+	for i := 0; i < groups*perGroup; i++ {
+		want = append(want, 100+i)
 	}
-	if pFired != groups*perGroup {
-		t.Errorf("NoBurst switch: %d wire firings, want one per frame (%d)", pFired, groups*perGroup)
-	}
-	if len(batched) != groups*perGroup || fmt.Sprint(batched) != fmt.Sprint(perFrame) {
-		t.Errorf("delivery order differs:\nbatched:   %v\nper-frame: %v", batched, perFrame)
+	for _, c := range []struct {
+		name string
+		cfg  core.Config
+	}{{"default", core.Config{}}, {"NoBurst", core.Config{NoBurst: true}}} {
+		order, fired := run(c.cfg)
+		if fired != groups*perGroup {
+			t.Errorf("%s switch: %d wire firings, want one per frame (%d)", c.name, fired, groups*perGroup)
+		}
+		if fmt.Sprint(order) != fmt.Sprint(want) {
+			t.Errorf("%s switch: delivery order %v, want send order %v", c.name, order, want)
+		}
 	}
 }
 

@@ -1,7 +1,5 @@
 package sim
 
-import "fmt"
-
 // This file holds the scheduler-side half of the checkpoint/restore
 // protocol (DESIGN.md §13). Closures in the event heap cannot be
 // serialized, so a checkpoint never captures the heap itself. Instead,
@@ -105,24 +103,6 @@ func (s *Scheduler) DropFired(at Time, seq uint64) int {
 	return len(dropped)
 }
 
-// RestoreWireRunner re-creates a checkpointed wire-band event. Wire
-// events are keyed engine-independently, so replaying (at, k1, k2)
-// reproduces the original firing order exactly.
-func (s *Scheduler) RestoreWireRunner(at Time, k1, k2 uint64, r Runner) {
-	s.wire.push(wireEvent{at: at, k1: k1, k2: k2, runner: r})
-}
-
-// EachWire visits every pending wire-band event, for checkpointing. The
-// visit order is the heap's internal layout, not firing order; callers
-// that need determinism across encode/restore get it anyway because the
-// band is rebuilt as a heap on restore.
-func (s *Scheduler) EachWire(visit func(at Time, k1, k2 uint64, r Runner)) {
-	for i := range s.wire {
-		w := &s.wire[i]
-		visit(w.at, w.k1, w.k2, w.runner)
-	}
-}
-
 // ArmedAt returns the lane's pending (at, seq), for checkpointing.
 func (l *Lane) ArmedAt() (at Time, seq uint64, ok bool) {
 	if l.index < 0 {
@@ -159,46 +139,6 @@ func (t *Ticker) RestoreState(st TickerState) {
 	if st.Pending {
 		t.h = t.s.RestoreAt(st.At, st.Seq, t.tick)
 	}
-}
-
-// PartitionState is a partition's checkpointable state: one clock per
-// domain (captured at a barrier, when no domain goroutine is running)
-// plus the window counter. The sim package stays serialization-free;
-// internal/checkpoint callers encode the struct themselves.
-type PartitionState struct {
-	Domains int
-	Clocks  []ClockState
-	Windows uint64
-}
-
-// State captures the partition's clocks. Call it only at a barrier (or
-// before/after Run): reading domain clocks mid-window races with the
-// domain goroutines.
-func (p *Partition) State() PartitionState {
-	st := PartitionState{Domains: len(p.scheds), Windows: p.windows.Load()}
-	for _, s := range p.scheds {
-		st.Clocks = append(st.Clocks, s.Clock())
-	}
-	return st
-}
-
-// RestoreState pins every domain clock from a checkpoint. A snapshot is
-// only meaningful for the domain decomposition it was taken under — the
-// per-domain event sequence numbers are domain-local — so restoring into
-// a partition with a different domain count is refused.
-func (p *Partition) RestoreState(st PartitionState) error {
-	if st.Domains != len(p.scheds) {
-		return fmt.Errorf("sim: checkpoint was taken with %d partition domains, this run has %d; "+
-			"restore requires the same -domains value", st.Domains, len(p.scheds))
-	}
-	if len(st.Clocks) != len(p.scheds) {
-		return fmt.Errorf("sim: partition checkpoint has %d clocks for %d domains", len(st.Clocks), st.Domains)
-	}
-	for i, s := range p.scheds {
-		s.RestoreClock(st.Clocks[i])
-	}
-	p.windows.Store(st.Windows)
-	return nil
 }
 
 // State returns the RNG's internal xoshiro256** state, for

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 // TestHandleWhen pins the checkpoint coordinate accessor: pending events
 // expose (at, seq), fired and cancelled ones do not.
@@ -154,71 +151,5 @@ func TestRNGStateRoundTrip(t *testing.T) {
 		if got := r2.Uint64(); got != want[i] {
 			t.Fatalf("draw %d after SetState = %d, want %d", i, got, want[i])
 		}
-	}
-}
-
-// TestPartitionStateRoundTrip verifies domain clocks and the window
-// counter survive a State/RestoreState cycle.
-func TestPartitionStateRoundTrip(t *testing.T) {
-	p := NewPartition(2)
-	p.SetLookahead(Microsecond)
-	p.Sched(0).At(2*Microsecond, func() {})
-	p.Sched(1).At(3*Microsecond, func() {})
-	p.Run(5 * Microsecond)
-	st := p.State()
-
-	q := NewPartition(2)
-	if err := q.RestoreState(st); err != nil {
-		t.Fatalf("RestoreState: %v", err)
-	}
-	if q.Windows() != p.Windows() {
-		t.Errorf("windows = %d, want %d", q.Windows(), p.Windows())
-	}
-	for i := 0; i < 2; i++ {
-		if q.Sched(i).Now() != p.Sched(i).Now() {
-			t.Errorf("domain %d clock = %v, want %v", i, q.Sched(i).Now(), p.Sched(i).Now())
-		}
-		if q.Sched(i).Clock() != p.Sched(i).Clock() {
-			t.Errorf("domain %d counters = %+v, want %+v", i, q.Sched(i).Clock(), p.Sched(i).Clock())
-		}
-	}
-}
-
-// TestPartitionRestoreDomainCountRefused pins the satellite requirement:
-// a checkpoint taken under one domain decomposition must refuse to load
-// into another (per-domain sequence numbers are domain-local).
-func TestPartitionRestoreDomainCountRefused(t *testing.T) {
-	p := NewPartition(2)
-	st := p.State()
-	q := NewPartition(3)
-	err := q.RestoreState(st)
-	if err == nil {
-		t.Fatal("RestoreState accepted a 2-domain snapshot into a 3-domain partition")
-	}
-	if !strings.Contains(err.Error(), "-domains") {
-		t.Errorf("error %q does not tell the operator to match -domains", err)
-	}
-}
-
-// TestPartitionUnboundedLookahead covers the zero-cross-domain-links
-// case: with no cross-domain latency to respect the lookahead is
-// unbounded (Forever), and the whole run executes in a single
-// conservative window plus the final inclusive pass.
-func TestPartitionUnboundedLookahead(t *testing.T) {
-	p := NewPartition(2)
-	p.SetLookahead(Forever) // what netsim computes when no link crosses domains
-	var fired [2]int
-	for d := 0; d < 2; d++ {
-		d := d
-		for i := 1; i <= 3; i++ {
-			p.Sched(d).At(Time(i)*Microsecond, func() { fired[d]++ })
-		}
-	}
-	p.Run(10 * Microsecond)
-	if fired[0] != 3 || fired[1] != 3 {
-		t.Fatalf("fired = %v, want [3 3]", fired)
-	}
-	if p.Windows() != 2 {
-		t.Errorf("windows = %d, want 2 (one unbounded window + the inclusive pass)", p.Windows())
 	}
 }

@@ -8,12 +8,11 @@ const fifoCompactAt = 64
 
 // FIFO is a queue popped by head index: the one queue every staging point
 // of the datapath uses (a switch's rx, recirculation, generator and
-// conveyor queues, the TM's output queues, a link's arrival FIFO). The
-// backing array is reused once the queue empties and compacted once the
-// dead prefix outweighs the live tail, so steady-state push/pop allocates
-// nothing and a standing backlog cannot walk the array without bound;
-// popped slots are zeroed so they never pin what they held. The zero FIFO
-// is empty and ready to use.
+// conveyor queues, the TM's output queues). The backing array is reused
+// once the queue empties and compacted once the dead prefix outweighs the
+// live tail, so steady-state push/pop allocates nothing and a standing
+// backlog cannot walk the array without bound; popped slots are zeroed so
+// they never pin what they held. The zero FIFO is empty and ready to use.
 type FIFO[T any] struct {
 	q    []T
 	head int

@@ -345,3 +345,26 @@ func TestRunBeforeStrict(t *testing.T) {
 		t.Errorf("follow-up Run fired %d events total, want 2", len(got))
 	}
 }
+
+// TestPartitionUnboundedLookahead covers the zero-cross-domain-links
+// case: with no cross-domain latency to respect the lookahead is
+// unbounded (Forever), and the whole run executes in a single
+// conservative window plus the final inclusive pass.
+func TestPartitionUnboundedLookahead(t *testing.T) {
+	p := NewPartition(2)
+	p.SetLookahead(Forever) // what netsim computes when no link crosses domains
+	var fired [2]int
+	for d := 0; d < 2; d++ {
+		d := d
+		for i := 1; i <= 3; i++ {
+			p.Sched(d).At(Time(i)*Microsecond, func() { fired[d]++ })
+		}
+	}
+	p.Run(10 * Microsecond)
+	if fired[0] != 3 || fired[1] != 3 {
+		t.Fatalf("fired = %v, want [3 3]", fired)
+	}
+	if p.Windows() != 2 {
+		t.Errorf("windows = %d, want 2 (one unbounded window + the inclusive pass)", p.Windows())
+	}
+}
