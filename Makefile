@@ -53,15 +53,17 @@ race:
 
 # Coverage-guided fuzzing: the µP4 compiled-vs-interpreter differential
 # target, the slot's parse-once flow against packet.FlowOf, the EVCK
-# checkpoint file decoder and the JSON-lines trace reader with its Chrome
-# conversion. Not part of `check` (open-ended); run before touching the
-# compilation backend, the header decoders, the checkpoint format or the
-# trace format.
+# checkpoint file decoder, the JSON-lines trace reader with its Chrome
+# conversion, and the switch against the Event Merger / aggregation
+# register reference model. Not part of `check` (open-ended); run before
+# touching the compilation backend, the header decoders, the checkpoint
+# format, the trace format or the switch's slot and drain path.
 fuzz:
 	$(GO) test -fuzz FuzzCompiledVsInterp -fuzztime 10s ./internal/p4
 	$(GO) test -fuzz FuzzParserFlow -fuzztime 10s ./internal/packet
 	$(GO) test -fuzz FuzzDecode -fuzztime 10s ./internal/checkpoint
 	$(GO) test -fuzz FuzzTraceJSONL -fuzztime 10s ./cmd/tracecheck
+	$(GO) test -fuzz FuzzRefModel -fuzztime 10s ./internal/core
 
 # Hot-path micro-benchmarks (scheduler + switch cycle + event queue +
 # traffic generators + one frame across two links, the one way a frame

@@ -34,13 +34,13 @@ func (s *syncBuffer) String() string {
 
 var (
 	stallRe    = regexp.MustCompile(`ev_self_domain[0-9]+_barrier_stall_ns [1-9]`)
-	burstOccRe = regexp.MustCompile(`ev_self_burst_slots_per_dispatch_count [1-9]`)
+	dispatchRe = regexp.MustCompile(`ev_self_sched_dispatch [1-9]`)
 )
 
 // TestObsSmoke drives the full observability plane end to end, hermetic
 // in-process: run the scale experiment with -http on an ephemeral port
 // plus streaming, scrape /metrics live while trials execute until the
-// barrier-stall and burst-occupancy self-metrics go non-zero, and then
+// barrier-stall and scheduler-dispatch self-metrics go non-zero, and then
 // check the table output is byte-identical to a plain run. This is the
 // cmd-level counterpart of bench.TestObsStreamingIdentical.
 func TestObsSmoke(t *testing.T) {
@@ -82,14 +82,14 @@ func TestObsSmoke(t *testing.T) {
 		}
 	}
 
-	// Scrape live until the partition barrier-stall and burst-occupancy
+	// Scrape live until the partition barrier-stall and scheduler-dispatch
 	// self-metrics are non-zero: proof the engine is exporting real
 	// signal mid-run, not a post-hoc summary.
 	var lastBody string
-	sawStall, sawBurst := false, false
+	sawStall, sawDispatch := false, false
 	running := true
 	code := -1
-	for running && !(sawStall && sawBurst) {
+	for running && !(sawStall && sawDispatch) {
 		select {
 		case code = <-done:
 			running = false
@@ -110,7 +110,7 @@ func TestObsSmoke(t *testing.T) {
 		}
 		lastBody = string(b)
 		sawStall = sawStall || stallRe.MatchString(lastBody)
-		sawBurst = sawBurst || burstOccRe.MatchString(lastBody)
+		sawDispatch = sawDispatch || dispatchRe.MatchString(lastBody)
 	}
 	if running {
 		code = <-done
@@ -121,8 +121,8 @@ func TestObsSmoke(t *testing.T) {
 	if !sawStall {
 		t.Errorf("no live scrape saw a non-zero barrier-stall self-metric; last scrape:\n%s", firstLines(lastBody, 40))
 	}
-	if !sawBurst {
-		t.Errorf("no live scrape saw a non-zero burst-occupancy count; last scrape:\n%s", firstLines(lastBody, 40))
+	if !sawDispatch {
+		t.Errorf("no live scrape saw a non-zero scheduler-dispatch count; last scrape:\n%s", firstLines(lastBody, 40))
 	}
 	if lastBody == "" {
 		t.Error("never completed a live /metrics scrape")

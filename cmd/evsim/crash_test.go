@@ -41,15 +41,11 @@ func TestExitCodes(t *testing.T) {
 		{[]string{"-p4", filepath.Join(dir, "missing.up4")}, exitRuntime},       // unreadable program
 		{[]string{"-resume", filepath.Join(dir, "missing.ckpt")}, exitRuntime},  // unreadable checkpoint
 		{[]string{"-ms", "1", "-load", "0.5", "-resume", ckpt}, exitUsage},      // digest mismatch
-		// A checkpoint cut by the burst engine must not silently resume
-		// under the per-packet oracle (or vice versa): -burst is part of
-		// the config digest, so the mode flip is refused up front.
-		{[]string{"-ms", "1", "-burst", "0", "-checkpoint-every", "500us", "-resume", ckpt}, exitUsage},
 		{[]string{"-ms", "1", "-checkpoint-every", "500us", "-resume", ckpt}, exitOK},
-		// 0 is the only value -burst takes (the slot budget is a constant),
-		// and one switch has nothing to partition: -domains is not a flag.
-		{[]string{"-burst", "16"}, exitUsage},
+		// One switch has nothing to partition, and there is one datapath:
+		// neither -domains nor -burst is a flag.
 		{[]string{"-domains", "2"}, exitUsage},
+		{[]string{"-burst", "0"}, exitUsage},
 		// Values that used to reach a panic in sim (BitTime of a
 		// non-positive rate, negative delay), run outside the documented
 		// range, or never finish are usage errors.
@@ -150,31 +146,8 @@ func TestResumeByteIdenticalInProcess(t *testing.T) {
 			plain.String(), first.String(), resumed.String())
 	}
 
-	// The same cycle under the per-packet oracle (-burst 0): the oracle's
-	// checkpoint/resume must be self-consistent, and its statistics must
-	// match the burst engine's byte for byte — the evsim-level burst
-	// differential.
-	ckptOracle := filepath.Join(dir, "oracle.ckpt")
-	oflags := []string{"-ms", "4", "-burst", "0", "-checkpoint-every", "1ms"}
-	var ofirst bytes.Buffer
-	if code := run(append(append([]string{}, oflags...), "-checkpoint", ckptOracle), &ofirst, &bytes.Buffer{}); code != exitOK {
-		t.Fatalf("oracle checkpointed run exited %d", code)
-	}
-	var oresumed bytes.Buffer
-	if code := run(append(append([]string{}, oflags...), "-resume", ckptOracle), &oresumed, &errw); code != exitOK {
-		t.Fatalf("oracle resumed run exited %d: %s", code, errw.String())
-	}
-	if ofirst.String() != oresumed.String() {
-		t.Errorf("oracle resume diverges:\n--- checkpointed ---\n%s--- resumed ---\n%s",
-			ofirst.String(), oresumed.String())
-	}
-	if ofirst.String() != plain.String() {
-		t.Errorf("burst engine and per-packet oracle diverge:\n--- burst ---\n%s--- oracle ---\n%s",
-			plain.String(), ofirst.String())
-	}
-
-	// The files themselves, as PR 19's binary wrote them for these flags
-	// (the last also carries compiled-µP4 externs, the instance and the
+	// The files themselves, in format version 2, for these flags (the
+	// second also carries compiled-µP4 externs, the instance and the
 	// telemetry section): changing one byte of the layout must come with
 	// a checkpoint.FormatVersion bump, not slip through a two-way walk.
 	ckptP4 := filepath.Join(dir, "p4.ckpt")
@@ -188,9 +161,8 @@ func TestResumeByteIdenticalInProcess(t *testing.T) {
 		size int
 		want uint64
 	}{
-		{ckpt, 6154, 0xcd235e74c981d7a9},
-		{ckptOracle, 6154, 0x2096e1888fd6a14d},
-		{ckptP4, 1028216, 0xf37d016edb4cb789}, // the program is named by the -p4 path as spelled
+		{ckpt, 6138, 0xb2936b7670a6e14a},
+		{ckptP4, 1028200, 0x704d5748e9be2e02}, // the program is named by the -p4 path as spelled
 	} {
 		b, err := os.ReadFile(pin.path)
 		if err != nil {
@@ -220,9 +192,8 @@ func TestCrashSIGKILLResume(t *testing.T) {
 
 	const horizon = "30" // ~2s wall: the kill window below always lands mid-run
 	ckpt := filepath.Join(dir, "crash.ckpt")
-	// Default flags run the burst engine (-burst -1), so the SIGKILL lands
-	// in a run whose checkpoints carry conveyor entries and arrival-FIFO
-	// frames mid-burst.
+	// The default flags load the switch at line rate, so the SIGKILL lands
+	// in a run whose checkpoints carry conveyor entries and queued frames.
 	flags := []string{"-ms", horizon, "-checkpoint-every", "2ms"}
 
 	ref, err := exec.Command(bin, append(append([]string{}, flags...), "-checkpoint", filepath.Join(dir, "ref.ckpt"))...).Output()
@@ -368,7 +339,7 @@ func TestResumeDamageSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := &config{behaviour: behaviour{archName: "event", load: 0.9, size: 60, ms: 1, overspeed: 1.1,
-		ports: 4, gbps: 10, burst: -1, seed: 1}, ckptPath: ckpt}
+		ports: 4, gbps: 10, seed: 1}, ckptPath: ckpt}
 	if err := finishConfig(cfg, "500us"); err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@
 //	evsim -arch baseline -overspeed 1.0 -load 1.0
 //	evsim -p4 program.up4 -ms 5
 //	evsim -p4 program.up4 -interp    # interpreter oracle instead of compiled closures
-//	evsim -burst 0                   # per-packet datapath (burst differential oracle)
 //	evsim -ms 10 -checkpoint-every 1ms -checkpoint run.ckpt
 //	evsim -ms 10 -checkpoint-every 1ms -resume run.ckpt
 //	evsim -ms 10 -http 127.0.0.1:9100   # /metrics, /status, /debug/pprof
@@ -103,7 +102,6 @@ type behaviour struct {
 	gbps      int64
 	p4src     string // program source (content, not path)
 	interp    bool
-	burst     int
 	seed      uint64
 	ckptEvery sim.Time
 }
@@ -161,8 +159,6 @@ func run(args []string, out, errw io.Writer) int {
 	p4file := fs.String("p4", "", "µP4 program to load (default: built-in forwarder)")
 	interp := fs.Bool("interp", false,
 		"run the -p4 program under the interpreter instead of compiled closures")
-	burst := fs.Int("burst", -1,
-		"0 = per-packet datapath, the burst engine's differential oracle (default: burst)")
 	seed := fs.Uint64("seed", 1, "workload RNG seed")
 	trace := fs.Int("trace", 0, "print the first N pipeline slots")
 	traceFile := fs.String("tracefile", "",
@@ -191,7 +187,7 @@ func run(args []string, out, errw io.Writer) int {
 		behaviour: behaviour{
 			archName: *arch, load: *load, size: *size, ms: *ms,
 			overspeed: *overspeed, ports: *ports, gbps: *rate,
-			interp: *interp, burst: *burst, seed: *seed,
+			interp: *interp, seed: *seed,
 		},
 		p4file: *p4file, trace: *trace,
 		traceFile: *traceFile, metrics: *metricsFile,
@@ -221,9 +217,6 @@ func finishConfig(cfg *config, every string) error {
 	case "event", "baseline":
 	default:
 		return usagef("unknown arch %q (want event or baseline)", cfg.archName)
-	}
-	if cfg.burst > 0 {
-		return usagef("-burst takes only 0 (the per-packet oracle); the burst slot budget is not configurable")
 	}
 	if cfg.ms <= 0 {
 		return usagef("-ms must be positive, got %d", cfg.ms)
@@ -306,7 +299,6 @@ func build(cfg *config, start bool, out io.Writer) (*simState, error) {
 		Ports:     cfg.ports,
 		LineRate:  sim.Rate(cfg.gbps) * sim.Gbps,
 		Overspeed: cfg.overspeed,
-		NoBurst:   cfg.burst == 0,
 	}
 	st.sw = core.New(swCfg, st.arch, st.sched)
 

@@ -1,7 +1,6 @@
 package apps
 
 import (
-	"repro/internal/core"
 	"repro/internal/events"
 	"repro/internal/pisa"
 	"repro/internal/sim"
@@ -108,9 +107,4 @@ func NewAFD(cfg AFDConfig, rng *sim.RNG) (*AFD, *pisa.Program) {
 		}
 	})
 	return a, p
-}
-
-// Arm configures the window timer.
-func (a *AFD) Arm(sw *core.Switch) error {
-	return sw.ConfigureTimer(0, a.cfg.Interval)
 }

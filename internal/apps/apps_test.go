@@ -62,7 +62,7 @@ func TestMicroburstDetectsCulpritNotVictims(t *testing.T) {
 	}
 	// All occupancy drains back to zero.
 	for i := uint32(0); i < 256; i++ {
-		if v := mb.Register().True(i); v != 0 {
+		if v := mb.reg.True(i); v != 0 {
 			t.Fatalf("slot %d residual %d", i, v)
 		}
 	}

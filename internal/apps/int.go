@@ -1,7 +1,6 @@
 package apps
 
 import (
-	"repro/internal/core"
 	"repro/internal/events"
 	"repro/internal/packet"
 	"repro/internal/pisa"
@@ -163,9 +162,4 @@ func NewPIE(cfg PIEConfig, rng *sim.RNG) (*PIE, *pisa.Program) {
 		}
 	})
 	return pie, p
-}
-
-// Arm configures the controller timer.
-func (pie *PIE) Arm(sw *core.Switch) error {
-	return sw.ConfigureTimer(0, pie.cfg.Update)
 }

@@ -95,9 +95,6 @@ func (m *Microburst) StateBytes() int {
 	return m.cfg.Slots * 4 * 3
 }
 
-// Register exposes the occupancy register for monitoring.
-func (m *Microburst) Register() *pisa.SharedRegister { return m.reg }
-
 // SnappyConfig parameterizes the baseline detector.
 type SnappyConfig struct {
 	// Snapshots is the number of rotating sketch snapshots (Snappy used

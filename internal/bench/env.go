@@ -35,11 +35,6 @@ type Env struct {
 	// scheduler, switch and worker pool of the campaign records into.
 	Self *self.Plane
 
-	// Engine reference paths for this package's differential tests: the
-	// per-packet datapath instead of the burst loop, the cycle-by-cycle
-	// drain instead of the fast-forward.
-	noBurst, slowDrain bool
-
 	mu   sync.Mutex // guards runs: RunParallel workers add collectors concurrently
 	runs []telemetry.RunExport
 }
@@ -54,11 +49,8 @@ func (e *Env) workers() int {
 func (e *Env) domains() int { return max(e.Domains, 1) }
 
 // newSwitch is how every experiment builds a switch: core.New on a
-// scheduler that records into the campaign's plane, plus the reference
-// paths a test selected.
+// scheduler that records into the campaign's plane.
 func (e *Env) newSwitch(cfg core.Config, arch *core.Arch, sched *sim.Scheduler) *core.Switch {
-	cfg.NoBurst = cfg.NoBurst || e.noBurst
-	cfg.NoDrainFastForward = cfg.NoDrainFastForward || e.slowDrain
 	sched.SetSelf(e.Self)
 	return core.New(cfg, arch, sched)
 }

@@ -2,13 +2,10 @@ package bench
 
 import (
 	"bytes"
-	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"io/fs"
 	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -94,8 +91,7 @@ func TestTwoCampaignsConcurrently(t *testing.T) {
 		return append(m, j...)
 	}
 	loaded := func() *Env {
-		return &Env{Domains: 2, Parallelism: 3, Telemetry: &telOpts, Self: new(self.Plane),
-			noBurst: true, slowDrain: true}
+		return &Env{Domains: 2, Parallelism: 3, Telemetry: &telOpts, Self: new(self.Plane)}
 	}
 
 	solo := loaded()
@@ -135,135 +131,6 @@ func TestTwoCampaignsConcurrently(t *testing.T) {
 	}
 	if got := busy.Self.TrialsDone.Value(); got != uint64(trials) {
 		t.Errorf("plane counts %d finished trials, the campaign ran %d", got, trials)
-	}
-}
-
-// TestNoTestOnlyExports holds every exported func and method declared in
-// a non-test file under internal/ to a caller outside _test.go somewhere
-// in the module, so code only its own tests call cannot pile up again.
-// The census is by name: a package func counts as referenced by a
-// qualified pkg.F anywhere or a bare F in its own package, a method by
-// any selector .M; a func's mention of itself does not count. A test
-// hook one package needs belongs in that package's export_test.go.
-func TestNoTestOnlyExports(t *testing.T) {
-	allowed := map[string]string{
-		"repro/internal/tm.pifoHeap.Less":       "heap.Interface, called by container/heap",
-		"repro/internal/tm.pifoHeap.Swap":       "heap.Interface, called by container/heap",
-		"repro/internal/checkpoint.DamageSweep": "test hook shared by the core and evsim checkpoint tests",
-		"repro/internal/telemetry.Digest":       "determinism witness the telemetry and bench tests compare",
-		"repro/internal/events.Queue.HighWater": "FIFO peak the checkpoint carries; the core and faults tests pin storm pressure with it",
-	}
-	const root, module = "../..", "repro"
-	type export struct {
-		key, name, pos string
-		method         bool
-	}
-	var exports []export
-	qualified := map[string]bool{} // "pkgpath.F" named through an import
-	local := map[string]bool{}     // "pkgpath.F" named bare inside its package
-	selected := map[string]bool{}  // ".M" selected on anything but an import
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		name := d.Name()
-		if d.IsDir() {
-			if path != root && (name == "testdata" || strings.HasPrefix(name, ".")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			return err
-		}
-		file, _ := filepath.Rel(root, path)
-		pkg := module
-		if dir := filepath.Dir(file); dir != "." {
-			pkg += "/" + filepath.ToSlash(dir)
-		}
-		imports := map[string]string{}
-		for _, im := range f.Imports {
-			p := strings.Trim(im.Path.Value, `"`)
-			n := p[strings.LastIndex(p, "/")+1:]
-			if im.Name != nil {
-				n = im.Name.Name
-			}
-			imports[n] = p
-		}
-		for _, decl := range f.Decls {
-			self := ""
-			if fd, ok := decl.(*ast.FuncDecl); ok {
-				self = fd.Name.Name
-				if strings.HasPrefix(pkg, module+"/internal/") && fd.Name.IsExported() {
-					e := export{key: pkg + "." + self, name: self, method: fd.Recv != nil,
-						pos: fmt.Sprintf("%s:%d", file, fset.Position(fd.Pos()).Line)}
-					if e.method {
-						typ := fd.Recv.List[0].Type
-						if star, ok := typ.(*ast.StarExpr); ok {
-							typ = star.X
-						}
-						switch g := typ.(type) {
-						case *ast.IndexExpr:
-							typ = g.X
-						case *ast.IndexListExpr:
-							typ = g.X
-						}
-						e.key = pkg + "." + typ.(*ast.Ident).Name + "." + self
-					}
-					exports = append(exports, e)
-				}
-			}
-			var visit func(ast.Node) bool
-			visit = func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.SelectorExpr:
-					if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
-						qualified[imports[x.Name]+"."+n.Sel.Name] = true
-						return false
-					}
-					if n.Sel.Name != self {
-						selected["."+n.Sel.Name] = true
-					}
-					ast.Inspect(n.X, visit)
-					return false
-				case *ast.Ident:
-					if n.Name != self {
-						local[pkg+"."+n.Name] = true
-					}
-				}
-				return true
-			}
-			ast.Inspect(decl, visit)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range exports {
-		used := selected["."+e.name]
-		if !e.method {
-			used = qualified[e.key] || local[e.key]
-		}
-		if _, ok := allowed[e.key]; ok {
-			if used {
-				t.Errorf("%s is allow-listed but has a non-test caller: drop it from the allow-list", e.key)
-			}
-			delete(allowed, e.key)
-			continue
-		}
-		if !used {
-			t.Errorf("%s: %s has no caller outside _test.go: delete it, or move it to an export_test.go if it is a test hook",
-				e.pos, strings.TrimPrefix(e.key, module+"/"))
-		}
-	}
-	for key := range allowed {
-		t.Errorf("allow-list entry %s names no exported func under internal/: drop it", key)
 	}
 }
 

@@ -55,11 +55,11 @@ func TestInstallEntryTakesEffectLater(t *testing.T) {
 		return true
 	})
 	a.InstallEntry(tbl, &pisa.Entry{Values: []uint64{1}, Action: func(*pisa.Context, []uint64) {}})
-	if tbl.Len() != 0 {
+	if tbl.Apply(&pisa.Context{}) {
 		t.Error("entry visible before channel latency")
 	}
 	sched.Run(2 * sim.Millisecond)
-	if tbl.Len() != 1 {
+	if !tbl.Apply(&pisa.Context{}) {
 		t.Error("entry not installed")
 	}
 }

@@ -88,8 +88,6 @@ func (s *Switch) Checkpoint(c *checkpoint.Codec) {
 	// Cycle machinery.
 	c.I64((*int64)(&s.nextCycleAt))
 	c.U64(&s.cycleIdx)
-	c.I64((*int64)(&s.slotNow))
-	c.U64(&s.slotCycle)
 	laneAt, laneSeq, laneArmed := s.cycleLane.ArmedAt()
 	c.Bool(&laneArmed)
 	c.I64((*int64)(&laneAt))

@@ -108,10 +108,10 @@ func TestSwitchCheckpointResumeIdentical(t *testing.T) {
 	a := buildCkptRig(t, true)
 	a.sched.Run(half)
 	snap := a.snapshot()
-	// The section bytes as PR 19 wrote them: a layout change must bump
+	// The section bytes of format version 2: a layout change must bump
 	// checkpoint.FormatVersion, not slip through a two-way walk.
-	if got, want := checkpoint.Digest(string(snap)), uint64(9768110592736983676); got != want || len(snap) != 7928 {
-		t.Errorf("snapshot is %d bytes, digest %d; the pinned format is 7928 bytes, digest %d", len(snap), got, want)
+	if got, want := checkpoint.Digest(string(snap)), uint64(219019623918759967); got != want || len(snap) != 7912 {
+		t.Errorf("snapshot is %d bytes, digest %d; the pinned format is 7912 bytes, digest %d", len(snap), got, want)
 	}
 	a.sched.Run(full + 500*sim.Microsecond)
 
@@ -134,8 +134,8 @@ func TestSwitchCheckpointResumeIdentical(t *testing.T) {
 	if a.sched.Clock() != b.sched.Clock() {
 		t.Errorf("scheduler counters diverge: original %+v, resumed %+v", a.sched.Clock(), b.sched.Clock())
 	}
-	aocc := a.sw.Program().Register("occ")
-	bocc := b.sw.Program().Register("occ")
+	aocc := a.sw.prog.Register("occ")
+	bocc := b.sw.prog.Register("occ")
 	for i := uint32(0); i < 8; i++ {
 		if aocc.True(i) != bocc.True(i) {
 			t.Errorf("occ[%d] = %d, resumed %d", i, aocc.True(i), bocc.True(i))

@@ -101,9 +101,6 @@ func (s *Switch) pump(port int) {
 	at := s.sched.Now() + ser
 	seq := s.sched.NextSeq()
 	s.txPend = append(s.txPend, txDone{at: at, seq: seq, port: port})
-	if s.inBurst {
-		return
-	}
 	s.auxArmIfEarlier(at, seq, len(s.txPend)-1)
 }
 

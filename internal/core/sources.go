@@ -173,21 +173,6 @@ func (s *Switch) TriggerControlEvent(data uint64) {
 
 // --- the event merger and pipeline ---------------------------------------
 
-// packetBacklog is the number of packets queued for pipeline slots; the
-// burst loop engages only when it promises more than one slot of inline
-// work (see burstEngageDepth).
-func (s *Switch) packetBacklog() int {
-	return s.rxPending + s.recirc.Len() + s.genq.Len()
-}
-
-// conveyorDepth is the number of pending conveyor entries (pipeline-
-// latency deliveries plus tx completions); the aux lane's inline burst
-// continuation engages only when at least burstEngageDepth entries are
-// queued.
-func (s *Switch) conveyorDepth() int {
-	return s.pipe.Len() + len(s.txPend)
-}
-
 func (s *Switch) haveEventWork() bool {
 	return s.evMask&s.prioMask != 0
 }
@@ -195,11 +180,10 @@ func (s *Switch) haveEventWork() bool {
 // haveWork reports whether anything needs a pipeline cycle: a packet for
 // a slot, an event for the merger, or aggregation backlog to drain.
 //
-// Shaped to inline, on measurement: wake asks once per event and the burst
-// loop once per slot, and as one out-of-line function it cost
-// switch_linerate 7 % ns_per_cycle (9 of 10 alternating 4 s pairs). A
-// received packet or a pending event decides nearly every call; whatever
-// is left is one call.
+// Shaped to inline, on measurement: wake asks once per event and once per
+// cycle, and as one out-of-line function it cost switch_linerate 7 %
+// ns_per_cycle (9 of 10 alternating 4 s pairs). A received packet or a
+// pending event decides nearly every call; whatever is left is one call.
 func (s *Switch) haveWork() bool {
 	return s.rxPending > 0 || s.haveEventWork() || s.haveOtherWork()
 }
@@ -225,7 +209,7 @@ func (s *Switch) haveDrainWork() bool {
 }
 
 // wake arms the next pipeline cycle if work is pending. The cycle runs
-// on a scheduler lane: re-arming is two field writes, so bursts of
+// on a scheduler lane: re-arming is two field writes, so runs of
 // back-to-back cycles never touch the event heap and never allocate.
 func (s *Switch) wake() {
 	if s.cycleLane.Armed() || !s.haveWork() {

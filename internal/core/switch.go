@@ -11,9 +11,9 @@ import (
 
 // The datapath of paper Figure 4, one file per block: this file sizes and
 // builds a Switch; sources.go holds the event sources and the Event
-// Merger, cycle.go the pipeline slot and its burst and drain loops,
-// conveyor.go the pipeline-latency and tx-completion lane, egress.go the
-// TM handoff and the transmitters, inventory.go the monitoring views.
+// Merger, cycle.go the pipeline cycle and its slot, conveyor.go the
+// pipeline-latency and tx-completion lane, egress.go the TM handoff and
+// the transmitters, inventory.go the monitoring views.
 
 // WireOverhead is the per-frame wire overhead in bytes beyond the frame
 // data the simulator carries: 4 (FCS) + 8 (preamble) + 12 (inter-frame
@@ -69,32 +69,7 @@ type Config struct {
 	// coalesces per port (a flap burst collapses to each port's final
 	// state), every other kind drops the newest event when full.
 	EventOverflow map[events.Kind]events.OverflowPolicy
-	// NoDrainFastForward disables the idle-cycle drain fast-forward for
-	// this switch: drain-only stretches then run cycle-by-cycle on the
-	// scheduler lane. Differential tests use it to pin the fast path
-	// against the slow one; results are identical either way.
-	NoDrainFastForward bool
-	// NoBurst disables the burst slot loop for this switch: every
-	// pipeline slot then costs one full scheduler dispatch (lane arm,
-	// next-event scan, lane fire), exactly as before bursting existed.
-	// The per-frame path is the burst path's differential oracle; results
-	// are byte-identical either way.
-	NoBurst bool
 }
-
-// burstSlots is the per-wakeup slot budget of the burst loop. The cap
-// only bounds latency of the in-callback loop; any value produces
-// identical simulation output.
-const burstSlots = 64
-
-// burstEngageDepth is how much queued work a wake must hold before the
-// burst paths engage their bracketing (aux-lane disarm plus continuation
-// proofs). Below the threshold the switch runs the plain single-slot /
-// single-delivery path — on lightly loaded fabrics the bracket costs
-// more than it saves. The gate reads only deterministic simulation state
-// (queue depths), and the single-slot path is the burst datapath's
-// byte-identical oracle, so engagement never changes output.
-const burstEngageDepth = 2
 
 func (c Config) withDefaults() Config {
 	if c.Ports <= 0 {
@@ -184,24 +159,6 @@ type Switch struct {
 	nextCycleAt sim.Time
 	cycleIdx    uint64
 	cycleLane   *sim.Lane
-	// inBurst is set while the burst slot loop (or the aux lane's inline
-	// drain) is executing. While set, the aux lane is kept disarmed and
-	// conveyor mutations skip the arm-if-earlier bookkeeping: the loop
-	// consults auxMin directly with each entry's exact (at, seq), so the
-	// per-entry lane churn would be overwritten before anything could
-	// observe it. Every exit path re-establishes the armed-at-minimum
-	// invariant with auxArm before control returns to the scheduler, and
-	// fastForwardDrain bounds its stretch by auxMin explicitly so the
-	// hidden lane cannot widen the drain horizon.
-	inBurst bool
-
-	// slotNow/slotCycle snapshot the (time, cycle) pair at the top of the
-	// last runCycle. During a drain fast-forward the registers' cycles run
-	// ahead of the scheduler clock; telemetry reconstructs each drained
-	// delta's virtual timestamp as slotNow + (regCycle-slotCycle)*cycleTime.
-	slotNow   sim.Time
-	slotCycle uint64
-
 	// pool recycles every packet the switch materializes (rx copies,
 	// generated frames): the steady-state forward path allocates nothing.
 	pool *packet.Pool
@@ -217,7 +174,7 @@ type Switch struct {
 	// evMask has bit k set while evq[k] is non-empty; prioMask has bit k
 	// set for kinds the merger actually drains (cfg.MergerPriority). The
 	// pair makes the per-slot event scan and the wake predicate O(1) when
-	// no events are pending — the common case in burst stretches.
+	// no events are pending — the common case at line rate.
 	evMask   uint32
 	prioMask uint32
 	// handled has bit k set for kinds the architecture exposes and the
@@ -243,7 +200,7 @@ type Switch struct {
 	auxLane *sim.Lane           // fires the earliest conveyor entry
 	// auxIdx says which entry the aux lane is armed for — an index into
 	// txPend, or -1 for the pipe head — so auxRun need not search for it.
-	// Valid whenever the lane is armed: entries move only in auxFire, and
+	// Valid whenever the lane is armed: entries move only in auxRun, and
 	// every path out of it re-arms through auxArm.
 	auxIdx int
 
@@ -341,9 +298,6 @@ func (s *Switch) CycleTime() sim.Time { return s.cycleTime }
 
 // TM exposes the traffic manager (monitors read occupancancies from it).
 func (s *Switch) TM() *tm.TM { return s.tmgr }
-
-// Program returns the loaded program (nil before Load).
-func (s *Switch) Program() *pisa.Program { return s.prog }
 
 // Stats returns a snapshot of the switch's counters.
 func (s *Switch) Stats() Stats { return s.stats }

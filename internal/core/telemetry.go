@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/events"
-	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
@@ -75,16 +74,9 @@ func (s *Switch) instrumentRegisters() {
 		return
 	}
 	for _, r := range s.prog.Registers() {
-		r := r
 		rp := s.telCol.NewRegisterProbe(s.telName(), r.Name())
 		r.SetDrainHook(func(idx uint32, lag uint64) {
-			// During a drain fast-forward the register's cycle runs ahead
-			// of the scheduler clock (which is parked at the slot that
-			// triggered the batch); reconstruct the instant the drain's own
-			// cycle would have run at. On ordinary cycles the register's
-			// cycle equals the slot cycle and this is exactly Now().
-			at := s.slotNow + sim.Time(r.Cycle()-s.slotCycle)*s.cycleTime
-			rp.ObserveDrain(at, idx, lag)
+			rp.ObserveDrain(s.sched.Now(), idx, lag)
 		})
 	}
 }

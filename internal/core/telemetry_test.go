@@ -177,7 +177,7 @@ func TestSwitchTelemetryLifecycleStages(t *testing.T) {
 	}
 
 	// Staleness histogram vs the register's own metrics.
-	reg := sw.Program().Registers()[0]
+	reg := sw.prog.Registers()[0]
 	am, _ := reg.Metrics()
 	h := col.Registry().Histogram("sw.t0.reg.occ.staleness.cycles")
 	if h.Count() != am.Drained {

@@ -14,9 +14,9 @@ import (
 	"repro/internal/workload"
 )
 
-// burstDeliverRig is deliverRig's burst twin: each step pushes a whole
+// burstDeliverRig is deliverRig with bursts: each step pushes a whole
 // burst of frames through host NIC serialization, one pooled wire-band
-// flight per frame on the first link, the switch's burst slot loop, and
+// flight per frame on the first link, the switch's pipeline slots, and
 // the second link. NIC serialization (~18ns/frame at 100G) is much
 // shorter than the 100ns propagation, so several flights are in the air
 // on each link at once.
@@ -48,7 +48,7 @@ func burstDeliverRig(tb testing.TB) (step func(), rx *uint64) {
 
 // TestNetsimBurstDeliverZeroAlloc asserts the burst delivery path —
 // burst sends through pooled NIC transmissions, pooled per-frame wire
-// flights, the switch burst loop, and back out — performs zero heap
+// flights, the switch's slots, and back out — performs zero heap
 // allocations in steady state.
 func TestNetsimBurstDeliverZeroAlloc(t *testing.T) {
 	step, rx := burstDeliverRig(t)
@@ -84,8 +84,8 @@ type sentFrame struct {
 }
 
 // impairedOrderRun drives the wire-order workload once. It returns the
-// frame sizes h2 received (in arrival order), the order the wire band
-// must produce, and a counter fingerprint.
+// frame sizes h2 received (in arrival order) and the order the wire band
+// must produce.
 //
 // h1 sends bursts of 8 length-tagged frames every 20µs through its NIC;
 // for a middle window its link carries a deterministic impairment (drop
@@ -99,13 +99,12 @@ type sentFrame struct {
 // copies are ordered by (arrival, send index, copy index) — the wire
 // band's (arrival, link, send seq) key on a single link direction. The
 // switch forwards everything to h2 in arrival order.
-func impairedOrderRun(t *testing.T, cfg core.Config) (order, want []int, fp string) {
+func impairedOrderRun(t *testing.T) (order, want []int) {
 	t.Helper()
 	const latency = 2 * sim.Microsecond
 	sched := sim.NewScheduler()
 	net := New(sched)
-	cfg.Name = "s"
-	sw := core.New(cfg, core.EventDriven(), sched)
+	sw := core.New(core.Config{Name: "s"}, core.EventDriven(), sched)
 	sw.MustLoad(fwdTo(1))
 	net.AddSwitch(sw)
 	h1 := net.NewHost("h1", packet.IP4(10, 0, 0, 1))
@@ -211,49 +210,34 @@ func impairedOrderRun(t *testing.T, cfg core.Config) (order, want []int, fp stri
 			l.Dropped(), l.Duplicated())
 	}
 
-	fp = fmt.Sprintf("rx=%d/%dB sent=%d delivered=%d dropped=%d dup=%d inflight=%d sw=%+v",
-		h2.RxPackets, h2.RxBytes, l.Sent(), l.Delivered(), l.Dropped(), l.Duplicated(),
-		l.InFlight(), sw.Stats())
-	return order, want, fp
+	return order, want
 }
 
 // TestBurstWireOrderUnderImpairments is the wire-order property pin: h2
 // must receive frames in exactly the (arrival, send seq) order computed
 // from the send instants, the link latency and each copy's ExtraDelay,
 // across an impairment window that drops, duplicates and reorders
-// frames, and for frames entered at one instant. A rebuild of the same
-// workload on a NoBurst switch (which takes the per-packet datapath in
-// core) must deliver the same sequence with the same counters.
+// frames, and for frames entered at one instant.
 func TestBurstWireOrderUnderImpairments(t *testing.T) {
-	order, want, fp := impairedOrderRun(t, core.Config{})
-	orderRef, _, fpRef := impairedOrderRun(t, core.Config{NoBurst: true})
-
+	order, want := impairedOrderRun(t)
 	if len(order) == 0 {
 		t.Fatal("nothing delivered; property is vacuous")
 	}
 	if fmt.Sprint(order) != fmt.Sprint(want) {
 		t.Errorf("delivery order differs from the wire-band expectation:\ngot:  %v\nwant: %v", order, want)
 	}
-	if fp != fpRef {
-		t.Errorf("counters diverge:\nburst:   %s\nnoburst: %s", fp, fpRef)
-	}
-	if fmt.Sprint(order) != fmt.Sprint(orderRef) {
-		t.Errorf("delivery order differs on a NoBurst switch:\nburst:   %v\nnoburst: %v", order, orderRef)
-	}
 }
 
 // TestLinkBatchingDerivedFromSwitches pins that a link's delivery does
 // not depend on the switches on its ends: three groups of four frames
-// each enter one link direction at a single instant, and the link of a
-// default switch and of a NoBurst switch both fire the wire band once per
-// frame and deliver every frame in send order.
+// each enter one link direction at a single instant, and the link fires
+// the wire band once per frame and delivers every frame in send order.
 func TestLinkBatchingDerivedFromSwitches(t *testing.T) {
 	const groups, perGroup = 3, 4
-	run := func(cfg core.Config) (order []int, fired uint64) {
+	run := func() (order []int, fired uint64) {
 		sched := sim.NewScheduler()
 		net := New(sched)
-		cfg.Name = "s"
-		sw := core.New(cfg, core.EventDriven(), sched)
+		sw := core.New(core.Config{Name: "s"}, core.EventDriven(), sched)
 		sw.MustLoad(fwdTo(1))
 		net.AddSwitch(sw)
 		h := net.NewHost("h", packet.IP4(10, 0, 0, 1))
@@ -277,17 +261,12 @@ func TestLinkBatchingDerivedFromSwitches(t *testing.T) {
 	for i := 0; i < groups*perGroup; i++ {
 		want = append(want, 100+i)
 	}
-	for _, c := range []struct {
-		name string
-		cfg  core.Config
-	}{{"default", core.Config{}}, {"NoBurst", core.Config{NoBurst: true}}} {
-		order, fired := run(c.cfg)
-		if fired != groups*perGroup {
-			t.Errorf("%s switch: %d wire firings, want one per frame (%d)", c.name, fired, groups*perGroup)
-		}
-		if fmt.Sprint(order) != fmt.Sprint(want) {
-			t.Errorf("%s switch: delivery order %v, want send order %v", c.name, order, want)
-		}
+	order, fired := run()
+	if fired != groups*perGroup {
+		t.Errorf("%d wire firings, want one per frame (%d)", fired, groups*perGroup)
+	}
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Errorf("delivery order %v, want send order %v", order, want)
 	}
 }
 
@@ -354,22 +333,21 @@ func chainDigest(cfg core.Config) string {
 	return out
 }
 
-// TestTwoEnginesConcurrently runs two differently configured engines in
-// one process at the same time — one chain on the burst datapath with
-// the drain fast-forward, one on both reference paths — and requires
-// equal digests. Under -race this is the proof that no engine mode lives
-// in process-wide state.
+// TestTwoEnginesConcurrently runs two engines in one process at the same
+// time and requires each to reproduce the digest of a run made alone.
+// Under -race this is the proof that no engine state is process-wide.
 func TestTwoEnginesConcurrently(t *testing.T) {
-	var fast, ref string
+	solo := chainDigest(core.Config{})
+	var got [2]string
 	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { defer wg.Done(); fast = chainDigest(core.Config{}) }()
-	go func() {
-		defer wg.Done()
-		ref = chainDigest(core.Config{NoBurst: true, NoDrainFastForward: true})
-	}()
+	for i := range got {
+		wg.Add(1)
+		go func() { defer wg.Done(); got[i] = chainDigest(core.Config{}) }()
+	}
 	wg.Wait()
-	if fast == "" || fast != ref {
-		t.Errorf("engines diverge:\n--- default ---\n%s--- reference paths ---\n%s", fast, ref)
+	for i, d := range got {
+		if solo == "" || d != solo {
+			t.Errorf("engine %d diverges from the solo run:\n--- concurrent ---\n%s--- solo ---\n%s", i, d, solo)
+		}
 	}
 }

@@ -193,13 +193,6 @@ type Link struct {
 	impairBuf []byte
 }
 
-// Up reports the link state (both endpoint views; between a partitioned
-// run's windows the views may transiently differ by one transition).
-func (l *Link) Up() bool { return l.sideUp[0] && l.sideUp[1] }
-
-// Latency returns the link's one-way propagation delay.
-func (l *Link) Latency() sim.Time { return l.latency }
-
 // Counters returns one direction's counters (0: a→b, 1: b→a). Mutable
 // access is exported for tests that cook the books to verify auditing.
 func (l *Link) Counters(dir int) *DirCounters { return &l.dir[dir] }
@@ -226,10 +219,6 @@ func (l *Link) Duplicated() uint64 { return l.dir[0].Duplicated + l.dir[1].Dupli
 // InFlight returns the number of frames currently propagating (including
 // frames parked in a cross-domain mailbox awaiting the next barrier).
 func (l *Link) InFlight() uint64 { return l.dir[0].InFlight() + l.dir[1].InFlight() }
-
-// Lost returns the total frames lost to link failures (both at send and
-// mid-flight; impairment drops are counted separately in Dropped).
-func (l *Link) Lost() uint64 { return l.LostAtSend() + l.LostInFlight() }
 
 // SetImpair installs (or, with nil, removes) the link's impairment. Only
 // one impairment is attached at a time; compose stages before installing

@@ -189,7 +189,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		"trials_total":            p.TrialsTotal.Value(),
 		"pool_in_use":             p.PoolInUse.Cur(),
 		"pool_high_water":         p.PoolInUse.High(),
-		"burst_dispatches":        p.BurstOcc.Count(),
 		"stream_flushes":          p.StreamFlushes.Value(),
 		"stream_records":          p.StreamRecords.Value(),
 		"checkpoint_writes":       p.CheckpointWriteNS.Count(),

@@ -32,8 +32,8 @@ func TestServerEndpoints(t *testing.T) {
 	plane := new(self.Plane)
 	plane.SetDomains(2)
 	plane.SchedDispatch.Add(123)
-	plane.BurstOcc.Observe(4)
-	plane.BurstOcc.Observe(9)
+	plane.CheckpointWriteNS.Observe(4)
+	plane.CheckpointWriteNS.Observe(9)
 	plane.DomainWindows(0).Add(7)
 	plane.DomainStallNS(1).Add(5500)
 	plane.SimNowPS.Set(1_000_000)
@@ -62,9 +62,9 @@ func TestServerEndpoints(t *testing.T) {
 	}
 	for _, want := range []string{
 		"ev_self_sched_dispatch 123",
-		"# TYPE ev_self_burst_slots_per_dispatch histogram",
-		"ev_self_burst_slots_per_dispatch_count 2",
-		"ev_self_burst_slots_per_dispatch_sum 13",
+		"# TYPE ev_self_checkpoint_write_ns histogram",
+		"ev_self_checkpoint_write_ns_count 2",
+		"ev_self_checkpoint_write_ns_sum 13",
 		"ev_self_domain0_windows 7",
 		"ev_self_domain1_barrier_stall_ns 5500",
 		"ev_self_sim_now_ps 1000000",

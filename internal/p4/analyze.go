@@ -40,6 +40,11 @@ const (
 	// the stale main value, which in particular does not include its
 	// own class's pending deltas (no read-your-writes).
 	HazardDeferredRead
+	// HazardPortConflict: two or more direct threads access one
+	// register. They share the main array's single port, so when their
+	// events ride one slot every thread after the first is refused it: its
+	// update is lost and its read is served without a transaction.
+	HazardPortConflict
 )
 
 // String names the hazard kind.
@@ -53,6 +58,8 @@ func (k HazardKind) String() string {
 		return "deferred-write"
 	case HazardDeferredRead:
 		return "deferred-read"
+	case HazardPortConflict:
+		return "port-conflict"
 	default:
 		return fmt.Sprintf("hazard(%d)", uint8(k))
 	}
@@ -149,7 +156,7 @@ func (c *Compiled) Analyze() []Hazard {
 
 	var out []Hazard
 	for reg, byControl := range access {
-		var directReaders, directWriters, defAdders, defWriters, defReaders []string
+		var directReaders, directWriters, direct, defAdders, defWriters, defReaders []string
 		for control, a := range byControl {
 			if deferredControl(control) {
 				if a.adds {
@@ -163,6 +170,7 @@ func (c *Compiled) Analyze() []Hazard {
 				}
 				continue
 			}
+			direct = append(direct, control)
 			if a.reads {
 				directReaders = append(directReaders, control)
 			}
@@ -170,7 +178,7 @@ func (c *Compiled) Analyze() []Hazard {
 				directWriters = append(directWriters, control)
 			}
 		}
-		sortAll(&directReaders, &directWriters, &defAdders, &defWriters, &defReaders)
+		sortAll(&directReaders, &directWriters, &direct, &defAdders, &defWriters, &defReaders)
 
 		if len(defWriters) > 0 {
 			out = append(out, Hazard{
@@ -197,6 +205,12 @@ func (c *Compiled) Analyze() []Hazard {
 			out = append(out, Hazard{
 				Kind: HazardDeferredRead, Register: reg, Controls: defReaders,
 				Msg: "deferred threads read the stale main value and do not see their own pending deltas",
+			})
+		}
+		if len(direct) > 1 {
+			out = append(out, Hazard{
+				Kind: HazardPortConflict, Register: reg, Controls: direct,
+				Msg: "direct threads share the main array's one port; when their events ride one slot, all but the first lose their access",
 			})
 		}
 	}

@@ -107,14 +107,29 @@ control Dequeue { bit<32> v; apply { r.read(0, v); r.add(0, 1); } }
 }
 
 func TestAnalyzeCleanProgram(t *testing.T) {
-	// A register used only by direct threads has no hazards.
+	// A register used by one direct thread only has no hazards.
+	hs := MustCompile(`
+shared_register<bit<32>>(8) r;
+control Ingress { bit<32> v; apply { r.read(0, v); r.add(0, 1); forward(1); } }
+control Timer   { apply { no_op(); } }
+`).Analyze()
+	if len(hs) != 0 {
+		t.Errorf("hazards on a single-thread register: %v", hs)
+	}
+}
+
+// TestAnalyzePortConflict: two direct threads on one register contend for
+// the main array's single port, so a timer that fires during a packet
+// slot loses its write (TestAnalyzePassedMeansNoRuntimeHazard found it).
+func TestAnalyzePortConflict(t *testing.T) {
 	hs := MustCompile(`
 shared_register<bit<32>>(8) r;
 control Ingress { bit<32> v; apply { r.read(0, v); r.add(0, 1); forward(1); } }
 control Timer   { apply { r.write(0, 0); } }
 `).Analyze()
-	if len(hs) != 0 {
-		t.Errorf("hazards on direct-only register: %v", hs)
+	if len(hs) != 1 || hs[0].Kind != HazardPortConflict || hs[0].Fatal ||
+		strings.Join(hs[0].Controls, " ") != "Ingress Timer" {
+		t.Errorf("hazards = %v, want one port-conflict on r by Ingress and Timer", hs)
 	}
 }
 

@@ -88,7 +88,7 @@ func runBackend(tb testing.TB, src string, interp bool, install func(*Instance) 
 				_ = ctx.Parsed.Decode(data, &ctx.Decoded)
 				inst.Program().Apply(ctx)
 				fmt.Fprintf(&sb, "ev %v/%d: egress=%d q=%d rank=%d recirc=%v tos=%d pkt=%x\n",
-					k, cycle, ctx.EgressPort, ctx.Queue, ctx.Rank, ctx.Recirculate, ctx.TOS(), pkt.Data)
+					k, cycle, ctx.EgressPort, ctx.Queue, ctx.Rank, ctx.Recirculate, tosOf(pkt.Data), pkt.Data)
 				for _, g := range ctx.Generated {
 					fmt.Fprintf(&sb, "  gen port=%d data=%x\n", g.Port, g.Data)
 				}
@@ -107,7 +107,7 @@ func runBackend(tb testing.TB, src string, interp bool, install func(*Instance) 
 		}
 	}
 	for ci, c := range inst.cnts {
-		for i := 0; i < c.Size(); i++ {
+		for i := 0; i < inst.compiled.file.Counters[ci].size; i++ {
 			if p, by := c.Value(uint32(i)); p != 0 || by != 0 {
 				fmt.Fprintf(&sb, "cnt[%d][%d]=%d/%d\n", ci, i, p, by)
 			}
@@ -320,4 +320,17 @@ control Enqueue { apply { occ.add(ev.queue, ev.pkt_len); } }`
 	if allocs := testing.AllocsPerRun(500, func() { run(events.BufferEnqueue) }); allocs != 0 {
 		t.Errorf("compiled enqueue path allocates %v/op, want 0", allocs)
 	}
+}
+
+// tosOf reads a frame's IPv4 TOS byte, or 0 for a frame without IPv4.
+func tosOf(data []byte) uint8 {
+	var p packet.Parser
+	var layers []packet.LayerType
+	_ = p.Decode(data, &layers)
+	for _, l := range layers {
+		if l == packet.LayerIPv4 {
+			return p.IP.TOS
+		}
+	}
+	return 0
 }

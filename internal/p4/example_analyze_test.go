@@ -32,4 +32,5 @@ control Timer {
 	// Output:
 	// stale-read on "occ" involving [Enqueue Ingress]: reads lag deferred updates by the drain backlog (bounded when the pipeline has slack)
 	// lost-update on "occ" involving [Enqueue Timer]: deltas deferred before an absolute write drain after it and partially undo the write
+	// port-conflict on "occ" involving [Ingress Timer]: direct threads share the main array's one port; when their events ride one slot, all but the first lose their access
 }

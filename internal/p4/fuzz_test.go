@@ -143,8 +143,8 @@ func FuzzCompiledVsInterp(f *testing.F) {
 					}
 				}
 			}
-			for _, c := range inst.cnts {
-				n := c.Size()
+			for ci, c := range inst.cnts {
+				n := inst.compiled.file.Counters[ci].size
 				if n > 1024 {
 					n = 1024
 				}

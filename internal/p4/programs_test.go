@@ -200,7 +200,7 @@ func TestProgramECNMark(t *testing.T) {
 	sw, _, sched := loadOn(t, "ecnmark")
 	marks := []uint8{}
 	sw.OnTransmit = func(port int, pkt *packet.Packet) {
-		marks = append(marks, packet.TOSOf(pkt.Data))
+		marks = append(marks, tosOf(pkt.Data))
 	}
 	// 2x overload into port 1 builds a deep queue; later packets must
 	// carry a rising occupancy level in their TOS byte.

@@ -59,15 +59,6 @@ func SetTOS(data []byte, tos uint8) bool {
 	return true
 }
 
-// TOSOf reads the IPv4 TOS byte, or 0 for non-IP frames.
-func TOSOf(data []byte) uint8 {
-	off := ipOffset(data)
-	if off < 0 {
-		return 0
-	}
-	return data[off+1]
-}
-
 // Trim truncates an IPv4 frame to its headers only (Ethernet [+VLAN] +
 // IP + transport header), the NDP-style "cut payload" operation, and
 // updates the IP total length and checksum. It returns the trimmed frame

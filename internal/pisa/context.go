@@ -127,14 +127,6 @@ func (c *Context) SetTOS(tos uint8) bool {
 	return packet.SetTOS(c.Pkt.Data, tos)
 }
 
-// TOS reads the packet's IPv4 TOS byte (0 for non-IP).
-func (c *Context) TOS() uint8 {
-	if c.Pkt == nil || c.Pkt.Empty {
-		return 0
-	}
-	return packet.TOSOf(c.Pkt.Data)
-}
-
 // Trim truncates the packet to its headers (the NDP-style cut-payload
 // operation), returning false when there is nothing to trim.
 func (c *Context) Trim() bool {

@@ -214,22 +214,6 @@ func (r *SharedRegister) EndCycle() {
 	}
 }
 
-// Cycle returns the pipeline cycle the register's memories were last
-// ticked to. During a drain fast-forward the register's cycle runs ahead
-// of the scheduler clock; telemetry uses the difference to reconstruct
-// virtual drain timestamps.
-func (r *SharedRegister) Cycle() uint64 { return r.mainArr().Cycle() }
-
-// DrainN fast-forwards the register through up to max drain-only cycles
-// (see state.Aggregated.DrainN) and returns how many it consumed. A
-// multi-ported register never defers, so it consumes none.
-func (r *SharedRegister) DrainN(max uint64) uint64 {
-	if r.agg != nil {
-		return r.agg.DrainN(max)
-	}
-	return 0
-}
-
 // Backlog returns the number of register entries with pending undrained
 // deltas (always zero in multiport mode).
 func (r *SharedRegister) Backlog() int {
@@ -274,9 +258,6 @@ func NewCounter(name string, size int) *Counter {
 // Name returns the counter's name.
 func (c *Counter) Name() string { return c.name }
 
-// Size returns the number of entries.
-func (c *Counter) Size() int { return len(c.packets) }
-
 // Count records one packet of n bytes against entry idx.
 func (c *Counter) Count(idx uint32, n int) {
 	i := idx % uint32(len(c.packets))
@@ -288,13 +269,6 @@ func (c *Counter) Count(idx uint32, n int) {
 func (c *Counter) Value(idx uint32) (pkts, bytes uint64) {
 	i := idx % uint32(len(c.packets))
 	return c.packets[i], c.bytes[i]
-}
-
-// Reset zeroes all entries.
-func (c *Counter) Reset() {
-	for i := range c.packets {
-		c.packets[i], c.bytes[i] = 0, 0
-	}
 }
 
 // Hash is the hash extern: a keyed mixing hash over field values, used by

@@ -60,9 +60,6 @@ type Entry struct {
 	hits uint64
 }
 
-// Hits returns how many lookups selected this entry.
-func (e *Entry) Hits() uint64 { return e.hits }
-
 // Table is a match-action table: key definition, entry list, and default
 // action. Lookup order is by descending priority, then insertion order.
 type Table struct {
@@ -107,9 +104,6 @@ func NewTable(name string, kinds []MatchKind, keyFn KeyFunc) *Table {
 
 // Name returns the table name.
 func (t *Table) Name() string { return t.name }
-
-// Len returns the number of installed entries.
-func (t *Table) Len() int { return len(t.entries) }
 
 // SetDefault installs the default (miss) action.
 func (t *Table) SetDefault(a ActionFunc, params ...uint64) {

@@ -294,38 +294,6 @@ func TestAtWireRunnerOrdering(t *testing.T) {
 	}
 }
 
-// TestRunBound verifies the active run horizon is visible to callbacks —
-// inclusive under Run, strict under RunBefore — and resets to Forever
-// outside any run. The drain fast-forward uses this to stop batching at
-// exactly the cycle the slow path's lane would have stopped re-arming.
-func TestRunBound(t *testing.T) {
-	s := NewScheduler()
-	if limit, strict := s.RunBound(); limit != Forever || strict {
-		t.Fatalf("idle RunBound = (%v, %v), want (Forever, false)", limit, strict)
-	}
-	var checked int
-	s.At(Microsecond, func() {
-		if limit, strict := s.RunBound(); limit != 3*Microsecond || strict {
-			t.Errorf("inside Run: RunBound = (%v, %v), want (3us, false)", limit, strict)
-		}
-		checked++
-	})
-	s.Run(3 * Microsecond)
-	s.At(4*Microsecond, func() {
-		if limit, strict := s.RunBound(); limit != 5*Microsecond || !strict {
-			t.Errorf("inside RunBefore: RunBound = (%v, %v), want (5us, true)", limit, strict)
-		}
-		checked++
-	})
-	s.RunBefore(5 * Microsecond)
-	if limit, strict := s.RunBound(); limit != Forever || strict {
-		t.Errorf("after runs: RunBound = (%v, %v), want (Forever, false)", limit, strict)
-	}
-	if checked != 2 {
-		t.Fatalf("checked %d callbacks, want 2", checked)
-	}
-}
-
 // TestRunBeforeStrict verifies RunBefore excludes the limit and leaves
 // the clock at the last fired event rather than advancing it.
 func TestRunBeforeStrict(t *testing.T) {

@@ -225,15 +225,6 @@ type Scheduler struct {
 	// publishSelf adds only the difference.
 	pubFired, pubLaneArms, pubAuxArms uint64
 
-	// runLimit/runStrict record the horizon of the Run/RunBefore call in
-	// progress (Forever/false outside any run). Event callbacks that can
-	// batch future work — the switch's drain fast-forward — consult
-	// RunBound so they never compute past the instant the current run
-	// would have stopped at, which keeps partitioned windowed execution
-	// byte-identical to single-threaded runs.
-	runLimit  Time
-	runStrict bool
-
 	// firing is the lane whose callback is running, for as long as it
 	// still occupies lanes[0] (see the lane case of stepBounded); nil
 	// otherwise. While it is set, lanes[0] is not an armed lane.
@@ -242,7 +233,7 @@ type Scheduler struct {
 
 // NewScheduler returns a Scheduler with the clock at time zero.
 func NewScheduler() *Scheduler {
-	return &Scheduler{runLimit: Forever}
+	return &Scheduler{}
 }
 
 // SetSelf hands the scheduler its run's self-metrics plane. Call it
@@ -384,9 +375,6 @@ func (t *Ticker) Stop() {
 	t.h.Cancel()
 }
 
-// Period returns the ticker's firing period.
-func (t *Ticker) Period() Time { return t.period }
-
 // Lane is a pre-registered periodic-work fast path: one pending
 // occurrence of a fixed callback, re-armed by the callback itself. A
 // self-rearming driver (the switch's pipeline cycle) that went through
@@ -397,7 +385,7 @@ func (t *Ticker) Period() Time { return t.period }
 //
 // Armed lanes sit in a binary min-heap keyed (at, seq), each lane
 // tracking its own heap index. The cost model: O(1) to peek the earliest
-// lane (every Step, NextAt and NextBefore does), O(log L) to arm,
+// lane (every Step and NextAt does), O(log L) to arm,
 // re-arm, disarm or fire, where L is the number of lanes armed at that
 // moment — not the number registered, so a fabric of many switches pays
 // for the pipelines that are busy, not for the ones that exist. A lane
@@ -667,22 +655,6 @@ func (s *Scheduler) stepBounded(limit Time, strict bool) bool {
 	return true
 }
 
-// AdvanceTo moves the clock forward to at without firing anything. It is
-// the batching primitive for in-callback burst loops (the switch's burst
-// slot loop): a callback that has proven — via NextAt and RunBound — that
-// nothing is pending in (Now, at] may advance the clock itself and do the
-// work that a chain of self-scheduled events would have done one wakeup
-// at a time, with Now() correct at every step. Advancing past a pending
-// event would reorder causality, exactly like scheduling in the past, so
-// the same discipline applies: callers check NextAt first. Advancing
-// backwards panics.
-func (s *Scheduler) AdvanceTo(at Time) {
-	if at < s.now {
-		panic("sim: AdvanceTo into the past")
-	}
-	s.now = at
-}
-
 // NextSeq draws and consumes the next sequence number from the shared
 // insertion counter without scheduling anything. It is the conveyor
 // primitive: a component that manages its own future-work FIFO (the
@@ -693,24 +665,6 @@ func (s *Scheduler) NextSeq() uint64 {
 	n := s.seq
 	s.seq++
 	return n
-}
-
-// NextBefore reports whether any pending event — wire band, heap, or
-// armed lane — precedes the coordinate (at, seq): wire events by time
-// alone (the wire band fires before ordinary work at equal instants),
-// ordinary events and lanes by exact (at, seq). A conveyor owner calls
-// it to prove its next entry is precisely what the scheduler would fire
-// next, and may then run the entry inline. A lane armed exactly at
-// (at, seq) — the conveyor's own — does not precede it.
-func (s *Scheduler) NextBefore(at Time, seq uint64) bool {
-	if len(s.wire) > 0 && s.wire[0].at <= at {
-		return true
-	}
-	if ev := s.peekHeap(); ev != nil && (ev.at < at || (ev.at == at && ev.seq < seq)) {
-		return true
-	}
-	l := s.nextLane()
-	return l != nil && (l.at < at || (l.at == at && l.seq < seq))
 }
 
 // NextAt returns the time of the earliest pending event and whether one
@@ -758,10 +712,8 @@ func (s *Scheduler) publishSelf() {
 // fired event). It returns the number of events executed.
 func (s *Scheduler) Run(until Time) uint64 {
 	start := s.fired
-	s.runLimit, s.runStrict = until, false
 	for s.stepBounded(until, false) {
 	}
-	s.runLimit, s.runStrict = Forever, false
 	if s.now < until {
 		s.now = until
 	}
@@ -777,17 +729,8 @@ func (s *Scheduler) Run(until Time) uint64 {
 // another domain may still arrive exactly at limit.
 func (s *Scheduler) RunBefore(limit Time) uint64 {
 	start := s.fired
-	s.runLimit, s.runStrict = limit, true
 	for s.stepBounded(limit, true) {
 	}
-	s.runLimit, s.runStrict = Forever, false
 	s.publishSelf()
 	return s.fired - start
-}
-
-// RunBound returns the horizon of the run in progress: the limit time and
-// whether it is strict (RunBefore — events at the limit must not fire) or
-// inclusive (Run). Outside any run it returns (Forever, false).
-func (s *Scheduler) RunBound() (limit Time, strict bool) {
-	return s.runLimit, s.runStrict
 }

@@ -36,27 +36,11 @@ func (s *Stats) Add(v float64) {
 	}
 }
 
-// Reset empties the accumulator, keeping its capacity.
-func (s *Stats) Reset() {
-	s.samples = s.samples[:0]
-	s.sorted = s.sorted[:0]
-	s.sum = 0
-	s.min = math.Inf(1)
-	s.max = math.Inf(-1)
-}
-
-// Samples returns the recorded samples in insertion order. The slice is
-// the accumulator's own storage: read-only, valid until the next Add.
-func (s *Stats) Samples() []float64 { return s.samples }
-
 // AddTime records a Time sample in picoseconds.
 func (s *Stats) AddTime(t Time) { s.Add(float64(t)) }
 
 // N returns the number of samples recorded.
 func (s *Stats) N() int { return len(s.samples) }
-
-// Sum returns the sum of all samples.
-func (s *Stats) Sum() float64 { return s.sum }
 
 // Mean returns the arithmetic mean, or 0 when empty.
 func (s *Stats) Mean() float64 {
@@ -64,14 +48,6 @@ func (s *Stats) Mean() float64 {
 		return 0
 	}
 	return s.sum / float64(len(s.samples))
-}
-
-// Min returns the smallest sample, or 0 when empty.
-func (s *Stats) Min() float64 {
-	if len(s.samples) == 0 {
-		return 0
-	}
-	return s.min
 }
 
 // Max returns the largest sample, or 0 when empty.

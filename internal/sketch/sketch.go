@@ -34,12 +34,6 @@ func NewCMS(rows, width int) *CMS {
 	return c
 }
 
-// Rows returns the number of hash rows.
-func (c *CMS) Rows() int { return c.rows }
-
-// Width returns the counters per row.
-func (c *CMS) Width() int { return c.width }
-
 // Update adds delta to the key's counters.
 func (c *CMS) Update(key uint64, delta uint64) {
 	c.Updates++

@@ -165,33 +165,6 @@ func (ag *Aggregated) EndCycle() int {
 	return n
 }
 
-// DrainN fast-forwards the aggregation machinery through up to max
-// drain-only pipeline cycles in one call, returning how many cycles it
-// consumed. Each consumed cycle replays exactly what a real cycle with no
-// packet or event work would do — Tick main+banks to the next cycle, then
-// the EndCycle drain loop — so the round-robin drain order, per-delta lag
-// values, drain-hook callbacks, and all metrics are identical to running
-// the cycles one by one. It stops early when the backlog empties (further
-// idle cycles would be pure no-ops), which mirrors the switch ceasing to
-// re-arm its cycle lane once no drain work remains.
-func (ag *Aggregated) DrainN(max uint64) uint64 {
-	var used uint64
-	for used < max && ag.Backlog() > 0 {
-		c := ag.main.cycle + 1
-		ag.main.Tick(c)
-		for _, b := range ag.banks {
-			b.arr.Tick(c)
-		}
-		for ag.main.Free() > 0 {
-			if !ag.drainOne() {
-				break
-			}
-		}
-		used++
-	}
-	return used
-}
-
 // drainOne pops one bank's oldest dirty index and folds its pending delta
 // into the main array. Applying a delta costs one main-array port and the
 // bank's drain-side read port (one drain per bank per cycle); banks are
@@ -199,8 +172,9 @@ func (ag *Aggregated) DrainN(max uint64) uint64 {
 // memory-access-scheduling choice this prototype makes.
 func (ag *Aggregated) drainOne() bool {
 	n := len(ag.drainPriority)
+	start := ag.rrNext
 	for k := 0; k < n; k++ {
-		ci := ag.drainPriority[(ag.rrNext+k)%n]
+		ci := ag.drainPriority[(start+k)%n]
 		b := ag.banks[ci]
 		if b.backlog() == 0 || b.lastDrain == ag.mainCycle() {
 			continue
@@ -213,9 +187,9 @@ func (ag *Aggregated) drainOne() bool {
 		d := b.delta[idx]
 		b.delta[idx] = 0
 		b.lastDrain = ag.mainCycle()
-		ag.rrNext = (ag.rrNext + k + 1) % n
+		ag.rrNext = (start + k + 1) % n
 		if d == 0 {
-			continue // cancelled out before draining
+			continue // cancelled out: the main port passes to the next bank
 		}
 		ag.main.TryRMW(idx, func(v uint64) uint64 {
 			return uint64(int64(v) + d)

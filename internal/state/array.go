@@ -48,9 +48,6 @@ func (a *Array) Name() string { return a.name }
 // Size returns the number of entries.
 func (a *Array) Size() int { return len(a.vals) }
 
-// Ports returns the per-cycle access budget.
-func (a *Array) Ports() int { return a.ports }
-
 // Tick advances the array to the given clock cycle, resetting the port
 // budget. Cycles must be non-decreasing.
 func (a *Array) Tick(cycle uint64) {
@@ -65,9 +62,6 @@ func (a *Array) Tick(cycle uint64) {
 
 // Free returns the number of unused ports remaining this cycle.
 func (a *Array) Free() int { return a.ports - a.used }
-
-// Cycle returns the clock cycle the array was last ticked to.
-func (a *Array) Cycle() uint64 { return a.cycle }
 
 // TryRead reads entry i, consuming one port. ok is false (and the value
 // zero) when the port budget for this cycle is exhausted.
@@ -123,6 +117,3 @@ func (a *Array) Reset() {
 		a.vals[i] = 0
 	}
 }
-
-// Stats reports lifetime access counts.
-func (a *Array) Stats() (reads, writes, denied uint64) { return a.reads, a.writes, a.denied }

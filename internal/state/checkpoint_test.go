@@ -40,8 +40,8 @@ func TestAggregatedCheckpointRoundTrip(t *testing.T) {
 	}
 	a.Tick(4)
 	b.Tick(4)
-	a.DrainN(8)
-	b.DrainN(8)
+	drainIdle(a, 8)
+	drainIdle(b, 8)
 	if a.Main().Peek(0x11) != 0x11 {
 		t.Fatalf("main[0x11] = %d after the drain, want 0x11: the comparison below is vacuous", a.Main().Peek(0x11))
 	}

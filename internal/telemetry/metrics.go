@@ -274,15 +274,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// Len returns the number of registered instruments.
-func (r *Registry) Len() int {
-	if r.live {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-	}
-	return len(r.counters) + len(r.gauges) + len(r.hists)
-}
-
 // Snapshot returns every instrument's state sorted by name (type breaks
 // the tie), so two registries built by the same run always export
 // byte-identical metric lists regardless of map iteration order.

@@ -30,11 +30,6 @@ func (qc QueueCounters) Observe(out events.Outcome) {
 	}
 }
 
-// Offered sums the four outcome counters.
-func (qc QueueCounters) Offered() uint64 {
-	return qc.Stored.Value() + qc.Coalesced.Value() + qc.Shed.Value() + qc.Dropped.Value()
-}
-
 // NewQueueCounters creates the four outcome counters under prefix
 // (prefix + ".stored", ".coalesced", ".shed", ".dropped").
 func (c *Collector) NewQueueCounters(prefix string) QueueCounters {

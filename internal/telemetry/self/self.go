@@ -24,9 +24,8 @@
 //   - Per-event costs are batched: the scheduler counts dispatches and
 //     lane arms in plain local fields and publishes deltas at run exit
 //     (Scheduler.Run/RunBefore return), not per event.
-//   - Per-occurrence costs stay on naturally coarse paths: a burst
-//     occupancy observation per cycle-lane dispatch, a stall sample per
-//     partition window, a latency sample per checkpoint write.
+//   - Per-occurrence costs stay on naturally coarse paths: a stall
+//     sample per partition window, a latency sample per checkpoint write.
 package self
 
 import (
@@ -154,15 +153,10 @@ type Plane struct {
 	// (published as batched deltas at Run/RunBefore exit).
 	SchedDispatch Counter
 	// SchedLaneArms counts cycle-lane arms (Lane.ArmAt) and SchedAuxArms
-	// counts exact-coordinate arms (Lane.ArmExact — the burst conveyor's
+	// counts exact-coordinate arms (Lane.ArmExact — the switch conveyor's
 	// aux lane), both published at run exit with SchedDispatch.
 	SchedLaneArms Counter
 	SchedAuxArms  Counter
-
-	// BurstOcc is the burst-slot occupancy histogram: pipeline slots
-	// executed per cycle-lane dispatch. A healthy burst datapath shows
-	// mass well above 1.
-	BurstOcc Hist
 
 	// PoolInUse tracks outstanding packets across every packet.Pool of
 	// the run: current level and high-water mark.
@@ -284,7 +278,6 @@ func (p *Plane) Snapshot() []Sample {
 		return s
 	}
 	out := []Sample{
-		hist("self.burst.slots_per_dispatch", &p.BurstOcc),
 		counter("self.checkpoint.bytes", &p.CheckpointBytes),
 		gauge("self.checkpoint.last_unix_ns", &p.CheckpointLastUnixNS),
 		hist("self.checkpoint.write_ns", &p.CheckpointWriteNS),

@@ -17,7 +17,6 @@ func TestSelfHotPathZeroAlloc(t *testing.T) {
 		p.SchedDispatch.Add(17)
 		p.SchedLaneArms.Inc()
 		p.SchedAuxArms.Inc()
-		p.BurstOcc.Observe(42)
 		p.PoolInUse.Add(1)
 		p.PoolInUse.Add(-1)
 		p.CheckpointWriteNS.Observe(123456)
@@ -90,7 +89,7 @@ func TestConcurrentSnapshot(t *testing.T) {
 			defer writers.Done()
 			for i := 0; i < 5000; i++ {
 				p.SchedDispatch.Add(1)
-				p.BurstOcc.Observe(uint64(i % 70))
+				p.CheckpointWriteNS.Observe(uint64(i % 70))
 				p.PoolInUse.Add(1)
 				p.PoolInUse.Add(-1)
 				p.DomainWindows(g % 2).Inc()

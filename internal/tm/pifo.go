@@ -44,9 +44,6 @@ func NewPIFO(capacity int) *PIFO {
 	return &PIFO{cap: capacity}
 }
 
-// Len returns the number of queued items.
-func (p *PIFO) Len() int { return len(p.h) }
-
 // Push inserts item with the given rank. It returns false when the PIFO
 // is full.
 func (p *PIFO) Push(item any, rank uint64) bool {

@@ -151,9 +151,6 @@ func New(cfg Config) *TM {
 	return t
 }
 
-// Config returns the configuration the TM was built with.
-func (t *TM) Config() Config { return t.cfg }
-
 // emit announces one state change on the event tap.
 func (t *TM) emit(k events.Kind, now sim.Time, outPort, q, pktLen int, flowHash uint64) {
 	if t.OnEvent == nil {
@@ -290,9 +287,6 @@ func (t *TM) drrPick(p *port) (item, int, bool) {
 
 // PortBytes returns the buffered bytes on a port.
 func (t *TM) PortBytes(outPort int) int { return t.ports[outPort].bytes }
-
-// QueueBytes returns the buffered bytes in one queue.
-func (t *TM) QueueBytes(outPort, q int) int { return t.ports[outPort].queues[q].bytes }
 
 // Stats reports lifetime counters: enqueues, dequeues, overflow drops and
 // the peak total buffer occupancy in bytes.

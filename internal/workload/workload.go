@@ -110,9 +110,6 @@ func NewFlowSet(n int, alpha float64, base packet.IP) *FlowSet {
 
 func pow(x, a float64) float64 { return math.Pow(x, a) }
 
-// Len returns the number of flows.
-func (fs *FlowSet) Len() int { return len(fs.flows) }
-
 // Flow returns flow i.
 func (fs *FlowSet) Flow(i int) packet.Flow { return fs.flows[i] }
 
@@ -161,9 +158,6 @@ type Gen struct {
 func NewGen(sched *sim.Scheduler, rng *sim.RNG, sink Sink) *Gen {
 	return &Gen{sched: sched, rng: rng, sink: sink}
 }
-
-// Stop halts all future emissions from this generator.
-func (g *Gen) Stop() { g.stopped = true }
 
 func (g *Gen) emit(data []byte) {
 	if g.stopped {
