@@ -67,9 +67,10 @@ fuzz:
 
 # Hot-path micro-benchmarks (scheduler + switch cycle + event queue +
 # traffic generators + one frame across two links, the one way a frame
-# crosses a link).
+# crosses a link + one stateful µP4 control on each backend, next to the
+# BenchmarkSwitchForwardPath* rows that run µP4 inside the switch).
 bench:
-	$(GO) test -bench 'BenchmarkScheduler|BenchmarkSwitch|BenchmarkQueue|BenchmarkGen|BenchmarkNetsimDeliver' -benchmem -run xxx ./internal/sim ./internal/core ./internal/events ./internal/workload ./internal/netsim
+	$(GO) test -bench 'BenchmarkScheduler|BenchmarkSwitch|BenchmarkQueue|BenchmarkGen|BenchmarkNetsimDeliver|BenchmarkCompiledControl|BenchmarkInterpControl' -benchmem -run xxx ./internal/sim ./internal/core ./internal/events ./internal/workload ./internal/netsim ./internal/p4
 
 # Regenerate every table and figure; redirect into
 # internal/bench/testdata/evbench.golden when a table changes on purpose.

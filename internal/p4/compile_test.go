@@ -163,7 +163,9 @@ func TestProgramsBackendsIdentical(t *testing.T) {
 // compiler must reproduce bit-for-bit: division by zero yielding zero,
 // shift-count masking, wrapping arithmetic, short-circuit booleans,
 // width masking of narrow locals and registers, and signed forward
-// ports.
+// ports. The generated cases cover every binary operator over each
+// operand shape, and statement lists of every short length with a
+// return at each position.
 func TestCompiledSemanticsEdgeCases(t *testing.T) {
 	cases := map[string]string{
 		"div_zero": `
@@ -206,7 +208,7 @@ control Ingress {
         out.add(0, a + (!ev.data) + (~ev.data & 0xf));
     }
 }`,
-		"const_fold_branches": `
+		"const_branches": `
 const ON = 1;
 const OFF = 0;
 shared_register<bit<32>>(4) out;
@@ -224,6 +226,116 @@ control Ingress {
         if (std.ingress_port == 3) { forward(0 - 1); } else { forward(std.ingress_port); }
     }
 }`,
+		"div_mod_zero": `
+shared_register<bit<64>>(8) out;
+control Ingress {
+    bit<64> a; bit<64> z; bit<64> v;
+    apply {
+        a = ev.data + 5;
+        z = ev.data - ev.data;
+        v = a / 0; out.add(0, v + 1);
+        v = a % 0; out.add(1, v + 1);
+        v = a / z; out.add(2, v + 1);
+        v = a % z; out.add(3, v + 1);
+        v = 4 / 0 + 9 % 0; out.add(4, v + 1);
+        v = ev.data / 0 + ev.data % z; out.add(5, v + 1);
+        v = (a + 1) / z + (a + 1) % (ev.data - ev.data); out.add(6, v + 1);
+        forward(a / z + a % 0 + 1);
+    }
+}`,
+		"assign_widths": `
+shared_register<bit<8>>(4) r8;
+shared_register<bit<64>>(4) r64;
+control Ingress {
+    bit<4> n4; bit<8> n8; bit<64> n64; bit<64> a; bit<64> b;
+    apply {
+        a = ev.data % 7;
+        b = ev.data % 5;
+        n4 = 0x1ff; n8 = 0x1ff; n64 = 0 - 1;
+        r64.add(0, n4 + n8 + n64);
+        n4 = a - 9; n8 = a - 9; n64 = a - 9;
+        r64.add(1, n4 + n8 + n64);
+        n4 = a * b + 9; n8 = a * 250; n64 = a << b;
+        r64.add(2, n4 + n8 + n64);
+        n4 = ev.data * 37; n8 = hdr.ip.ttl + 250; n64 = ev.data - 200;
+        r64.add(3, n4 + n8 + n64);
+        r8.add(ev.data % 4, 300 + ev.data);
+        r8.read(ev.data % 4, n64);
+        r64.read(3, n4);
+        r64.read(2, n8);
+        forward(n4 + n8 + n64);
+    }
+}`,
+		"compound_const": `
+const SIZE = 16;
+const MASK = SIZE - 1;
+shared_register<bit<32>>(SIZE) out;
+control Ingress {
+    bit<32> i;
+    apply {
+        i = ev.data & (SIZE - 1);
+        out.add(i, SIZE * 2 - 1);
+        out.add(ev.data % SIZE, MASK + (SIZE - 1) * 2);
+        forward(SIZE - 1 - MASK);
+    }
+}`,
+	}
+	// Every binary operator over each operand shape: two locals (b is
+	// sometimes zero), a local and a constant, a local and a compound
+	// expression, and a header field and a constant.
+	ops := map[string]string{
+		"plus": "+", "minus": "-", "star": "*", "slash": "/", "percent": "%",
+		"amp": "&", "pipe": "|", "caret": "^", "shl": "<<", "shr": ">>",
+		"eq": "==", "neq": "!=", "lt": "<", "gt": ">", "le": "<=", "ge": ">=",
+		"andand": "&&", "oror": "||",
+	}
+	shapes := map[string]string{
+		"local_local": "a %s b",
+		"local_const": "a %s 3",
+		"local_expr":  "a %s (ev.data %% 5)",
+		"field_const": "ev.data %s 33",
+	}
+	for opName, op := range ops {
+		for shapeName, shape := range shapes {
+			cases["op_"+opName+"_"+shapeName] = fmt.Sprintf(`
+shared_register<bit<64>>(4) out;
+control Ingress {
+    bit<64> a; bit<64> b; bit<64> v;
+    apply {
+        a = ev.data %% 7;
+        b = ev.data %% 5;
+        v = %s;
+        out.add(0, v);
+        forward(v);
+    }
+}`, fmt.Sprintf(shape, op))
+		}
+	}
+	// Statement lists of 0-6 statements, bare and with a return first, in
+	// the middle and last, both as the control body and nested in an if
+	// whose return must end the whole control.
+	for n := 0; n <= 6; n++ {
+		for _, ret := range []string{"none", "first", "middle", "last"} {
+			if n == 0 && ret != "none" {
+				continue
+			}
+			at := map[string]int{"none": -1, "first": 0, "middle": n / 2, "last": n - 1}[ret]
+			var body strings.Builder
+			for i := 0; i < n; i++ {
+				if i == at {
+					body.WriteString(" return;")
+				} else {
+					fmt.Fprintf(&body, " out.add(%d, ev.data + %d);", i, i)
+				}
+			}
+			name := fmt.Sprintf("body_%d_return_%s", n, ret)
+			cases[name] = fmt.Sprintf(`
+shared_register<bit<64>>(8) out;
+control Ingress { apply {%s } }`, body.String())
+			cases["nested_"+name] = fmt.Sprintf(`
+shared_register<bit<64>>(8) out;
+control Ingress { apply { if (ev.data > 60) {%s } out.add(7, 1); } }`, body.String())
+		}
 	}
 	for name, src := range cases {
 		name, src := name, src

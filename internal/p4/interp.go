@@ -115,7 +115,6 @@ type Instance struct {
 	regWidth  []uint64 // value mask per register (from RegisterDecl.mask)
 	cnts      []*pisa.Counter
 	tbls      []*pisa.Table
-	frames    map[*ControlDecl][]uint64
 	actFns    map[*ActionDecl]pisa.ActionFunc // compiled actions, one per decl
 	reportSeq uint32
 	switchID  uint32
@@ -127,7 +126,6 @@ func (c *Compiled) Instantiate(name string, opts Options) *Instance {
 		compiled: c,
 		prog:     pisa.NewProgram(name),
 		interp:   opts.Interpret,
-		frames:   make(map[*ControlDecl][]uint64),
 		actFns:   make(map[*ActionDecl]pisa.ActionFunc),
 	}
 	for _, d := range c.file.Registers {
@@ -154,26 +152,20 @@ func (c *Compiled) Instantiate(name string, opts Options) *Instance {
 		inst.tbls = append(inst.tbls, inst.buildTable(d))
 	}
 	for _, d := range c.file.Controls {
-		d := d
-		kind := controlKind[d.Name]
+		// Either backend runs the body over one preallocated frame. Reuse
+		// is safe because a handler only re-enters Apply after the outer
+		// Apply returned (generated and recirculated packets run on later
+		// slots).
+		var body stmtFn
 		if inst.interp {
-			inst.frames[d] = make([]uint64, d.frameSize)
-			inst.prog.HandleFunc(kind, func(ctx *pisa.Context) {
-				frame := inst.frames[d]
-				for i := range frame {
-					frame[i] = 0
-				}
-				inst.execStmts(d.Body, ctx, frame)
-			})
-			continue
+			body = func(ctx *pisa.Context, frame []uint64) bool {
+				return inst.execStmts(d.Body, ctx, frame)
+			}
+		} else {
+			body = inst.compileStmts(d.Body)
 		}
-		// Compiled backend: lower the body to a fused closure chain once,
-		// with a preallocated frame. Reuse is safe because a handler only
-		// re-enters Apply after the outer Apply returned (generated and
-		// recirculated packets run on later slots).
-		body := inst.compileStmts(d.Body)
 		frame := make([]uint64, d.frameSize)
-		inst.prog.HandleFunc(kind, func(ctx *pisa.Context) {
+		inst.prog.HandleFunc(controlKind[d.Name], func(ctx *pisa.Context) {
 			for i := range frame {
 				frame[i] = 0
 			}

@@ -74,6 +74,15 @@ func TestCompileErrors(t *testing.T) {
 		{"hash dst", `control Ingress { apply { hash(1, 2); } }`, "destination must be a local"},
 		{"arity", `control Ingress { apply { forward(); } }`, "arguments"},
 		{"non const size", `register<bit<8>>(hdr.ip.src) r; control Ingress { apply {} }`, "not constant"},
+		{"const div zero", `const X = 4 / 0; control Ingress { apply {} }`, "division by zero"},
+		{"dup register", `register<bit<8>>(4) r; register<bit<8>>(4) r; control Ingress { apply {} }`, "duplicate register"},
+		{"dup counter", `counter(4) c; counter(4) c; control Ingress { apply {} }`, "duplicate counter"},
+		{"dup table", `action a() {} table t { key = { hdr.ip.dst : exact; } actions = { a; } } table t { key = { hdr.ip.src : exact; } actions = { a; } } control Ingress { apply {} }`, "duplicate table"},
+		{"dup action", `action a() {} action a() { drop(); } control Ingress { apply {} }`, "duplicate action"},
+		{"dup const", `const X = 1; const X = 2; control Ingress { apply {} }`, "duplicate constant"},
+		{"reg size zero", `register<bit<8>>(0) r; control Ingress { apply {} }`, "out of range"},
+		{"reg size too big", `register<bit<8>>((1 << 24) + 1) r; control Ingress { apply {} }`, "out of range"},
+		{"counter size zero", `counter(0) c; control Ingress { apply {} }`, "out of range"},
 	}
 	for _, c := range cases {
 		_, err := Compile(c.src)

@@ -70,6 +70,8 @@ func (p *Program) HandledKinds() []events.Kind {
 // program bugs.
 func (p *Program) AddTable(t *Table) *Table {
 	if _, dup := p.tables[t.Name()]; dup {
+		// µP4 source cannot reach this: check.go's `duplicate table` rule
+		// rejects the program first.
 		panic(fmt.Sprintf("pisa: duplicate table %q in program %q", t.Name(), p.name))
 	}
 	p.tables[t.Name()] = t
@@ -82,6 +84,8 @@ func (p *Program) Table(name string) *Table { return p.tables[name] }
 // AddRegister registers a named shared register.
 func (p *Program) AddRegister(r *SharedRegister) *SharedRegister {
 	if _, dup := p.registers[r.Name()]; dup {
+		// µP4 source cannot reach this: check.go's `duplicate register`
+		// rule rejects the program first.
 		panic(fmt.Sprintf("pisa: duplicate register %q in program %q", r.Name(), p.name))
 	}
 	p.registers[r.Name()] = r
@@ -98,6 +102,8 @@ func (p *Program) Registers() []*SharedRegister { return p.regList }
 // AddCounter registers a named counter.
 func (p *Program) AddCounter(c *Counter) *Counter {
 	if _, dup := p.counters[c.Name()]; dup {
+		// µP4 source cannot reach this: check.go's `duplicate counter`
+		// rule rejects the program first.
 		panic(fmt.Sprintf("pisa: duplicate counter %q in program %q", c.Name(), p.name))
 	}
 	p.counters[c.Name()] = c

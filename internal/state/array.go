@@ -34,9 +34,14 @@ type Array struct {
 // multi-ported configuration models low-line-rate devices (paper §4).
 func NewArray(name string, size, ports int) *Array {
 	if size <= 0 {
+		// µP4 source cannot reach this: check.go's `register %q size %d
+		// out of range` rule refuses a size of 0 (and above 1<<24).
 		panic("state: array size must be positive")
 	}
 	if ports <= 0 {
+		// Not reachable from µP4 source either: ports is no language
+		// construct. The aggregated design passes 1, and p4.Instantiate
+		// turns a MultiPortPorts of 0 or less into one port per event kind.
 		panic("state: array must have at least one port")
 	}
 	return &Array{name: name, vals: make([]uint64, size), ports: ports}
