@@ -40,8 +40,10 @@ test:
 # TestTwoCampaignsConcurrently races two whole campaigns), cmd/tracecheck's
 # hula exports (bench's TestTelemetry* race that path), cmd/evbench's
 # TestObsSmoke (the scale experiment, past go test's 10-minute timeout
-# raced; bench's TestObsStreamingIdentical is its raced twin), cmd/evsim's
-# SIGKILL harness and internal/apps' scale and soak tests. The partition
+# raced; bench's TestSelfPlaneIdentical races the self plane on the same
+# harness, and cmd/evsim's TestObsLivePlane races scrapes and stream
+# flushes against a run), cmd/evsim's SIGKILL harness and internal/apps'
+# scale and soak tests. The partition
 # packages run again at three widths so every rung of the window gate's
 # wait ladder is raced: -cpu 1 has no spin and hands over by yield or
 # park, -cpu 2 spins then yields with a P per domain, and the 3- to

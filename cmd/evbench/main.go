@@ -12,14 +12,14 @@
 //	evbench -exp hula -trace t.jsonl -metrics m.json
 //	                                 # telemetry: lifecycle trace + metrics export
 //	evbench -exp scale -http 127.0.0.1:9100
-//	                                 # live introspection: /metrics (Prometheus),
-//	                                 # /status (JSON), /debug/pprof
-//	evbench -exp hula -stream-trace live.jsonl -stream-metrics live-metrics.jsonl
-//	                                 # stream telemetry to disk during the run
+//	                                 # live introspection: /metrics (Prometheus
+//	                                 # self-metrics), /status (JSON), /debug/pprof
 //	evbench -blockprofile b.pprof -mutexprofile m.pprof
 //	                                 # runtime contention profiles
 //
-// The observability plane (-http, -stream-*) is read-only: tables and
+// The introspection endpoint (-http) serves the wall-clock self-metrics
+// plane only: trial collectors are written by their trials and read once,
+// after the campaign, by -trace/-metrics. It is read-only: tables and
 // trace/metrics exports are byte-identical with it on or off, at every
 // -parallel and -domains setting.
 //
@@ -50,7 +50,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strconv"
-	"time"
 
 	"repro/internal/bench"
 	"repro/internal/obs"
@@ -82,12 +81,6 @@ func run(args []string, out, errw io.Writer) int {
 	mutexprofile := fs.String("mutexprofile", "", "write mutex contention profile to `file`")
 	httpAddr := fs.String("http", "",
 		"serve the introspection endpoint (/metrics, /status, /debug/pprof) on `addr`")
-	streamTrace := fs.String("stream-trace", "",
-		"stream trace records incrementally to `file` as JSON lines during the run; needs -exp")
-	streamMetrics := fs.String("stream-metrics", "",
-		"stream one metrics-document line per flush to `file` during the run; needs -exp")
-	streamEvery := fs.Duration("stream-every", 500*time.Millisecond,
-		"wall-clock flush period for -stream-trace/-stream-metrics")
 	traceFile := fs.String("trace", "",
 		"write the event-lifecycle trace to `file` as JSON lines (cmd/tracecheck converts it for Perfetto); needs -exp")
 	metricsFile := fs.String("metrics", "",
@@ -121,10 +114,9 @@ func run(args []string, out, errw io.Writer) int {
 	// Everything this run sets lives in env; nothing outlasts run().
 	env := &bench.Env{Parallelism: *par, Domains: *domains}
 
-	streaming := *streamTrace != "" || *streamMetrics != ""
-	telemetryOn := *traceFile != "" || *metricsFile != "" || streaming
+	telemetryOn := *traceFile != "" || *metricsFile != ""
 	if telemetryOn && *exp == "" {
-		fmt.Fprintln(errw, "evbench: -trace/-metrics/-stream-* need -exp (one experiment per export)")
+		fmt.Fprintln(errw, "evbench: -trace/-metrics need -exp (one experiment per export)")
 		return exitUsage
 	}
 	var todo []bench.Experiment
@@ -139,11 +131,11 @@ func run(args []string, out, errw io.Writer) int {
 		todo = bench.All()
 	}
 
-	// The observability plane (self-metrics, live collectors, HTTP
-	// endpoint, streaming sink) is observation-only: turning any of it on
-	// never changes a byte of tables, digests, or trace files (pinned by
-	// TestObsStreamingIdentical / TestObsSmoke).
-	if *httpAddr != "" || streaming {
+	// The observability plane (self-metrics and the HTTP endpoint) is
+	// observation-only: turning it on never changes a byte of tables,
+	// digests, or trace files (pinned by TestSelfPlaneIdentical /
+	// TestObsSmoke).
+	if *httpAddr != "" {
 		env.Self = new(self.Plane)
 	}
 	if telemetryOn {
@@ -159,7 +151,6 @@ func run(args []string, out, errw io.Writer) int {
 		srv, err = obs.Serve(obs.Options{
 			Addr: *httpAddr,
 			Self: env.Self,
-			Runs: env.TelemetryRuns,
 			Status: func() map[string]any {
 				return map[string]any{
 					"binary":   "evbench",
@@ -174,19 +165,6 @@ func run(args []string, out, errw io.Writer) int {
 		}
 		defer srv.Close()
 		fmt.Fprintf(errw, "evbench: introspection endpoint on http://%s\n", srv.Addr())
-	}
-
-	if streaming {
-		var err error
-		env.Sink, err = telemetry.NewStreamSink(telemetry.StreamOptions{
-			TracePath:   *streamTrace,
-			MetricsPath: *streamMetrics,
-			Interval:    *streamEvery,
-			Self:        env.Self,
-		})
-		if err != nil {
-			return fail(err)
-		}
 	}
 
 	if *cpuprofile != "" {
@@ -213,20 +191,6 @@ func run(args []string, out, errw io.Writer) int {
 			return fail(err)
 		}
 		fmt.Fprintln(out, res.String())
-	}
-
-	if env.Sink != nil {
-		// Final flush before the post-run exports, so the streamed files
-		// cover every record.
-		if err := env.Sink.Close(); err != nil {
-			return fail(err)
-		}
-		if *streamTrace != "" {
-			fmt.Fprintf(errw, "evbench: streamed %s\n", *streamTrace)
-		}
-		if *streamMetrics != "" {
-			fmt.Fprintf(errw, "evbench: streamed %s\n", *streamMetrics)
-		}
 	}
 
 	if *traceFile != "" {

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"io"
 	"net/http"
-	"os"
-	"path/filepath"
 	"regexp"
 	"strings"
 	"sync"
@@ -37,15 +35,15 @@ var (
 	dispatchRe = regexp.MustCompile(`ev_self_sched_dispatch [1-9]`)
 )
 
-// TestObsSmoke drives the full observability plane end to end, hermetic
-// in-process: run the scale experiment with -http on an ephemeral port
-// plus streaming, scrape /metrics live while trials execute until the
-// barrier-stall and scheduler-dispatch self-metrics go non-zero, and then
-// check the table output is byte-identical to a plain run. This is the
-// cmd-level counterpart of bench.TestObsStreamingIdentical.
+// TestObsSmoke drives the observability plane end to end, hermetic
+// in-process: run the scale experiment with -http on an ephemeral port,
+// scrape /metrics live while trials execute until the barrier-stall and
+// scheduler-dispatch self-metrics go non-zero, and then check the table
+// output is byte-identical to a plain run. This is the cmd-level
+// counterpart of bench.TestSelfPlaneIdentical.
 func TestObsSmoke(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the scale experiment twice; bench.TestObsStreamingIdentical is its raced harness-level twin")
+		t.Skip("runs the scale experiment twice; bench.TestSelfPlaneIdentical is its raced harness-level twin")
 	}
 	base := []string{"-exp", "scale", "-parallel", "8", "-domains", "2"}
 	var plain bytes.Buffer
@@ -53,14 +51,7 @@ func TestObsSmoke(t *testing.T) {
 		t.Fatalf("plain run exited %d", code)
 	}
 
-	dir := t.TempDir()
-	tracePath := filepath.Join(dir, "live.jsonl")
-	metricsPath := filepath.Join(dir, "live-metrics.jsonl")
-	args := append(append([]string{}, base...),
-		"-http", "127.0.0.1:0",
-		"-stream-trace", tracePath,
-		"-stream-metrics", metricsPath,
-		"-stream-every", "20ms")
+	args := append(append([]string{}, base...), "-http", "127.0.0.1:0")
 
 	var obsOut bytes.Buffer
 	var errw syncBuffer
@@ -131,14 +122,6 @@ func TestObsSmoke(t *testing.T) {
 	if !bytes.Equal(plain.Bytes(), obsOut.Bytes()) {
 		t.Errorf("table output differs with observability plane on:\n--- plain ---\n%s\n--- obs ---\n%s",
 			plain.String(), obsOut.String())
-	}
-	for _, p := range []string{tracePath, metricsPath} {
-		fi, err := os.Stat(p)
-		if err != nil {
-			t.Errorf("streamed file missing: %v", err)
-		} else if fi.Size() == 0 {
-			t.Errorf("streamed file %s is empty", p)
-		}
 	}
 }
 

@@ -36,10 +36,13 @@
 // snapshot on /metrics, a JSON progress document on /status, and the
 // standard pprof handlers under /debug/pprof. -stream-trace and
 // -stream-metrics flush trace records and metrics-document lines to disk
-// incrementally on a wall-clock cadence (-stream-every). The whole
-// observability plane is observation-only: statistics, telemetry
-// exports, digests, and checkpoints are byte-identical with it on or
-// off (DESIGN.md §15).
+// while the run executes. The run advances in fixed chunks of simulated
+// time; at the first chunk boundary after each -stream-every of wall
+// time, the simulating goroutine flushes the stream files and publishes
+// the registry snapshot the endpoint serves, so no reader ever touches
+// an instrument the switch is writing. The whole observability plane is
+// observation-only: statistics, telemetry exports, digests, and
+// checkpoints are byte-identical with it on or off (DESIGN.md §15).
 //
 // Exit codes: 0 on success, 1 on runtime failure (unreadable files,
 // compile errors, write failures), 2 on usage errors (bad flags, a
@@ -53,6 +56,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/checkpoint"
@@ -175,7 +179,7 @@ func run(args []string, out, errw io.Writer) int {
 	streamMetrics := fs.String("stream-metrics", "",
 		"stream one metrics-document line per flush to `file` during the run")
 	streamEvery := fs.Duration("stream-every", 500*time.Millisecond,
-		"wall-clock flush period for -stream-trace/-stream-metrics")
+		"wall-clock period between stream flushes and -http snapshot updates")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return exitOK
@@ -341,7 +345,6 @@ func build(cfg *config, start bool, out io.Writer) (*simState, error) {
 		st.tel = telemetry.New(telemetry.Options{
 			TraceCap:     telemetry.DefaultTraceCap,
 			SamplePeriod: telemetry.DefaultSamplePeriod,
-			Live:         cfg.obsOn(),
 		})
 		st.sw.EnableTelemetry(st.tel)
 	}
@@ -384,6 +387,12 @@ func build(cfg *config, start bool, out io.Writer) (*simState, error) {
 	return st, nil
 }
 
+// runChunk is the simulated span of one Scheduler.Run call. Between two
+// chunks the simulating goroutine may flush the stream sink and publish
+// the endpoint's snapshot. Splitting the horizon moves no event: Run only
+// fires events up to its bound and leaves the clock there.
+const runChunk = 100 * sim.Microsecond
+
 func simulate(cfg *config, out, errw io.Writer) error {
 	var st *simState
 	var ck *checkpointer
@@ -422,16 +431,18 @@ func simulate(cfg *config, out, errw io.Writer) error {
 	// Observability plane: started after build/restore (so checkpoint
 	// restoration's single-threaded writes finish before any scrape) and
 	// strictly read-only — stats, telemetry exports, and checkpoints are
-	// byte-identical with it on or off.
+	// byte-identical with it on or off. The endpoint serves only the
+	// snapshots the run loop below stores, never the collector itself.
+	var published atomic.Pointer[[]obs.Run]
 	if cfg.httpAddr != "" {
 		srv, err := obs.Serve(obs.Options{
 			Addr: cfg.httpAddr,
 			Self: st.sched.Self(),
-			Runs: func() []telemetry.RunExport {
-				if st.tel == nil {
-					return nil
+			Runs: func() []obs.Run {
+				if runs := published.Load(); runs != nil {
+					return *runs
 				}
-				return []telemetry.RunExport{{Label: "evsim", C: st.tel}}
+				return nil
 			},
 			Status: func() map[string]any {
 				return map[string]any{
@@ -454,7 +465,6 @@ func simulate(cfg *config, out, errw io.Writer) error {
 		sink, err = telemetry.NewStreamSink(telemetry.StreamOptions{
 			TracePath:   cfg.streamTrace,
 			MetricsPath: cfg.streamMetrics,
-			Interval:    cfg.streamEvery,
 			Self:        st.sched.Self(),
 		})
 		if err != nil {
@@ -463,7 +473,28 @@ func simulate(cfg *config, out, errw io.Writer) error {
 		sink.Attach("evsim", st.tel)
 	}
 
-	st.sched.Run(horizon + 2*sim.Millisecond)
+	end := horizon + 2*sim.Millisecond
+	last := time.Now()
+	for t := st.sched.Now(); t < end; {
+		t = min(t+runChunk, end)
+		st.sched.Run(t)
+		if !cfg.obsOn() || time.Since(last) < cfg.streamEvery {
+			continue
+		}
+		// Between two chunks the switch is not running, so reading its
+		// instruments here races nothing.
+		last = time.Now()
+		if p := st.sched.Self(); p != nil {
+			p.SimNowPS.Set(int64(t))
+		}
+		if cfg.httpAddr != "" && st.tel != nil {
+			runs := []obs.Run{{Label: "evsim", Metrics: st.tel.Registry().Snapshot()}}
+			published.Store(&runs)
+		}
+		if sink != nil && sink.Flush() != nil {
+			break // the error sticks; sink.Close below reports it
+		}
+	}
 	if ck != nil && ck.err != nil {
 		return fmt.Errorf("writing checkpoint: %w", ck.err)
 	}

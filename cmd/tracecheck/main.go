@@ -11,14 +11,14 @@
 // one-line summary per valid file goes to stdout, problems to stderr with
 // exit status 1.
 //
-// Incrementally streamed files (-stream-trace / -stream-metrics) are
-// accepted too, including ones cut short by a crash: a torn final line
-// is tolerated and reported as "truncated tail" in the summary rather
-// than failing the file. Everything before the tear is still validated in
-// full. Streamed metrics files hold one compact document per flush;
-// their histogram snapshots are taken while writers run, so the
-// max-in-top-bucket check (which only converges at quiescence) is
-// relaxed for them while the bucket-sum invariant stays enforced.
+// Incrementally streamed files (evsim -stream-trace / -stream-metrics)
+// are accepted too, including ones cut short by a crash: a torn final
+// line is tolerated and reported as "truncated tail" in the summary
+// rather than failing the file. Everything before the tear is still
+// validated in full. Streamed metrics files hold one compact document
+// per flush, each checked as strictly as a post-run document: the
+// simulating goroutine takes every snapshot between two scheduler runs,
+// so no snapshot races its writers.
 //
 // JSON lines are the only trace format the simulator writes. -chrome
 // reads one with the same reader -trace uses (a torn tail converts up to
@@ -270,11 +270,8 @@ type metricsDoc struct {
 }
 
 // validateMetricsDoc schema-checks one document and returns the metric
-// count. Streamed documents are snapshotted while writers run: bucket
-// counts and the derived total stay consistent (the snapshot sums the
-// buckets), but the max watermark races its bucket by design, so the
-// max-in-top-bucket check only applies to quiescent (post-run) docs.
-func validateMetricsDoc(doc *metricsDoc, streamed bool) (int, error) {
+// count.
+func validateMetricsDoc(doc *metricsDoc) (int, error) {
 	if doc.Schema != "evbench-metrics/v1" {
 		return 0, fmt.Errorf("unexpected schema %q", doc.Schema)
 	}
@@ -306,7 +303,7 @@ func validateMetricsDoc(doc *metricsDoc, streamed bool) (int, error) {
 					return 0, fmt.Errorf("run %s: metric %s: bucket counts %d != count %d",
 						run.Label, m.Name, inBuckets, m.Count)
 				}
-				if !streamed && len(m.Buckets) > 0 {
+				if len(m.Buckets) > 0 {
 					last := m.Buckets[len(m.Buckets)-1]
 					if m.Max < last.Low || m.Max > last.High {
 						return 0, fmt.Errorf("run %s: metric %s: max %d outside top bucket [%d,%d]",
@@ -321,8 +318,8 @@ func validateMetricsDoc(doc *metricsDoc, streamed bool) (int, error) {
 
 // checkMetrics validates an evbench-metrics/v1 document. Two layouts are
 // accepted: the post-run export (one indented document spanning the whole
-// file, checked strictly) and the streamed form (one compact document per
-// line, one line per flush, torn final line tolerated).
+// file) and the streamed form (one compact document per line, one line
+// per flush, torn final line tolerated), both checked alike.
 func checkMetrics(out io.Writer, path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -330,7 +327,7 @@ func checkMetrics(out io.Writer, path string) error {
 	}
 	var doc metricsDoc
 	if err := json.Unmarshal(data, &doc); err == nil {
-		total, err := validateMetricsDoc(&doc, false)
+		total, err := validateMetricsDoc(&doc)
 		if err != nil {
 			return err
 		}
@@ -354,7 +351,7 @@ func checkMetrics(out io.Writer, path string) error {
 			}
 			return fmt.Errorf("snapshot line %d: %w", i+1, err)
 		}
-		n, err := validateMetricsDoc(&d, true)
+		n, err := validateMetricsDoc(&d)
 		if err != nil {
 			return fmt.Errorf("snapshot line %d: %w", i+1, err)
 		}

@@ -285,14 +285,13 @@ func TestMetricsSingleAndStreamed(t *testing.T) {
 		t.Errorf("torn summary: %q", got)
 	}
 
-	// A live snapshot can catch max behind its bucket (the watermark
-	// races the bucket increment): tolerated for streamed lines only.
-	racyMax := strings.Replace(metricsLine, `"max":4`, `"max":9`, 1)
-	if err := checkMetrics(io.Discard, writeFile(t, "racy.jsonl", racyMax+"\n"+racyMax+"\n")); err != nil {
-		t.Errorf("streamed racy max rejected: %v", err)
+	// Streamed lines are snapshots taken between scheduler runs, checked
+	// as strictly as a post-run document: a max outside the top bucket
+	// is corruption, as is a bucket-sum mismatch.
+	badMax := strings.Replace(metricsLine, `"max":4`, `"max":9`, 1)
+	if err := checkMetrics(io.Discard, writeFile(t, "badmax.jsonl", badMax+"\n"+badMax+"\n")); err == nil {
+		t.Error("streamed max outside its top bucket not rejected")
 	}
-
-	// But a bucket-sum mismatch is corruption in either layout.
 	badSum := strings.Replace(metricsLine, `"count":3`, `"count":5`, 1)
 	if err := checkMetrics(io.Discard, writeFile(t, "badsum.jsonl", badSum+"\n"+badSum+"\n")); err == nil {
 		t.Error("streamed bucket-sum mismatch not rejected")

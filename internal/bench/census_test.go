@@ -33,7 +33,6 @@ func TestNoTestOnlyExports(t *testing.T) {
 		"repro/internal/checkpoint.DamageSweep":    "test hook shared by the core and evsim checkpoint tests",
 		"repro/internal/telemetry.Digest":          "determinism witness the telemetry and bench tests compare",
 		"repro/internal/events.Queue.HighWater":    "FIFO peak the checkpoint carries; the core and faults tests pin storm pressure with it",
-		"repro/internal/telemetry.Histogram.Count": "sample count the core and bench telemetry tests hold to the registers' drain counts",
 		"repro/internal/pisa.SharedRegister.Reset": "the control plane's register reset (paper §1), pinned by pisa's TestSharedRegisterReset",
 	}
 	const root, module = "../..", "repro"

@@ -17,7 +17,7 @@ import (
 // settings can share a process. The zero Env is the default run; set the
 // fields before the first experiment starts and leave them alone after.
 // Output is byte-identical for every Parallelism and Domains value and
-// with or without the observers; only wall-clock time changes.
+// with or without the self-metrics plane; only wall-clock time changes.
 type Env struct {
 	// Parallelism is the number of RunParallel workers; 0 (or less)
 	// means GOMAXPROCS, 1 runs trials serially.
@@ -26,11 +26,8 @@ type Env struct {
 	// their switches across; 0 (or less) means 1, the single scheduler.
 	Domains int
 	// Telemetry, when set, makes instrumented experiments record one
-	// collector per trial (TelemetryRuns). Its Live field is ignored:
-	// collectors are live exactly when Self or Sink reads them mid-run.
+	// collector per trial (TelemetryRuns), read only after the campaign.
 	Telemetry *telemetry.Options
-	// Sink, when set, streams every trial collector to disk as it runs.
-	Sink *telemetry.StreamSink
 	// Self, when set, is the wall-clock self-metrics plane every
 	// scheduler, switch and worker pool of the campaign records into.
 	Self *self.Plane

@@ -3,10 +3,7 @@ package bench
 import (
 	"bytes"
 	"fmt"
-	"os"
-	"path/filepath"
 	"testing"
-	"time"
 
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -15,29 +12,13 @@ import (
 
 // collectObs runs the same instrumented workload — a staleness sweep on 8
 // workers plus a 2-domain HULA fabric — and returns the encoded metrics,
-// JSONL trace, and digest. With obsOn it layers the whole observability
-// plane on top: self-metrics enabled, live collectors, and a streaming
-// sink flushing to disk on a fast wall-clock ticker while trials run.
-func collectObs(t *testing.T, obsOn bool) ([]byte, []byte, uint64) {
+// JSONL trace, and digest. With selfOn every scheduler, switch and worker
+// pool of the campaign also records into a self-metrics plane.
+func collectObs(t *testing.T, selfOn bool) ([]byte, []byte, uint64) {
 	t.Helper()
 	env := &Env{Parallelism: 8, Telemetry: &telOpts}
-	var sink *telemetry.StreamSink
-	var tracePath string
-	if obsOn {
+	if selfOn {
 		env.Self = new(self.Plane)
-		dir := t.TempDir()
-		tracePath = filepath.Join(dir, "live.jsonl")
-		var err error
-		sink, err = telemetry.NewStreamSink(telemetry.StreamOptions{
-			TracePath:   tracePath,
-			MetricsPath: filepath.Join(dir, "live-metrics.jsonl"),
-			Interval:    time.Millisecond,
-			Self:        env.Self,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		env.Sink = sink
 	}
 
 	loads := []float64{0.7, 1.0}
@@ -54,18 +35,8 @@ func collectObs(t *testing.T, obsOn bool) ([]byte, []byte, uint64) {
 		domains:     2,
 		tel:         env.collector("obs/fabric"),
 	})
-
-	if sink != nil {
-		if err := sink.Close(); err != nil {
-			t.Fatal(err)
-		}
-		streamed, err := os.ReadFile(tracePath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(streamed) == 0 {
-			t.Error("streaming sink flushed nothing during the run")
-		}
+	if selfOn && env.Self.SchedDispatch.Value() == 0 {
+		t.Error("the self-metrics plane recorded no dispatches")
 	}
 
 	runs := env.TelemetryRuns()
@@ -84,24 +55,21 @@ func collectObs(t *testing.T, obsOn bool) ([]byte, []byte, uint64) {
 	return m, j, d
 }
 
-// TestObsStreamingIdentical is the observability plane's read-only
-// acceptance check at the harness level: the identical workload run plain
-// and run under self-metrics + live collectors + an actively draining
-// stream sink must export byte-identical metrics and traces and the same
-// digest. The sink drains the trace rings from a wall-clock goroutine
-// while 8 workers and 2 partition domains are writing — any perturbation
-// of the deterministic state shows up here as a flipped byte.
-func TestObsStreamingIdentical(t *testing.T) {
+// TestSelfPlaneIdentical is the self-metrics plane's read-only check at
+// the harness level: the identical workload run plain and run with a
+// plane that 8 workers and 2 partition domains record into must export
+// byte-identical metrics and traces and the same digest.
+func TestSelfPlaneIdentical(t *testing.T) {
 	mPlain, jPlain, dPlain := collectObs(t, false)
 	mObs, jObs, dObs := collectObs(t, true)
 	if !bytes.Equal(mPlain, mObs) {
-		t.Errorf("metrics differ with obs plane on (%d bytes) vs off (%d bytes)", len(mObs), len(mPlain))
+		t.Errorf("metrics differ with the self plane on (%d bytes) vs off (%d bytes)", len(mObs), len(mPlain))
 	}
 	if !bytes.Equal(jPlain, jObs) {
-		t.Errorf("trace differs with obs plane on (%d bytes) vs off (%d bytes)", len(jObs), len(jPlain))
+		t.Errorf("trace differs with the self plane on (%d bytes) vs off (%d bytes)", len(jObs), len(jPlain))
 	}
 	if dPlain != dObs {
-		t.Errorf("digest %016x with obs plane off != %016x with it on", dPlain, dObs)
+		t.Errorf("digest %016x with the self plane off != %016x with it on", dPlain, dObs)
 	}
 	if len(jPlain) == 0 {
 		t.Error("trace export is empty; scenario emitted nothing")

@@ -16,15 +16,10 @@ func (e *Env) collector(label string) *telemetry.Collector {
 	if e.Telemetry == nil {
 		return nil
 	}
-	opts := *e.Telemetry
-	opts.Live = e.Self != nil || e.Sink != nil
-	c := telemetry.New(opts)
+	c := telemetry.New(*e.Telemetry)
 	e.mu.Lock()
 	e.runs = append(e.runs, telemetry.RunExport{Label: label, C: c})
 	e.mu.Unlock()
-	if e.Sink != nil {
-		e.Sink.Attach(label, c)
-	}
 	return c
 }
 

@@ -15,12 +15,13 @@
 //	/debug/pprof  — net/http/pprof.
 //
 // The server only ever reads: self-metrics are the atomics of the plane
-// the host hands it (Options.Self, the one its schedulers record into), and
-// deterministic snapshots come from the host's Runs callback, which
-// must return collectors that are either quiescent or in live mode
-// (telemetry.Options.Live). Nothing served here feeds back into the
-// simulation, so byte-identity of all deterministic outputs with the
-// server on vs off is a structural property, pinned by the obs tests.
+// the host hands it (Options.Self, the one its schedulers record into),
+// and deterministic snapshots come from the host's Runs callback, which
+// returns registry snapshots the simulating goroutine published between
+// two scheduler runs — never a collector whose instruments are being
+// written. Nothing served here feeds back into the simulation, so
+// byte-identity of all deterministic outputs with the server on vs off
+// is a structural property, pinned by the obs tests.
 package obs
 
 import (
@@ -29,7 +30,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sort"
 	"strings"
 	"time"
 
@@ -44,14 +44,21 @@ type Options struct {
 	// Self is the run's self-metrics plane, served as ev_self_*; nil
 	// serves an empty one.
 	Self *self.Plane
-	// Runs returns the deterministic collectors to expose under
-	// /metrics and to summarize in /status. May be nil; called per
-	// scrape, so it should return the latest completed (or live)
-	// snapshots cheaply.
-	Runs func() []telemetry.RunExport
+	// Runs returns the deterministic registry snapshots to expose under
+	// /metrics, in the order they are served. May be nil; called per
+	// scrape, so it should return the latest published snapshots
+	// cheaply, and the server does not modify them.
+	Runs func() []Run
 	// Status returns host-specific fields merged into the /status
 	// object (config digest, output paths, trial labels). May be nil.
 	Status func() map[string]any
+}
+
+// Run is one labelled sim-time registry snapshot (telemetry's
+// Registry.Snapshot), served as ev_run_* metrics labelled run="Label".
+type Run struct {
+	Label   string
+	Metrics []telemetry.Metric
 }
 
 // Server is a running introspection endpoint.
@@ -118,54 +125,43 @@ func promLabel(v string) string {
 	return v
 }
 
+// writeSample writes one instrument in the Prometheus text format.
+// labels is the sample's label list without braces ("" for none); a
+// histogram's buckets add le to it.
+func writeSample(b *strings.Builder, name, labels, kind string, value int64,
+	count, sum uint64, buckets []self.HistBucket) {
+	set := ""
+	if labels != "" {
+		set = "{" + labels + "}"
+		labels += ","
+	}
+	fmt.Fprintf(b, "# TYPE %s %s\n", name, kind)
+	if kind != "histogram" {
+		fmt.Fprintf(b, "%s%s %d\n", name, set, value)
+		return
+	}
+	var cum uint64
+	for _, bk := range buckets {
+		cum += bk.Count
+		fmt.Fprintf(b, "%s_bucket{%sle=\"%d\"} %d\n", name, labels, bk.High, cum)
+	}
+	fmt.Fprintf(b, "%s_bucket{%sle=\"+Inf\"} %d\n", name, labels, count)
+	fmt.Fprintf(b, "%s_sum%s %d\n%s_count%s %d\n", name, set, sum, name, set, count)
+}
+
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.opts.Self.Scrapes.Inc()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	var b strings.Builder
-
 	for _, sm := range s.opts.Self.Snapshot() {
 		// self.domain3.windows -> ev_self_domain3_windows etc.
-		name := "ev_" + promName(sm.Name)
-		switch sm.Kind {
-		case "counter":
-			fmt.Fprintf(&b, "# TYPE %s counter\n%s %d\n", name, name, sm.Value)
-		case "gauge":
-			fmt.Fprintf(&b, "# TYPE %s gauge\n%s %d\n", name, name, sm.Value)
-		case "hist":
-			fmt.Fprintf(&b, "# TYPE %s histogram\n", name)
-			var cum uint64
-			for _, bk := range sm.Buckets {
-				cum += bk.Count
-				fmt.Fprintf(&b, "%s_bucket{le=\"%d\"} %d\n", name, bk.High, cum)
-			}
-			fmt.Fprintf(&b, "%s_bucket{le=\"+Inf\"} %d\n", name, sm.Count)
-			fmt.Fprintf(&b, "%s_sum %d\n%s_count %d\n", name, sm.Sum, name, sm.Count)
-		}
+		writeSample(&b, "ev_"+promName(sm.Name), "", sm.Kind, sm.Value, sm.Count, sm.Sum, sm.Buckets)
 	}
-
 	if s.opts.Runs != nil {
-		runs := s.opts.Runs()
-		sort.Slice(runs, func(i, j int) bool { return runs[i].Label < runs[j].Label })
-		for _, run := range runs {
-			label := fmt.Sprintf("{run=\"%s\"}", promLabel(run.Label))
-			for _, m := range run.C.Registry().Snapshot() {
-				name := "ev_run_" + promName(m.Name)
-				switch m.Type {
-				case "counter", "gauge":
-					fmt.Fprintf(&b, "# TYPE %s %s\n%s%s %d\n", name, m.Type, name, label, m.Value)
-				case "histogram":
-					fmt.Fprintf(&b, "# TYPE %s histogram\n", name)
-					var cum uint64
-					for _, bk := range m.Buckets {
-						cum += bk.Count
-						fmt.Fprintf(&b, "%s_bucket{run=\"%s\",le=\"%d\"} %d\n",
-							name, promLabel(run.Label), bk.High, cum)
-					}
-					fmt.Fprintf(&b, "%s_bucket{run=\"%s\",le=\"+Inf\"} %d\n",
-						name, promLabel(run.Label), m.Count)
-					fmt.Fprintf(&b, "%s_sum%s %d\n%s_count%s %d\n",
-						name, label, m.Sum, name, label, m.Count)
-				}
+		for _, run := range s.opts.Runs() {
+			label := fmt.Sprintf("run=\"%s\"", promLabel(run.Label))
+			for _, m := range run.Metrics {
+				writeSample(&b, "ev_run_"+promName(m.Name), label, m.Type, m.Value, m.Count, m.Sum, m.Buckets)
 			}
 		}
 	}

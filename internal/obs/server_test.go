@@ -45,8 +45,8 @@ func TestServerEndpoints(t *testing.T) {
 	srv, err := Serve(Options{
 		Addr: "127.0.0.1:0",
 		Self: plane,
-		Runs: func() []telemetry.RunExport {
-			return []telemetry.RunExport{{Label: "trial \"0\"", C: c}}
+		Runs: func() []Run {
+			return []Run{{Label: "trial \"0\"", Metrics: c.Registry().Snapshot()}}
 		},
 		Status: func() map[string]any { return map[string]any{"config_digest": "abc123"} },
 	})
@@ -65,11 +65,15 @@ func TestServerEndpoints(t *testing.T) {
 		"# TYPE ev_self_checkpoint_write_ns histogram",
 		"ev_self_checkpoint_write_ns_count 2",
 		"ev_self_checkpoint_write_ns_sum 13",
+		"ev_self_checkpoint_write_ns_bucket{le=\"7\"} 1\nev_self_checkpoint_write_ns_bucket{le=\"15\"} 2\n",
 		"ev_self_domain0_windows 7",
 		"ev_self_domain1_barrier_stall_ns 5500",
 		"ev_self_sim_now_ps 1000000",
 		`ev_run_sw0_events{run="trial \"0\""} 42`,
+		`ev_run_r0_lag_bucket{run="trial \"0\"",le="3"} 1`,
 		`ev_run_r0_lag_bucket{run="trial \"0\"",le="+Inf"} 1`,
+		`ev_run_r0_lag_sum{run="trial \"0\""} 3`,
+		"# TYPE ev_run_sw0_events counter\n",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)

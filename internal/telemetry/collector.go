@@ -11,12 +11,6 @@ type Options struct {
 	// components use for their periodic gauges (simulated time). 0
 	// disables periodic sampling.
 	SamplePeriod sim.Time
-	// Live makes every instrument and stream safe to read from a
-	// wall-clock goroutine (streaming sink, HTTP endpoint) while the run
-	// writes: instruments switch to atomic operations and streams take a
-	// per-stream mutex. Arithmetic is unchanged, so exports are
-	// byte-identical with Live on or off.
-	Live bool
 }
 
 // DefaultTraceCap is the per-stream ring capacity CLIs use when tracing
@@ -40,12 +34,6 @@ func New(opts Options) *Collector {
 	c := &Collector{opts: opts, reg: NewRegistry()}
 	if opts.TraceCap > 0 {
 		c.tracer = NewTracer(opts.TraceCap)
-	}
-	if opts.Live {
-		c.reg.SetLive()
-		if c.tracer != nil {
-			c.tracer.SetLive()
-		}
 	}
 	return c
 }

@@ -117,9 +117,8 @@ func EncodeJSONL(runs []RunExport) ([]byte, error) {
 		if t == nil {
 			continue
 		}
-		streams := t.Streams()
 		for _, rec := range t.merged() {
-			b, err := jsonlLine(r.Label, streams[rec.stream].name, rec.Rec)
+			b, err := jsonlLine(r.Label, t.streams[rec.stream].name, rec.Rec)
 			if err != nil {
 				return nil, err
 			}

@@ -83,9 +83,10 @@ func (w *HighWater) Cur() int64 { return w.cur.Load() }
 // High returns the high-water mark.
 func (w *HighWater) High() int64 { return w.hi.Load() }
 
-// HistBuckets mirrors the deterministic registry's log2 bucket layout:
-// bucket 0 holds the value 0 and bucket i holds values with
-// bits.Len64(v) == i.
+// HistBuckets is the number of fixed log2 histogram buckets, the one
+// layout both metric domains use (this package's Hist and the sim-time
+// telemetry.Histogram): bucket 0 holds the value 0 and bucket i (1..64)
+// holds values v with 2^(i-1) <= v < 2^i, i.e. bits.Len64(v) == i.
 const HistBuckets = 65
 
 // Hist is an atomic fixed-boundary log2 histogram. Observe performs four
@@ -139,6 +140,20 @@ func BucketHigh(i int) uint64 {
 		return ^uint64(0)
 	}
 	return 1<<i - 1
+}
+
+// Buckets lists the non-empty buckets of a log2 histogram whose bucket i
+// holds count(i) samples, ascending, and returns their total.
+func Buckets(count func(i int) uint64) ([]HistBucket, uint64) {
+	var out []HistBucket
+	var total uint64
+	for i := 0; i < HistBuckets; i++ {
+		if n := count(i); n != 0 {
+			out = append(out, HistBucket{Low: BucketLow(i), High: BucketHigh(i), Count: n})
+			total += n
+		}
+	}
+	return out, total
 }
 
 // MaxDomains bounds the per-domain instrument arrays. Domains beyond it
@@ -235,7 +250,7 @@ func (p *Plane) DomainStallNS(d int) *Counter { return &p.domainStallNS[domainSl
 // Sample is one instrument's state in a Snapshot.
 type Sample struct {
 	Name string
-	Kind string // "counter" | "gauge" | "hist"
+	Kind string // "counter" | "gauge" | "histogram"
 	// Value carries the counter total or gauge value.
 	Value int64
 	// Histogram fields.
@@ -243,10 +258,13 @@ type Sample struct {
 	Buckets         []HistBucket // non-empty buckets, ascending
 }
 
-// HistBucket is one non-empty histogram bucket: High is the bucket's
-// inclusive upper bound, Count the raw (non-cumulative) count.
+// HistBucket is one non-empty histogram bucket: Low and High are the
+// bucket's inclusive bounds, Count the raw (non-cumulative) count. The
+// sim-time metrics document writes it under the JSON tags below.
 type HistBucket struct {
-	Low, High, Count uint64
+	Low   uint64 `json:"low"`
+	High  uint64 `json:"high"`
+	Count uint64 `json:"count"`
 }
 
 // Snapshot returns every instrument's state in a fixed, deterministic
@@ -263,19 +281,10 @@ func (p *Plane) Snapshot() []Sample {
 		return Sample{Name: name, Kind: "gauge", Value: g.Value()}
 	}
 	hist := func(name string, h *Hist) Sample {
-		s := Sample{Name: name, Kind: "hist", Max: h.Max()}
-		var total, sum uint64
-		for i := 0; i < HistBuckets; i++ {
-			if n := h.Bucket(i); n != 0 {
-				s.Buckets = append(s.Buckets, HistBucket{Low: BucketLow(i), High: BucketHigh(i), Count: n})
-				total += n
-			}
-		}
 		// Count is derived from the buckets read, so every snapshot keeps
 		// the bucket-sum == count invariant even while writers race ahead.
-		sum = h.Sum()
-		s.Count, s.Sum = total, sum
-		return s
+		bs, total := Buckets(h.Bucket)
+		return Sample{Name: name, Kind: "histogram", Count: total, Sum: h.Sum(), Max: h.Max(), Buckets: bs}
 	}
 	out := []Sample{
 		counter("self.checkpoint.bytes", &p.CheckpointBytes),

@@ -107,7 +107,7 @@ func TestConcurrentSnapshot(t *testing.T) {
 			default:
 			}
 			for _, s := range p.Snapshot() {
-				if s.Kind != "hist" {
+				if s.Kind != "histogram" {
 					continue
 				}
 				var total uint64

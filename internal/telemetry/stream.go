@@ -6,18 +6,14 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"sync"
-	"time"
 
 	"repro/internal/telemetry/self"
 )
 
 // StreamSink incrementally flushes trace records and metric snapshots to
-// disk while the run executes, so long campaigns leave observable output
-// before they finish (the ROADMAP's evsimd item: stream telemetry
-// incrementally instead of post-run). A sink drains each attached
-// collector's trace rings on a wall-clock ticker (or whenever the host
-// calls Flush, e.g. from a sim-time Every callback), writing:
+// disk while the run executes, so long runs leave observable output
+// before they finish. Each Flush drains the attached collectors' trace
+// rings, writing:
 //
 //   - trace records as JSONL lines, the same jsonlRec EncodeJSONL writes
 //     (run/stream/ts_ps/stage/kind/outcome/seq/arg);
@@ -27,26 +23,24 @@ import (
 // Both outputs are append-only, one complete line per record, so a crash
 // mid-flush leaves at most one torn final record and every line before it
 // parses; cmd/tracecheck's truncated-file mode accepts such a file and
-// reports the tear. Collectors attached
-// to a sink must be built with Options.Live; draining never disturbs the
-// rings, so the run's post-run exports are byte-identical with a sink
-// attached or not.
+// reports the tear.
+//
+// The sink has no goroutine and no lock: the host calls Flush from the
+// goroutine that runs the simulation, between two scheduler runs, so a
+// flush never overlaps a write to the instruments it reads. Draining
+// never disturbs the rings, so the run's post-run exports are
+// byte-identical with a sink attached or not.
 type StreamSink struct {
-	mu      sync.Mutex
-	entries []sinkEntry
+	entries []sinkEntry // sorted by label
 
 	traceW   *bufio.Writer
 	traceF   *os.File
 	metricsW *bufio.Writer
 	metricsF *os.File
 
-	self   *self.Plane // StreamOptions.Self
-	buf    []Rec
-	ticker *time.Ticker
-	done   chan struct{}
-	wg     sync.WaitGroup
-	closed bool
-	err    error
+	self *self.Plane // StreamOptions.Self
+	buf  []Rec
+	err  error
 }
 
 type sinkEntry struct {
@@ -62,9 +56,6 @@ type StreamOptions struct {
 	// MetricsPath receives one metrics-document line per flush; empty
 	// disables metric streaming.
 	MetricsPath string
-	// Interval is the wall-clock flush period for Start; 0 means the
-	// host drives flushes itself via Flush.
-	Interval time.Duration
 	// Self, when set, counts flushes and flushed/lost records in the
 	// run's self-metrics plane.
 	Self *self.Plane
@@ -75,7 +66,7 @@ func NewStreamSink(opts StreamOptions) (*StreamSink, error) {
 	if opts.TracePath == "" && opts.MetricsPath == "" {
 		return nil, fmt.Errorf("telemetry: stream sink needs a trace or metrics path")
 	}
-	sk := &StreamSink{done: make(chan struct{}), self: opts.Self}
+	sk := &StreamSink{self: opts.Self}
 	if opts.TracePath != "" {
 		f, err := os.Create(opts.TracePath)
 		if err != nil {
@@ -95,59 +86,31 @@ func NewStreamSink(opts StreamOptions) (*StreamSink, error) {
 		sk.metricsF = f
 		sk.metricsW = bufio.NewWriter(f)
 	}
-	if opts.Interval > 0 {
-		sk.ticker = time.NewTicker(opts.Interval)
-		sk.wg.Add(1)
-		go func() {
-			defer sk.wg.Done()
-			for {
-				select {
-				case <-sk.done:
-					return
-				case <-sk.ticker.C:
-					sk.Flush()
-				}
-			}
-		}()
-	}
 	return sk, nil
 }
 
-// Attach registers a labelled collector with the sink. The collector
-// must be in live mode (Options.Live). Safe to call while the sink is
-// flushing — trials attach as they start.
+// Attach registers a labelled collector with the sink. Flushes visit
+// collectors in label order, then each collector's streams in creation
+// order.
 func (sk *StreamSink) Attach(label string, c *Collector) {
-	if !c.Registry().Live() {
-		panic("telemetry: StreamSink.Attach needs a live collector (Options.Live)")
-	}
-	sk.mu.Lock()
 	sk.entries = append(sk.entries, sinkEntry{label, c})
-	sk.mu.Unlock()
+	sort.SliceStable(sk.entries, func(i, j int) bool { return sk.entries[i].label < sk.entries[j].label })
 }
 
 // Flush drains every attached collector's streams and writes one metrics
-// snapshot line. Serialized internally; safe from any goroutine.
+// snapshot line. Call it where no instrument is being written: from the
+// simulating goroutine between scheduler runs, or after the run.
 func (sk *StreamSink) Flush() error {
-	sk.mu.Lock()
-	defer sk.mu.Unlock()
-	return sk.flushLocked()
-}
-
-func (sk *StreamSink) flushLocked() error {
 	if sk.err != nil {
 		return sk.err
 	}
-	// Stable order: label, then stream creation order within a collector.
-	entries := append([]sinkEntry(nil), sk.entries...)
-	sort.SliceStable(entries, func(i, j int) bool { return entries[i].label < entries[j].label })
 	var wrote uint64
-	for _, e := range entries {
+	for _, e := range sk.entries {
 		t := e.c.Tracer()
 		if t == nil || sk.traceW == nil {
 			continue
 		}
-		streams := t.Streams()
-		for _, s := range streams {
+		for _, s := range t.streams {
 			var lost uint64
 			sk.buf, lost = s.DrainNew(sk.buf[:0])
 			if lost > 0 && sk.self != nil {
@@ -163,19 +126,16 @@ func (sk *StreamSink) flushLocked() error {
 		}
 	}
 	if sk.metricsW != nil {
-		if err := sk.writeMetricsLine(entries); err != nil {
+		if err := sk.writeMetricsLine(); err != nil {
 			sk.err = err
 			return err
 		}
 	}
-	if sk.traceW != nil {
-		if err := sk.traceW.Flush(); err != nil {
-			sk.err = err
-			return err
+	for _, w := range []*bufio.Writer{sk.traceW, sk.metricsW} {
+		if w == nil {
+			continue
 		}
-	}
-	if sk.metricsW != nil {
-		if err := sk.metricsW.Flush(); err != nil {
+		if err := w.Flush(); err != nil {
 			sk.err = err
 			return err
 		}
@@ -198,9 +158,9 @@ func (sk *StreamSink) writeRec(label string, s *Stream, rec Rec) error {
 
 // writeMetricsLine appends one compact metrics document line covering
 // every attached collector's current snapshot.
-func (sk *StreamSink) writeMetricsLine(entries []sinkEntry) error {
+func (sk *StreamSink) writeMetricsLine() error {
 	doc := metricsDoc{Schema: MetricsSchema, Runs: []metricsRun{}}
-	for _, e := range entries {
+	for _, e := range sk.entries {
 		doc.add(e.label, e.c)
 	}
 	b, err := json.Marshal(doc)
@@ -211,38 +171,16 @@ func (sk *StreamSink) writeMetricsLine(entries []sinkEntry) error {
 	return sk.metricsW.WriteByte('\n')
 }
 
-// Close performs a final flush and closes the files. Call after the run quiesces and before post-run
-// exports, so every emitted record lands in the streamed files.
+// Close performs a final flush and closes the files. Call it after the
+// run and before the post-run exports, so every emitted record lands in
+// the streamed files.
 func (sk *StreamSink) Close() error {
-	sk.mu.Lock()
-	if sk.closed {
-		sk.mu.Unlock()
-		return sk.err
-	}
-	sk.closed = true
-	close(sk.done)
-	if sk.ticker != nil {
-		sk.ticker.Stop()
-	}
-	sk.mu.Unlock()
-	sk.wg.Wait()
-
-	sk.mu.Lock()
-	defer sk.mu.Unlock()
-	sk.flushLocked()
-	if sk.traceW != nil {
-		if err := sk.traceW.Flush(); err != nil && sk.err == nil {
-			sk.err = err
+	sk.Flush()
+	for _, f := range []*os.File{sk.traceF, sk.metricsF} {
+		if f == nil {
+			continue
 		}
-		if err := sk.traceF.Close(); err != nil && sk.err == nil {
-			sk.err = err
-		}
-	}
-	if sk.metricsW != nil {
-		if err := sk.metricsW.Flush(); err != nil && sk.err == nil {
-			sk.err = err
-		}
-		if err := sk.metricsF.Close(); err != nil && sk.err == nil {
+		if err := f.Close(); err != nil && sk.err == nil {
 			sk.err = err
 		}
 	}

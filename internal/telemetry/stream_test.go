@@ -35,63 +35,10 @@ func emitFixture(c *Collector) {
 	}
 }
 
-// TestLiveExportIdentical: the same workload through a live collector and
-// a plain one exports byte-identical metrics, traces, and digests — the
-// observability plane's core read-only guarantee at the collector layer.
-func TestLiveExportIdentical(t *testing.T) {
-	plain := New(Options{TraceCap: 256})
-	live := New(Options{TraceCap: 256, Live: true})
-	emitFixture(plain)
-	emitFixture(live)
-	pr := []RunExport{{Label: "fix", C: plain}}
-	lr := []RunExport{{Label: "fix", C: live}}
-	pm, err := EncodeMetrics(pr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lm, err := EncodeMetrics(lr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(pm, lm) {
-		t.Error("metrics documents differ between live and plain collectors")
-	}
-	pj, _ := EncodeJSONL(pr)
-	lj, _ := EncodeJSONL(lr)
-	if !bytes.Equal(pj, lj) {
-		t.Error("JSONL traces differ between live and plain collectors")
-	}
-	pd, _ := Digest(pr)
-	ld, _ := Digest(lr)
-	if pd != ld {
-		t.Errorf("digests differ: %016x vs %016x", pd, ld)
-	}
-}
-
-// TestLiveHotPathZeroAlloc pins the live-mode instrument hot path at zero
-// allocations, mirroring TestHotPathZeroAlloc for plain mode.
-func TestLiveHotPathZeroAlloc(t *testing.T) {
-	c := New(Options{TraceCap: 64, Live: true})
-	ctr := c.Registry().Counter("c")
-	g := c.Registry().Gauge("g")
-	h := c.Registry().Histogram("h")
-	s := c.Stream("s")
-	allocs := testing.AllocsPerRun(1000, func() {
-		ctr.Add(2)
-		g.Set(41)
-		h.Observe(17)
-		s.Emit(1234, StageGen, 1, OutNone, 7, 0)
-	})
-	if allocs != 0 {
-		t.Errorf("live hot path allocates %v allocs/op, want 0", allocs)
-	}
-}
-
 // TestStreamDrainNew checks incremental drain bookkeeping including loss
 // on ring wrap between drains.
 func TestStreamDrainNew(t *testing.T) {
 	tr := NewTracer(4)
-	tr.SetLive()
 	s := tr.Stream("x")
 	for i := 0; i < 3; i++ {
 		s.Emit(sim.Time(i), StageGen, 1, OutNone, uint64(i), 0)
@@ -129,7 +76,7 @@ func TestStreamSinkJSONL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := New(Options{TraceCap: 1 << 12, Live: true})
+	c := New(Options{TraceCap: 1 << 12})
 	sk.Attach("trial0", c)
 	emitFixture(c)
 	if err := sk.Flush(); err != nil {
@@ -188,7 +135,7 @@ func TestStreamSinkJSONL(t *testing.T) {
 
 	// Draining did not disturb the rings: the post-run export matches an
 	// undrained collector fed the same workload.
-	ref := New(Options{TraceCap: 1 << 12, Live: true})
+	ref := New(Options{TraceCap: 1 << 12})
 	emitFixture(ref)
 	emitFixture(ref)
 	got, _ := Digest([]RunExport{{Label: "trial0", C: c}})

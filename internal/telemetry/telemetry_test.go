@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/events"
 	"repro/internal/sim"
+	"repro/internal/telemetry/self"
 )
 
 func TestHistogramBuckets(t *testing.T) {
@@ -24,9 +25,9 @@ func TestHistogramBuckets(t *testing.T) {
 		if h.Bucket(c.bucket) != before+1 {
 			t.Errorf("Observe(%d): bucket %d not incremented", c.v, c.bucket)
 		}
-		if c.v < BucketLow(c.bucket) || c.v > BucketHigh(c.bucket) {
+		if c.v < self.BucketLow(c.bucket) || c.v > self.BucketHigh(c.bucket) {
 			t.Errorf("value %d outside [BucketLow,BucketHigh]=[%d,%d] of bucket %d",
-				c.v, BucketLow(c.bucket), BucketHigh(c.bucket), c.bucket)
+				c.v, self.BucketLow(c.bucket), self.BucketHigh(c.bucket), c.bucket)
 		}
 	}
 	if h.Count() != uint64(len(cases)) {

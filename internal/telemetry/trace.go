@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"sort"
-	"sync"
 
 	"repro/internal/sim"
 )
@@ -104,18 +103,11 @@ const KindRegister = 0xff
 // semantics: when full, the oldest records are overwritten). A stream has
 // exactly one writing domain.
 type Stream struct {
-	id   int32
-	name string
-	ring []Rec
-	n    uint64 // total records emitted (>= len(ring) once wrapped)
-
-	// live mode (streaming sink or HTTP observer attached): mu guards
-	// ring/n/flushed so a wall-clock drainer can read concurrently with
-	// the owning domain's Emits. flushed counts records already handed
-	// to DrainNew.
-	live    bool
-	mu      sync.Mutex
-	flushed uint64
+	id      int32
+	name    string
+	ring    []Rec
+	n       uint64 // total records emitted (>= len(ring) once wrapped)
+	flushed uint64 // records already handed to DrainNew
 }
 
 // Name returns the stream name.
@@ -123,36 +115,15 @@ func (s *Stream) Name() string { return s.name }
 
 // Emit appends one record, overwriting the oldest when the ring is full.
 func (s *Stream) Emit(at sim.Time, stg Stage, kind uint8, out Outcome, seq, arg uint64) {
-	if s.live {
-		s.mu.Lock()
-		s.ring[s.n%uint64(len(s.ring))] = Rec{At: at, Seq: seq, Arg: arg, Kind: kind, Stg: stg, Out: out}
-		s.n++
-		s.mu.Unlock()
-		return
-	}
 	s.ring[s.n%uint64(len(s.ring))] = Rec{At: at, Seq: seq, Arg: arg, Kind: kind, Stg: stg, Out: out}
 	s.n++
 }
 
 // Emitted returns the total number of records emitted.
-func (s *Stream) Emitted() uint64 {
-	if s.live {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-	}
-	return s.n
-}
+func (s *Stream) Emitted() uint64 { return s.n }
 
 // Dropped returns how many records were overwritten by ring wrap-around.
 func (s *Stream) Dropped() uint64 {
-	if s.live {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-	}
-	return s.droppedLocked()
-}
-
-func (s *Stream) droppedLocked() uint64 {
 	if s.n <= uint64(len(s.ring)) {
 		return 0
 	}
@@ -163,16 +134,12 @@ func (s *Stream) droppedLocked() uint64 {
 // that is still retained, oldest-first, and returns the extended slice
 // plus the number of records lost — emitted and already overwritten
 // before this drain could see them. It is the streaming sink's read
-// primitive; safe to call concurrently with Emit only in live mode.
-// Draining never disturbs the ring, so post-run exports are unaffected.
+// primitive, called like Emit from the simulating goroutine. Draining
+// never disturbs the ring, so post-run exports are unaffected.
 func (s *Stream) DrainNew(dst []Rec) ([]Rec, uint64) {
-	if s.live {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-	}
 	start := s.flushed
 	var lost uint64
-	if over := s.droppedLocked(); over > start {
+	if over := s.Dropped(); over > start {
 		lost = over - start
 		start = over
 	}
@@ -185,10 +152,6 @@ func (s *Stream) DrainNew(dst []Rec) ([]Rec, uint64) {
 
 // records returns the retained records oldest-first.
 func (s *Stream) records() []Rec {
-	if s.live {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-	}
 	if s.n <= uint64(len(s.ring)) {
 		return s.ring[:s.n]
 	}
@@ -206,11 +169,6 @@ func (s *Stream) records() []Rec {
 type Tracer struct {
 	perStream int
 	streams   []*Stream
-
-	// live guards stream creation/listing with mu and marks new streams
-	// live; see Registry.SetLive.
-	live bool
-	mu   sync.Mutex
 }
 
 // NewTracer builds a tracer whose streams each retain up to perStream
@@ -222,47 +180,23 @@ func NewTracer(perStream int) *Tracer {
 	return &Tracer{perStream: perStream}
 }
 
-// SetLive switches the tracer and its streams (existing and future) to
-// live mode. Call during single-threaded setup.
-func (t *Tracer) SetLive() {
-	t.live = true
-	for _, s := range t.streams {
-		s.live = true
-	}
-}
-
 // Stream creates (or returns) the named stream. Stream ids are assigned
 // in creation order.
 func (t *Tracer) Stream(name string) *Stream {
-	if t.live {
-		t.mu.Lock()
-		defer t.mu.Unlock()
-	}
 	for _, s := range t.streams {
 		if s.name == name {
 			return s
 		}
 	}
-	s := &Stream{id: int32(len(t.streams)), name: name, ring: make([]Rec, t.perStream), live: t.live}
+	s := &Stream{id: int32(len(t.streams)), name: name, ring: make([]Rec, t.perStream)}
 	t.streams = append(t.streams, s)
 	return s
-}
-
-// Streams lists the streams in creation order (a copy in live mode, so
-// callers can iterate while another goroutine creates streams).
-func (t *Tracer) Streams() []*Stream {
-	if t.live {
-		t.mu.Lock()
-		defer t.mu.Unlock()
-		return append([]*Stream(nil), t.streams...)
-	}
-	return t.streams
 }
 
 // Emitted returns the total records emitted across all streams.
 func (t *Tracer) Emitted() uint64 {
 	var n uint64
-	for _, s := range t.Streams() {
+	for _, s := range t.streams {
 		n += s.Emitted()
 	}
 	return n
@@ -271,7 +205,7 @@ func (t *Tracer) Emitted() uint64 {
 // Dropped returns the total records lost to ring wrap-around.
 func (t *Tracer) Dropped() uint64 {
 	var n uint64
-	for _, s := range t.Streams() {
+	for _, s := range t.streams {
 		n += s.Dropped()
 	}
 	return n
@@ -289,9 +223,8 @@ type flatRec struct {
 // deterministic content and the deterministic stream creation order. No
 // goroutine interleaving can affect it.
 func (t *Tracer) merged() []flatRec {
-	streams := t.Streams()
 	var total int
-	for _, s := range streams {
+	for _, s := range t.streams {
 		n := s.Emitted()
 		if n > uint64(len(s.ring)) {
 			n = uint64(len(s.ring))
@@ -299,7 +232,7 @@ func (t *Tracer) merged() []flatRec {
 		total += int(n)
 	}
 	out := make([]flatRec, 0, total)
-	for _, s := range streams {
+	for _, s := range t.streams {
 		for _, r := range s.records() {
 			out = append(out, flatRec{Rec: r, stream: s.id})
 		}
