@@ -48,10 +48,12 @@ test:
 # wait ladder is raced: -cpu 1 has no spin and hands over by yield or
 # park, -cpu 2 spins then yields with a P per domain, and the 3- to
 # 7-domain tests at either width (plus -cpu 4 on a 2-CPU host) have more
-# waiters than processors.
+# waiters than processors. internal/faults runs with them: its flap
+# storms are the one fault that crosses domains (ScheduleLinkChange on a
+# cross link flips each side in its own domain).
 race:
 	$(GO) test -race -short ./...
-	$(GO) test -race -cpu 1,2,4 ./internal/sim ./internal/netsim
+	$(GO) test -race -cpu 1,2,4 ./internal/sim ./internal/netsim ./internal/faults
 
 # Coverage-guided fuzzing: the µP4 compiled-vs-interpreter differential
 # target, the slot's parse-once flow against packet.FlowOf, the EVCK

@@ -11,15 +11,18 @@ import (
 	"repro/internal/sim"
 )
 
-// TestFRRSurvivesFlapStorm drives fast re-route through 100 deterministic
-// link flaps from a faults schedule: every failure converges within one
+// TestFRRSurvivesFlapStorm drives fast re-route through 100 periodic
+// link flaps from faults.FlapStorm: every failure converges within one
 // LinkStatusChange (packets-lost-per-flap stays at in-flight scale, far
 // below the down-time worth of traffic), the router returns to the
 // primary after each repair, the failover counters match the storm
-// exactly, and the whole run passes the conservation audit.
+// exactly, and the whole run passes the conservation audit. The two
+// switches run in separate partition domains, so the stormed primary
+// crosses the domain boundary and each side flips in its own domain.
 func TestFRRSurvivesFlapStorm(t *testing.T) {
-	sched := sim.NewScheduler()
-	net := netsim.New(sched)
+	part := sim.NewPartition(2)
+	net := netsim.NewPartitioned(part)
+	sched := part.Sched(0)
 
 	frrSw := core.New(core.Config{Name: "frr"}, core.EventDriven(), sched)
 	dstIdx := int(uint32(flowN(0).Dst) >> 16)
@@ -29,7 +32,7 @@ func TestFRRSurvivesFlapStorm(t *testing.T) {
 	})
 	frrSw.MustLoad(prog)
 
-	sink := core.New(core.Config{Name: "sink"}, core.Baseline(), sched)
+	sink := core.New(core.Config{Name: "sink"}, core.Baseline(), part.Sched(1))
 	sinkProg := pisa.NewProgram("to-dst")
 	sinkProg.HandleFunc(events.IngressPacket, func(ctx *pisa.Context) { ctx.EgressPort = 2 })
 	sink.MustLoad(sinkProg)
@@ -38,18 +41,23 @@ func TestFRRSurvivesFlapStorm(t *testing.T) {
 	net.AddSwitch(sink)
 	src := net.NewHost("src", flowN(7).Src)
 	dst := net.NewHost("dst", flowN(7).Dst)
-	net.Attach(src, frrSw, 0, 0)                       // link 0
-	net.Connect(frrSw, 1, sink, 0, 500*sim.Nanosecond) // link 1: primary
-	net.Connect(frrSw, 2, sink, 1, 500*sim.Nanosecond) // link 2: backup
-	net.Attach(dst, sink, 2, 0)                        // link 3
+	net.Attach(src, frrSw, 0, 0)
+	primary := net.Connect(frrSw, 1, sink, 0, 500*sim.Nanosecond)
+	net.Connect(frrSw, 2, sink, 1, 500*sim.Nanosecond) // backup
+	net.Attach(dst, sink, 2, 0)
+	if !primary.Cross() {
+		t.Fatal("primary link does not cross the domain boundary")
+	}
 
 	// 100 flaps on the primary, 50us down every 200us: a 20ms storm.
 	const flaps = 100
-	sch := &faults.Schedule{Seed: 11, Specs: []faults.Spec{{
-		Kind: faults.FlapStorm, Link: 1, Start: sim.Millisecond,
-		Period: 200 * sim.Microsecond, Down: 50 * sim.Microsecond, Count: flaps,
-	}}}
-	eng := faults.MustApply(net, sch, faults.Options{})
+	downs := 0
+	net.OnLinkChange = func(l *netsim.Link, up bool) {
+		if l == primary && !up {
+			downs++
+		}
+	}
+	faults.FlapStorm(net, primary, sim.Millisecond, 200*sim.Microsecond, 50*sim.Microsecond, flaps)
 
 	// CBR source: one packet every 10us for 25ms — 2500 packets, ~5 of
 	// which would die per flap if failover took the whole down-time.
@@ -58,10 +66,10 @@ func TestFRRSurvivesFlapStorm(t *testing.T) {
 		at := sim.Time(i) * 10 * sim.Microsecond
 		sched.At(at, func() { src.Send(frameFor(flowN(7), 100)) })
 	}
-	sched.Run(30 * sim.Millisecond)
+	net.Run(30 * sim.Millisecond)
 
-	if got := eng.Stats(0).Flaps; got != flaps {
-		t.Fatalf("storm ran %d flaps, want %d", got, flaps)
+	if downs != flaps {
+		t.Fatalf("storm ran %d flaps, want %d", downs, flaps)
 	}
 	if r.Failovers != flaps {
 		t.Errorf("failovers = %d, want exactly %d (one per flap)", r.Failovers, flaps)
@@ -86,7 +94,7 @@ func TestFRRSurvivesFlapStorm(t *testing.T) {
 	// After the last repair the router is back on the primary.
 	before := r.RoutedPrimary
 	src.Send(frameFor(flowN(7), 100))
-	sched.Run(31 * sim.Millisecond)
+	net.Run(31 * sim.Millisecond)
 	if r.RoutedPrimary != before+1 {
 		t.Errorf("post-storm packet not routed on primary (primary %d -> %d)", before, r.RoutedPrimary)
 	}

@@ -117,10 +117,10 @@ func runResilience(env *Env, tr resilienceTrial, seed uint64) resilienceMetrics 
 		stormSpan  = 25 * sim.Millisecond
 		downTime   = 100 * sim.Microsecond
 	)
-	// Two switches, so at most two domains: frr | sink. The storm is
-	// bounded, so it unrolls into scheduled per-side link changes that
-	// work across the domain boundary; all measurement hooks (link-change
-	// observer, transmit tap, control-plane agent) live on frr's domain.
+	// Two switches, so at most two domains: frr | sink. The storm arms
+	// scheduled per-side link changes that work across the domain
+	// boundary; all measurement hooks (link-change observer, transmit
+	// tap, control-plane agent) live on frr's domain.
 	net, schedFor := env.fabric(env.domains(), 2, false, roundRobin)
 	sched, sinkSched := schedFor(0), schedFor(1)
 
@@ -191,10 +191,7 @@ func runResilience(env *Env, tr resilienceTrial, seed uint64) resilienceMetrics 
 	})
 
 	flaps := int(stormSpan / tr.period)
-	eng := faults.MustApply(net, &faults.Schedule{Seed: seed, Specs: []faults.Spec{{
-		Kind: faults.FlapStorm, Link: 1, Start: stormStart,
-		Period: tr.period, Down: downTime, Count: flaps,
-	}}}, faults.Options{})
+	faults.FlapStorm(net, primary, stormStart, tr.period, downTime, flaps)
 
 	// 200B frames at 320 Mb/s: one packet per ~5.6us, so a 100us outage
 	// holds ~18 packets' worth of traffic hostage.
@@ -205,12 +202,10 @@ func runResilience(env *Env, tr resilienceTrial, seed uint64) resilienceMetrics 
 	})
 	net.Run(horizon)
 
-	if rep := faults.Audit(net); !rep.OK() {
-		panic("resilience: " + rep.String())
-	}
+	faults.MustAudit(net)
 
 	m := resilienceMetrics{
-		flaps:     eng.Stats(0).Flaps,
+		flaps:     flaps,
 		failovers: int(r.Failovers),
 		sent:      net.Links()[0].Sent(),
 		delivered: dst.RxPackets,

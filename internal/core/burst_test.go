@@ -113,7 +113,7 @@ func TestConveyorWideSwitch(t *testing.T) {
 		got = append(got, tx{sched.Now(), slotOf[port]})
 		maxPend = max(maxPend, len(sw.txPend)+1)
 	}
-	latency := sim.Time(sw.Config().PipelineLatency) * sw.CycleTime()
+	latency := sim.Time(pipelineLatency) * sw.CycleTime()
 	for round := 0; round < 3; round++ {
 		t0 := sched.Now()
 		var roundWant []tx

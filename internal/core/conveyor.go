@@ -17,7 +17,7 @@ import (
 // pipeEntry is one packet riding the pipeline conveyor: the
 // pipeline-latency delay between its slot and the traffic manager. The
 // entry's (at, seq) are the exact coordinates the equivalent scheduler
-// event would have carried — at is slot time + PipelineLatency cycles,
+// event would have carried — at is slot time + pipelineLatency cycles,
 // seq was drawn from the shared counter when the slot finished — so the
 // conveyor is FIFO in (at, seq) by construction.
 type pipeEntry struct {
@@ -38,10 +38,10 @@ type txDone struct {
 }
 
 // enqueueOutDelayed models the pipeline's depth: the packet reaches the
-// traffic manager PipelineLatency cycles after its slot. The handoff is
+// traffic manager pipelineLatency cycles after its slot. The handoff is
 // a conveyor append — no heap event, no allocation.
 func (s *Switch) enqueueOutDelayed(pkt *packet.Packet, port, q int, rank, flowHash uint64) {
-	at := s.sched.Now() + sim.Time(s.cfg.PipelineLatency)*s.cycleTime
+	at := s.sched.Now() + sim.Time(pipelineLatency)*s.cycleTime
 	seq := s.sched.NextSeq()
 	s.pipe.Push(pipeEntry{
 		pkt: pkt, port: port, q: q, rank: rank, flowHash: flowHash, at: at, seq: seq,

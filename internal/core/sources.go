@@ -51,21 +51,6 @@ func (s *Switch) pushEvent(e *events.Event) {
 	s.wake()
 }
 
-// InjectEvent offers an event directly to the merger's FIFOs, bypassing
-// the hardware sources. It models a misbehaving or saturated event
-// source; internal/faults uses it for event-queue pressure storms. The
-// event is subject to the same architecture/program gating and overflow
-// policy as any other, and ok reports whether its state survived
-// (stored or coalesced).
-func (s *Switch) InjectEvent(e events.Event) (ok bool) {
-	if s.handled&(1<<uint(e.Kind)) == 0 {
-		return false
-	}
-	before := s.evq[e.Kind].Drops()
-	s.pushEvent(&e)
-	return s.evq[e.Kind].Drops() == before
-}
-
 // Inject delivers a fully received frame to an input port (the caller
 // models wire timing). Frames arriving on a downed link are lost. The
 // frame bytes are copied into a pooled packet before Inject returns, so

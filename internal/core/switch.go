@@ -47,10 +47,6 @@ type Config struct {
 	// EventQueueDepth bounds each event FIFO between a source and the
 	// Event Merger (default 512).
 	EventQueueDepth int
-	// PipelineLatency is the ingress-pipeline depth in cycles: the delay
-	// between a slot entering the pipeline and its packet reaching the
-	// traffic manager (default 16 stages).
-	PipelineLatency int
 	// MaxEventsPerSlot bounds how many events the merger can attach to
 	// one pipeline slot — the metadata bus width of paper §4 ("the
 	// pipeline is wide enough to carry all the events"). 0 means one
@@ -71,6 +67,11 @@ type Config struct {
 	EventOverflow map[events.Kind]events.OverflowPolicy
 }
 
+// pipelineLatency is the ingress-pipeline depth in cycles: the delay
+// between a slot entering the pipeline and its packet reaching the
+// traffic manager (16 stages).
+const pipelineLatency = 16
+
 func (c Config) withDefaults() Config {
 	if c.Ports <= 0 {
 		c.Ports = 4
@@ -89,9 +90,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.EventQueueDepth <= 0 {
 		c.EventQueueDepth = 512
-	}
-	if c.PipelineLatency <= 0 {
-		c.PipelineLatency = 16
 	}
 	if c.MergerPriority == nil {
 		c.MergerPriority = DefaultMergerPriority()
@@ -314,8 +312,8 @@ func (s *Switch) Load(p *pisa.Program) error {
 	for k := 0; k < events.NumKinds; k++ {
 		if kind := events.Kind(k); s.arch.Supports(kind) && p.Handles(kind) {
 			s.handled |= 1 << uint(k)
-			// A kind the merger never drains (the packet events) is
-			// offered only by InjectEvent storms: its ring can wait.
+			// A kind the merger never drains (the packet events, which
+			// ride the packet path) is never popped: its ring can wait.
 			if s.prioMask&(1<<uint(k)) != 0 {
 				s.evq[k].Reserve()
 			}

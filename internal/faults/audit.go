@@ -38,8 +38,8 @@ func (r *Report) check(ok bool, format string, args ...any) {
 // Audit checks packet and event conservation across an entire network:
 // every frame offered to a link and every packet accepted by a switch is
 // accounted for — delivered, counted lost with a reason, or still
-// residing somewhere the audit can see. Injected faults only move
-// packets between these bins; they never make the books stop balancing.
+// residing somewhere the audit can see. A flap storm only moves packets
+// between these bins; it never makes the books stop balancing.
 // Run it at the end of an experiment (mid-run audits are also valid: the
 // in-flight terms absorb whatever is still moving).
 func Audit(net *netsim.Network) *Report {
@@ -72,14 +72,12 @@ func MustAudit(net *netsim.Network) {
 }
 
 // auditLink checks the link identity: every frame offered is delivered,
-// lost to a down link (at send or mid-flight), dropped by an impairment,
-// or still propagating; impairment duplicates add to the offered side.
+// lost to a down link (at send or mid-flight), or still propagating.
 func auditLink(r *Report, i int, l *netsim.Link) {
-	in := l.Sent() + l.Duplicated()
-	out := l.Delivered() + l.LostAtSend() + l.LostInFlight() + l.Dropped() + l.InFlight()
-	r.check(in == out,
-		"link %d (%v): sent %d + dup %d != delivered %d + lostSend %d + lostFlight %d + dropped %d + inflight %d",
-		i, l, l.Sent(), l.Duplicated(), l.Delivered(), l.LostAtSend(), l.LostInFlight(), l.Dropped(), l.InFlight())
+	out := l.Delivered() + l.LostAtSend() + l.LostInFlight() + l.InFlight()
+	r.check(l.Sent() == out,
+		"link %d (%v): sent %d != delivered %d + lostSend %d + lostFlight %d + inflight %d",
+		i, l, l.Sent(), l.Delivered(), l.LostAtSend(), l.LostInFlight(), l.InFlight())
 }
 
 // auditSwitch checks the packet-inventory identity and, per event kind,

@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"testing"
 
@@ -71,161 +70,6 @@ func lenFrame(n int) []byte {
 		},
 		TotalLen: n,
 	})
-}
-
-// sentFrame is one frame entering the h1 link in the wire-order test:
-// its size (the frame's identity), the instant it is put on the wire,
-// and the extra delay of each copy the link carries (one zero entry when
-// no impairment saw it, none when the impairment dropped it).
-type sentFrame struct {
-	size   int
-	sentAt sim.Time
-	extra  []sim.Time
-}
-
-// impairedOrderRun drives the wire-order workload once. It returns the
-// frame sizes h2 received (in arrival order) and the order the wire band
-// must produce.
-//
-// h1 sends bursts of 8 length-tagged frames every 20µs through its NIC;
-// for a middle window its link carries a deterministic impairment (drop
-// every 5th frame, duplicate every 7th with enough extra delay to reorder
-// it past later bursts, jitter every 3rd). Three groups of four frames
-// are also entered below h1's serializer, each group at one instant, one
-// of them inside the impairment window. The expected order is computed
-// independently of netsim's delivery code: each copy's arrival at the
-// switch is its send instant (replaying the NIC's serialization clock
-// for sent frames) plus the link latency plus the copy's ExtraDelay, and
-// copies are ordered by (arrival, send index, copy index) — the wire
-// band's (arrival, link, send seq) key on a single link direction. The
-// switch forwards everything to h2 in arrival order.
-func impairedOrderRun(t *testing.T) (order, want []int) {
-	t.Helper()
-	const latency = 2 * sim.Microsecond
-	sched := sim.NewScheduler()
-	net := New(sched)
-	sw := core.New(core.Config{Name: "s"}, core.EventDriven(), sched)
-	sw.MustLoad(fwdTo(1))
-	net.AddSwitch(sw)
-	h1 := net.NewHost("h1", packet.IP4(10, 0, 0, 1))
-	h2 := net.NewHost("h2", packet.IP4(10, 0, 0, 2))
-	l := net.Attach(h1, sw, 0, latency)
-	net.Attach(h2, sw, 1, 100*sim.Nanosecond)
-
-	h2.OnRecv = func(d []byte) { order = append(order, len(d)) }
-
-	var sent []sentFrame
-	bySize := map[int]int{} // frame size -> index in sent
-	record := func(size int, at sim.Time) {
-		bySize[size] = len(sent)
-		sent = append(sent, sentFrame{size: size, sentAt: at, extra: []sim.Time{0}})
-	}
-
-	nimp := 0
-	impair := func(data []byte) []Deliverable {
-		nimp++
-		var outs []Deliverable
-		switch {
-		case nimp%5 == 0:
-		case nimp%7 == 0:
-			outs = []Deliverable{
-				{Data: data},
-				{Data: append([]byte(nil), data...), ExtraDelay: 30 * sim.Microsecond},
-			}
-		case nimp%3 == 0:
-			outs = []Deliverable{{Data: data, ExtraDelay: 200 * sim.Nanosecond}}
-		default:
-			outs = []Deliverable{{Data: data}}
-		}
-		f := &sent[bySize[len(data)]]
-		f.extra = f.extra[:0]
-		for _, o := range outs {
-			f.extra = append(f.extra, o.ExtraDelay)
-		}
-		return outs
-	}
-
-	// Bursts through the NIC. The sender replays the NIC's serialization
-	// clock to know when each frame goes on the wire.
-	const bursts = 30
-	rate := sw.Config().LineRate
-	var nicBusy sim.Time
-	for i := 0; i < bursts; i++ {
-		i := i
-		sched.At(sim.Time(1+i*20)*sim.Microsecond, func() {
-			for j := 0; j < 8; j++ {
-				size := 100 + i*8 + j
-				nicBusy = max(nicBusy, sched.Now()) + rate.ByteTime(size+core.WireOverhead)
-				record(size, nicBusy)
-				h1.Send(lenFrame(size))
-			}
-		})
-	}
-	// Groups entered below the serializer, at instants clear of every
-	// burst's serialization, so record order is send order.
-	const perGroup = 4
-	for g, at := range []sim.Time{11, 251, 451} {
-		g := g
-		sched.At(at*sim.Microsecond, func() {
-			for i := 0; i < perGroup; i++ {
-				size := 400 + g*perGroup + i
-				record(size, sched.Now())
-				net.deliver(l, endpoint{host: h1}, lenFrame(size))
-			}
-		})
-	}
-	// Impairment window covering bursts 10-19 and the second group.
-	sched.At(200*sim.Microsecond, func() { l.SetImpair(impair) })
-	sched.At(400*sim.Microsecond, func() { l.SetImpair(nil) })
-	sched.Run(sim.Millisecond)
-
-	type wireCopy struct {
-		at         sim.Time
-		send, copy int
-		size       int
-	}
-	var copies []wireCopy
-	var sendOrder []int
-	for i, f := range sent {
-		for c, extra := range f.extra {
-			copies = append(copies, wireCopy{at: f.sentAt + latency + extra, send: i, copy: c, size: f.size})
-			sendOrder = append(sendOrder, f.size)
-		}
-	}
-	sort.Slice(copies, func(i, j int) bool {
-		a, b := copies[i], copies[j]
-		if a.at != b.at {
-			return a.at < b.at
-		}
-		if a.send != b.send {
-			return a.send < b.send
-		}
-		return a.copy < b.copy
-	})
-	for _, c := range copies {
-		want = append(want, c.size)
-	}
-	if fmt.Sprint(want) == fmt.Sprint(sendOrder) || l.Dropped() == 0 || l.Duplicated() == 0 {
-		t.Fatalf("impairment dropped %d, duplicated %d and reordered nothing else: the property is vacuous",
-			l.Dropped(), l.Duplicated())
-	}
-
-	return order, want
-}
-
-// TestBurstWireOrderUnderImpairments is the wire-order property pin: h2
-// must receive frames in exactly the (arrival, send seq) order computed
-// from the send instants, the link latency and each copy's ExtraDelay,
-// across an impairment window that drops, duplicates and reorders
-// frames, and for frames entered at one instant.
-func TestBurstWireOrderUnderImpairments(t *testing.T) {
-	order, want := impairedOrderRun(t)
-	if len(order) == 0 {
-		t.Fatal("nothing delivered; property is vacuous")
-	}
-	if fmt.Sprint(order) != fmt.Sprint(want) {
-		t.Errorf("delivery order differs from the wire-band expectation:\ngot:  %v\nwant: %v", order, want)
-	}
 }
 
 // TestLinkBatchingDerivedFromSwitches pins that a link's delivery does

@@ -1,7 +1,7 @@
 package netsim
 
-// Lost returns the total frames lost to link failures (both at send and
-// mid-flight; impairment drops are counted separately in Dropped).
+// Lost returns the total frames lost to link failures, at send and
+// mid-flight.
 func (l *Link) Lost() uint64 { return l.LostAtSend() + l.LostInFlight() }
 
 // Up reports the link state (both endpoint views; between a partitioned

@@ -35,33 +35,14 @@ func (e endpoint) String() string {
 	return fmt.Sprintf("%s:%d", e.sw.Name(), e.port)
 }
 
-// Deliverable is one copy of a frame an impairment lets through: the
-// (possibly mutated) bytes plus extra latency beyond the link's
-// propagation delay. Returning the same frame twice models duplication;
-// different ExtraDelay values model reordering.
-type Deliverable struct {
-	Data       []byte
-	ExtraDelay sim.Time
-}
-
-// Impairment decides the fate of each frame entering a link: it returns
-// the copies to deliver (nil or empty means the frame is dropped). The
-// data slice passed in is private to the call — no sender or tap aliases
-// it, so an impairment may mutate it freely — but it is only valid until
-// the impairment returns plus the propagation of the copies it returned
-// (the link recycles the buffer for the next frame; propagation makes its
-// own copies). An impairment must not retain the slice across calls.
-type Impairment func(data []byte) []Deliverable
-
 // DirCounters are one direction's frame counters on a link (direction 0
 // is a→b, direction 1 is b→a). The single-writer split that makes the
-// partitioned run race-free: Sent, LostAtSend, Dropped, Duplicated and
-// Propagated are written only by the sending side's domain; Delivered
-// and LostInFlight only by the receiving side's. Conservation per
-// direction (faults.Audit checks the summed form) is
+// partitioned run race-free: Sent, LostAtSend and Propagated are written
+// only by the sending side's domain; Delivered and LostInFlight only by
+// the receiving side's. Conservation per direction (faults.Audit checks
+// the summed form) is
 //
-//	Sent + Duplicated == Delivered + LostAtSend + LostInFlight +
-//	                     Dropped + InFlight
+//	Sent == Delivered + LostAtSend + LostInFlight + InFlight
 //
 // where InFlight = Propagated - Delivered - LostInFlight.
 type DirCounters struct {
@@ -69,11 +50,11 @@ type DirCounters struct {
 	Sent uint64
 	// LostAtSend counts frames sent while the link was already down.
 	LostAtSend uint64
-	// Dropped counts frames an Impairment discarded.
+	// Dropped is always 0: no link discards a frame it accepted. It
+	// stays only because the benchmark harness (benchmark/engine.go)
+	// reads it; the next change to that harness deletes it.
 	Dropped uint64
-	// Duplicated counts extra copies an Impairment created.
-	Duplicated uint64
-	// Propagated counts copies put on the wire (post-impairment).
+	// Propagated counts frames put on the wire.
 	Propagated uint64
 	// Delivered counts frames that reached the far endpoint.
 	Delivered uint64
@@ -87,10 +68,10 @@ func (c *DirCounters) InFlight() uint64 {
 	return c.Propagated - c.Delivered - c.LostInFlight
 }
 
-// flight is one frame copy propagating along a non-cross link: a pooled
+// flight is one frame propagating along a non-cross link: a pooled
 // sim.Runner carrying a private copy of the bytes, scheduled on the
 // destination's wire band keyed (arrival, directed link id, send seq).
-// Every intra-domain copy crosses its link this way, so the firing order
+// Every intra-domain frame crosses its link this way, so the firing order
 // is the band's total order. Pooling flights (and their buffers) removes
 // the per-frame closure and frame-copy allocations from the delivery hot
 // path. Non-cross means one scheduler drives both sides, so the free
@@ -148,8 +129,7 @@ func (n *Network) parkSpent(l *Link, dir int, m *mailFlight) {
 
 // Link is a point-to-point connection between two endpoints. Packet
 // serialization is modeled by the transmitting device (switch TX or host
-// NIC); the link adds propagation latency, can be failed, and can carry
-// an Impairment (loss, corruption, reordering, duplication).
+// NIC); the link adds propagation latency and can be failed.
 //
 // Every piece of run-time link state is split per direction or per side
 // with a single writing domain, so a link crossing a partition boundary
@@ -164,9 +144,8 @@ type Link struct {
 	// ScheduleLinkChange schedules both sides for the same time), but
 	// each is written only by its own side's domain.
 	sideUp [2]bool
-	impair Impairment
 	dir    [2]DirCounters
-	// wireSeq numbers propagated copies per direction, in send order —
+	// wireSeq numbers propagated frames per direction, in send order —
 	// the engine-independent tiebreak for same-instant arrivals.
 	wireSeq [2]uint64
 	// sched is the scheduler driving each side (equal unless the link
@@ -189,8 +168,6 @@ type Link struct {
 	mailSpent [2][]*mailFlight
 	// flightFree pools non-cross in-flight frames (see flight).
 	flightFree []*flight
-	// impairBuf is the reusable private copy handed to the impairment.
-	impairBuf []byte
 }
 
 // Counters returns one direction's counters (0: a→b, 1: b→a). Mutable
@@ -209,32 +186,13 @@ func (l *Link) LostAtSend() uint64 { return l.dir[0].LostAtSend + l.dir[1].LostA
 // LostInFlight counts frames caught mid-propagation by a Fail.
 func (l *Link) LostInFlight() uint64 { return l.dir[0].LostInFlight + l.dir[1].LostInFlight }
 
-// Dropped counts frames an Impairment discarded.
-func (l *Link) Dropped() uint64 { return l.dir[0].Dropped + l.dir[1].Dropped }
-
-// Duplicated counts the extra copies an Impairment created (they add to
-// Delivered).
-func (l *Link) Duplicated() uint64 { return l.dir[0].Duplicated + l.dir[1].Duplicated }
-
 // InFlight returns the number of frames currently propagating (including
 // frames parked in a cross-domain mailbox awaiting the next barrier).
 func (l *Link) InFlight() uint64 { return l.dir[0].InFlight() + l.dir[1].InFlight() }
 
-// SetImpair installs (or, with nil, removes) the link's impairment. Only
-// one impairment is attached at a time; compose stages before installing
-// (internal/faults chains its injectors into a single Impairment).
-// Impairments keep per-link state behind a shared closure, so a
-// partitioned network rejects impairments on links that cross domains.
-func (l *Link) SetImpair(f Impairment) { l.impair = f }
-
 // Cross reports whether the link's endpoints live in different partition
 // domains.
 func (l *Link) Cross() bool { return l.cross }
-
-// Scheduler returns the link's home scheduler: side a's domain. Code
-// that observes or manipulates a non-cross link (fault injectors,
-// impairment windows) must run on this scheduler.
-func (l *Link) Scheduler() *sim.Scheduler { return l.sched[0] }
 
 // String describes the link.
 func (l *Link) String() string { return fmt.Sprintf("%v<->%v", l.a, l.b) }
@@ -260,16 +218,12 @@ type Host struct {
 
 	// RxPackets and RxBytes count deliveries.
 	RxPackets, RxBytes uint64
-	// HeldFrames counts sends deferred while the host was paused.
-	HeldFrames uint64
 
 	net    *Network
 	link   *Link
 	sched  *sim.Scheduler // the attached switch's domain scheduler
 	rate   sim.Rate
 	busy   sim.Time // NIC busy-until for serialization
-	paused bool
-	held   [][]byte
 	txFree []*hostTx
 }
 
@@ -308,11 +262,6 @@ func (h *Host) Send(data []byte) {
 	if h.link == nil {
 		panic("netsim: host " + h.Name + " is not attached")
 	}
-	if h.paused {
-		h.held = append(h.held, append([]byte(nil), data...))
-		h.HeldFrames++
-		return
-	}
 	now := h.sched.Now()
 	start := now
 	if h.busy > start {
@@ -330,25 +279,6 @@ func (h *Host) Send(data []byte) {
 	}
 	t.buf = append(t.buf[:0], data...)
 	h.sched.AtRunner(h.busy, t)
-}
-
-// Pause stalls the host: subsequent Sends are held (in order) until
-// Resume. It models an endpoint that freezes — a VM pause, a GC stall —
-// without losing its transmit queue.
-func (h *Host) Pause() { h.paused = true }
-
-// Resume releases a paused host: frames held during the pause are sent
-// immediately, in order, through the normal NIC serialization path.
-func (h *Host) Resume() {
-	if !h.paused {
-		return
-	}
-	h.paused = false
-	held := h.held
-	h.held = nil
-	for _, data := range held {
-		h.Send(data)
-	}
 }
 
 func (h *Host) receive(data []byte) {
@@ -416,8 +346,8 @@ func (n *Network) attachOf(sw *core.Switch) *attachment {
 // NewPartitioned builds an empty network over a partition: switches must
 // be constructed on the partition's domain schedulers (core.New with
 // p.Sched(i)), and AddSwitch infers each switch's domain from its
-// scheduler. Domain 0's scheduler doubles as the network's setup
-// scheduler (Scheduler()).
+// scheduler. Domain 0's scheduler doubles as the network's own, the one
+// an unattached host falls back to.
 func NewPartitioned(p *sim.Partition) *Network {
 	n := New(p.Sched(0))
 	n.part = p
@@ -431,10 +361,6 @@ type mailRef struct {
 	l   *Link
 	dir int
 }
-
-// Scheduler returns the network's scheduler (domain 0's when
-// partitioned).
-func (n *Network) Scheduler() *sim.Scheduler { return n.sched }
 
 // Partition returns the partition driving the network, or nil.
 func (n *Network) Partition() *sim.Partition { return n.part }
@@ -552,7 +478,13 @@ func (n *Network) Attach(h *Host, sw *core.Switch, port int, latency sim.Time) *
 }
 
 // deliver carries a frame across a link from the given source endpoint.
-// It runs in the sending side's domain.
+// It runs in the sending side's domain. A frame sent into a down link is
+// lost; any other goes on the wire. Intra-domain it is scheduled
+// directly on the destination's wire band; cross-domain it is parked in
+// the link mailbox for the next barrier. Either way it fires in (arrival
+// time, directed link id, send order) order — the same order in every
+// partitioning. The frame bytes are copied into pooled flight-owned
+// storage, so the caller's slice is free after the call.
 func (n *Network) deliver(l *Link, from endpoint, data []byte) {
 	dir := l.side(from)
 	c := &l.dir[dir]
@@ -561,38 +493,8 @@ func (n *Network) deliver(l *Link, from endpoint, data []byte) {
 		c.LostAtSend++
 		return
 	}
-	if l.impair == nil {
-		n.propagate(l, dir, data, l.latency)
-		return
-	}
-	// The impairment gets a private copy: a corruptor that flips bytes
-	// must not alias a buffer the sender (or a tap) still holds. The copy
-	// is lazy — it reuses the link's scratch buffer, valid for the call
-	// (propagate copies again into flight-owned storage).
-	l.impairBuf = append(l.impairBuf[:0], data...)
-	outs := l.impair(l.impairBuf)
-	if len(outs) == 0 {
-		c.Dropped++
-		return
-	}
-	if len(outs) > 1 {
-		c.Duplicated += uint64(len(outs) - 1)
-	}
-	for _, o := range outs {
-		n.propagate(l, dir, o.Data, l.latency+o.ExtraDelay)
-	}
-}
-
-// propagate puts one frame copy on the wire. Intra-domain it is
-// scheduled directly on the destination's wire band; cross-domain it is
-// parked in the link mailbox for the next barrier. Either way it fires
-// in (arrival time, directed link id, send order) order — the same order
-// in every partitioning. The frame bytes are copied into pooled
-// flight-owned storage, so the caller's slice is free after the call.
-func (n *Network) propagate(l *Link, dir int, data []byte, delay sim.Time) {
-	c := &l.dir[dir]
 	c.Propagated++
-	at := l.sched[dir].Now() + delay
+	at := l.sched[dir].Now() + l.latency
 	seq := l.wireSeq[dir]
 	l.wireSeq[dir]++
 	if l.cross {
@@ -656,7 +558,7 @@ func (n *Network) arrive(l *Link, dir int, data []byte) {
 // the only phase in which both sides' mail lists may be touched, so this
 // is also where spent flights are recycled back to the senders' free
 // lists. The barrier is incremental: it walks the per-domain dirty lists
-// (filled by propagate and parkSpent during the window) instead of every
+// (filled by deliver and parkSpent during the window) instead of every
 // cross link, so barrier cost scales with the frames actually exchanged,
 // not with fabric size. The delivery order across links does not matter —
 // the wire band is a heap ordered by engine-independent keys — so
@@ -719,10 +621,6 @@ func (n *Network) Run(until sim.Time) {
 	for _, l := range n.links {
 		if !l.cross {
 			continue
-		}
-		if l.impair != nil {
-			panic("netsim: impairment on cross-domain link " + l.String() +
-				" (impairments keep shared state; keep impaired links inside one domain)")
 		}
 		if l.latency < lookahead {
 			lookahead = l.latency
@@ -793,7 +691,7 @@ func (n *Network) sideLinkChange(l *Link, side int, up bool) {
 // Repair) at the absolute time at. On a cross-domain link each side's
 // view transitions independently in its own domain at the same virtual
 // instant — the deterministic way to fail a link whose endpoints run
-// concurrently. fault schedules (internal/faults) arm all their link
+// concurrently. Flap storms (internal/faults) arm all their link
 // transitions this way.
 func (n *Network) ScheduleLinkChange(l *Link, at sim.Time, up bool) {
 	if !l.cross {

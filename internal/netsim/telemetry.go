@@ -30,8 +30,6 @@ func (n *Network) RecordLinkTelemetry(c *telemetry.Collector) {
 			reg.Counter(pre + "sent").Add(d.Sent)
 			reg.Counter(pre + "delivered").Add(d.Delivered)
 			reg.Counter(pre + "lost").Add(d.LostAtSend + d.LostInFlight)
-			reg.Counter(pre + "dropped").Add(d.Dropped)
-			reg.Counter(pre + "duplicated").Add(d.Duplicated)
 			reg.Gauge(pre + "inflight").Set(int64(d.InFlight()))
 		}
 	}

@@ -70,9 +70,6 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Bool returns true with probability p.
-func (r *RNG) Bool(p float64) bool { return r.Float64() < p }
-
 // Exp returns an exponentially distributed value with the given mean.
 func (r *RNG) Exp(mean float64) float64 {
 	u := r.Float64()
