@@ -146,7 +146,7 @@ func TestResumeByteIdenticalInProcess(t *testing.T) {
 			plain.String(), first.String(), resumed.String())
 	}
 
-	// The files themselves, in format version 2, for these flags (the
+	// The files themselves, in format version 3, for these flags (the
 	// second also carries compiled-µP4 externs, the instance and the
 	// telemetry section): changing one byte of the layout must come with
 	// a checkpoint.FormatVersion bump, not slip through a two-way walk.
@@ -161,8 +161,8 @@ func TestResumeByteIdenticalInProcess(t *testing.T) {
 		size int
 		want uint64
 	}{
-		{ckpt, 6138, 0xb2936b7670a6e14a},
-		{ckptP4, 1028200, 0x704d5748e9be2e02}, // the program is named by the -p4 path as spelled
+		{ckpt, 6038, 0x79c8e556fb4dd5bd},
+		{ckptP4, 1028100, 0x4bc1453d40cf6e6b}, // the program is named by the -p4 path as spelled
 	} {
 		b, err := os.ReadFile(pin.path)
 		if err != nil {

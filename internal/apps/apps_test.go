@@ -320,7 +320,7 @@ func TestCacheHitsAndInvalidation(t *testing.T) {
 func TestCacheLRUAgingEvictsCold(t *testing.T) {
 	sched := sim.NewScheduler()
 	sw := core.New(core.Config{}, core.EventDriven(), sched)
-	c, prog := NewCache(CacheConfig{Ways: 2, ServerPort: 1, ClientPort: 0, AdmitThreshold: 1, AgeShift: 1})
+	c, prog := NewCache(CacheConfig{Ways: 2, ServerPort: 1, ClientPort: 0, AdmitThreshold: 1})
 	sw.MustLoad(prog)
 	if err := c.Arm(sw, sim.Millisecond, sim.Second); err != nil {
 		t.Fatal(err)

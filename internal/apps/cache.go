@@ -36,9 +36,6 @@ type CacheConfig struct {
 	ServerPort int
 	// ClientPort is the switch port toward clients.
 	ClientPort int
-	// AgeShift right-shifts every slot's hit counter on each aging tick
-	// (1 = halve), implementing approximate LRU.
-	AgeShift uint
 	// AdmitThreshold is the access count at which a key is cached.
 	AdmitThreshold uint64
 }
@@ -69,9 +66,6 @@ type Cache struct {
 func NewCache(cfg CacheConfig) (*Cache, *pisa.Program) {
 	if cfg.Ways <= 0 {
 		cfg.Ways = 64
-	}
-	if cfg.AgeShift == 0 {
-		cfg.AgeShift = 1
 	}
 	if cfg.AdmitThreshold == 0 {
 		cfg.AdmitThreshold = 3
@@ -129,7 +123,7 @@ func NewCache(cfg CacheConfig) (*Cache, *pisa.Program) {
 		case 0:
 			c.Ages++
 			for i := range c.slots {
-				c.slots[i].hits >>= cfg.AgeShift
+				c.slots[i].hits >>= 1 // halve: approximate LRU
 			}
 		case 1:
 			c.heat = make(map[uint64]uint64)

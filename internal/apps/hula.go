@@ -23,10 +23,11 @@ type HULAConfig struct {
 	HostPort int
 	// Tors is the number of ToR switches (sizes the best-hop table).
 	Tors int
-	// UtilDecayShift ages the local link-utilization estimate
-	// (EWMA-by-shift on probe arrival).
-	UtilDecayShift uint
 }
+
+// hulaUtilDecayShift ages the local link-utilization estimate
+// (EWMA-by-shift on each utilization tick).
+const hulaUtilDecayShift = 2
 
 // HULA implements the probe-driven path selection core of HULA on one
 // switch: probes flood from each ToR carrying the max link utilization
@@ -69,9 +70,6 @@ func NewHULA(cfg HULAConfig) (*HULA, *pisa.Program) {
 	}
 	if cfg.Tors <= 0 {
 		cfg.Tors = 16
-	}
-	if cfg.UtilDecayShift == 0 {
-		cfg.UtilDecayShift = 2
 	}
 	h := &HULA{
 		cfg:         cfg,
@@ -205,7 +203,7 @@ func (h *HULA) refreshUtil() {
 		if int64(u) >= old {
 			h.linkUtil[i] = uint32(u)
 		} else {
-			h.linkUtil[i] = uint32(old + ((int64(u) - old) >> h.cfg.UtilDecayShift))
+			h.linkUtil[i] = uint32(old + ((int64(u) - old) >> hulaUtilDecayShift))
 		}
 		h.linkTxBytes[i] = 0
 	}

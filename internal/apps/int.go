@@ -72,10 +72,11 @@ type PIEConfig struct {
 	TargetDelay sim.Time
 	// Update is the controller period (the timer event's period).
 	Update sim.Time
-	// Alpha256 and Beta256 are the PI gains in 1/256 units per ms of
-	// delay error.
-	Alpha256, Beta256 int64
 }
+
+// pieAlpha256 and pieBeta256 are PIE's PI gains in 1/256 units per ms of
+// delay error.
+const pieAlpha256, pieBeta256 = 32, 320
 
 // PIE keeps queueing delay near a target with a proportional-integral
 // controller: dequeue events measure the departure rate, a timer event
@@ -104,12 +105,6 @@ func NewPIE(cfg PIEConfig, rng *sim.RNG) (*PIE, *pisa.Program) {
 	}
 	if cfg.Update <= 0 {
 		cfg.Update = sim.Millisecond
-	}
-	if cfg.Alpha256 == 0 {
-		cfg.Alpha256 = 32
-	}
-	if cfg.Beta256 == 0 {
-		cfg.Beta256 = 320
 	}
 	pie := &PIE{cfg: cfg, rng: rng, DelaySamples: sim.NewStats()}
 	p := pisa.NewProgram("pie")
@@ -151,8 +146,8 @@ func NewPIE(cfg PIEConfig, rng *sim.RNG) (*PIE, *pisa.Program) {
 		pie.DelaySamples.Add(delay)
 		target := cfg.TargetDelay.Seconds()
 		// PI update, gains scaled per ms of error.
-		pie.prob256 += int64(float64(cfg.Alpha256)*(delay-target)*1000) +
-			int64(float64(cfg.Beta256)*(delay-pie.lastDelay)*1000)
+		pie.prob256 += int64(pieAlpha256*(delay-target)*1000) +
+			int64(pieBeta256*(delay-pie.lastDelay)*1000)
 		pie.lastDelay = delay
 		if pie.prob256 < 0 {
 			pie.prob256 = 0

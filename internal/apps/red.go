@@ -17,11 +17,12 @@ type REDConfig struct {
 	MinThresh, MaxThresh int64
 	// MaxP is the drop probability at MaxThresh, in 1/256 units (the
 	// integer arithmetic a data plane uses).
-	MaxP256 uint64
-	// EWMAShift smooths the instantaneous occupancy.
-	EWMAShift  uint
+	MaxP256    uint64
 	EgressPort int
 }
+
+// redEWMAShift smooths the instantaneous occupancy (1/2^shift).
+const redEWMAShift = 4
 
 // RED implements Random Early Detection with congestion signals derived
 // from buffer events: the instantaneous occupancy comes from
@@ -50,10 +51,7 @@ func NewRED(cfg REDConfig, rng *sim.RNG) (*RED, *pisa.Program) {
 	if cfg.MaxP256 == 0 {
 		cfg.MaxP256 = 64 // 25% at MaxThresh
 	}
-	if cfg.EWMAShift == 0 {
-		cfg.EWMAShift = 4
-	}
-	r := &RED{cfg: cfg, avg: sketch.NewEWMA(cfg.EWMAShift), rng: rng}
+	r := &RED{cfg: cfg, avg: sketch.NewEWMA(redEWMAShift), rng: rng}
 	p := pisa.NewProgram("red")
 	r.occ = p.AddRegister(pisa.NewAggregatedRegister("redOcc", 1,
 		events.BufferEnqueue, events.BufferDequeue))

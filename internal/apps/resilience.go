@@ -16,9 +16,6 @@ type FRRConfig struct {
 	// Primary and Backup map destination ToR/prefix index -> output port.
 	Primary map[int]int
 	Backup  map[int]int
-	// PrefixOf extracts the destination index from a flow (defaults to
-	// the /16-per-destination plan used across the experiments).
-	PrefixOf func(f packet.Flow) int
 	// NoLinkEvents omits the LinkStatusChange handler so the program
 	// loads on a baseline architecture; port state then only changes via
 	// SetPortState — i.e. through the control plane.
@@ -41,9 +38,6 @@ type FRR struct {
 
 // NewFRR builds the re-router and its program.
 func NewFRR(cfg FRRConfig) (*FRR, *pisa.Program) {
-	if cfg.PrefixOf == nil {
-		cfg.PrefixOf = func(f packet.Flow) int { return int(uint32(f.Dst) >> 16) }
-	}
 	r := &FRR{cfg: cfg}
 	for i := range r.linkUp {
 		r.linkUp[i] = true
@@ -54,7 +48,9 @@ func NewFRR(cfg FRRConfig) (*FRR, *pisa.Program) {
 			ctx.Drop()
 			return
 		}
-		dst := cfg.PrefixOf(ctx.Flow)
+		// The destination index is the /16 of the destination address,
+		// the one-prefix-per-destination plan of every experiment.
+		dst := int(uint32(ctx.Flow.Dst) >> 16)
 		prim, ok := cfg.Primary[dst]
 		if !ok {
 			ctx.Drop()

@@ -18,14 +18,17 @@ type TelemetryConfig struct {
 	SwitchID uint32
 	// EgressPort forwards data traffic; ReportPort carries reports.
 	EgressPort, ReportPort int
-	// EWMAShift smooths the per-interval byte counts (1/2^shift).
-	EWMAShift uint
-	// DeviationNum/DeviationDen: report when the interval's value
-	// exceeds (Num/Den)x the smoothed baseline (default 2x).
-	DeviationNum, DeviationDen uint64
-	// FloorBytes suppresses reports below this absolute activity.
-	FloorBytes uint64
 }
+
+// The reducer's thresholds: the per-interval byte counts are smoothed by
+// 1/2^telemetryEWMAShift, and an interval is anomalous when it drops a
+// packet, or moves more than telemetryFloorBytes and more than
+// telemetryDeviation times the smoothed baseline.
+const (
+	telemetryEWMAShift  = 3
+	telemetryDeviation  = 2
+	telemetryFloorBytes = 4096
+)
 
 // Telemetry aggregates per-interval congestion information from buffer
 // events and emits a Report only when the interval is anomalous —
@@ -50,16 +53,7 @@ type Telemetry struct {
 
 // NewTelemetry builds the reducer and its program.
 func NewTelemetry(cfg TelemetryConfig) (*Telemetry, *pisa.Program) {
-	if cfg.EWMAShift == 0 {
-		cfg.EWMAShift = 3
-	}
-	if cfg.DeviationDen == 0 {
-		cfg.DeviationNum, cfg.DeviationDen = 2, 1
-	}
-	if cfg.FloorBytes == 0 {
-		cfg.FloorBytes = 4096
-	}
-	tl := &Telemetry{cfg: cfg, baseline: sketch.NewEWMA(cfg.EWMAShift)}
+	tl := &Telemetry{cfg: cfg, baseline: sketch.NewEWMA(telemetryEWMAShift)}
 	p := pisa.NewProgram("telemetry-filter")
 
 	p.HandleFunc(events.IngressPacket, func(ctx *pisa.Context) {
@@ -87,8 +81,7 @@ func NewTelemetry(cfg TelemetryConfig) (*Telemetry, *pisa.Program) {
 
 		base := tl.baseline.Value()
 		anomalous := drops > 0 ||
-			(bytes > tl.cfg.FloorBytes && base > 0 &&
-				bytes*tl.cfg.DeviationDen > base*tl.cfg.DeviationNum)
+			(bytes > telemetryFloorBytes && base > 0 && bytes > base*telemetryDeviation)
 		// Update the baseline after the comparison so a spike does not
 		// mask itself.
 		tl.baseline.Observe(bytes)

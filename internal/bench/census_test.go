@@ -54,6 +54,43 @@ func TestNoTestOnlyExports(t *testing.T) {
 	}
 }
 
+// TestNoUnsetKnobs holds every exported field of an exported struct type
+// named Config, Options, *Config or *Options under internal/ to being set
+// by some program the module builds, so a knob only tests turn cannot pile
+// up again. The census is by type: a field is set when a non-test file
+// names it as a composite-literal key, or assigns it, increments it or
+// takes its address (directly or through an index) in a package other
+// than the one that declares it — a package filling in its own defaults
+// sets nothing. An allow-listed field is kept on purpose; it must still be
+// unset.
+func TestNoUnsetKnobs(t *testing.T) {
+	allowed := map[string]string{
+		"repro/internal/core.Config.QueuesPerPort": "benchmark/engine.go copies it into tm.Config; the switch ignores it",
+		"repro/internal/core.Config.Discipline":    "benchmark/engine.go copies it into tm.Config; the switch ignores it",
+	}
+	const root, module = "../..", "repro"
+	c := loadModule(t, root, module)
+	unset := c.unsetKnobs()
+	unkept := map[string]bool{}
+	for _, k := range unset {
+		unkept[k.key] = true
+	}
+	for key := range allowed {
+		if !unkept[key] {
+			t.Errorf("allow-list entry %s names no unset knob: drop it", key)
+		}
+	}
+	for _, k := range unset {
+		if _, ok := allowed[k.key]; ok {
+			continue
+		}
+		pos := c.fset.Position(k.field.Pos())
+		file, _ := filepath.Rel(root, pos.Filename)
+		t.Errorf("%s:%d: %s is set by no program the module builds: delete it or make it a constant",
+			file, pos.Line, strings.TrimPrefix(k.key, module+"/"))
+	}
+}
+
 // funcKey names a func as pkgpath.F or pkgpath.T.M.
 func funcKey(f *types.Func) string {
 	recv := f.Type().(*types.Signature).Recv()
@@ -301,4 +338,83 @@ func (c *census) unreachable(kept map[string]string) []*types.Func {
 	}
 	sort.Slice(dead, func(i, j int) bool { return dead[i].Pos() < dead[j].Pos() })
 	return dead
+}
+
+// knob is an exported field of an exported struct type named Config,
+// Options, *Config or *Options under internal/, keyed pkgpath.T.F.
+type knob struct {
+	field *types.Var
+	key   string
+}
+
+// unsetKnobs returns every knob no non-test file sets, sorted by position.
+func (c *census) unsetKnobs() []knob {
+	set := map[*types.Var]bool{}
+	for path, files := range c.files {
+		// target marks the field an assignment, inc/dec or & writes, when
+		// it is written from outside its own package.
+		target := func(e ast.Expr) {
+			for {
+				switch x := e.(type) {
+				case *ast.ParenExpr:
+					e = x.X
+					continue
+				case *ast.IndexExpr:
+					e = x.X
+					continue
+				case *ast.SelectorExpr:
+					if f, ok := c.info.Uses[x.Sel].(*types.Var); ok && f.Pkg().Path() != path {
+						set[f] = true
+					}
+				}
+				return
+			}
+		}
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.KeyValueExpr:
+					if id, ok := n.Key.(*ast.Ident); ok {
+						if f, ok := c.info.Uses[id].(*types.Var); ok {
+							set[f] = true
+						}
+					}
+				case *ast.AssignStmt:
+					for _, l := range n.Lhs {
+						target(l)
+					}
+				case *ast.IncDecStmt:
+					target(n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						target(n.X)
+					}
+				}
+				return true
+			})
+		}
+	}
+	var unset []knob
+	for path, p := range c.pkgs {
+		if !strings.HasPrefix(c.dir[path], "internal") {
+			continue
+		}
+		for _, n := range p.Scope().Names() {
+			tn, ok := p.Scope().Lookup(n).(*types.TypeName)
+			if !ok || !tn.Exported() || !(strings.HasSuffix(n, "Config") || strings.HasSuffix(n, "Options")) {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() && !set[f] {
+					unset = append(unset, knob{f, path + "." + n + "." + f.Name()})
+				}
+			}
+		}
+	}
+	sort.Slice(unset, func(i, j int) bool { return unset[i].field.Pos() < unset[j].field.Pos() })
+	return unset
 }

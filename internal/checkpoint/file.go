@@ -13,7 +13,7 @@ const Magic = uint32(0x4556434b)
 // FormatVersion is the checkpoint file format version. Bump on any
 // incompatible layout change; Open refuses mismatched versions so a
 // resume never silently misreads old state.
-const FormatVersion = uint32(2)
+const FormatVersion = uint32(3)
 
 // File is a checkpoint: a format version, a digest of the run
 // configuration that produced it, and an ordered list of named sections.

@@ -225,7 +225,6 @@ control Ingress {
         flowbytes.write(h % 256, fb + std.pkt_len + (ew & 1));
         fwd.apply();
         if (q > 1000000 || score > 64000) { set_tos(3); }
-        if (fl > 65000 && dig % 5 == 4) { set_queue(1); }
         if (hdr.ip.ttl < 2) { drop(); }
     }
 }

@@ -180,8 +180,6 @@ func (s *Switch) Checkpoint(c *checkpoint.Codec) {
 		en := &live[i]
 		s.pool.CheckpointPacket(c, &en.pkt)
 		c.Int(&en.port)
-		c.Int(&en.q)
-		c.U64(&en.rank)
 		c.U64(&en.flowHash)
 		c.I64((*int64)(&en.at))
 		c.U64(&en.seq)

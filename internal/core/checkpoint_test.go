@@ -108,10 +108,10 @@ func TestSwitchCheckpointResumeIdentical(t *testing.T) {
 	a := buildCkptRig(t, true)
 	a.sched.Run(half)
 	snap := a.snapshot()
-	// The section bytes of format version 2: a layout change must bump
+	// The section bytes of format version 3: a layout change must bump
 	// checkpoint.FormatVersion, not slip through a two-way walk.
-	if got, want := checkpoint.Digest(string(snap)), uint64(219019623918759967); got != want || len(snap) != 7912 {
-		t.Errorf("snapshot is %d bytes, digest %d; the pinned format is 7912 bytes, digest %d", len(snap), got, want)
+	if got, want := checkpoint.Digest(string(snap)), uint64(13871410239958057475); got != want || len(snap) != 7604 {
+		t.Errorf("snapshot is %d bytes, digest %d; the pinned format is 7604 bytes, digest %d", len(snap), got, want)
 	}
 	a.sched.Run(full + 500*sim.Microsecond)
 

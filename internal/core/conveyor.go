@@ -21,11 +21,11 @@ import (
 // seq was drawn from the shared counter when the slot finished — so the
 // conveyor is FIFO in (at, seq) by construction.
 type pipeEntry struct {
-	pkt            *packet.Packet
-	port, q        int
-	rank, flowHash uint64
-	at             sim.Time
-	seq            uint64
+	pkt      *packet.Packet
+	port     int
+	flowHash uint64
+	at       sim.Time
+	seq      uint64
 }
 
 // txDone is one port's pending tx completion: the conveyor entry for the
@@ -40,12 +40,10 @@ type txDone struct {
 // enqueueOutDelayed models the pipeline's depth: the packet reaches the
 // traffic manager pipelineLatency cycles after its slot. The handoff is
 // a conveyor append — no heap event, no allocation.
-func (s *Switch) enqueueOutDelayed(pkt *packet.Packet, port, q int, rank, flowHash uint64) {
+func (s *Switch) enqueueOutDelayed(pkt *packet.Packet, port int, flowHash uint64) {
 	at := s.sched.Now() + sim.Time(pipelineLatency)*s.cycleTime
 	seq := s.sched.NextSeq()
-	s.pipe.Push(pipeEntry{
-		pkt: pkt, port: port, q: q, rank: rank, flowHash: flowHash, at: at, seq: seq,
-	})
+	s.pipe.Push(pipeEntry{pkt: pkt, port: port, flowHash: flowHash, at: at, seq: seq})
 	// The pipe is FIFO, so an entry that beats the armed minimum found
 	// the pipe empty and is its head.
 	s.auxArmIfEarlier(at, seq, -1)
@@ -100,5 +98,5 @@ func (s *Switch) auxRun() {
 	}
 	e := s.pipe.Pop()
 	s.auxArm()
-	s.enqueueOut(e.pkt, e.port, e.q, e.rank, e.flowHash)
+	s.enqueueOut(e.pkt, e.port, e.flowHash)
 }

@@ -181,5 +181,5 @@ func (s *Switch) finishSlot(ctx *pisa.Context, havePkt bool, flowHash uint64) {
 		s.drop(pkt, "bad-egress-port")
 		return
 	}
-	s.enqueueOutDelayed(pkt, ctx.EgressPort, ctx.Queue, ctx.Rank, flowHash)
+	s.enqueueOutDelayed(pkt, ctx.EgressPort, flowHash)
 }

@@ -13,8 +13,8 @@ import (
 
 // enqueueOut hands a packet to the traffic manager and starts the port's
 // transmitter if it is idle; a packet the TM refuses is dropped.
-func (s *Switch) enqueueOut(pkt *packet.Packet, port, q int, rank, flowHash uint64) {
-	if !s.tmgr.Enqueue(pkt, port, q, rank, flowHash, s.sched.Now()) {
+func (s *Switch) enqueueOut(pkt *packet.Packet, port int, flowHash uint64) {
+	if !s.tmgr.Enqueue(pkt, port, 0, 0, flowHash, s.sched.Now()) {
 		s.drop(pkt, "tm-overflow")
 		return
 	}
@@ -31,7 +31,7 @@ func (s *Switch) emit(data []byte, port int) (queued bool) {
 	pkt := s.pool.GetCopy(data, -1)
 	pkt.Gen = true
 	if port >= 0 && port < s.cfg.Ports {
-		s.enqueueOut(pkt, port, 0, 0, flowHashOf(data))
+		s.enqueueOut(pkt, port, flowHashOf(data))
 		return false
 	}
 	s.genq.Push(pkt)

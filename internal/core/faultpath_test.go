@@ -53,15 +53,13 @@ func TestLinkFlapBurstCoalesces(t *testing.T) {
 	}
 }
 
-// TestEventOverflowPolicyOverride pins Config.EventOverflow: a UserEvent
-// FIFO configured DropOldest sheds its head under pressure instead of
-// refusing fresh events.
-func TestEventOverflowPolicyOverride(t *testing.T) {
+// TestEventQueuePolicyOverride pins EventQueue(k).SetPolicy: a UserEvent
+// FIFO switched to DropOldest after New sheds its head under pressure
+// instead of refusing fresh events.
+func TestEventQueuePolicyOverride(t *testing.T) {
 	sched := sim.NewScheduler()
-	sw := New(Config{
-		EventQueueDepth: 4,
-		EventOverflow:   map[events.Kind]events.OverflowPolicy{events.UserEvent: events.DropOldest},
-	}, EventDriven(), sched)
+	sw := New(Config{EventQueueDepth: 4}, EventDriven(), sched)
+	sw.EventQueue(events.UserEvent).SetPolicy(events.DropOldest)
 	var got []uint64
 	p := pisa.NewProgram("userwatch")
 	p.HandleFunc(events.UserEvent, func(ctx *pisa.Context) { got = append(got, ctx.Ev.Data) })

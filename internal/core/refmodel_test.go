@@ -265,8 +265,11 @@ func runCoreRef(tb testing.TB, rc refConfig) refTrace {
 	sw := New(Config{
 		Ports: rc.ports, Overspeed: rc.overspeed, EventQueueDepth: rc.depth,
 		MaxEventsPerSlot: rc.busWidth, NoPiggyback: rc.noPiggyback,
-		MergerPriority: rc.priority, EventOverflow: rc.overflow,
+		MergerPriority: rc.priority,
 	}, EventDriven(), sched)
+	for k, pol := range rc.overflow {
+		sw.EventQueue(k).SetPolicy(pol)
+	}
 	prog, reg := rc.program()
 	sw.MustLoad(prog)
 	var tr refTrace

@@ -40,9 +40,11 @@ type Config struct {
 	Overspeed float64
 	// QueueCapBytes bounds each output queue (default 256 KiB).
 	QueueCapBytes int
-	// QueuesPerPort is output queues per port (default 1).
+	// QueuesPerPort is ignored: each port has one FIFO output queue. Only
+	// benchmark/ reads it; the next change to the benchmark deletes it.
 	QueuesPerPort int
-	// Discipline is the TM scheduling discipline.
+	// Discipline is ignored: each port's queue is FIFO. Only benchmark/
+	// reads it; the next change to the benchmark deletes it.
 	Discipline tm.Discipline
 	// EventQueueDepth bounds each event FIFO between a source and the
 	// Event Merger (default 512).
@@ -60,11 +62,6 @@ type Config struct {
 	// MergerPriority overrides the order in which the Event Merger
 	// drains event FIFOs into a slot (default: DefaultMergerPriority).
 	MergerPriority []events.Kind
-	// EventOverflow overrides the overflow policy of individual event
-	// FIFOs. Kinds not present get the defaults: LinkStatusChange
-	// coalesces per port (a flap burst collapses to each port's final
-	// state), every other kind drops the newest event when full.
-	EventOverflow map[events.Kind]events.OverflowPolicy
 }
 
 // pipelineLatency is the ingress-pipeline depth in cycles: the delay
@@ -84,9 +81,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueCapBytes <= 0 {
 		c.QueueCapBytes = 256 << 10
-	}
-	if c.QueuesPerPort <= 0 {
-		c.QueuesPerPort = 1
 	}
 	if c.EventQueueDepth <= 0 {
 		c.EventQueueDepth = 512
@@ -256,21 +250,13 @@ func New(cfg Config, arch *Arch, sched *sim.Scheduler) *Switch {
 	for i := range s.linkUp {
 		s.linkUp[i] = true
 	}
-	for k := 0; k < events.NumKinds; k++ {
-		kind := events.Kind(k)
-		s.evq[k] = events.NewQueue(kind, cfg.EventQueueDepth)
-		pol, ok := cfg.EventOverflow[kind]
-		if !ok && kind == events.LinkStatusChange {
-			pol = events.CoalescePort
-		}
-		s.evq[k].SetPolicy(pol)
+	for k := range s.evq {
+		s.evq[k] = events.NewQueue(events.Kind(k), cfg.EventQueueDepth)
 	}
-	s.tmgr = tm.New(tm.Config{
-		Ports:         cfg.Ports,
-		QueuesPerPort: cfg.QueuesPerPort,
-		QueueCapBytes: cfg.QueueCapBytes,
-		Discipline:    cfg.Discipline,
-	})
+	// A flap burst collapses to each port's final state; every other kind
+	// drops the newest event when full.
+	s.evq[events.LinkStatusChange].SetPolicy(events.CoalescePort)
+	s.tmgr = tm.New(tm.Config{Ports: cfg.Ports, QueueCapBytes: cfg.QueueCapBytes})
 	s.tmgr.OnEvent = s.pushEvent
 	s.tmgr.Muted = ^s.handled
 	return s

@@ -322,10 +322,10 @@ func slotScratchFlowHash(t *testing.T) {
 	kept, _ := packet.FlowOf(frame(100, 1, 9))
 	replaced, _ := packet.FlowOf(frame(100, 2, 9))
 	cleared, _ := packet.FlowOf(frame(100, 3, 9))
-	for _, f := range [][]byte{
-		frame(100, 1, 9), frame(100, 2, 9), frame(100, 3, 9),
-		packet.BuildControlFrame(packet.Broadcast, packet.MACFromUint64(1), &packet.ARP{Op: packet.ARPRequest}),
-	} {
+	arp := make([]byte, packet.MinFrameLen)
+	copy(arp, packet.Broadcast[:])
+	arp[12], arp[13] = 0x08, 0x06 // ARP, an EtherType the parser does not decode
+	for _, f := range [][]byte{frame(100, 1, 9), frame(100, 2, 9), frame(100, 3, 9), arp} {
 		sw.Inject(0, f)
 		sched.Run(sched.Now() + 40*sw.CycleTime())
 	}

@@ -105,9 +105,8 @@ func deferredControl(name string) bool {
 
 // Analyze inspects the compiled program's register sharing across event
 // threads and returns the hazards, sorted by register then kind. The
-// analysis models the default (aggregated) instantiation; MultiPort
-// instantiations are exact and only HazardDeferredWrite-free programs
-// remain portable between the two.
+// analysis models the aggregated Figure 3 registers every instance
+// builds.
 func (c *Compiled) Analyze() []Hazard {
 	// access[register][control] = ops
 	access := make(map[string]map[string]*regAccess)

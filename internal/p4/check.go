@@ -96,8 +96,6 @@ var fieldByPath = map[string]fieldID{
 var primitives = map[string][2]int{
 	"forward":     {1, 1}, // forward(port)
 	"drop":        {0, 0},
-	"set_queue":   {1, 1},
-	"set_rank":    {1, 1},
 	"recirculate": {0, 0},
 	"raise":       {1, 1}, // raise(data) -> user event
 	"hash":        {2, 8}, // hash(dst, fields...)

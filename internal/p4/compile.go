@@ -440,18 +440,6 @@ func (inst *Instance) compilePrimitive(st *CallStmt) stmtFn {
 			ctx.Drop()
 			return false
 		}
-	case "set_queue":
-		a0 := inst.compileExpr(st.Args[0])
-		return func(ctx *pisa.Context, frame []uint64) bool {
-			ctx.Queue = int(a0(ctx, frame))
-			return false
-		}
-	case "set_rank":
-		a0 := inst.compileExpr(st.Args[0])
-		return func(ctx *pisa.Context, frame []uint64) bool {
-			ctx.Rank = a0(ctx, frame)
-			return false
-		}
 	case "recirculate":
 		return func(ctx *pisa.Context, _ []uint64) bool {
 			ctx.Recirculate = true

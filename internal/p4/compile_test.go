@@ -87,8 +87,8 @@ func runBackend(tb testing.TB, src string, interp bool, install func(*Instance) 
 				ctx.Reset(pkt, &ev, ev.When, cycle)
 				_ = ctx.Parsed.Decode(data, &ctx.Decoded)
 				inst.Program().Apply(ctx)
-				fmt.Fprintf(&sb, "ev %v/%d: egress=%d q=%d rank=%d recirc=%v tos=%d pkt=%x\n",
-					k, cycle, ctx.EgressPort, ctx.Queue, ctx.Rank, ctx.Recirculate, tosOf(pkt.Data), pkt.Data)
+				fmt.Fprintf(&sb, "ev %v/%d: egress=%d recirc=%v tos=%d pkt=%x\n",
+					k, cycle, ctx.EgressPort, ctx.Recirculate, tosOf(pkt.Data), pkt.Data)
 				for _, g := range ctx.Generated {
 					fmt.Fprintf(&sb, "  gen port=%d data=%x\n", g.Port, g.Data)
 				}
@@ -350,7 +350,7 @@ control Ingress { apply { if (ev.data > 60) {%s } out.add(7, 1); } }`, body.Stri
 func TestCompiledTableBackends(t *testing.T) {
 	src := `
 counter(16) hits;
-action set_port(p, q) { forward(p); set_queue(q); hits.count(p); }
+action set_port(p, q) { forward(p); hits.count(p); hits.count(8 + q); }
 action toss() { drop(); }
 table fwd {
     key = { hdr.ip.dst : exact; hdr.udp.dport : exact; }

@@ -120,7 +120,7 @@ func FuzzCompiledVsInterp(f *testing.F) {
 					ctx.Reset(pkt, &ev, ev.When, cycle)
 					_ = ctx.Parsed.Decode(d, &ctx.Decoded)
 					inst.Program().Apply(ctx)
-					fmt.Fprintf(&sb, "%d %d %d %v %x|", ctx.EgressPort, ctx.Queue, ctx.Rank, ctx.Recirculate, pkt.Data)
+					fmt.Fprintf(&sb, "%d %v %x|", ctx.EgressPort, ctx.Recirculate, pkt.Data)
 					for _, g := range ctx.Generated {
 						fmt.Fprintf(&sb, "g%d:%x|", g.Port, g.Data)
 					}

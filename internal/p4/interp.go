@@ -86,14 +86,6 @@ func (c *Compiled) Controls() []string {
 
 // Options configures instantiation.
 type Options struct {
-	// MultiPort switches every shared_register to the multi-ported
-	// implementation (exact but expensive memory; the low-line-rate
-	// design of paper §4). The default is the aggregated Figure 3
-	// design.
-	MultiPort bool
-	// MultiPortPorts is the port count per register in MultiPort mode
-	// (default: one per event thread, i.e. NumKinds).
-	MultiPortPorts int
 	// Interpret selects the AST-walking interpreter instead of the
 	// default compiled-closure backend. The interpreter is the
 	// differential oracle: both backends must produce byte-identical
@@ -129,16 +121,7 @@ func (c *Compiled) Instantiate(name string, opts Options) *Instance {
 		actFns:   make(map[*ActionDecl]pisa.ActionFunc),
 	}
 	for _, d := range c.file.Registers {
-		var r *pisa.SharedRegister
-		if opts.MultiPort {
-			ports := opts.MultiPortPorts
-			if ports <= 0 {
-				ports = events.NumKinds
-			}
-			r = pisa.NewMultiPortRegister(d.Name, d.size, ports)
-		} else {
-			r = pisa.NewAggregatedRegister(d.Name, d.size, DeferredKinds...)
-		}
+		r := pisa.NewAggregatedRegister(d.Name, d.size, DeferredKinds...)
 		inst.regs = append(inst.regs, r)
 		inst.regWidth = append(inst.regWidth, d.mask)
 		inst.prog.AddRegister(r)
@@ -389,10 +372,6 @@ func (inst *Instance) execPrimitive(st *CallStmt, ctx *pisa.Context, frame []uin
 		ctx.EgressPort = int(int64(argv(0)))
 	case "drop":
 		ctx.Drop()
-	case "set_queue":
-		ctx.Queue = int(argv(0))
-	case "set_rank":
-		ctx.Rank = argv(0)
 	case "recirculate":
 		ctx.Recirculate = true
 	case "raise":

@@ -472,28 +472,6 @@ control Recirc {
 	}
 }
 
-func TestMultiPortOption(t *testing.T) {
-	src := `
-shared_register<bit<32>>(8) r;
-control Ingress { apply { r.add(0, 1); forward(1); } }
-control Enqueue { apply { r.add(0, 1); } }`
-	inst := MustCompile(src).Instantiate("mp", Options{MultiPort: true})
-	sched := sim.NewScheduler()
-	sw := core.New(core.Config{}, core.EventDriven(), sched)
-	if err := sw.Load(inst.Program()); err != nil {
-		t.Fatal(err)
-	}
-	sw.Inject(0, udpFrame(1, 2, 100))
-	sched.Run(sim.Millisecond)
-	reg := inst.Register("r")
-	if m, _ := reg.Metrics(); m.Deferred != 0 {
-		t.Errorf("multiport register deferred %d deltas, want none", m.Deferred)
-	}
-	if got := reg.True(0); got != 2 {
-		t.Errorf("r[0] = %d, want 2 (ingress + enqueue)", got)
-	}
-}
-
 func TestControlsListing(t *testing.T) {
 	c := MustCompile(`control Ingress { apply {} } control Enqueue { apply {} }`)
 	names := c.Controls()

@@ -19,8 +19,6 @@ type LayerType uint8
 const (
 	LayerNone LayerType = iota
 	LayerEthernet
-	LayerVLAN
-	LayerARP
 	LayerIPv4
 	LayerUDP
 	LayerTCP
@@ -35,10 +33,6 @@ func (t LayerType) String() string {
 	switch t {
 	case LayerEthernet:
 		return "Ethernet"
-	case LayerVLAN:
-		return "VLAN"
-	case LayerARP:
-		return "ARP"
 	case LayerIPv4:
 		return "IPv4"
 	case LayerUDP:
@@ -109,10 +103,6 @@ func (e *Ethernet) NextLayerType() LayerType {
 	switch e.Type {
 	case EtherTypeIPv4:
 		return LayerIPv4
-	case EtherTypeVLAN:
-		return LayerVLAN
-	case EtherTypeARP:
-		return LayerARP
 	case EtherTypeProbe:
 		return LayerProbe
 	case EtherTypeEcho:
@@ -345,120 +335,4 @@ func (t *TCP) SerializeTo(b []byte) int {
 	binary.BigEndian.PutUint16(b[16:18], t.Checksum)
 	binary.BigEndian.PutUint16(b[18:20], t.Urgent)
 	return TCPHeaderLen
-}
-
-// ARP operation codes.
-const (
-	ARPRequest uint16 = 1
-	ARPReply   uint16 = 2
-)
-
-// ARP is an IPv4-over-Ethernet ARP packet.
-type ARP struct {
-	Op        uint16
-	SenderMAC MAC
-	SenderIP  IP
-	TargetMAC MAC
-	TargetIP  IP
-}
-
-// DecodeFromBytes implements DecodingLayer.
-func (a *ARP) DecodeFromBytes(data []byte) error {
-	if len(data) < ARPLen {
-		return fmt.Errorf("%w: arp needs %d bytes, have %d", ErrTruncated, ARPLen, len(data))
-	}
-	if htype := binary.BigEndian.Uint16(data[0:2]); htype != 1 {
-		return fmt.Errorf("%w: arp hardware type %d", ErrBadField, htype)
-	}
-	if ptype := binary.BigEndian.Uint16(data[2:4]); EtherType(ptype) != EtherTypeIPv4 {
-		return fmt.Errorf("%w: arp protocol type %#x", ErrBadField, ptype)
-	}
-	a.Op = binary.BigEndian.Uint16(data[6:8])
-	copy(a.SenderMAC[:], data[8:14])
-	a.SenderIP = IPFromBytes(data[14:18])
-	copy(a.TargetMAC[:], data[18:24])
-	a.TargetIP = IPFromBytes(data[24:28])
-	return nil
-}
-
-// NextLayerType implements DecodingLayer.
-func (a *ARP) NextLayerType() LayerType { return LayerPayload }
-
-// LayerPayload implements DecodingLayer.
-func (a *ARP) LayerPayload() []byte { return nil }
-
-// SerializedLen implements SerializableLayer.
-func (a *ARP) SerializedLen() int { return ARPLen }
-
-// SerializeTo implements SerializableLayer.
-func (a *ARP) SerializeTo(b []byte) int {
-	_ = b[ARPLen-1]
-	binary.BigEndian.PutUint16(b[0:2], 1) // Ethernet
-	binary.BigEndian.PutUint16(b[2:4], uint16(EtherTypeIPv4))
-	b[4], b[5] = 6, 4
-	binary.BigEndian.PutUint16(b[6:8], a.Op)
-	copy(b[8:14], a.SenderMAC[:])
-	a.SenderIP.Put(b[14:18])
-	copy(b[18:24], a.TargetMAC[:])
-	a.TargetIP.Put(b[24:28])
-	return ARPLen
-}
-
-// VLANHeaderLen is the length of an 802.1Q tag (after the Ethernet
-// header's TPID).
-const VLANHeaderLen = 4
-
-// VLAN is an IEEE 802.1Q tag: priority, VLAN id, and the encapsulated
-// EtherType.
-type VLAN struct {
-	PCP  uint8  // priority code point (3 bits)
-	VID  uint16 // VLAN identifier (12 bits)
-	Type EtherType
-
-	payload []byte
-}
-
-// DecodeFromBytes implements DecodingLayer.
-func (v *VLAN) DecodeFromBytes(data []byte) error {
-	if len(data) < VLANHeaderLen {
-		return fmt.Errorf("%w: vlan needs %d bytes, have %d", ErrTruncated, VLANHeaderLen, len(data))
-	}
-	tci := binary.BigEndian.Uint16(data[0:2])
-	v.PCP = uint8(tci >> 13)
-	v.VID = tci & 0x0fff
-	v.Type = EtherType(binary.BigEndian.Uint16(data[2:4]))
-	v.payload = data[VLANHeaderLen:]
-	return nil
-}
-
-// NextLayerType implements DecodingLayer.
-func (v *VLAN) NextLayerType() LayerType {
-	switch v.Type {
-	case EtherTypeIPv4:
-		return LayerIPv4
-	case EtherTypeARP:
-		return LayerARP
-	case EtherTypeProbe:
-		return LayerProbe
-	case EtherTypeEcho:
-		return LayerEcho
-	case EtherTypeReport:
-		return LayerReport
-	default:
-		return LayerPayload
-	}
-}
-
-// LayerPayload implements DecodingLayer.
-func (v *VLAN) LayerPayload() []byte { return v.payload }
-
-// SerializedLen implements SerializableLayer.
-func (v *VLAN) SerializedLen() int { return VLANHeaderLen }
-
-// SerializeTo implements SerializableLayer.
-func (v *VLAN) SerializeTo(b []byte) int {
-	_ = b[VLANHeaderLen-1]
-	binary.BigEndian.PutUint16(b[0:2], uint16(v.PCP)<<13|v.VID&0x0fff)
-	binary.BigEndian.PutUint16(b[2:4], uint16(v.Type))
-	return VLANHeaderLen
 }

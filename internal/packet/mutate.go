@@ -9,24 +9,12 @@ import "encoding/binary"
 // trimming. All helpers keep the IPv4 header checksum correct.
 
 // ipOffset returns the byte offset of the IPv4 header in the frame, or
-// -1 for non-IP frames. It skips a single 802.1Q tag.
+// -1 for non-IP frames.
 func ipOffset(data []byte) int {
-	if len(data) < EthernetHeaderLen+IPv4HeaderLen {
+	if len(data) < EthernetHeaderLen+IPv4HeaderLen || EtherTypeOf(data) != EtherTypeIPv4 {
 		return -1
 	}
-	off := EthernetHeaderLen
-	et := EtherType(uint16(data[12])<<8 | uint16(data[13]))
-	if et == EtherTypeVLAN {
-		if len(data) < off+VLANHeaderLen+IPv4HeaderLen {
-			return -1
-		}
-		et = EtherType(uint16(data[off+2])<<8 | uint16(data[off+3]))
-		off += VLANHeaderLen
-	}
-	if et != EtherTypeIPv4 {
-		return -1
-	}
-	return off
+	return EthernetHeaderLen
 }
 
 // fixChecksum16 incrementally updates an IPv4 header checksum after a
@@ -59,8 +47,8 @@ func SetTOS(data []byte, tos uint8) bool {
 	return true
 }
 
-// Trim truncates an IPv4 frame to its headers only (Ethernet [+VLAN] +
-// IP + transport header), the NDP-style "cut payload" operation, and
+// Trim truncates an IPv4 frame to its headers only (Ethernet + IP +
+// transport header), the NDP-style "cut payload" operation, and
 // updates the IP total length and checksum. It returns the trimmed frame
 // (a prefix of the input slice) and true, or the input unchanged and
 // false when the frame is non-IP or already header-only.

@@ -5,11 +5,11 @@ import (
 	"testing/quick"
 )
 
-func mutFrame(vlan uint16, size int, proto IPProto) []byte {
+func mutFrame(size int, proto IPProto) []byte {
 	return BuildFrame(FrameSpec{
 		Flow: Flow{Src: IP4(10, 0, 0, 1), Dst: IP4(10, 0, 0, 2),
 			SrcPort: 5, DstPort: 6, Proto: proto},
-		TotalLen: size, VLAN: vlan,
+		TotalLen: size,
 	})
 }
 
@@ -25,7 +25,7 @@ func checksumOK(t *testing.T, data []byte) {
 }
 
 func TestSetTOS(t *testing.T) {
-	data := mutFrame(0, 200, ProtoUDP)
+	data := mutFrame(200, ProtoUDP)
 	if !SetTOS(data, 0xa7) {
 		t.Fatal("SetTOS failed on IP frame")
 	}
@@ -47,17 +47,6 @@ func TestSetTOS(t *testing.T) {
 	}
 }
 
-func TestSetTOSThroughVLAN(t *testing.T) {
-	data := mutFrame(7, 200, ProtoUDP)
-	if !SetTOS(data, 0x55) {
-		t.Fatal("SetTOS failed through VLAN tag")
-	}
-	if TOSOf(data) != 0x55 {
-		t.Errorf("TOS = %#x", TOSOf(data))
-	}
-	checksumOK(t, data)
-}
-
 func TestSetTOSNonIP(t *testing.T) {
 	data := BuildControlFrame(Broadcast, MACFromUint64(1), &Echo{Op: EchoRequest})
 	if SetTOS(data, 1) {
@@ -72,7 +61,7 @@ func TestSetTOSChecksumProperty(t *testing.T) {
 	// Property: any TOS value keeps the checksum valid.
 	f := func(tos uint8, size uint16) bool {
 		n := 60 + int(size%1400)
-		data := mutFrame(0, n, ProtoUDP)
+		data := mutFrame(n, ProtoUDP)
 		SetTOS(data, tos)
 		off := ipOffset(data)
 		return Checksum(data[off:off+IPv4HeaderLen], 0) == 0
@@ -83,7 +72,7 @@ func TestSetTOSChecksumProperty(t *testing.T) {
 }
 
 func TestTrimUDP(t *testing.T) {
-	data := mutFrame(0, 1500, ProtoUDP)
+	data := mutFrame(1500, ProtoUDP)
 	trimmed, ok := Trim(data)
 	if !ok {
 		t.Fatal("Trim failed")
@@ -109,7 +98,7 @@ func TestTrimUDP(t *testing.T) {
 }
 
 func TestTrimTCPAndIdempotent(t *testing.T) {
-	data := mutFrame(0, 1000, ProtoTCP)
+	data := mutFrame(1000, ProtoTCP)
 	trimmed, ok := Trim(data)
 	if !ok {
 		t.Fatal("Trim failed on TCP")

@@ -62,10 +62,6 @@ type FrameSpec struct {
 	TTL            uint8
 	TCPFlags       uint8 // only for ProtoTCP
 	Seq            uint32
-	// VLAN, when non-zero, inserts an 802.1Q tag with this VID.
-	VLAN uint16
-	// PCP is the 802.1Q priority (used only when VLAN is set).
-	PCP uint8
 }
 
 // BuildFrame serializes a full Ethernet/IPv4/UDP-or-TCP frame according to
@@ -105,11 +101,7 @@ func AppendFrame(dst []byte, spec FrameSpec) []byte {
 	if proto == ProtoTCP {
 		transportLen = TCPHeaderLen
 	}
-	vlanLen := 0
-	if spec.VLAN != 0 {
-		vlanLen = VLANHeaderLen
-	}
-	minLen := EthernetHeaderLen + vlanLen + IPv4HeaderLen + transportLen
+	minLen := EthernetHeaderLen + IPv4HeaderLen + transportLen
 	total := spec.TotalLen
 	if total < minLen {
 		total = minLen
@@ -124,19 +116,11 @@ func AppendFrame(dst []byte, spec FrameSpec) []byte {
 	dst, base := grow(dst, total)
 	buf := dst[base:]
 
-	ethType := EtherTypeIPv4
-	if spec.VLAN != 0 {
-		ethType = EtherTypeVLAN
-	}
-	eth := Ethernet{Dst: spec.DstMAC, Src: spec.SrcMAC, Type: ethType}
+	eth := Ethernet{Dst: spec.DstMAC, Src: spec.SrcMAC, Type: EtherTypeIPv4}
 	off := eth.SerializeTo(buf)
-	if spec.VLAN != 0 {
-		tag := VLAN{PCP: spec.PCP, VID: spec.VLAN, Type: EtherTypeIPv4}
-		off += tag.SerializeTo(buf[off:])
-	}
 
 	ip := IPv4{
-		TotalLen: uint16(total - EthernetHeaderLen - vlanLen),
+		TotalLen: uint16(total - EthernetHeaderLen),
 		TTL:      ttl,
 		Protocol: proto,
 		Src:      spec.Flow.Src,
@@ -165,10 +149,17 @@ func AppendFrame(dst []byte, spec FrameSpec) []byte {
 	return dst
 }
 
+// ControlLayer is a custom event-protocol header (Probe, Echo, Report):
+// a serializable layer that names the EtherType that carries it.
+type ControlLayer interface {
+	SerializableLayer
+	// EtherType returns the EtherType of a frame carrying the layer.
+	EtherType() EtherType
+}
+
 // BuildControlFrame serializes an Ethernet frame whose payload is one of
-// the custom event-protocol layers (Probe, Echo, Report) or an ARP packet.
-// The EtherType is chosen from the layer's type.
-func BuildControlFrame(dst, src MAC, layer SerializableLayer) []byte {
+// the custom event-protocol layers, with the layer's EtherType.
+func BuildControlFrame(dst, src MAC, layer ControlLayer) []byte {
 	return AppendControlFrame(nil, dst, src, layer)
 }
 
@@ -176,27 +167,14 @@ func BuildControlFrame(dst, src MAC, layer SerializableLayer) []byte {
 // it serializes the control frame into buf's spare capacity when it
 // suffices and returns the extended slice. Identical bytes to
 // BuildControlFrame.
-func AppendControlFrame(dstBuf []byte, dst, src MAC, layer SerializableLayer) []byte {
-	var et EtherType
-	switch layer.(type) {
-	case *Probe:
-		et = EtherTypeProbe
-	case *Echo:
-		et = EtherTypeEcho
-	case *Report:
-		et = EtherTypeReport
-	case *ARP:
-		et = EtherTypeARP
-	default:
-		panic(fmt.Sprintf("packet: BuildControlFrame of unsupported layer %T", layer))
-	}
+func AppendControlFrame(dstBuf []byte, dst, src MAC, layer ControlLayer) []byte {
 	total := EthernetHeaderLen + layer.SerializedLen()
 	if total < MinFrameLen {
 		total = MinFrameLen
 	}
 	dstBuf, base := grow(dstBuf, total)
 	buf := dstBuf[base:]
-	eth := Ethernet{Dst: dst, Src: src, Type: et}
+	eth := Ethernet{Dst: dst, Src: src, Type: layer.EtherType()}
 	off := eth.SerializeTo(buf)
 	layer.SerializeTo(buf[off:])
 	return dstBuf

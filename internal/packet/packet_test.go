@@ -142,24 +142,6 @@ func TestTCPRoundTrip(t *testing.T) {
 	}
 }
 
-func TestARPRoundTrip(t *testing.T) {
-	a := ARP{
-		Op:        ARPRequest,
-		SenderMAC: MACFromUint64(10),
-		SenderIP:  IP4(10, 0, 0, 1),
-		TargetIP:  IP4(10, 0, 0, 2),
-	}
-	buf := make([]byte, ARPLen)
-	a.SerializeTo(buf)
-	var d ARP
-	if err := d.DecodeFromBytes(buf); err != nil {
-		t.Fatal(err)
-	}
-	if d.Op != a.Op || d.SenderMAC != a.SenderMAC || d.SenderIP != a.SenderIP || d.TargetIP != a.TargetIP {
-		t.Errorf("decoded %+v, want %+v", d, a)
-	}
-}
-
 func TestProbeRoundTrip(t *testing.T) {
 	p := Probe{TorID: 3, PathID: 9, MaxUtil: 123456, Hops: 2, Seq: 77}
 	buf := make([]byte, ProbeLen)
@@ -257,13 +239,12 @@ func TestBuildFrameTCP(t *testing.T) {
 }
 
 func TestBuildControlFrames(t *testing.T) {
-	cases := []SerializableLayer{
+	cases := []ControlLayer{
 		&Probe{TorID: 1, MaxUtil: 5},
 		&Echo{Op: EchoRequest, Seq: 3, Origin: 7},
 		&Report{Kind: ReportBufferSample, V0: 11},
-		&ARP{Op: ARPReply, SenderIP: IP4(1, 0, 0, 1)},
 	}
-	wantNext := []LayerType{LayerProbe, LayerEcho, LayerReport, LayerARP}
+	wantNext := []LayerType{LayerProbe, LayerEcho, LayerReport}
 	for i, layer := range cases {
 		data := BuildControlFrame(MACFromUint64(9), MACFromUint64(8), layer)
 		if len(data) < MinFrameLen {
@@ -361,59 +342,6 @@ func TestLayerTypeStrings(t *testing.T) {
 		if lt.String() == "" {
 			t.Errorf("LayerType(%d) has empty name", lt)
 		}
-	}
-}
-
-func TestVLANRoundTrip(t *testing.T) {
-	v := VLAN{PCP: 5, VID: 100, Type: EtherTypeIPv4}
-	buf := make([]byte, VLANHeaderLen)
-	v.SerializeTo(buf)
-	var d VLAN
-	if err := d.DecodeFromBytes(buf); err != nil {
-		t.Fatal(err)
-	}
-	if d.PCP != 5 || d.VID != 100 || d.Type != EtherTypeIPv4 {
-		t.Errorf("decoded %+v", d)
-	}
-	if err := d.DecodeFromBytes(buf[:2]); !errors.Is(err, ErrTruncated) {
-		t.Errorf("truncated tag: err = %v, want ErrTruncated", err)
-	}
-}
-
-func TestVLANFrameParsesAndFlows(t *testing.T) {
-	f := Flow{Src: IP4(10, 0, 0, 1), Dst: IP4(10, 0, 0, 2), SrcPort: 5, DstPort: 6, Proto: ProtoUDP}
-	data := BuildFrame(FrameSpec{Flow: f, VLAN: 42, PCP: 3, TotalLen: 200})
-	var p Parser
-	var dec []LayerType
-	if err := p.Decode(data, &dec); err != nil {
-		t.Fatal(err)
-	}
-	want := []LayerType{LayerEthernet, LayerVLAN, LayerIPv4, LayerUDP}
-	if len(dec) != len(want) {
-		t.Fatalf("decoded %v, want %v", dec, want)
-	}
-	for i := range want {
-		if dec[i] != want[i] {
-			t.Fatalf("decoded %v, want %v", dec, want)
-		}
-	}
-	if p.VLAN.VID != 42 || p.VLAN.PCP != 3 {
-		t.Errorf("vlan = %+v", p.VLAN)
-	}
-	if p.UDP.DstPort != 6 {
-		t.Errorf("inner udp = %+v", p.UDP)
-	}
-	got, ok := FlowOf(data)
-	if !ok || got != f {
-		t.Errorf("FlowOf through VLAN = %v ok=%v, want %v", got, ok, f)
-	}
-}
-
-func TestVLANUntaggedUnaffected(t *testing.T) {
-	f := Flow{Src: IP4(1, 1, 1, 1), Dst: IP4(2, 2, 2, 2), SrcPort: 1, DstPort: 2, Proto: ProtoUDP}
-	data := BuildFrame(FrameSpec{Flow: f, TotalLen: 100})
-	if got, ok := FlowOf(data); !ok || got != f {
-		t.Errorf("untagged FlowOf = %v ok=%v", got, ok)
 	}
 }
 

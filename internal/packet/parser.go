@@ -8,8 +8,6 @@ import "fmt"
 // pipeline owns one.
 type Parser struct {
 	Eth    Ethernet
-	VLAN   VLAN
-	ARP    ARP
 	IP     IPv4
 	UDP    UDP
 	TCP    TCP
@@ -55,10 +53,6 @@ func (p *Parser) layerFor(t LayerType) DecodingLayer {
 	switch t {
 	case LayerEthernet:
 		return &p.Eth
-	case LayerVLAN:
-		return &p.VLAN
-	case LayerARP:
-		return &p.ARP
 	case LayerIPv4:
 		return &p.IP
 	case LayerUDP:
@@ -81,7 +75,7 @@ func (p *Parser) layerFor(t LayerType) DecodingLayer {
 // FlowOf(data). For the common stack — Ethernet/IPv4/UDP or
 // Ethernet/IPv4/TCP decoded whole — it is read from the header storage
 // Decode filled, so the frame is walked once per slot. Every other stack
-// (tagged, non-IP, a transport header cut short by the frame or by the IP
+// (non-IP, a transport header cut short by the frame or by the IP
 // total length, a decode error) takes FlowOf, whose rules differ from the
 // layer decoders' exactly there: it reads the ports from the four bytes
 // behind the IP header whatever the lengths claim.
@@ -105,19 +99,10 @@ func FlowOf(data []byte) (Flow, bool) {
 	if len(data) < EthernetHeaderLen+IPv4HeaderLen {
 		return Flow{}, false
 	}
-	off := EthernetHeaderLen
-	et := EtherType(uint16(data[12])<<8 | uint16(data[13]))
-	if et == EtherTypeVLAN {
-		if len(data) < off+VLANHeaderLen+IPv4HeaderLen {
-			return Flow{}, false
-		}
-		et = EtherType(uint16(data[off+2])<<8 | uint16(data[off+3]))
-		off += VLANHeaderLen
-	}
-	if et != EtherTypeIPv4 {
+	if EtherTypeOf(data) != EtherTypeIPv4 {
 		return Flow{}, false
 	}
-	ipb := data[off:]
+	ipb := data[EthernetHeaderLen:]
 	ihl := int(ipb[0]&0x0f) * 4
 	if ihl < IPv4HeaderLen || len(ipb) < ihl+4 {
 		return Flow{}, false

@@ -77,7 +77,7 @@ func TestAppendFrameMatchesBuild(t *testing.T) {
 	specs := []FrameSpec{
 		{Flow: Flow{Src: IP4(10, 0, 0, 1), Dst: IP4(10, 0, 0, 2), SrcPort: 5, DstPort: 6, Proto: ProtoUDP}, TotalLen: 1500},
 		{Flow: Flow{Src: IP4(10, 9, 0, 1), Dst: IP4(10, 3, 0, 2), SrcPort: 7, DstPort: 8, Proto: ProtoTCP}, TotalLen: 64, TCPFlags: 0x12, Seq: 99},
-		{Flow: Flow{Src: IP4(1, 2, 3, 4), Dst: IP4(5, 6, 7, 8), SrcPort: 1, DstPort: 2, Proto: ProtoUDP}, VLAN: 7, PCP: 3},
+		{Flow: Flow{Src: IP4(1, 2, 3, 4), Dst: IP4(5, 6, 7, 8), SrcPort: 1, DstPort: 2, Proto: ProtoUDP}},
 	}
 	var buf []byte
 	for i, spec := range specs {

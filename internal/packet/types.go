@@ -1,5 +1,5 @@
 // Package packet implements the packet substrate for the simulator:
-// wire-format encoding and decoding of Ethernet, ARP, IPv4, UDP and TCP
+// wire-format encoding and decoding of Ethernet, IPv4, UDP and TCP
 // headers plus the custom experiment protocols used by the event-driven
 // applications (HULA probes, liveness echoes, telemetry reports).
 //
@@ -79,8 +79,6 @@ type EtherType uint16
 // headers used by the example applications.
 const (
 	EtherTypeIPv4   EtherType = 0x0800
-	EtherTypeARP    EtherType = 0x0806
-	EtherTypeVLAN   EtherType = 0x8100
 	EtherTypeProbe  EtherType = 0x88b5
 	EtherTypeEcho   EtherType = 0x88b6
 	EtherTypeReport EtherType = 0x88b7
@@ -91,10 +89,6 @@ func (t EtherType) String() string {
 	switch t {
 	case EtherTypeIPv4:
 		return "IPv4"
-	case EtherTypeARP:
-		return "ARP"
-	case EtherTypeVLAN:
-		return "VLAN"
 	case EtherTypeProbe:
 		return "Probe"
 	case EtherTypeEcho:
@@ -136,7 +130,6 @@ const (
 	IPv4HeaderLen     = 20 // without options
 	UDPHeaderLen      = 8
 	TCPHeaderLen      = 20 // without options
-	ARPLen            = 28
 )
 
 // MinFrameLen is the minimum Ethernet frame length (without FCS) enforced

@@ -42,11 +42,10 @@ type Context struct {
 	Flow   packet.Flow
 	FlowOK bool
 
-	// Forwarding decision, owned by the ingress packet handler:
-	// EgressPort (PortDrop to drop), Queue, and the PIFO Rank.
+	// EgressPort is the forwarding decision, owned by the ingress packet
+	// handler: an output port, or PortDrop to drop. The port has one FIFO
+	// queue, so there is no queue or rank to choose.
 	EgressPort int
-	Queue      int
-	Rank       uint64
 
 	// Recirculate requests the packet re-enter the pipeline after this
 	// pass (raising a RecirculatedPacket event).
@@ -82,8 +81,6 @@ func (c *Context) Reset(pkt *packet.Packet, ev *events.Event, now sim.Time, cycl
 	c.Flow = packet.Flow{}
 	c.FlowOK = false
 	c.EgressPort = PortDrop
-	c.Queue = 0
-	c.Rank = 0
 	c.Recirculate = false
 	c.Generated = c.Generated[:0]
 	c.Raised = c.Raised[:0]

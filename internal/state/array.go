@@ -40,8 +40,8 @@ func NewArray(name string, size, ports int) *Array {
 	}
 	if ports <= 0 {
 		// Not reachable from µP4 source either: ports is no language
-		// construct. The aggregated design passes 1, and p4.Instantiate
-		// turns a MultiPortPorts of 0 or less into one port per event kind.
+		// construct. The aggregated design passes 1, and the one
+		// multi-ported caller (the memory ablation) passes a constant 3.
 		panic("state: array must have at least one port")
 	}
 	return &Array{name: name, vals: make([]uint64, size), ports: ports}

@@ -18,14 +18,3 @@ func BenchmarkEnqueueDequeue(b *testing.B) {
 		tmgr.Dequeue(i&3, 0)
 	}
 }
-
-func BenchmarkPIFO(b *testing.B) {
-	p := NewPIFO(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Push(nil, uint64(i*2654435761)>>16)
-		if p.Len() > 1024 {
-			p.Pop()
-		}
-	}
-}

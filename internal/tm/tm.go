@@ -1,94 +1,47 @@
+// Package tm models the traffic manager of a programmable switch: one
+// FIFO output queue per port with a byte capacity (tail drop) and — the
+// part the paper cares about — event taps that announce buffer enqueue,
+// dequeue, overflow, and underflow to the event-driven architecture.
 package tm
 
 import (
-	"fmt"
-
 	"repro/internal/events"
 	"repro/internal/packet"
 	"repro/internal/sim"
 )
 
-// Discipline selects how a port schedules among its queues.
+// Discipline is the type of Config.Discipline. Only benchmark/ names it;
+// the next change to the benchmark deletes it.
 type Discipline uint8
 
-// Scheduling disciplines.
-const (
-	// FIFO serves the port's queues as one logical FIFO (queue 0 only).
-	FIFO Discipline = iota
-	// StrictPriority always serves the lowest-numbered non-empty queue.
-	StrictPriority
-	// DRR serves queues with deficit round robin (byte-fair).
-	DRR
-	// PIFOSched serves the port from a single PIFO ordered by the rank
-	// supplied at enqueue time (programmable scheduling).
-	PIFOSched
-)
-
-// String names the discipline.
-func (d Discipline) String() string {
-	switch d {
-	case FIFO:
-		return "fifo"
-	case StrictPriority:
-		return "prio"
-	case DRR:
-		return "drr"
-	case PIFOSched:
-		return "pifo"
-	default:
-		return fmt.Sprintf("discipline(%d)", uint8(d))
-	}
-}
+// FIFO is the one discipline: each port serves its one queue in arrival
+// order.
+const FIFO Discipline = 0
 
 // Config sizes a traffic manager.
 type Config struct {
-	Ports         int
+	Ports int
+	// QueuesPerPort is ignored: each port has one queue. Only benchmark/
+	// sets it; the next change to the benchmark deletes it.
 	QueuesPerPort int
-	// QueueCapBytes bounds each queue's occupancy in bytes; a packet
-	// that would exceed it is dropped (tail drop) with a BufferOverflow
-	// event.
+	// QueueCapBytes bounds each port's occupancy in bytes; a packet that
+	// would exceed it is dropped (tail drop) with a BufferOverflow event.
 	QueueCapBytes int
-	Discipline    Discipline
-	// DRRQuantum is the per-round byte quantum for DRR (default 1514).
-	DRRQuantum int
+	// Discipline is ignored: every port is FIFO. Only benchmark/ sets it;
+	// the next change to the benchmark deletes it.
+	Discipline Discipline
 }
 
-// item is a buffered packet with its enqueue annotations.
+// item is a buffered packet with the flow hash its events carry.
 type item struct {
 	pkt      *packet.Packet
 	flowHash uint64
-	rank     uint64
-	enqAt    sim.Time
 }
 
-type queue struct {
+// port is one output queue and its buffered bytes.
+type port struct {
 	items sim.FIFO[item]
 	bytes int
-}
-
-func (q *queue) len() int { return q.items.Len() }
-
-func (q *queue) push(it item) {
-	q.items.Push(it)
-	q.bytes += it.pkt.Len()
-}
-
-func (q *queue) pop() (item, bool) {
-	if q.items.Len() == 0 {
-		return item{}, false
-	}
-	it := q.items.Pop()
-	q.bytes -= it.pkt.Len()
-	return it, true
-}
-
-type port struct {
-	queues  []queue
-	pifo    *PIFO
-	bytes   int // total buffered bytes across queues
-	deficit []int
-	rr      int  // DRR pointer
-	granted bool // DRR: quantum already granted for the current visit
 }
 
 // TM is the traffic manager. It is a passive data structure: the switch
@@ -97,8 +50,8 @@ type port struct {
 // announced on the event tap, which the event-driven architecture routes
 // into its event queues (and the baseline architecture ignores).
 type TM struct {
-	cfg   Config
-	ports []port
+	capBytes int
+	ports    []port
 
 	// OnEvent, when non-nil, receives BufferEnqueue, BufferDequeue,
 	// BufferOverflow and BufferUnderflow events as they happen. The
@@ -126,33 +79,20 @@ type TM struct {
 }
 
 // New builds a traffic manager. Zero-value config fields get defaults:
-// 1 port, 1 queue per port, 512 KiB per queue, FIFO.
+// 1 port, 512 KiB per port.
 func New(cfg Config) *TM {
 	if cfg.Ports <= 0 {
 		cfg.Ports = 1
 	}
-	if cfg.QueuesPerPort <= 0 {
-		cfg.QueuesPerPort = 1
-	}
 	if cfg.QueueCapBytes <= 0 {
 		cfg.QueueCapBytes = 512 << 10
 	}
-	if cfg.DRRQuantum <= 0 {
-		cfg.DRRQuantum = 1514
-	}
-	t := &TM{cfg: cfg, ports: make([]port, cfg.Ports)}
-	for i := range t.ports {
-		t.ports[i].queues = make([]queue, cfg.QueuesPerPort)
-		t.ports[i].deficit = make([]int, cfg.QueuesPerPort)
-		if cfg.Discipline == PIFOSched {
-			t.ports[i].pifo = NewPIFO(0)
-		}
-	}
-	return t
+	return &TM{capBytes: cfg.QueueCapBytes, ports: make([]port, cfg.Ports)}
 }
 
-// emit announces one state change on the event tap.
-func (t *TM) emit(k events.Kind, now sim.Time, outPort, q, pktLen int, flowHash uint64) {
+// emit announces one state change on the event tap. Event.Queue stays 0:
+// a port has one queue.
+func (t *TM) emit(k events.Kind, now sim.Time, outPort, pktLen int, flowHash uint64) {
 	if t.OnEvent == nil {
 		return
 	}
@@ -162,127 +102,55 @@ func (t *TM) emit(k events.Kind, now sim.Time, outPort, q, pktLen int, flowHash 
 		return
 	}
 	t.ev = events.Event{
-		Kind: k, Seq: seq, When: now, Port: outPort, Queue: q,
+		Kind: k, Seq: seq, When: now, Port: outPort,
 		PktLen: pktLen, FlowHash: flowHash,
 	}
 	t.OnEvent(&t.ev)
 }
 
-// Enqueue offers a packet to output queue q of the given port. rank is
-// the PIFO rank (ignored by other disciplines); flowHash annotates the
-// enqueue/dequeue events for per-flow state updates. It returns false when
-// the packet was dropped (queue full), which raises a BufferOverflow
-// event rather than a BufferEnqueue event.
+// Enqueue offers a packet to the given port's queue; flowHash annotates
+// the enqueue/dequeue events for per-flow state updates. q and rank are
+// ignored: only benchmark/ passes them, and the next change to the
+// benchmark deletes them. It returns false when the packet was dropped
+// (queue full), which raises a BufferOverflow event rather than a
+// BufferEnqueue event.
 func (t *TM) Enqueue(pkt *packet.Packet, outPort, q int, rank, flowHash uint64, now sim.Time) bool {
 	p := &t.ports[outPort]
-	if q < 0 || q >= t.cfg.QueuesPerPort {
-		q = 0
-	}
-	qu := &p.queues[q]
-	if qu.bytes+pkt.Len() > t.cfg.QueueCapBytes {
+	n := pkt.Len()
+	if p.bytes+n > t.capBytes {
 		t.drops++
-		t.emit(events.BufferOverflow, now, outPort, q, pkt.Len(), flowHash)
+		t.emit(events.BufferOverflow, now, outPort, n, flowHash)
 		return false
 	}
-	it := item{pkt: pkt, flowHash: flowHash, rank: rank, enqAt: now}
-	qu.push(it)
-	p.bytes += pkt.Len()
-	t.totalByte += pkt.Len()
+	p.items.Push(item{pkt: pkt, flowHash: flowHash})
+	p.bytes += n
+	t.totalByte += n
 	if t.totalByte > t.maxBytes {
 		t.maxBytes = t.totalByte
 	}
-	if p.pifo != nil {
-		p.pifo.Push(pifoRef{q: q}, rank)
-	}
 	t.enqueues++
-	t.emit(events.BufferEnqueue, now, outPort, q, pkt.Len(), flowHash)
+	t.emit(events.BufferEnqueue, now, outPort, n, flowHash)
 	return true
 }
 
-// pifoRef remembers which queue the PIFO entry's packet sits in; packets
-// themselves stay in per-queue FIFOs so that byte accounting is uniform.
-type pifoRef struct{ q int }
-
-// Dequeue removes the next packet from the given output port according to
-// the discipline. ok is false when the port is empty. A dequeue that
-// leaves the port with no buffered bytes raises BufferUnderflow after the
-// BufferDequeue event.
+// Dequeue removes the next packet from the given output port. ok is false
+// when the port is empty. A dequeue that leaves the port with no buffered
+// bytes raises BufferUnderflow after the BufferDequeue event.
 func (t *TM) Dequeue(outPort int, now sim.Time) (*packet.Packet, bool) {
 	p := &t.ports[outPort]
-	var it item
-	var q int
-	var ok bool
-	switch t.cfg.Discipline {
-	case PIFOSched:
-		var ref any
-		if ref, ok = p.pifo.Pop(); ok {
-			q = ref.(pifoRef).q
-			it, ok = p.queues[q].pop()
-		}
-	case StrictPriority:
-		for i := range p.queues {
-			if p.queues[i].len() > 0 {
-				q = i
-				it, ok = p.queues[i].pop()
-				break
-			}
-		}
-	case DRR:
-		it, q, ok = t.drrPick(p)
-	default: // FIFO
-		q = 0
-		it, ok = p.queues[0].pop()
-	}
-	if !ok {
+	if p.items.Len() == 0 {
 		return nil, false
 	}
-	p.bytes -= it.pkt.Len()
-	t.totalByte -= it.pkt.Len()
+	it := p.items.Pop()
+	n := it.pkt.Len()
+	p.bytes -= n
+	t.totalByte -= n
 	t.dequeues++
-	t.emit(events.BufferDequeue, now, outPort, q, it.pkt.Len(), it.flowHash)
+	t.emit(events.BufferDequeue, now, outPort, n, it.flowHash)
 	if p.bytes == 0 {
-		t.emit(events.BufferUnderflow, now, outPort, q, 0, 0)
+		t.emit(events.BufferUnderflow, now, outPort, 0, 0)
 	}
 	return it.pkt, true
-}
-
-// drrPick implements deficit round robin across the port's queues: each
-// visit to a backlogged queue grants one quantum, then the queue is served
-// while its deficit covers the head packet.
-func (t *TM) drrPick(p *port) (item, int, bool) {
-	n := len(p.queues)
-	// A queue's deficit can require several quantum grants for a large
-	// head packet, so allow enough iterations for the worst case.
-	maxTries := 2 * n * (packet.MaxFrameLen/t.cfg.DRRQuantum + 2)
-	for tries := 0; tries < maxTries; tries++ {
-		q := p.rr
-		qu := &p.queues[q]
-		if qu.len() == 0 {
-			p.deficit[q] = 0
-			p.rr = (p.rr + 1) % n
-			p.granted = false
-			continue
-		}
-		if !p.granted {
-			p.deficit[q] += t.cfg.DRRQuantum
-			p.granted = true
-		}
-		head := qu.items.Peek().pkt.Len()
-		if p.deficit[q] < head {
-			p.rr = (p.rr + 1) % n
-			p.granted = false
-			continue
-		}
-		p.deficit[q] -= head
-		it, _ := qu.pop()
-		if qu.len() == 0 {
-			p.deficit[q] = 0
-			p.rr = (p.rr + 1) % n
-			p.granted = false
-		}
-		return it, q, true
-	}
-	return item{}, 0, false
 }
 
 // PortBytes returns the buffered bytes on a port.
