@@ -56,8 +56,8 @@ race:
 	$(GO) test -race -cpu 1,2,4 ./internal/sim ./internal/netsim ./internal/faults
 
 # Coverage-guided fuzzing: the µP4 compiled-vs-interpreter differential
-# target, the slot's parse-once flow against packet.FlowOf, the EVCK
-# checkpoint file decoder, the JSON-lines trace reader with its Chrome
+# target, the slot's parse-once flow against packet.FlowOf, evsim's EVCK
+# checkpoint record decoder, the JSON-lines trace reader with its Chrome
 # conversion, and the switch against the Event Merger / aggregation
 # register reference model. Not part of `check` (open-ended); run before
 # touching the compilation backend, the header decoders, the checkpoint
@@ -65,7 +65,7 @@ race:
 fuzz:
 	$(GO) test -fuzz FuzzCompiledVsInterp -fuzztime 10s ./internal/p4
 	$(GO) test -fuzz FuzzParserFlow -fuzztime 10s ./internal/packet
-	$(GO) test -fuzz FuzzDecode -fuzztime 10s ./internal/checkpoint
+	$(GO) test -fuzz FuzzDecode -fuzztime 10s ./cmd/evsim
 	$(GO) test -fuzz FuzzTraceJSONL -fuzztime 10s ./cmd/tracecheck
 	$(GO) test -fuzz FuzzRefModel -fuzztime 10s ./internal/core
 

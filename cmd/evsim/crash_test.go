@@ -2,8 +2,8 @@ package main
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"os/exec"
@@ -15,7 +15,7 @@ import (
 	"time"
 	"unsafe"
 
-	"repro/internal/checkpoint"
+	"repro/internal/sim"
 )
 
 // TestExitCodes pins the exit-code contract: 0 ok, 1 runtime failure,
@@ -115,62 +115,114 @@ func TestLoadZeroRefused(t *testing.T) {
 	}
 }
 
-// TestResumeByteIdenticalInProcess verifies, without any crash, that a
-// run resumed from its last checkpoint prints byte-identical statistics
-// to the uninterrupted run.
-func TestResumeByteIdenticalInProcess(t *testing.T) {
-	dir := t.TempDir()
-	ckpt := filepath.Join(dir, "run.ckpt")
-	flags := []string{"-ms", "4", "-checkpoint-every", "1ms"}
-
-	// The un-checkpointed run pins that checkpointing itself does not
-	// perturb the statistics.
-	var plain bytes.Buffer
-	if code := run([]string{"-ms", "4"}, &plain, &bytes.Buffer{}); code != exitOK {
-		t.Fatalf("reference run exited %d", code)
+// outputs runs evsim with args in dir and returns, in order, its stdout
+// and each of the files it writes under the names in files.
+func outputs(t *testing.T, dir string, files []string, args ...string) []string {
+	t.Helper()
+	for _, f := range files {
+		args = append(args, "-"+f, filepath.Join(dir, f))
 	}
-	var first bytes.Buffer
-	if code := run(append(append([]string{}, flags...), "-checkpoint", ckpt), &first, &bytes.Buffer{}); code != exitOK {
-		t.Fatalf("checkpointed run exited %d", code)
+	var out, errw bytes.Buffer
+	if code := run(args, &out, &errw); code != exitOK {
+		t.Fatalf("run(%v) exited %d: %s", args, code, errw.String())
 	}
-	var resumed bytes.Buffer
-	var errw bytes.Buffer
-	if code := run(append(append([]string{}, flags...), "-resume", ckpt), &resumed, &errw); code != exitOK {
-		t.Fatalf("resumed run exited %d: %s", code, errw.String())
-	}
-	if !strings.Contains(errw.String(), "resumed from") {
-		t.Errorf("resume did not report its restore point: %q", errw.String())
-	}
-	if plain.String() != first.String() || first.String() != resumed.String() {
-		t.Errorf("outputs diverge:\n--- plain ---\n%s--- checkpointed ---\n%s--- resumed ---\n%s",
-			plain.String(), first.String(), resumed.String())
-	}
-
-	// The files themselves, in format version 3, for these flags (the
-	// second also carries compiled-µP4 externs, the instance and the
-	// telemetry section): changing one byte of the layout must come with
-	// a checkpoint.FormatVersion bump, not slip through a two-way walk.
-	ckptP4 := filepath.Join(dir, "p4.ckpt")
-	p4flags := []string{"-ms", "4", "-p4", "../../testdata/microburst.up4", "-metrics", filepath.Join(dir, "m.json"),
-		"-checkpoint-every", "1ms", "-checkpoint", ckptP4}
-	if code := run(p4flags, &bytes.Buffer{}, &errw); code != exitOK {
-		t.Fatalf("µP4 checkpointed run exited %d: %s", code, errw.String())
-	}
-	for _, pin := range []struct {
-		path string
-		size int
-		want uint64
-	}{
-		{ckpt, 6038, 0x79c8e556fb4dd5bd},
-		{ckptP4, 1028100, 0x4bc1453d40cf6e6b}, // the program is named by the -p4 path as spelled
-	} {
-		b, err := os.ReadFile(pin.path)
+	got := []string{out.String()}
+	for _, f := range files {
+		b, err := os.ReadFile(filepath.Join(dir, f))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := checkpoint.Digest(string(b)); got != pin.want || len(b) != pin.size {
-			t.Errorf("%s is %d bytes, digest %#x; the pinned format is %d bytes, digest %#x",
-				filepath.Base(pin.path), len(b), got, pin.size, pin.want)
+		got = append(got, string(b))
+	}
+	return got
+}
+
+// TestResumeByteIdenticalInProcess holds a resumed run to the
+// uninterrupted one in every output: stdout with its -trace slot lines,
+// the -tracefile and -metrics files, and the -stream-trace and
+// -stream-metrics files (flushed at every chunk, so their content does
+// not depend on wall time). It runs the built-in forwarder and a µP4
+// program; each is run plain, with checkpoints, and resumed from the
+// last of them.
+func TestResumeByteIdenticalInProcess(t *testing.T) {
+	files := []string{"tracefile", "metrics", "stream-trace", "stream-metrics"}
+	for _, base := range [][]string{
+		{"-ms", "2", "-trace", "3", "-stream-every", "0"},
+		{"-ms", "2", "-trace", "3", "-stream-every", "0", "-p4", "../../testdata/microburst.up4"},
+	} {
+		dir := t.TempDir()
+		ckpt := filepath.Join(dir, "run.ckpt")
+		with := func(extra ...string) []string { return append(append([]string{}, base...), extra...) }
+		plain := outputs(t, dir, files, base...)
+		if strings.Count(plain[0], "cycle=") != 3 {
+			t.Fatalf("%v: want 3 slot lines on stdout:\n%s", base, plain[0])
+		}
+		first := outputs(t, dir, files, with("-checkpoint-every", "1ms", "-checkpoint", ckpt)...)
+		rec, err := readRecord(ckpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.cut != 4*sim.Millisecond { // the horizon plus the 2 ms drain
+			t.Errorf("%v: last checkpoint at t=%v, want 4ms", base, rec.cut)
+		}
+		resumed := outputs(t, dir, files, with("-checkpoint-every", "1ms", "-resume", ckpt)...)
+		for i, name := range append([]string{"stdout"}, files...) {
+			if plain[i] != first[i] || first[i] != resumed[i] {
+				t.Errorf("%v: %s diverges: plain %d bytes, checkpointed %d, resumed %d",
+					base, name, len(plain[i]), len(first[i]), len(resumed[i]))
+			}
+		}
+	}
+}
+
+// recordAt builds the run cfg describes, runs it to cut in one
+// Scheduler.Run call and writes the record of that instant to a file.
+func recordAt(t *testing.T, cfg config, cut sim.Time) string {
+	t.Helper()
+	if err := finishConfig(&cfg, ""); err != nil {
+		t.Fatal(err)
+	}
+	st, err := build(&cfg, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.sched.Run(cut)
+	path := filepath.Join(t.TempDir(), "cut.ckpt")
+	if err := writeRecord(path, fingerprint(st, cut).encode()); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestResumeAnywhere is the resume-anywhere property: a resume from any
+// cut — the end of the first run chunk, an instant inside a chunk, the
+// end of the last chunk — prints exactly what the uninterrupted run
+// prints, for the built-in forwarder and a µP4 program. The records are
+// taken from a run advanced to the cut in one step, so they also hold
+// the run loop's chunking to moving no event.
+func TestResumeAnywhere(t *testing.T) {
+	base := config{behaviour: behaviour{archName: "event", load: 0.9, size: 60, ms: 2, overspeed: 1.1,
+		ports: 4, gbps: 10, seed: 1}}
+	withP4 := base
+	withP4.p4file = "../../testdata/microburst.up4"
+	for _, cfg := range []config{base, withP4} {
+		args := []string{"-ms", "2"}
+		if cfg.p4file != "" {
+			args = append(args, "-p4", cfg.p4file)
+		}
+		var plain bytes.Buffer
+		if code := run(args, &plain, io.Discard); code != exitOK {
+			t.Fatalf("run(%v) exited %d", args, code)
+		}
+		for _, cut := range []sim.Time{runChunk, sim.Millisecond + 12345, 4 * sim.Millisecond} {
+			path := recordAt(t, cfg, cut)
+			var out, errw bytes.Buffer
+			code := run(append(append([]string{}, args...), "-resume", path), &out, &errw)
+			if code != exitOK || out.String() != plain.String() {
+				t.Errorf("%v resumed at t=%v: exit %d, stdout equal = %v; stderr:\n%s", args, cut, code, out.String() == plain.String(), errw.String())
+			} else if want := fmt.Sprintf("resumed from %s at t=%v", path, cut); !strings.Contains(errw.String(), want) {
+				t.Errorf("%v: stderr %q lacks %q", args, errw.String(), want)
+			}
 		}
 	}
 }
@@ -192,8 +244,8 @@ func TestCrashSIGKILLResume(t *testing.T) {
 
 	const horizon = "30" // ~2s wall: the kill window below always lands mid-run
 	ckpt := filepath.Join(dir, "crash.ckpt")
-	// The default flags load the switch at line rate, so the SIGKILL lands
-	// in a run whose checkpoints carry conveyor entries and queued frames.
+	// The default flags load the switch at line rate, so every cut lands
+	// with conveyor entries and queued frames in flight.
 	flags := []string{"-ms", horizon, "-checkpoint-every", "2ms"}
 
 	ref, err := exec.Command(bin, append(append([]string{}, flags...), "-checkpoint", filepath.Join(dir, "ref.ckpt"))...).Output()
@@ -256,8 +308,8 @@ func TestCrashSIGKILLResume(t *testing.T) {
 func TestDigestCoversBehaviour(t *testing.T) {
 	base := config{
 		behaviour: behaviour{archName: "event", load: 0.9, size: 60, ms: 10, overspeed: 1.1,
-			ports: 4, gbps: 10, p4src: "control Ingress { apply { } }", seed: 1, ckptEvery: 500},
-		p4file: "a.up4", traceFile: "t.jsonl", metrics: "m.json", ckptPath: "c.ckpt", resume: "r.ckpt",
+			ports: 4, gbps: 10, p4src: "control Ingress { apply { } }", seed: 1},
+		p4file: "a.up4", traceFile: "t.jsonl", metrics: "m.json", ckptEvery: 500, ckptPath: "c.ckpt", resume: "r.ckpt",
 		httpAddr: "127.0.0.1:0", streamTrace: "st.jsonl", streamMetrics: "sm.jsonl", streamEvery: time.Second,
 	}
 	perturb := func(v reflect.Value) {
@@ -303,13 +355,13 @@ func TestDigestCoversBehaviour(t *testing.T) {
 	}
 }
 
-// TestResumeDamageSweep feeds -resume files that are not checkpoints. The
-// file as written is damaged at every offset (cut short there; that byte
-// overwritten), which the header checks and section CRCs must refuse;
-// then every section payload is damaged the same way under a fresh CRC,
-// which reaches the component walks and must end in their error or a
-// completed load — never a panic, an unbounded loop or an allocation sized
-// by a damaged count. The two files ISSUE 20 was opened with come last.
+// TestResumeDamageSweep feeds -resume files that are not the record of
+// this run. The record as written is damaged at every offset (cut short
+// there; that byte inverted), which decode must refuse. Then records that
+// decode but do not hold: one whose fired count is off by one at its cut
+// (CRC recomputed), one whose cut lies past the end of the run, and a
+// truncated file. Each is exit 1 with one line, the first two naming the
+// cut.
 func TestResumeDamageSweep(t *testing.T) {
 	dir := t.TempDir()
 	ckpt := filepath.Join(dir, "run.ckpt")
@@ -321,95 +373,135 @@ func TestResumeDamageSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(buf) != recordLen {
+		t.Fatalf("record is %d bytes, want %d", len(buf), recordLen)
+	}
 	for off := range buf {
-		if _, err := checkpoint.Decode(buf[:off]); err == nil {
-			t.Fatalf("file truncated at %d of %d decoded", off, len(buf))
+		if _, err := decode(buf[:off]); err == nil {
+			t.Fatalf("record truncated at %d of %d decoded", off, len(buf))
 		}
 		damaged := append([]byte(nil), buf...)
-		if damaged[off] ^= 0xFF; off >= 8 && off < 16 {
-			continue // the config digest is the caller's to compare
-		}
-		if _, err := checkpoint.Decode(damaged); err == nil {
-			t.Fatalf("file with byte %d inverted decoded", off)
+		damaged[off] ^= 0xFF
+		if _, err := decode(damaged); err == nil {
+			t.Fatalf("record with byte %d inverted decoded", off)
 		}
 	}
 
-	good, err := checkpoint.Decode(buf)
+	good, err := decode(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := &config{behaviour: behaviour{archName: "event", load: 0.9, size: 60, ms: 1, overspeed: 1.1,
-		ports: 4, gbps: 10, seed: 1}, ckptPath: ckpt}
-	if err := finishConfig(cfg, "500us"); err != nil {
-		t.Fatal(err)
-	}
-	// names lists the file's sections in the order evsim writes them.
-	var names []string
-	if st, err := build(cfg, false, &bytes.Buffer{}); err != nil {
-		t.Fatal(err)
-	} else {
-		for _, sec := range newCheckpointer(st).sections() {
-			names = append(names, sec.name)
-		}
-	}
-	// load pours good, with section name's payload replaced, into a
-	// freshly built run.
-	load := func(name string, payload []byte) error {
-		f := checkpoint.New(good.ConfigDigest)
-		for _, n := range names {
-			b, _ := good.Section(n)
-			if n == name {
-				b = payload
-			}
-			f.Add(n, b)
-		}
-		st, err := build(cfg, false, &bytes.Buffer{})
-		if err != nil {
+	offByOne, late := good, good
+	offByOne.fired++
+	late.cut = 5 * sim.Millisecond
+	for _, c := range []struct {
+		name string
+		b    []byte
+		want string
+	}{
+		{"fired.ckpt", offByOne.encode(), fmt.Sprintf("diverges at its cut t=%v", good.cut)},
+		{"late.ckpt", late.encode(), "cut t=5ms is never reached"},
+		{"torn.ckpt", buf[:recordLen-1], "a record is"},
+	} {
+		path := filepath.Join(dir, c.name)
+		if err := os.WriteFile(path, c.b, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, err = restoreRun(st, f)
-		return err
-	}
-	for _, name := range names {
-		b, _ := good.Section(name)
-		if err := checkpoint.DamageSweep(b, func(buf []byte) error { return load(name, buf) }); err != nil {
-			t.Fatalf("section %q: %v", name, err)
-		}
-	}
-
-	// A CRC-valid file whose pool free-list depth reads 2^40 (the pool's
-	// depth, News, Reuses end the switch section), and a file with two
-	// sections of one name: exit 1 with one line, not an out-of-memory
-	// abort or File.Add's panic.
-	sw, _ := good.Section("switch")
-	deep := append([]byte(nil), sw...)
-	binary.LittleEndian.PutUint64(deep[len(deep)-24:], 1<<40)
-	f := checkpoint.New(good.ConfigDigest)
-	for _, n := range names {
-		b, _ := good.Section(n)
-		if n == "switch" {
-			b = deep
-		}
-		f.Add(n, b)
-	}
-	deepPath := filepath.Join(dir, "deep.ckpt")
-	if _, err := f.WriteFile(deepPath); err != nil {
-		t.Fatal(err)
-	}
-	first := buf[20 : 20+4+binary.LittleEndian.Uint32(buf[20:])+4] // length, body, CRC
-	twice := append(append([]byte(nil), buf...), first...)
-	twice[16]++ // section count
-	twicePath := filepath.Join(dir, "twice.ckpt")
-	if err := os.WriteFile(twicePath, twice, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for _, path := range []string{deepPath, twicePath} {
 		var errw bytes.Buffer
 		code := run(append(append([]string{}, flags...), "-resume", path), &bytes.Buffer{}, &errw)
-		if msg := errw.String(); code != exitRuntime || strings.Count(msg, "\n") != 1 {
-			t.Errorf("-resume %s: exit %d, want %d with a one-line error; stderr:\n%s", filepath.Base(path), code, exitRuntime, msg)
-		} else {
-			t.Logf("%s: %s", filepath.Base(path), msg)
+		if msg := errw.String(); code != exitRuntime || strings.Count(msg, "\n") != 1 || !strings.Contains(msg, c.want) {
+			t.Errorf("-resume %s: exit %d, want %d with one line containing %q; stderr:\n%s", c.name, code, exitRuntime, c.want, msg)
 		}
 	}
+}
+
+// TestRecordRoundTrip: every field of a record survives encode/decode.
+func TestRecordRoundTrip(t *testing.T) {
+	want := record{digest: 0x1234, cut: 3 * sim.Millisecond, fired: 1 << 40, stats: ^uint64(0), metrics: 0xcc}
+	enc := want.encode()
+	if len(enc) != recordLen {
+		t.Fatalf("encoded %d bytes, want %d", len(enc), recordLen)
+	}
+	got, err := decode(enc)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if got != want {
+		t.Errorf("decoded %+v, want %+v", got, want)
+	}
+}
+
+// TestRecordRejectsCorruption: a truncated record, a bit flip, a foreign
+// magic and another format version are each refused, naming the fault.
+func TestRecordRejectsCorruption(t *testing.T) {
+	enc := record{digest: 1, cut: sim.Millisecond, fired: 2}.encode()
+	if _, err := decode(enc[:len(enc)-3]); err == nil {
+		t.Error("truncated record decoded")
+	}
+	for _, c := range []struct {
+		name string
+		off  int
+		want string
+	}{
+		{"bit flip", len(enc) - 7, "CRC"},
+		{"bad magic", 0, "magic"},
+		{"other version", 4, "version"},
+	} {
+		damaged := append([]byte(nil), enc...)
+		damaged[c.off] ^= 0x01
+		if _, err := decode(damaged); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s not refused with %q: %v", c.name, c.want, err)
+		}
+	}
+}
+
+// TestDigestSeparated: Digest separates its parts and is deterministic.
+func TestDigestSeparated(t *testing.T) {
+	if Digest("ab", "c") == Digest("a", "bc") {
+		t.Error("Digest does not separate parts")
+	}
+	if Digest("x") != Digest("x") {
+		t.Error("Digest not deterministic")
+	}
+	if Digest("x") == Digest("y") {
+		t.Error("distinct inputs collide trivially")
+	}
+}
+
+// TestWriteRecordAtomic: a second write replaces the first and leaves no
+// temp file behind.
+func TestWriteRecordAtomic(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "run.ckpt")
+	for _, cut := range []sim.Time{1, 2} {
+		if err := writeRecord(path, record{digest: 9, cut: cut}.encode()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if r, err := readRecord(path); err != nil || r != (record{digest: 9, cut: 2}) {
+		t.Errorf("read back %+v, %v; want the second record", r, err)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Errorf("dir has %d entries after two writes, want 1", len(entries))
+	}
+}
+
+// FuzzDecode: whatever the bytes, decode returns a record or an error,
+// and a record it accepts re-encodes to the same bytes.
+func FuzzDecode(f *testing.F) {
+	enc := record{digest: 0x1234, cut: sim.Millisecond, fired: 7, stats: 8, metrics: 9}.encode()
+	f.Add(enc)
+	f.Add(enc[:len(enc)-5])
+	f.Add(append(append([]byte(nil), enc...), 0))
+	f.Add(record{}.encode())
+	f.Add([]byte("EVCK"))
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		r, err := decode(buf)
+		if err != nil {
+			return
+		}
+		if got := r.encode(); !bytes.Equal(got, buf) {
+			t.Fatalf("decoded %+v re-encodes to %x, want %x", r, got, buf)
+		}
+	})
 }

@@ -17,14 +17,17 @@
 // -interp executes it with the tree-walking interpreter instead of the
 // specialized Go closures; the observable behaviour is identical.
 //
-// -checkpoint-every writes a checkpoint of the full simulator state to
-// the -checkpoint file at a fixed simulated-time cadence (atomically: a
-// crash mid-write leaves the previous checkpoint intact). -resume loads
-// such a file and continues the run; the resumed run's statistics,
-// telemetry metrics, and traces are byte-identical to the uninterrupted
-// run's. A resume must use the same flags as the run that wrote the
-// checkpoint — the file carries a config digest and mismatches are
-// refused (see DESIGN.md §13).
+// -checkpoint-every writes a checkpoint to the -checkpoint file at a fixed
+// simulated-time cadence (atomically: a crash mid-write leaves the
+// previous checkpoint intact). A checkpoint is one fixed-size record: the
+// cut instant and a fingerprint of the state there. The run is
+// deterministic, so -resume rebuilds it from the same flags and replays
+// it from t=0, verifying the fingerprint when it reaches the cut: every
+// output (statistics, -trace lines, trace, metrics and stream files) is
+// byte-identical to the uninterrupted run's by construction. A resume
+// must use the same flags as the run that wrote the checkpoint — the
+// record carries a config digest and mismatches are refused; a replay
+// that diverges at the cut, or never reaches it, fails (DESIGN.md §13).
 //
 // -tracefile writes the event-lifecycle trace and -metrics the telemetry
 // metrics document after the run. Traces are JSON lines whatever the
@@ -45,8 +48,8 @@
 // checkpoints are byte-identical with it on or off (DESIGN.md §15).
 //
 // Exit codes: 0 on success, 1 on runtime failure (unreadable files,
-// compile errors, write failures), 2 on usage errors (bad flags, a
-// checkpoint that does not match the flags).
+// compile errors, write failures, a replay that fails its checkpoint), 2
+// on usage errors (bad flags, a checkpoint written under other flags).
 package main
 
 import (
@@ -59,7 +62,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/events"
 	"repro/internal/obs"
@@ -96,6 +98,8 @@ func usagef(format string, args ...any) error {
 // behaviour is every setting that changes what the simulation does,
 // resolved and validated. digest hashes the struct whole, so a setting
 // added here pins checkpoints without being listed anywhere else.
+// The checkpoint cadence is not one: it only says where the run loop
+// stops to write a record.
 type behaviour struct {
 	archName  string
 	load      float64
@@ -107,7 +111,6 @@ type behaviour struct {
 	p4src     string // program source (content, not path)
 	interp    bool
 	seed      uint64
-	ckptEvery sim.Time
 }
 
 // config is the resolved command line: the run's behaviour plus where its
@@ -121,6 +124,7 @@ type config struct {
 	trace     int
 	traceFile string
 	metrics   string
+	ckptEvery sim.Time
 	ckptPath  string
 	resume    string
 
@@ -147,7 +151,7 @@ func (c *config) obsOn() bool { return c.httpAddr != "" || c.streaming() }
 // because enabling it changes the construction path (the sampler ticker
 // draws an event sequence number).
 func (c *config) digest() uint64 {
-	return checkpoint.Digest("evsim", fmt.Sprintf("%#v", c.behaviour), fmt.Sprint(c.telemetryOn()))
+	return Digest("evsim", fmt.Sprintf("%#v", c.behaviour), fmt.Sprint(c.telemetryOn()))
 }
 
 func run(args []string, out, errw io.Writer) int {
@@ -270,11 +274,8 @@ func finishConfig(cfg *config, every string) error {
 	return nil
 }
 
-// build constructs the simulation through the one deterministic
-// construction path shared by fresh starts and resumes (DESIGN.md §13:
-// restore pours state into an identically built object graph). When
-// start is true the traffic generators fire their first emission; a
-// resume leaves them prepared and re-arms them from the checkpoint.
+// simState is one built simulation. build is the one deterministic
+// construction path, shared by fresh starts and resumes (DESIGN.md §13).
 type simState struct {
 	cfg   *config
 	sched *sim.Scheduler
@@ -285,7 +286,7 @@ type simState struct {
 	gens  []*workload.Gen
 }
 
-func build(cfg *config, start bool, out io.Writer) (*simState, error) {
+func build(cfg *config, out io.Writer) (*simState, error) {
 	st := &simState{cfg: cfg, sched: sim.NewScheduler()}
 	if cfg.obsOn() {
 		// Before core.New: the switch and its pool take the plane from
@@ -373,15 +374,10 @@ func build(cfg *config, start bool, out io.Writer) (*simState, error) {
 			Src: packet.IP4(10, byte(port), 0, 1), Dst: packet.IP4(10, byte(port^1), 0, 1),
 			SrcPort: uint16(1000 + port), DstPort: 80, Proto: packet.ProtoUDP,
 		}
-		sc := workload.SaturateConfig{
+		g.StartSaturate(workload.SaturateConfig{
 			Flow: fl, Rate: sim.Rate(cfg.gbps) * sim.Gbps,
 			Load: cfg.load, Size: cfg.size, Until: horizon,
-		}
-		if start {
-			g.StartSaturate(sc)
-		} else {
-			g.PrepareSaturate(sc)
-		}
+		})
 		st.gens = append(st.gens, g)
 	}
 	return st, nil
@@ -394,45 +390,30 @@ func build(cfg *config, start bool, out io.Writer) (*simState, error) {
 const runChunk = 100 * sim.Microsecond
 
 func simulate(cfg *config, out, errw io.Writer) error {
-	var st *simState
-	var ck *checkpointer
 	horizon := sim.Time(cfg.ms) * sim.Millisecond
-
+	var resume *record
 	if cfg.resume != "" {
-		f, err := checkpoint.Open(cfg.resume)
+		rec, err := readRecord(cfg.resume)
 		if err != nil {
 			return err
 		}
-		if f.ConfigDigest != cfg.digest() {
+		if rec.digest != cfg.digest() {
 			return usagef("checkpoint %s was written under different flags (config digest %#x, these flags %#x); "+
-				"resume with the same configuration", cfg.resume, f.ConfigDigest, cfg.digest())
+				"resume with the same configuration", cfg.resume, rec.digest, cfg.digest())
 		}
-		st, err = build(cfg, false, out)
-		if err != nil {
-			return err
-		}
-		ck, err = restoreRun(st, f)
-		if err != nil {
-			return fmt.Errorf("restoring %s: %w", cfg.resume, err)
-		}
-		fmt.Fprintf(errw, "evsim: resumed from %s at t=%v\n", cfg.resume, st.sched.Now())
-	} else {
-		var err error
-		st, err = build(cfg, true, out)
-		if err != nil {
-			return err
-		}
-		if cfg.ckptEvery > 0 {
-			ck = newCheckpointer(st)
-			ck.arm(cfg.ckptEvery)
-		}
+		resume = &rec
 	}
+	st, err := build(cfg, out)
+	if err != nil {
+		return err
+	}
+	cut := &cutter{st: st, errw: errw, every: cfg.ckptEvery, next: cfg.ckptEvery, path: cfg.ckptPath,
+		resume: resume, resumePath: cfg.resume}
 
-	// Observability plane: started after build/restore (so checkpoint
-	// restoration's single-threaded writes finish before any scrape) and
-	// strictly read-only — stats, telemetry exports, and checkpoints are
-	// byte-identical with it on or off. The endpoint serves only the
-	// snapshots the run loop below stores, never the collector itself.
+	// Observability plane: strictly read-only — stats, telemetry exports,
+	// and checkpoints are byte-identical with it on or off. The endpoint
+	// serves only the snapshots the run loop below stores, never the
+	// collector itself.
 	var published atomic.Pointer[[]obs.Run]
 	if cfg.httpAddr != "" {
 		srv, err := obs.Serve(obs.Options{
@@ -475,8 +456,17 @@ func simulate(cfg *config, out, errw io.Writer) error {
 
 	end := horizon + 2*sim.Millisecond
 	last := time.Now()
-	for t := st.sched.Now(); t < end; {
+	for t := sim.Time(0); t < end; {
 		t = min(t+runChunk, end)
+		for stop := cut.nextStop(); stop <= t; stop = cut.nextStop() {
+			st.sched.Run(stop)
+			if err := cut.at(stop); err != nil {
+				if sink != nil {
+					sink.Close()
+				}
+				return err
+			}
+		}
 		st.sched.Run(t)
 		if !cfg.obsOn() || time.Since(last) < cfg.streamEvery {
 			continue
@@ -495,8 +485,8 @@ func simulate(cfg *config, out, errw io.Writer) error {
 			break // the error sticks; sink.Close below reports it
 		}
 	}
-	if ck != nil && ck.err != nil {
-		return fmt.Errorf("writing checkpoint: %w", ck.err)
+	if err := cut.unreached(); err != nil {
+		return err
 	}
 	if sink != nil {
 		if err := sink.Close(); err != nil {

@@ -30,9 +30,7 @@ import (
 // root, so what it calls is kept with it.
 func TestNoTestOnlyExports(t *testing.T) {
 	allowed := map[string]string{
-		"repro/internal/checkpoint.DamageSweep":    "test hook shared by the core and evsim checkpoint tests",
 		"repro/internal/telemetry.Digest":          "determinism witness the telemetry and bench tests compare",
-		"repro/internal/events.Queue.HighWater":    "FIFO peak the checkpoint carries; events_test.go and core's faultpath_test.go pin it",
 		"repro/internal/pisa.SharedRegister.Reset": "the control plane's register reset (paper §1), pinned by pisa's TestSharedRegisterReset",
 	}
 	const root, module = "../..", "repro"

@@ -48,9 +48,6 @@ func TestLinkFlapBurstCoalesces(t *testing.T) {
 	if st.EventsDropped[events.LinkStatusChange] != 0 {
 		t.Errorf("dropped = %d, want 0 (coalescing saved them)", st.EventsDropped[events.LinkStatusChange])
 	}
-	if hw := sw.EventQueue(events.LinkStatusChange).HighWater(); hw != 2 {
-		t.Errorf("high water = %d, want 2", hw)
-	}
 }
 
 // TestEventQueuePolicyOverride pins EventQueue(k).SetPolicy: a UserEvent

@@ -177,7 +177,7 @@ type Switch struct {
 	// slotEvents/slotKinds are the events the merger attached to the slot
 	// being executed. A slot reads only the [0:n) it gathered, so they are
 	// reused without clearing, and nothing reads them between slots: they
-	// are scratch, not checkpoint state.
+	// are scratch, not switch state.
 	slotEvents [events.NumKinds]events.Event
 	slotKinds  [events.NumKinds]events.Kind
 

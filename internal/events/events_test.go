@@ -3,8 +3,6 @@ package events
 import (
 	"testing"
 	"testing/quick"
-
-	"repro/internal/checkpoint"
 )
 
 func TestKindStrings(t *testing.T) {
@@ -51,9 +49,6 @@ func TestQueueFIFO(t *testing.T) {
 	}
 	if _, ok := q.Pop(); ok {
 		t.Fatal("pop from empty queue succeeded")
-	}
-	if q.HighWater() != 4 {
-		t.Errorf("high water = %d", q.HighWater())
 	}
 }
 
@@ -118,10 +113,9 @@ func TestEventString(t *testing.T) {
 }
 
 // TestQueueRingIsLazy pins the ring's lifetime: a new queue reports its
-// configured capacity without holding a ring, an untouched queue
-// snapshots and restores as empty, the first stored event (or a restore
-// that brings events) allocates the ring as a fallback, and a reserved
-// queue never allocates afterwards.
+// configured capacity without holding a ring, the first stored event
+// allocates the ring as a fallback, and a reserved queue never allocates
+// afterwards.
 func TestQueueRingIsLazy(t *testing.T) {
 	q := NewQueue(BufferEnqueue, 8)
 	if q.capacity != 8 || q.buf != nil {
@@ -133,12 +127,8 @@ func TestQueueRingIsLazy(t *testing.T) {
 	if _, ok := q.Peek(); ok {
 		t.Fatal("Peek on an untouched queue returned an event")
 	}
-	e := checkpoint.NewSaver()
-	q.Checkpoint(e)
-	empty := NewQueue(BufferEnqueue, 8)
-	empty.Checkpoint(checkpoint.NewLoader(e.Saved()))
-	if empty.buf != nil || empty.Len() != 0 {
-		t.Error("restoring an empty snapshot allocated the ring")
+	if q.buf != nil {
+		t.Error("Pop and Peek on an untouched queue allocated the ring")
 	}
 
 	for i := 0; i < 10; i++ {
@@ -147,17 +137,9 @@ func TestQueueRingIsLazy(t *testing.T) {
 	if q.Len() != 8 || q.Drops() != 2 {
 		t.Fatalf("after 10 offers into 8 slots: Len %d Drops %d", q.Len(), q.Drops())
 	}
-	e = checkpoint.NewSaver()
-	q.Checkpoint(e)
-	full := NewQueue(BufferEnqueue, 8)
-	d := checkpoint.NewLoader(e.Saved())
-	full.Checkpoint(d)
-	if err := d.Err(); err != nil {
-		t.Fatal(err)
-	}
 	for i := 0; i < 8; i++ {
-		if ev, ok := full.Pop(); !ok || ev.Port != i {
-			t.Fatalf("restored queue pop %d = %+v, %v", i, ev, ok)
+		if ev, ok := q.Pop(); !ok || ev.Port != i {
+			t.Fatalf("pop %d = %+v, %v", i, ev, ok)
 		}
 	}
 

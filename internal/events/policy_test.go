@@ -123,24 +123,6 @@ func TestOfferAccountingIdentity(t *testing.T) {
 	}
 }
 
-// TestHighWaterTracksPeakDepth pins HighWater across a fill/drain cycle.
-func TestHighWaterTracksPeakDepth(t *testing.T) {
-	q := NewQueue(LinkStatusChange, 8)
-	for i := 0; i < 5; i++ {
-		q.Push(Event{Port: i})
-	}
-	for i := 0; i < 4; i++ {
-		q.Pop()
-	}
-	q.Push(Event{Port: 9})
-	if q.HighWater() != 5 {
-		t.Errorf("high water = %d, want 5", q.HighWater())
-	}
-	if q.Len() != 2 {
-		t.Errorf("len = %d, want 2", q.Len())
-	}
-}
-
 // TestQueueByReferenceMatchesValue drives two queues through one seeded
 // random offer/pop sequence under each overflow policy — one through
 // Offer/Pop, one through OfferRef/PopInto — and requires the same outcome
@@ -174,11 +156,11 @@ func TestQueueByReferenceMatchesValue(t *testing.T) {
 					t.Fatalf("policy %d step %d: PopInto = %+v ok=%v, Pop = %+v ok=%v", pol, step, got, ok, want, wantOK)
 				}
 			}
-			if byRef.Len() != byVal.Len() || byRef.Drops() != byVal.Drops() || byRef.HighWater() != byVal.HighWater() ||
+			if byRef.Len() != byVal.Len() || byRef.Drops() != byVal.Drops() ||
 				byRef.Shed() != byVal.Shed() || byRef.Coalesced() != byVal.Coalesced() || byRef.Pushed() != byVal.Pushed() {
-				t.Fatalf("policy %d step %d: counters diverge: by-ref len=%d drops=%d hwm=%d shed=%d coalesced=%d pushed=%d, by-value %d/%d/%d/%d/%d/%d",
-					pol, step, byRef.Len(), byRef.Drops(), byRef.HighWater(), byRef.Shed(), byRef.Coalesced(), byRef.Pushed(),
-					byVal.Len(), byVal.Drops(), byVal.HighWater(), byVal.Shed(), byVal.Coalesced(), byVal.Pushed())
+				t.Fatalf("policy %d step %d: counters diverge: by-ref len=%d drops=%d shed=%d coalesced=%d pushed=%d, by-value %d/%d/%d/%d/%d",
+					pol, step, byRef.Len(), byRef.Drops(), byRef.Shed(), byRef.Coalesced(), byRef.Pushed(),
+					byVal.Len(), byVal.Drops(), byVal.Shed(), byVal.Coalesced(), byVal.Pushed())
 			}
 		}
 		if byVal.Drops()+byVal.Shed()+byVal.Coalesced() == 0 {

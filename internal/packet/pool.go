@@ -23,9 +23,6 @@ import "repro/internal/telemetry/self"
 type Pool struct {
 	free []*Packet
 
-	// News counts packets allocated fresh; Reuses counts free-list hits.
-	News, Reuses uint64
-
 	// Self, when the pool's owner sets it before the first Get, tracks
 	// outstanding packets in that run's self-metrics plane (PoolInUse).
 	Self *self.Plane
@@ -47,13 +44,11 @@ func (pl *Pool) Get() *Packet {
 		p.Gen = false
 		p.Recirc = 0
 		p.freed = false
-		pl.Reuses++
 		if pl.Self != nil {
 			pl.Self.PoolInUse.Add(1)
 		}
 		return p
 	}
-	pl.News++
 	if pl.Self != nil {
 		pl.Self.PoolInUse.Add(1)
 	}

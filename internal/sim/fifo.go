@@ -28,22 +28,6 @@ func (f *FIFO[T]) Push(v T) { f.q = append(f.q, v) }
 // and the pointer is dead after the next Push or Pop.
 func (f *FIFO[T]) Peek() *T { return &f.q[f.head] }
 
-// Live returns the queued elements, oldest first, aliasing the queue.
-func (f *FIFO[T]) Live() []T { return f.q[f.head:] }
-
-// Reset empties the queue, keeping its backing array.
-func (f *FIFO[T]) Reset() {
-	clear(f.q[f.head:])
-	f.q, f.head = f.q[:0], 0
-}
-
-// Refill replaces the queue's contents with n zero elements, for a
-// checkpoint load to fill in place through Live.
-func (f *FIFO[T]) Refill(n int) {
-	f.Reset()
-	f.q = append(f.q, make([]T, n)...)
-}
-
 // Pop removes and returns the oldest element. The queue must not be empty.
 //
 // Compaction runs once the dead prefix is at least as long as the live

@@ -66,8 +66,8 @@ type Partition struct {
 	// (coordinator-only writes; read between Runs).
 	barrierCount uint64
 	// windows counts coordinator window rounds. Atomic so mid-run
-	// observers (an evsim checkpoint event firing inside a window) can
-	// read it while the coordinator loops.
+	// observers (an event callback firing inside a window) can read it
+	// while the coordinator loops.
 	windows atomic.Uint64
 
 	next  []Time // scratch: per-domain earliest pending event at a barrier

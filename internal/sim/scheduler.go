@@ -22,12 +22,6 @@ type Handle struct {
 	gen uint64
 }
 
-// Pending reports whether the event behind h is still waiting to fire
-// (not yet fired and not cancelled).
-func (h Handle) Pending() bool {
-	return h.ev != nil && h.ev.gen == h.gen && !h.ev.cancelled
-}
-
 // Cancel prevents the event from firing. Cancelling an already-fired or
 // already-cancelled event is a no-op.
 func (h Handle) Cancel() {
@@ -119,8 +113,7 @@ func (h *wireHeap) pop() wireEvent {
 // sifted manually like wireHeap: container/heap dispatches Less/Swap
 // through an interface on every comparison, and the event heap is the
 // single hottest structure in the engine. Each event's index field is
-// kept current on every move — Handle cancellation and checkpoint
-// restore (internal/sim/checkpoint.go) rely on it.
+// kept current on every move — Handle cancellation relies on it.
 type eventHeap []*schedEvent
 
 // heapLess orders events by (at, seq).
@@ -528,12 +521,11 @@ func (l *Lane) ArmAt(at Time) {
 
 // ArmExact arms the lane at explicit (at, seq) coordinates instead of
 // drawing a fresh sequence number. The caller owns work that already has
-// a position in the global event order — a checkpointed arm being
-// restored, or a conveyor entry that drew its seq (NextSeq) when it was
-// scheduled — and the lane must fire in exactly that position. No
-// past-check is applied: checkpoint restore arms lanes before the clock
-// is restored, and in any order — the lane heap is keyed by the
-// coordinates, so firing order does not depend on insertion order.
+// a position in the global event order — a conveyor entry that drew its
+// seq (NextSeq) when it was scheduled — and the lane must fire in exactly
+// that position. No past-check is applied: the coordinates were drawn
+// when they were valid. The lane heap is keyed by the coordinates, so
+// firing order does not depend on the order lanes are armed in.
 func (l *Lane) ArmExact(at Time, seq uint64) {
 	l.arm(at, seq)
 	l.s.auxArms++
@@ -541,6 +533,15 @@ func (l *Lane) ArmExact(at Time, seq uint64) {
 
 // Armed reports whether the lane has a pending firing.
 func (l *Lane) Armed() bool { return l.index >= 0 }
+
+// ArmedAt returns the lane's pending (at, seq); ok is false when the lane
+// is not armed.
+func (l *Lane) ArmedAt() (at Time, seq uint64, ok bool) {
+	if l.index < 0 {
+		return 0, 0, false
+	}
+	return l.at, l.seq, true
+}
 
 // Disarm cancels the pending firing, if any.
 func (l *Lane) Disarm() {
@@ -686,9 +687,8 @@ func (s *Scheduler) NextAt() (Time, bool) {
 
 // publishSelf pushes the delta of fired/arm counts accumulated since the
 // last publish into the wall-clock self-metrics plane. Called at run
-// exits only; a no-op without a plane. Checkpoint restore can move
-// fired backwards — a shrunken counter resets the baseline rather than
-// publishing a wrapped delta.
+// exits only; a no-op without a plane. A zero delta writes nothing: the
+// plane's counters are shared by every domain of a partition.
 func (s *Scheduler) publishSelf() {
 	p := s.self
 	if p == nil {

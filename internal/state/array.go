@@ -47,9 +47,6 @@ func NewArray(name string, size, ports int) *Array {
 	return &Array{name: name, vals: make([]uint64, size), ports: ports}
 }
 
-// Name returns the array's configured name.
-func (a *Array) Name() string { return a.name }
-
 // Size returns the number of entries.
 func (a *Array) Size() int { return len(a.vals) }
 

@@ -1,5 +1,8 @@
 package state
 
+// Name returns the array's configured name.
+func (a *Array) Name() string { return a.name }
+
 // Ports returns the per-cycle access budget.
 func (a *Array) Ports() int { return a.ports }
 

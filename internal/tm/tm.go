@@ -62,8 +62,8 @@ type TM struct {
 
 	// Muted has bit k set for each event kind OnEvent's receiver would
 	// discard unseen. A muted event still takes its sequence number (the
-	// counter is checkpointed and must not depend on who is listening),
-	// but is neither built nor delivered.
+	// counter must not depend on who is listening), but is neither built
+	// nor delivered.
 	Muted uint32
 
 	// ev is the event OnEvent is handed. A literal in emit would escape

@@ -43,8 +43,8 @@ func TestTMEnqueueDequeueEvents(t *testing.T) {
 }
 
 // TestTMMutedKindsKeepSequence: a muted kind is not delivered, but it
-// still takes its sequence number — the counter is checkpointed, so it
-// must read the same whatever the listener subscribes to.
+// still takes its sequence number, so the counter reads the same whatever
+// the listener subscribes to.
 func TestTMMutedKindsKeepSequence(t *testing.T) {
 	run := func(muted uint32) (got []events.Event, seq uint64) {
 		tmgr := New(Config{Ports: 1, QueueCapBytes: 1000})

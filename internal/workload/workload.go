@@ -134,18 +134,14 @@ type Gen struct {
 	rng   *sim.RNG
 	sink  Sink
 
-	// Sent counts frames and bytes delivered to the sink.
+	// SentPackets counts frames delivered to the sink.
 	SentPackets uint64
-	SentBytes   uint64
 	stopped     bool
 
-	// pending is the saturate stream's next scheduled emission and satSeq
-	// its sub-flow cursor, shared by every saturate stream the generator
-	// starts; with sat they are what a checkpoint needs to re-arm the
-	// stream (checkpoint.go).
-	pending sim.Handle
-	satSeq  uint32
-	sat     *saturate
+	// satSeq is the saturate sub-flow cursor, shared by every saturate
+	// stream the generator starts, so a later stream continues the
+	// rotation.
+	satSeq uint32
 
 	// Finished CBR, Poisson and burst records, each list linked through
 	// the records' next fields.
@@ -164,7 +160,6 @@ func (g *Gen) emit(data []byte) {
 		return
 	}
 	g.SentPackets++
-	g.SentBytes += uint64(len(data))
 	g.sink(data)
 }
 
@@ -375,16 +370,6 @@ type saturate struct {
 // StartSaturate emits fixed-size frames at Load x line rate with exact
 // deterministic spacing.
 func (g *Gen) StartSaturate(cfg SaturateConfig) {
-	g.PrepareSaturate(cfg)
-	g.sat.Run()
-}
-
-// PrepareSaturate sets up (but does not fire) the saturate stream. The
-// stream's cursor lives on the generator rather than on the stream, so a
-// later stream continues the sub-flow rotation, a checkpoint can capture
-// it, and a restored run can re-arm the stream without the initial
-// emission (checkpoint.go).
-func (g *Gen) PrepareSaturate(cfg SaturateConfig) {
 	if cfg.Size <= 0 {
 		cfg.Size = packet.MinFrameLen
 	}
@@ -392,11 +377,12 @@ func (g *Gen) PrepareSaturate(cfg SaturateConfig) {
 		cfg.Load = 1.0
 	}
 	flen := max(cfg.Size, packet.MinFrameLen)
-	g.sat = &saturate{
+	s := &saturate{
 		g: g, cfg: cfg, flen: flen,
 		gap:    sim.Time(float64(cfg.Rate.ByteTime(cfg.Size+24)) / cfg.Load),
 		frames: make([]byte, satFlows*flen),
 	}
+	s.Run()
 }
 
 // Run emits the next sub-flow's frame and schedules the one after.
@@ -416,5 +402,5 @@ func (s *saturate) Run() {
 		s.built |= 1 << i
 	}
 	g.emit(frame)
-	g.pending = g.sched.AfterRunner(s.gap, s)
+	g.sched.AfterRunner(s.gap, s)
 }
