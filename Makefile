@@ -58,23 +58,26 @@ race:
 # Coverage-guided fuzzing: the µP4 compiled-vs-interpreter differential
 # target, the slot's parse-once flow against packet.FlowOf, evsim's EVCK
 # checkpoint record decoder, the JSON-lines trace reader with its Chrome
-# conversion, and the switch against the Event Merger / aggregation
-# register reference model. Not part of `check` (open-ended); run before
-# touching the compilation backend, the header decoders, the checkpoint
-# format, the trace format or the switch's slot and drain path.
+# conversion, the switch against the Event Merger / aggregation register
+# reference model, and cycle-stamped register ports against eager
+# per-cycle ticks. Not part of `check` (open-ended); run before touching
+# the compilation backend, the header decoders, the checkpoint format,
+# the trace format, the switch's slot and drain path or the registers.
 fuzz:
 	$(GO) test -fuzz FuzzCompiledVsInterp -fuzztime 10s ./internal/p4
 	$(GO) test -fuzz FuzzParserFlow -fuzztime 10s ./internal/packet
 	$(GO) test -fuzz FuzzDecode -fuzztime 10s ./cmd/evsim
 	$(GO) test -fuzz FuzzTraceJSONL -fuzztime 10s ./cmd/tracecheck
 	$(GO) test -fuzz FuzzRefModel -fuzztime 10s ./internal/core
+	$(GO) test -fuzz FuzzRegisterStamp -fuzztime 10s ./internal/pisa
 
 # Hot-path micro-benchmarks (scheduler + switch cycle + event queue +
-# traffic generators + one frame across two links, the one way a frame
+# aggregation register and port stamps + traffic generators and flow
+# popularity draws + one frame across two links, the one way a frame
 # crosses a link + one stateful µP4 control on each backend, next to the
 # BenchmarkSwitchForwardPath* rows that run µP4 inside the switch).
 bench:
-	$(GO) test -bench 'BenchmarkScheduler|BenchmarkSwitch|BenchmarkQueue|BenchmarkGen|BenchmarkNetsimDeliver|BenchmarkCompiledControl|BenchmarkInterpControl' -benchmem -run xxx ./internal/sim ./internal/core ./internal/events ./internal/workload ./internal/netsim ./internal/p4
+	$(GO) test -bench 'BenchmarkScheduler|BenchmarkSwitch|BenchmarkQueue|BenchmarkAggregated|BenchmarkArray|BenchmarkGen|BenchmarkFlowSetPick|BenchmarkNetsimDeliver|BenchmarkCompiledControl|BenchmarkInterpControl' -benchmem -run xxx ./internal/sim ./internal/core ./internal/events ./internal/state ./internal/workload ./internal/netsim ./internal/p4
 
 # Regenerate every table and figure; redirect into
 # internal/bench/testdata/evbench.golden when a table changes on purpose.

@@ -33,13 +33,13 @@ func Ablations(env *Env) *Result {
 	regModes := []string{"aggregated-1port", "multiport-3port"}
 	for _, rows := range RunParallel(env, len(regModes), func(trial int) [][]string {
 		mode := regModes[trial]
-		var reg *pisa.SharedRegister
+		reg := pisa.NewMultiPortRegister("r", 64, 3)
 		if mode == "aggregated-1port" {
 			reg = pisa.NewAggregatedRegister("r", 64,
 				events.BufferEnqueue, events.BufferDequeue)
-		} else {
-			reg = pisa.NewMultiPortRegister("r", 64, 3)
 		}
+		prog := pisa.NewProgram("ablation")
+		prog.AddRegister(reg)
 		// Drive the register directly: one ingress read + one enq + one
 		// deq per cycle at full load for 10k cycles.
 		ing := &pisa.Context{}
@@ -50,7 +50,6 @@ func Ablations(env *Env) *Result {
 			ing.Reset(nil, &events.Event{Kind: events.IngressPacket}, 0, c)
 			enq.Reset(nil, &events.Event{Kind: events.BufferEnqueue}, 0, c)
 			deq.Reset(nil, &events.Event{Kind: events.BufferDequeue}, 0, c)
-			reg.Tick(c)
 			idx := uint32(c % 64)
 			reg.Add(enq, idx, +100)
 			reg.Add(deq, idx, -60)
@@ -59,7 +58,7 @@ func Ablations(env *Env) *Result {
 			if e := want - got; e > maxErr {
 				maxErr = e
 			}
-			reg.EndCycle()
+			prog.EndCycle(c)
 		}
 		_, conflicts := reg.Metrics()
 		ports := 1

@@ -53,7 +53,7 @@ func Fig3(env *Env) *Result {
 				ag.Defer(1, uint32(rng.Intn(size)), -1000)
 			}
 			if rng.Float64() < load {
-				ag.Main().TryRead(uint32(rng.Intn(size)))
+				ag.Main().TryRead(c, uint32(rng.Intn(size)))
 			}
 			ag.EndCycle()
 			if c == cycles/2 {

@@ -31,9 +31,6 @@ func (s *Switch) runSlot() {
 	s.stats.Cycles++
 
 	cycle := s.cycleIdx
-	if s.prog != nil {
-		s.prog.Tick(cycle)
-	}
 
 	// In the ablation's no-piggyback mode, a slot with pending events
 	// carries only events (an empty packet), and packets wait.
@@ -75,7 +72,7 @@ func (s *Switch) runSlot() {
 			s.tel.DrainSlots.Inc()
 		}
 		if s.prog != nil {
-			s.prog.EndCycle()
+			s.prog.EndCycle(cycle)
 		}
 		return
 	}
@@ -89,7 +86,7 @@ func (s *Switch) runSlot() {
 	}
 
 	ctx := &s.ctx
-	pktEv := events.Event{Kind: pktKind, When: now, Port: pkt.InPort, PktLen: pkt.Len()}
+	pktEv := events.Event{Kind: pktKind, When: now, Port: pkt.InPort, PktLen: int32(pkt.Len())}
 	ctx.Reset(pkt, &pktEv, now, cycle)
 
 	// The parsed flow and its hash outlive the handlers: the enqueue
@@ -137,7 +134,7 @@ func (s *Switch) runSlot() {
 	s.finishSlot(ctx, havePkt, fh)
 
 	if s.prog != nil {
-		s.prog.EndCycle()
+		s.prog.EndCycle(cycle)
 	}
 }
 

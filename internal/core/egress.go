@@ -68,7 +68,7 @@ func (s *Switch) pump(port int) {
 			ctx = &pisa.Context{}
 		}
 		ctx.Reset(pkt, &events.Event{
-			Kind: events.EgressPacket, When: s.sched.Now(), Port: port, PktLen: pkt.Len(),
+			Kind: events.EgressPacket, When: s.sched.Now(), Port: port, PktLen: int32(pkt.Len()),
 		}, s.sched.Now(), s.cycleIdx)
 		parseSlot(ctx)
 		ctx.EgressPort = port
@@ -114,7 +114,7 @@ func (s *Switch) txComplete(port int) {
 	s.stats.TxBytes += uint64(pkt.Len())
 	s.pushEvent(&events.Event{
 		Kind: events.PacketTransmitted, When: s.sched.Now(),
-		Port: port, PktLen: pkt.Len(),
+		Port: port, PktLen: int32(pkt.Len()),
 	})
 	if s.OnTransmit != nil {
 		// netsim's transmit hook copies the frame into its own pooled

@@ -188,7 +188,7 @@ func refEventUpdate(e *events.Event, regs int) (uint32, int64) {
 	case events.BufferDequeue:
 		return uint32((e.Port*5 + int(e.FlowHash%7)) % regs), -int64(e.PktLen)
 	case events.TimerExpiration:
-		return uint32(e.TimerID % regs), 1
+		return uint32(int(e.TimerID) % regs), 1
 	case events.ControlPlaneTriggered:
 		return uint32(e.Data % uint64(regs)), 3
 	case events.LinkStatusChange:
@@ -403,7 +403,7 @@ func runRefModel(rc refConfig, tmOffers []refOffer) refTrace {
 	}
 	for id, p := range rc.timers {
 		for t := p; t <= rc.horizon; t += p {
-			add(refStim{at: t, ev: events.Event{Kind: events.TimerExpiration, When: t, TimerID: id, Port: -1}})
+			add(refStim{at: t, ev: events.Event{Kind: events.TimerExpiration, When: t, TimerID: int16(id), Port: -1}})
 		}
 	}
 	for i, at := range rc.controls {

@@ -88,7 +88,7 @@ func (s *Switch) ConfigureTimer(id int, period sim.Time) error {
 	}
 	s.timers[id] = s.sched.Every(period, func() {
 		s.pushEvent(&events.Event{
-			Kind: events.TimerExpiration, When: s.sched.Now(), TimerID: id, Port: -1,
+			Kind: events.TimerExpiration, When: s.sched.Now(), TimerID: int16(id), Port: -1,
 		})
 	})
 	return nil
@@ -182,15 +182,7 @@ func (s *Switch) haveOtherWork() bool {
 }
 
 func (s *Switch) haveDrainWork() bool {
-	if s.prog == nil {
-		return false
-	}
-	for _, r := range s.prog.Registers() {
-		if r.Backlog() > 0 {
-			return true
-		}
-	}
-	return false
+	return s.prog != nil && s.prog.HasBacklog()
 }
 
 // wake arms the next pipeline cycle if work is pending. The cycle runs

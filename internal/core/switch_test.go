@@ -3,6 +3,7 @@ package core
 import (
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/events"
 	"repro/internal/packet"
@@ -156,7 +157,7 @@ func TestTimerEvents(t *testing.T) {
 	p := pisa.NewProgram("timers")
 	var fired []int
 	p.HandleFunc(events.TimerExpiration, func(ctx *pisa.Context) {
-		fired = append(fired, ctx.Ev.TimerID)
+		fired = append(fired, int(ctx.Ev.TimerID))
 	})
 	sw.MustLoad(p)
 	if err := sw.ConfigureTimer(2, 100*sim.Microsecond); err != nil {
@@ -417,7 +418,7 @@ func TestUnsubscribedEventsNotQueued(t *testing.T) {
 }
 
 // TestLoadReservesHandledQueues: the event FIFO rings are not built with
-// the switch (13 kinds × 512 × 80 B each) but at Load, for the kinds the
+// the switch (13 kinds × 512 × 48 B each) but at Load, for the kinds the
 // program handles — so the first event of a run finds its ring in place.
 func TestLoadReservesHandledQueues(t *testing.T) {
 	sw := New(Config{}, EventDriven(), sim.NewScheduler())
@@ -425,7 +426,7 @@ func TestLoadReservesHandledQueues(t *testing.T) {
 	p.HandleFunc(events.IngressPacket, func(ctx *pisa.Context) {})
 	p.HandleFunc(events.BufferDequeue, func(ctx *pisa.Context) {})
 	sw.MustLoad(p)
-	ring := uint64(sw.Config().EventQueueDepth) * 64
+	ring := uint64(sw.Config().EventQueueDepth) * uint64(unsafe.Sizeof(events.Event{}))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	ok := sw.InjectEvent(events.Event{Kind: events.BufferDequeue, Port: 1})

@@ -110,34 +110,38 @@ func (k Kind) IsPacketEvent() bool {
 // Event Merger attaches it to a pipeline slot it becomes the event
 // metadata visible to the P4 event-handler controls (e.g. the paper's
 // enq_meta / deq_meta).
+//
+// Like the SUME Event Switch's metadata bus (paper §3, Fig. 4) it is one
+// fixed-width word: 48 bytes, small enough that every copy between the
+// traffic manager, the event FIFOs and the slot is a few inline moves.
+// The narrow fields are last so that they share one 8-byte word.
 type Event struct {
-	Kind Kind
 	// When is the instant the event was generated by its source.
 	When sim.Time
 	// Seq is a per-source sequence number for tracing.
 	Seq uint64
-	// Port is the relevant port (enq/deq/overflow: output port;
-	// link status / transmitted: the port; otherwise -1).
-	Port int
-	// Queue is the queue index within the port, where relevant.
-	Queue int
-	// PktLen is the packet length in bytes for enqueue/dequeue/
-	// overflow/transmitted events.
-	PktLen int
 	// FlowHash carries the packet's flow hash for per-flow state
 	// updates (the paper's enq_meta.flowID).
 	FlowHash uint64
-	// TimerID identifies which timer expired.
-	TimerID int
-	// Up is the new link state for LinkStatusChange.
-	Up bool
 	// Data is the payload of control-plane and user events.
 	Data uint64
+	// Port is the relevant port (enq/deq/overflow: output port;
+	// link status / transmitted: the port; otherwise -1).
+	Port int
+	// PktLen is the packet length in bytes for enqueue/dequeue/
+	// overflow/transmitted events.
+	PktLen int32
+	// TimerID identifies which timer expired.
+	TimerID int16
+	// Kind is the event's row of Table 1.
+	Kind Kind
+	// Up is the new link state for LinkStatusChange.
+	Up bool
 }
 
 // String renders the event for traces.
 func (e Event) String() string {
-	return fmt.Sprintf("%s@%v(port=%d q=%d len=%d)", e.Kind, e.When, e.Port, e.Queue, e.PktLen)
+	return fmt.Sprintf("%s@%v(port=%d len=%d)", e.Kind, e.When, e.Port, e.PktLen)
 }
 
 // OverflowPolicy selects what a Queue does under pressure. A fault storm
@@ -212,7 +216,7 @@ func NewQueue(kind Kind, capacity int) *Queue {
 
 // Reserve allocates the ring now instead of when the first event is
 // stored. A switch has a queue per kind and most programs handle two or
-// three, so the ring (capacity × 80 B) is not paid for at construction;
+// three, so the ring (capacity × 48 B) is not paid for at construction;
 // core.Switch.Load reserves the kinds its program handles, which keeps the
 // allocation out of the run.
 func (q *Queue) Reserve() {

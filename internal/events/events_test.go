@@ -3,6 +3,7 @@ package events
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestKindStrings(t *testing.T) {
@@ -105,8 +106,16 @@ func TestQueuePropertyCount(t *testing.T) {
 	}
 }
 
+// TestEventIsOneBusWord holds the event to the 48 bytes that keep every
+// copy between the traffic manager, the event FIFOs and the slot inline.
+func TestEventIsOneBusWord(t *testing.T) {
+	if size := unsafe.Sizeof(Event{}); size > 48 {
+		t.Errorf("events.Event is %d bytes, want at most 48", size)
+	}
+}
+
 func TestEventString(t *testing.T) {
-	e := Event{Kind: BufferOverflow, Port: 2, Queue: 1, PktLen: 64}
+	e := Event{Kind: BufferOverflow, Port: 2, PktLen: 64}
 	if s := e.String(); s == "" {
 		t.Error("empty event string")
 	}

@@ -39,9 +39,8 @@ func BenchmarkInterpMicroburstIngress(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ctx.Cycle = uint64(i + 1)
-		inst.Program().Tick(ctx.Cycle)
 		inst.Program().Apply(ctx)
-		inst.Program().EndCycle()
+		inst.Program().EndCycle(ctx.Cycle)
 	}
 }
 
@@ -83,9 +82,8 @@ func benchControl(b *testing.B, interp bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ctx.Cycle = uint64(i + 1)
-		inst.Program().Tick(ctx.Cycle)
 		inst.Program().Apply(ctx)
-		inst.Program().EndCycle()
+		inst.Program().EndCycle(ctx.Cycle)
 	}
 }
 

@@ -290,7 +290,8 @@ func compileField(f fieldID) exprFn {
 	case fEvPort:
 		return func(ctx *pisa.Context, _ []uint64) uint64 { return uint64(uint16(int16(ctx.Ev.Port))) }
 	case fEvQueue:
-		return func(ctx *pisa.Context, _ []uint64) uint64 { return uint64(ctx.Ev.Queue) }
+		// A port has one FIFO queue, so the queue index is always 0.
+		return func(*pisa.Context, []uint64) uint64 { return 0 }
 	case fEvTimerID:
 		return func(ctx *pisa.Context, _ []uint64) uint64 { return uint64(ctx.Ev.TimerID) }
 	case fEvLinkUp:

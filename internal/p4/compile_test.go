@@ -76,14 +76,12 @@ func runBackend(tb testing.TB, src string, interp bool, install func(*Instance) 
 					When:     sim.Time(int64(cycle) * 100),
 					Seq:      cycle,
 					Port:     fi%4 - 1,
-					Queue:    fi % 2,
-					PktLen:   len(data),
+					PktLen:   int32(len(data)),
 					FlowHash: uint64(fi)*2654435761 + uint64(round),
-					TimerID:  round % 2,
+					TimerID:  int16(round % 2),
 					Up:       fi%2 == 0,
 					Data:     uint64(round*31 + fi),
 				}
-				inst.Program().Tick(cycle)
 				ctx.Reset(pkt, &ev, ev.When, cycle)
 				_ = ctx.Parsed.Decode(data, &ctx.Decoded)
 				inst.Program().Apply(ctx)
@@ -95,7 +93,7 @@ func runBackend(tb testing.TB, src string, interp bool, install func(*Instance) 
 				for _, r := range ctx.Raised {
 					fmt.Fprintf(&sb, "  raised kind=%v data=%d port=%d\n", r.Kind, r.Data, r.Port)
 				}
-				inst.Program().EndCycle()
+				inst.Program().EndCycle(cycle)
 			}
 		}
 	}
@@ -415,11 +413,10 @@ control Enqueue { apply { occ.add(ev.queue, ev.pkt_len); } }`
 	cycle := uint64(0)
 	run := func(kind events.Kind) {
 		cycle++
-		inst.Program().Tick(cycle)
-		ctx.Reset(pkt, &events.Event{Kind: kind, PktLen: len(data), Queue: 1}, sim.Time(int64(cycle)), cycle)
+		ctx.Reset(pkt, &events.Event{Kind: kind, PktLen: int32(len(data))}, sim.Time(int64(cycle)), cycle)
 		_ = ctx.Parsed.Decode(data, &ctx.Decoded)
 		inst.Program().Apply(ctx)
-		inst.Program().EndCycle()
+		inst.Program().EndCycle(cycle)
 	}
 	// Warm up lazily-allocated state, then measure.
 	for i := 0; i < 100; i++ {

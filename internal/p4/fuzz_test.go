@@ -112,11 +112,10 @@ func FuzzCompiledVsInterp(f *testing.F) {
 					pkt := &packet.Packet{Data: d, InPort: int(evBits % 5)}
 					ev := events.Event{
 						Kind: k, When: sim.Time(int64(cycle) * 10), Seq: cycle,
-						Port: int(evBits%7) - 1, Queue: int(evBits % 3), PktLen: len(d),
-						FlowHash: evBits * 2654435761, TimerID: int(evBits % 2),
+						Port: int(evBits%7) - 1, PktLen: int32(len(d)),
+						FlowHash: evBits * 2654435761, TimerID: int16(evBits % 2),
 						Up: evBits%2 == 0, Data: evBits + uint64(round),
 					}
-					inst.Program().Tick(cycle)
 					ctx.Reset(pkt, &ev, ev.When, cycle)
 					_ = ctx.Parsed.Decode(d, &ctx.Decoded)
 					inst.Program().Apply(ctx)
@@ -127,7 +126,7 @@ func FuzzCompiledVsInterp(f *testing.F) {
 					for _, r := range ctx.Raised {
 						fmt.Fprintf(&sb, "r%d:%d|", r.Kind, r.Data)
 					}
-					inst.Program().EndCycle()
+					inst.Program().EndCycle(cycle)
 				}
 			}
 			// Register/counter state, sampled up to 1024 cells per extern

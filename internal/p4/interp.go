@@ -558,7 +558,7 @@ func evalField(f fieldID, ctx *pisa.Context) uint64 {
 	case fEvPort:
 		return uint64(uint16(int16(ctx.Ev.Port)))
 	case fEvQueue:
-		return uint64(ctx.Ev.Queue)
+		return 0 // a port has one FIFO queue
 	case fEvTimerID:
 		return uint64(ctx.Ev.TimerID)
 	case fEvLinkUp:

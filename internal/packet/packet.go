@@ -93,31 +93,45 @@ func grow(buf []byte, n int) ([]byte, int) {
 // generation: AppendFrame(scratch[:0], spec). Identical bytes to
 // BuildFrame.
 func AppendFrame(dst []byte, spec FrameSpec) []byte {
-	proto := spec.Flow.Proto
+	dst, base := grow(dst, FrameLen(spec))
+	PutFrameHeaders(dst[base:], spec)
+	return dst
+}
+
+// frameProto is the transport protocol of spec's frame (UDP by default)
+// and the length of its headers.
+func frameProto(spec FrameSpec) (IPProto, int) {
+	proto, headers := spec.Flow.Proto, EthernetHeaderLen+IPv4HeaderLen+UDPHeaderLen
 	if proto == 0 {
 		proto = ProtoUDP
 	}
-	transportLen := UDPHeaderLen
 	if proto == ProtoTCP {
-		transportLen = TCPHeaderLen
+		headers = EthernetHeaderLen + IPv4HeaderLen + TCPHeaderLen
 	}
-	minLen := EthernetHeaderLen + IPv4HeaderLen + transportLen
-	total := spec.TotalLen
-	if total < minLen {
-		total = minLen
-	}
-	if total < MinFrameLen {
-		total = MinFrameLen
-	}
+	return proto, headers
+}
+
+// FrameLen returns the length of the frame spec describes:
+// max(TotalLen, its headers, MinFrameLen).
+func FrameLen(spec FrameSpec) int {
+	_, headers := frameProto(spec)
+	return max(spec.TotalLen, headers, MinFrameLen)
+}
+
+// PutFrameHeaders writes the Ethernet, IPv4 and UDP or TCP headers of the
+// frame spec describes over the start of frame, which must be FrameLen(spec)
+// bytes long, and leaves the payload bytes as they are. AppendFrame is
+// PutFrameHeaders over zeroed bytes; a caller rebuilding, in place, a frame
+// of the same protocol whose payload it never wrote need not clear it.
+func PutFrameHeaders(frame []byte, spec FrameSpec) {
+	proto, _ := frameProto(spec)
+	total := len(frame)
 	ttl := spec.TTL
 	if ttl == 0 {
 		ttl = 64
 	}
-	dst, base := grow(dst, total)
-	buf := dst[base:]
-
 	eth := Ethernet{Dst: spec.DstMAC, Src: spec.SrcMAC, Type: EtherTypeIPv4}
-	off := eth.SerializeTo(buf)
+	off := eth.SerializeTo(frame)
 
 	ip := IPv4{
 		TotalLen: uint16(total - EthernetHeaderLen),
@@ -126,7 +140,7 @@ func AppendFrame(dst []byte, spec FrameSpec) []byte {
 		Src:      spec.Flow.Src,
 		Dst:      spec.Flow.Dst,
 	}
-	off += ip.SerializeTo(buf[off:])
+	off += ip.SerializeTo(frame[off:])
 
 	switch proto {
 	case ProtoTCP:
@@ -137,16 +151,15 @@ func AppendFrame(dst []byte, spec FrameSpec) []byte {
 			Flags:   spec.TCPFlags,
 			Window:  65535,
 		}
-		t.SerializeTo(buf[off:])
+		t.SerializeTo(frame[off:])
 	default:
 		u := UDP{
 			SrcPort: spec.Flow.SrcPort,
 			DstPort: spec.Flow.DstPort,
 			Length:  uint16(total - EthernetHeaderLen - IPv4HeaderLen),
 		}
-		u.SerializeTo(buf[off:])
+		u.SerializeTo(frame[off:])
 	}
-	return dst
 }
 
 // ControlLayer is a custom event-protocol header (Probe, Echo, Report):

@@ -38,37 +38,40 @@ type SharedRegister struct {
 	// ride the same memory transaction.
 	heldCycle [events.NumKinds]uint64
 
+	// owner is the program the register was added to, which drains it
+	// while it has a backlog; pos is its place in owner's register list
+	// and queued says whether it is in owner's backlog set.
+	owner  *Program
+	pos    int
+	queued bool
+
 	conflicts uint64 // direct accesses denied a port (over-subscription)
-	staleRead uint64 // reads served from the stale main value
 }
 
 // NewAggregatedRegister builds a shared register in aggregated mode. The
 // deferred kinds each get an aggregation bank (in the order given);
 // every other kind accesses the main array directly.
 func NewAggregatedRegister(name string, size int, deferred ...events.Kind) *SharedRegister {
-	r := &SharedRegister{name: name, size: size}
-	for i := range r.classOf {
-		r.classOf[i] = -1
-	}
+	r := newSharedRegister(name, size)
 	classes := make([]string, len(deferred))
 	for i, k := range deferred {
 		classes[i] = k.String()
 		r.classOf[k] = i
 	}
-	if len(classes) == 0 {
-		classes = []string{"none"} // state.NewAggregated requires one bank
-	}
 	r.agg = state.NewAggregated(name, size, 1, classes...)
-	for i := range r.heldCycle {
-		r.heldCycle[i] = ^uint64(0)
-	}
 	return r
 }
 
 // NewMultiPortRegister builds a shared register in multi-ported mode with
 // the given number of ports (one per concurrent thread).
 func NewMultiPortRegister(name string, size, ports int) *SharedRegister {
-	r := &SharedRegister{name: name, size: size, arr: state.NewArray(name, size, ports)}
+	r := newSharedRegister(name, size)
+	r.arr = state.NewArray(size, ports)
+	return r
+}
+
+func newSharedRegister(name string, size int) *SharedRegister {
+	r := &SharedRegister{name: name, size: size}
 	for i := range r.classOf {
 		r.classOf[i] = -1
 	}
@@ -99,9 +102,7 @@ func (r *SharedRegister) acquire(ctx *Context) bool {
 	if r.heldCycle[k] == ctx.Cycle {
 		return true
 	}
-	a := r.mainArr()
-	a.Tick(ctx.Cycle)
-	if !a.TryAcquire() {
+	if !r.mainArr().TryAcquire(ctx.Cycle) {
 		r.conflicts++
 		return false
 	}
@@ -112,14 +113,11 @@ func (r *SharedRegister) acquire(ctx *Context) bool {
 // Read returns the register value visible to the calling thread. Packet
 // threads (and all threads in multiport mode) read through their memory
 // transaction; deferred event threads see the stale main value without a
-// port (they own only their aggregation bank).
+// port (they own only their aggregation bank). A direct thread refused a
+// port (a counted conflict) sees the main value all the same.
 func (r *SharedRegister) Read(ctx *Context, idx uint32) uint64 {
-	if r.agg != nil && r.classOf[ctx.Ev.Kind] >= 0 {
-		r.staleRead++
-		return r.mainArr().Peek(idx % uint32(r.size))
-	}
-	if !r.acquire(ctx) {
-		r.staleRead++
+	if r.agg == nil || r.classOf[ctx.Ev.Kind] < 0 {
+		r.acquire(ctx)
 	}
 	return r.mainArr().Peek(idx % uint32(r.size))
 }
@@ -130,10 +128,10 @@ func (r *SharedRegister) Add(ctx *Context, idx uint32, delta int64) {
 	if r.agg != nil {
 		if c := r.classOf[ctx.Ev.Kind]; c >= 0 {
 			r.agg.Tick(ctx.Cycle)
-			if !r.agg.Defer(c, idx, delta) {
-				// Bank port exhausted: the update is lost, which is what
-				// the hardware would do; it is counted in the metrics.
-				return
+			// A refused delta (bank port exhausted) is lost, which is
+			// what the hardware would do; it is counted in the metrics.
+			if r.agg.Defer(c, idx, delta) && !r.queued && r.owner != nil && r.agg.Backlog() > 0 {
+				r.owner.markBacklogged(r)
 			}
 			return
 		}
@@ -191,27 +189,20 @@ func (r *SharedRegister) SetDrainHook(fn func(idx uint32, lag uint64)) {
 func (r *SharedRegister) Reset() {
 	if r.agg != nil {
 		r.agg.ResetAll()
+		if r.queued {
+			r.owner.unmarkBacklogged(r)
+		}
 		return
 	}
 	r.arr.Reset()
 }
 
-// Tick advances the register's memories to the given cycle. The switch
-// core calls this once per pipeline cycle before executing the slot.
-func (r *SharedRegister) Tick(cycle uint64) {
-	if r.agg != nil {
-		r.agg.Tick(cycle)
-	} else {
-		r.arr.Tick(cycle)
-	}
-}
-
-// EndCycle drains pending aggregated deltas using idle bandwidth. The
-// switch core calls this once per pipeline cycle after the slot.
-func (r *SharedRegister) EndCycle() {
-	if r.agg != nil {
-		r.agg.EndCycle()
-	}
+// drain lets the register fold aggregated deltas into its main array with
+// the bandwidth cycle left unused, and reports whether a backlog remains.
+func (r *SharedRegister) drain(cycle uint64) bool {
+	r.agg.Tick(cycle)
+	r.agg.EndCycle()
+	return r.agg.Backlog() > 0
 }
 
 // Backlog returns the number of register entries with pending undrained

@@ -1,6 +1,7 @@
 package pisa
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -12,6 +13,13 @@ func newCtx(kind events.Kind, cycle uint64) *Context {
 	ctx := &Context{}
 	ctx.Reset(nil, &events.Event{Kind: kind}, 0, cycle)
 	return ctx
+}
+
+// owned adds r to a fresh program, which drains it at EndCycle.
+func owned(r *SharedRegister) *Program {
+	p := NewProgram("owner")
+	p.AddRegister(r)
+	return p
 }
 
 func TestContextReset(t *testing.T) {
@@ -252,7 +260,6 @@ func TestPrefixMask(t *testing.T) {
 func TestSharedRegisterDirectAccess(t *testing.T) {
 	r := NewAggregatedRegister("qsize", 8, events.BufferEnqueue, events.BufferDequeue)
 	ctx := newCtx(events.IngressPacket, 1)
-	r.Tick(1)
 	r.Write(ctx, 2, 100)
 	if got := r.Read(ctx, 2); got != 100 {
 		t.Errorf("read = %d, want 100", got)
@@ -269,14 +276,14 @@ func TestSharedRegisterDirectAccess(t *testing.T) {
 
 func TestSharedRegisterDeferredUpdate(t *testing.T) {
 	r := NewAggregatedRegister("qsize", 8, events.BufferEnqueue, events.BufferDequeue)
+	p := owned(r)
 	enq := newCtx(events.BufferEnqueue, 1)
 	ing := newCtx(events.IngressPacket, 1)
-	r.Tick(1)
 	// A packet thread holds the main port this cycle, so the deferred
 	// update cannot drain yet.
 	_ = r.Read(ing, 3)
 	r.Add(enq, 3, +200)
-	r.EndCycle()
+	p.EndCycle(1)
 	// Value not yet in main; True sees it.
 	if got := r.Stale(3); got != 0 {
 		t.Errorf("stale = %d, want 0 before drain", got)
@@ -285,13 +292,11 @@ func TestSharedRegisterDeferredUpdate(t *testing.T) {
 		t.Errorf("true = %d, want 200", got)
 	}
 	// Idle cycle drains.
-	r.Tick(2)
-	r.EndCycle()
+	p.EndCycle(2)
 	if got := r.Stale(3); got != 200 {
 		t.Errorf("stale = %d, want 200 after drain", got)
 	}
 	// Deferred reads see the (possibly stale) main value without error.
-	r.Tick(3)
 	if got := r.Read(enq, 3); got != 200 {
 		t.Errorf("deferred read = %d", got)
 	}
@@ -309,7 +314,6 @@ func TestSharedRegisterDeferredWritePanics(t *testing.T) {
 
 func TestSharedRegisterMultiPortExact(t *testing.T) {
 	r := NewMultiPortRegister("x", 4, 3)
-	r.Tick(1)
 	ing := newCtx(events.IngressPacket, 1)
 	enq := newCtx(events.BufferEnqueue, 1)
 	deq := newCtx(events.BufferDequeue, 1)
@@ -328,7 +332,6 @@ func TestSharedRegisterConflictWhenOverSubscribed(t *testing.T) {
 	// Multiport with 1 port: two different kinds in the same cycle
 	// conflict.
 	r := NewMultiPortRegister("x", 4, 1)
-	r.Tick(1)
 	a := newCtx(events.IngressPacket, 1)
 	b := newCtx(events.EgressPacket, 1)
 	r.Write(a, 0, 5)
@@ -344,12 +347,18 @@ func TestSharedRegisterConflictWhenOverSubscribed(t *testing.T) {
 
 func TestSharedRegisterReset(t *testing.T) {
 	r := NewAggregatedRegister("x", 4, events.BufferEnqueue)
+	p := owned(r)
 	ctx := newCtx(events.BufferEnqueue, 1)
-	r.Tick(1)
 	r.Add(ctx, 1, 50)
+	if !p.HasBacklog() {
+		t.Fatal("deferred add left the program without a backlog")
+	}
 	r.Reset()
 	if r.True(1) != 0 || r.Stale(1) != 0 {
 		t.Errorf("after reset: true=%d stale=%d", r.True(1), r.Stale(1))
+	}
+	if p.HasBacklog() {
+		t.Error("reset register still in the program's backlog set")
 	}
 }
 
@@ -434,28 +443,56 @@ func TestProgramNamedObjects(t *testing.T) {
 	p.AddRegister(NewAggregatedRegister("r1", 4))
 }
 
-func TestProgramTickEndCycleDrain(t *testing.T) {
+func TestProgramEndCycleDrain(t *testing.T) {
 	p := NewProgram("test")
 	r := p.AddRegister(NewAggregatedRegister("r", 4, events.BufferEnqueue))
 	ctx := newCtx(events.BufferEnqueue, 1)
-	p.Tick(1)
 	r.Add(ctx, 0, 7)
-	p.EndCycle()
-	p.Tick(2)
-	p.EndCycle()
+	if !p.HasBacklog() {
+		t.Fatal("no backlog after a deferred add")
+	}
+	p.EndCycle(1)
 	if r.Stale(0) != 7 {
 		t.Errorf("drain via Program failed: %d", r.Stale(0))
+	}
+	if p.HasBacklog() {
+		t.Error("backlog left after the register drained")
+	}
+}
+
+// TestProgramDrainsInDeclarationOrder holds EndCycle to visiting the
+// backlogged registers in the order they were added, whatever order
+// their backlogs arose in: drain hooks observe that order.
+func TestProgramDrainsInDeclarationOrder(t *testing.T) {
+	p := NewProgram("order")
+	var regs []*SharedRegister
+	var seen []string
+	for _, name := range []string{"a", "b", "c", "d"} {
+		r := p.AddRegister(NewAggregatedRegister(name, 4, events.BufferEnqueue))
+		r.SetDrainHook(func(uint32, uint64) { seen = append(seen, name) })
+		regs = append(regs, r)
+	}
+	enq := newCtx(events.BufferEnqueue, 1)
+	for _, i := range []int{3, 0, 2} {
+		regs[i].Add(enq, 0, 1)
+	}
+	p.EndCycle(1)
+	if got := strings.Join(seen, ""); got != "acd" {
+		t.Errorf("drain order %q, want %q", got, "acd")
+	}
+	if p.HasBacklog() {
+		t.Error("backlog left after every register drained")
 	}
 }
 
 func TestSharedRegisterPendingAbsAndBacklog(t *testing.T) {
 	r := NewAggregatedRegister("x", 8, events.BufferEnqueue)
+	p := owned(r)
 	ing := newCtx(events.IngressPacket, 1)
 	enq := newCtx(events.BufferEnqueue, 1)
-	r.Tick(1)
 	_ = r.Read(ing, 0) // hold the main port so nothing drains
 	r.Add(enq, 3, +500)
-	r.EndCycle()
+	p.EndCycle(1)
 	if r.Backlog() != 1 || r.PendingAbs() != 500 {
 		t.Errorf("backlog=%d pending=%d, want 1/500", r.Backlog(), r.PendingAbs())
 	}

@@ -2,6 +2,7 @@ package pisa
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/events"
@@ -22,6 +23,10 @@ type Program struct {
 	registers map[string]*SharedRegister
 	regList   []*SharedRegister // insertion order, for deterministic iteration
 	counters  map[string]*Counter
+
+	// backlogged lists the registers with deltas left to drain, in
+	// regList order: EndCycle visits only these.
+	backlogged []*SharedRegister
 }
 
 // NewProgram returns an empty program.
@@ -89,7 +94,14 @@ func (p *Program) AddRegister(r *SharedRegister) *SharedRegister {
 		panic(fmt.Sprintf("pisa: duplicate register %q in program %q", r.Name(), p.name))
 	}
 	p.registers[r.Name()] = r
+	r.owner, r.pos = p, len(p.regList)
 	p.regList = append(p.regList, r)
+	// Room for every register in the backlog set now, so that no slot
+	// ever grows it.
+	p.backlogged = slices.Grow(p.backlogged, len(p.regList)-len(p.backlogged))
+	if r.Backlog() > 0 {
+		p.markBacklogged(r)
+	}
 	return r
 }
 
@@ -123,20 +135,39 @@ func (p *Program) TableNames() []string {
 	return names
 }
 
-// Tick advances every shared register to the given pipeline cycle. The
-// switch core calls it once per cycle before executing the slot.
-func (p *Program) Tick(cycle uint64) {
-	for _, r := range p.regList {
-		r.Tick(cycle)
+// EndCycle lets every register with a drain backlog fold aggregated
+// updates into its main array with the cycle's leftover bandwidth, in
+// the order the registers were added. The switch core calls it once per
+// cycle, after the slot; registers without a backlog cost nothing.
+func (p *Program) EndCycle(cycle uint64) {
+	for i := 0; i < len(p.backlogged); {
+		if r := p.backlogged[i]; !r.drain(cycle) {
+			r.queued = false
+			p.backlogged = slices.Delete(p.backlogged, i, i+1)
+			continue
+		}
+		i++
 	}
 }
 
-// EndCycle lets every shared register drain aggregated updates with the
-// cycle's leftover bandwidth. The switch core calls it after the slot.
-func (p *Program) EndCycle() {
-	for _, r := range p.regList {
-		r.EndCycle()
+// HasBacklog reports whether any register has deltas left to drain.
+func (p *Program) HasBacklog() bool { return len(p.backlogged) > 0 }
+
+// markBacklogged adds r to the backlog set at its place in regList order.
+func (p *Program) markBacklogged(r *SharedRegister) {
+	r.queued = true
+	i := len(p.backlogged)
+	for i > 0 && p.backlogged[i-1].pos > r.pos {
+		i--
 	}
+	p.backlogged = slices.Insert(p.backlogged, i, r)
+}
+
+// unmarkBacklogged removes r from the backlog set (a reset discarded its
+// backlog).
+func (p *Program) unmarkBacklogged(r *SharedRegister) {
+	r.queued = false
+	p.backlogged = slices.DeleteFunc(p.backlogged, func(q *SharedRegister) bool { return q == r })
 }
 
 // Apply runs the handler for the context's event kind, if bound.

@@ -20,18 +20,17 @@ import "fmt"
 // simulator measures it directly.
 type Aggregated struct {
 	main  *Array
-	banks []*bank
+	banks []bank
+	cycle uint64 // the current pipeline cycle, set by Tick
 
-	// drainBudget limits how many pending deltas may drain per idle main
-	// port per cycle; 1 models one extra RMW per spare port.
-	drained       uint64
-	deferred      uint64
-	dropped       uint64
-	maxBacklog    int
-	stalenessSum  uint64 // cycles of delay accumulated over drained deltas
-	stalenessMax  uint64
-	drainPriority []int // bank indices in drain order
-	rrNext        int   // round-robin pointer over drainPriority
+	backlog      int // dirty (undrained) entries across all banks
+	drained      uint64
+	deferred     uint64
+	dropped      uint64
+	maxBacklog   int
+	stalenessSum uint64 // cycles of delay accumulated over drained deltas
+	stalenessMax uint64
+	rrNext       int // the bank the next drain pass starts at
 
 	// onDrain, when non-nil, observes each drained delta with its index
 	// and the cycles it waited in its bank. Telemetry attaches here
@@ -43,32 +42,18 @@ type Aggregated struct {
 func (ag *Aggregated) SetDrainHook(fn func(idx uint32, lag uint64)) { ag.onDrain = fn }
 
 // bank is one event class's aggregation register array. The physical
-// memory is a 1R1W dual-ported SRAM: the event thread's read-modify-write
-// uses the write side (tracked by arr's single port), and the drain logic
-// uses the read side, limited to one drain per cycle (lastDrain).
+// memory is a 1R1W dual-ported SRAM: the event thread's delta uses the
+// write side, one per cycle (usedAt stamps it), and the drain logic uses
+// the read side, at most once per cycle because a drain pass visits each
+// bank once.
 type bank struct {
-	name      string
-	arr       *Array  // event-side port accounting
-	delta     []int64 // accumulated pending delta per index
-	since     []uint64
-	dirty     []uint32 // FIFO of indices with non-zero pending delta
-	head      int
-	inq       []bool
-	lastDrain uint64
+	delta  []int64 // accumulated pending delta per index
+	since  []uint64
+	dirty  []uint32 // FIFO of indices with non-zero pending delta
+	head   int
+	inq    []bool
+	usedAt uint64 // the cycle whose write port the last delta took
 }
-
-func newBank(name string, size int) *bank {
-	return &bank{
-		name:      name,
-		arr:       NewArray(name, size, 1),
-		delta:     make([]int64, size),
-		since:     make([]uint64, size),
-		inq:       make([]bool, size),
-		lastDrain: ^uint64(0),
-	}
-}
-
-func (b *bank) backlog() int { return len(b.dirty) - b.head }
 
 func (b *bank) pop() (uint32, bool) {
 	if b.head >= len(b.dirty) {
@@ -94,16 +79,20 @@ func (b *bank) pop() (uint32, bool) {
 
 // NewAggregated builds the Figure 3 arrangement: a main array of the given
 // size with mainPorts access ports, plus one single-ported aggregation
-// bank per named event class. Classes are drained in the order given
-// (earlier classes have higher drain priority).
+// bank per event class. Drain passes serve the banks round-robin from the
+// first class. A register with no classes has no bank and never defers.
+// Only the number of classes matters: the name and the class names label
+// the call. Every caller passes mainPorts 1; the signature stays as it is
+// because benchmark/ calls it.
 func NewAggregated(name string, size, mainPorts int, classes ...string) *Aggregated {
-	if len(classes) == 0 {
-		panic("state: NewAggregated needs at least one event class")
-	}
-	ag := &Aggregated{main: NewArray(name, size, mainPorts)}
-	for i, c := range classes {
-		ag.banks = append(ag.banks, newBank(name+"."+c, size))
-		ag.drainPriority = append(ag.drainPriority, i)
+	ag := &Aggregated{main: NewArray(size, mainPorts), banks: make([]bank, len(classes))}
+	for i := range ag.banks {
+		ag.banks[i] = bank{
+			delta:  make([]int64, size),
+			since:  make([]uint64, size),
+			inq:    make([]bool, size),
+			usedAt: ^uint64(0),
+		}
 	}
 	return ag
 }
@@ -112,100 +101,84 @@ func NewAggregated(name string, size, mainPorts int, classes ...string) *Aggrega
 // the algorithmic state) and for monitor inspection via Peek.
 func (ag *Aggregated) Main() *Array { return ag.main }
 
+// Tick sets the current pipeline cycle: the cycle whose ports Defer and
+// EndCycle use. Call it before a cycle's first Defer or its EndCycle; it
+// touches no memory.
+func (ag *Aggregated) Tick(cycle uint64) { ag.cycle = cycle }
+
 // Defer records a delta from event class c against entry i. It consumes
-// one port on the class's aggregation bank; if that bank's port budget for
-// this cycle is exhausted the delta is rejected (the caller sees the event
-// dropped) — with one bank per event class and at most one event of each
-// class per cycle, rejection never happens, which is exactly the paper's
+// the class bank's write port for the current cycle; if another delta took
+// it this cycle the delta is rejected (the caller sees the event dropped)
+// — with one bank per event class and at most one event of each class per
+// cycle, rejection never happens, which is exactly the paper's
 // provisioning argument.
 func (ag *Aggregated) Defer(c int, i uint32, delta int64) bool {
-	b := ag.banks[c]
-	idx := i % uint32(len(b.delta))
-	if _, ok := b.arr.TryRMW(idx, func(v uint64) uint64 { return v + 1 }); !ok {
+	b := &ag.banks[c]
+	if b.usedAt == ag.cycle {
 		ag.dropped++
 		return false
 	}
+	b.usedAt = ag.cycle
 	ag.deferred++
+	idx := i % uint32(len(b.delta))
 	b.delta[idx] += delta
 	if !b.inq[idx] && b.delta[idx] != 0 {
 		b.inq[idx] = true
-		b.since[idx] = ag.mainCycle()
+		b.since[idx] = ag.cycle
 		b.dirty = append(b.dirty, idx)
-	}
-	if bl := ag.Backlog(); bl > ag.maxBacklog {
-		ag.maxBacklog = bl
+		ag.backlog++
+		ag.maxBacklog = max(ag.maxBacklog, ag.backlog)
 	}
 	return true
 }
 
-func (ag *Aggregated) mainCycle() uint64 { return ag.main.cycle }
-
-// Tick advances all memories to the given cycle. Call it at the *start* of
-// each pipeline cycle, before any accesses. Drain of pending deltas into
-// the main array happens inside EndCycle, which uses the ports left over
-// after this cycle's packet-event accesses.
-func (ag *Aggregated) Tick(cycle uint64) {
-	ag.main.Tick(cycle)
-	for _, b := range ag.banks {
-		b.arr.Tick(cycle)
-	}
-}
-
-// EndCycle applies pending aggregated deltas to the main array using any
-// port bandwidth left unused this cycle. Call it at the end of each
-// pipeline cycle. It returns the number of deltas drained.
+// EndCycle applies pending aggregated deltas to the main array using the
+// main ports the current cycle left unused, and returns the number of
+// deltas drained. Call it at most once per cycle, at its end.
+//
+// A drain pass visits each bank once, round-robin from where the last
+// pass stopped, so no event class starves another — the §4
+// memory-access-scheduling choice this model makes. A visited bank
+// with a backlog pops its oldest dirty index (its one drain-side read this
+// cycle) and, unless the index's deltas cancelled out, folds the delta
+// into the main array with one main port.
 func (ag *Aggregated) EndCycle() int {
-	n := 0
-	for ag.main.Free() > 0 {
-		if !ag.drainOne() {
-			break
-		}
-		n++
+	if ag.backlog == 0 || ag.main.Free(ag.cycle) == 0 {
+		return 0
 	}
-	return n
-}
-
-// drainOne pops one bank's oldest dirty index and folds its pending delta
-// into the main array. Applying a delta costs one main-array port and the
-// bank's drain-side read port (one drain per bank per cycle); banks are
-// served round-robin so no event class starves another — the §4
-// memory-access-scheduling choice this prototype makes.
-func (ag *Aggregated) drainOne() bool {
-	n := len(ag.drainPriority)
-	start := ag.rrNext
+	n, ci, drained := len(ag.banks), ag.rrNext, 0
 	for k := 0; k < n; k++ {
-		ci := ag.drainPriority[(start+k)%n]
-		b := ag.banks[ci]
-		if b.backlog() == 0 || b.lastDrain == ag.mainCycle() {
-			continue
+		b := &ag.banks[ci]
+		if ci++; ci == n {
+			ci = 0
 		}
 		idx, ok := b.pop()
 		if !ok {
 			continue
 		}
+		ag.backlog--
+		ag.rrNext = ci
 		b.inq[idx] = false
 		d := b.delta[idx]
 		b.delta[idx] = 0
-		b.lastDrain = ag.mainCycle()
-		ag.rrNext = (start + k + 1) % n
 		if d == 0 {
 			continue // cancelled out: the main port passes to the next bank
 		}
-		ag.main.TryRMW(idx, func(v uint64) uint64 {
-			return uint64(int64(v) + d)
-		})
-		lag := ag.mainCycle() - b.since[idx]
+		ag.main.TryAcquire(ag.cycle)
+		ag.main.vals[idx] = uint64(int64(ag.main.vals[idx]) + d)
+		lag := ag.cycle - b.since[idx]
 		ag.stalenessSum += lag
-		if lag > ag.stalenessMax {
-			ag.stalenessMax = lag
-		}
+		ag.stalenessMax = max(ag.stalenessMax, lag)
 		ag.drained++
+		drained++
 		if ag.onDrain != nil {
 			ag.onDrain(idx, lag)
 		}
-		return true
+		if ag.main.Free(ag.cycle) == 0 {
+			break
+		}
 	}
-	return false
+	return drained
 }
 
 // True returns the exact logical value of entry i: the main register plus
@@ -215,8 +188,8 @@ func (ag *Aggregated) drainOne() bool {
 func (ag *Aggregated) True(i uint32) int64 {
 	idx := i % uint32(ag.main.Size())
 	v := int64(ag.main.Peek(idx))
-	for _, b := range ag.banks {
-		v += b.delta[idx]
+	for i := range ag.banks {
+		v += ag.banks[i].delta[idx]
 	}
 	return v
 }
@@ -226,8 +199,8 @@ func (ag *Aggregated) True(i uint32) int64 {
 func (ag *Aggregated) Lag(i uint32) int64 {
 	idx := i % uint32(ag.main.Size())
 	var d int64
-	for _, b := range ag.banks {
-		d += b.delta[idx]
+	for i := range ag.banks {
+		d += ag.banks[i].delta[idx]
 	}
 	if d < 0 {
 		return -d
@@ -240,14 +213,14 @@ func (ag *Aggregated) Lag(i uint32) int64 {
 // everywhere).
 func (ag *Aggregated) ResetAll() {
 	ag.main.Reset()
-	for _, b := range ag.banks {
-		for i := range b.delta {
-			b.delta[i] = 0
-			b.inq[i] = false
-		}
+	for i := range ag.banks {
+		b := &ag.banks[i]
+		clear(b.delta)
+		clear(b.inq)
 		b.dirty = b.dirty[:0]
 		b.head = 0
 	}
+	ag.backlog = 0
 }
 
 // PendingAbs returns the total undrained magnitude across all banks:
@@ -256,8 +229,8 @@ func (ag *Aggregated) ResetAll() {
 // of how far behind the drain process is.
 func (ag *Aggregated) PendingAbs() int64 {
 	var total int64
-	for _, b := range ag.banks {
-		for _, d := range b.delta {
+	for i := range ag.banks {
+		for _, d := range ag.banks[i].delta {
 			if d < 0 {
 				total -= d
 			} else {
@@ -270,13 +243,7 @@ func (ag *Aggregated) PendingAbs() int64 {
 
 // Backlog returns the total number of dirty (undrained) entries across all
 // aggregation banks.
-func (ag *Aggregated) Backlog() int {
-	n := 0
-	for _, b := range ag.banks {
-		n += b.backlog()
-	}
-	return n
-}
+func (ag *Aggregated) Backlog() int { return ag.backlog }
 
 // Metrics reports drain statistics: deltas deferred, drained, and dropped
 // (bank port exhausted), peak backlog, and the mean and max cycles a delta

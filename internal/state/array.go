@@ -10,29 +10,28 @@
 // clock cycle. A single-ported array serves one read-modify-write per
 // cycle; requests beyond the budget are refused and the caller must
 // arbitrate (stall, drop, or defer).
+//
+// A port budget is a cycle stamp: every port-consuming access names its
+// cycle, and the first access in a new cycle resets the budget. Nothing
+// walks the memories once per cycle, so a cycle costs only the memories
+// it touches.
 package state
-
-import "fmt"
 
 // Array is a register array backed by a physical memory with a fixed
 // number of access ports. Each read, write, or read-modify-write consumes
-// one port for the current cycle. The pipeline advances the cycle with
-// Tick; accesses beyond the port budget in a cycle fail.
+// one port of the cycle it names; accesses beyond the port budget in a
+// cycle fail.
 type Array struct {
-	name   string
-	vals   []uint64
-	ports  int
-	used   int
-	cycle  uint64
-	reads  uint64
-	writes uint64
-	denied uint64
+	vals  []uint64
+	ports int
+	used  int    // ports consumed in cycle
+	cycle uint64 // the cycle of the last port-consuming access
 }
 
 // NewArray returns a register array with the given number of entries and
 // access ports per cycle. ports is typically 1 (single-ported SRAM); the
 // multi-ported configuration models low-line-rate devices (paper §4).
-func NewArray(name string, size, ports int) *Array {
+func NewArray(size, ports int) *Array {
 	if size <= 0 {
 		// µP4 source cannot reach this: check.go's `register %q size %d
 		// out of range` rule refuses a size of 0 (and above 1<<24).
@@ -44,64 +43,44 @@ func NewArray(name string, size, ports int) *Array {
 		// multi-ported caller (the memory ablation) passes a constant 3.
 		panic("state: array must have at least one port")
 	}
-	return &Array{name: name, vals: make([]uint64, size), ports: ports}
+	return &Array{vals: make([]uint64, size), ports: ports}
 }
 
 // Size returns the number of entries.
 func (a *Array) Size() int { return len(a.vals) }
 
-// Tick advances the array to the given clock cycle, resetting the port
-// budget. Cycles must be non-decreasing.
-func (a *Array) Tick(cycle uint64) {
-	if cycle < a.cycle {
-		panic(fmt.Sprintf("state: %s ticked backwards (%d -> %d)", a.name, a.cycle, cycle))
+// Free returns the number of ports still unused in the given cycle.
+func (a *Array) Free(cycle uint64) int {
+	if cycle != a.cycle {
+		return a.ports
 	}
+	return a.ports - a.used
+}
+
+// TryAcquire consumes one port in the given cycle without performing an
+// access, opening a memory transaction whose reads and writes the caller
+// performs via Peek and Poke (a stateful ALU's read-modify-write is one
+// such transaction). It returns false when the cycle's budget is
+// exhausted.
+func (a *Array) TryAcquire(cycle uint64) bool {
 	if cycle != a.cycle {
 		a.cycle = cycle
 		a.used = 0
 	}
-}
-
-// Free returns the number of unused ports remaining this cycle.
-func (a *Array) Free() int { return a.ports - a.used }
-
-// TryRead reads entry i, consuming one port. ok is false (and the value
-// zero) when the port budget for this cycle is exhausted.
-func (a *Array) TryRead(i uint32) (v uint64, ok bool) {
 	if a.used >= a.ports {
-		a.denied++
-		return 0, false
-	}
-	a.used++
-	a.reads++
-	return a.vals[i%uint32(len(a.vals))], true
-}
-
-// TryRMW atomically applies f to entry i, consuming one port (a stateful
-// ALU performs read-modify-write as a single memory transaction).
-func (a *Array) TryRMW(i uint32, f func(uint64) uint64) (uint64, bool) {
-	if a.used >= a.ports {
-		a.denied++
-		return 0, false
-	}
-	a.used++
-	a.reads++
-	a.writes++
-	idx := i % uint32(len(a.vals))
-	a.vals[idx] = f(a.vals[idx])
-	return a.vals[idx], true
-}
-
-// TryAcquire consumes one port without performing an access, opening a
-// memory transaction whose reads and writes the caller performs via Peek
-// and Poke. It returns false when the budget is exhausted.
-func (a *Array) TryAcquire() bool {
-	if a.used >= a.ports {
-		a.denied++
 		return false
 	}
 	a.used++
 	return true
+}
+
+// TryRead reads entry i, consuming one port in the given cycle. ok is
+// false (and the value zero) when the cycle's port budget is exhausted.
+func (a *Array) TryRead(cycle uint64, i uint32) (v uint64, ok bool) {
+	if !a.TryAcquire(cycle) {
+		return 0, false
+	}
+	return a.Peek(i), true
 }
 
 // Peek reads entry i without consuming a port. It models debug/monitor
@@ -114,8 +93,4 @@ func (a *Array) Peek(i uint32) uint64 { return a.vals[i%uint32(len(a.vals))] }
 func (a *Array) Poke(i uint32, v uint64) { a.vals[i%uint32(len(a.vals))] = v }
 
 // Reset zeroes every entry without consuming ports (control-plane reset).
-func (a *Array) Reset() {
-	for i := range a.vals {
-		a.vals[i] = 0
-	}
-}
+func (a *Array) Reset() { clear(a.vals) }

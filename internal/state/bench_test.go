@@ -15,11 +15,14 @@ func BenchmarkAggregatedDeferDrain(b *testing.B) {
 	}
 }
 
-func BenchmarkArrayRMW(b *testing.B) {
-	a := NewArray("r", 1024, 1)
+// BenchmarkArrayAcquire is one read-modify-write transaction per cycle.
+func BenchmarkArrayAcquire(b *testing.B) {
+	a := NewArray(1024, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.Tick(uint64(i + 1))
-		a.TryRMW(uint32(i&1023), func(v uint64) uint64 { return v + 1 })
+		idx := uint32(i & 1023)
+		if a.TryAcquire(uint64(i + 1)) {
+			a.Poke(idx, a.Peek(idx)+1)
+		}
 	}
 }

@@ -7,7 +7,7 @@ import "testing"
 func drainIdle(ag *Aggregated, max uint64) uint64 {
 	var used uint64
 	for used < max && ag.Backlog() > 0 {
-		ag.Tick(ag.main.cycle + 1)
+		ag.Tick(ag.cycle + 1)
 		ag.EndCycle()
 		used++
 	}
@@ -28,10 +28,10 @@ func TestBankCompactionShrinksCapacity(t *testing.T) {
 		c++
 		ag.Tick(c)
 		ag.Defer(0, uint32(i), 1)
-		ag.Main().TryRead(0) // keep the main port busy: no drains yet
+		ag.Main().TryRead(c, 0) // keep the main port busy: no drains yet
 		ag.EndCycle()
 	}
-	b := ag.banks[0]
+	b := &ag.banks[0]
 	if got := cap(b.dirty); got < size {
 		t.Fatalf("storm did not grow the FIFO: cap %d < %d", got, size)
 	}

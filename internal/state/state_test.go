@@ -6,55 +6,54 @@ import (
 )
 
 func TestArrayBasics(t *testing.T) {
-	a := NewArray("r", 8, 1)
-	if a.Name() != "r" || a.Size() != 8 || a.Ports() != 1 {
-		t.Fatalf("metadata wrong: %s %d %d", a.Name(), a.Size(), a.Ports())
+	a := NewArray(8, 1)
+	if a.Size() != 8 || a.Free(1) != 1 {
+		t.Fatalf("metadata wrong: size %d free %d", a.Size(), a.Free(1))
 	}
-	a.Tick(1)
-	if _, ok := a.TryRMW(3, func(uint64) uint64 { return 42 }); !ok {
-		t.Fatal("first write denied")
+	if !a.TryAcquire(1) {
+		t.Fatal("first access denied")
 	}
+	a.Poke(3, 42)
 	// Port budget exhausted within the same cycle.
-	if _, ok := a.TryRead(3); ok {
+	if _, ok := a.TryRead(1, 3); ok {
 		t.Fatal("second access in cycle should be denied on single-ported array")
 	}
-	a.Tick(2)
-	v, ok := a.TryRead(3)
+	v, ok := a.TryRead(2, 3)
 	if !ok || v != 42 {
 		t.Fatalf("read = %d ok=%v, want 42", v, ok)
-	}
-	reads, writes, denied := a.Stats()
-	if reads != 2 || writes != 1 || denied != 1 {
-		t.Errorf("stats = %d/%d/%d, want 2/1/1", reads, writes, denied)
 	}
 }
 
 func TestArrayMultiPort(t *testing.T) {
-	a := NewArray("r", 4, 3)
-	a.Tick(1)
+	a := NewArray(4, 3)
 	for i := 0; i < 3; i++ {
-		if _, ok := a.TryRead(0); !ok {
+		if _, ok := a.TryRead(1, 0); !ok {
 			t.Fatalf("access %d denied with 3 ports", i)
 		}
 	}
-	if _, ok := a.TryRead(0); ok {
+	if _, ok := a.TryRead(1, 0); ok {
 		t.Fatal("4th access allowed with 3 ports")
 	}
-	if a.Free() != 0 {
-		t.Errorf("Free = %d, want 0", a.Free())
+	if a.Free(1) != 0 {
+		t.Errorf("Free = %d, want 0", a.Free(1))
 	}
 }
 
+// TestArrayRMW performs a stateful ALU's read-modify-write as one
+// acquired transaction: both updates share the cycle's two ports.
 func TestArrayRMW(t *testing.T) {
-	a := NewArray("r", 4, 2)
-	a.Tick(1)
-	v, ok := a.TryRMW(2, func(v uint64) uint64 { return v + 10 })
-	if !ok || v != 10 {
-		t.Fatalf("rmw = %d ok=%v", v, ok)
+	a := NewArray(4, 2)
+	for i, f := range []func(uint64) uint64{
+		func(v uint64) uint64 { return v + 10 },
+		func(v uint64) uint64 { return v * 3 },
+	} {
+		if !a.TryAcquire(1) {
+			t.Fatalf("rmw %d denied", i)
+		}
+		a.Poke(2, f(a.Peek(2)))
 	}
-	v, ok = a.TryRMW(2, func(v uint64) uint64 { return v * 3 })
-	if !ok || v != 30 {
-		t.Fatalf("second rmw = %d ok=%v", v, ok)
+	if a.TryAcquire(1) {
+		t.Fatal("third transaction allowed with 2 ports")
 	}
 	if a.Peek(2) != 30 {
 		t.Errorf("Peek = %d, want 30", a.Peek(2))
@@ -62,27 +61,37 @@ func TestArrayRMW(t *testing.T) {
 }
 
 func TestArrayIndexWraps(t *testing.T) {
-	a := NewArray("r", 4, 4)
-	a.Tick(1)
-	a.TryRMW(5, func(uint64) uint64 { return 7 }) // wraps to 1
+	a := NewArray(4, 4)
+	a.Poke(5, 7) // wraps to 1
 	if a.Peek(1) != 7 {
 		t.Errorf("index should wrap modulo size")
 	}
+	if v, ok := a.TryRead(1, 9); !ok || v != 7 {
+		t.Errorf("TryRead(9) = %d ok=%v, want 7 (wraps to 1)", v, ok)
+	}
 }
 
-func TestArrayTickBackwardsPanics(t *testing.T) {
-	a := NewArray("r", 1, 1)
-	a.Tick(5)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on backwards tick")
-		}
-	}()
-	a.Tick(4)
+// TestArrayStampPerCycle holds the port budget to the cycle each access
+// names: skipped cycles need no tick, a new cycle starts with every port
+// free, and Free does not consume or reset anything.
+func TestArrayStampPerCycle(t *testing.T) {
+	a := NewArray(2, 1)
+	if !a.TryAcquire(5) || a.TryAcquire(5) {
+		t.Fatal("cycle 5: want one access granted, the second refused")
+	}
+	if a.Free(5) != 0 || a.Free(6) != 1 || a.Free(5) != 0 {
+		t.Fatalf("Free(5)/Free(6) = %d/%d, want 0/1 without side effects", a.Free(5), a.Free(6))
+	}
+	if !a.TryAcquire(1000) {
+		t.Fatal("first access after skipped cycles refused")
+	}
+	if a.TryAcquire(1000) {
+		t.Fatal("second access in cycle 1000 granted")
+	}
 }
 
 func TestArrayResetAndPoke(t *testing.T) {
-	a := NewArray("r", 4, 1)
+	a := NewArray(4, 1)
 	a.Poke(0, 1)
 	a.Poke(3, 9)
 	a.Reset()
@@ -144,7 +153,7 @@ func TestAggregatedPacketPriority(t *testing.T) {
 	ag.Tick(3)
 	ag.Defer(0, 0, +50)
 	// Packet thread reads (and consumes the main port).
-	if v, ok := ag.Main().TryRead(0); !ok || v != 100 {
+	if v, ok := ag.Main().TryRead(3, 0); !ok || v != 100 {
 		t.Fatalf("packet read = %d ok=%v, want stale 100", v, ok)
 	}
 	ag.EndCycle()
@@ -210,7 +219,7 @@ func TestAggregatedBacklogGrowsWhenSaturated(t *testing.T) {
 	ag := NewAggregated("qsize", 1024, 1, "enq")
 	for c := uint64(1); c <= 512; c++ {
 		ag.Tick(c)
-		ag.Main().TryRead(0)       // packet thread, consumes main port
+		ag.Main().TryRead(c, 0)    // packet thread, consumes main port
 		ag.Defer(0, uint32(c), +1) // distinct index each cycle
 		ag.EndCycle()
 	}
@@ -289,7 +298,7 @@ func TestAggregatedBankPortContention(t *testing.T) {
 func TestAggregatedPendingAbs(t *testing.T) {
 	ag := NewAggregated("x", 8, 1, "enq", "deq")
 	ag.Tick(1)
-	ag.Main().TryRead(0) // block drains this cycle
+	ag.Main().TryRead(1, 0) // block drains this cycle
 	ag.Defer(0, 1, +100)
 	ag.Defer(1, 2, -40)
 	if got := ag.PendingAbs(); got != 140 {
@@ -308,7 +317,7 @@ func TestAggregatedPendingAbs(t *testing.T) {
 func TestAggregatedResetAll(t *testing.T) {
 	ag := NewAggregated("x", 4, 1, "enq")
 	ag.Tick(1)
-	ag.Main().TryRead(0)
+	ag.Main().TryRead(1, 0)
 	ag.Defer(0, 2, 50)
 	ag.ResetAll()
 	if ag.True(2) != 0 || ag.Backlog() != 0 || ag.PendingAbs() != 0 {

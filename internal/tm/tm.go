@@ -90,8 +90,7 @@ func New(cfg Config) *TM {
 	return &TM{capBytes: cfg.QueueCapBytes, ports: make([]port, cfg.Ports)}
 }
 
-// emit announces one state change on the event tap. Event.Queue stays 0:
-// a port has one queue.
+// emit announces one state change on the event tap.
 func (t *TM) emit(k events.Kind, now sim.Time, outPort, pktLen int, flowHash uint64) {
 	if t.OnEvent == nil {
 		return
@@ -103,7 +102,7 @@ func (t *TM) emit(k events.Kind, now sim.Time, outPort, pktLen int, flowHash uin
 	}
 	t.ev = events.Event{
 		Kind: k, Seq: seq, When: now, Port: outPort,
-		PktLen: pktLen, FlowHash: flowHash,
+		PktLen: int32(pktLen), FlowHash: flowHash,
 	}
 	t.OnEvent(&t.ev)
 }

@@ -164,6 +164,35 @@ func TestFramesMatchAppendFrame(t *testing.T) {
 	}
 }
 
+// TestFrameCacheMatchesAppendFrame drives one frame cache through 10⁵
+// random flows and sizes — IMIX and sizes below the minimum frame, UDP,
+// TCP and a zero protocol, so every header rewrite, protocol change and
+// buffer growth happens — and holds each frame to AppendFrame's bytes.
+func TestFrameCacheMatchesAppendFrame(t *testing.T) {
+	fs := NewFlowSet(50, 1.1, packet.IP4(10, 2, 0, 0))
+	rng := sim.NewRNG(9)
+	var c frameCache
+	var want []byte
+	for i := 0; i < 100_000; i++ {
+		fl := fs.Flow(fs.Pick(rng))
+		switch rng.Intn(8) {
+		case 0:
+			fl = tcpFlow
+		case 1:
+			fl.Proto = 0
+		}
+		n := IMix{}.Next(rng)
+		if rng.Intn(16) == 0 {
+			n = rng.Intn(packet.MinFrameLen)
+		}
+		got := c.frame(fl, n)
+		want = packet.AppendFrame(want[:0], packet.FrameSpec{Flow: fl, TotalLen: n})
+		if !bytes.Equal(got, want) {
+			t.Fatalf("draw %d (flow %v, size %d): frame is\n%x\nwant\n%x", i, fl, n, got, want)
+		}
+	}
+}
+
 // BenchmarkGenSaturate is the per-frame cost of a saturate stream: one
 // op is one emission.
 func BenchmarkGenSaturate(b *testing.B) {

@@ -80,12 +80,17 @@ func (u UniformSize) Next(rng *sim.RNG) int {
 type FlowSet struct {
 	flows []packet.Flow
 	cdf   []float64
+	// guide is a guide table over n+1 equal buckets of [0, 1]: guide[b]
+	// is the first index whose cdf value lands in bucket b or later. A
+	// draw scans forward from its bucket's entry to the first cdf value
+	// not below it, the same index a binary search finds.
+	guide []int32
 }
 
 // NewFlowSet builds n flows between the given /24-style host ranges with
 // Zipf popularity of exponent alpha (alpha=0 gives uniform).
 func NewFlowSet(n int, alpha float64, base packet.IP) *FlowSet {
-	fs := &FlowSet{flows: make([]packet.Flow, n), cdf: make([]float64, n)}
+	fs := &FlowSet{flows: make([]packet.Flow, n), cdf: make([]float64, n), guide: make([]int32, n+1)}
 	var sum float64
 	for i := 0; i < n; i++ {
 		fs.flows[i] = packet.Flow{
@@ -102,8 +107,20 @@ func NewFlowSet(n int, alpha float64, base packet.IP) *FlowSet {
 		sum += w
 		fs.cdf[i] = sum
 	}
+	// Bucket b holds the draws u with int(u·n) = b; u < 1 can still round
+	// to bucket n, hence n+1 entries. Floating-point multiplication is
+	// monotone, so every index below guide[b] has int(cdf·n) < b and hence
+	// cdf < u for each draw u in bucket b: the scan from guide[b] cannot
+	// pass the first cdf value not below u.
+	next := 0 // the first bucket without an entry
 	for i := range fs.cdf {
 		fs.cdf[i] /= sum
+		for b := int(fs.cdf[i] * float64(n)); next <= b && next <= n; next++ {
+			fs.guide[next] = int32(i)
+		}
+	}
+	for ; next <= n; next++ {
+		fs.guide[next] = int32(max(n-1, 0))
 	}
 	return fs
 }
@@ -114,18 +131,17 @@ func pow(x, a float64) float64 { return math.Pow(x, a) }
 func (fs *FlowSet) Flow(i int) packet.Flow { return fs.flows[i] }
 
 // Pick draws a flow index by popularity.
-func (fs *FlowSet) Pick(rng *sim.RNG) int {
-	u := rng.Float64()
-	lo, hi := 0, len(fs.cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if fs.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+func (fs *FlowSet) Pick(rng *sim.RNG) int { return fs.pick(rng.Float64()) }
+
+// pick returns the first index whose cdf value is at least u (the last
+// index if none is).
+func (fs *FlowSet) pick(u float64) int {
+	last := len(fs.cdf) - 1
+	i := int(fs.guide[int(u*float64(len(fs.cdf)))])
+	for i < last && fs.cdf[i] < u {
+		i++
 	}
-	return lo
+	return i
 }
 
 // Gen is a traffic generator bound to a scheduler and sink.
@@ -171,7 +187,12 @@ func (g *Gen) done(until sim.Time) bool {
 // frameCache is a stream's last frame and the flow and size that built
 // it, the only FrameSpec fields a stream sets. While they repeat, the
 // same bytes go to the sink again instead of being re-serialised and
-// re-checksummed.
+// re-checksummed. A new frame of the same protocol that fits the buffer
+// rewrites only the headers: no payload byte of the buffer is ever
+// written (the sink contract makes frames read-only), and a header never
+// reaches past the 60-byte minimum frame, so a payload is zero without
+// clearing it. A change of protocol rebuilds the frame with AppendFrame,
+// which clears it.
 type frameCache struct {
 	flow packet.Flow
 	size int
@@ -179,10 +200,17 @@ type frameCache struct {
 }
 
 func (c *frameCache) frame(flow packet.Flow, size int) []byte {
-	if size != c.size || flow != c.flow || len(c.buf) == 0 {
-		c.buf = packet.AppendFrame(c.buf[:0], packet.FrameSpec{Flow: flow, TotalLen: size})
-		c.flow, c.size = flow, size
+	if size == c.size && flow == c.flow && len(c.buf) > 0 {
+		return c.buf
 	}
+	spec := packet.FrameSpec{Flow: flow, TotalLen: size}
+	if n := packet.FrameLen(spec); flow.Proto == c.flow.Proto && len(c.buf) > 0 && n <= cap(c.buf) {
+		c.buf = c.buf[:n]
+		packet.PutFrameHeaders(c.buf, spec)
+	} else {
+		c.buf = packet.AppendFrame(c.buf[:0], spec)
+	}
+	c.flow, c.size = flow, size
 	return c.buf
 }
 

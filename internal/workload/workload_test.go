@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/packet"
@@ -160,4 +161,63 @@ func TestGenStop(t *testing.T) {
 	if g.SentPackets != uint64(n) {
 		t.Errorf("SentPackets = %d, n = %d", g.SentPackets, n)
 	}
+}
+
+// searchPick is the binary search that Pick's guide table replaces: the
+// first index whose cdf value is at least u, or the last index.
+func searchPick(fs *FlowSet, u float64) int {
+	lo, hi := 0, len(fs.cdf)-1
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if fs.cdf[mid] < u {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// TestPickMatchesBinarySearch holds the guide-table Pick to the binary
+// search over random draws and at the edges where they could part: every
+// cdf value, its float neighbours, ±1e-12 around it, 0 and the largest
+// draw below 1.
+func TestPickMatchesBinarySearch(t *testing.T) {
+	for _, n := range []int{1, 2, 7, 500} {
+		for _, alpha := range []float64{0, 1, 1.3} {
+			fs := NewFlowSet(n, alpha, packet.IP4(10, 0, 0, 0))
+			check := func(u float64) {
+				if u < 0 || u >= 1 {
+					return
+				}
+				if got, want := fs.pick(u), searchPick(fs, u); got != want {
+					t.Fatalf("n=%d alpha=%g: pick(%v) = %d, binary search %d", n, alpha, u, got, want)
+				}
+			}
+			check(0)
+			check(math.Nextafter(1, 0))
+			for _, c := range fs.cdf {
+				for _, u := range []float64{c - 1e-12, math.Nextafter(c, 0), c, math.Nextafter(c, 1), c + 1e-12} {
+					check(u)
+				}
+			}
+			rng := sim.NewRNG(uint64(n) + uint64(alpha*100))
+			for i := 0; i < 1_000_000; i++ {
+				check(rng.Float64())
+			}
+		}
+	}
+}
+
+// BenchmarkFlowSetPick is one popularity draw from switch_events' flow
+// set shape (500 flows, alpha 1).
+func BenchmarkFlowSetPick(b *testing.B) {
+	fs := NewFlowSet(500, 1, packet.IP4(10, 0, 0, 0))
+	rng := sim.NewRNG(1)
+	b.ResetTimer()
+	sum := 0
+	for i := 0; i < b.N; i++ {
+		sum += fs.Pick(rng)
+	}
+	_ = sum
 }
