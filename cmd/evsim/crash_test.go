@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"io"
 	"math/rand"
@@ -115,9 +116,10 @@ func TestLoadZeroRefused(t *testing.T) {
 	}
 }
 
-// outputs runs evsim with args in dir and returns, in order, its stdout
-// and each of the files it writes under the names in files.
-func outputs(t *testing.T, dir string, files []string, args ...string) []string {
+// outputs runs evsim with args in dir and returns its stdout, plus a
+// SHA-256 and size of, in order, stdout and each file it writes under the
+// names in files: byte identity without holding whole traces in memory.
+func outputs(t *testing.T, dir string, files []string, args ...string) (string, []string) {
 	t.Helper()
 	for _, f := range files {
 		args = append(args, "-"+f, filepath.Join(dir, f))
@@ -126,24 +128,34 @@ func outputs(t *testing.T, dir string, files []string, args ...string) []string 
 	if code := run(args, &out, &errw); code != exitOK {
 		t.Fatalf("run(%v) exited %d: %s", args, code, errw.String())
 	}
-	got := []string{out.String()}
-	for _, f := range files {
-		b, err := os.ReadFile(filepath.Join(dir, f))
+	sum := func(r io.Reader) string {
+		h := sha256.New()
+		n, err := io.Copy(h, r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got = append(got, string(b))
+		return fmt.Sprintf("sha256 %x, %d bytes", h.Sum(nil), n)
 	}
-	return got
+	sums := []string{sum(bytes.NewReader(out.Bytes()))}
+	for _, name := range files {
+		f, err := os.Open(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sums = append(sums, sum(f))
+		f.Close()
+	}
+	return out.String(), sums
 }
 
 // TestResumeByteIdenticalInProcess holds a resumed run to the
 // uninterrupted one in every output: stdout with its -trace slot lines,
 // the -tracefile and -metrics files, and the -stream-trace and
-// -stream-metrics files (flushed at every chunk, so their content does
-// not depend on wall time). It runs the built-in forwarder and a µP4
-// program; each is run plain, with checkpoints, and resumed from the
-// last of them.
+// -stream-metrics files. The streamed trace is the whole trace whatever
+// the cadence; -stream-every 0 writes a metrics line at every chunk, so
+// the -stream-metrics file does not depend on wall time either. It runs
+// the built-in forwarder and a µP4 program; each is run plain, with
+// checkpoints, and resumed from the last of them.
 func TestResumeByteIdenticalInProcess(t *testing.T) {
 	files := []string{"tracefile", "metrics", "stream-trace", "stream-metrics"}
 	for _, base := range [][]string{
@@ -153,11 +165,11 @@ func TestResumeByteIdenticalInProcess(t *testing.T) {
 		dir := t.TempDir()
 		ckpt := filepath.Join(dir, "run.ckpt")
 		with := func(extra ...string) []string { return append(append([]string{}, base...), extra...) }
-		plain := outputs(t, dir, files, base...)
-		if strings.Count(plain[0], "cycle=") != 3 {
-			t.Fatalf("%v: want 3 slot lines on stdout:\n%s", base, plain[0])
+		stdout, plain := outputs(t, dir, files, base...)
+		if strings.Count(stdout, "cycle=") != 3 {
+			t.Fatalf("%v: want 3 slot lines on stdout:\n%s", base, stdout)
 		}
-		first := outputs(t, dir, files, with("-checkpoint-every", "1ms", "-checkpoint", ckpt)...)
+		_, first := outputs(t, dir, files, with("-checkpoint-every", "1ms", "-checkpoint", ckpt)...)
 		rec, err := readRecord(ckpt)
 		if err != nil {
 			t.Fatal(err)
@@ -165,11 +177,11 @@ func TestResumeByteIdenticalInProcess(t *testing.T) {
 		if rec.cut != 4*sim.Millisecond { // the horizon plus the 2 ms drain
 			t.Errorf("%v: last checkpoint at t=%v, want 4ms", base, rec.cut)
 		}
-		resumed := outputs(t, dir, files, with("-checkpoint-every", "1ms", "-resume", ckpt)...)
+		_, resumed := outputs(t, dir, files, with("-checkpoint-every", "1ms", "-resume", ckpt)...)
 		for i, name := range append([]string{"stdout"}, files...) {
 			if plain[i] != first[i] || first[i] != resumed[i] {
-				t.Errorf("%v: %s diverges: plain %d bytes, checkpointed %d, resumed %d",
-					base, name, len(plain[i]), len(first[i]), len(resumed[i]))
+				t.Errorf("%v: %s diverges: plain %s; checkpointed %s; resumed %s",
+					base, name, plain[i], first[i], resumed[i])
 			}
 		}
 	}

@@ -37,13 +37,16 @@
 // -http serves a read-only introspection endpoint while the run is in
 // flight: Prometheus-text self-metrics and the latest deterministic
 // snapshot on /metrics, a JSON progress document on /status, and the
-// standard pprof handlers under /debug/pprof. -stream-trace and
-// -stream-metrics flush trace records and metrics-document lines to disk
-// while the run executes. The run advances in fixed chunks of simulated
-// time; at the first chunk boundary after each -stream-every of wall
-// time, the simulating goroutine flushes the stream files and publishes
-// the registry snapshot the endpoint serves, so no reader ever touches
-// an instrument the switch is writing. The whole observability plane is
+// standard pprof handlers under /debug/pprof. -stream-trace writes the
+// whole event-lifecycle trace while the run executes: a trace ring that
+// fills spills its records to the file before it overwrites one, so the
+// file holds every record, per stream in emission order, and its bytes
+// depend only on the run. -stream-metrics writes metrics-document lines.
+// The run advances in fixed chunks of simulated time; at the first chunk
+// boundary after each -stream-every of wall time, the simulating
+// goroutine writes a metrics line, flushes the stream files and publishes
+// the registry snapshot the endpoint serves, so no reader ever touches an
+// instrument the switch is writing. The whole observability plane is
 // observation-only: statistics, telemetry exports, digests, and
 // checkpoints are byte-identical with it on or off (DESIGN.md §15).
 //
@@ -183,7 +186,7 @@ func run(args []string, out, errw io.Writer) int {
 	streamMetrics := fs.String("stream-metrics", "",
 		"stream one metrics-document line per flush to `file` during the run")
 	streamEvery := fs.Duration("stream-every", 500*time.Millisecond,
-		"wall-clock period between stream flushes and -http snapshot updates")
+		"wall-clock period between -stream-metrics lines, stream file flushes and -http snapshot updates")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return exitOK

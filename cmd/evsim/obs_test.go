@@ -13,6 +13,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/telemetry"
 )
 
 // syncBuffer lets the test read evsim's stderr while the run goroutine
@@ -180,6 +182,71 @@ func TestObsLivePlane(t *testing.T) {
 	}
 	if len(read("live-metrics.jsonl")) == 0 {
 		t.Error("streamed metrics file is empty")
+	}
+}
+
+// TestStreamTraceComplete holds -stream-trace to the whole trace, at a
+// size where the switch's ring wraps four times over: the streamed file
+// is the same bytes at any -stream-every, holds one line per emitted
+// record (the -metrics document's trace_records), and holds every line
+// of the post-run -tracefile, which keeps only the rings' tails. It runs
+// under -short, so the race detector sees the spill Emit makes into the
+// sink.
+func TestStreamTraceComplete(t *testing.T) {
+	for _, base := range [][]string{
+		{"-ms", "1", "-ports", "2", "-load", "0.3"},
+		{"-ms", "1", "-ports", "2", "-load", "0.3", "-p4", "../../testdata/microburst.up4"},
+	} {
+		dir := t.TempDir()
+		path := func(name string) string { return filepath.Join(dir, name) }
+		read := func(name string) []byte {
+			b, err := os.ReadFile(path(name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
+		}
+		var streamed []byte
+		for _, every := range []string{"0", "1ms", "1h"} {
+			args := append(slices.Clone(base), "-stream-trace", path("s.jsonl"), "-stream-every", every,
+				"-tracefile", path("t.jsonl"), "-metrics", path("m.json"))
+			var errw bytes.Buffer
+			if code := run(args, io.Discard, &errw); code != exitOK {
+				t.Fatalf("run(%v) exited %d: %s", args, code, errw.String())
+			}
+			if b := read("s.jsonl"); streamed == nil {
+				streamed = b
+			} else if !bytes.Equal(b, streamed) {
+				t.Errorf("%v: the streamed trace at -stream-every %s differs from the one at 0", base, every)
+			}
+		}
+
+		var m struct {
+			Runs []struct {
+				TraceRecords int `json:"trace_records"`
+				TraceDropped int `json:"trace_dropped"`
+			} `json:"runs"`
+		}
+		if err := json.Unmarshal(read("m.json"), &m); err != nil || len(m.Runs) != 1 {
+			t.Fatalf("%v: metrics document: %v", base, err)
+		}
+		if m.Runs[0].TraceDropped < 2*telemetry.DefaultTraceCap {
+			t.Fatalf("%v: the rings overwrote %d records; the scenario must wrap a ring several times",
+				base, m.Runs[0].TraceDropped)
+		}
+		lines := strings.Split(strings.TrimSuffix(string(streamed), "\n"), "\n")
+		if len(lines) != m.Runs[0].TraceRecords {
+			t.Errorf("%v: streamed %d lines, trace_records is %d", base, len(lines), m.Runs[0].TraceRecords)
+		}
+		inStream := make(map[string]bool, len(lines))
+		for _, ln := range lines {
+			inStream[ln] = true
+		}
+		for i, ln := range strings.Split(strings.TrimSuffix(string(read("t.jsonl")), "\n"), "\n") {
+			if !inStream[ln] {
+				t.Fatalf("%v: -tracefile line %d is not in the streamed trace: %s", base, i+1, ln)
+			}
+		}
 	}
 }
 

@@ -9,7 +9,10 @@
 // Each file is parsed and schema-checked (required fields, known stage /
 // outcome / metric-type vocabularies, monotone timestamps per stream); a
 // one-line summary per valid file goes to stdout, problems to stderr with
-// exit status 1.
+// exit status 1. A metrics summary gives each run's trace_records and
+// trace_dropped (records its rings overwrote, so missing from its post-run
+// trace), and a document whose trace_dropped exceeds trace_records is
+// refused.
 //
 // Incrementally streamed files (evsim -stream-trace / -stream-metrics)
 // are accepted too, including ones cut short by a crash: a torn final
@@ -256,8 +259,10 @@ func toChrome(w io.Writer, r io.Reader) error {
 type metricsDoc struct {
 	Schema string `json:"schema"`
 	Runs   []struct {
-		Label   string `json:"label"`
-		Metrics []struct {
+		Label        string `json:"label"`
+		TraceRecords uint64 `json:"trace_records"`
+		TraceDropped uint64 `json:"trace_dropped"`
+		Metrics      []struct {
 			Name    string `json:"name"`
 			Type    string `json:"type"`
 			Count   uint64 `json:"count"`
@@ -279,6 +284,10 @@ func validateMetricsDoc(doc *metricsDoc) (int, error) {
 	for _, run := range doc.Runs {
 		if run.Label == "" {
 			return 0, fmt.Errorf("run without label")
+		}
+		if run.TraceDropped > run.TraceRecords {
+			return 0, fmt.Errorf("run %s: trace_dropped %d exceeds trace_records %d",
+				run.Label, run.TraceDropped, run.TraceRecords)
 		}
 		prev := ""
 		prevType := ""
@@ -316,10 +325,22 @@ func validateMetricsDoc(doc *metricsDoc) (int, error) {
 	return total, nil
 }
 
+// traceNote renders each run's trace_records and trace_dropped for the
+// summary line. A run with trace_dropped > 0 overwrote that many records
+// in its rings: its post-run trace holds only the rings' tails.
+func traceNote(doc *metricsDoc) string {
+	var b strings.Builder
+	for _, run := range doc.Runs {
+		fmt.Fprintf(&b, "; %s trace_records=%d trace_dropped=%d", run.Label, run.TraceRecords, run.TraceDropped)
+	}
+	return b.String()
+}
+
 // checkMetrics validates an evbench-metrics/v1 document. Two layouts are
 // accepted: the post-run export (one indented document spanning the whole
 // file) and the streamed form (one compact document per line, one line
-// per flush, torn final line tolerated), both checked alike.
+// per flush, torn final line tolerated), both checked alike. The summary
+// gives each run's trace counts, from the last complete document.
 func checkMetrics(out io.Writer, path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -331,7 +352,7 @@ func checkMetrics(out io.Writer, path string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "tracecheck: %s ok: %d runs, %d metrics\n", path, len(doc.Runs), total)
+		fmt.Fprintf(out, "tracecheck: %s ok: %d runs, %d metrics%s\n", path, len(doc.Runs), total, traceNote(&doc))
 		return nil
 	}
 	// Streamed layout: one compact document line per flush.
@@ -339,6 +360,7 @@ func checkMetrics(out io.Writer, path string) error {
 	torn := len(data) > 0 && data[len(data)-1] != '\n'
 	docs, total := 0, 0
 	truncated := false
+	var last metricsDoc
 	for i, line := range lines {
 		if strings.TrimSpace(line) == "" {
 			continue
@@ -357,11 +379,12 @@ func checkMetrics(out io.Writer, path string) error {
 		}
 		docs++
 		total += n
+		last = d
 	}
 	if docs == 0 && !truncated {
 		return fmt.Errorf("no metrics documents")
 	}
-	fmt.Fprintf(out, "tracecheck: %s ok: %d snapshots, %d metrics%s\n",
-		path, docs, total, tailNote(truncated))
+	fmt.Fprintf(out, "tracecheck: %s ok: %d snapshots, %d metrics%s%s\n",
+		path, docs, total, traceNote(&last), tailNote(truncated))
 	return nil
 }

@@ -261,21 +261,38 @@ func FuzzTraceJSONL(f *testing.F) {
 const metricsLine = `{"schema":"evbench-metrics/v1","runs":[{"label":"t0","metrics":[` +
 	`{"name":"sw.cycles","type":"counter","value":7},` +
 	`{"name":"sw.lag","type":"histogram","count":3,"sum":9,"max":4,` +
-	`"buckets":[{"Low":0,"High":0,"Count":1},{"Low":3,"High":4,"Count":2}]}]}]}`
+	`"buckets":[{"Low":0,"High":0,"Count":1},{"Low":3,"High":4,"Count":2}]}],` +
+	`"trace_records":12,"trace_dropped":0}]}`
 
 func TestMetricsSingleAndStreamed(t *testing.T) {
 	// Post-run layout: one indented document, strict checks.
-	single := writeFile(t, "m.json",
-		"{\n  \"schema\": \"evbench-metrics/v1\",\n  \"runs\": [\n    {\n      \"label\": \"t0\",\n      \"metrics\": []\n    }\n  ]\n}\n")
-	if got := check(t, checkMetrics, single); !strings.Contains(got, "1 runs") {
+	// The summary says how much of each run's trace the rings overwrote.
+	singleDoc := "{\n  \"schema\": \"evbench-metrics/v1\",\n  \"runs\": [\n    {\n      \"label\": \"t0\",\n" +
+		"      \"metrics\": [],\n      \"trace_records\": 40,\n      \"trace_dropped\": 8\n    }\n  ]\n}\n"
+	single := writeFile(t, "m.json", singleDoc)
+	if got := check(t, checkMetrics, single); !strings.Contains(got, "1 runs") ||
+		!strings.Contains(got, "t0 trace_records=40 trace_dropped=8") {
 		t.Errorf("single summary: %q", got)
 	}
 
-	// Streamed layout: one compact document per flush.
-	streamed := writeFile(t, "live.jsonl", metricsLine+"\n"+metricsLine+"\n")
+	// Streamed layout: one compact document per flush; the summary's
+	// trace counts are the last document's.
+	grown := strings.Replace(metricsLine, `"trace_records":12,"trace_dropped":0`, `"trace_records":20,"trace_dropped":4`, 1)
+	streamed := writeFile(t, "live.jsonl", metricsLine+"\n"+grown+"\n")
 	if got := check(t, checkMetrics, streamed); !strings.Contains(got, "2 snapshots") ||
-		strings.Contains(got, "truncated") {
+		!strings.Contains(got, "t0 trace_records=20 trace_dropped=4") || strings.Contains(got, "truncated") {
 		t.Errorf("streamed summary: %q", got)
+	}
+
+	// A run cannot overwrite more records than it emitted, in either
+	// layout.
+	overSingle := strings.Replace(singleDoc, `"trace_dropped": 8`, `"trace_dropped": 41`, 1)
+	if err := checkMetrics(io.Discard, writeFile(t, "over.json", overSingle)); err == nil {
+		t.Error("post-run trace_dropped > trace_records not rejected")
+	}
+	overLine := strings.Replace(metricsLine, `"trace_dropped":0`, `"trace_dropped":13`, 1)
+	if err := checkMetrics(io.Discard, writeFile(t, "over.jsonl", metricsLine+"\n"+overLine+"\n")); err == nil {
+		t.Error("streamed trace_dropped > trace_records not rejected")
 	}
 
 	// Torn final snapshot line.

@@ -202,12 +202,10 @@ type Plane struct {
 	TrialsTotal Counter
 	TrialsDone  Counter
 
-	// StreamFlushes/StreamRecords/StreamLost describe the incremental
-	// telemetry exporter: flush passes, trace records flushed, and
-	// records lost to ring wrap between flushes.
+	// StreamFlushes/StreamRecords describe the streaming telemetry
+	// exporter: flush passes and trace records written.
 	StreamFlushes Counter
 	StreamRecords Counter
-	StreamLost    Counter
 
 	// Scrapes counts /metrics HTTP scrapes served.
 	Scrapes Counter
@@ -302,7 +300,6 @@ func (p *Plane) Snapshot() []Sample {
 		counter("self.sched.lane_arms", &p.SchedLaneArms),
 		gauge("self.sim.now_ps", &p.SimNowPS),
 		counter("self.stream.flushes", &p.StreamFlushes),
-		counter("self.stream.lost", &p.StreamLost),
 		counter("self.stream.records", &p.StreamRecords),
 		counter("self.trials.done", &p.TrialsDone),
 		counter("self.trials.total", &p.TrialsTotal),

@@ -10,24 +10,29 @@ import (
 	"repro/internal/telemetry/self"
 )
 
-// StreamSink incrementally flushes trace records and metric snapshots to
-// disk while the run executes, so long runs leave observable output
-// before they finish. Each Flush drains the attached collectors' trace
-// rings, writing:
+// StreamSink writes a run's telemetry to disk while the run executes, so
+// long runs leave observable output before they finish:
 //
-//   - trace records as JSONL lines, the same jsonlRec EncodeJSONL writes
-//     (run/stream/ts_ps/stage/kind/outcome/seq/arg);
-//   - one compact "evbench-metrics/v1" document per flush as a JSONL
+//   - every trace record as a JSONL line, the same jsonlRec EncodeJSONL
+//     writes (run/stream/ts_ps/stage/kind/outcome/seq/arg);
+//   - one compact "evbench-metrics/v1" document per Flush as a JSONL
 //     line in the metrics file.
 //
-// Both outputs are append-only, one complete line per record, so a crash
-// mid-flush leaves at most one torn final record and every line before it
-// parses; cmd/tracecheck's truncated-file mode accepts such a file and
-// reports the tear.
+// Trace records reach the sink by spilling: a full ring hands its
+// unwritten records over before it overwrites one (Stream.Emit), and
+// Close writes what is left. The trace file is therefore the whole trace,
+// per stream in emission order, and depends only on the run — not on
+// when or how often Flush is called.
 //
-// The sink has no goroutine and no lock: the host calls Flush from the
-// goroutine that runs the simulation, between two scheduler runs, so a
-// flush never overlaps a write to the instruments it reads. Draining
+// Both outputs are append-only, one complete line per record, so a crash
+// leaves at most one torn final record and every line before it parses;
+// cmd/tracecheck's truncated-file mode accepts such a file and reports
+// the tear.
+//
+// The sink has no goroutine and no lock. A spill writes the sink inside
+// Emit, so an attached collector must be written only by the goroutine
+// that calls Flush and Close, and Flush must be called between two
+// scheduler runs so that the snapshot it takes races no writer. Spilling
 // never disturbs the rings, so the run's post-run exports are
 // byte-identical with a sink attached or not.
 type StreamSink struct {
@@ -39,7 +44,6 @@ type StreamSink struct {
 	metricsF *os.File
 
 	self *self.Plane // StreamOptions.Self
-	buf  []Rec
 	err  error
 }
 
@@ -56,7 +60,7 @@ type StreamOptions struct {
 	// MetricsPath receives one metrics-document line per flush; empty
 	// disables metric streaming.
 	MetricsPath string
-	// Self, when set, counts flushes and flushed/lost records in the
+	// Self, when set, counts flushes and written trace records in the
 	// run's self-metrics plane.
 	Self *self.Plane
 }
@@ -89,41 +93,24 @@ func NewStreamSink(opts StreamOptions) (*StreamSink, error) {
 	return sk, nil
 }
 
-// Attach registers a labelled collector with the sink. Flushes visit
-// collectors in label order, then each collector's streams in creation
-// order.
+// Attach registers a labelled collector with the sink, before the run
+// writes it; a collector spills to at most one sink. Flushes write the
+// collectors' metrics in label order, and Close the rest of each
+// collector's trace in label order, then stream creation order.
 func (sk *StreamSink) Attach(label string, c *Collector) {
 	sk.entries = append(sk.entries, sinkEntry{label, c})
 	sort.SliceStable(sk.entries, func(i, j int) bool { return sk.entries[i].label < sk.entries[j].label })
+	if t := c.Tracer(); t != nil && sk.traceW != nil {
+		t.sink, t.label = sk, label
+	}
 }
 
-// Flush drains every attached collector's streams and writes one metrics
-// snapshot line. Call it where no instrument is being written: from the
+// Flush writes one metrics snapshot line and pushes both files' buffered
+// lines to disk. Call it where no instrument is being written: from the
 // simulating goroutine between scheduler runs, or after the run.
 func (sk *StreamSink) Flush() error {
 	if sk.err != nil {
 		return sk.err
-	}
-	var wrote uint64
-	for _, e := range sk.entries {
-		t := e.c.Tracer()
-		if t == nil || sk.traceW == nil {
-			continue
-		}
-		for _, s := range t.streams {
-			var lost uint64
-			sk.buf, lost = s.DrainNew(sk.buf[:0])
-			if lost > 0 && sk.self != nil {
-				sk.self.StreamLost.Add(lost)
-			}
-			for _, rec := range sk.buf {
-				if err := sk.writeRec(e.label, s, rec); err != nil {
-					sk.err = err
-					return err
-				}
-				wrote++
-			}
-		}
 	}
 	if sk.metricsW != nil {
 		if err := sk.writeMetricsLine(); err != nil {
@@ -142,18 +129,25 @@ func (sk *StreamSink) Flush() error {
 	}
 	if sk.self != nil {
 		sk.self.StreamFlushes.Inc()
-		sk.self.StreamRecords.Add(wrote)
 	}
 	return nil
 }
 
-func (sk *StreamSink) writeRec(label string, s *Stream, rec Rec) error {
-	b, err := jsonlLine(label, s.Name(), rec)
-	if err != nil {
-		return err
+// write appends s's records from its flushed cursor to n as trace lines.
+// It runs inside Emit, on the goroutine that writes s; an error sticks
+// and surfaces at the next Flush or Close.
+func (sk *StreamSink) write(label string, s *Stream) {
+	for i := s.flushed; i < s.n && sk.err == nil; i++ {
+		b, err := jsonlLine(label, s.name, s.ring[i%uint64(len(s.ring))])
+		if err == nil {
+			sk.traceW.Write(b)
+			err = sk.traceW.WriteByte('\n')
+		}
+		sk.err = err
 	}
-	sk.traceW.Write(b)
-	return sk.traceW.WriteByte('\n')
+	if sk.self != nil {
+		sk.self.StreamRecords.Add(s.n - s.flushed)
+	}
 }
 
 // writeMetricsLine appends one compact metrics document line covering
@@ -171,10 +165,17 @@ func (sk *StreamSink) writeMetricsLine() error {
 	return sk.metricsW.WriteByte('\n')
 }
 
-// Close performs a final flush and closes the files. Call it after the
-// run and before the post-run exports, so every emitted record lands in
-// the streamed files.
+// Close writes every record not yet spilled, performs a final flush and
+// closes the files. Call it after the run, so every emitted record lands
+// in the trace file.
 func (sk *StreamSink) Close() error {
+	for _, e := range sk.entries {
+		if t := e.c.Tracer(); t != nil {
+			for _, s := range t.streams {
+				s.spill()
+			}
+		}
+	}
 	sk.Flush()
 	for _, f := range []*os.File{sk.traceF, sk.metricsF} {
 		if f == nil {

@@ -35,38 +35,56 @@ func emitFixture(c *Collector) {
 	}
 }
 
-// TestStreamDrainNew checks incremental drain bookkeeping including loss
-// on ring wrap between drains.
-func TestStreamDrainNew(t *testing.T) {
-	tr := NewTracer(4)
-	s := tr.Stream("x")
-	for i := 0; i < 3; i++ {
-		s.Emit(sim.Time(i), StageGen, 1, OutNone, uint64(i), 0)
+// TestStreamSpill feeds 9 records to a ring of 4: with a sink attached,
+// every record reaches the trace file in emission order (two spills of 4
+// inside Emit, the last record at Close), and the post-run export is the
+// unsinked collector's.
+func TestStreamSpill(t *testing.T) {
+	plane := new(self.Plane)
+	path := filepath.Join(t.TempDir(), "spill.jsonl")
+	sk, err := NewStreamSink(StreamOptions{TracePath: path, Self: plane})
+	if err != nil {
+		t.Fatal(err)
 	}
-	recs, lost := s.DrainNew(nil)
-	if len(recs) != 3 || lost != 0 {
-		t.Fatalf("first drain: %d recs, %d lost; want 3, 0", len(recs), lost)
+	c, ref := New(Options{TraceCap: 4}), New(Options{TraceCap: 4})
+	sk.Attach("r", c)
+	for _, col := range []*Collector{c, ref} {
+		s := col.Stream("x")
+		for i := 0; i < 9; i++ {
+			s.Emit(sim.Time(i), StageGen, 1, OutNone, uint64(i), 0)
+		}
 	}
-	// Emit 6 more into a 4-slot ring: 2 of them are overwritten before
-	// the next drain sees them.
-	for i := 3; i < 9; i++ {
-		s.Emit(sim.Time(i), StageGen, 1, OutNone, uint64(i), 0)
+	if got := plane.StreamRecords.Value(); got != 8 {
+		t.Errorf("spilled %d records inside Emit, want 8", got)
 	}
-	recs, lost = s.DrainNew(nil)
-	if len(recs) != 4 || lost != 2 {
-		t.Fatalf("second drain: %d recs, %d lost; want 4, 2", len(recs), lost)
+	if err := sk.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if recs[0].Seq != 5 || recs[3].Seq != 8 {
-		t.Errorf("drained window [%d,%d], want [5,8]", recs[0].Seq, recs[3].Seq)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if recs, lost = s.DrainNew(nil); len(recs) != 0 || lost != 0 {
-		t.Errorf("idle drain returned %d recs, %d lost", len(recs), lost)
+	lines := bytes.Split(bytes.TrimSuffix(b, []byte("\n")), []byte("\n"))
+	if len(lines) != 9 {
+		t.Fatalf("trace file holds %d lines, want 9", len(lines))
+	}
+	for i, ln := range lines {
+		var rec jsonlRec
+		if err := json.Unmarshal(ln, &rec); err != nil || rec.Seq != uint64(i) || rec.Stream != "x" {
+			t.Fatalf("line %d = %s (%v), want seq %d of stream x", i+1, ln, err, i)
+		}
+	}
+	got, _ := Digest([]RunExport{{Label: "r", C: c}})
+	want, _ := Digest([]RunExport{{Label: "r", C: ref}})
+	if got != want {
+		t.Error("post-run digest changed by spilling")
 	}
 }
 
-// TestStreamSinkJSONL: records and metric snapshots land on disk
-// mid-run, lines parse under the EncodeJSONL / evbench-metrics/v1
-// schemas, and the final trace export is unaffected by draining.
+// TestStreamSinkJSONL: metric snapshots land on disk at each flush,
+// every trace record by Close, lines parse under the EncodeJSONL /
+// evbench-metrics/v1 schemas, and the final trace export is unaffected by
+// the sink.
 func TestStreamSinkJSONL(t *testing.T) {
 	plane := new(self.Plane)
 	dir := t.TempDir()
@@ -82,15 +100,13 @@ func TestStreamSinkJSONL(t *testing.T) {
 	if err := sk.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	// More records after the first flush: the next flush drains only the
-	// increment.
 	emitFixture(c)
 	if err := sk.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	// Every line in the streamed trace parses with the JSONL schema, and
-	// the total matches what was emitted (ring large enough: no loss).
+	// the total matches what was emitted.
 	f, err := os.Open(tracePath)
 	if err != nil {
 		t.Fatal(err)
@@ -133,15 +149,15 @@ func TestStreamSinkJSONL(t *testing.T) {
 		}
 	}
 
-	// Draining did not disturb the rings: the post-run export matches an
-	// undrained collector fed the same workload.
+	// The sink did not disturb the rings: the post-run export matches an
+	// unsinked collector fed the same workload.
 	ref := New(Options{TraceCap: 1 << 12})
 	emitFixture(ref)
 	emitFixture(ref)
 	got, _ := Digest([]RunExport{{Label: "trial0", C: c}})
 	wantD, _ := Digest([]RunExport{{Label: "trial0", C: ref}})
 	if got != wantD {
-		t.Error("post-run digest changed by stream draining")
+		t.Error("post-run digest changed by the stream sink")
 	}
 
 	if plane.StreamFlushes.Value() != 2 {

@@ -99,24 +99,38 @@ type Rec struct {
 // describe state drains rather than a Table 1 event kind.
 const KindRegister = 0xff
 
-// Stream is one component's bounded trace ring (flight-recorder
-// semantics: when full, the oldest records are overwritten). A stream has
-// exactly one writing domain.
+// Stream is one component's bounded trace ring. A stream has exactly one
+// writing domain. When the ring is about to overwrite a record that was
+// never written out, it first spills the records from flushed to n to
+// its tracer's StreamSink, so a sink sees every record in emission order.
+// With no sink attached the spill only moves the cursor, and the ring
+// keeps flight-recorder semantics: the post-run export holds its tail.
 type Stream struct {
 	id      int32
 	name    string
 	ring    []Rec
 	n       uint64 // total records emitted (>= len(ring) once wrapped)
-	flushed uint64 // records already handed to DrainNew
+	flushed uint64 // records already spilled (or passed over with no sink)
+	tracer  *Tracer
 }
 
-// Name returns the stream name.
-func (s *Stream) Name() string { return s.name }
-
-// Emit appends one record, overwriting the oldest when the ring is full.
+// Emit appends one record, spilling the ring first when it is full of
+// records not yet spilled.
 func (s *Stream) Emit(at sim.Time, stg Stage, kind uint8, out Outcome, seq, arg uint64) {
+	if s.n-s.flushed == uint64(len(s.ring)) {
+		s.spill()
+	}
 	s.ring[s.n%uint64(len(s.ring))] = Rec{At: at, Seq: seq, Arg: arg, Kind: kind, Stg: stg, Out: out}
 	s.n++
+}
+
+// spill hands the records from flushed to n, oldest first, to the
+// tracer's sink, if any, and moves the cursor past them.
+func (s *Stream) spill() {
+	if sk := s.tracer.sink; sk != nil {
+		sk.write(s.tracer.label, s)
+	}
+	s.flushed = s.n
 }
 
 // Emitted returns the total number of records emitted.
@@ -128,26 +142,6 @@ func (s *Stream) Dropped() uint64 {
 		return 0
 	}
 	return s.n - uint64(len(s.ring))
-}
-
-// DrainNew appends to dst every record emitted since the previous drain
-// that is still retained, oldest-first, and returns the extended slice
-// plus the number of records lost — emitted and already overwritten
-// before this drain could see them. It is the streaming sink's read
-// primitive, called like Emit from the simulating goroutine. Draining
-// never disturbs the ring, so post-run exports are unaffected.
-func (s *Stream) DrainNew(dst []Rec) ([]Rec, uint64) {
-	start := s.flushed
-	var lost uint64
-	if over := s.Dropped(); over > start {
-		lost = over - start
-		start = over
-	}
-	for i := start; i < s.n; i++ {
-		dst = append(dst, s.ring[i%uint64(len(s.ring))])
-	}
-	s.flushed = s.n
-	return dst, lost
 }
 
 // records returns the retained records oldest-first.
@@ -169,6 +163,8 @@ func (s *Stream) records() []Rec {
 type Tracer struct {
 	perStream int
 	streams   []*Stream
+	sink      *StreamSink // spill target, set by StreamSink.Attach
+	label     string      // the collector's label in sink
 }
 
 // NewTracer builds a tracer whose streams each retain up to perStream
@@ -188,7 +184,7 @@ func (t *Tracer) Stream(name string) *Stream {
 			return s
 		}
 	}
-	s := &Stream{id: int32(len(t.streams)), name: name, ring: make([]Rec, t.perStream)}
+	s := &Stream{id: int32(len(t.streams)), name: name, ring: make([]Rec, t.perStream), tracer: t}
 	t.streams = append(t.streams, s)
 	return s
 }
