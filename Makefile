@@ -59,10 +59,12 @@ race:
 # target, the slot's parse-once flow against packet.FlowOf, evsim's EVCK
 # checkpoint record decoder, the JSON-lines trace reader with its Chrome
 # conversion, the switch against the Event Merger / aggregation register
-# reference model, and cycle-stamped register ports against eager
-# per-cycle ticks. Not part of `check` (open-ended); run before touching
-# the compilation backend, the header decoders, the checkpoint format,
-# the trace format, the switch's slot and drain path or the registers.
+# reference model, cycle-stamped register ports against eager per-cycle
+# ticks, and the scheduler against its naive order model
+# (FuzzSchedModel, rules S1–S8 in DESIGN §7). Not part of `check`
+# (open-ended); run before touching the compilation backend, the header
+# decoders, the checkpoint format, the trace format, the switch's slot
+# and drain path, the registers or the scheduler's heaps.
 fuzz:
 	$(GO) test -fuzz FuzzCompiledVsInterp -fuzztime 10s ./internal/p4
 	$(GO) test -fuzz FuzzParserFlow -fuzztime 10s ./internal/packet
@@ -70,6 +72,7 @@ fuzz:
 	$(GO) test -fuzz FuzzTraceJSONL -fuzztime 10s ./cmd/tracecheck
 	$(GO) test -fuzz FuzzRefModel -fuzztime 10s ./internal/core
 	$(GO) test -fuzz FuzzRegisterStamp -fuzztime 10s ./internal/pisa
+	$(GO) test -fuzz FuzzSchedModel -fuzztime 10s ./internal/sim
 
 # Hot-path micro-benchmarks (scheduler + switch cycle + event queue +
 # aggregation register and port stamps + traffic generators and flow

@@ -198,10 +198,7 @@ func TestChromeMatchesRetiredEncoder(t *testing.T) {
 		SamplePeriod: telemetry.DefaultSamplePeriod,
 	}}
 	hula.Run(env)
-	trace, err := telemetry.EncodeJSONL(env.TelemetryRuns())
-	if err != nil {
-		t.Fatal(err)
-	}
+	trace := telemetry.EncodeJSONL(env.TelemetryRuns())
 	var out bytes.Buffer
 	if err := toChrome(&out, bytes.NewReader(trace)); err != nil {
 		t.Fatal(err)

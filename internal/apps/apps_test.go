@@ -291,7 +291,7 @@ func TestCacheHitsAndInvalidation(t *testing.T) {
 					key := uint64(pay[1])<<56 | uint64(pay[2])<<48 | uint64(pay[3])<<40 | uint64(pay[4])<<32 |
 						uint64(pay[5])<<24 | uint64(pay[6])<<16 | uint64(pay[7])<<8 | uint64(pay[8])
 					reply := BuildCacheReply(client.Reverse(), key, key*10)
-					sched.After(50*sim.Microsecond, func() { sw.Inject(1, reply) })
+					sched.At(sched.Now()+50*sim.Microsecond, func() { sw.Inject(1, reply) })
 				}
 			}
 		}

@@ -84,11 +84,7 @@ func TestTwoCampaignsConcurrently(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		j, err := telemetry.EncodeJSONL(runs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return append(m, j...)
+		return append(m, telemetry.EncodeJSONL(runs)...)
 	}
 	loaded := func() *Env {
 		return &Env{Domains: 2, Parallelism: 3, Telemetry: &telOpts, Self: new(self.Plane)}

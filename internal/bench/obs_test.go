@@ -44,10 +44,7 @@ func collectObs(t *testing.T, selfOn bool) ([]byte, []byte, uint64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := telemetry.EncodeJSONL(runs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	j := telemetry.EncodeJSONL(runs)
 	d, err := telemetry.Digest(runs)
 	if err != nil {
 		t.Fatal(err)

@@ -166,10 +166,7 @@ func TestSwitchTelemetryLifecycleStages(t *testing.T) {
 
 	// Decode the JSONL export (exercising the exporter on real data) and
 	// require every lifecycle stage to appear.
-	b, err := telemetry.EncodeJSONL([]telemetry.RunExport{{Label: "t", C: col}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := telemetry.EncodeJSONL([]telemetry.RunExport{{Label: "t", C: col}})
 	for _, stage := range []string{"gen", "enqueue", "merge", "slot", "commit"} {
 		if !bytes.Contains(b, []byte(`"stage":"`+stage+`"`)) {
 			t.Errorf("lifecycle stage %q never traced", stage)

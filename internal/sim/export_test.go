@@ -8,11 +8,8 @@ import "math"
 // false when no events remain.
 func (s *Scheduler) Step() bool { return s.stepBounded(Forever, false) }
 
-// Pending reports whether the event behind h is still waiting to fire
-// (not yet fired and not cancelled).
-func (h Handle) Pending() bool {
-	return h.ev != nil && h.ev.gen == h.gen && !h.ev.cancelled
-}
+// After schedules fn to run d after the current time.
+func (s *Scheduler) After(d Time, fn Action) { s.AfterRunner(d, fn) }
 
 // Live returns the queued elements, oldest first, aliasing the queue.
 func (f *FIFO[T]) Live() []T { return f.q[f.head:] }
@@ -22,9 +19,6 @@ func (f *FIFO[T]) Reset() {
 	clear(f.q[f.head:])
 	f.q, f.head = f.q[:0], 0
 }
-
-// Period returns the ticker's period.
-func (t *Ticker) Period() Time { return t.period }
 
 // Reset discards every sample.
 func (s *Stats) Reset() {

@@ -103,7 +103,7 @@ func (d *laneDiff) mutate(self int) {
 			d.nextID++
 			d.wireK2++
 			d.wires = append(d.wires, refPending{at: at, k1: k1, k2: d.wireK2, id: id})
-			d.s.AtWireRunner(at, k1, d.wireK2, runFunc(func() { d.fired = id; d.mutate(-1) }))
+			d.s.AtWireRunner(at, k1, d.wireK2, Action(func() { d.fired = id; d.mutate(-1) }))
 		case 7:
 			d.spare = append(d.spare, d.s.NextSeq())
 		}

@@ -58,7 +58,7 @@ func (m *edgeModel) drain() {
 	for dst := range m.mail {
 		for _, f := range m.mail[dst] {
 			f := f
-			m.p.Sched(f.dst).AtWireRunner(f.at, f.k1, f.k2, runFunc(func() { m.arrive(f.dst, f.hop) }))
+			m.p.Sched(f.dst).AtWireRunner(f.at, f.k1, f.k2, Action(func() { m.arrive(f.dst, f.hop) }))
 		}
 		m.mail[dst] = m.mail[dst][:0]
 	}

@@ -58,7 +58,7 @@ func (m *ring) drain() {
 	for d := range m.mail {
 		for _, f := range m.mail[d] {
 			f := f
-			m.p.Sched(f.dst).AtWireRunner(f.at, f.k1, f.k2, runFunc(func() { m.arrive(f.dst, f.token) }))
+			m.p.Sched(f.dst).AtWireRunner(f.at, f.k1, f.k2, Action(func() { m.arrive(f.dst, f.token) }))
 		}
 		m.mail[d] = m.mail[d][:0]
 	}
@@ -247,9 +247,9 @@ func TestAtWireOrdering(t *testing.T) {
 	s.At(Microsecond, func() { got = append(got, "heap") })
 	lane := s.NewLane(func() { got = append(got, "lane") })
 	s.At(0, func() { lane.ArmAt(Microsecond) })
-	s.AtWireRunner(Microsecond, 2, 0, runFunc(func() { got = append(got, "wire-k1=2") }))
-	s.AtWireRunner(Microsecond, 1, 1, runFunc(func() { got = append(got, "wire-k2=1") }))
-	s.AtWireRunner(Microsecond, 1, 0, runFunc(func() { got = append(got, "wire-k2=0") }))
+	s.AtWireRunner(Microsecond, 2, 0, Action(func() { got = append(got, "wire-k1=2") }))
+	s.AtWireRunner(Microsecond, 1, 1, Action(func() { got = append(got, "wire-k2=1") }))
+	s.AtWireRunner(Microsecond, 1, 0, Action(func() { got = append(got, "wire-k2=0") }))
 	s.Run(Microsecond)
 	want := []string{"wire-k2=0", "wire-k2=1", "wire-k1=2", "heap", "lane"}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
@@ -267,7 +267,7 @@ func TestAtWirePastPanics(t *testing.T) {
 			t.Error("expected panic scheduling wire event in the past")
 		}
 	}()
-	s.AtWireRunner(0, 0, 0, runFunc(func() {}))
+	s.AtWireRunner(0, 0, 0, Action(func() {}))
 }
 
 // wireRunner records its firing order for TestAtWireRunnerOrdering.
@@ -285,7 +285,7 @@ func TestAtWireRunnerOrdering(t *testing.T) {
 	var got []string
 	s.At(Microsecond, func() { got = append(got, "heap") })
 	s.AtWireRunner(Microsecond, 2, 0, &wireRunner{"runner-k1=2", &got})
-	s.AtWireRunner(Microsecond, 1, 1, runFunc(func() { got = append(got, "fn-k2=1") }))
+	s.AtWireRunner(Microsecond, 1, 1, Action(func() { got = append(got, "fn-k2=1") }))
 	s.AtWireRunner(Microsecond, 1, 0, &wireRunner{"runner-k2=0", &got})
 	s.Run(Microsecond)
 	want := []string{"runner-k2=0", "fn-k2=1", "runner-k1=2", "heap"}

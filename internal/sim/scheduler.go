@@ -5,39 +5,17 @@ import "repro/internal/telemetry/self"
 // Action is a callback executed when a scheduled event fires.
 type Action func()
 
+// Run calls a. It makes every Action a Runner, so At is AtRunner: a
+// func value is pointer-shaped, and converting it to the interface does
+// not allocate.
+func (a Action) Run() { a() }
+
 // Runner is implemented by pooled callback objects. AtRunner/AfterRunner
 // accept a Runner instead of a closure so hot paths that would otherwise
 // allocate a capturing closure per call can schedule a long-lived object
 // (typically drawn from a free list) with no per-call allocation.
 type Runner interface {
 	Run()
-}
-
-// Handle identifies a scheduled event so it can be cancelled. The zero
-// Handle is invalid. Handles stay safe after the event fires: the
-// scheduler recycles event records through a free list, and each reuse
-// bumps a generation counter that stale handles fail to match.
-type Handle struct {
-	ev  *schedEvent
-	gen uint64
-}
-
-// Cancel prevents the event from firing. Cancelling an already-fired or
-// already-cancelled event is a no-op.
-func (h Handle) Cancel() {
-	if h.ev != nil && h.ev.gen == h.gen {
-		h.ev.cancelled = true
-	}
-}
-
-type schedEvent struct {
-	at        Time
-	seq       uint64 // insertion order; breaks ties deterministically
-	gen       uint64 // bumped on every free-list recycle; validates Handles
-	fn        Action
-	runner    Runner
-	index     int // heap index
-	cancelled bool
 }
 
 // wireEvent is an entry in the scheduler's wire band: an externally-keyed
@@ -109,87 +87,70 @@ func (h *wireHeap) pop() wireEvent {
 	return top
 }
 
-// eventHeap is a binary min-heap of ordinary events ordered by (at, seq),
-// sifted manually like wireHeap: container/heap dispatches Less/Swap
-// through an interface on every comparison, and the event heap is the
-// single hottest structure in the engine. Each event's index field is
-// kept current on every move — Handle cancellation relies on it.
-type eventHeap []*schedEvent
+// event is an entry in the event heap: a value, ordered by (at, seq).
+type event struct {
+	at  Time
+	seq uint64 // insertion order; breaks ties deterministically
+	run Runner
+}
 
-// heapLess orders events by (at, seq).
-func heapLess(a, b *schedEvent) bool {
+func eventLess(a, b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
 }
 
-// heapSiftUp restores the heap property upward from index i, holding the
-// moving event in a register and shifting parents down (one store per
-// level instead of a full swap).
-func (s *Scheduler) heapSiftUp(i int) {
-	q := s.queue
-	ev := q[i]
+// eventHeap is a binary min-heap of ordinary events ordered by (at, seq),
+// sifted manually like wireHeap: container/heap dispatches Less/Swap
+// through an interface on every comparison, and the event heap is the
+// single hottest structure in the engine. Each sift holds the moving
+// event aside and shifts the others into its path, one store per level.
+type eventHeap []event
+
+func (h *eventHeap) push(e event) {
+	*h = append(*h, e)
+	q := *h
+	i := len(q) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		p := q[parent]
-		if !heapLess(ev, p) {
+		if !eventLess(&e, &q[parent]) {
 			break
 		}
-		q[i] = p
-		p.index = i
+		q[i] = q[parent]
 		i = parent
 	}
-	q[i] = ev
-	ev.index = i
+	q[i] = e
 }
 
-// heapSiftDown restores the heap property downward from index i.
-func (s *Scheduler) heapSiftDown(i int) {
-	q := s.queue
-	n := len(q)
-	ev := q[i]
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		min := l
-		if r := l + 1; r < n && heapLess(q[r], q[l]) {
-			min = r
-		}
-		if !heapLess(q[min], ev) {
-			break
-		}
-		q[i] = q[min]
-		q[i].index = i
-		i = min
-	}
-	q[i] = ev
-	ev.index = i
-}
-
-// heapPush appends ev and sifts it into place.
-func (s *Scheduler) heapPush(ev *schedEvent) {
-	ev.index = len(s.queue)
-	s.queue = append(s.queue, ev)
-	s.heapSiftUp(ev.index)
-}
-
-// heapPopHead removes and returns the heap head.
-func (s *Scheduler) heapPopHead() *schedEvent {
-	q := s.queue
-	ev := q[0]
+func (h *eventHeap) pop() event {
+	q := *h
+	top := q[0]
 	n := len(q) - 1
 	last := q[n]
-	q[n] = nil
-	s.queue = q[:n]
-	if n > 0 {
-		q[0] = last
-		last.index = 0
-		s.heapSiftDown(0)
+	q[n] = event{}
+	q = q[:n]
+	*h = q
+	if n == 0 {
+		return top
 	}
-	return ev
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && eventLess(&q[r], &q[c]) {
+			c = r
+		}
+		if !eventLess(&q[c], &last) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	q[i] = last
+	return top
 }
 
 // Scheduler is a deterministic discrete-event scheduler. Events scheduled
@@ -201,7 +162,6 @@ type Scheduler struct {
 	queue eventHeap
 	wire  wireHeap
 	lanes laneHeap
-	free  []*schedEvent
 	fired uint64
 
 	// self is the run's wall-clock self-metrics plane, nil when nothing
@@ -240,8 +200,8 @@ func (s *Scheduler) Self() *self.Plane { return s.self }
 // Now returns the current virtual time.
 func (s *Scheduler) Now() Time { return s.now }
 
-// Pending returns the number of events waiting to fire (including
-// cancelled events not yet discarded and armed lanes).
+// Pending returns the number of events waiting to fire, armed lanes and
+// tickers included.
 func (s *Scheduler) Pending() int {
 	n := len(s.queue) + len(s.wire) + len(s.lanes)
 	if s.firing != nil {
@@ -253,68 +213,28 @@ func (s *Scheduler) Pending() int {
 // Fired returns the total number of events executed so far.
 func (s *Scheduler) Fired() uint64 { return s.fired }
 
-// alloc draws an event record from the free list, or allocates one.
-func (s *Scheduler) alloc() *schedEvent {
-	if n := len(s.free); n > 0 {
-		ev := s.free[n-1]
-		s.free = s.free[:n-1]
-		return ev
-	}
-	return &schedEvent{}
-}
-
-// release returns a fired or cancelled event record to the free list,
-// invalidating outstanding Handles via the generation counter.
-func (s *Scheduler) release(ev *schedEvent) {
-	ev.gen++
-	ev.fn = nil
-	ev.runner = nil
-	ev.cancelled = false
-	s.free = append(s.free, ev)
-}
-
 // At schedules fn to run at the absolute time at. Scheduling in the past
 // (before Now) panics: it would silently reorder causality.
-func (s *Scheduler) At(at Time, fn Action) Handle {
-	ev := s.schedule(at)
-	ev.fn = fn
-	return Handle{ev: ev, gen: ev.gen}
-}
-
-// After schedules fn to run d after the current time.
-func (s *Scheduler) After(d Time, fn Action) Handle {
-	if d < 0 {
-		panic("sim: negative delay")
-	}
-	return s.At(s.now+d, fn)
-}
+func (s *Scheduler) At(at Time, fn Action) { s.AtRunner(at, fn) }
 
 // AtRunner schedules r.Run to execute at the absolute time at. It is the
 // allocation-free variant of At for pooled callback objects.
-func (s *Scheduler) AtRunner(at Time, r Runner) Handle {
-	ev := s.schedule(at)
-	ev.runner = r
-	return Handle{ev: ev, gen: ev.gen}
+func (s *Scheduler) AtRunner(at Time, r Runner) {
+	if at < s.now {
+		// Instants are computed by in-tree code from Now; a past one is a bug.
+		panic("sim: event scheduled in the past")
+	}
+	s.queue.push(event{at: at, seq: s.seq, run: r})
+	s.seq++
 }
 
 // AfterRunner schedules r.Run to execute d after the current time.
-func (s *Scheduler) AfterRunner(d Time, r Runner) Handle {
+func (s *Scheduler) AfterRunner(d Time, r Runner) {
 	if d < 0 {
+		// Delays come from in-tree link and pacing arithmetic, never raw input.
 		panic("sim: negative delay")
 	}
-	return s.AtRunner(s.now+d, r)
-}
-
-func (s *Scheduler) schedule(at Time) *schedEvent {
-	if at < s.now {
-		panic("sim: event scheduled in the past")
-	}
-	ev := s.alloc()
-	ev.at = at
-	ev.seq = s.seq
-	s.seq++
-	s.heapPush(ev)
-	return ev
+	s.AtRunner(s.now+d, r)
 }
 
 // AtWireRunner schedules r.Run on the wire band: at equal timestamps
@@ -322,59 +242,55 @@ func (s *Scheduler) schedule(at Time) *schedEvent {
 // themselves by the caller-supplied key (k1, then k2). The key must be
 // engine-independent (netsim uses k1 = directed-link id and k2 = the
 // sender's frame counter on that direction) so that every partitioning
-// of a topology fires the same arrivals in the same order. Wire events
-// cannot be cancelled.
+// of a topology fires the same arrivals in the same order.
 func (s *Scheduler) AtWireRunner(at Time, k1, k2 uint64, r Runner) {
 	if at < s.now {
+		// Arrival instants are send time plus a non-negative link latency.
 		panic("sim: wire event scheduled in the past")
 	}
 	s.wire.push(wireEvent{at: at, k1: k1, k2: k2, runner: r})
 }
 
 // Every schedules fn to run periodically with the given period, starting
-// one period from now. The returned Ticker can be stopped. fn observes the
-// scheduler time via Now.
+// one period from now, until the returned Ticker is stopped. fn observes
+// the scheduler time via Now. A ticker is a lane whose callback runs fn
+// and then re-arms it one period on, so each firing draws its seq after
+// fn has run, as an At call at the end of fn would.
 func (s *Scheduler) Every(period Time, fn Action) *Ticker {
 	if period <= 0 {
+		// Periods are in-tree constants and app defaults; no flag sets one.
 		panic("sim: non-positive period")
 	}
-	t := &Ticker{s: s, period: period, fn: fn}
-	t.tick = func() {
-		if t.stopped {
-			return
-		}
-		t.fn()
+	t := &Ticker{}
+	t.lane = s.NewLane(func() {
+		fn()
 		if !t.stopped {
-			t.h = t.s.After(t.period, t.tick)
+			t.lane.ArmAt(s.now + period)
 		}
-	}
-	t.h = s.After(period, t.tick)
+	})
+	t.lane.ArmAt(s.now + period)
 	return t
 }
 
 // Ticker repeatedly fires an action at a fixed period until stopped.
 type Ticker struct {
-	s       *Scheduler
-	period  Time
-	fn      Action
-	tick    Action // created once; re-arming does not allocate
-	h       Handle
+	lane    *Lane
 	stopped bool
 }
 
-// Stop cancels future firings. Safe to call multiple times.
+// Stop cancels future firings, also from inside the ticker's own action.
+// Safe to call multiple times.
 func (t *Ticker) Stop() {
 	t.stopped = true
-	t.h.Cancel()
+	t.lane.Disarm()
 }
 
 // Lane is a pre-registered periodic-work fast path: one pending
 // occurrence of a fixed callback, re-armed by the callback itself. A
-// self-rearming driver (the switch's pipeline cycle) that went through
-// At would pay an event-record recycle and a closure or Runner
-// indirection per firing, on a heap as deep as everything the simulation
-// has pending; a Lane is a long-lived record in a heap of its own, as
-// deep as the lanes that have work.
+// self-rearming driver (the switch's pipeline cycle, a Ticker) that went
+// through At would pay a push and a pop per firing on a heap as deep as
+// everything the simulation has pending; a Lane is a long-lived record
+// in a heap of its own, as deep as the lanes that have work.
 //
 // Armed lanes sit in a binary min-heap keyed (at, seq), each lane
 // tracking its own heap index. The cost model: O(1) to peek the earliest
@@ -512,6 +428,7 @@ func (l *Lane) arm(at Time, seq uint64) {
 func (l *Lane) ArmAt(at Time) {
 	s := l.s
 	if at < s.now {
+		// Lane instants are computed by in-tree code from Now; a past one is a bug.
 		panic("sim: lane armed in the past")
 	}
 	l.arm(at, s.seq)
@@ -569,20 +486,6 @@ func (s *Scheduler) nextLane() *Lane {
 	return h[1]
 }
 
-// peekHeap discards cancelled events from the heap head and returns the
-// next live event without removing it, or nil.
-func (s *Scheduler) peekHeap() *schedEvent {
-	for len(s.queue) > 0 {
-		ev := s.queue[0]
-		if !ev.cancelled {
-			return ev
-		}
-		s.heapPopHead()
-		s.release(ev)
-	}
-	return nil
-}
-
 // stepBounded is the fused core of Run/RunBefore: one candidate scan
 // (heap head, earliest lane, wire head) picks the winner, checks it
 // against the bound, and fires it. Run's old loop scanned every candidate
@@ -591,7 +494,10 @@ func (s *Scheduler) peekHeap() *schedEvent {
 // without firing when nothing is pending or the earliest event lies past
 // the bound (at > limit, or at == limit when strict).
 func (s *Scheduler) stepBounded(limit Time, strict bool) bool {
-	ev := s.peekHeap()
+	var ev *event
+	if len(s.queue) > 0 {
+		ev = &s.queue[0]
+	}
 	lane := s.nextLane()
 	// Earliest ordinary candidate (heap event vs lane), resolved by the
 	// shared seq counter at equal times.
@@ -620,16 +526,10 @@ func (s *Scheduler) stepBounded(limit Time, strict bool) bool {
 		if ev.at > limit || (strict && ev.at == limit) {
 			return false
 		}
-		s.heapPopHead()
-		s.now = ev.at
-		fn, runner := ev.fn, ev.runner
-		s.release(ev)
+		e := s.queue.pop()
+		s.now = e.at
 		s.fired++
-		if runner != nil {
-			runner.Run()
-		} else {
-			fn()
-		}
+		e.run.Run()
 	default:
 		if lane.at > limit || (strict && lane.at == limit) {
 			return false
@@ -640,6 +540,7 @@ func (s *Scheduler) stepBounded(limit Time, strict bool) bool {
 		// past it; re-arming it is then one sift down from the root, and
 		// only a callback that leaves it disarmed pays for the removal.
 		if s.firing != nil {
+			// Only the top-level run loops step; no in-tree callback does.
 			panic("sim: scheduler stepped from inside a lane callback")
 		}
 		s.now = lane.at
@@ -660,7 +561,7 @@ func (s *Scheduler) stepBounded(limit Time, strict bool) bool {
 // insertion counter without scheduling anything. It is the conveyor
 // primitive: a component that manages its own future-work FIFO (the
 // switch's pipeline conveyor) stamps each entry with the seq the
-// equivalent After call would have drawn, so the entry keeps an exact
+// equivalent AfterRunner call would have drawn, so the entry keeps an exact
 // position in the global event order without ever touching the heap.
 func (s *Scheduler) NextSeq() uint64 {
 	n := s.seq
@@ -673,8 +574,8 @@ func (s *Scheduler) NextSeq() uint64 {
 func (s *Scheduler) NextAt() (Time, bool) {
 	at := Forever
 	ok := false
-	if ev := s.peekHeap(); ev != nil {
-		at, ok = ev.at, true
+	if len(s.queue) > 0 {
+		at, ok = s.queue[0].at, true
 	}
 	if lane := s.nextLane(); lane != nil && lane.at < at {
 		at, ok = lane.at, true
@@ -707,9 +608,9 @@ func (s *Scheduler) publishSelf() {
 }
 
 // Run executes events until the queue drains or the clock would pass
-// until. The clock is left at the later of its current value and until
-// (unless the queue drained earlier, in which case it rests at the last
-// fired event). It returns the number of events executed.
+// until. The clock is left at the later of its current value and until,
+// also when the queue drained earlier. It returns the number of events
+// executed.
 func (s *Scheduler) Run(until Time) uint64 {
 	start := s.fired
 	for s.stepBounded(until, false) {

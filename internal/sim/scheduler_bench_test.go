@@ -6,12 +6,12 @@ import (
 )
 
 // BenchmarkScheduler measures the steady-state schedule+fire round trip
-// through the heap with the event free list warm: the cost the switch
+// through the event heap with its backing array warm: the cost the switch
 // paid per cycle before the Lane fast path existed.
 func BenchmarkScheduler(b *testing.B) {
 	s := NewScheduler()
 	fn := func() {}
-	// Warm the free list and the heap's backing array.
+	// Warm the heap's backing array.
 	for i := 0; i < 64; i++ {
 		s.After(Nanosecond, fn)
 	}
@@ -66,8 +66,8 @@ func BenchmarkSchedulerLanes(b *testing.B) {
 }
 
 // TestSchedulerSteadyStateZeroAlloc pins the scheduler's hot paths at
-// zero allocations per event once the free list is warm: both the
-// heap path (After/Step) and the lane path must recycle, not allocate.
+// zero allocations per event once the heap's backing array is warm: the
+// heap path (After/Step), whose entries are values, and the lane path.
 func TestSchedulerSteadyStateZeroAlloc(t *testing.T) {
 	s := NewScheduler()
 	fn := func() {}
@@ -91,55 +91,6 @@ func TestSchedulerSteadyStateZeroAlloc(t *testing.T) {
 		s.Step()
 	}); avg != 0 {
 		t.Errorf("lane path: %v allocs per fire, want 0", avg)
-	}
-}
-
-// TestHandleGenerationSafety verifies that a Handle held across its
-// event's firing cannot observe — or cancel — the recycled record's next
-// occupant.
-func TestHandleGenerationSafety(t *testing.T) {
-	s := NewScheduler()
-	stale := s.After(Nanosecond, func() {})
-	if !stale.Pending() {
-		t.Fatal("fresh handle should be pending")
-	}
-	s.Step()
-	if stale.Pending() {
-		t.Error("handle still pending after its event fired")
-	}
-
-	// The freed record is recycled for the next event; the stale handle
-	// must not alias it.
-	ran := false
-	fresh := s.After(Nanosecond, func() { ran = true })
-	stale.Cancel() // must be a no-op against the recycled record
-	if !fresh.Pending() {
-		t.Fatal("stale Cancel hit the recycled event")
-	}
-	s.Step()
-	if !ran {
-		t.Error("recycled event did not fire")
-	}
-}
-
-// TestCancelReleasesToPool verifies cancelled events are recycled (via
-// the head-discard in peek) rather than leaked, and that cancellation
-// before firing sticks.
-func TestCancelReleasesToPool(t *testing.T) {
-	s := NewScheduler()
-	ran := false
-	h := s.After(Nanosecond, func() { ran = true })
-	h.Cancel()
-	if h.Pending() {
-		t.Error("cancelled handle reports pending")
-	}
-	for s.Step() {
-	}
-	if ran {
-		t.Error("cancelled event fired")
-	}
-	if len(s.free) == 0 {
-		t.Error("cancelled event was not returned to the free list")
 	}
 }
 
@@ -246,10 +197,7 @@ func TestRunnerScheduling(t *testing.T) {
 	s := NewScheduler()
 	r := &countRunner{}
 	s.AfterRunner(Microsecond, r)
-	h := s.AtRunner(2*Microsecond, r)
-	if !h.Pending() {
-		t.Error("runner handle should be pending")
-	}
+	s.AtRunner(2*Microsecond, r)
 	for s.Step() {
 	}
 	if r.n != 2 {

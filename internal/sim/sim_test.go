@@ -6,12 +6,6 @@ import (
 	"testing/quick"
 )
 
-// runFunc adapts a closure to Runner for tests that schedule through the
-// Runner-only entry points (AtWireRunner).
-type runFunc func()
-
-func (f runFunc) Run() { f() }
-
 func TestTimeString(t *testing.T) {
 	cases := []struct {
 		in   Time
@@ -98,24 +92,6 @@ func TestSchedulerRunHorizon(t *testing.T) {
 	}
 }
 
-func TestSchedulerCancel(t *testing.T) {
-	s := NewScheduler()
-	fired := false
-	h := s.At(10, func() { fired = true })
-	if !h.Pending() {
-		t.Error("handle should be pending before firing")
-	}
-	h.Cancel()
-	for s.Step() {
-	}
-	if fired {
-		t.Error("cancelled event fired")
-	}
-	if h.Pending() {
-		t.Error("cancelled handle still pending")
-	}
-}
-
 func TestSchedulerPastPanics(t *testing.T) {
 	s := NewScheduler()
 	s.At(10, func() {})
@@ -159,9 +135,6 @@ func TestTicker(t *testing.T) {
 		if ticks[i] != at {
 			t.Errorf("tick %d at %v, want %v", i, ticks[i], at)
 		}
-	}
-	if tk.Period() != 10 {
-		t.Errorf("Period = %v, want 10", tk.Period())
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"os"
 	"sort"
+	"strconv"
 )
 
 // RunExport is one labelled collector in a multi-run export (one per
@@ -84,58 +85,72 @@ func kindName(k uint8) string {
 	return eventKindName(k)
 }
 
-// jsonlRec is one line of a JSONL trace, post-run (EncodeJSONL) or
-// streamed (StreamSink), so the two are line-compatible.
-type jsonlRec struct {
-	Run     string `json:"run"`
-	Stream  string `json:"stream"`
-	TsPs    int64  `json:"ts_ps"`
-	Stage   string `json:"stage"`
-	Kind    string `json:"kind"`
-	Outcome string `json:"outcome,omitempty"`
-	Seq     uint64 `json:"seq"`
-	Arg     uint64 `json:"arg"`
+// jsonlPrefix is the text every JSONL line of the named run and stream
+// starts with, up to the ts_ps value. The run label is free text, so
+// json.Marshal quotes both names, once per stream rather than per record.
+func jsonlPrefix(run, stream string) []byte {
+	r, _ := json.Marshal(run) // a string always marshals
+	st, _ := json.Marshal(stream)
+	b := append([]byte(`{"run":`), r...)
+	b = append(b, `,"stream":`...)
+	b = append(b, st...)
+	return append(b, `,"ts_ps":`...)
 }
 
-// jsonlLine renders one record of the named run and stream.
-func jsonlLine(run, stream string, rec Rec) ([]byte, error) {
-	return json.Marshal(jsonlRec{
-		Run: run, Stream: stream,
-		TsPs: int64(rec.At), Stage: rec.Stg.String(),
-		Kind: kindName(rec.Kind), Outcome: rec.Out.String(),
-		Seq: rec.Seq, Arg: rec.Arg,
-	})
+// appendJSONL appends one record as a JSONL line, newline included, to b
+// and returns the extended buffer; prefix is jsonlPrefix's for the
+// record's run and stream. Post-run (EncodeJSONL) and streamed
+// (StreamSink) traces share it, so the two are line-compatible. The
+// stage, kind and outcome names come from fixed vocabularies of plain
+// identifiers that need no escaping; TestAppendJSONLMatchesMarshal holds
+// every line to what json.Marshal writes.
+func appendJSONL(b, prefix []byte, rec Rec) []byte {
+	b = append(b, prefix...)
+	b = strconv.AppendInt(b, int64(rec.At), 10)
+	b = append(b, `,"stage":"`...)
+	b = append(b, rec.Stg.String()...)
+	b = append(b, `","kind":"`...)
+	b = append(b, kindName(rec.Kind)...)
+	b = append(b, '"')
+	if out := rec.Out.String(); out != "" {
+		b = append(b, `,"outcome":"`...)
+		b = append(b, out...)
+		b = append(b, '"')
+	}
+	b = append(b, `,"seq":`...)
+	b = strconv.AppendUint(b, rec.Seq, 10)
+	b = append(b, `,"arg":`...)
+	b = strconv.AppendUint(b, rec.Arg, 10)
+	return append(b, "}\n"...)
 }
 
 // EncodeJSONL renders the trace as one JSON object per line, the only
 // trace format written to disk (cmd/tracecheck converts it for Perfetto
-// offline). Fields: run, stream, ts_ps, stage, kind, outcome, seq, arg.
-func EncodeJSONL(runs []RunExport) ([]byte, error) {
-	var buf bytes.Buffer
+// offline). Fields: run, stream, ts_ps, stage, kind, outcome (omitted
+// when empty), seq, arg.
+func EncodeJSONL(runs []RunExport) []byte {
+	var b []byte
 	for _, r := range sortRuns(runs) {
 		t := r.C.Tracer()
 		if t == nil {
 			continue
 		}
+		prefixes := make([][]byte, len(t.streams))
 		for _, rec := range t.merged() {
-			b, err := jsonlLine(r.Label, t.streams[rec.stream].name, rec.Rec)
-			if err != nil {
-				return nil, err
+			p := prefixes[rec.stream]
+			if p == nil {
+				p = jsonlPrefix(r.Label, t.streams[rec.stream].name)
+				prefixes[rec.stream] = p
 			}
-			buf.Write(b)
-			buf.WriteByte('\n')
+			b = appendJSONL(b, p, rec.Rec)
 		}
 	}
-	return buf.Bytes(), nil
+	return b
 }
 
 // WriteJSONL writes the JSONL trace to path.
 func WriteJSONL(path string, runs []RunExport) error {
-	b, err := EncodeJSONL(runs)
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, b, 0o644)
+	return os.WriteFile(path, EncodeJSONL(runs), 0o644)
 }
 
 // Digest returns an FNV-1a hash over the full metrics + trace export of
@@ -148,10 +163,6 @@ func Digest(runs []RunExport) (uint64, error) {
 		return 0, err
 	}
 	h.Write(m)
-	j, err := EncodeJSONL(runs)
-	if err != nil {
-		return 0, err
-	}
-	h.Write(j)
+	h.Write(EncodeJSONL(runs))
 	return h.Sum64(), nil
 }

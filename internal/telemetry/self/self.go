@@ -167,9 +167,11 @@ type Plane struct {
 	// SchedDispatch counts events executed across all schedulers
 	// (published as batched deltas at Run/RunBefore exit).
 	SchedDispatch Counter
-	// SchedLaneArms counts cycle-lane arms (Lane.ArmAt) and SchedAuxArms
-	// counts exact-coordinate arms (Lane.ArmExact — the switch conveyor's
-	// aux lane), both published at run exit with SchedDispatch.
+	// SchedLaneArms counts Lane.ArmAt calls: cycle-lane arms and every
+	// ticker's first arm and re-arms (Scheduler.Every runs on a lane).
+	// SchedAuxArms counts exact-coordinate arms (Lane.ArmExact — the
+	// switch conveyor's aux lane). Both are published at run exit with
+	// SchedDispatch.
 	SchedLaneArms Counter
 	SchedAuxArms  Counter
 

@@ -13,7 +13,7 @@ import (
 // StreamSink writes a run's telemetry to disk while the run executes, so
 // long runs leave observable output before they finish:
 //
-//   - every trace record as a JSONL line, the same jsonlRec EncodeJSONL
+//   - every trace record as a JSONL line, the same line EncodeJSONL
 //     writes (run/stream/ts_ps/stage/kind/outcome/seq/arg);
 //   - one compact "evbench-metrics/v1" document per Flush as a JSONL
 //     line in the metrics file.
@@ -45,6 +45,7 @@ type StreamSink struct {
 
 	self *self.Plane // StreamOptions.Self
 	err  error
+	line []byte // scratch for one trace line
 }
 
 type sinkEntry struct {
@@ -137,13 +138,10 @@ func (sk *StreamSink) Flush() error {
 // It runs inside Emit, on the goroutine that writes s; an error sticks
 // and surfaces at the next Flush or Close.
 func (sk *StreamSink) write(label string, s *Stream) {
+	prefix := jsonlPrefix(label, s.name)
 	for i := s.flushed; i < s.n && sk.err == nil; i++ {
-		b, err := jsonlLine(label, s.name, s.ring[i%uint64(len(s.ring))])
-		if err == nil {
-			sk.traceW.Write(b)
-			err = sk.traceW.WriteByte('\n')
-		}
-		sk.err = err
+		sk.line = appendJSONL(sk.line[:0], prefix, s.ring[i%uint64(len(s.ring))])
+		_, sk.err = sk.traceW.Write(sk.line)
 	}
 	if sk.self != nil {
 		sk.self.StreamRecords.Add(s.n - s.flushed)
